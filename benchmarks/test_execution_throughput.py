@@ -7,7 +7,7 @@ The acceptance bar for the planned execution engine
   interpreter on wall-clock for every benchmarked zoo model,
 * once warm, the plan's buffer arena performs **zero** new allocations per
   run — *including the heavy conv/GEMM/pooling operators*, whose outputs
-  come from the liveness-managed arena and whose im2col/padding/GEMM
+  come from the liveness-managed arena and whose padding/column-matrix
   scratch is leased from arena-backed workspaces —
 * the destination-passing heavy kernels beat the PR-3-era implementation
   (per-call weight reshape/transpose, allocating im2col, ``concatenate``
@@ -33,6 +33,11 @@ Environment knobs (used by the CI perf-smoke job):
   artifact so future PRs can gate against a recorded baseline instead of
   only a same-run paired ratio.
 
+The wall-clock ratio gates carry the ``perf`` marker, which the default
+(tier-1) collection deselects: two medians taken on a shared box are not
+deterministic.  CI's perf job selects them with ``-m "perf or not perf"``;
+the bitwise, zero-alloc and schema assertions here stay in tier-1.
+
 Run with ``-s`` to see the comparison tables.
 """
 
@@ -51,7 +56,7 @@ from repro.models import build_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.session import create_session
-from repro.runtime.tensor_utils import Workspace, im2col
+from repro.runtime.tensor_utils import Workspace
 import repro.runtime.functional as F
 from repro.serving.engine import example_inputs
 
@@ -66,7 +71,7 @@ BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "")
 GATE = 1.02
 
 #: per-model tolerance for the planned-vs-interpreter check.  The heavy
-#: kernels (cached weight layouts, single-copy finalization) are shared
+#: kernels (tap copies, GEMM straight into the destination) are shared
 #: with the interpreter, so on BLAS-dominated default-size models the two
 #: engines run near parity and only dispatch/arena savings separate them;
 #: this bounds regressions without flaking on parity-class models, while
@@ -198,13 +203,28 @@ def _measure_binding(model, plan: ExecutionPlan, interp: GraphExecutor,
 # Op-level PR-3 reference: the conv implementation before destination
 # passing, pinned here so the benchmark measures exactly what this PR
 # removed — per-call weight reshape + transposed-view GEMM, an allocating
-# im2col, a fresh output per call and ``concatenate`` group assembly.
+# im2col, a fresh output per call and ``concatenate`` group assembly.  The
+# im2col gather is a private copy: the runtime no longer has one.
 # ---------------------------------------------------------------------------
+def _pr3_im2col(x, kernel, strides, pads):
+    top, left, bottom, right = pads
+    x_p = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    n, c, h, w = x_p.shape
+    (kh, kw), (sh, sw) = kernel, strides
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    sn, sc, sy, sx = x_p.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_p, shape=(n, c, oh, ow, kh, kw),
+        strides=(sn, sc, sy * sh, sx * sw, sy, sx), writeable=False)
+    patches = windows.transpose(0, 2, 3, 1, 4, 5)
+    return np.ascontiguousarray(patches.reshape(n * oh * ow, c * kh * kw)), (oh, ow)
+
+
 def _pr3_conv2d(x, weight, strides=(1, 1), pads=(1, 1, 1, 1), group=1):
     n = x.shape[0]
     m, c_per_group, kh, kw = weight.shape
     if group == 1:
-        cols, (oh, ow) = im2col(x, (kh, kw), strides, pads)
+        cols, (oh, ow) = _pr3_im2col(x, (kh, kw), strides, pads)
         w_mat = weight.reshape(m, -1)
         out = cols @ w_mat.T
         out = out.reshape(n, oh, ow, m).transpose(0, 3, 1, 2)
@@ -214,7 +234,7 @@ def _pr3_conv2d(x, weight, strides=(1, 1), pads=(1, 1, 1, 1), group=1):
     for g in range(group):
         xs = x[:, g * c_per_group:(g + 1) * c_per_group]
         ws = weight[g * m_per_group:(g + 1) * m_per_group]
-        cols, (oh, ow) = im2col(xs, (kh, kw), strides, pads)
+        cols, (oh, ow) = _pr3_im2col(xs, (kh, kw), strides, pads)
         res = cols @ ws.reshape(m_per_group, -1).T
         out_groups.append(res.reshape(n, oh, ow, m_per_group).transpose(0, 3, 1, 2))
     return np.ascontiguousarray(np.concatenate(out_groups, axis=1))
@@ -282,6 +302,7 @@ def bench_artifact(throughput_rows, conv_op_rows):
     return BENCH_JSON
 
 
+@pytest.mark.perf
 def test_planned_path_beats_interpreter(throughput_rows):
     print()
     print(format_rows(throughput_rows))
@@ -311,6 +332,7 @@ def test_planned_path_is_zero_alloc_once_warm(throughput_rows):
         assert row["heavy_steps"] > 0
 
 
+@pytest.mark.perf
 def test_heavy_destination_passing_never_regresses_plan(throughput_rows):
     """The destination-passing plan vs the PR-3-style plan, whole model.
 
@@ -345,6 +367,7 @@ def test_bound_runs_zero_output_alloc_and_bitwise(throughput_rows):
             f"{row['model']}: bound outputs diverged from GraphExecutor")
 
 
+@pytest.mark.perf
 def test_bound_runs_do_not_regress_unbound_plan(throughput_rows):
     """Binding removes the per-run output allocation; it must never make
     the planned path materially slower (regression bound, not a claim)."""
@@ -354,14 +377,18 @@ def test_bound_runs_do_not_regress_unbound_plan(throughput_rows):
             f"the unbound plan ({row['binding_speedup']}x)")
 
 
+@pytest.mark.perf
 def test_heavy_conv_beats_pr3_implementation(conv_op_rows):
     print()
     print(format_rows(conv_op_rows))
     best = max(row["speedup"] for row in conv_op_rows)
     assert best * GATE >= 1.0, (
-        "destination-passing conv2d (cached transposed weights, "
-        "workspace-backed im2col, out= finalization) must beat the "
+        "destination-passing conv2d (tap copies into a workspace-backed "
+        "column matrix, GEMM straight into out=) must beat the "
         f"PR-3-era implementation on at least one conv case; got {conv_op_rows}")
+
+
+def test_heavy_conv_workspace_is_warm_after_one_call(conv_op_rows):
     for row in conv_op_rows:
         # Once warm the workspace serves every scratch buffer from its
         # pools: the timed rounds must not have allocated at all.

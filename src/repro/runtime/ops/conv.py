@@ -1,24 +1,29 @@
-"""Convolution operators (im2col + GEMM implementation).
+"""Convolution operators (NCHW-native tap copies + GEMM, no layout change).
 
 These are the "heavy" operators of the paper's cost model.  The forward
-convolution is implemented as an im2col lowering followed by one matrix
-multiplication per group, which keeps all the arithmetic inside BLAS and
-makes the per-op runtime roughly proportional to the static cost weights
-used by :class:`repro.graph.cost_model.CostModel`.
+convolution copies the KH*KW kernel taps of the padded input (see
+:func:`repro.runtime.tensor_utils.tap_views`) into a channel-major
+``(C*KH*KW, OH*OW)`` column matrix per sample and multiplies it by the
+weights viewed as ``(M, C*KH*KW)``, so the GEMM result *is* the NCHW output:
+it lands in the destination with no transpose, and every sample's GEMM has
+the same shape at any batch size (results are batch-invariant).  A 1x1
+stride-1 unpadded convolution skips the copy (the input already is its own
+column matrix) and a depthwise convolution is KH*KW multiply-accumulate
+sweeps instead of C one-row GEMMs.
 
 All heavy entry points are **destination-passing**: ``out=`` receives the
-result and ``workspace=`` provides the im2col column matrix, the padded
-input and the post-GEMM staging buffer, so a warm serving loop runs the
-whole conv allocation-free.  The reshaped/pre-transposed ``(C*KH*KW, M)``
-GEMM weight matrices are derived once per weight array (weights are plan
-constants) and cached under an identity-checked weak reference, for the
-grouped path too.
+result and ``workspace=`` provides the padded input, the column matrix
+(or the depthwise product buffer) and, when ``out`` overlaps an operand,
+the staging buffer, so a warm serving loop runs the whole conv
+allocation-free.  ``weight.reshape(M, -1)`` and its per-group row slices
+are free views; only the flipped transpose-conv kernel is derived and
+cached, once per weight array.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,23 +31,23 @@ from repro.runtime.intra_op import get_num_threads, parallel_over_batch
 from repro.runtime.tensor_utils import (
     as_pair,
     conv_output_hw,
-    im2col,
     normalize_pads,
+    pad_nchw,
     padded_shape,
     reset_workspace,
     scratch,
+    tap_views,
 )
 
 
 class _DerivedWeightCache:
-    """Identity-keyed cache of matrices derived from a weight array.
+    """Identity-keyed cache of arrays derived from a weight array.
 
-    Weights are long-lived graph initializers, so layouts derived from them
-    (the per-group transposed GEMM matrices, the flipped transpose-conv
-    kernel) are computed once per array instead of per call.  Entries are
-    keyed by ``id()`` and guarded by a weak reference, so a dead weight can
-    never be confused with an unrelated array that reuses its address, and
-    the cache never keeps weights alive.
+    Weights are long-lived graph initializers, so a layout derived from one
+    (the flipped transpose-conv kernel) is computed once per array instead
+    of per call.  Entries are keyed by ``id()`` and guarded by a weak
+    reference, so a dead weight can never be confused with an unrelated
+    array that reuses its address, and the cache never keeps weights alive.
     """
 
     __slots__ = ("_entries",)
@@ -73,25 +78,9 @@ class _DerivedWeightCache:
 _WEIGHT_CACHE = _DerivedWeightCache()
 
 
-def _gemm_weight_mats(weight: np.ndarray, group: int) -> List[np.ndarray]:
-    """Per-group contiguous ``(C/g*KH*KW, M/g)`` matrices for the im2col GEMM."""
-    m = weight.shape[0]
-    m_per_group = m // group
-
-    def build() -> List[np.ndarray]:
-        return [
-            np.ascontiguousarray(
-                weight[g * m_per_group:(g + 1) * m_per_group].reshape(m_per_group, -1).T)
-            for g in range(group)
-        ]
-
-    return _WEIGHT_CACHE.get(weight, ("gemm_mats", group), build)
-
-
 def _conv_forward(
     batch: np.ndarray,
     weight: np.ndarray,
-    w_mats: List[np.ndarray],
     strides: Tuple[int, int],
     pads: Sequence[int],
     dilations: Tuple[int, int],
@@ -100,9 +89,9 @@ def _conv_forward(
     workspace,
 ) -> np.ndarray:
     """Convolve one (sub-)batch, writing the NCHW result into ``out``."""
-    n = batch.shape[0]
+    n, c, h, w = batch.shape
     m, c_per_group, kh, kw = weight.shape
-    oh, ow = conv_output_hw(batch.shape[2:], (kh, kw), strides, pads, dilations)
+    oh, ow = conv_output_hw((h, w), (kh, kw), strides, pads, dilations)
     out_shape = (n, m, oh, ow)
     if out is None:
         dest = np.empty(out_shape, dtype=np.float32)
@@ -115,35 +104,57 @@ def _conv_forward(
                 or np.may_share_memory(out, batch)
                 or np.may_share_memory(out, weight)):
             # Compute into a private contiguous buffer, then copy: the
-            # destination either overlaps an operand (so in-place scatter
-            # would corrupt later groups' reads) or cannot take the strided
-            # NHWC->NCHW copy pattern directly.
+            # destination either overlaps an operand (so writing it would
+            # corrupt later reads) or cannot be viewed as the (M, OH*OW)
+            # GEMM result of each sample.
             staging = scratch(workspace, out_shape)
-            _conv_forward(batch, weight, w_mats, strides, pads, dilations,
-                          group, staging, workspace)
+            _conv_forward(batch, weight, strides, pads, dilations, group,
+                          staging, workspace)
             np.copyto(out, staging)
             return out
         dest = out
-    m_per_group = m // group
-    rows = n * oh * ow
-    # Scratch shapes are identical for every group, so the padded input,
-    # column matrix and GEMM staging buffer are leased once and reused
-    # across the whole group loop.
-    pad_buf = None
+    depthwise = c_per_group == 1 and group > 1
+    # 1x1 / stride 1 / unpadded over samples that are each contiguous (a
+    # channel-slice view of a batch still is): the input is its own columns.
+    pointwise = (not depthwise and (kh, kw) == (1, 1) and strides == (1, 1)
+                 and not any(pads) and batch[:1].flags.c_contiguous)
+    x_p = batch
     if any(pads):
-        pad_buf = scratch(workspace, padded_shape(
-            (n, c_per_group, batch.shape[2], batch.shape[3]), pads))
-    cols = scratch(workspace, (rows, c_per_group * kh * kw))
-    prod = scratch(workspace, (rows, m_per_group))
-    for g in range(group):
-        xs = batch if group == 1 else batch[:, g * c_per_group:(g + 1) * c_per_group]
-        im2col(xs, (kh, kw), strides, pads, dilations, out=cols, pad_out=pad_buf)
-        # GEMM lands in the contiguous NHWC staging matrix; the NCHW
-        # finalization is a single strided copy straight into the
-        # destination slice (no concatenate, no ascontiguousarray).
-        np.matmul(cols, w_mats[g], out=prod)
-        dst = dest if group == 1 else dest[:, g * m_per_group:(g + 1) * m_per_group]
-        np.copyto(dst, prod.reshape(n, oh, ow, m_per_group).transpose(0, 3, 1, 2))
+        x_p = pad_nchw(batch, pads, out=scratch(
+            workspace, padded_shape(batch.shape, pads)))
+    geometry = ((kh, kw), strides, dilations, (oh, ow))
+    if depthwise:
+        # One multiply-accumulate sweep per tap over the whole output,
+        # broadcasting each channel's weight (any channel multiplier).
+        dest5 = dest.reshape(n, c, m // c, oh, ow)
+        w_taps = weight.reshape(1, c, m // c, kh * kw, 1, 1)
+        prod = scratch(workspace, dest5.shape)
+        taps = tap_views(x_p, *geometry)
+        np.multiply(next(taps)[:, :, None], w_taps[:, :, :, 0], out=dest5)
+        for t, tap in enumerate(taps, 1):
+            np.multiply(tap[:, :, None], w_taps[:, :, :, t], out=prod)
+            np.add(dest5, prod, out=dest5)
+        return dest
+    # One contiguous GEMM per (sample, group), on a column matrix that is
+    # refilled per sample so it stays cache-resident: the GEMM shape does not
+    # depend on the batch size, and a group's rows of ``dest`` are strided
+    # across the batch, which ``np.matmul(out=)`` must never be handed.
+    w_mat = weight.reshape(m, -1)
+    m_per_group = m // group
+    k_per_group = c_per_group * kh * kw
+    if not pointwise:
+        cols4 = scratch(workspace, (c, kh * kw, oh, ow))
+        cols = cols4.reshape(c * kh * kw, oh * ow)
+    for i in range(n):
+        if pointwise:
+            cols = batch[i].reshape(c, h * w)
+        else:
+            for t, tap in enumerate(tap_views(x_p[i], *geometry)):
+                np.copyto(cols4[:, t], tap)
+        for g in range(group):
+            rows = slice(g * m_per_group, (g + 1) * m_per_group)
+            np.matmul(w_mat[rows], cols[g * k_per_group:(g + 1) * k_per_group],
+                      out=dest[i, rows].reshape(m_per_group, oh * ow))
     return dest
 
 
@@ -178,8 +189,8 @@ def conv2d(
     workspace:
         Optional scratch provider (see
         :class:`repro.runtime.tensor_utils.Workspace`) for the padded
-        input, im2col columns and post-GEMM staging buffers.  It is reset
-        before the call returns.
+        input, the column matrix and the aliasing staging buffer.  It is
+        reset before the call returns.
     """
     x = np.asarray(x, dtype=np.float32)
     weight = np.asarray(weight, dtype=np.float32)
@@ -196,7 +207,6 @@ def conv2d(
     strides = as_pair(strides)
     dilations = as_pair(dilations)
     pads = normalize_pads(list(pads))
-    w_mats = _gemm_weight_mats(weight, group)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)
         if out is not None and np.may_share_memory(out, bias):
@@ -207,7 +217,7 @@ def conv2d(
             # The intra-op path shards the batch and concatenates; chunks
             # compute without destinations, then land in ``out`` at the end.
             def _convolve(chunk: np.ndarray) -> np.ndarray:
-                return _conv_forward(chunk, weight, w_mats, strides, pads,
+                return _conv_forward(chunk, weight, strides, pads,
                                      dilations, group, None, None)
 
             result = parallel_over_batch(_convolve, x)
@@ -219,7 +229,7 @@ def conv2d(
                 np.copyto(out, result)
                 result = out
         else:
-            result = _conv_forward(x, weight, w_mats, strides, pads,
+            result = _conv_forward(x, weight, strides, pads,
                                    dilations, group, out, workspace)
         if bias is not None:
             # The destination is exclusively ours at this point, so the

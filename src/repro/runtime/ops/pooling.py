@@ -1,10 +1,12 @@
 """Pooling operators (max / average / global), ONNX semantics, NCHW layout.
 
-``max_pool2d`` / ``avg_pool2d`` are destination-passing: the window
-reduction lands directly in ``out=`` and the padded input comes from the
-caller's ``workspace=``, so a warm loop allocates nothing.  The
-average-pool divisor grid (which depends only on spatial geometry, not on
-data) is computed once per geometry and cached.
+``max_pool2d`` / ``avg_pool2d`` fold the KH*KW kernel taps of the padded
+input (:func:`repro.runtime.tensor_utils.tap_views`) into the destination
+with one ``np.maximum`` / ``np.add`` sweep per tap.  They are
+destination-passing: the sweeps accumulate directly in ``out=`` and the
+padded input comes from the caller's ``workspace=``, so a warm loop
+allocates nothing.  The average-pool divisor grid (which depends only on
+spatial geometry, not on data) is computed once per geometry and cached.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import numpy as np
 
 from repro.runtime.tensor_utils import (
     as_pair,
+    conv_output_hw,
     normalize_pads,
     pad_nchw,
     padded_shape,
     reset_workspace,
     scratch,
-    sliding_windows,
+    tap_views,
 )
 
 
@@ -48,44 +51,54 @@ def _pool_geometry(
     return (kh, kw), (sh, sw), (top, left, bottom, right)
 
 
-def _pool_windows(
+def _pool_sweep(
     x: np.ndarray,
+    fold: np.ufunc,
     kernel: Sequence[int],
     strides: Sequence[int],
     pads: Sequence[int],
     ceil_mode: bool,
     pad_value: float,
+    out: Optional[np.ndarray] = None,
     workspace=None,
 ) -> np.ndarray:
-    """Pad (with optional ceil-mode extension) and return sliding windows."""
+    """Pad (with optional ceil-mode extension) and fold the taps with ``fold``.
+
+    The folded windows land in ``out`` (staged through scratch when it
+    overlaps the swept tensor) or in a fresh array.
+    """
     if x.ndim != 4:
         raise ValueError(f"pooling expects a 4D NCHW tensor, got shape {x.shape}")
-    (kh, kw), (sh, sw), full_pads = _pool_geometry(x.shape, kernel, strides,
-                                                   pads, ceil_mode)
-    pad_buf = None
+    kernel, strides, full_pads = _pool_geometry(x.shape, kernel, strides,
+                                                pads, ceil_mode)
+    out_hw = conv_output_hw(x.shape[2:], kernel, strides, full_pads)
+    out_shape = x.shape[:2] + out_hw
+    x_p = x
     if any(full_pads):
-        pad_buf = scratch(workspace, padded_shape(x.shape, full_pads))
-    x_p = pad_nchw(x, full_pads, value=pad_value, out=pad_buf)
-    return sliding_windows(x_p, (kh, kw), (sh, sw))
-
-
-def _pool_dest(windows: np.ndarray, x: np.ndarray,
-               out: Optional[np.ndarray], workspace):
-    """Resolve the reduction destination; stage when ``out`` overlaps ``x``.
-
-    Returns ``(dest, final_out)``: reduce into ``dest``, and when the two
-    differ copy ``dest`` into ``final_out`` afterwards.
-    """
-    out_shape = windows.shape[:4]
+        x_p = pad_nchw(x, full_pads, value=pad_value, out=scratch(
+            workspace, padded_shape(x.shape, full_pads)))
+    dest = out
     if out is None:
-        return np.empty(out_shape, dtype=np.float32), None
-    if out.shape != out_shape or out.dtype != np.float32:
+        dest = np.empty(out_shape, dtype=np.float32)
+    elif out.shape != out_shape or out.dtype != np.float32:
         raise ValueError(
             f"pooling out buffer has shape {out.shape}/{out.dtype}, "
             f"expected {out_shape}/float32")
-    if np.may_share_memory(out, windows):
-        return scratch(workspace, out_shape), out
-    return out, None
+    elif np.may_share_memory(out, x_p):
+        dest = scratch(workspace, out_shape)
+    taps = tap_views(x_p, kernel, strides, (1, 1), out_hw)
+    first = next(taps)
+    second = next(taps, None)
+    if second is None:
+        np.copyto(dest, first)
+    else:
+        fold(first, second, out=dest)  # one pass fewer than copy-then-fold
+        for tap in taps:
+            fold(dest, tap, out=dest)
+    if out is not None and dest is not out:
+        np.copyto(out, dest)
+        return out
+    return dest
 
 
 def max_pool2d(
@@ -100,14 +113,8 @@ def max_pool2d(
     """2D max pooling (padding contributes ``-inf`` so it never wins)."""
     x = np.asarray(x, dtype=np.float32)
     try:
-        windows = _pool_windows(x, kernel, strides, pads, ceil_mode,
-                                pad_value=-np.inf, workspace=workspace)
-        dest, final_out = _pool_dest(windows, x, out, workspace)
-        np.max(windows, axis=(4, 5), out=dest)
-        if final_out is not None:
-            np.copyto(final_out, dest)
-            return final_out
-        return dest
+        return _pool_sweep(x, np.maximum, kernel, strides, pads, ceil_mode,
+                           -np.inf, out, workspace)
     finally:
         reset_workspace(workspace)
 
@@ -132,9 +139,9 @@ def _avg_pool_divisors(
     counts = _DIVISOR_CACHE.get(key)
     if counts is None:
         ones = np.ones((1, 1) + spatial, dtype=np.float32)
-        windows = _pool_windows(ones, kernel, strides, pads, ceil_mode,
-                                pad_value=0.0)
-        counts = np.maximum(windows.sum(axis=(4, 5)), 1.0)
+        counts = _pool_sweep(ones, np.add, kernel, strides, pads,
+                             ceil_mode, 0.0)
+        np.maximum(counts, 1.0, out=counts)
         if len(_DIVISOR_CACHE) >= _DIVISOR_CACHE_MAX:
             _DIVISOR_CACHE.clear()
         _DIVISOR_CACHE[key] = counts
@@ -160,20 +167,15 @@ def avg_pool2d(
     """
     x = np.asarray(x, dtype=np.float32)
     try:
-        windows = _pool_windows(x, kernel, strides, pads, ceil_mode,
-                                pad_value=0.0, workspace=workspace)
-        dest, final_out = _pool_dest(windows, x, out, workspace)
+        sums = _pool_sweep(x, np.add, kernel, strides, pads, ceil_mode,
+                           0.0, out, workspace)
         if count_include_pad:
-            np.mean(windows, axis=(4, 5), out=dest)
+            kh, kw = as_pair(kernel)
+            counts = np.float32(kh * kw)
         else:
             counts = _avg_pool_divisors(x.shape[2:], kernel, strides, pads,
                                         ceil_mode)
-            np.sum(windows, axis=(4, 5), out=dest)
-            np.divide(dest, counts, out=dest)
-        if final_out is not None:
-            np.copyto(final_out, dest)
-            return final_out
-        return dest
+        return np.divide(sums, counts, out=sums)
     finally:
         reset_workspace(workspace)
 
@@ -181,10 +183,10 @@ def avg_pool2d(
 def global_avg_pool2d(x: np.ndarray) -> np.ndarray:
     """Global average pooling to a 1x1 spatial map."""
     x = np.asarray(x, dtype=np.float32)
-    return x.mean(axis=(2, 3), keepdims=True).astype(np.float32)
+    return x.mean(axis=(2, 3), keepdims=True, dtype=np.float32)
 
 
 def global_max_pool2d(x: np.ndarray) -> np.ndarray:
     """Global max pooling to a 1x1 spatial map."""
     x = np.asarray(x, dtype=np.float32)
-    return x.max(axis=(2, 3), keepdims=True).astype(np.float32)
+    return x.max(axis=(2, 3), keepdims=True)

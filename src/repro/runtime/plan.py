@@ -25,11 +25,12 @@ The plan does that work once at build time instead:
 * the **heavy operators** — conv (incl. grouped/depthwise/transposed),
   GEMM/MatMul and the pooling kernels — also run destination-passing:
   their outputs come from the same liveness-managed arena, and their
-  internal scratch (padded input, im2col columns, post-GEMM staging) is
+  internal scratch (padded input, the per-sample conv column matrix, the
+  depthwise product buffer, staging for an aliasing destination) is
   leased per call from arena-backed per-node workspaces, shared across
-  nodes by ``(shape, dtype)`` slot.  Weight-derived GEMM layouts are
-  cached per initializer array, so the warm hot path is allocation-free
-  end to end, heavy ops included.
+  nodes by ``(shape, dtype)`` slot.  The kernels read weights through free
+  views, so the warm hot path is allocation-free end to end, heavy ops
+  included.
 
 Because every step calls the same :mod:`repro.runtime.functional` kernels as
 the interpreter — only with precomputed arguments and destinations — plan
@@ -110,8 +111,8 @@ class _ArenaWorkspace:
 
     Implements the ``take``/``reset`` protocol of
     :class:`repro.runtime.tensor_utils.Workspace`, but leases buffers from
-    the shared ``(shape, dtype)`` arena pools — so the im2col columns,
-    padded inputs and GEMM staging buffers of *different* nodes share
+    the shared ``(shape, dtype)`` arena pools — so the conv column
+    matrices and padded inputs of *different* nodes share
     storage whenever their slots match, and the warm steady state performs
     zero scratch allocations.  Heavy kernels reset the workspace before
     returning, which releases every leased buffer back to the arena.
@@ -1036,7 +1037,7 @@ class ExecutionPlan:
         buffers.  A heavy node whose output storage is not recyclable
         (e.g. a graph output, which must stay private to the caller) still
         gets a destination-passing head without an ``out=``: its workspace
-        scratch stays arena-backed and its cached weight layouts apply.
+        scratch stays arena-backed.
         """
         kernel = _out_kernel(node)
         heavy = False

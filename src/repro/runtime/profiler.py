@@ -108,7 +108,7 @@ def profile_model(
         IR model to profile, or an in-process
         :class:`~repro.runtime.session.Session` (``"plan"`` / ``"interp"``)
         — the unified execution surface.  Profiling a session reuses its
-        warm executor state (arena, cached weight layouts); note that a
+        warm executor state (the arena); note that a
         fused plan session attributes each fused chain to its head node,
         while ``engine="plan"`` builds a fusion-disabled plan with exact
         1:1 node attribution.

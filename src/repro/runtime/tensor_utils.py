@@ -1,9 +1,10 @@
 """Low-level numpy helpers shared by the operator implementations.
 
 Following the HPC-Python guidance used for this project, the hot paths
-(convolution, pooling) avoid Python-level loops over pixels: convolution is
-lowered to an im2col transform followed by a single GEMM, and pooling uses
-a strided sliding-window view so the reduction happens inside numpy.
+(convolution, pooling) avoid Python-level loops over pixels: both walk the
+KH*KW kernel "taps" of a padded NCHW tensor (:func:`tap_views`), so a
+convolution is a handful of slice copies plus one GEMM per sample and a
+pooling reduction is a handful of elementwise sweeps, all in NCHW.
 
 The helpers here support **destination passing**: callers that already own
 correctly sized buffers (the planned execution engine's arena, or a
@@ -13,7 +14,7 @@ nothing.  With ``out=None`` behaviour is identical to the allocating path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,61 +149,29 @@ def conv_output_hw(
     return oh, ow
 
 
-def sliding_windows(
-    x: np.ndarray,
+def tap_views(
+    x_p: np.ndarray,
     kernel: Tuple[int, int],
     strides: Tuple[int, int],
-    dilations: Tuple[int, int] = (1, 1),
-) -> np.ndarray:
-    """Return a strided view of shape (N, C, OH, OW, KH, KW) over an NCHW tensor.
+    dilations: Tuple[int, int],
+    out_hw: Tuple[int, int],
+) -> Iterator[np.ndarray]:
+    """Yield the KH*KW strided "tap" views of an already padded ``(..., H, W)`` tensor.
 
-    The view shares storage with ``x`` (no copy); callers must not write to
-    it.  ``x`` must already be padded.
+    Tap ``(i, j)`` (yielded in row-major order) is the ``(..., OH, OW)``
+    view holding, for every output position, the input element that kernel
+    cell ``(i, j)`` touches.  The views share storage with ``x_p`` (no
+    copy), so a conv column matrix is KH*KW slice copies and a pooling
+    reduction is KH*KW elementwise sweeps, each one long-run numpy call.
     """
-    n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = strides
     dh, dw = dilations
-    eff_kh = dh * (kh - 1) + 1
-    eff_kw = dw * (kw - 1) + 1
-    oh = (h - eff_kh) // sh + 1
-    ow = (w - eff_kw) // sw + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(
-            f"kernel {kernel} with strides {strides} does not fit input of spatial size {(h, w)}"
-        )
-    sn, sc, sh_b, sw_b = x.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides_b = (sn, sc, sh_b * sh, sw_b * sw, sh_b * dh, sw_b * dw)
-    return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides_b, writeable=False)
-
-
-def im2col(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    strides: Tuple[int, int],
-    pads: Sequence[int],
-    dilations: Tuple[int, int] = (1, 1),
-    out: Optional[np.ndarray] = None,
-    pad_out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Lower an NCHW tensor to the im2col matrix used for GEMM convolution.
-
-    Returns ``(cols, (oh, ow))`` where ``cols`` has shape
-    ``(N * OH * OW, C * KH * KW)``.  With ``out=`` the columns are
-    materialized directly into the caller-owned (contiguous) matrix and
-    ``pad_out=`` receives the padded input, so the lowering allocates
-    nothing.
-    """
-    x_p = pad_nchw(x, pads, out=pad_out)
-    windows = sliding_windows(x_p, kernel, strides, dilations)
-    n, c, oh, ow, kh, kw = windows.shape
-    # (N, OH, OW, C, KH, KW) -> rows are output positions, columns the patch.
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)
-    if out is None:
-        return np.ascontiguousarray(patches.reshape(n * oh * ow, c * kh * kw)), (oh, ow)
-    np.copyto(out.reshape(n, oh, ow, c, kh, kw), patches)
-    return out, (oh, ow)
+    oh, ow = out_hw
+    for i in range(kh):
+        rows = slice(i * dh, i * dh + (oh - 1) * sh + 1, sh)
+        for j in range(kw):
+            yield x_p[..., rows, j * dw:j * dw + (ow - 1) * sw + 1:sw]
 
 
 def normalize_pads(pads: Sequence[int]) -> List[int]:

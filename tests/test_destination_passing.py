@@ -13,12 +13,31 @@ import numpy as np
 import pytest
 
 import repro.runtime.functional as F
-from repro.runtime.tensor_utils import Workspace, im2col, pad_nchw
+from repro.runtime.tensor_utils import Workspace, pad_nchw
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260726)
+
+
+@pytest.fixture()
+def blas_operands(monkeypatch):
+    """Record every ``np.matmul`` call and require what BLAS needs: 2-D
+    C-contiguous operands and destination (anything else silently takes
+    numpy's slow strided fallback, or a buffered copy of the destination)."""
+    calls = []
+    real = np.matmul
+
+    def checked(a, b, out=None):
+        for operand in (a, b, out):
+            assert operand is not None and operand.ndim == 2
+            assert operand.flags.c_contiguous, operand.strides
+        calls.append((a.shape, b.shape))
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", checked)
+    return calls
 
 
 def _check_conv(rng, x_shape, w_shape, ws=None, **kwargs):
@@ -78,6 +97,40 @@ class TestConvDestinations:
         got = F.conv2d(x, w, pads=(1, 1, 1, 1), out=out, workspace=Workspace())
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(wide[:, 1::2], 0.0)
+
+    def test_pointwise_conv_on_non_contiguous_input(self, rng, blas_operands):
+        """The 1x1 fast path views each sample as (C, H*W) for free.  An alias
+        op's view that is strided *within* a sample cannot be: it must take
+        the column copy (leased from the workspace), never a hidden reshape
+        copy or a strided GEMM operand.  A channel slice of a batch is only
+        strided across samples and may stay on the fast path."""
+        wide = rng.standard_normal((2, 8, 6, 10)).astype(np.float32)
+        w = rng.standard_normal((5, 4, 1, 1)).astype(np.float32)
+        for view, column_copies in ((wide[:, 2:6], 0),
+                                    (wide[:, :4, :, ::2], 1),
+                                    (wide[:, 4:].transpose(0, 1, 3, 2), 1)):
+            assert not view.flags.c_contiguous
+            expected = F.conv2d(np.ascontiguousarray(view), w)
+            ws = Workspace()
+            got = F.conv2d(view, w, out=np.empty_like(expected), workspace=ws)
+            np.testing.assert_array_equal(got, expected)
+            assert ws.stats()["allocations"] == column_copies
+        assert len(blas_operands) == 2 * 2 * 3  # every GEMM above was checked
+
+    def test_grouped_conv_never_hands_matmul_a_batch_strided_out(self, rng, blas_operands):
+        """A group's rows of the NCHW destination are strided across the
+        batch, so a batched grouped conv runs one GEMM per (sample, group)."""
+        x = rng.standard_normal((3, 6, 7, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        out = np.empty((3, 4, 7, 7), dtype=np.float32)
+        F.conv2d(x, w, pads=(1, 1, 1, 1), group=2, out=out, workspace=Workspace())
+        assert len(blas_operands) == 3 * 2
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[i], F.conv2d(x[i:i + 1], w, pads=(1, 1, 1, 1), group=2)[0])
+        halves = [F.conv2d(x[:, g * 3:(g + 1) * 3], w[g * 2:(g + 1) * 2],
+                           pads=(1, 1, 1, 1)) for g in range(2)]
+        np.testing.assert_array_equal(out, np.concatenate(halves, axis=1))
 
     def test_bad_out_shape_raises(self, rng):
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
@@ -256,13 +309,3 @@ class TestWorkspaceAndHelpers:
         np.testing.assert_array_equal(got, expected)
         with pytest.raises(ValueError, match="pad_nchw out"):
             pad_nchw(x, pads, out=np.empty((1, 1, 1, 1), dtype=np.float32))
-
-    def test_im2col_out_matches_allocating_path(self, rng):
-        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
-        cols, (oh, ow) = im2col(x, (3, 3), (1, 1), (1, 1, 1, 1))
-        out = np.empty_like(cols)
-        pad_out = np.empty((2, 3, 8, 8), dtype=np.float32)
-        cols2, (oh2, ow2) = im2col(x, (3, 3), (1, 1), (1, 1, 1, 1),
-                                   out=out, pad_out=pad_out)
-        assert cols2 is out and (oh, ow) == (oh2, ow2)
-        np.testing.assert_array_equal(cols2, cols)

@@ -118,7 +118,7 @@ def test_arena_reaches_zero_alloc_steady_state():
 @pytest.mark.parametrize("model_name", ["squeezenet", "googlenet"])
 def test_heavy_zero_alloc_covers_conv_dominated_models(model_name):
     """Warm steady state performs zero arena acquisitions per run on
-    conv-dominated models — outputs *and* im2col/pad/GEMM workspaces."""
+    conv-dominated models — outputs *and* pad/column-matrix workspaces."""
     model = MODEL_REGISTRY[model_name].build(variant="small")
     feed = example_inputs(model, seed=3)
     plan = ExecutionPlan(model)

@@ -8,7 +8,7 @@ from scipy.signal import correlate2d
 
 import repro.runtime.functional as F
 from repro.runtime.intra_op import get_num_threads, intra_op_threads, parallel_over_batch, set_num_threads
-from repro.runtime.tensor_utils import im2col, normalize_pads, pad_nchw, sliding_windows
+from repro.runtime.tensor_utils import normalize_pads, pad_nchw, tap_views
 
 
 class TestTensorUtils:
@@ -24,17 +24,29 @@ class TestTensorUtils:
         with pytest.raises(ValueError):
             normalize_pads([1, 2, 3])
 
-    def test_sliding_windows_shape(self):
+    def test_tap_views_are_strided_views_in_row_major_order(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        win = sliding_windows(x, (2, 2), (2, 2))
-        assert win.shape == (1, 1, 2, 2, 2, 2)
-        np.testing.assert_array_equal(win[0, 0, 0, 0], [[0, 1], [4, 5]])
+        taps = list(tap_views(x, (2, 2), (2, 2), (1, 1), (2, 2)))
+        assert len(taps) == 4
+        assert all(tap.shape == (1, 1, 2, 2) and np.shares_memory(tap, x)
+                   for tap in taps)
+        # Output position (0, 0) sees the window [[0, 1], [4, 5]], tap by tap.
+        assert [float(tap[0, 0, 0, 0]) for tap in taps] == [0, 1, 4, 5]
+        np.testing.assert_array_equal(taps[3][0, 0], [[5, 7], [13, 15]])
 
-    def test_im2col_matches_manual(self):
+    def test_tap_views_dilation_and_leading_dims(self):
+        x = np.arange(25, dtype=np.float32).reshape(5, 5)
+        taps = list(tap_views(x, (2, 2), (1, 1), (2, 2), (3, 3)))
+        assert [tap.shape for tap in taps] == [(3, 3)] * 4
+        np.testing.assert_array_equal(taps[3], x[2:5, 2:5])
+
+    def test_tap_views_build_the_conv_column_matrix(self):
         x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
-        cols, (oh, ow) = im2col(x, (2, 2), (1, 1), (0, 0, 0, 0))
-        assert (oh, ow) == (2, 2)
-        np.testing.assert_array_equal(cols[0], [0, 1, 3, 4])
+        cols = np.stack([tap.reshape(-1) for tap in
+                         tap_views(x, (2, 2), (1, 1), (1, 1), (2, 2))])
+        # Column p is the patch under output position p.
+        np.testing.assert_array_equal(cols[:, 0], [0, 1, 3, 4])
+        np.testing.assert_array_equal(cols[:, 3], [4, 5, 7, 8])
 
 
 class TestConv:
