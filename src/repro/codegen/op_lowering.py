@@ -1,10 +1,11 @@
 """Per-operator lowering to readable Python calls.
 
-This is the code-generation counterpart of the interpreter handlers in
-:mod:`repro.runtime.executor` (the paper's
-``GeneratePytorchCodeForOperandType``): for each IR node it produces the
-Python statement(s) that compute the node's outputs by calling
-``F.<operator>(...)`` from :mod:`repro.runtime.functional`.
+The paper's ``GeneratePytorchCodeForOperandType`` is one mapping from an
+operator node to one framework call.  Here that mapping is the operator
+declaration in :mod:`repro.ir.opset`: :func:`lower_node` prints, through
+:func:`repro.ir.opset.render`, the very ``F.<operator>(...)`` call the
+interpreter and the execution plan run for the node, so generated
+sequential and per-cluster code cannot drift from them.
 
 The generated text is meant to be *read* — attribute values are rendered as
 plain literals, one statement per node, with the original node name
@@ -13,444 +14,16 @@ recoverable from the SSA variable names.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.ir.node import OpNode
+from repro.ir.opset import render
 
 
 class LoweringError(NotImplementedError):
     """Raised when an operator has no code-generation rule."""
 
 
-def _literal(value) -> str:
-    """Render an attribute value as a Python literal."""
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, (int, float, str)):
-        return repr(value)
-    if isinstance(value, np.ndarray):
-        flat = value.ravel().tolist()
-        if value.size == 1:
-            return f"np.float32({flat[0]!r})" if value.dtype.kind == "f" else repr(flat[0])
-        return (f"np.array({flat!r}, dtype=np.{value.dtype.name})"
-                + (f".reshape({list(value.shape)!r})" if value.ndim > 1 else ""))
-    if isinstance(value, (list, tuple)):
-        return repr(list(value))
-    raise LoweringError(f"cannot render attribute value {value!r} as a literal")
-
-
-_Lowering = Callable[[OpNode, List[str], List[str]], List[str]]
-_LOWERINGS: Dict[str, _Lowering] = {}
-
-
-def _lower(op_type: str) -> Callable[[_Lowering], _Lowering]:
-    def wrap(fn: _Lowering) -> _Lowering:
-        _LOWERINGS[op_type] = fn
-        return fn
-
-    return wrap
-
-
-def supported_ops() -> List[str]:
-    """Operators with a code-generation rule."""
-    return sorted(_LOWERINGS)
-
-
 def lower_node(node: OpNode, input_exprs: Sequence[str], output_vars: Sequence[str]) -> List[str]:
     """Lower one node to Python statements assigning ``output_vars``."""
-    fn = _LOWERINGS.get(node.op_type)
-    if fn is None:
-        raise LoweringError(f"no lowering rule for operator {node.op_type!r} "
-                            f"(node {node.name})")
-    return fn(node, list(input_exprs), list(output_vars))
-
-
-def _single(expr_fn: Callable[[OpNode, List[str]], str]) -> _Lowering:
-    def lowering(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-        return [f"{outputs[0]} = {expr_fn(node, inputs)}"]
-
-    return lowering
-
-
-def _simple_call(fn_name: str) -> _Lowering:
-    return _single(lambda node, inputs: f"F.{fn_name}({', '.join(inputs)})")
-
-
-# ---------------------------------------------------------------------------
-# Convolution / pooling
-# ---------------------------------------------------------------------------
-@_lower("Conv")
-def _lower_conv(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    args = [inputs[0], inputs[1]]
-    args.append(inputs[2] if len(inputs) > 2 else "None")
-    kwargs = (
-        f"strides={_literal(node.get_attr('strides', [1, 1]))}, "
-        f"pads={_literal(node.get_attr('pads', [0, 0, 0, 0]))}, "
-        f"dilations={_literal(node.get_attr('dilations', [1, 1]))}, "
-        f"group={int(node.get_attr('group', 1))}"
-    )
-    return [f"{outputs[0]} = F.conv2d({', '.join(args)}, {kwargs})"]
-
-
-@_lower("ConvTranspose")
-def _lower_conv_transpose(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    bias = inputs[2] if len(inputs) > 2 else "None"
-    return [
-        f"{outputs[0]} = F.conv_transpose2d({inputs[0]}, {inputs[1]}, {bias}, "
-        f"strides={_literal(node.get_attr('strides', [1, 1]))}, "
-        f"pads={_literal(node.get_attr('pads', [0, 0, 0, 0]))}, "
-        f"output_padding={_literal(node.get_attr('output_padding', [0, 0]))})"
-    ]
-
-
-def _lower_pool(fn_name: str, emit_count_include_pad: bool = False) -> _Lowering:
-    def lowering(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-        # The ONNX default for AveragePool's count_include_pad is 0; emit the
-        # resolved flag explicitly so the generated code does not depend on
-        # the functional-namespace default.
-        extra = ""
-        if emit_count_include_pad:
-            extra = (f", count_include_pad="
-                     f"{bool(node.get_attr('count_include_pad', 0))}")
-        return [
-            f"{outputs[0]} = F.{fn_name}({inputs[0]}, "
-            f"kernel={_literal(node.get_attr('kernel_shape', [1, 1]))}, "
-            f"strides={_literal(node.get_attr('strides', [1, 1]))}, "
-            f"pads={_literal(node.get_attr('pads', [0, 0, 0, 0]))}, "
-            f"ceil_mode={bool(node.get_attr('ceil_mode', 0))}{extra})"
-        ]
-
-    return lowering
-
-
-_LOWERINGS["MaxPool"] = _lower_pool("max_pool2d")
-_LOWERINGS["AveragePool"] = _lower_pool("avg_pool2d", emit_count_include_pad=True)
-_LOWERINGS["GlobalAveragePool"] = _simple_call("global_avg_pool2d")
-_LOWERINGS["GlobalMaxPool"] = _simple_call("global_max_pool2d")
-
-# ---------------------------------------------------------------------------
-# Linear algebra / normalization
-# ---------------------------------------------------------------------------
-_LOWERINGS["MatMul"] = _simple_call("matmul")
-
-
-@_lower("Gemm")
-def _lower_gemm(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    c = inputs[2] if len(inputs) > 2 else "None"
-    return [
-        f"{outputs[0]} = F.gemm({inputs[0]}, {inputs[1]}, {c}, "
-        f"alpha={float(node.get_attr('alpha', 1.0))}, beta={float(node.get_attr('beta', 1.0))}, "
-        f"trans_a={bool(node.get_attr('transA', 0))}, trans_b={bool(node.get_attr('transB', 0))})"
-    ]
-
-
-@_lower("Einsum")
-def _lower_einsum(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.einsum({_literal(node.get_attr('equation'))}, {', '.join(inputs)})"]
-
-
-@_lower("BatchNormalization")
-def _lower_batchnorm(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [
-        f"{outputs[0]} = F.batch_norm({', '.join(inputs[:5])}, "
-        f"epsilon={float(node.get_attr('epsilon', 1e-5))})"
-    ]
-
-
-@_lower("LayerNormalization")
-def _lower_layernorm(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    bias = inputs[2] if len(inputs) > 2 else "None"
-    return [
-        f"{outputs[0]} = F.layer_norm({inputs[0]}, {inputs[1]}, {bias}, "
-        f"axis={int(node.get_attr('axis', -1))}, epsilon={float(node.get_attr('epsilon', 1e-5))})"
-    ]
-
-
-@_lower("InstanceNormalization")
-def _lower_instancenorm(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [
-        f"{outputs[0]} = F.instance_norm({', '.join(inputs[:3])}, "
-        f"epsilon={float(node.get_attr('epsilon', 1e-5))})"
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Activations / elementwise
-# ---------------------------------------------------------------------------
-_UNARY_FNS = {
-    "Relu": "relu", "Sigmoid": "sigmoid", "Tanh": "tanh", "Gelu": "gelu",
-    "Erf": "erf", "Softplus": "softplus", "HardSwish": "hard_swish",
-    "Mish": "mish", "Sqrt": "sqrt", "Exp": "exp", "Log": "log", "Neg": "neg",
-    "Abs": "abs_", "Reciprocal": "reciprocal", "Floor": "floor", "Ceil": "ceil",
-    "Round": "round_", "Sign": "sign", "Cos": "cos", "Sin": "sin",
-    "Not": "logical_not",
-}
-for _op, _fn in _UNARY_FNS.items():
-    _LOWERINGS[_op] = _simple_call(_fn)
-
-_LOWERINGS["Identity"] = _single(lambda node, inputs: f"np.asarray({inputs[0]})")
-_LOWERINGS["Selu"] = _simple_call("selu")
-_LOWERINGS["PRelu"] = _simple_call("prelu")
-
-
-@_lower("LeakyRelu")
-def _lower_leaky_relu(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.leaky_relu({inputs[0]}, alpha={float(node.get_attr('alpha', 0.01))})"]
-
-
-@_lower("Elu")
-def _lower_elu(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.elu({inputs[0]}, alpha={float(node.get_attr('alpha', 1.0))})"]
-
-
-@_lower("HardSigmoid")
-def _lower_hard_sigmoid(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.hard_sigmoid({inputs[0]}, "
-            f"alpha={float(node.get_attr('alpha', 0.2))}, beta={float(node.get_attr('beta', 0.5))})"]
-
-
-@_lower("Clip")
-def _lower_clip(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    lo = inputs[1] if len(inputs) > 1 else _literal(node.get_attr("min")) \
-        if node.has_attr("min") else "None"
-    hi = inputs[2] if len(inputs) > 2 else _literal(node.get_attr("max")) \
-        if node.has_attr("max") else "None"
-    return [f"{outputs[0]} = F.clip({inputs[0]}, {lo}, {hi})"]
-
-
-@_lower("Softmax")
-def _lower_softmax(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.softmax({inputs[0]}, axis={int(node.get_attr('axis', -1))})"]
-
-
-@_lower("LogSoftmax")
-def _lower_log_softmax(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.log_softmax({inputs[0]}, axis={int(node.get_attr('axis', -1))})"]
-
-
-_BINARY_FNS = {
-    "Add": "add", "Sub": "sub", "Mul": "mul", "Div": "div", "Pow": "pow_",
-    "Mod": "mod", "Min": "minimum", "Max": "maximum", "Equal": "equal",
-    "Greater": "greater", "Less": "less", "GreaterOrEqual": "greater_or_equal",
-    "LessOrEqual": "less_or_equal", "And": "logical_and", "Or": "logical_or",
-    "Xor": "logical_xor",
-}
-for _op, _fn in _BINARY_FNS.items():
-    _LOWERINGS[_op] = _simple_call(_fn)
-
-_LOWERINGS["Where"] = _simple_call("where")
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-def _lower_reduce(fn_name: str) -> _Lowering:
-    def lowering(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-        axes = node.get_attr("axes")
-        axes_expr = _literal(axes) if axes is not None else (
-            f"[int(v) for v in np.atleast_1d({inputs[1]})]" if len(inputs) > 1 else "None")
-        return [f"{outputs[0]} = F.{fn_name}({inputs[0]}, axes={axes_expr}, "
-                f"keepdims={bool(node.get_attr('keepdims', 1))})"]
-
-    return lowering
-
-
-for _op, _fn in [("ReduceMean", "reduce_mean"), ("ReduceSum", "reduce_sum"),
-                 ("ReduceMax", "reduce_max"), ("ReduceMin", "reduce_min"),
-                 ("ReduceProd", "reduce_prod"), ("ReduceL2", "reduce_l2")]:
-    _LOWERINGS[_op] = _lower_reduce(_fn)
-
-
-@_lower("ArgMax")
-def _lower_argmax(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.argmax({inputs[0]}, axis={int(node.get_attr('axis', 0))}, "
-            f"keepdims={bool(node.get_attr('keepdims', 1))})"]
-
-
-@_lower("ArgMin")
-def _lower_argmin(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.argmin({inputs[0]}, axis={int(node.get_attr('axis', 0))}, "
-            f"keepdims={bool(node.get_attr('keepdims', 1))})"]
-
-
-@_lower("CumSum")
-def _lower_cumsum(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    axis = f"int(np.asarray({inputs[1]}))" if len(inputs) > 1 else "0"
-    return [f"{outputs[0]} = F.cumsum({inputs[0]}, axis={axis})"]
-
-
-@_lower("TopK")
-def _lower_topk(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    targets = ", ".join(outputs[:2]) if len(outputs) > 1 else f"{outputs[0]}, _"
-    return [f"{targets} = F.topk({inputs[0]}, int(np.atleast_1d({inputs[1]})[0]), "
-            f"axis={int(node.get_attr('axis', -1))}, "
-            f"largest={bool(node.get_attr('largest', 1))})"]
-
-
-# ---------------------------------------------------------------------------
-# Concat / split / movement
-# ---------------------------------------------------------------------------
-@_lower("Concat")
-def _lower_concat(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.concat([{', '.join(inputs)}], axis={int(node.get_attr('axis', 0))})"]
-
-
-@_lower("Split")
-def _lower_split(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    sizes = node.get_attr("split")
-    parts = len(outputs)
-    if sizes is not None:
-        call = f"F.split({inputs[0]}, sizes={_literal(sizes)}, axis={int(node.get_attr('axis', 0))})"
-    else:
-        call = f"F.split({inputs[0]}, parts={parts}, axis={int(node.get_attr('axis', 0))})"
-    return [f"{', '.join(outputs)} = {call}"]
-
-
-@_lower("Reshape")
-def _lower_reshape(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    shape = node.get_attr("shape")
-    target = _literal(shape) if shape is not None else inputs[1]
-    return [f"{outputs[0]} = F.reshape({inputs[0]}, {target})"]
-
-
-@_lower("Transpose")
-def _lower_transpose(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    perm = node.get_attr("perm")
-    return [f"{outputs[0]} = F.transpose({inputs[0]}, {_literal(perm) if perm is not None else 'None'})"]
-
-
-@_lower("Flatten")
-def _lower_flatten(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.flatten({inputs[0]}, axis={int(node.get_attr('axis', 1))})"]
-
-
-def _axes_expr(node: OpNode, inputs: List[str]) -> str:
-    axes = node.get_attr("axes")
-    if axes is not None:
-        return _literal(axes)
-    if len(inputs) > 1:
-        return f"[int(v) for v in np.atleast_1d({inputs[1]})]"
-    return "None"
-
-
-@_lower("Squeeze")
-def _lower_squeeze(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.squeeze({inputs[0]}, {_axes_expr(node, inputs)})"]
-
-
-@_lower("Unsqueeze")
-def _lower_unsqueeze(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.unsqueeze({inputs[0]}, {_axes_expr(node, inputs)})"]
-
-
-@_lower("Slice")
-def _lower_slice(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    def pick(attr: str, idx: int) -> str:
-        value = node.get_attr(attr)
-        if value is not None:
-            return _literal(value)
-        if len(inputs) > idx:
-            return inputs[idx]
-        return "None"
-
-    return [f"{outputs[0]} = F.slice_({inputs[0]}, {pick('starts', 1)}, {pick('ends', 2)}, "
-            f"{pick('axes', 3)}, {pick('steps', 4)})"]
-
-
-@_lower("Gather")
-def _lower_gather(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.gather({inputs[0]}, {inputs[1]}, axis={int(node.get_attr('axis', 0))})"]
-
-
-@_lower("GatherElements")
-def _lower_gather_elements(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.gather_elements({inputs[0]}, {inputs[1]}, "
-            f"axis={int(node.get_attr('axis', 0))})"]
-
-
-_LOWERINGS["EmbeddingLookup"] = _single(
-    lambda node, inputs: f"F.gather({inputs[0]}, {inputs[1]}, axis=0)")
-_LOWERINGS["Expand"] = _simple_call("expand")
-_LOWERINGS["Tile"] = _simple_call("tile")
-
-
-@_lower("Pad")
-def _lower_pad(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    pads = node.get_attr("pads")
-    pads_expr = _literal(pads) if pads is not None else inputs[1]
-    return [f"{outputs[0]} = F.pad({inputs[0]}, {pads_expr}, "
-            f"mode={_literal(node.get_attr('mode', 'constant'))}, "
-            f"value={float(node.get_attr('value', 0.0))})"]
-
-
-@_lower("Resize")
-def _lower_resize(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    scales = node.get_attr("scales")
-    scales_expr = _literal(scales) if scales is not None else inputs[2]
-    return [f"{outputs[0]} = F.resize_nearest({inputs[0]}, {scales_expr})"]
-
-
-_LOWERINGS["Upsample"] = _LOWERINGS["Resize"]
-
-
-@_lower("DepthToSpace")
-def _lower_depth_to_space(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.depth_to_space({inputs[0]}, {int(node.get_attr('blocksize', 2))}, "
-            f"mode={_literal(node.get_attr('mode', 'DCR'))})"]
-
-
-@_lower("SpaceToDepth")
-def _lower_space_to_depth(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.space_to_depth({inputs[0]}, {int(node.get_attr('blocksize', 2))})"]
-
-
-# ---------------------------------------------------------------------------
-# Metadata ops
-# ---------------------------------------------------------------------------
-_LOWERINGS["Shape"] = _simple_call("shape_of")
-_LOWERINGS["Size"] = _simple_call("size_of")
-
-
-@_lower("Cast")
-def _lower_cast(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.cast({inputs[0]}, to={_literal(node.get_attr('to', 'float32'))})"]
-
-
-@_lower("Constant")
-def _lower_constant(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    value = np.asarray(node.get_attr("value"))
-    return [f"{outputs[0]} = {_literal(value)}"]
-
-
-@_lower("ConstantOfShape")
-def _lower_constant_of_shape(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = F.constant_of_shape({inputs[0]}, "
-            f"value={float(node.get_attr('value', 0.0))})"]
-
-
-@_lower("Range")
-def _lower_range(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = np.arange(np.asarray({inputs[0]}).item(), "
-            f"np.asarray({inputs[1]}).item(), np.asarray({inputs[2]}).item())"]
-
-
-@_lower("NonZero")
-def _lower_nonzero(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    return [f"{outputs[0]} = np.asarray(np.nonzero({inputs[0]}), dtype=np.int64)"]
-
-
-@_lower("OneHot")
-def _lower_one_hot(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    values = inputs[2] if len(inputs) > 2 else "(0.0, 1.0)"
-    return [f"{outputs[0]} = F.one_hot({inputs[0]}, int(np.atleast_1d({inputs[1]})[0]), {values}, "
-            f"axis={int(node.get_attr('axis', -1))})"]
-
-
-@_lower("Dropout")
-def _lower_dropout(node: OpNode, inputs: List[str], outputs: List[str]) -> List[str]:
-    stmts = [f"{outputs[0]} = np.asarray({inputs[0]})  # inference-mode dropout is a no-op"]
-    if len(outputs) > 1:
-        stmts.append(f"{outputs[1]} = np.ones_like({outputs[0]}, dtype=bool)")
-    return stmts
+    return render(node, input_exprs, output_vars, LoweringError)

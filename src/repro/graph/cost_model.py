@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
-from repro.ir.opset import OpKind, has_schema, get_schema
+from repro.ir.opset import OpKind, attr_value, has_schema, get_schema
 
 
 @dataclasses.dataclass
@@ -132,8 +132,7 @@ class CostModel:
                     cost *= 1.5
                 elif out_channels < 32:
                     cost *= 0.75
-        group = int(op.get_attr("group", 1) or 1)
-        if group > 1:
+        if attr_value(op, "group") > 1:
             # Depthwise convolutions do proportionally less work.
             cost = max(cost / 2.0, 1.0)
         return float(cost)
@@ -171,9 +170,9 @@ class CostModel:
         a_shape = list(a_info.shape)
         b_shape = list(b_info.shape)
         if op.op_type == "Gemm":
-            if bool(op.get_attr("transA", 0)):
+            if attr_value(op, "transA"):
                 a_shape = a_shape[::-1]
-            if bool(op.get_attr("transB", 0)):
+            if attr_value(op, "transB"):
                 b_shape = b_shape[::-1]
         if len(a_shape) < 2:
             a_shape = [1] + a_shape

@@ -19,6 +19,7 @@ import numpy as np
 from repro.ir.dtypes import DType, promote
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
+from repro.ir.opset import attr_value
 from repro.ir.tensor import (
     Shape,
     TensorInfo,
@@ -149,9 +150,9 @@ def _infer_conv(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     n, _, h, wdim = x
     out_channels = w[0]
     kernel = node.get_attr("kernel_shape", [w[2], w[3]])
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    dilations = node.get_attr("dilations", [1, 1])
+    strides = attr_value(node, "strides")
+    pads = attr_value(node, "pads")
+    dilations = attr_value(node, "dilations")
     oh = conv_output_dim(h, kernel[0], strides[0], pads[0], pads[2], dilations[0])
     ow = conv_output_dim(wdim, kernel[1], strides[1], pads[1], pads[3], dilations[1])
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, out_channels, oh, ow))]
@@ -166,8 +167,8 @@ def _infer_conv_transpose(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     n, _, h, wdim = x
     out_channels = w[1]
     kernel = node.get_attr("kernel_shape", [w[2], w[3]])
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
+    strides = attr_value(node, "strides")
+    pads = attr_value(node, "pads")
     if h is None or wdim is None:
         oh = ow = None
     else:
@@ -181,10 +182,10 @@ def _infer_pool(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
     n, c, h, w = x
-    kernel = node.get_attr("kernel_shape", [1, 1])
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    ceil_mode = bool(node.get_attr("ceil_mode", 0))
+    kernel = attr_value(node, "kernel_shape")
+    strides = attr_value(node, "strides")
+    pads = attr_value(node, "pads")
+    ceil_mode = attr_value(node, "ceil_mode")
     oh = pool_output_dim(h, kernel[0], strides[0], pads[0], pads[2], ceil_mode)
     ow = pool_output_dim(w, kernel[1], strides[1], pads[1], pads[3], ceil_mode)
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, c, oh, ow))]
@@ -240,8 +241,8 @@ def _infer_gemm(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     b = ctx.shape(node.inputs[1])
     if a is None or b is None or len(a) != 2 or len(b) != 2:
         return _unknown_outputs(ctx, node)
-    trans_a = bool(node.get_attr("transA", 0))
-    trans_b = bool(node.get_attr("transB", 0))
+    trans_a = attr_value(node, "transA")
+    trans_b = attr_value(node, "transB")
     m = a[1] if trans_a else a[0]
     n = b[0] if trans_b else b[1]
     dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[1]))
@@ -297,7 +298,7 @@ def _infer_reduce(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     if axes is None and len(node.present_inputs) > 1:
         const = ctx.constant(node.inputs[1])
         axes = None if const is None else [int(v) for v in np.atleast_1d(const)]
-    keepdims = bool(node.get_attr("keepdims", 1))
+    keepdims = attr_value(node, "keepdims")
     if axes is None:
         shape: Shape = tuple(1 for _ in x) if keepdims else ()
     else:
@@ -321,8 +322,8 @@ def _infer_arg_reduce(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return [TensorInfo(node.primary_output, DType.INT64, None)]
-    axis = int(node.get_attr("axis", 0)) % len(x)
-    keepdims = bool(node.get_attr("keepdims", 1))
+    axis = attr_value(node, "axis") % len(x)
+    keepdims = attr_value(node, "keepdims")
     dims = [d for i, d in enumerate(x) if i != axis or keepdims]
     if keepdims:
         dims = [1 if i == axis else d for i, d in enumerate(x)]
@@ -342,7 +343,7 @@ def _infer_concat(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     dtype = ctx.dtype(node.inputs[0])
     if any(s is None for s in shapes):
         return _unknown_outputs(ctx, node)
-    axis = int(node.get_attr("axis", 0)) % len(shapes[0])
+    axis = attr_value(node, "axis") % len(shapes[0])
     total: Optional[int] = 0
     for s in shapes:
         if s[axis] is None:
@@ -361,7 +362,7 @@ def _infer_split(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     outs = [o for o in node.outputs if o]
     if x is None:
         return [TensorInfo(o, dtype, None) for o in outs]
-    axis = int(node.get_attr("axis", 0)) % len(x)
+    axis = attr_value(node, "axis") % len(x)
     split = node.get_attr("split")
     if split is None and len(node.present_inputs) > 1:
         const = ctx.constant(node.inputs[1])
@@ -431,7 +432,7 @@ def _infer_flatten(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
-    axis = int(node.get_attr("axis", 1)) % (len(x) + 1)
+    axis = attr_value(node, "axis") % (len(x) + 1)
     head = x[:axis]
     tail = x[axis:]
     d0 = None if any(d is None for d in head) else int(np.prod(head)) if head else 1
@@ -523,7 +524,7 @@ def _infer_gather(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     indices = ctx.shape(node.inputs[1])
     if data is None or indices is None:
         return _unknown_outputs(ctx, node)
-    axis = int(node.get_attr("axis", 0)) % len(data)
+    axis = attr_value(node, "axis") % len(data)
     dims = tuple(data[:axis]) + tuple(indices) + tuple(data[axis + 1:])
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), dims)]
 
@@ -578,7 +579,7 @@ def _infer_depth_to_space(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
     n, c, h, w = x
-    b = int(node.get_attr("blocksize", 2))
+    b = attr_value(node, "blocksize")
     c_out = None if c is None else c // (b * b)
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]),
                        (n, c_out, None if h is None else h * b, None if w is None else w * b))]
@@ -590,7 +591,7 @@ def _infer_space_to_depth(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
     n, c, h, w = x
-    b = int(node.get_attr("blocksize", 2))
+    b = attr_value(node, "blocksize")
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]),
                        (n, None if c is None else c * b * b,
                         None if h is None else h // b, None if w is None else w // b))]
@@ -624,7 +625,7 @@ def _infer_constant(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 @_infer("ConstantOfShape")
 def _infer_constant_of_shape(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     shape = _const_ints(ctx, node.inputs[0]) if node.present_inputs else None
-    value = node.get_attr("value", 0.0)
+    value = attr_value(node, "value")
     dtype = _np_dtype(np.asarray(value)) if value is not None else DType.FLOAT32
     return [TensorInfo(node.primary_output, dtype, tuple(shape) if shape is not None else None)]
 
@@ -654,7 +655,7 @@ def _infer_topk(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     k = _const_ints(ctx, node.inputs[1]) if len(node.present_inputs) > 1 else None
     if x is None:
         return _unknown_outputs(ctx, node)
-    axis = int(node.get_attr("axis", -1)) % len(x)
+    axis = attr_value(node, "axis") % len(x)
     dims = list(x)
     dims[axis] = k[0] if k else None
     outs = [o for o in node.outputs if o]

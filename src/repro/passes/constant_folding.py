@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.ir.model import Graph
+from repro.ir.opset import bind, has_schema
 from repro.passes.pass_manager import GraphPass
-from repro.runtime import executor as _executor
 
 #: Ops that must never be folded even if their inputs are constant, because
 #: their output size could explode (materializing huge constants) or their
@@ -32,7 +32,7 @@ _MAX_FOLDED_ELEMENTS = 1 << 22
 def _is_foldable(node, graph: Graph, known_constants: Set[str]) -> bool:
     if node.op_type in _FOLD_BLOCKLIST:
         return False
-    if node.op_type not in _executor.supported_ops() and node.op_type != "Constant":
+    if not has_schema(node.op_type):
         return False
     inputs = node.present_inputs
     if not inputs and node.op_type != "Constant":
@@ -58,18 +58,18 @@ def fold_constants(graph: Graph, max_folded_elements: int = _MAX_FOLDED_ELEMENTS
     for node in topological_sort_nodes(graph):
         if not _is_foldable(node, graph, known):
             continue
-        handler = _executor._HANDLERS.get(node.op_type)  # noqa: SLF001 - internal reuse
-        if handler is None:
-            continue
         try:
-            args = [folded_values[name] for name in node.present_inputs]
-            results = handler(node, args)
+            bound = bind(node)
+            results = bound.call([folded_values[name] for name in node.present_inputs])
         except Exception:  # noqa: BLE001 - folding is best-effort
             continue
-        out_names = [o for o in node.outputs if o]
+        if not bound.multi:
+            results = [results]
         if any(np.asarray(r).size > max_folded_elements for r in results):
             continue
-        for name, value in zip(out_names, results):
+        named = [(name, value) for name, value in zip(node.outputs, results) if name]
+        out_names = [name for name, _ in named]
+        for name, value in named:
             value = np.asarray(value)
             folded_values[name] = value
             known.add(name)

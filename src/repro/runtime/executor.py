@@ -1,13 +1,16 @@
 """Reference interpreter for IR graphs.
 
-:class:`GraphExecutor` executes a model node-by-node in topological order
-using the numpy operators of :mod:`repro.runtime.functional`.  It serves
-three purposes in the reproduction:
+:class:`GraphExecutor` executes a model node-by-node in topological order.
+Each node is bound once, at construction, by :func:`repro.ir.opset.bind` —
+the operator declaration's closure over the one
+:mod:`repro.runtime.functional` kernel — and :meth:`GraphExecutor.run` is a
+short loop over those closures.  It serves three purposes in the
+reproduction:
 
-1. ground truth that Ramiel-generated sequential and parallel code is
-   compared against in the tests,
-2. the evaluation engine behind constant folding
-   (:mod:`repro.passes.constant_folding`), and
+1. ground truth that the execution plan and Ramiel-generated sequential and
+   parallel code are compared against in the tests,
+2. the semantics constant folding evaluates nodes with
+   (:mod:`repro.passes.constant_folding` binds nodes the same way), and
 3. the measurement probe used by :mod:`repro.runtime.profiler` to obtain
    per-op execution times for the schedule simulator.
 """
@@ -15,427 +18,29 @@ three purposes in the reproduction:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-import repro.runtime.functional as F
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
+from repro.ir.opset import BoundOp, bind, require_supported
 
 
 class ExecutionError(RuntimeError):
     """Raised when a node cannot be executed."""
 
 
-_Handler = Callable[[OpNode, List[np.ndarray]], List[np.ndarray]]
-_HANDLERS: Dict[str, _Handler] = {}
-
-
-def _handler(op_type: str) -> Callable[[_Handler], _Handler]:
-    def wrap(fn: _Handler) -> _Handler:
-        _HANDLERS[op_type] = fn
-        return fn
-
-    return wrap
-
-
-def supported_ops() -> List[str]:
-    """Operator types the executor can run."""
-    return sorted(_HANDLERS)
-
-
-# ---------------------------------------------------------------------------
-# Handlers
-# ---------------------------------------------------------------------------
-@_handler("Conv")
-def _run_conv(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    x, w = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    return [F.conv2d(
-        x, w, bias,
-        strides=node.get_attr("strides", [1, 1]),
-        pads=node.get_attr("pads", [0, 0, 0, 0]),
-        dilations=node.get_attr("dilations", [1, 1]),
-        group=node.get_attr("group", 1),
-    )]
-
-
-@_handler("ConvTranspose")
-def _run_conv_transpose(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    x, w = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    return [F.conv_transpose2d(
-        x, w, bias,
-        strides=node.get_attr("strides", [1, 1]),
-        pads=node.get_attr("pads", [0, 0, 0, 0]),
-        output_padding=node.get_attr("output_padding", [0, 0]),
-        group=node.get_attr("group", 1),
-    )]
-
-
-@_handler("MaxPool")
-def _run_maxpool(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.max_pool2d(
-        inputs[0],
-        kernel=node.get_attr("kernel_shape", [1, 1]),
-        strides=node.get_attr("strides", [1, 1]),
-        pads=node.get_attr("pads", [0, 0, 0, 0]),
-        ceil_mode=bool(node.get_attr("ceil_mode", 0)),
-    )]
-
-
-@_handler("AveragePool")
-def _run_avgpool(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.avg_pool2d(
-        inputs[0],
-        kernel=node.get_attr("kernel_shape", [1, 1]),
-        strides=node.get_attr("strides", [1, 1]),
-        pads=node.get_attr("pads", [0, 0, 0, 0]),
-        ceil_mode=bool(node.get_attr("ceil_mode", 0)),
-        count_include_pad=bool(node.get_attr("count_include_pad", 0)),
-    )]
-
-
-_HANDLERS["GlobalAveragePool"] = lambda node, inputs: [F.global_avg_pool2d(inputs[0])]
-_HANDLERS["GlobalMaxPool"] = lambda node, inputs: [F.global_max_pool2d(inputs[0])]
-
-_HANDLERS["MatMul"] = lambda node, inputs: [F.matmul(inputs[0], inputs[1])]
-
-
-@_handler("Gemm")
-def _run_gemm(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    c = inputs[2] if len(inputs) > 2 else None
-    return [F.gemm(
-        inputs[0], inputs[1], c,
-        alpha=float(node.get_attr("alpha", 1.0)),
-        beta=float(node.get_attr("beta", 1.0)),
-        trans_a=bool(node.get_attr("transA", 0)),
-        trans_b=bool(node.get_attr("transB", 0)),
-    )]
-
-
-@_handler("Einsum")
-def _run_einsum(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.einsum(node.get_attr("equation"), *inputs)]
-
-
-@_handler("BatchNormalization")
-def _run_batchnorm(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.batch_norm(inputs[0], inputs[1], inputs[2], inputs[3], inputs[4],
-                         epsilon=float(node.get_attr("epsilon", 1e-5)))]
-
-
-@_handler("LayerNormalization")
-def _run_layernorm(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    bias = inputs[2] if len(inputs) > 2 else None
-    return [F.layer_norm(inputs[0], inputs[1], bias,
-                         axis=int(node.get_attr("axis", -1)),
-                         epsilon=float(node.get_attr("epsilon", 1e-5)))]
-
-
-@_handler("InstanceNormalization")
-def _run_instancenorm(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.instance_norm(inputs[0], inputs[1], inputs[2],
-                            epsilon=float(node.get_attr("epsilon", 1e-5)))]
-
-
-# -- activations -------------------------------------------------------------
-_SIMPLE_UNARY = {
-    "Relu": F.relu,
-    "Sigmoid": F.sigmoid,
-    "Tanh": F.tanh,
-    "Gelu": F.gelu,
-    "Erf": F.erf,
-    "Softplus": F.softplus,
-    "HardSwish": F.hard_swish,
-    "Mish": F.mish,
-    "Sqrt": F.sqrt,
-    "Exp": F.exp,
-    "Log": F.log,
-    "Neg": F.neg,
-    "Abs": F.abs_,
-    "Reciprocal": F.reciprocal,
-    "Floor": F.floor,
-    "Ceil": F.ceil,
-    "Round": F.round_,
-    "Sign": F.sign,
-    "Cos": F.cos,
-    "Sin": F.sin,
-    "Not": F.logical_not,
-    "Identity": lambda x: np.asarray(x),
-}
-for _name, _fn in _SIMPLE_UNARY.items():
-    _HANDLERS[_name] = (lambda fn: (lambda node, inputs: [fn(inputs[0])]))(_fn)
-
-
-@_handler("LeakyRelu")
-def _run_leaky_relu(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.leaky_relu(inputs[0], alpha=float(node.get_attr("alpha", 0.01)))]
-
-
-@_handler("Elu")
-def _run_elu(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.elu(inputs[0], alpha=float(node.get_attr("alpha", 1.0)))]
-
-
-@_handler("Selu")
-def _run_selu(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.selu(inputs[0])]
-
-
-@_handler("HardSigmoid")
-def _run_hard_sigmoid(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.hard_sigmoid(inputs[0], alpha=float(node.get_attr("alpha", 0.2)),
-                           beta=float(node.get_attr("beta", 0.5)))]
-
-
-@_handler("PRelu")
-def _run_prelu(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.prelu(inputs[0], inputs[1])]
-
-
-@_handler("Clip")
-def _run_clip(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    lo = inputs[1] if len(inputs) > 1 else node.get_attr("min")
-    hi = inputs[2] if len(inputs) > 2 else node.get_attr("max")
-    lo = None if lo is None else float(np.asarray(lo))
-    hi = None if hi is None else float(np.asarray(hi))
-    return [F.clip(inputs[0], lo, hi)]
-
-
-@_handler("Softmax")
-def _run_softmax(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.softmax(inputs[0], axis=int(node.get_attr("axis", -1)))]
-
-
-@_handler("LogSoftmax")
-def _run_log_softmax(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.log_softmax(inputs[0], axis=int(node.get_attr("axis", -1)))]
-
-
-# -- binary elementwise ------------------------------------------------------
-_SIMPLE_BINARY = {
-    "Add": F.add, "Sub": F.sub, "Mul": F.mul, "Div": F.div, "Pow": F.pow_,
-    "Mod": F.mod, "Min": F.minimum, "Max": F.maximum, "Equal": F.equal,
-    "Greater": F.greater, "Less": F.less, "GreaterOrEqual": F.greater_or_equal,
-    "LessOrEqual": F.less_or_equal, "And": F.logical_and, "Or": F.logical_or,
-    "Xor": F.logical_xor,
-}
-for _name, _fn in _SIMPLE_BINARY.items():
-    _HANDLERS[_name] = (lambda fn: (lambda node, inputs: [fn(inputs[0], inputs[1])]))(_fn)
-
-_HANDLERS["Where"] = lambda node, inputs: [F.where(inputs[0], inputs[1], inputs[2])]
-
-
-# -- reductions ---------------------------------------------------------------
-def _reduce_axes(node: OpNode, inputs: List[np.ndarray]) -> Optional[List[int]]:
-    axes = node.get_attr("axes")
-    if axes is None and len(inputs) > 1:
-        axes = [int(v) for v in np.atleast_1d(inputs[1])]
-    return axes
-
-
-def _make_reduce(fn) -> _Handler:
-    def run(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-        return [fn(inputs[0], axes=_reduce_axes(node, inputs),
-                   keepdims=bool(node.get_attr("keepdims", 1)))]
-
-    return run
-
-
-_HANDLERS["ReduceMean"] = _make_reduce(F.reduce_mean)
-_HANDLERS["ReduceSum"] = _make_reduce(F.reduce_sum)
-_HANDLERS["ReduceMax"] = _make_reduce(F.reduce_max)
-_HANDLERS["ReduceMin"] = _make_reduce(F.reduce_min)
-_HANDLERS["ReduceProd"] = _make_reduce(F.reduce_prod)
-_HANDLERS["ReduceL2"] = _make_reduce(F.reduce_l2)
-
-
-@_handler("ArgMax")
-def _run_argmax(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.argmax(inputs[0], axis=int(node.get_attr("axis", 0)),
-                     keepdims=bool(node.get_attr("keepdims", 1)))]
-
-
-@_handler("ArgMin")
-def _run_argmin(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.argmin(inputs[0], axis=int(node.get_attr("axis", 0)),
-                     keepdims=bool(node.get_attr("keepdims", 1)))]
-
-
-@_handler("CumSum")
-def _run_cumsum(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    axis = int(np.asarray(inputs[1])) if len(inputs) > 1 else 0
-    return [F.cumsum(inputs[0], axis=axis)]
-
-
-@_handler("TopK")
-def _run_topk(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    k = int(np.atleast_1d(inputs[1])[0])
-    values, idx = F.topk(inputs[0], k, axis=int(node.get_attr("axis", -1)),
-                         largest=bool(node.get_attr("largest", 1)),
-                         sorted_=bool(node.get_attr("sorted", 1)))
-    return [values, idx]
-
-
-# -- concat / split / movement -----------------------------------------------
-@_handler("Concat")
-def _run_concat(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.concat(inputs, axis=int(node.get_attr("axis", 0)))]
-
-
-@_handler("Split")
-def _run_split(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    sizes = node.get_attr("split")
-    if sizes is None and len(inputs) > 1:
-        sizes = [int(v) for v in np.atleast_1d(inputs[1])]
-    parts = len([o for o in node.outputs if o])
-    return F.split(inputs[0], parts=None if sizes else parts, sizes=sizes,
-                   axis=int(node.get_attr("axis", 0)))
-
-
-@_handler("Reshape")
-def _run_reshape(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    target = inputs[1] if len(inputs) > 1 else np.asarray(node.get_attr("shape"))
-    return [F.reshape(inputs[0], target)]
-
-
-@_handler("Transpose")
-def _run_transpose(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.transpose(inputs[0], node.get_attr("perm"))]
-
-
-@_handler("Flatten")
-def _run_flatten(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.flatten(inputs[0], axis=int(node.get_attr("axis", 1)))]
-
-
-@_handler("Squeeze")
-def _run_squeeze(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    axes = node.get_attr("axes")
-    if axes is None and len(inputs) > 1:
-        axes = [int(v) for v in np.atleast_1d(inputs[1])]
-    return [F.squeeze(inputs[0], axes)]
-
-
-@_handler("Unsqueeze")
-def _run_unsqueeze(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    axes = node.get_attr("axes")
-    if axes is None and len(inputs) > 1:
-        axes = [int(v) for v in np.atleast_1d(inputs[1])]
-    return [F.unsqueeze(inputs[0], axes)]
-
-
-@_handler("Slice")
-def _run_slice(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    def pick(attr_name: str, idx: int):
-        value = node.get_attr(attr_name)
-        if value is None and len(inputs) > idx:
-            value = [int(v) for v in np.atleast_1d(inputs[idx])]
-        return value
-
-    starts = pick("starts", 1)
-    ends = pick("ends", 2)
-    axes = pick("axes", 3)
-    steps = pick("steps", 4)
-    return [F.slice_(inputs[0], starts, ends, axes, steps)]
-
-
-@_handler("Gather")
-def _run_gather(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.gather(inputs[0], inputs[1], axis=int(node.get_attr("axis", 0)))]
-
-
-@_handler("GatherElements")
-def _run_gather_elements(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.gather_elements(inputs[0], inputs[1], axis=int(node.get_attr("axis", 0)))]
-
-
-_HANDLERS["EmbeddingLookup"] = lambda node, inputs: [F.gather(inputs[0], inputs[1], axis=0)]
-_HANDLERS["Expand"] = lambda node, inputs: [F.expand(inputs[0], inputs[1])]
-_HANDLERS["Tile"] = lambda node, inputs: [F.tile(inputs[0], inputs[1])]
-
-
-@_handler("Pad")
-def _run_pad(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    pads = node.get_attr("pads")
-    if pads is None and len(inputs) > 1:
-        pads = [int(v) for v in np.atleast_1d(inputs[1])]
-    value = node.get_attr("value", 0.0)
-    if len(inputs) > 2:
-        value = float(np.asarray(inputs[2]))
-    return [F.pad(inputs[0], pads, mode=node.get_attr("mode", "constant"), value=value)]
-
-
-@_handler("Resize")
-def _run_resize(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    scales = node.get_attr("scales")
-    if scales is None and len(inputs) > 2:
-        scales = [float(v) for v in np.atleast_1d(inputs[2])]
-    return [F.resize_nearest(inputs[0], scales)]
-
-
-_HANDLERS["Upsample"] = _HANDLERS["Resize"]
-
-
-@_handler("DepthToSpace")
-def _run_depth_to_space(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.depth_to_space(inputs[0], int(node.get_attr("blocksize", 2)),
-                             mode=node.get_attr("mode", "DCR"))]
-
-
-@_handler("SpaceToDepth")
-def _run_space_to_depth(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.space_to_depth(inputs[0], int(node.get_attr("blocksize", 2)))]
-
-
-# -- metadata ops --------------------------------------------------------------
-_HANDLERS["Shape"] = lambda node, inputs: [F.shape_of(inputs[0])]
-_HANDLERS["Size"] = lambda node, inputs: [F.size_of(inputs[0])]
-
-
-@_handler("Cast")
-def _run_cast(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.cast(inputs[0], to=node.get_attr("to", "float32"))]
-
-
-@_handler("Constant")
-def _run_constant(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    value = node.get_attr("value")
-    if value is None:
-        raise ExecutionError(f"Constant node {node.name} has no value attribute")
-    return [np.asarray(value)]
-
-
-@_handler("ConstantOfShape")
-def _run_constant_of_shape(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [F.constant_of_shape(inputs[0], value=node.get_attr("value", 0.0))]
-
-
-@_handler("Range")
-def _run_range(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    start, limit, delta = (np.asarray(v).item() for v in inputs[:3])
-    return [np.arange(start, limit, delta)]
-
-
-@_handler("OneHot")
-def _run_one_hot(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    depth = int(np.atleast_1d(inputs[1])[0])
-    values = [float(v) for v in np.atleast_1d(inputs[2])] if len(inputs) > 2 else (0.0, 1.0)
-    return [F.one_hot(inputs[0], depth, values, axis=int(node.get_attr("axis", -1)))]
-
-
-@_handler("NonZero")
-def _run_nonzero(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    return [np.asarray(np.nonzero(inputs[0]), dtype=np.int64)]
-
-
-@_handler("Dropout")
-def _run_dropout(node: OpNode, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    x = np.asarray(inputs[0])
-    return [x, np.ones_like(x, dtype=bool)]
+def _bind_deferred(node: OpNode) -> BoundOp:
+    """Bind ``node``; a node that cannot be bound fails when it is reached."""
+    try:
+        return bind(node, ExecutionError)
+    except ExecutionError as exc:
+        def fail(args, exc=exc):
+            raise exc
+
+        return BoundOp(fail, None, False)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +60,15 @@ class GraphExecutor:
 
     def __init__(self, model, check_supported: bool = True) -> None:
         self.graph: Graph = model.graph if isinstance(model, Model) else model
-        self._order = topological_sort_nodes(self.graph)
+        order = topological_sort_nodes(self.graph)
         if check_supported:
-            missing = sorted({n.op_type for n in self._order} - set(_HANDLERS))
-            if missing:
-                raise ExecutionError(f"no handlers for ops: {missing}")
+            require_supported(order, ExecutionError)
+        #: (node, names of its present inputs, bound kernel) in execution order
+        self._steps = [
+            (node, node.present_inputs,
+             bind(node, ExecutionError) if check_supported else _bind_deferred(node))
+            for node in order
+        ]
 
     # ------------------------------------------------------------------
     def run(
@@ -489,12 +98,9 @@ class GraphExecutor:
         for name, array in inputs.items():
             values[name] = np.asarray(array)
 
-        for node in self._order:
-            handler = _HANDLERS.get(node.op_type)
-            if handler is None:
-                raise ExecutionError(f"no handler for op {node.op_type!r} (node {node.name})")
+        for node, in_names, bound in self._steps:
             try:
-                args = [values[name] for name in node.present_inputs]
+                args = [values[name] for name in in_names]
             except KeyError as exc:
                 raise ExecutionError(
                     f"node {node.name} ({node.op_type}) requires value {exc} "
@@ -504,7 +110,7 @@ class GraphExecutor:
             # untraced hot path skips both perf_counter() calls per node.
             start = time.perf_counter() if trace_hook is not None else 0.0
             try:
-                results = handler(node, args)
+                results = bound.call(args)
             except ExecutionError:
                 raise
             except Exception as exc:  # noqa: BLE001 - augment with node context
@@ -513,9 +119,12 @@ class GraphExecutor:
                 ) from exc
             if trace_hook is not None:
                 trace_hook(node, time.perf_counter() - start)
-            out_names = [o for o in node.outputs if o]
-            for name, value in zip(out_names, results):
-                values[name] = value
+            if not bound.multi:
+                values[node.outputs[0]] = results
+            else:
+                for name, value in zip(node.outputs, results):
+                    if name:
+                        values[name] = value
 
         wanted = list(outputs) if outputs is not None else self.graph.output_names
         missing = [name for name in wanted if name not in values]

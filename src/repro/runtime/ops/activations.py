@@ -93,8 +93,8 @@ def clip(x: np.ndarray, min_value: Optional[float] = None,
          max_value: Optional[float] = None,
          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Clamp values into ``[min_value, max_value]`` (either bound optional)."""
-    lo = -np.inf if min_value is None else min_value
-    hi = np.inf if max_value is None else max_value
+    lo = -np.inf if min_value is None else float(np.asarray(min_value).reshape(()))
+    hi = np.inf if max_value is None else float(np.asarray(max_value).reshape(()))
     return np.clip(np.asarray(x), lo, hi, out=out)
 
 

@@ -75,14 +75,14 @@ def argmin(x: np.ndarray, axis: int = 0, keepdims: bool = True) -> np.ndarray:
 
 def cumsum(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Cumulative sum along an axis."""
-    return np.cumsum(np.asarray(x), axis=int(axis))
+    return np.cumsum(np.asarray(x), axis=int(np.asarray(axis).reshape(())))
 
 
 def topk(x: np.ndarray, k: int, axis: int = -1, largest: bool = True,
          sorted_: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """Top-k values and indices along an axis (values, indices)."""
     x = np.asarray(x)
-    k = int(k)
+    k = int(np.asarray(k).reshape(-1)[0])
     axis = int(axis) % x.ndim
     if largest:
         idx = np.argpartition(-x, kth=min(k - 1, x.shape[axis] - 1), axis=axis)

@@ -56,13 +56,14 @@ def squeeze(x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
     x = np.asarray(x)
     if axes is None:
         return np.squeeze(x)
-    axes = tuple(onnx_axis(a, x.ndim) for a in axes)
+    axes = tuple(onnx_axis(int(a), x.ndim) for a in np.atleast_1d(axes))
     return np.squeeze(x, axis=axes)
 
 
 def unsqueeze(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Insert size-1 dimensions at the listed axes."""
     x = np.asarray(x)
+    axes = [int(a) for a in np.atleast_1d(axes)]
     out_rank = x.ndim + len(axes)
     for a in sorted(onnx_axis(a, out_rank) for a in axes):
         x = np.expand_dims(x, axis=a)
@@ -130,7 +131,8 @@ def pad(x: np.ndarray, pads: Sequence[int], mode: str = "constant",
     pad_width = list(zip(pads[:half], pads[half:]))
     np_mode = {"constant": "constant", "reflect": "reflect", "edge": "edge"}[mode]
     if np_mode == "constant":
-        return np.pad(x, pad_width, mode="constant", constant_values=value)
+        return np.pad(x, pad_width, mode="constant",
+                      constant_values=float(np.asarray(value).reshape(())))
     return np.pad(x, pad_width, mode=np_mode)
 
 
@@ -195,6 +197,7 @@ def one_hot(indices: np.ndarray, depth: int, values: Sequence[float] = (0.0, 1.0
             axis: int = -1) -> np.ndarray:
     """One-hot encode integer indices."""
     indices = np.asarray(indices, dtype=np.int64)
+    depth = int(np.asarray(depth).reshape(-1)[0])
     off, on = float(values[0]), float(values[1])
     eye = np.full((int(depth),), off, dtype=np.float32)
     out = np.full(indices.shape + (int(depth),), off, dtype=np.float32)

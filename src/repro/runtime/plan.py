@@ -4,15 +4,18 @@
 :class:`repro.runtime.executor.GraphExecutor`.  The interpreter redoes three
 kinds of call-invariant work on every request:
 
-1. **dispatch** — a handler-dict lookup and ``get_attr`` re-parsing per node,
+1. **dispatch** — per-node argument marshalling and output bookkeeping,
 2. **allocation** — a fresh numpy array for every intermediate value,
-3. **bookkeeping** — timing guards and per-node argument marshalling.
+3. **bookkeeping** — timing guards and error-context wrapping per node.
 
 The plan does that work once at build time instead:
 
-* every node's handler and normalized attributes are resolved into a bound
-  closure (the ``_BINDERS`` registry, the planned analogue of the
-  interpreter's ``_HANDLERS``);
+* every node is bound once by :func:`repro.ir.opset.bind` — the same
+  closure over the operator's kernel the interpreter runs, attributes
+  normalised from the one operator declaration — and the declaration's
+  capability flags (aliases its input, exact in-place ``out=``, arena
+  destination, output-only destination, takes ``workspace=``) decide how a
+  step may use it;
 * a liveness analysis over the topological order assigns recyclable
   intermediates to a buffer **arena** keyed by ``(shape, dtype)`` slots —
   once a value's last consumer has run, its buffer returns to the arena and
@@ -61,49 +64,17 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.runtime.functional as F
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
-from repro.runtime.executor import _HANDLERS, ExecutionError
+from repro.ir.opset import ARENA, INPLACE, BoundOp, bind, get_schema, require_supported
+from repro.runtime.executor import ExecutionError
 
 __all__ = ["ExecutionPlan", "PlanError"]
 
 
 class PlanError(ExecutionError):
     """Raised when a plan cannot be built or executed."""
-
-
-#: Ops whose outputs may alias (view or be) their first input's memory.  The
-#: arena must never recycle a buffer while a view of it is live, so outputs
-#: of these ops share a storage group with their input and a storage is only
-#: recycled when every name in the group is dead.
-_ALIAS_OPS = frozenset({
-    "Identity", "Reshape", "Transpose", "Flatten", "Squeeze", "Unsqueeze",
-    "Slice", "Split", "Dropout", "Tile", "Expand", "Upsample", "Resize",
-})
-
-#: Ops that must not head a fused chain: alias ops (their output shares
-#: memory with a live input) and Constant (its bound closure returns the
-#: same cached array on every run — an in-place tail would corrupt it).
-_NONFUSABLE_HEADS = _ALIAS_OPS | {"Constant"}
-
-#: Unary ops with exact ``out=`` destination support in the functional
-#: namespace (all single-ufunc kernels; results are bitwise-identical with
-#: and without a destination).
-_OUT_UNARY: Dict[str, Callable] = {
-    "Relu": F.relu, "Sigmoid": F.sigmoid, "Tanh": F.tanh, "Erf": F.erf,
-    "Softplus": F.softplus, "Sqrt": F.sqrt, "Exp": F.exp, "Log": F.log,
-    "Neg": F.neg, "Abs": F.abs_, "Reciprocal": F.reciprocal,
-    "Floor": F.floor, "Ceil": F.ceil, "Round": F.round_, "Sign": F.sign,
-    "Cos": F.cos, "Sin": F.sin,
-}
-
-#: Binary ops with exact ``out=`` destination support.
-_OUT_BINARY: Dict[str, Callable] = {
-    "Add": F.add, "Sub": F.sub, "Mul": F.mul, "Div": F.div, "Pow": F.pow_,
-    "Mod": F.mod, "Min": F.minimum, "Max": F.maximum,
-}
 
 
 class _ArenaWorkspace:
@@ -134,342 +105,6 @@ class _ArenaWorkspace:
         taken, self._taken = self._taken, []
         for buffer in taken:
             self._arena.release(buffer)
-
-
-# ---------------------------------------------------------------------------
-# Heavy destination-passing kernels: op type -> (node, arena) -> kernel
-# ---------------------------------------------------------------------------
-#: Makers for the heavy operators (conv / GEMM / pooling) that accept an
-#: ``out=`` destination plus an arena-backed ``workspace=`` scratch
-#: provider.  Together with the elementwise ``_OUT_*`` tables these make
-#: every step of a typical CNN destination-passing, extending the
-#: zero-realloc property to the kernels that dominate the cost model.
-_HeavyMaker = Callable[[OpNode, "_Arena"], Callable]
-_HEAVY_MAKERS: Dict[str, _HeavyMaker] = {}
-
-
-def _heavy(op_type: str) -> Callable[[_HeavyMaker], _HeavyMaker]:
-    def wrap(fn: _HeavyMaker) -> _HeavyMaker:
-        _HEAVY_MAKERS[op_type] = fn
-        return fn
-
-    return wrap
-
-
-@_heavy("Conv")
-def _heavy_conv(node: OpNode, arena: "_Arena") -> Callable:
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    dilations = node.get_attr("dilations", [1, 1])
-    group = int(node.get_attr("group", 1))
-    ws = _ArenaWorkspace(arena)
-
-    def kernel(args, out):
-        bias = args[2] if len(args) > 2 else None
-        return F.conv2d(args[0], args[1], bias, strides=strides, pads=pads,
-                        dilations=dilations, group=group, out=out, workspace=ws)
-
-    return kernel
-
-
-@_heavy("ConvTranspose")
-def _heavy_conv_transpose(node: OpNode, arena: "_Arena") -> Callable:
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    output_padding = node.get_attr("output_padding", [0, 0])
-    group = int(node.get_attr("group", 1))
-    ws = _ArenaWorkspace(arena)
-
-    def kernel(args, out):
-        bias = args[2] if len(args) > 2 else None
-        return F.conv_transpose2d(args[0], args[1], bias, strides=strides,
-                                  pads=pads, output_padding=output_padding,
-                                  group=group, out=out, workspace=ws)
-
-    return kernel
-
-
-@_heavy("Gemm")
-def _heavy_gemm(node: OpNode, arena: "_Arena") -> Callable:  # noqa: ARG001
-    alpha = float(node.get_attr("alpha", 1.0))
-    beta = float(node.get_attr("beta", 1.0))
-    trans_a = bool(node.get_attr("transA", 0))
-    trans_b = bool(node.get_attr("transB", 0))
-
-    def kernel(args, out):
-        c = args[2] if len(args) > 2 else None
-        return F.gemm(args[0], args[1], c, alpha=alpha, beta=beta,
-                      trans_a=trans_a, trans_b=trans_b, out=out)
-
-    return kernel
-
-
-@_heavy("MatMul")
-def _heavy_matmul(node: OpNode, arena: "_Arena") -> Callable:  # noqa: ARG001
-    return lambda args, out: F.matmul(args[0], args[1], out=out)
-
-
-def _heavy_pool(fn, include_count: bool) -> _HeavyMaker:
-    def make(node: OpNode, arena: "_Arena") -> Callable:
-        kernel_shape = node.get_attr("kernel_shape", [1, 1])
-        strides = node.get_attr("strides", [1, 1])
-        pads = node.get_attr("pads", [0, 0, 0, 0])
-        ceil_mode = bool(node.get_attr("ceil_mode", 0))
-        ws = _ArenaWorkspace(arena)
-        if include_count:
-            count = bool(node.get_attr("count_include_pad", 0))
-            return lambda args, out: fn(args[0], kernel=kernel_shape,
-                                        strides=strides, pads=pads,
-                                        ceil_mode=ceil_mode,
-                                        count_include_pad=count,
-                                        out=out, workspace=ws)
-        return lambda args, out: fn(args[0], kernel=kernel_shape,
-                                    strides=strides, pads=pads,
-                                    ceil_mode=ceil_mode, out=out, workspace=ws)
-
-    return make
-
-
-_HEAVY_MAKERS["MaxPool"] = _heavy_pool(F.max_pool2d, include_count=False)
-_HEAVY_MAKERS["AveragePool"] = _heavy_pool(F.avg_pool2d, include_count=True)
-
-
-def _output_dest_kernel(node: OpNode) -> Optional[Callable]:
-    """Destination kernels used *only* for graph-output producers.
-
-    These ops are not fusable tails (their internals allocate regardless),
-    but their final store supports an exact ``out=`` — enough to land a
-    graph output directly in a caller-bound buffer.  Kept separate from
-    :func:`_out_kernel` so adding one never changes fusion decisions.
-    """
-    if node.op_type in ("Softmax", "LogSoftmax"):
-        fn = F.softmax if node.op_type == "Softmax" else F.log_softmax
-        axis = int(node.get_attr("axis", -1))
-        return lambda args, out, fn=fn, axis=axis: fn(args[0], axis=axis, out=out)
-    if node.op_type == "Concat":
-        axis = int(node.get_attr("axis", 0))
-        return lambda args, out, axis=axis: F.concat(args, axis=axis, out=out)
-    return None
-
-
-def _out_kernel(node: OpNode) -> Optional[Callable]:
-    """A ``kernel(args, out) -> array`` for out-capable nodes, else None."""
-    fn = _OUT_UNARY.get(node.op_type)
-    if fn is not None:
-        return lambda args, out, fn=fn: fn(args[0], out=out)
-    fn = _OUT_BINARY.get(node.op_type)
-    if fn is not None:
-        return lambda args, out, fn=fn: fn(args[0], args[1], out=out)
-    if node.op_type == "Clip" and len(node.present_inputs) == 1:
-        lo = node.get_attr("min")
-        hi = node.get_attr("max")
-        lo = None if lo is None else float(np.asarray(lo))
-        hi = None if hi is None else float(np.asarray(hi))
-        return lambda args, out, lo=lo, hi=hi: F.clip(args[0], lo, hi, out=out)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Bound-closure binders: op type -> (node -> kernel(args) -> [outputs])
-# ---------------------------------------------------------------------------
-_Binder = Callable[[OpNode], Callable[[List[np.ndarray]], List[np.ndarray]]]
-_BINDERS: Dict[str, _Binder] = {}
-
-
-def _binder(op_type: str) -> Callable[[_Binder], _Binder]:
-    def wrap(fn: _Binder) -> _Binder:
-        _BINDERS[op_type] = fn
-        return fn
-
-    return wrap
-
-
-@_binder("Conv")
-def _bind_conv(node: OpNode):
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    dilations = node.get_attr("dilations", [1, 1])
-    group = int(node.get_attr("group", 1))
-
-    def run(args):
-        bias = args[2] if len(args) > 2 else None
-        return [F.conv2d(args[0], args[1], bias, strides=strides, pads=pads,
-                         dilations=dilations, group=group)]
-
-    return run
-
-
-@_binder("ConvTranspose")
-def _bind_conv_transpose(node: OpNode):
-    strides = node.get_attr("strides", [1, 1])
-    pads = node.get_attr("pads", [0, 0, 0, 0])
-    output_padding = node.get_attr("output_padding", [0, 0])
-    group = int(node.get_attr("group", 1))
-
-    def run(args):
-        bias = args[2] if len(args) > 2 else None
-        return [F.conv_transpose2d(args[0], args[1], bias, strides=strides,
-                                   pads=pads, output_padding=output_padding,
-                                   group=group)]
-
-    return run
-
-
-def _bind_pool(fn, include_count: bool) -> _Binder:
-    def bind(node: OpNode):
-        kernel = node.get_attr("kernel_shape", [1, 1])
-        strides = node.get_attr("strides", [1, 1])
-        pads = node.get_attr("pads", [0, 0, 0, 0])
-        ceil_mode = bool(node.get_attr("ceil_mode", 0))
-        if include_count:
-            count = bool(node.get_attr("count_include_pad", 0))
-            return lambda args: [fn(args[0], kernel=kernel, strides=strides,
-                                    pads=pads, ceil_mode=ceil_mode,
-                                    count_include_pad=count)]
-        return lambda args: [fn(args[0], kernel=kernel, strides=strides,
-                                pads=pads, ceil_mode=ceil_mode)]
-
-    return bind
-
-
-_BINDERS["MaxPool"] = _bind_pool(F.max_pool2d, include_count=False)
-_BINDERS["AveragePool"] = _bind_pool(F.avg_pool2d, include_count=True)
-
-
-@_binder("Gemm")
-def _bind_gemm(node: OpNode):
-    alpha = float(node.get_attr("alpha", 1.0))
-    beta = float(node.get_attr("beta", 1.0))
-    trans_a = bool(node.get_attr("transA", 0))
-    trans_b = bool(node.get_attr("transB", 0))
-
-    def run(args):
-        c = args[2] if len(args) > 2 else None
-        return [F.gemm(args[0], args[1], c, alpha=alpha, beta=beta,
-                       trans_a=trans_a, trans_b=trans_b)]
-
-    return run
-
-
-@_binder("BatchNormalization")
-def _bind_batchnorm(node: OpNode):
-    epsilon = float(node.get_attr("epsilon", 1e-5))
-    return lambda args: [F.batch_norm(args[0], args[1], args[2], args[3],
-                                      args[4], epsilon=epsilon)]
-
-
-@_binder("LayerNormalization")
-def _bind_layernorm(node: OpNode):
-    axis = int(node.get_attr("axis", -1))
-    epsilon = float(node.get_attr("epsilon", 1e-5))
-
-    def run(args):
-        bias = args[2] if len(args) > 2 else None
-        return [F.layer_norm(args[0], args[1], bias, axis=axis, epsilon=epsilon)]
-
-    return run
-
-
-@_binder("InstanceNormalization")
-def _bind_instancenorm(node: OpNode):
-    epsilon = float(node.get_attr("epsilon", 1e-5))
-    return lambda args: [F.instance_norm(args[0], args[1], args[2], epsilon=epsilon)]
-
-
-def _bind_axis(fn, default_axis: int) -> _Binder:
-    def bind(node: OpNode):
-        axis = int(node.get_attr("axis", default_axis))
-        return lambda args: [fn(args[0], axis=axis)]
-
-    return bind
-
-
-_BINDERS["Softmax"] = _bind_axis(F.softmax, -1)
-_BINDERS["LogSoftmax"] = _bind_axis(F.log_softmax, -1)
-_BINDERS["Flatten"] = _bind_axis(F.flatten, 1)
-
-
-@_binder("LeakyRelu")
-def _bind_leaky_relu(node: OpNode):
-    alpha = float(node.get_attr("alpha", 0.01))
-    return lambda args: [F.leaky_relu(args[0], alpha=alpha)]
-
-
-@_binder("Elu")
-def _bind_elu(node: OpNode):
-    alpha = float(node.get_attr("alpha", 1.0))
-    return lambda args: [F.elu(args[0], alpha=alpha)]
-
-
-@_binder("HardSigmoid")
-def _bind_hard_sigmoid(node: OpNode):
-    alpha = float(node.get_attr("alpha", 0.2))
-    beta = float(node.get_attr("beta", 0.5))
-    return lambda args: [F.hard_sigmoid(args[0], alpha=alpha, beta=beta)]
-
-
-@_binder("Concat")
-def _bind_concat(node: OpNode):
-    axis = int(node.get_attr("axis", 0))
-    return lambda args: [F.concat(args, axis=axis)]
-
-
-@_binder("Transpose")
-def _bind_transpose(node: OpNode):
-    perm = node.get_attr("perm")
-    return lambda args: [F.transpose(args[0], perm)]
-
-
-@_binder("Gather")
-def _bind_gather(node: OpNode):
-    axis = int(node.get_attr("axis", 0))
-    return lambda args: [F.gather(args[0], args[1], axis=axis)]
-
-
-@_binder("Cast")
-def _bind_cast(node: OpNode):
-    to = node.get_attr("to", "float32")
-    return lambda args: [F.cast(args[0], to=to)]
-
-
-@_binder("Constant")
-def _bind_constant(node: OpNode):
-    value = node.get_attr("value")
-    if value is None:
-        raise PlanError(f"Constant node {node.name} has no value attribute")
-    array = np.asarray(value)
-    return lambda args: [array]
-
-
-@_binder("Reshape")
-def _bind_reshape(node: OpNode):
-    shape = node.get_attr("shape")
-    if shape is not None and len(node.present_inputs) == 1:
-        target = np.asarray(shape)
-        return lambda args: [F.reshape(args[0], target)]
-    return lambda args: [F.reshape(args[0], args[1])]
-
-
-# Attribute-free unary/binary ops bind straight to their kernel, skipping
-# even the generic handler indirection.
-for _op, _fn in _OUT_UNARY.items():
-    if _op not in _BINDERS:
-        _BINDERS[_op] = (lambda fn: (lambda node: (lambda args: [fn(args[0])])))(_fn)
-for _op, _fn in _OUT_BINARY.items():
-    if _op not in _BINDERS:
-        _BINDERS[_op] = (lambda fn: (lambda node: (lambda args: [fn(args[0], args[1])])))(_fn)
-
-
-def _bind_node(node: OpNode) -> Callable[[List[np.ndarray]], List[np.ndarray]]:
-    """Resolve a node into a bound kernel, falling back to the interpreter
-    handler (with its per-call attribute parsing) for the long tail."""
-    binder = _BINDERS.get(node.op_type)
-    if binder is not None:
-        return binder(node)
-    handler = _HANDLERS.get(node.op_type)
-    if handler is None:
-        raise PlanError(f"no handler for op {node.op_type!r} (node {node.name})")
-    return lambda args, node=node, handler=handler: handler(node, args)
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +229,15 @@ class _TailOp:
         return np.asarray(self.kernel(args, None))
 
 
-def _make_plain_head(kernel: Callable, in_names: Sequence[str]) -> Callable:
+def _make_plain_head(bound: BoundOp, in_names: Sequence[str]) -> Callable:
     in_names = tuple(in_names)
+    kernel = bound.call
+    if bound.multi:  # a multi-output op with one named output: keep the first
+        return lambda values: kernel([values[n] for n in in_names])[0]
     if len(in_names) == 1:
         name = in_names[0]
-        return lambda values: kernel([values[name]])[0]
-    return lambda values: kernel([values[n] for n in in_names])[0]
+        return lambda values: kernel((values[name],))
+    return lambda values: kernel([values[n] for n in in_names])
 
 
 def _make_arena_head(out_kernel: Callable, in_names: Sequence[str],
@@ -779,9 +417,7 @@ class ExecutionPlan:
         self.model_name = model.name if isinstance(model, Model) else self.graph.name
         order = topological_sort_nodes(self.graph)
         if check_supported:
-            missing = sorted({n.op_type for n in order} - set(_HANDLERS))
-            if missing:
-                raise PlanError(f"no handlers for ops: {missing}")
+            require_supported(order, PlanError)
         self._arena = _Arena()
         self._lock = threading.Lock()
         self._cluster_module = None
@@ -804,6 +440,10 @@ class ExecutionPlan:
     def _build(self, order: List[OpNode], fuse: bool) -> None:
         graph = self.graph
         output_set = set(graph.output_names)
+        # Heavy kernels reset their workspace before returning and steps
+        # run one at a time under the plan lock, so one provider serves all.
+        workspace = _ArenaWorkspace(self._arena) if self.heavy_out else None
+        bound = {node.name: bind(node, PlanError, workspace) for node in order}
         producer_index: Dict[str, int] = {}
         uses: Dict[str, int] = {}
         consumer: Dict[str, Tuple[int, OpNode]] = {}
@@ -829,7 +469,7 @@ class ExecutionPlan:
         chains: Dict[str, List[OpNode]] = {}
         if fuse:
             for index, node in enumerate(order):
-                if node.name in absorbed or node.op_type in _NONFUSABLE_HEADS:
+                if node.name in absorbed or get_schema(node.op_type).aliases:
                     continue
                 head_out = single_output(node)
                 if head_out is None:
@@ -841,7 +481,7 @@ class ExecutionPlan:
                         break
                     cons_index, cons = consumer[current_out]
                     cons_out = single_output(cons)
-                    if cons_out is None or _out_kernel(cons) is None:
+                    if cons_out is None or bound[cons.name].out != INPLACE:
                         break
                     operands = cons.present_inputs
                     if operands.count(current_out) != 1 or len(operands) > 2:
@@ -895,7 +535,7 @@ class ExecutionPlan:
         for nodes, writes in zip(step_nodes, step_writes):
             producer = nodes[-1] if len(nodes) > 1 else nodes[0]
             for name in writes:
-                if producer.op_type in _ALIAS_OPS and producer.present_inputs:
+                if get_schema(producer.op_type).aliases and producer.present_inputs:
                     # Join the input's storage group so the whole group's
                     # liveness governs recycling.  (The base is always known
                     # here — fused intermediates have a single, non-alias
@@ -937,7 +577,7 @@ class ExecutionPlan:
                 tail = []
                 chain_value = single_output(node)
                 for tail_node in tail_nodes:
-                    kernel = _out_kernel(tail_node)
+                    kernel = bound[tail_node.name].call
                     operands = tail_node.present_inputs
                     if len(operands) == 1:
                         tail.append(_TailOp(kernel, None, True))
@@ -946,26 +586,26 @@ class ExecutionPlan:
                         other = operands[1] if chain_first else operands[0]
                         tail.append(_TailOp(kernel, other, chain_first))
                     chain_value = single_output(tail_node)
-                head = self._make_head(node, writes[0], storage_of,
-                                       storage_recyclable)
+                head = self._make_head(node, bound[node.name], writes[0],
+                                       storage_of, storage_recyclable)
                 if head is None:
-                    head = _make_plain_head(_bind_node(node), node.present_inputs)
-                dest_head = self._make_output_dest_head(node, writes[0],
-                                                        output_set)
+                    head = _make_plain_head(bound[node.name], node.present_inputs)
+                dest_head = self._make_output_dest_head(node, bound[node.name],
+                                                        writes[0], output_set)
                 steps.append(_make_step(head, tail, writes[0], dest_head))
             else:
                 out_names = [o for o in node.outputs if o]
                 if len(out_names) == 1:
-                    head = self._make_head(node, out_names[0], storage_of,
-                                           storage_recyclable)
+                    head = self._make_head(node, bound[node.name], out_names[0],
+                                           storage_of, storage_recyclable)
                     if head is None:
-                        head = _make_plain_head(_bind_node(node),
+                        head = _make_plain_head(bound[node.name],
                                                 node.present_inputs)
-                    dest_head = self._make_output_dest_head(node, out_names[0],
-                                                            output_set)
+                    dest_head = self._make_output_dest_head(
+                        node, bound[node.name], out_names[0], output_set)
                     steps.append(_make_step(head, [], out_names[0], dest_head))
                 else:
-                    steps.append(_make_multi_step(_bind_node(node),
+                    steps.append(_make_multi_step(bound[node.name].call,
                                                   node.present_inputs,
                                                   node.outputs))
 
@@ -1001,7 +641,7 @@ class ExecutionPlan:
         self._dest_direct_writes = 0
         self._dest_copy_writes = 0
 
-    def _make_output_dest_head(self, node: OpNode, out_name: str,
+    def _make_output_dest_head(self, node: OpNode, bound: BoundOp, out_name: str,
                                output_set: set) -> Optional[Callable]:
         """A caller-destination head for graph-output producers, else None.
 
@@ -1012,21 +652,14 @@ class ExecutionPlan:
         long tail) return None; their bound outputs are finalized by an
         end-of-run copy instead.
         """
-        if out_name not in output_set:
+        if out_name not in output_set or bound.out is None:
             return None
-        kernel = _out_kernel(node)
-        if kernel is None and self.heavy_out:
-            maker = _HEAVY_MAKERS.get(node.op_type)
-            if maker is not None:
-                kernel = maker(node, self._arena)
-        if kernel is None:
-            kernel = _output_dest_kernel(node)
-        if kernel is None:
+        if bound.out == ARENA and not self.heavy_out:
             return None
         self._bindable_outputs += 1
-        return _make_dest_head(kernel, node.present_inputs)
+        return _make_dest_head(bound.call, node.present_inputs)
 
-    def _make_head(self, node: OpNode, out_name: str,
+    def _make_head(self, node: OpNode, bound: BoundOp, out_name: str,
                    storage_of: Dict[str, int],
                    storage_recyclable: List[bool]) -> Optional[Callable]:
         """A destination-passing head for out-capable nodes, else None
@@ -1039,15 +672,10 @@ class ExecutionPlan:
         gets a destination-passing head without an ``out=``: its workspace
         scratch stays arena-backed.
         """
-        kernel = _out_kernel(node)
-        heavy = False
-        if kernel is None and self.heavy_out:
-            maker = _HEAVY_MAKERS.get(node.op_type)
-            if maker is not None:
-                kernel = maker(node, self._arena)
-                heavy = True
-        if kernel is None:
+        heavy = bound.out == ARENA and self.heavy_out
+        if bound.out != INPLACE and not heavy:
             return None
+        kernel = bound.call
         sid = storage_of.get(out_name)
         if sid is None or not storage_recyclable[sid]:
             if not heavy:

@@ -15,7 +15,7 @@ from repro.codegen import (
     generate_sequential_source,
     lower_node,
 )
-from repro.codegen.op_lowering import LoweringError, supported_ops
+from repro.codegen.op_lowering import LoweringError
 from repro.codegen.parallel_codegen import channel_name, collect_channels
 from repro.codegen.ssa import sanitize_identifier
 from repro.graph import model_to_dataflow
@@ -99,15 +99,6 @@ class TestOpLowering:
                              transA=0, transB=1)
         for stmt in lower_node(node, ["v_a", "v_b", "v_c"], ["v_y"]):
             compile(stmt, "<generated>", "exec")
-
-    def test_supported_ops_cover_zoo(self):
-        from repro.models import build_all_models
-
-        ops_needed = set()
-        for model in build_all_models(variant="small").values():
-            ops_needed.update(n.op_type for n in model.graph.nodes)
-        missing = ops_needed - set(supported_ops())
-        assert not missing, f"model zoo uses ops without lowering rules: {missing}"
 
 
 class TestSequentialCodegen:

@@ -8,7 +8,6 @@ import pytest
 from repro.ir import GraphBuilder
 from repro.runtime import ExecutionError, GraphExecutor, execute_model, profile_model
 from repro.runtime.channels import SerialChannel, make_serial_channels, make_thread_channels
-from repro.runtime.executor import supported_ops
 
 
 class TestExecutor:
@@ -89,14 +88,6 @@ class TestExecutor:
         seen = []
         GraphExecutor(diamond_model).run({"x": x}, trace_hook=lambda node, s: seen.append(node.name))
         assert len(seen) == diamond_model.num_nodes
-
-    def test_executor_covers_all_registered_lowerings(self):
-        from repro.codegen.op_lowering import supported_ops as codegen_ops
-
-        # Every op we can generate code for must also be executable (the
-        # tests compare generated code against the interpreter).
-        missing = set(codegen_ops()) - set(supported_ops())
-        assert not missing, f"codegen supports ops the executor cannot run: {missing}"
 
     def test_node_failure_reports_node_name(self):
         b = GraphBuilder("bad", seed=0)
