@@ -6,12 +6,16 @@ Two acceptance bars for the HTTP gateway + QoS subsystem:
    capacity is *measured* (median warm latency of the served model with
    batching and concurrency pinned to one), then the open-loop harness
    (:mod:`repro.gateway.loadgen`) offers twice that rate from two tenants
-   with a 3:1 weight skew.  Under that saturation:
+   with a 3:1 weight skew.  Under that saturation, deterministically
+   (tier-1):
 
    * zero requests drop without an HTTP answer,
    * every non-2xx answer is an explicit 429/503/504,
    * some requests *are* rejected (the load really saturated; admission
      really pushed back),
+
+   and as wall-clock bounds (``perf`` marker, ``-m "perf or not perf"``):
+
    * p99 of the admitted requests stays bounded by the queue depth the
      config allows (depth x measured service time, with slack) — latency
      does not grow with offered load,
@@ -65,7 +69,14 @@ TOTAL_WEIGHT = GOLD_WEIGHT + FREE_WEIGHT
 TENANT_QUEUE, GLOBAL_QUEUE = 8, 16
 
 
-def test_backpressure_correctness_at_2x_capacity():
+@pytest.fixture(scope="module")
+def saturation():
+    """One open-loop run at twice the measured serial capacity.
+
+    Shared by the deterministic accounting test (tier-1) and the
+    ``perf``-marked wall-clock bounds, so a job that selects both pays for
+    the saturation window once.
+    """
     model = build_model(SATURATION_MODEL, variant=SATURATION_VARIANT)
     engine = InferenceEngine(EngineConfig(
         # Pin capacity to serial execution so "2x capacity" is a measured,
@@ -110,7 +121,13 @@ def test_backpressure_correctness_at_2x_capacity():
           f"(service {service_s * 1e3:.1f} ms), offered {2 * capacity_rps:.1f} rps "
           f"for {report.duration_s:.1f}s")
     print(report.render())
+    return report, drained, service_s, capacity_rps
 
+
+def test_backpressure_correctness_at_2x_capacity(saturation):
+    """The accounting half: what happened to every request, independent of
+    how fast this machine served them."""
+    report, drained, _, _ = saturation
     # -- zero dropped, clean shutdown ---------------------------------
     assert report.total_dropped == 0, "requests vanished without an answer"
     assert drained, "gateway shutdown left requests in flight"
@@ -121,6 +138,13 @@ def test_backpressure_correctness_at_2x_capacity():
     # -- the offered load genuinely saturated admission ----------------
     assert report.total_rejected > 0, \
         "2x-capacity load produced no backpressure — not saturated"
+
+
+@pytest.mark.perf
+def test_backpressure_latency_goodput_fairness_at_2x_capacity(saturation):
+    """The wall-clock half: p99, goodput and fairness against the measured
+    service time."""
+    report, _, service_s, capacity_rps = saturation
     # -- p99 of admitted requests is bounded by the queueing the config
     #    allows, not by the offered load.  A request admitted at the back
     #    of its tenant queue waits at most TENANT_QUEUE predecessors,

@@ -50,6 +50,7 @@ def engine():
     eng.shutdown()
 
 
+@pytest.mark.perf
 def test_engine_beats_naive_per_request_compile(served_models, engine):
     rows = []
     for name, model in served_models.items():

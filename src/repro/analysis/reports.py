@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.graph.metrics import format_table
@@ -44,15 +43,10 @@ def _round(value, digits: int = 2):
 
 
 def _snapshot_from_registry(registry) -> Dict:
-    """Rebuild the legacy snapshot dict shape from a MetricsRegistry.
-
-    Reads the ``serving_*`` instrument family that
-    :meth:`repro.serving.ServingMetrics.bind_registry` maintains, so the
-    report renders identically whether fed a registry or a raw snapshot.
-    """
+    """The report's rows from a registry's ``serving_*`` instrument family
+    (the one :class:`repro.serving.ServingMetrics` records into)."""
     def value(name, default=None):
-        # registry counters are floats; the legacy snapshot used ints for
-        # counts, and the report renders identically either way
+        # registry counters are floats; the report shows counts as ints
         raw = registry.get_value(name, default=default)
         if isinstance(raw, float) and raw.is_integer():
             return int(raw)
@@ -91,27 +85,15 @@ def _snapshot_from_registry(registry) -> Dict:
     }
 
 
-def render_serving_report(snapshot) -> str:
-    """Render serving metrics as text.
+def render_serving_report(registry) -> str:
+    """Render a registry's serving metrics (``engine.registry``) as text.
 
-    Accepts a :class:`~repro.observability.MetricsRegistry` (the preferred
-    surface — collectors run first, so derived gauges are fresh) and
-    renders from its ``serving_*`` instruments.  Passing a raw
-    :meth:`repro.serving.ServingMetrics.snapshot` dict still works but is
-    deprecated; pass ``engine.registry`` instead.
-
-    Produces three aligned tables: request/throughput/latency summary,
-    cache statistics, and the batch-size histogram.
+    Collectors run first, so derived gauges are fresh.  Produces three
+    aligned tables: request/throughput/latency summary, cache statistics,
+    and the batch-size histogram.
     """
-    if hasattr(snapshot, "render_prometheus"):  # a MetricsRegistry
-        snapshot.collect()
-        snapshot = _snapshot_from_registry(snapshot)
-    else:
-        warnings.warn(
-            "passing a ServingMetrics.snapshot() dict to "
-            "render_serving_report is deprecated; pass the engine's "
-            "MetricsRegistry (engine.registry) instead",
-            DeprecationWarning, stacklevel=2)
+    registry.collect()
+    snapshot = _snapshot_from_registry(registry)
     latency = snapshot.get("latency_ms", {})
     cache = snapshot.get("cache", {})
     summary_row = {

@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     warmup_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
                           help="request executor from the session registry "
                                "(plan | interp | pool | process)")
-    warmup_p.add_argument("--backend", default="thread", choices=["thread", "process"])
     warmup_p.add_argument("--json", action="store_true", help="print a JSON summary")
 
     serve_p = sub.add_parser(
@@ -94,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
                          help="request executor from the session registry "
                               "(plan | interp | pool | process)")
-    serve_p.add_argument("--backend", default="thread", choices=["thread", "process"])
     serve_p.add_argument("--compare-naive", type=int, default=0, metavar="N",
                          help="also measure N naive compile-per-request calls per model")
     serve_p.add_argument("--json", action="store_true", help="print a JSON summary")
@@ -269,8 +267,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_warmup(args: argparse.Namespace) -> int:
     from repro.serving import EngineConfig, InferenceEngine
 
-    engine = InferenceEngine(EngineConfig(executor=args.executor,
-                                          backend=args.backend))
+    engine = InferenceEngine(EngineConfig(executor=args.executor))
     summaries = []
     try:
         for name in args.models:
@@ -301,7 +298,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         max_batch_size=args.max_batch,
         max_wait_s=args.max_wait_ms / 1e3,
         executor=args.executor,
-        backend=args.backend,
     ))
     per_model = []
     try:
@@ -315,8 +311,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             row = {"model": name, "requests": load["requests"],
                    "engine_rps": round(load["rps"], 2)}
             if args.compare_naive > 0:
-                naive = naive_throughput(model, num_requests=args.compare_naive,
-                                         backend=args.backend)
+                naive = naive_throughput(model, num_requests=args.compare_naive)
                 row["naive_rps"] = round(naive["rps"], 2)
                 row["speedup"] = round(load["rps"] / naive["rps"], 1)
             per_model.append(row)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
-import sys
 import tempfile
 import types
 from pathlib import Path
@@ -62,6 +61,5 @@ def load_module(path, module_name: str) -> types.ModuleType:
     if spec is None or spec.loader is None:  # pragma: no cover - importlib invariant
         raise ImportError(f"cannot load generated module from {path}")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[module_name] = module
     spec.loader.exec_module(module)
     return module

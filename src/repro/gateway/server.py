@@ -133,10 +133,9 @@ class GatewayServer:
         callers (and tests) can observe the drain window.
         """
         self._draining = True
-        if self.engine.qos is not None:
-            # Reject at the admission layer too, so direct in-process
-            # submitters see the same drain the gateway advertises.
-            self.engine.qos.begin_drain()
+        # Reject at the admission layer too, so direct in-process
+        # submitters see the same drain the gateway advertises.
+        self.engine.qos.begin_drain()
 
     async def drained(self, timeout: float = 30.0) -> bool:
         """Wait until no request is in flight; False on timeout."""

@@ -220,6 +220,11 @@ class Histogram:
         """Mean observed value (None when empty)."""
         return (self._sum / self._count) if self._count else None
 
+    @property
+    def max(self) -> Optional[float]:
+        """Largest observed value (None when empty)."""
+        return self._max
+
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ``+Inf`` last."""
         with self._lock:

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import time
-import warnings
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -135,22 +134,14 @@ class RamielResult:
     def session(self, executor: str = "plan", timeout_s: float = 300.0):
         """A :class:`~repro.runtime.session.Session` over this artifact.
 
-        The unified execution surface: ``session().run(feed)`` replaces
-        ``run_planned``, and ``session().bind()`` gives the IOBinding
-        zero-alloc hot path.  ``executor`` is any name from
+        The unified execution surface: ``session().run(feed)`` executes a
+        feed and ``session().bind()`` gives the IOBinding zero-alloc hot
+        path.  ``executor`` is any name from
         :func:`repro.runtime.session.known_executors`.
         """
         from repro.runtime.session import create_session
 
         return create_session(self, executor=executor, timeout_s=timeout_s)
-
-    def run_planned(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Deprecated: use :meth:`session` (``session().run(inputs)``)."""
-        warnings.warn(
-            "RamielResult.run_planned() is deprecated; use "
-            "RamielResult.session().run() instead",
-            DeprecationWarning, stacklevel=2)
-        return self.plan().run(inputs)
 
     def summary(self) -> dict:
         """Compact summary used by the CLI and the examples."""

@@ -1,8 +1,8 @@
 """Resilient dispatch: retry + recover, circuit breaking, degradation.
 
-This is the policy layer the serving engine threads between a request
+This is the policy layer the serving engine threads between every request
 batch and the executor that runs it.  A :class:`ResilientDispatcher`
-wraps one *primary* dispatch callable (a warm-pool batch run) with:
+wraps one *primary* dispatch callable (a session batch run) with:
 
 1. a :class:`~repro.resilience.policy.RetryPolicy` — failed or timed-out
    batches are re-dispatched (after an injectable ``recover`` hook, e.g.
@@ -14,12 +14,14 @@ wraps one *primary* dispatch callable (a warm-pool batch run) with:
    lazily-built in-process ``"plan"`` session) instead of hammering the
    broken primary; half-open probes restore the fast path;
 3. counters for every decision (retries, degraded runs, breaker opens),
-   visible in :meth:`stats` and a ``MetricsRegistry`` via
-   :meth:`publish_metrics`.
+   visible in :meth:`stats` (the serving engine publishes them per
+   artifact as ``serving_resilience_*`` gauges).
 
 :class:`ResilienceConfig` is the user-facing knob bundle
-(``EngineConfig.resilience``); ``None`` — the default — keeps the legacy
-fail-fast serving behavior bit-for-bit.
+(``EngineConfig.resilience``).  Fail-fast serving is a *value* of it, not
+its absence: the engine's default (``repro.serving.engine.FAIL_FAST``) is
+one attempt, a breaker threshold that is never reached, no degradation
+and no supervisor, so a failed batch surfaces the executor's own error.
 """
 
 from __future__ import annotations
@@ -177,34 +179,3 @@ class ResilientDispatcher:
             }
         out["breaker"] = self.breaker.stats()
         return out
-
-    def publish_metrics(self, registry,
-                        labels: Optional[Dict[str, str]] = None) -> None:
-        """Mirror the dispatcher's counters into a ``MetricsRegistry``."""
-        labels = dict(labels) if labels else {}
-        gauge = registry.gauge
-        _STATES = {"closed": 0, "half-open": 1, "open": 2}
-
-        def collect(_registry) -> None:
-            stats = self.stats()
-            gauge("resilience_retries_total",
-                  "Batch dispatches retried after a primary failure",
-                  labels=labels).set(stats["retries"])
-            gauge("resilience_recoveries_total",
-                  "Session recoveries run between retry attempts",
-                  labels=labels).set(stats["recoveries"])
-            gauge("resilience_degraded_runs_total",
-                  "Batches served by the degraded fallback executor",
-                  labels=labels).set(stats["degraded_runs"])
-            gauge("resilience_exhausted_total",
-                  "Dispatches that exhausted their whole retry budget",
-                  labels=labels).set(stats["exhausted"])
-            gauge("resilience_breaker_opens_total",
-                  "Times the circuit breaker tripped open",
-                  labels=labels).set(stats["breaker"]["opens"])
-            gauge("resilience_breaker_state",
-                  "Breaker state (0=closed, 1=half-open, 2=open)",
-                  labels=labels).set(
-                      _STATES.get(stats["breaker"]["state"], -1))
-
-        registry.register_collector(collect)

@@ -3,8 +3,9 @@
 The rest of the package is one-shot: compile a model, execute it once.
 This subsystem amortizes that work across request traffic:
 
-* :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door:
-  validate → cache-or-compile → micro-batch → warm-pool execute.
+* :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door
+  and the one request path: validate → admit → cache-or-compile →
+  micro-batch → dispatch under the resilience policy → session execute.
 * :mod:`repro.serving.artifact_cache` — compile-exactly-once LRU cache of
   compiled artifacts keyed by (model fingerprint, config fingerprint,
   input signature).
@@ -33,6 +34,7 @@ from repro.serving.batching import (
     stack_requests,
 )
 from repro.serving.engine import (
+    FAIL_FAST,
     CompiledArtifact,
     EngineConfig,
     InferenceEngine,
@@ -72,6 +74,7 @@ __all__ = [
     "BatcherClosed",
     "CompiledArtifact",
     "EngineConfig",
+    "FAIL_FAST",
     "InferenceEngine",
     "MicroBatcher",
     "ServingError",

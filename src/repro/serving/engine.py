@@ -1,7 +1,10 @@
 """The batched inference-serving engine on top of Ramiel-compiled schedules.
 
 :class:`InferenceEngine` turns the one-shot ``ramiel_compile`` + ``execute``
-pipeline into a serving loop:
+pipeline into a serving loop with one request path — validate → admit
+(:mod:`repro.serving.qos`) → cache-or-compile → micro-batch → dispatch
+under a policy (:mod:`repro.resilience`) → session execute — whose stages
+are configured by value (:class:`EngineConfig`), never switched off:
 
 1. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
    input signature) triple is compiled exactly once; the compiled execution
@@ -42,6 +45,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -57,8 +61,12 @@ from repro.pipeline import (
     model_fingerprint,
     ramiel_compile,
 )
-from repro.resilience import PoolSupervisor, ResilienceConfig, ResilientDispatcher
-from repro.runtime.process_runtime import execute_generated_module
+from repro.resilience import (
+    PoolSupervisor,
+    ResilienceConfig,
+    ResilientDispatcher,
+    RetryPolicy,
+)
 from repro.runtime.session import IOBinding, Session, create_session, validate_executor
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
@@ -77,6 +85,17 @@ class ShapeMismatchError(ServingError):
     """A request's inputs do not match the model's declared signature."""
 
 
+#: The fail-fast dispatch policy (the :attr:`EngineConfig.resilience`
+#: default): one attempt, a breaker that never opens, no degraded fallback,
+#: no supervisor — a failed batch fails its requests with the executor's own
+#: error, and an artifact whose executor is left broken is invalidated so
+#: the next request recompiles.  ``ResilienceConfig()`` is the self-healing
+#: spelling: retries with session recovery, breaker, fallback, supervisor.
+FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
+                             breaker_threshold=sys.maxsize,
+                             degrade=False, supervise=False)
+
+
 @dataclasses.dataclass
 class EngineConfig:
     """Configuration of one :class:`InferenceEngine`."""
@@ -91,43 +110,30 @@ class EngineConfig:
     #: :func:`repro.runtime.session.known_executors`: "plan" (default — the
     #: compile-once planned hot path), "interp" (the reference interpreter
     #: behind the same Session interface), or "pool"/"process" (the
-    #: generated parallel module on warm per-cluster workers)
+    #: generated parallel module on warm per-cluster thread/fork workers)
     executor: str = "plan"
-    #: warm-pool backend for executor="pool": "thread" (default) or
-    #: "process" (fork platforms; equivalent to executor="process")
-    backend: str = "thread"
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
     #: micro-batcher forever)
     timeout_s: float = 300.0
-    #: multi-tenant QoS (:class:`repro.serving.qos.QoSConfig`): weighted
-    #: deadline-aware admission in front of the micro-batchers, bounded-
-    #: queue backpressure, per-artifact concurrency caps and per-tenant
-    #: artifact-cache quotas.  ``None`` (the default) keeps the legacy
-    #: direct submit path bit-for-bit (``tenant=``/``deadline_s=`` are
-    #: then ignored).
-    qos: Optional[QoSConfig] = None
-    #: self-healing policy stack (:class:`repro.resilience.ResilienceConfig`):
-    #: worker supervision, batch retry with session recovery, artifact-level
-    #: circuit breaking and degraded fallback onto the in-process "plan"
-    #: executor.  ``None`` (the default) keeps the legacy fail-fast
-    #: behavior: a failed batch fails its requests and a broken artifact is
-    #: invalidated for recompilation.
-    resilience: Optional[ResilienceConfig] = None
+    #: admission control (:class:`repro.serving.qos.QoSConfig`) in front of
+    #: the micro-batchers: weighted deadline-aware queueing, bounded-queue
+    #: backpressure, per-artifact concurrency caps and per-tenant
+    #: artifact-cache quotas.  Every request is admitted through it; the
+    #: default is one ``"default"`` tenant under the stock bounds (64 queued
+    #: per tenant, 256 engine-wide, 32 in flight per artifact).
+    qos: QoSConfig = QoSConfig()
+    #: dispatch policy every batch runs under
+    #: (:class:`repro.resilience.ResilienceConfig`): batch retry with
+    #: session recovery, artifact-level circuit breaking, degraded fallback
+    #: onto the in-process "plan" executor and worker supervision.  The
+    #: default is :data:`FAIL_FAST`.
+    resilience: ResilienceConfig = FAIL_FAST
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
 
     def __post_init__(self) -> None:
         validate_executor(self.executor, context="serving executor")
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; use 'thread' or 'process'")
-
-    def session_executor(self) -> str:
-        """The effective session executor ("pool"+process backend = "process")."""
-        if self.executor == "pool" and self.backend == "process":
-            return "process"
-        return self.executor
 
     def batch_policy(self) -> BatchPolicy:
         """The batching policy derived from this config."""
@@ -264,35 +270,25 @@ class CompiledArtifact:
     batcher: MicroBatcher
     compile_time_s: float
     #: the unified execution surface holding the plan or warm pool
-    session: Optional[Session] = None
+    session: Session
+    #: the retry/breaker/degradation policy every batch is dispatched under
+    dispatcher: ResilientDispatcher
     #: watchdog thread for in-process ("plan"/"interp") sessions
     watchdog: Optional[_BatchWatchdog] = None
-    #: retry/breaker/degradation wrapper (``EngineConfig.resilience`` set)
-    dispatcher: Optional[ResilientDispatcher] = None
-    #: worker supervisor of a pool-backed resilient artifact
+    #: worker supervisor of a pool-backed artifact (``resilience.supervise``)
     supervisor: Optional[PoolSupervisor] = None
-    #: lazily-built degraded fallback: ``[(plan session, its watchdog)]``
-    #: once the breaker first routes around the broken primary
-    degraded_cell: Optional[list] = None
     #: whether concurrent requests may be fused along the batch axis (some
     #: generated code bakes the batch size into static reshapes — e.g.
     #: BERT's attention head splits — and must be served one request at a time)
     batchable: bool = True
+    #: ``[(plan session, its watchdog)]`` once a pool-backed artifact's
+    #: breaker first routed a batch to the lazily-built degraded fallback
+    _degraded: list = dataclasses.field(default_factory=list, repr=False)
 
     @property
     def model_name(self) -> str:
         """Name of the compiled model."""
         return self.result.model.name
-
-    @property
-    def plan(self):
-        """The session's :class:`ExecutionPlan` (``executor="plan"``), else None."""
-        return self.session.plan if self.session is not None else None
-
-    @property
-    def pool(self):
-        """The session's warm worker pool (``executor="pool"/"process"``), else None."""
-        return self.session.pool if self.session is not None else None
 
     def close(self) -> None:
         """Shut down the batcher, watchdog and session (warm pool included)."""
@@ -301,10 +297,8 @@ class CompiledArtifact:
             self.supervisor.stop()
         if self.watchdog is not None:
             self.watchdog.close()
-        if self.session is not None:
-            self.session.close()
-        if self.degraded_cell:
-            fb_session, fb_watchdog = self.degraded_cell[0]
+        self.session.close()
+        for fb_session, fb_watchdog in self._degraded:
             fb_watchdog.close()
             fb_session.close()
 
@@ -323,28 +317,22 @@ class InferenceEngine:
         # for callers that mutated the dataclass after construction.
         validate_executor(self.config.executor, context="serving executor")
         # One MetricsRegistry per engine (or a caller-shared one): serving
-        # counters mirror into it, and a pull collector publishes every
-        # cached artifact's plan/arena/binding gauges — the single snapshot
-        # that used to take three separate stats() APIs.
-        if registry is None:
-            from repro.observability import MetricsRegistry
-            registry = MetricsRegistry()
-        self.registry = registry
-        self.tracer = tracer
+        # counters live in it, and a pull collector publishes every cached
+        # artifact's plan/arena/binding gauges — the single snapshot that
+        # used to take three separate stats() APIs.
         self.metrics = ServingMetrics(registry=registry)
-        registry.register_collector(self._collect_artifact_metrics)
+        self.registry = self.metrics.registry
+        self.tracer = tracer
+        self.registry.register_collector(self._collect_artifact_metrics)
         self._config_fp = config_fingerprint(self.config.pipeline)
-        qos = self.config.qos
         self._cache = ArtifactCache(
             capacity=self.config.cache_capacity,
             on_evict=self._on_evict,
-            quota_for=qos.cache_quota_for if qos is not None else None)
+            quota_for=self.config.qos.cache_quota_for)
         self._closed = False
-        # The QoS frontend (weighted admission queue + dispatcher thread)
-        # sits in front of _route; without a QoS config the legacy direct
-        # submit path is untouched.
-        self.qos: Optional[QoSFrontend] = (
-            QoSFrontend(self, qos) if qos is not None else None)
+        # Every request is admitted here (weighted admission queue +
+        # dispatcher thread) and dispatched into _route_once.
+        self.qos = QoSFrontend(self, self.config.qos)
 
     # ------------------------------------------------------------------
     # Request path
@@ -361,13 +349,12 @@ class InferenceEngine:
         compiled artifact for its signature (compiling it on first sight),
         and micro-batched with concurrent compatible requests.
 
-        With :attr:`EngineConfig.qos` configured, the request first passes
-        admission control: ``tenant`` selects the weight/queue/deadline
-        contract (the default tenant otherwise) and ``deadline_s``
-        overrides the tenant's per-request deadline budget.  Rejections
-        (queue full, overload, expired budget) raise
+        The request first passes admission control
+        (:attr:`EngineConfig.qos`): ``tenant`` selects the
+        weight/queue/deadline contract (the default tenant otherwise) and
+        ``deadline_s`` overrides the tenant's per-request deadline budget.
+        Rejections (queue full, overload, expired budget) raise
         :class:`~repro.serving.qos.QoSError` subclasses *synchronously*.
-        Without QoS the two parameters are ignored.
 
         ``binding`` threads a client-supplied
         :class:`~repro.runtime.session.IOBinding` (from :meth:`bind`)
@@ -394,11 +381,8 @@ class InferenceEngine:
     def _submit(self, model, inputs, tenant, deadline_s, binding) -> Future:
         arrays, batch_len, signature = self._validate(model, inputs)
         self.metrics.record_submitted()
-        if self.qos is not None:
-            future = self.qos.submit(model, arrays, batch_len, signature,
-                                     tenant=tenant, deadline_s=deadline_s)
-        else:
-            future, _ = self._route(model, signature, arrays, batch_len)
+        future = self.qos.submit(model, arrays, batch_len, signature,
+                                 tenant=tenant, deadline_s=deadline_s)
         if binding is not None:
             future = self._finalize_binding(future, binding)
         return future
@@ -408,12 +392,15 @@ class InferenceEngine:
                     partition: Optional[str] = None):
         """Resolve the artifact and enqueue exactly once.
 
-        Raises :class:`BatcherClosed` (after invalidating the stale cache
-        entry) when the artifact died between lookup and enqueue; callers
-        decide the retry discipline — :meth:`_route` loops a fixed three
-        times, the QoS dispatcher applies its configured
-        :class:`~repro.resilience.RetryPolicy` with the request's
-        remaining deadline budget.
+        Between the cache lookup and the enqueue the artifact can be closed
+        by LRU eviction or broken-executor invalidation on another thread:
+        this raises :class:`BatcherClosed` (after dropping the stale cache
+        entry) and the QoS dispatcher re-routes under its ``dispatch_retry``
+        :class:`~repro.resilience.RetryPolicy` with the request's remaining
+        deadline budget, so the request transparently recompiles.  (Requests
+        already *enqueued* in an evicted batcher do fail with
+        :class:`BatcherClosed` — size ``cache_capacity`` above the
+        concurrently-served working set to avoid eviction churn.)
         """
         artifact = self._artifact_for(model, signature, partition=partition)
         if not artifact.batchable and batch_len > 1:
@@ -426,29 +413,6 @@ class InferenceEngine:
         except BatcherClosed:
             self._cache.invalidate(artifact.key, expected=artifact)
             raise
-
-    def _route(self, model: Model, signature: Tuple,
-               arrays: Dict[str, np.ndarray], batch_len: int):
-        """Resolve the artifact and enqueue; retries if it dies under us.
-
-        Between the cache lookup and the enqueue the artifact can be closed
-        by LRU eviction or broken-pool invalidation on another thread; the
-        stale entry is dropped and the request transparently recompiles
-        instead of surfacing :class:`BatcherClosed`.  (Requests already
-        *enqueued* in an evicted batcher do fail with :class:`BatcherClosed`
-        — size ``cache_capacity`` above the concurrently-served working set
-        to avoid eviction churn.)
-        """
-        last_exc: Optional[BaseException] = None
-        for _ in range(3):
-            try:
-                return self._route_once(model, signature, arrays, batch_len)
-            except BatcherClosed as exc:
-                last_exc = exc
-        raise ServingError(
-            f"could not route request for model {model.name!r}: artifact kept "
-            "closing under the request (severe cache-capacity pressure?)"
-        ) from last_exc
 
     # ------------------------------------------------------------------
     # Binding-aware responses
@@ -528,8 +492,10 @@ class InferenceEngine:
                inputs: Optional[Mapping[str, np.ndarray]] = None) -> Dict:
         """Compile (or cache-hit) the artifact for a model and run one request.
 
-        Returns a small summary dict; after warmup, the first real request
-        pays neither compilation nor worker-pool startup.
+        The warmup request takes the same admitted path as any other (it
+        is a default-tenant request).  Returns a small summary dict; after
+        warmup, the first real request pays neither compilation nor
+        worker-pool startup.
         """
         if self._closed:
             raise ServingError("engine is shut down")
@@ -537,28 +503,26 @@ class InferenceEngine:
         start = time.perf_counter()
         arrays, batch_len, signature = self._validate(model, feed)
         self.metrics.record_submitted()
-        future, artifact = self._route(model, signature, arrays, batch_len)
-        future.result(timeout=self.config.timeout_s + 60.0)
-        cache = self._cache.stats()
+        self.qos.submit(model, arrays, batch_len, signature).result(
+            timeout=self.config.timeout_s + 60.0)
+        # an uncounted lookup: warmup is one request, so one cache access
+        key = self._key(model, signature)
+        artifact = next((a for a in self._cache.values() if a.key == key), None)
         return {
             "model": model.name,
             "warmup_time_s": round(time.perf_counter() - start, 4),
             "executor": self.config.executor,
-            "batchable": artifact.batchable,
-            "cached_artifacts": cache["size"],
+            "batchable": artifact.batchable if artifact is not None else None,
+            "cached_artifacts": self._cache.stats()["size"],
             "compiles": self.metrics.snapshot()["cache"]["compiles"],
         }
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Wait for queued + in-flight QoS requests to finish; True if empty.
+        """Wait for queued + in-flight requests to finish; True if empty.
 
-        Without a QoS frontend there is no admission queue to drain and
-        this returns immediately (in-flight micro-batches still complete
-        through their futures).  New submissions during a drain are
-        rejected with :class:`~repro.serving.qos.EngineOverloaded`.
+        New submissions during a drain are rejected with
+        :class:`~repro.serving.qos.EngineOverloaded`.
         """
-        if self.qos is None:
-            return True
         return self.qos.drain(timeout=timeout)
 
     def shutdown(self) -> None:
@@ -566,8 +530,7 @@ class InferenceEngine:
         self._closed = True
         # QoS first: stop admitting and fail queued requests before their
         # target batchers disappear underneath them.
-        if self.qos is not None:
-            self.qos.close()
+        self.qos.close()
         self._cache.clear()
 
     def __enter__(self) -> "InferenceEngine":
@@ -583,9 +546,12 @@ class InferenceEngine:
         """The artifact cache's size/hit/miss/eviction counters."""
         return self._cache.stats()
 
+    def _key(self, model: Model, signature: Tuple) -> ArtifactKey:
+        return ArtifactKey(model_fingerprint(model), self._config_fp, signature)
+
     def _artifact_for(self, model: Model, signature: Tuple,
                       partition: Optional[str] = None) -> CompiledArtifact:
-        key = ArtifactKey(model_fingerprint(model), self._config_fp, signature)
+        key = self._key(model, signature)
         artifact, hit = self._cache.get_or_create(
             key, lambda: self._compile(model, key), partition=partition)
         if self._closed:
@@ -599,7 +565,8 @@ class InferenceEngine:
 
     def _compile(self, model: Model, key: ArtifactKey) -> CompiledArtifact:
         start = time.perf_counter()
-        executor = self.config.session_executor()
+        executor = self.config.executor
+        timeout_s = self.config.timeout_s
         in_process = executor in ("plan", "interp")
         # The in-process session executes the optimized model directly;
         # generating the parallel module (and spawning its workers) is only
@@ -614,21 +581,16 @@ class InferenceEngine:
         # batcher's batch.execute span; pool-backed sessions additionally
         # ship per-worker execute spans home for merged traces.
         session = create_session(result, executor=executor,
-                                 timeout_s=self.config.timeout_s,
-                                 tracer=self.tracer)
-        artifact_cell: list = []
+                                 timeout_s=timeout_s, tracer=self.tracer)
         label = f"{model.name}@{key.short()}"
         resilience = self.config.resilience
-        watchdog: Optional[_BatchWatchdog] = None
-        stacker: Optional[_PinnedStacker] = None
-        dispatcher: Optional[ResilientDispatcher] = None
-        supervisor: Optional[PoolSupervisor] = None
-        degraded_cell: Optional[list] = None
+        pool = session.pool
+        degraded: list = []
+        watchdog = stacker = supervisor = fallback = None
 
-        def invalidate() -> None:
-            if artifact_cell:
-                self._cache.invalidate(key, expected=artifact_cell[0])
-
+        # The only executor-dependent parts: how one batch is bounded in
+        # time (a watchdog thread in process, the pool's own timeout
+        # otherwise) and whether a degraded fallback exists.
         if in_process:
             watchdog = _BatchWatchdog(label)
             stacker = _PinnedStacker(session, self.config.max_batch_size)
@@ -638,7 +600,7 @@ class InferenceEngine:
                 # batch) or a plain feed dict (single request / fallback).
                 fn = (session.run_with_binding
                       if isinstance(stacked, IOBinding) else session.run)
-                outputs = watchdog.run(fn, stacked, self.config.timeout_s)
+                outputs = watchdog.run(fn, stacked, timeout_s)
                 # Outputs that alias the pinned staging buffers would be
                 # overwritten by the next batch; hand out private copies.
                 staging = stacker.staging_buffers
@@ -649,144 +611,104 @@ class InferenceEngine:
                                for buf in staging):
                             outputs[name] = np.array(array)
                 return outputs
-
-            if resilience is None:
-                def run_batch(stacked) -> Dict[str, np.ndarray]:
-                    try:
-                        return execute(stacked)
-                    except ServingError:
-                        # Timed-out (or already-broken) watchdog: the stuck
-                        # run may hold the plan lock forever — retire the
-                        # session and drop the artifact so the next request
-                        # recompiles.
-                        session.mark_broken("batch watchdog timeout")
-                        invalidate()
-                        raise
-            else:
-                def recover() -> None:
-                    # Order matters: a fresh ExecutionPlan first (the wedged
-                    # run may hold the old plan's lock forever), then a fresh
-                    # watchdog thread to run it on.
-                    session.recover()
-                    watchdog.reset()
-
-                dispatcher = ResilientDispatcher(
-                    execute, resilience, recover=recover, name=label)
-
-                def run_batch(stacked) -> Dict[str, np.ndarray]:
-                    try:
-                        return dispatcher(stacked)
-                    except BaseException:
-                        # Only a still-broken session/watchdog means the
-                        # artifact itself is unusable (recovery failed or the
-                        # last attempt wedged it); transient request errors
-                        # leave it cached and the breaker does the pacing.
-                        if watchdog.broken or session.broken:
-                            session.mark_broken(
-                                "batch dispatch exhausted its retry budget")
-                            invalidate()
-                        raise
-
-            run_once = execute
         else:
-            pool = session.pool
+            def execute(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+                return session.run(stacked, timeout=timeout_s)
 
-            def run_once(feed: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                # One-shot thread driver so a probe failure cannot wedge the
-                # warm pool.
-                return execute_generated_module(
-                    result.parallel_module, feed,
-                    result.optimized_model.graph.initializers,
-                    backend="thread", timeout=self.config.timeout_s)
+            def fallback(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+                # Graceful degradation: serve through an in-process "plan"
+                # session over the same compiled result while the breaker
+                # keeps traffic off the broken pool.  Built lazily —
+                # fault-free serving never pays for it — and on its own
+                # watchdog so a stuck degraded batch cannot pin the
+                # micro-batcher either.
+                if not degraded:
+                    degraded.append((
+                        create_session(result, executor="plan",
+                                       timeout_s=timeout_s),
+                        _BatchWatchdog(f"{label}/degraded")))
+                fb_session, fb_watchdog = degraded[0]
+                return fb_watchdog.run(fb_session.run, stacked, timeout_s)
 
-            if resilience is None:
-                def run_batch(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                    try:
-                        return session.run(stacked, timeout=self.config.timeout_s)
-                    except BaseException:
-                        # A failed/timed-out run can leave workers wedged;
-                        # drop the artifact so the next request recompiles
-                        # instead of hitting a permanently broken pool.
-                        if pool.broken:
-                            invalidate()
-                        raise
-            else:
-                if resilience.fault_injector is not None:
-                    pool.set_fault_injector(resilience.fault_injector)
-                if resilience.supervise:
-                    supervisor = PoolSupervisor(
-                        pool, interval_s=resilience.heartbeat_interval_s,
-                        hang_timeout_s=resilience.hang_timeout_s,
-                        tracer=self.tracer).start()
-                degraded_cell = []
+        def broken() -> bool:
+            return session.broken or (watchdog.broken if in_process
+                                      else pool.broken)
 
-                def primary(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                    return session.run(stacked, timeout=self.config.timeout_s)
+        def recover() -> None:
+            # Order matters: a fresh ExecutionPlan first (the wedged run may
+            # hold the old plan's lock forever), then a fresh watchdog
+            # thread to run it on.
+            session.recover()
+            if in_process:
+                watchdog.reset()
 
-                def recover() -> None:
-                    session.recover()
+        batchable = self._probe_batchable(execute, key.input_signature)
+        if in_process:
+            if broken():
+                recover()
+        else:
+            if pool.broken:
+                # A failed batch-of-two run can strand the failed cluster's
+                # peers on channels that never fill, which a heal of the
+                # (still alive) workers misses: only a fresh worker set is
+                # trustworthy.
+                pool.restart()
+            # Faults and supervision start after the probe, which must see
+            # the artifact's real behaviour on a quiet pool.
+            if resilience.fault_injector is not None:
+                pool.set_fault_injector(resilience.fault_injector)
+            if resilience.supervise:
+                supervisor = PoolSupervisor(
+                    pool, interval_s=resilience.heartbeat_interval_s,
+                    hang_timeout_s=resilience.hang_timeout_s,
+                    tracer=self.tracer).start()
+        dispatcher = ResilientDispatcher(execute, resilience, recover=recover,
+                                         fallback=fallback, name=label)
 
-                def degraded(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                    # Graceful degradation: serve through an in-process
-                    # "plan" session over the same compiled result while the
-                    # breaker keeps traffic off the broken pool.  Built
-                    # lazily — fault-free serving never pays for it — and on
-                    # its own watchdog so a stuck degraded batch cannot pin
-                    # the micro-batcher either.
-                    if not degraded_cell:
-                        degraded_cell.append((
-                            create_session(result, executor="plan",
-                                           timeout_s=self.config.timeout_s),
-                            _BatchWatchdog(f"{label}/degraded")))
-                    fb_session, fb_watchdog = degraded_cell[0]
-                    return fb_watchdog.run(fb_session.run, stacked,
-                                           self.config.timeout_s)
+        def run_batch(stacked) -> Dict[str, np.ndarray]:
+            try:
+                return dispatcher(stacked)
+            except BaseException:
+                # Only a still-broken session/pool/watchdog means the
+                # artifact itself is unusable (recovery failed, or the last
+                # attempt wedged it — the stuck run may hold the plan lock
+                # or strand workers forever): retire the session and drop
+                # the artifact so the next request recompiles.  Transient
+                # request errors leave it cached; the breaker does the pacing.
+                if broken():
+                    session.mark_broken("batch dispatch left the executor broken")
+                    self._cache.invalidate(key, expected=artifact)
+                raise
 
-                dispatcher = ResilientDispatcher(
-                    primary, resilience, recover=recover,
-                    fallback=degraded if resilience.degrade else None,
-                    name=label)
-
-                def run_batch(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                    try:
-                        return dispatcher(stacked)
-                    except BaseException:
-                        if pool.broken:
-                            invalidate()
-                        raise
-
-        batchable = self._probe_batchable(run_once, key.input_signature)
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
-
         policy = (self.config.batch_policy() if batchable
                   else BatchPolicy(max_batch_size=1, max_wait_s=0.0))
         batcher = MicroBatcher(run_batch, policy=policy,
                                metrics=self.metrics, label=label,
                                stack=stacker if batchable else None,
                                tracer=self.tracer)
+        # run_batch first runs after this returns, when ``artifact`` is bound
         artifact = CompiledArtifact(key=key, result=result, session=session,
-                                    watchdog=watchdog, batcher=batcher,
+                                    dispatcher=dispatcher, watchdog=watchdog,
+                                    supervisor=supervisor, batcher=batcher,
                                     compile_time_s=compile_time,
-                                    batchable=batchable,
-                                    dispatcher=dispatcher,
-                                    supervisor=supervisor,
-                                    degraded_cell=degraded_cell)
-        artifact_cell.append(artifact)
+                                    batchable=batchable, _degraded=degraded)
         return artifact
 
-    def _probe_batchable(self, run_once, signature: Tuple) -> bool:
+    def _probe_batchable(self, execute, signature: Tuple) -> bool:
         """Check whether the compiled artifact tolerates batch-axis fusion.
 
-        Runs the artifact once on a single sample and once on a stacked
-        batch of two and requires every output to carry the batch on axis 0
-        with the first row matching the single-sample run.  Probe inputs are
-        synthesized from the *request signature* the artifact is keyed by —
-        the exact shapes this artifact will serve — not from the model's
-        declared shapes, whose wildcard dims may differ.  Models that bake
-        the batch size into static shapes (e.g. BERT's attention reshapes)
-        fail the probe and are served one request at a time — still cached
-        and warm, just not fused.
+        Runs the artifact's own ``execute`` once on a single sample and once
+        on a stacked batch of two and requires every output to carry the
+        batch on axis 0 with the first row matching the single-sample run.
+        Probe inputs are synthesized from the *request signature* the
+        artifact is keyed by — the exact shapes this artifact will serve —
+        not from the model's declared shapes, whose wildcard dims may
+        differ.  Models that bake the batch size into static shapes (e.g.
+        BERT's attention reshapes) fail the probe and are served one request
+        at a time — still cached and warm, just not fused.  A failing probe
+        run may leave the executor broken; the caller repairs it.
         """
         if self.config.max_batch_size <= 1:
             return False
@@ -796,9 +718,9 @@ class InferenceEngine:
             stacked = {name: np.concatenate([single[name], other[name]],
                                             axis=BATCH_AXIS)
                        for name in single}
-            reference = run_once(single)
-            batched = run_once(stacked)
-        except BaseException:  # noqa: BLE001 - any failure means "do not fuse"
+            reference = execute(single)
+            batched = execute(stacked)
+        except Exception:  # noqa: BLE001 - any failure means "do not fuse"
             return False
         for name, ref in reference.items():
             ref = np.asarray(ref)
@@ -821,81 +743,16 @@ class InferenceEngine:
         cached artifact's arena allocations/reuses and its output-binding
         direct/copy writes together.
         """
-        gauge = registry.gauge
-        cache = self._cache.stats()
-        gauge("serving_cached_artifacts",
-              "Compiled artifacts currently cached").set(cache["size"])
+        registry.gauge("serving_cached_artifacts",
+                       "Compiled artifacts currently cached"
+                       ).set(self._cache.stats()["size"])
         for artifact in self._cache.values():
-            session = artifact.session
-            if session is None or session.closed:
+            if artifact.session.closed:
                 continue
-            stats = session.stats()
             labels = {"model": artifact.model_name,
                       "artifact": artifact.key.short()}
-            plan_stats = stats.get("plan")
-            if plan_stats is not None:
-                arena = plan_stats["arena"]
-                gauge("serving_plan_arena_allocations",
-                      "Arena buffer allocations of a cached artifact's plan",
-                      labels=labels).set(arena["allocations"])
-                gauge("serving_plan_arena_reuses",
-                      "Arena buffer reuses of a cached artifact's plan",
-                      labels=labels).set(arena["reuses"])
-                binding = plan_stats["output_binding"]
-                gauge("serving_plan_output_direct_writes",
-                      "Bound outputs written in place by a cached plan",
-                      labels=labels).set(binding["direct_writes"])
-                gauge("serving_plan_output_copy_writes",
-                      "Bound outputs finalized by copy in a cached plan",
-                      labels=labels).set(binding["copy_writes"])
-            if stats.get("pool_clusters") is not None:
-                gauge("serving_pool_clusters",
-                      "Warm worker-pool clusters of a cached artifact",
-                      labels=labels).set(stats["pool_clusters"])
-            pool_stats = stats.get("pool")
-            if pool_stats is not None:
-                gauge("serving_pool_runs_total",
-                      "Completed pool runs of a cached artifact",
-                      labels=labels).set(pool_stats["runs"])
-                gauge("serving_pool_failures_total",
-                      "Failed pool runs of a cached artifact",
-                      labels=labels).set(pool_stats["failures"])
-                gauge("serving_pool_restarts_total",
-                      "Worker restarts of a cached artifact's pool",
-                      labels=labels).set(pool_stats["restarts"])
-                gauge("serving_pool_respawns_total",
-                      "Single workers respawned in a cached artifact's pool",
-                      labels=labels).set(pool_stats["respawns"])
-                gauge("serving_pool_execute_seconds_total",
-                      "Cumulative worker execute time of a cached artifact",
-                      labels=labels).set(pool_stats["execute_ns_total"] / 1e9)
-            if artifact.dispatcher is not None:
-                dstats = artifact.dispatcher.stats()
-                gauge("serving_resilience_retries_total",
-                      "Batches re-dispatched after a primary failure",
-                      labels=labels).set(dstats["retries"])
-                gauge("serving_resilience_recoveries_total",
-                      "Session recoveries run between retry attempts",
-                      labels=labels).set(dstats["recoveries"])
-                gauge("serving_resilience_degraded_runs_total",
-                      "Batches served by the degraded plan fallback",
-                      labels=labels).set(dstats["degraded_runs"])
-                gauge("serving_resilience_breaker_opens_total",
-                      "Times the artifact's circuit breaker tripped",
-                      labels=labels).set(dstats["breaker"]["opens"])
-                gauge("serving_resilience_breaker_state",
-                      "Breaker state (0=closed, 1=half-open, 2=open)",
-                      labels=labels).set(
-                          {"closed": 0, "half-open": 1, "open": 2}.get(
-                              dstats["breaker"]["state"], -1))
-            if artifact.supervisor is not None:
-                sstats = artifact.supervisor.stats()
-                gauge("serving_supervisor_respawns_total",
-                      "Workers respawned by the artifact's supervisor",
-                      labels=labels).set(sstats["respawns"])
-                gauge("serving_supervisor_wedges_detected_total",
-                      "Wedged workers detected by the artifact's supervisor",
-                      labels=labels).set(sstats["wedges_detected"])
+            for name, value, help in _artifact_gauges(artifact):
+                registry.gauge(name, help, labels=labels).set(value)
 
     # ------------------------------------------------------------------
     # Validation
@@ -951,6 +808,57 @@ class InferenceEngine:
             arrays[name] = array
             signature.append((name, str(array.dtype), tuple(array.shape[1:])))
         return arrays, batch_len or 1, tuple(signature)
+
+
+def _artifact_gauges(artifact: CompiledArtifact):
+    """``(name, value, help)`` of every gauge one cached artifact publishes."""
+    stats = artifact.session.stats()
+    plan = stats.get("plan")
+    if plan is not None:
+        arena, binding = plan["arena"], plan["output_binding"]
+        yield ("serving_plan_arena_allocations", arena["allocations"],
+               "Arena buffer allocations of a cached artifact's plan")
+        yield ("serving_plan_arena_reuses", arena["reuses"],
+               "Arena buffer reuses of a cached artifact's plan")
+        yield ("serving_plan_output_direct_writes", binding["direct_writes"],
+               "Bound outputs written in place by a cached plan")
+        yield ("serving_plan_output_copy_writes", binding["copy_writes"],
+               "Bound outputs finalized by copy in a cached plan")
+    pool = stats.get("pool")
+    if pool is not None:
+        yield ("serving_pool_clusters", stats["pool_clusters"],
+               "Warm worker-pool clusters of a cached artifact")
+        yield ("serving_pool_runs_total", pool["runs"],
+               "Completed pool runs of a cached artifact")
+        yield ("serving_pool_failures_total", pool["failures"],
+               "Failed pool runs of a cached artifact")
+        yield ("serving_pool_restarts_total", pool["restarts"],
+               "Worker restarts of a cached artifact's pool")
+        yield ("serving_pool_respawns_total", pool["respawns"],
+               "Single workers respawned in a cached artifact's pool")
+        yield ("serving_pool_execute_seconds_total",
+               pool["execute_ns_total"] / 1e9,
+               "Cumulative worker execute time of a cached artifact")
+    dispatch = artifact.dispatcher.stats()
+    breaker = dispatch["breaker"]
+    yield ("serving_resilience_retries_total", dispatch["retries"],
+           "Batches re-dispatched after a primary failure")
+    yield ("serving_resilience_recoveries_total", dispatch["recoveries"],
+           "Session recoveries run between retry attempts")
+    yield ("serving_resilience_degraded_runs_total", dispatch["degraded_runs"],
+           "Batches served by the degraded plan fallback")
+    yield ("serving_resilience_breaker_opens_total", breaker["opens"],
+           "Times the artifact's circuit breaker tripped")
+    yield ("serving_resilience_breaker_state",
+           {"closed": 0, "half-open": 1, "open": 2}.get(breaker["state"], -1),
+           "Breaker state (0=closed, 1=half-open, 2=open)")
+    if artifact.supervisor is not None:
+        supervisor = artifact.supervisor.stats()
+        yield ("serving_supervisor_respawns_total", supervisor["respawns"],
+               "Workers respawned by the artifact's supervisor")
+        yield ("serving_supervisor_wedges_detected_total",
+               supervisor["wedges_detected"],
+               "Wedged workers detected by the artifact's supervisor")
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +920,8 @@ def drive_load(engine: InferenceEngine, model: Model, num_requests: int,
 
 
 def naive_throughput(model: Model, num_requests: int = 3,
-                     pipeline_config: Optional[PipelineConfig] = None,
-                     backend: str = "thread") -> Dict[str, float]:
+                     pipeline_config: Optional[PipelineConfig] = None
+                     ) -> Dict[str, float]:
     """Requests/sec of the pre-serving path: full recompile per request.
 
     This is what every invocation cost before the serving layer existed —
@@ -1025,7 +933,7 @@ def naive_throughput(model: Model, num_requests: int = 3,
     for i in range(num_requests):
         result = ramiel_compile(model, config=dataclasses.replace(
             config, generate_code=True))
-        result.run_parallel(example_inputs(model, seed=i), backend=backend)
+        result.run_parallel(example_inputs(model, seed=i))
     elapsed = time.perf_counter() - start
     return {"requests": num_requests, "elapsed_s": elapsed,
             "rps": num_requests / elapsed if elapsed > 0 else float("inf")}

@@ -2,34 +2,35 @@
 
 One :class:`ServingMetrics` instance is shared by an
 :class:`~repro.serving.engine.InferenceEngine`, its micro-batchers and its
-artifact cache.  Everything is recorded under a single lock (the recorded
-quantities are tiny compared to operator execution) and exported as a plain
-dict via :meth:`ServingMetrics.snapshot`, which
-:func:`repro.analysis.reports.render_serving_report` renders as text.
+artifact cache.  Compound recordings take a single lock (the recorded
+quantities are tiny compared to operator execution) and everything is
+exported as a plain dict via :meth:`ServingMetrics.snapshot`.
 
 Memory is **bounded**: latency samples live in a fixed-capacity reservoir
 (Vitter's algorithm R — a uniform sample of the whole stream, so the
 percentiles stay statistically representative over arbitrarily long
-``serve-bench`` runs), while count / sum / max run as exact scalars and the
-batch histogram is a counter keyed by the handful of distinct sizes.
+``serve-bench`` runs, and exact where the bucketed histogram can only
+interpolate), while count / sum / max are the histogram's exact scalars and
+the batch histogram is a counter per distinct size.
 
-Binding a :class:`~repro.observability.MetricsRegistry` (see
-:meth:`bind_registry`, done automatically by the engine) mirrors every
-recording into Prometheus-style instruments — ``serving_*`` counters, a
-``serving_request_latency_seconds`` histogram and derived gauges refreshed
-by a pull collector — so one registry snapshot covers serving alongside the
-plan/arena/binding counters the sessions publish.
+The counts themselves live in one place: the ``serving_*`` instruments of a
+:class:`~repro.observability.MetricsRegistry` (the engine's, or a private
+one) — monotonic counters, a ``serving_request_latency_seconds`` histogram
+and derived gauges refreshed by a pull collector — so one registry snapshot
+covers serving alongside the plan/arena/binding counters the sessions
+publish, and :meth:`ServingMetrics.snapshot` is a view over the same store.
 """
 
 from __future__ import annotations
 
-import collections
 import random
 import threading
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.observability.metrics import MetricsRegistry
 
 #: Default capacity of the latency/batch sample reservoirs.  At 2048
 #: float64 samples the retained window is ~16 KB per metric while p99
@@ -79,7 +80,7 @@ class _Reservoir:
 
 
 class ServingMetrics:
-    """Accumulates per-request, per-batch and cache statistics.
+    """Records per-request, per-batch and cache statistics into a registry.
 
     Parameters
     ----------
@@ -87,84 +88,81 @@ class ServingMetrics:
         Reservoir size for latency samples; memory stays bounded at this
         many floats no matter how long the engine serves.
     registry:
-        Optional :class:`~repro.observability.MetricsRegistry` to mirror
-        into from the start (equivalent to calling :meth:`bind_registry`).
+        The :class:`~repro.observability.MetricsRegistry` holding the
+        ``serving_*`` instruments (a private one when omitted).
     """
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                 registry=None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
+        self.registry = registry = registry or MetricsRegistry()
         self._lock = threading.Lock()
         self._sample_capacity = int(sample_capacity)
-        self._registry = None
-        self._mirror = None
-        self.reset()
-        if registry is not None:
-            self.bind_registry(registry)
+        counter, gauge = registry.counter, registry.gauge
+        self._submitted = counter(
+            "serving_requests_submitted_total",
+            "Requests that entered the engine")
+        self._completed = counter(
+            "serving_requests_completed_total",
+            "Requests that completed successfully")
+        self._failed = counter(
+            "serving_requests_failed_total", "Requests that failed")
+        self._latency = registry.histogram(
+            "serving_request_latency_seconds",
+            "End-to-end request latency (submit to result)")
+        self._batches = counter(
+            "serving_batches_total", "Micro-batches executed")
+        self._cache_hits = counter(
+            "serving_cache_hits_total", "Artifact cache hits")
+        self._cache_misses = counter(
+            "serving_cache_misses_total", "Artifact cache misses")
+        self._compiles = counter(
+            "serving_compiles_total", "Ramiel compilations performed")
+        self._compile_seconds = counter(
+            "serving_compile_seconds_total",
+            "Total time spent compiling artifacts")
+        self._evictions = counter(
+            "serving_cache_evictions_total", "Artifacts evicted from the cache")
+        self._throughput = gauge(
+            "serving_throughput_rps",
+            "Completed requests per second, first submit to last completion")
+        self._batch_size_mean = gauge(
+            "serving_batch_size_mean", "Mean executed micro-batch size")
+        self._cache_hit_rate = gauge(
+            "serving_cache_hit_rate", "Artifact cache hit rate")
+        self._batch_counters: Dict[int, object] = {}
+        self._latency_reservoir = _Reservoir(self._sample_capacity)
+        self._first_submit_t: Optional[float] = None
+        self._last_done_t: Optional[float] = None
+        registry.register_collector(self._refresh_derived)
 
     def reset(self) -> None:
-        """Drop all recorded samples and counters.
+        """Drop all recorded samples and zero the ``serving_*`` family.
 
-        A bound registry's ``serving_*`` mirror family is reset too, so a
-        post-warmup reset re-zeroes the measured window everywhere.
+        A post-warmup reset re-zeroes the measured window everywhere the
+        registry is read.
         """
         with self._lock:
-            if self._mirror is not None:
-                self._mirror.reset()
-            self._submitted = 0
-            self._completed = 0
-            self._failed = 0
+            for instrument in (
+                    self._submitted, self._completed, self._failed,
+                    self._latency, self._batches, self._cache_hits,
+                    self._cache_misses, self._compiles, self._compile_seconds,
+                    self._evictions, self._throughput, self._batch_size_mean,
+                    self._cache_hit_rate, *self._batch_counters.values(),
+                    *(g for _, g in self.registry.series("serving_latency_ms"))):
+                instrument.reset()
             self._latency_reservoir = _Reservoir(self._sample_capacity)
-            self._latency_sum_s = 0.0
-            self._latency_max_s: Optional[float] = None
-            self._batches = 0
-            self._batch_size_sum = 0
-            self._batch_histogram: collections.Counter = collections.Counter()
-            self._cache_hits = 0
-            self._cache_misses = 0
-            self._compiles = 0
-            self._compile_time_s = 0.0
-            self._evictions = 0
-            self._first_submit_t: Optional[float] = None
-            self._last_done_t: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Registry mirroring
-    # ------------------------------------------------------------------
-    def bind_registry(self, registry) -> None:
-        """Mirror every recording into ``registry`` from now on.
-
-        Creates the ``serving_*`` instrument family (monotonic counters, a
-        ``serving_request_latency_seconds`` histogram, per-size batch
-        counters) and registers a pull collector that refreshes the derived
-        gauges — throughput, latency quantiles, cache hit rate, mean batch
-        size — from :meth:`snapshot` before every registry export.
-        """
-        with self._lock:
-            if self._registry is registry:
-                return
-            if self._registry is not None:
-                raise ValueError(
-                    "ServingMetrics is already bound to a different "
-                    "MetricsRegistry")
-            self._registry = registry
-            self._mirror = _RegistryMirror(registry)
-            registry.register_collector(self._refresh_derived)
-
-    @property
-    def registry(self):
-        """The bound :class:`MetricsRegistry`, if any."""
-        return self._registry
+            self._first_submit_t = self._last_done_t = None
 
     def _refresh_derived(self, _registry) -> None:
+        """Pull collector: derived gauges from :meth:`snapshot`."""
         snap = self.snapshot()
-        mirror = self._mirror
-        if mirror is None:
-            return
-        mirror.throughput.set(snap["throughput_rps"])
+        self._throughput.set(snap["throughput_rps"])
         for quantile, value in snap["latency_ms"].items():
-            mirror.latency_gauge(quantile).set(value)
-        mirror.batch_size_mean.set(snap["mean_batch_size"])
-        mirror.cache_hit_rate.set(snap["cache"]["hit_rate"])
+            self.registry.gauge(
+                "serving_latency_ms", "Request latency summary in milliseconds",
+                labels={"quantile": quantile}).set(value)
+        self._batch_size_mean.set(snap["mean_batch_size"])
+        self._cache_hit_rate.set(snap["cache"]["hit_rate"])
 
     # ------------------------------------------------------------------
     # Recording
@@ -172,12 +170,9 @@ class ServingMetrics:
     def record_submitted(self) -> None:
         """One request entered the engine."""
         with self._lock:
-            self._submitted += 1
+            self._submitted.inc()
             if self._first_submit_t is None:
                 self._first_submit_t = time.perf_counter()
-            mirror = self._mirror
-        if mirror is not None:
-            mirror.submitted.inc()
 
     def record_completed(self, latency_s: float, ok: bool = True) -> None:
         """One request finished after ``latency_s``.
@@ -187,62 +182,38 @@ class ServingMetrics:
         """
         with self._lock:
             if ok:
-                self._completed += 1
+                self._completed.inc()
+                self._latency.observe(latency_s)
                 self._latency_reservoir.add(latency_s)
-                self._latency_sum_s += latency_s
-                if self._latency_max_s is None or latency_s > self._latency_max_s:
-                    self._latency_max_s = latency_s
             else:
-                self._failed += 1
+                self._failed.inc()
             self._last_done_t = time.perf_counter()
-            mirror = self._mirror
-        if mirror is not None:
-            if ok:
-                mirror.completed.inc()
-                mirror.latency_hist.observe(latency_s)
-            else:
-                mirror.failed.inc()
 
     def record_batch(self, size: int) -> None:
         """One micro-batch of ``size`` requests was executed."""
         size = int(size)
         with self._lock:
-            self._batches += 1
-            self._batch_size_sum += size
-            self._batch_histogram[size] += 1
-            mirror = self._mirror
-        if mirror is not None:
-            mirror.batches.inc()
-            mirror.batch_size_counter(size).inc()
+            self._batches.inc()
+            counter = self._batch_counters.get(size)
+            if counter is None:
+                counter = self._batch_counters[size] = self.registry.counter(
+                    "serving_batches_by_size_total",
+                    "Micro-batches executed, by batch size",
+                    labels={"size": str(size)})
+            counter.inc()
 
     def record_cache(self, hit: bool) -> None:
         """One compiled-artifact cache lookup."""
-        with self._lock:
-            if hit:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-            mirror = self._mirror
-        if mirror is not None:
-            (mirror.cache_hits if hit else mirror.cache_misses).inc()
+        (self._cache_hits if hit else self._cache_misses).inc()
 
     def record_compile(self, seconds: float) -> None:
         """One Ramiel compilation was performed (a cache miss was filled)."""
-        with self._lock:
-            self._compiles += 1
-            self._compile_time_s += seconds
-            mirror = self._mirror
-        if mirror is not None:
-            mirror.compiles.inc()
-            mirror.compile_seconds.inc(seconds)
+        self._compiles.inc()
+        self._compile_seconds.inc(seconds)
 
     def record_eviction(self) -> None:
         """One artifact was evicted from the cache."""
-        with self._lock:
-            self._evictions += 1
-            mirror = self._mirror
-        if mirror is not None:
-            mirror.evictions.inc()
+        self._evictions.inc()
 
     # ------------------------------------------------------------------
     # Export
@@ -259,111 +230,43 @@ class ServingMetrics:
         """
         with self._lock:
             latencies_ms = [s * 1e3 for s in self._latency_reservoir.samples]
-            completed = self._completed
+            completed = int(self._completed.value)
             span = None
             if self._first_submit_t is not None and self._last_done_t is not None:
                 span = max(self._last_done_t - self._first_submit_t, 1e-9)
-            lookups = self._cache_hits + self._cache_misses
+            hits = int(self._cache_hits.value)
+            misses = int(self._cache_misses.value)
+            lookups = hits + misses
+            batches = int(self._batches.value)
+            histogram = {size: int(counter.value) for size, counter
+                         in sorted(self._batch_counters.items())
+                         if counter.value}
+            latency_max_s = self._latency.max
             return {
-                "submitted": self._submitted,
+                "submitted": int(self._submitted.value),
                 "completed": completed,
-                "failed": self._failed,
+                "failed": int(self._failed.value),
                 "throughput_rps": (completed / span) if span else None,
                 "latency_ms": {
                     "p50": percentile(latencies_ms, 50),
                     "p95": percentile(latencies_ms, 95),
                     "p99": percentile(latencies_ms, 99),
-                    "mean": (self._latency_sum_s * 1e3 / completed
+                    "mean": (self._latency.sum * 1e3 / completed
                              if completed else None),
-                    "max": (self._latency_max_s * 1e3
-                            if self._latency_max_s is not None else None),
+                    "max": (latency_max_s * 1e3
+                            if latency_max_s is not None else None),
                 },
-                "batches": self._batches,
-                "mean_batch_size": (self._batch_size_sum / self._batches
-                                    if self._batches else None),
-                "batch_histogram": dict(sorted(self._batch_histogram.items())),
+                "batches": batches,
+                "mean_batch_size": (
+                    sum(size * count for size, count in histogram.items())
+                    / batches if batches else None),
+                "batch_histogram": histogram,
                 "cache": {
-                    "hits": self._cache_hits,
-                    "misses": self._cache_misses,
-                    "hit_rate": (self._cache_hits / lookups) if lookups else None,
-                    "compiles": self._compiles,
-                    "compile_time_s": round(self._compile_time_s, 4),
-                    "evictions": self._evictions,
+                    "hits": hits,
+                    "misses": misses,
+                    "hit_rate": (hits / lookups) if lookups else None,
+                    "compiles": int(self._compiles.value),
+                    "compile_time_s": round(self._compile_seconds.value, 4),
+                    "evictions": int(self._evictions.value),
                 },
             }
-
-
-class _RegistryMirror:
-    """The ``serving_*`` instrument family inside one bound registry."""
-
-    def __init__(self, registry) -> None:
-        self._registry = registry
-        counter = registry.counter
-        gauge = registry.gauge
-        self.submitted = counter(
-            "serving_requests_submitted_total",
-            "Requests that entered the engine")
-        self.completed = counter(
-            "serving_requests_completed_total",
-            "Requests that completed successfully")
-        self.failed = counter(
-            "serving_requests_failed_total", "Requests that failed")
-        self.latency_hist = registry.histogram(
-            "serving_request_latency_seconds",
-            "End-to-end request latency (submit to result)")
-        self.batches = counter(
-            "serving_batches_total", "Micro-batches executed")
-        self.cache_hits = counter(
-            "serving_cache_hits_total", "Artifact cache hits")
-        self.cache_misses = counter(
-            "serving_cache_misses_total", "Artifact cache misses")
-        self.compiles = counter(
-            "serving_compiles_total", "Ramiel compilations performed")
-        self.compile_seconds = counter(
-            "serving_compile_seconds_total",
-            "Total time spent compiling artifacts")
-        self.evictions = counter(
-            "serving_cache_evictions_total", "Artifacts evicted from the cache")
-        self.throughput = gauge(
-            "serving_throughput_rps",
-            "Completed requests per second, first submit to last completion")
-        self.batch_size_mean = gauge(
-            "serving_batch_size_mean", "Mean executed micro-batch size")
-        self.cache_hit_rate = gauge(
-            "serving_cache_hit_rate", "Artifact cache hit rate")
-        self._latency_gauges: Dict[str, object] = {}
-        self._batch_counters: Dict[int, object] = {}
-
-    def latency_gauge(self, quantile: str):
-        gauge = self._latency_gauges.get(quantile)
-        if gauge is None:
-            gauge = self._registry.gauge(
-                "serving_latency_ms",
-                "Request latency summary in milliseconds",
-                labels={"quantile": quantile})
-            self._latency_gauges[quantile] = gauge
-        return gauge
-
-    def batch_size_counter(self, size: int):
-        counter = self._batch_counters.get(size)
-        if counter is None:
-            counter = self._registry.counter(
-                "serving_batches_by_size_total",
-                "Micro-batches executed, by batch size",
-                labels={"size": str(size)})
-            self._batch_counters[size] = counter
-        return counter
-
-    def reset(self) -> None:
-        """Zero every instrument in the ``serving_*`` mirror family."""
-        for instrument in (self.submitted, self.completed, self.failed,
-                           self.latency_hist, self.batches, self.cache_hits,
-                           self.cache_misses, self.compiles,
-                           self.compile_seconds, self.evictions,
-                           self.throughput, self.batch_size_mean,
-                           self.cache_hit_rate):
-            instrument.reset()
-        for gauge in self._latency_gauges.values():
-            gauge.reset()
-        for counter in self._batch_counters.values():
-            counter.reset()

@@ -1,11 +1,12 @@
 """Multi-tenant quality of service for the serving engine.
 
-The :class:`~repro.serving.engine.InferenceEngine` alone treats every
-request identically: first come, first batched.  That is fine for one
-well-behaved client, but the moment many tenants share one engine (the
-gateway's whole purpose) a single heavy tenant can monopolize the
-micro-batchers, flood the queues and evict everyone else's warm
-artifacts.  This module adds the admission-control layer that makes
+Every :class:`~repro.serving.engine.InferenceEngine` request is admitted
+through this module; the default :class:`QoSConfig` is a single
+``"default"`` tenant, for which weighted fair queueing degenerates to
+first come, first batched under the stock bounds.  The moment many tenants
+share one engine (the gateway's whole purpose) a single heavy tenant could
+otherwise monopolize the micro-batchers, flood the queues and evict
+everyone else's warm artifacts.  The admission-control layer that makes
 many models x many clients safe:
 
 * **Tenant configuration** — :class:`TenantConfig` gives every tenant a

@@ -175,3 +175,25 @@ class TestParallelCodegen:
         median, result = time_callable(lambda: 42, repeats=3, warmup=0)
         assert result == 42
         assert median >= 0
+
+    def test_compiles_do_not_leak_into_sys_modules(self, diamond_model, rng):
+        """Generated modules are reached through their GeneratedModule (and
+        inherited by forked workers), never imported by name: a serving
+        process that compiles forever must not grow ``sys.modules``."""
+        import sys
+
+        from repro.pipeline import ramiel_compile
+
+        ramiel_compile(diamond_model)  # first-use imports settle
+        before = len(sys.modules)
+        for _ in range(10):
+            result = ramiel_compile(diamond_model)
+        assert len(sys.modules) == before
+        assert not [name for name in sys.modules
+                    if name.startswith("ramiel_generated_")]
+        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
+        ref = result.run_sequential({"x": x})
+        for backend in ("thread", "process"):
+            out = result.run_parallel({"x": x}, backend=backend)
+            for key in ref:
+                np.testing.assert_allclose(ref[key], out[key], rtol=1e-4, atol=1e-5)

@@ -359,12 +359,6 @@ def test_ramiel_compile_carries_an_execution_plan():
     np.testing.assert_array_equal(
         list(result.session().run(feed).values())[0],
         list(GraphExecutor(result.optimized_model).run(feed).values())[0])
-    # the pre-session entry point still works, but warns
-    with pytest.deprecated_call(match="session"):
-        deprecated = result.run_planned(feed)
-    np.testing.assert_array_equal(
-        list(deprecated.values())[0],
-        list(GraphExecutor(result.optimized_model).run(feed).values())[0])
 
 
 def test_pipeline_build_plan_can_be_disabled_then_built_lazily():

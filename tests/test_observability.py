@@ -350,10 +350,26 @@ class TestBoundedServingMetrics:
         assert registry.get_value(
             "serving_request_latency_seconds", default=0) == 0
 
-    def test_bind_registry_rejects_second_registry(self):
-        metrics = ServingMetrics(registry=MetricsRegistry())
-        with pytest.raises(ValueError):
-            metrics.bind_registry(MetricsRegistry())
+    def test_private_registry_is_the_only_store(self):
+        """Without a registry argument the metrics own a private one, and
+        snapshot() is a view over its serving_* instruments."""
+        metrics = ServingMetrics()
+        metrics.record_submitted()
+        metrics.record_batch(3)
+        metrics.record_batch(3)
+        metrics.record_compile(0.25)
+        registry = metrics.registry
+        assert registry.get_value("serving_requests_submitted_total") == 1
+        assert registry.get_value("serving_batches_by_size_total",
+                                  labels={"size": "3"}) == 2
+        snapshot = metrics.snapshot()
+        assert snapshot["batches"] == 2 and snapshot["mean_batch_size"] == 3.0
+        assert snapshot["batch_histogram"] == {3: 2}
+        assert snapshot["cache"]["compile_time_s"] == 0.25
+        assert isinstance(snapshot["submitted"], int)
+        metrics.reset()
+        assert metrics.snapshot()["batch_histogram"] == {}
+        assert metrics.snapshot()["mean_batch_size"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -521,21 +537,12 @@ class TestServingReportMigration:
         metrics.record_compile(0.5)
         return registry, metrics
 
-    def test_registry_path_renders_without_warning(self, recwarn):
+    def test_registry_renders_the_three_tables(self):
         registry, _ = self._populated()
         report = render_serving_report(registry)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
         assert "-- serving summary --" in report
         assert "-- artifact cache --" in report
         assert "-- batch-size histogram --" in report
-
-    def test_legacy_dict_path_warns_but_renders_identically(self):
-        registry, metrics = self._populated()
-        expected = render_serving_report(registry)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = render_serving_report(metrics.snapshot())
-        assert legacy == expected
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry
+from repro.runtime.session import create_session
 from repro.serving import (
     ArtifactCache,
     BatcherClosed,
@@ -571,6 +572,69 @@ class TestEngineIntegration:
                 engine.submit(model, feed, tenant="gold")
         finally:
             engine.shutdown()
+
+    def test_default_engine_applies_the_stock_bounds(self):
+        """A default InferenceEngine() is behind admission control: a flood
+        past the default tenant's queue bound is rejected synchronously,
+        and every admitted request still resolves bitwise-correct."""
+        model = build_diamond_model()
+        feed = example_inputs(model)
+        interp = create_session(model, executor="interp")
+        references = set()
+        for size in range(1, 9):  # a fused batch may take any size up to 8
+            stacked = {k: np.concatenate([v] * size) for k, v in feed.items()}
+            row = {k: v[:1] for k, v in interp.run(stacked).items()}
+            references.add(b"".join(row[k].tobytes() for k in sorted(row)))
+        gate = threading.Event()
+        engine = InferenceEngine()
+        try:
+            engine.warmup(model, feed)
+            session = list(engine._cache.values())[0].session
+            for name in ("run", "run_with_binding"):
+                def gated(*args, _real=getattr(session, name), **kwargs):
+                    gate.wait(timeout=30.0)
+                    return _real(*args, **kwargs)
+                setattr(session, name, gated)
+            admitted = []
+            with pytest.raises(TenantQueueFull) as excinfo:
+                for _ in range(200):
+                    admitted.append(engine.submit(model, feed))
+            assert excinfo.value.retry_after_s is not None
+            # 64 queued at most, plus whatever was already dispatched (<= 32)
+            assert 64 <= len(admitted) <= 64 + 32
+            gate.set()
+            for future in admitted:
+                out = future.result(timeout=60)
+                assert b"".join(out[k].tobytes()
+                                for k in sorted(out)) in references
+            stats = engine.qos.stats()["tenants"]["default"]
+            assert stats["completed"] == len(admitted) + 1  # + the warmup
+            assert stats["rejected"] == 1
+        finally:
+            gate.set()
+            engine.shutdown()
+
+    def test_warmup_is_an_admitted_request(self):
+        """warmup() takes the admitted path (no QoS bypass) and still costs
+        exactly one cache access, as it always did."""
+        model = build_diamond_model()
+
+        def admitted(engine):
+            return engine.registry.get_value(
+                "qos_admitted_total", labels={"tenant": "default"})
+
+        with InferenceEngine() as engine:
+            summary = engine.warmup(model)
+            assert summary["batchable"] is True
+            assert admitted(engine) == 1
+            cache = engine.metrics.snapshot()["cache"]
+            assert (cache["misses"], cache["hits"]) == (1, 0)
+            assert engine.cache_stats()["misses"] == 1
+            engine.warmup(model)
+            assert admitted(engine) == 2
+            cache = engine.metrics.snapshot()["cache"]
+            assert (cache["misses"], cache["hits"]) == (1, 1)
+            assert engine.cache_stats()["hits"] == 1
 
     def test_shutdown_closes_frontend(self):
         engine = self.qos_engine()

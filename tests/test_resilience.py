@@ -22,6 +22,7 @@ driver's child-leak fix and cross-process traceback preservation.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -655,20 +656,51 @@ class TestServingResilience:
                         if k.startswith("serving_resilience_degraded_runs")]
             assert degraded and max(degraded) >= 1
 
-    def test_resilience_none_keeps_legacy_fail_fast(self):
+    def test_default_config_is_fail_fast_through_the_dispatcher(self):
+        """The default policy is a value of ResilienceConfig, not its
+        absence: every batch runs through the dispatcher, which makes one
+        attempt, never opens its breaker and surfaces the executor's own
+        error."""
         model = build_diamond_model()
         feed = example_inputs(model, seed=23)
+        boom = RuntimeError("boom")
+
+        def failing_run(*args, **kwargs):
+            raise boom
+
+        with InferenceEngine(EngineConfig(max_batch_size=1)) as engine:
+            reference = engine.infer(model, feed)
+            artifact = list(engine._cache.values())[0]
+            artifact.session.run = failing_run
+            for _ in range(5):  # past the stock breaker threshold of 3
+                with pytest.raises(RuntimeError) as excinfo:
+                    engine.infer(model, feed)
+                assert excinfo.value is boom  # never BreakerOpen
+            stats = artifact.dispatcher.stats()
+            assert stats["primary_runs"] == 6
+            assert stats["retries"] == 0 and stats["recoveries"] == 0
+            assert stats["degraded_runs"] == 0
+            assert stats["breaker"]["state"] == "closed"
+            # a transient failure leaves the (unbroken) artifact cached
+            del artifact.session.run
+            _assert_bitwise(engine.infer(model, feed), reference)
+            assert list(engine._cache.values()) == [artifact]
+
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=-1, message="boom")])
         with InferenceEngine(EngineConfig(executor="pool", max_batch_size=1,
                                           timeout_s=60.0)) as engine:
             engine.warmup(model, feed)
             artifact = list(engine._cache.values())[0]
-            assert artifact.dispatcher is None
             assert artifact.supervisor is None
+            assert not [t for t in threading.enumerate()
+                        if t.name.startswith("pool-supervisor")]
             artifact.session.pool.set_fault_injector(injector)
             with pytest.raises(Exception, match="boom"):
                 engine.infer(model, feed)
+            assert artifact.dispatcher.stats()["retries"] == 0
+            # the failed run broke the pool: the artifact was dropped
+            assert artifact not in engine._cache.values()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.models import MODEL_REGISTRY, build_model
 from repro.pipeline import (
     PipelineConfig,
     artifact_fingerprint,
@@ -21,6 +22,7 @@ from repro.pipeline import (
     model_fingerprint,
     ramiel_compile,
 )
+from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving import (
     ArtifactCache,
@@ -398,7 +400,7 @@ class TestInferenceEngine:
             engine.infer(model, feed)
             arrays, _, signature = engine._validate(model, feed)
             artifact = engine._artifact_for(model, signature)
-            artifact.pool._broken = True  # simulate a timed-out/failed run
+            artifact.session.pool._broken = True  # simulate a timed-out/failed run
             with pytest.raises(RuntimeError, match="broken"):
                 engine.infer(model, feed)
             # the poisoned artifact was dropped; the next request recompiles
@@ -433,15 +435,14 @@ class TestInferenceEngine:
                 np.testing.assert_allclose(outputs[name], ref, rtol=1e-5, atol=1e-6)
             arrays, _, signature = engine._validate(model, feed)
             artifact = engine._artifact_for(model, signature)
-            assert artifact.pool is not None and artifact.plan is None
+            assert artifact.session.pool is not None
+            assert artifact.session.plan is None
 
     def test_unknown_executor_rejected_eagerly_with_registry(self):
         """A typo'd executor fails at config construction, naming the
         known registry — not deep inside dispatch."""
         with pytest.raises(ValueError, match="plan, interp, pool, process"):
             EngineConfig(executor="bogus")
-        with pytest.raises(ValueError, match="backend"):
-            EngineConfig(backend="bogus")
 
     def test_plan_executor_routes_requests_through_execution_plan(self):
         """Default serving executes via the cached ExecutionPlan."""
@@ -451,13 +452,14 @@ class TestInferenceEngine:
             engine.infer(model, feed)
             arrays, _, signature = engine._validate(model, feed)
             artifact = engine._artifact_for(model, signature)
-            assert artifact.plan is not None
-            assert artifact.pool is None
+            plan = artifact.session.plan
+            assert plan is not None
+            assert artifact.session.pool is None
             # the artifact's plan is the compiled result's plan, built once
-            assert artifact.plan is artifact.result.execution_plan
-            runs_before = artifact.plan.stats()["arena"]["reuses"]
+            assert plan is artifact.result.execution_plan
+            runs_before = plan.stats()["arena"]["reuses"]
             engine.infer(model, feed)
-            assert artifact.plan.stats()["arena"]["reuses"] >= runs_before
+            assert plan.stats()["arena"]["reuses"] >= runs_before
 
     def test_no_per_request_graph_executor_construction(self, monkeypatch):
         """Serving requests must not build fresh GraphExecutors (or plans).
@@ -533,7 +535,6 @@ class TestSessionServing:
             assert artifact.session is not None
             assert artifact.session.executor == "plan"
             assert artifact.watchdog is not None
-            assert artifact.plan is artifact.session.plan  # compat accessor
 
     def test_interp_executor_serves_correctly(self):
         model = build_diamond_model()
@@ -547,7 +548,8 @@ class TestSessionServing:
             _, _, signature = engine._validate(model, feed)
             artifact = engine._artifact_for(model, signature)
             assert artifact.session.interpreter is not None
-            assert artifact.plan is None and artifact.pool is None
+            assert artifact.session.plan is None
+            assert artifact.session.pool is None
 
     def test_pinned_stacker_reuses_staging_and_matches_concatenate(self):
         """Fused batches land in session-pinned staging buffers: no new
@@ -670,3 +672,24 @@ class TestSessionServing:
         with pytest.raises(RuntimeError, match="broken"):
             watchdog.run(lambda _: {}, None, timeout=1.0)
         watchdog.close()
+
+
+# ---------------------------------------------------------------------------
+# The batch-fusion probe runs through the artifact's own executor
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_probe_verdict_is_identical_across_executors(name):
+    """``batchable`` is a property of the compiled model, not of the
+    executor that probed it — and an executor that failed the batch-of-two
+    probe run (BERT bakes the batch size into its reshapes) serves the very
+    next request correctly."""
+    model = build_model(name, variant="small")
+    feed = example_inputs(model, seed=5)
+    reference = create_session(model, executor="interp").run(feed)
+    for executor in ("plan", "interp", "pool", "process"):
+        with InferenceEngine(EngineConfig(executor=executor)) as engine:
+            summary = engine.warmup(model)
+            assert summary["batchable"] is (name != "bert"), executor
+            outputs = engine.infer(model, feed)
+            for key, ref in reference.items():
+                np.testing.assert_array_equal(outputs[key], ref)

@@ -391,18 +391,9 @@ def test_warm_bound_loop_is_zero_alloc_on_zoo(model_name):
 # Integration with the rest of the redesigned surface
 # ---------------------------------------------------------------------------
 class TestUnifiedSurface:
-    def test_run_planned_is_a_deprecated_shim(self):
-        result = ramiel_compile(build_diamond_model())
-        feed = example_inputs(result.model, seed=13)
-        with pytest.deprecated_call(match="session"):
-            deprecated = result.run_planned(feed)
-        fresh = result.session().run(feed)
-        for name, ref in fresh.items():
-            np.testing.assert_array_equal(deprecated[name], ref)
-
     def test_new_surface_emits_no_deprecation_warnings(self):
-        """The session path itself never routes through deprecated entry
-        points (CI runs this module with -W error::DeprecationWarning)."""
+        """The session path never trips a DeprecationWarning (its own —
+        none remain in src/ — or a dependency's)."""
         import warnings
 
         model = build_diamond_model()
