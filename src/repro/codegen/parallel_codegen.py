@@ -8,9 +8,8 @@ immediately before the consuming statement, and every value consumed by a
 after it is produced — exactly the structure of the paper's Fig. 11 snippet.
 
 The generated module is plain, readable Python with no dependency beyond
-numpy and :mod:`repro.runtime.functional`; the driver that forks one Python
-process (or thread) per cluster lives in
-:mod:`repro.runtime.process_runtime`.
+numpy and :mod:`repro.runtime.functional`; the runtime that keeps one Python
+process (or thread) per cluster lives in :mod:`repro.runtime.worker_pool`.
 """
 
 from __future__ import annotations
@@ -22,16 +21,7 @@ from repro.codegen.emitter import CodeEmitter
 from repro.codegen.op_lowering import lower_node
 from repro.codegen.ssa import SSANamer
 from repro.ir.model import Graph, Model
-
-
-def channel_name(value: str, src_cluster: int, dst_cluster: int) -> str:
-    """Deterministic, readable channel key for one cross-cluster tensor."""
-    safe_value = value.replace("@", "_").replace("/", "_")
-    return f"c{src_cluster}_to_c{dst_cluster}__{safe_value}"
-
-
-def _base_value(node_output: str) -> str:
-    return node_output
+from repro.runtime.channels import channel_name
 
 
 class _ClusterCodegen:
@@ -47,6 +37,8 @@ class _ClusterCodegen:
         self.owner = owner
         self.namer = SSANamer()
         self.received: Set[str] = set()
+        #: graph inputs this cluster's function reads, in first-use order
+        self.graph_inputs_read: List[str] = []
 
     # ------------------------------------------------------------------
     def _producer_cluster(self, value: str) -> Optional[int]:
@@ -61,6 +53,8 @@ class _ClusterCodegen:
         if value in self.graph.initializers:
             return f"weights[{value!r}]"
         if value in self.graph.input_names:
+            if value not in self.graph_inputs_read:
+                self.graph_inputs_read.append(value)
             return f"inputs[{value!r}]"
         return self.namer.name_for(value)
 
@@ -133,11 +127,11 @@ class _ClusterCodegen:
         return produced_graph_outputs
 
 
-def collect_channels(graph: Graph, clustering: Clustering) -> List[str]:
-    """All channel names implied by the clustering's cross-cluster dependences."""
+def _channel_values(graph: Graph, clustering: Clustering) -> Dict[str, str]:
+    """Channel name -> the value it carries, sorted by channel name."""
     producers = {out: node.name for node in graph.nodes for out in node.outputs if out}
     owner = clustering.assignment()
-    channels: Set[str] = set()
+    channels: Dict[str, str] = {}
     for node in graph.nodes:
         dst = owner[node.name]
         for value in node.present_inputs:
@@ -146,8 +140,30 @@ def collect_channels(graph: Graph, clustering: Clustering) -> List[str]:
                 continue
             src = owner[producer]
             if src != dst:
-                channels.add(channel_name(value, src, dst))
-    return sorted(channels)
+                channels[channel_name(value, src, dst)] = value
+    return dict(sorted(channels.items()))
+
+
+def collect_channels(graph: Graph, clustering: Clustering) -> List[str]:
+    """All channel names implied by the clustering's cross-cluster dependences."""
+    return list(_channel_values(graph, clustering))
+
+
+def _tensor_specs(graph: Graph, channel_values: Dict[str, str]) -> Dict[str, tuple]:
+    """``{name: (shape, dtype)}`` for every channel, graph input and graph
+    output whose shape inference left fully static.
+
+    The process backend sizes its tensor slots from this; a name without an
+    entry still works, through the pickled fallback.
+    """
+    values = dict(channel_values)
+    values.update((name, name) for name in graph.input_names + graph.output_names)
+    specs: Dict[str, tuple] = {}
+    for name, value in values.items():
+        info = graph.tensor_info(value)
+        if info is not None and info.nbytes is not None:
+            specs[name] = (tuple(info.shape), info.dtype.value)
+    return specs
 
 
 def generate_parallel_source(model: Model, clustering: Clustering) -> str:
@@ -179,7 +195,7 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
         f"Parallel inference code generated by Ramiel for model {model.name!r}.\n\n"
         f"{clustering.num_clusters} clusters; each ``cluster_i`` function runs on its\n"
         "own core (one Python process, per the paper) and exchanges tensors with\n"
-        "the other clusters through the ``channels`` mapping of queues."
+        "the other clusters through the ``channels`` mapping."
     )
     em.blank()
     em.line("import numpy as np")
@@ -190,19 +206,23 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
     em.line(f"NUM_CLUSTERS = {clustering.num_clusters}")
     em.line(f"GRAPH_INPUTS = {list(graph.input_names)!r}")
     em.line(f"GRAPH_OUTPUTS = {list(graph.output_names)!r}")
-    channels = collect_channels(graph, clustering)
-    em.line(f"CHANNEL_NAMES = {channels!r}")
+    channel_values = _channel_values(graph, clustering)
+    em.line(f"CHANNEL_NAMES = {list(channel_values)!r}")
+    em.line(f"CHANNEL_SPECS = {_tensor_specs(graph, channel_values)!r}")
     em.blank(2)
 
+    cluster_inputs: Dict[int, List[str]] = {}
     cluster_outputs: Dict[int, List[str]] = {}
     for index in range(clustering.num_clusters):
         codegen = _ClusterCodegen(graph, clustering, index, node_of, owner)
         produced = codegen.emit(em, producers, consumers_of, outputs_needed)
+        cluster_inputs[index] = codegen.graph_inputs_read
         cluster_outputs[index] = produced
         em.blank(2)
 
     em.line("CLUSTER_FUNCTIONS = [" + ", ".join(
         f"cluster_{i}" for i in range(clustering.num_clusters)) + "]")
+    em.line(f"CLUSTER_INPUTS = {cluster_inputs!r}")
     em.line(f"CLUSTER_OUTPUTS = {cluster_outputs!r}")
     em.blank(2)
     with em.block("def run_parallel(inputs, weights, backend='thread', num_workers=None):"):

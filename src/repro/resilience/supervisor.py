@@ -13,8 +13,8 @@ a small daemon thread that polls the pool's supervision primitives every
   worker mid-run gets the in-flight run failed immediately via
   ``pool.fail_inflight`` (the caller's future fails in ~one poll interval
   instead of the batch timeout) and is respawned *individually* via
-  ``pool.heal`` — healthy peers, warm weights and fork-inherited channels
-  stay in place.
+  ``pool.heal`` — healthy peers, warm weights and the fork-inherited
+  tensor plane stay in place.
 * **wedge detection** — heartbeat tickets (``pool.ping_workers``) are
   enqueued behind whatever a worker is doing; a live worker replies when
   it drains its queue, a wedged one stays silent.  A run in flight longer

@@ -16,15 +16,15 @@ and the benchmarks need:
   compile-once bound closures, a liveness-managed buffer arena and fused
   elementwise tails; the serving engine's default executor, differentially
   tested against :class:`GraphExecutor`.
-* :mod:`repro.runtime.channels`, :mod:`repro.runtime.process_runtime` and
-  :mod:`repro.runtime.thread_runtime` — the message-passing cluster
-  runtimes (Python processes + queues, as in the paper, plus a thread
-  variant).
+* :mod:`repro.runtime.channels` — the cluster-to-cluster transports
+  (shared-memory tensor slots between processes, as in the paper's
+  process-per-cluster runtime; queues between threads) and
+  :mod:`repro.runtime.process_runtime` — the one-shot drivers.
 * :mod:`repro.runtime.intra_op` — intra-operator thread parallelism with a
   ``num_threads`` knob mirroring ``OMP_NUM_THREADS`` (Table V).
-* :class:`repro.runtime.worker_pool.WarmExecutorPool` — long-lived
-  per-cluster workers that execute a compiled module repeatedly without
-  per-call thread/process spawn (the serving engine's execution substrate).
+* :class:`repro.runtime.worker_pool.WarmExecutorPool` — the one
+  multi-worker runtime: long-lived per-cluster workers that execute a
+  compiled module repeatedly without per-call thread/process spawn.
 * :mod:`repro.runtime.profiler` — per-node timing and the slack database
   that drives hyperclustering decisions.
 """

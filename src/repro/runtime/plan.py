@@ -1024,6 +1024,7 @@ class ExecutionPlan:
                 MODEL_NAME=self.model_name,
                 CLUSTER_FUNCTIONS=[run_cluster],
                 CHANNEL_NAMES=[],
+                GRAPH_INPUTS=list(self.graph.input_names),
                 GRAPH_OUTPUTS=list(self._output_names),
             )
         return self._cluster_module

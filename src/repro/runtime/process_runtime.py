@@ -1,42 +1,21 @@
-"""Execution drivers for Ramiel-generated parallel modules.
+"""One-shot drivers for Ramiel-generated modules.
 
 The paper runs each cluster as a separate Python *process* (to sidestep the
-GIL) communicating through bi-directional queues.  This module provides that
-driver plus a thread-based variant (useful because the numpy runtime
-releases the GIL inside BLAS, and because threads make the functional
-equivalence tests fast and robust) and a single-threaded reference driver.
-
-All drivers take the generated module (or anything exposing
-``CLUSTER_FUNCTIONS``, ``CHANNEL_NAMES`` and ``GRAPH_OUTPUTS``), a graph
-input feed and the model weights, and return the merged graph outputs.
-
-With a ``tracer`` attached, :func:`execute_generated_module` propagates a
-:class:`~repro.observability.context.TraceContext` to every cluster worker;
-each worker records its ``worker.execute`` span in a local
-:class:`~repro.observability.Tracer` against its real pid/tid and ships the
-buffer back (over the existing result queue, for the process backend).
-Shipped buffers land in the caller-supplied ``collector`` list as
-:class:`~repro.observability.merge.WorkerTraceBuffer`\\ s ready for
-:func:`repro.observability.merge.merge_traces`.  One-shot workers skip the
-clock handshake the warm pools perform: they are forked (or threads), and
-``perf_counter_ns`` is CLOCK_MONOTONIC — machine-wide — on fork platforms,
-so their offset is recorded as 0.
+GIL) exchanging tensors over channels.  That runtime — workers, transport,
+watchdog, reaping — lives in exactly one place,
+:class:`repro.runtime.worker_pool.WarmExecutorPool`;
+:func:`execute_generated_module` is that pool used once.  This module also
+keeps the error type and remote-traceback helper the workers share and the
+single-threaded reference driver.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 import time
 import traceback
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-
-from repro.observability.context import TraceContext
-from repro.observability.merge import WorkerTraceBuffer
-from repro.runtime.channels import make_process_channels, make_thread_channels
 
 
 class ParallelExecutionError(RuntimeError):
@@ -55,188 +34,6 @@ def remote_error_text(exc: BaseException) -> str:
     return "%r\nRemote traceback:\n%s" % (exc, traceback.format_exc())
 
 
-def _reap_processes(processes, join_timeout: float = 1.0) -> None:
-    """Terminate, join and close every process; never raises.
-
-    Used on the failure paths: a timed-out run must not leak live
-    children (they would hold inherited memory and channel queues until
-    interpreter exit).
-    """
-    for p in processes:
-        try:
-            if p.is_alive():
-                p.terminate()
-        except Exception:  # noqa: BLE001 - already reaped
-            pass
-    for p in processes:
-        try:
-            p.join(timeout=join_timeout)
-            if p.is_alive():  # terminate lost the race: escalate
-                p.kill()
-                p.join(timeout=join_timeout)
-        except Exception:  # noqa: BLE001 - already reaped
-            pass
-    for p in processes:
-        try:
-            p.close()
-        except Exception:  # noqa: BLE001 - still-running straggler
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Worker-side tracing helpers
-# ---------------------------------------------------------------------------
-def _traced_worker_run(fn, inputs, weights, channels, ctx: TraceContext,
-                       index: int):
-    """Run one cluster under a fresh local tracer; return (outputs, payload)."""
-    from repro.observability.trace import Tracer
-
-    tracer = Tracer(capacity=1024)
-    args = ctx.span_args({"cluster": str(index)})
-    with tracer.span("worker.execute", cat="worker", args=args):
-        outputs = fn(inputs, weights, channels)
-    snapshot = tracer.export()
-    spans = [(e.name, e.cat, e.start_ns, e.dur_ns,
-              dict(e.args) if e.args else None)
-             for e in snapshot["events"]]
-    payload = {"spans": spans, "dropped": snapshot["dropped"],
-               "pid": os.getpid(), "tid": threading.get_ident()}
-    return outputs, payload
-
-
-def _payload_to_buffer(index: int, payload: Dict) -> WorkerTraceBuffer:
-    return WorkerTraceBuffer(
-        worker=f"cluster-{index}", pid=payload["pid"], tid=payload["tid"],
-        events=payload["spans"], dropped=payload["dropped"],
-        clock_offset_ns=0)
-
-
-# ---------------------------------------------------------------------------
-# Thread backend
-# ---------------------------------------------------------------------------
-def _run_threaded(module, inputs, weights, timeout: float,
-                  ctx: Optional[TraceContext] = None,
-                  collector: Optional[list] = None) -> Dict[str, np.ndarray]:
-    channels = make_thread_channels(module.CHANNEL_NAMES)
-    results: Dict[int, Dict[str, np.ndarray]] = {}
-    payloads: Dict[int, Dict] = {}
-    errors: List[Tuple[int, BaseException]] = []
-
-    def worker(index: int, fn) -> None:
-        try:
-            if ctx is None:
-                results[index] = fn(inputs, weights, channels)
-            else:
-                results[index], payloads[index] = _traced_worker_run(
-                    fn, inputs, weights, channels, ctx, index)
-        except BaseException as exc:  # noqa: BLE001 - propagate to caller
-            errors.append((index, exc))
-
-    threads = [threading.Thread(target=worker, args=(i, fn), daemon=True,
-                                name=f"cluster-{i}")
-               for i, fn in enumerate(module.CLUSTER_FUNCTIONS)]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout
-    for t in threads:
-        t.join(max(deadline - time.monotonic(), 0.0))
-    if collector is not None:
-        for index in sorted(payloads):
-            collector.append(_payload_to_buffer(index, payloads[index]))
-    if errors:
-        index, exc = errors[0]
-        raise ParallelExecutionError(f"cluster {index} failed: {exc!r}") from exc
-    if any(t.is_alive() for t in threads):
-        raise ParallelExecutionError(
-            f"parallel execution of {module.MODEL_NAME!r} timed out after {timeout}s "
-            "(possible deadlock)"
-        )
-    merged: Dict[str, np.ndarray] = {}
-    for cluster_outputs in results.values():
-        merged.update(cluster_outputs)
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Process backend
-# ---------------------------------------------------------------------------
-def _process_worker(fn, inputs, weights, channels, result_queue, index,
-                    trace_ctx) -> None:
-    try:
-        if trace_ctx is None:
-            outputs = fn(inputs, weights, channels)
-            result_queue.put((index, outputs, None, None))
-        else:
-            outputs, payload = _traced_worker_run(
-                fn, inputs, weights, channels, trace_ctx, index)
-            result_queue.put((index, outputs, None, payload))
-    except BaseException as exc:  # noqa: BLE001 - serialize the failure
-        result_queue.put((index, {}, remote_error_text(exc), None))
-
-
-def _run_processes(module, inputs, weights, timeout: float,
-                   trace_ctx: Optional[TraceContext] = None,
-                   collector: Optional[list] = None) -> Dict[str, np.ndarray]:
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = multiprocessing.get_context()
-    channels = make_process_channels(module.CHANNEL_NAMES, ctx=ctx)
-    result_queue = ctx.Queue()
-
-    processes = [
-        ctx.Process(target=_process_worker,
-                    args=(fn, inputs, weights, channels, result_queue, i,
-                          trace_ctx),
-                    daemon=True, name=f"cluster-{i}")
-        for i, fn in enumerate(module.CLUSTER_FUNCTIONS)
-    ]
-    for p in processes:
-        p.start()
-
-    merged: Dict[str, np.ndarray] = {}
-    failures: List[str] = []
-    deadline = time.monotonic() + timeout
-    pending = len(processes)
-    while pending > 0:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            # Reap every child before raising: a bare join-with-timeout
-            # here used to leak live worker processes on timeout.
-            _reap_processes(processes)
-            raise ParallelExecutionError(
-                f"parallel execution of {module.MODEL_NAME!r} timed out after {timeout}s"
-            )
-        try:
-            index, outputs, error, payload = result_queue.get(
-                timeout=min(remaining, 0.5))
-        except Exception:  # noqa: BLE001 - queue.Empty; keep polling until deadline
-            continue
-        pending -= 1
-        if payload is not None and collector is not None:
-            collector.append(_payload_to_buffer(index, payload))
-        if error is not None:
-            failures.append(f"cluster {index}: {error}")
-        else:
-            merged.update(outputs)
-    if failures:
-        _reap_processes(processes)
-        raise ParallelExecutionError("; ".join(failures))
-    for p in processes:
-        p.join(timeout=1.0)
-        if p.is_alive():  # pragma: no cover - stragglers after results arrived
-            p.terminate()
-            p.join(timeout=1.0)
-        try:
-            p.close()
-        except Exception:  # noqa: BLE001 - still-running straggler
-            pass
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
 def execute_generated_module(
     module,
     inputs: Mapping[str, np.ndarray],
@@ -247,7 +44,7 @@ def execute_generated_module(
     tracer=None,
     collector: Optional[list] = None,
 ) -> Dict[str, np.ndarray]:
-    """Execute a generated parallel module and return its graph outputs.
+    """Execute a generated parallel module once and return its graph outputs.
 
     Parameters
     ----------
@@ -260,40 +57,26 @@ def execute_generated_module(
         ``"thread"`` — one thread per cluster (numpy releases the GIL in BLAS).
     timeout:
         Watchdog in seconds; a deadlock (which a correct clustering cannot
-        produce) surfaces as :class:`ParallelExecutionError` instead of a hang.
+        produce) surfaces as :class:`ParallelExecutionError` instead of a
+        hang, and the workers are reaped before it propagates.
     tracer:
-        Optional coordinator :class:`~repro.observability.Tracer`.  When
-        given, a trace context is propagated to every worker and the
-        coordinator records a ``runtime.parallel_run`` span around the run.
+        Optional coordinator :class:`~repro.observability.Tracer`; the run
+        is recorded as a ``pool.run`` span and every worker ships its
+        ``worker.execute`` span home.
     collector:
-        Optional list to which per-worker
+        Optional list to which the per-worker
         :class:`~repro.observability.merge.WorkerTraceBuffer`\\ s are
         appended (requires ``tracer``).
     """
-    module = getattr(module, "module", module)
-    if backend not in ("thread", "process"):
-        raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
-    trace_ctx = TraceContext.from_tracer(
-        tracer, parent_span="execute_generated_module")
-    start_ns = tracer.now() if tracer is not None else 0
-    if backend == "thread":
-        outputs = _run_threaded(module, dict(inputs), dict(weights), timeout,
-                                ctx=trace_ctx, collector=collector)
-    else:
-        outputs = _run_processes(module, dict(inputs), dict(weights), timeout,
-                                 trace_ctx=trace_ctx, collector=collector)
-    if tracer is not None:
-        args = {"model": module.MODEL_NAME, "backend": backend}
-        if trace_ctx is not None:
-            args["trace_id"] = str(trace_ctx.trace_id)
-        tracer.emit("runtime.parallel_run", "runtime", start_ns, tracer.now(),
-                    args=args)
-    missing = [name for name in module.GRAPH_OUTPUTS if name not in outputs]
-    if missing:
-        raise ParallelExecutionError(
-            f"parallel run of {module.MODEL_NAME!r} did not produce outputs: {missing}"
-        )
-    return {name: outputs[name] for name in module.GRAPH_OUTPUTS}
+    from repro.runtime.worker_pool import WarmExecutorPool  # imports this module
+
+    with WarmExecutorPool(module, weights, backend=backend,
+                          tracer=tracer) as pool:
+        try:
+            return pool.run(inputs, timeout=timeout)
+        finally:
+            if collector is not None:
+                collector.extend(pool.worker_trace_buffers())
 
 
 def run_sequential_module(

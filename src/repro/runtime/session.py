@@ -282,9 +282,9 @@ class Session:
         replace just the execution machinery:
 
         * pool-backed sessions :meth:`~WarmExecutorPool.heal` the pool
-          (respawn dead workers individually); if it is still broken —
-          e.g. a wedged-but-alive worker the pool cannot identify — they
-          fall back to a full :meth:`~WarmExecutorPool.restart`;
+          (respawn dead workers and those a failed run left stranded,
+          drop stale hand-offs); if it is still broken they fall back to
+          a full :meth:`~WarmExecutorPool.restart`;
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,
@@ -541,7 +541,8 @@ class Session:
 
 
 def create_session(model_or_artifact, config=None, executor: str = "plan",
-                   timeout_s: float = 300.0, *, tracer=None) -> Session:
+                   timeout_s: float = 300.0, *, tracer=None,
+                   max_batch: int = 1) -> Session:
     """Create a :class:`Session` — the package's one execution front door.
 
     Parameters
@@ -567,10 +568,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         Per-run timeout for pool-backed sessions.
     tracer:
         Optional :class:`~repro.observability.Tracer` attached before the
-        session is returned.  For ``"process"`` sessions, passing it here
-        (rather than via :meth:`Session.set_tracer` later) additionally
-        enables channel byte/ns telemetry: the pool's channels must be
-        wrapped before the workers fork.
+        session is returned.
+    max_batch:
+        The largest batch the caller will stack onto the compile-time
+        shapes (the serving engine passes its ``max_batch_size``); sizes a
+        ``"process"`` session's tensor slots.  Larger batches still run,
+        through the pickled fallback.
     """
     executor = validate_executor(executor)
     obj = model_or_artifact
@@ -621,7 +624,7 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         pool = WarmExecutorPool(
             result.parallel_module, optimized.graph.initializers,
             backend="thread" if executor == "pool" else "process",
-            tracer=tracer)
+            tracer=tracer, max_batch=max_batch)
         session = Session(executor, graph=optimized.graph, model_name=name,
                           result=result, pool=pool, timeout_s=timeout_s)
     if tracer is not None:

@@ -1,40 +1,49 @@
 """Warm, reusable executor pools for Ramiel-generated parallel modules.
 
-:mod:`repro.runtime.process_runtime` spawns one thread or process per
-cluster *per call*, which is the right shape for one-shot experiments but
-wasteful under serving traffic: worker startup (and, for processes, weight
-pickling) is paid on every request.  :class:`WarmExecutorPool` keeps one
-long-lived worker per cluster and feeds it jobs through per-worker queues,
-so repeated executions of the same compiled module only pay for the actual
-operator work plus queue hand-off.
+:class:`WarmExecutorPool` is the one multi-worker runtime: it keeps one
+long-lived worker per cluster and feeds it jobs through per-worker control
+queues, so repeated executions of the same compiled module only pay for the
+actual operator work plus the hand-offs.  A one-shot run
+(:func:`repro.runtime.process_runtime.execute_generated_module`) is a pool
+used once, so the worker protocol, the watchdog and the reap path exist
+exactly once.
 
 Two backends are supported:
 
 * ``"thread"`` — one persistent thread per cluster.  numpy releases the GIL
   inside BLAS so clusters still overlap; fresh thread channels are created
-  per run (they are cheap).
+  per run (they are cheap) and arrays are handed over by reference.
 * ``"process"`` — one persistent forked process per cluster (the paper's
-  runtime, minus the per-call fork).  The module, the weights and the
-  channel queues are inherited at fork time and reused across runs; a
-  correct clustering fully drains every channel each run, so reuse is safe.
-  Requires a platform with the ``fork`` start method.
+  runtime, minus the per-call fork).  The module, the weights and a
+  :class:`~repro.runtime.channels.TensorPlane` are inherited at fork: every
+  cross-cluster value, graph input and graph output has a slot in one
+  anonymous shared mapping, sized from the module's ``CHANNEL_SPECS`` times
+  the batch the caller may stack (``max_batch``).  The coordinator writes
+  the feed into the input slots once, workers hand values over with one
+  copy and a semaphore post, and graph outputs are copied out of the output
+  slots — the job/done control messages (ticket, trace context, fault
+  directive, error text, telemetry delta) travel :class:`ControlPipe`\\ s
+  without a feeder thread and carry no tensors.  A payload that does not
+  fit its slot is pickled to a spill file instead and counted in
+  ``stats()["channels"]["overflow_puts"]``.  Requires the ``fork`` start
+  method.
 
-A run that times out or raises leaves workers in an unknown state (they may
-be blocked on a channel ``get`` that will never be satisfied), so the pool
-marks itself *broken* and refuses further work; :meth:`restart` tears the
-workers down and spawns a fresh set over the same compiled module (counted
-in ``stats()["restarts"]``), which is much cheaper than recompiling.
+A run that times out or raises may leave workers blocked on a hand-off that
+will never arrive, so the pool marks itself *broken* and refuses further
+work.  :meth:`heal` repairs it in place: it respawns every worker that is
+dead, was reported wedged, or does not answer a ping, and zeroes the
+plane's semaphores; every slot write is stamped with its run ticket, so a
+value stranded by the failed run can never be mistaken for the next run's.
+:meth:`restart` tears the whole worker set down and spawns a fresh one
+(counted in ``stats()["restarts"]``); both are much cheaper than
+recompiling.
 
-**Observability.**  The pool is the boundary where PR 6's tracing used to
-go dark: spans stopped at ``session.run`` because the actual operator work
-happens on worker threads/processes the coordinator tracer cannot see.
-With a tracer attached (constructor ``tracer=`` or :meth:`set_tracer`),
-every dispatched job carries a
+**Observability.**  With a tracer attached (constructor ``tracer=`` or
+:meth:`set_tracer`), every dispatched job carries a
 :class:`~repro.observability.context.TraceContext`; each worker runs its
 own thread/process-local :class:`~repro.observability.Tracer`, records its
 ``worker.execute`` spans against its **real pid/tid**, and ships the
-completed buffer back with the job result over the existing done queue.
-The pool accumulates per-worker
+completed buffer back with the job result.  The pool accumulates per-worker
 :class:`~repro.observability.merge.WorkerTraceBuffer`\\ s (bounded, with
 per-worker drop accounting) that
 :func:`repro.observability.merge.merge_traces` aligns — using the
@@ -47,9 +56,9 @@ job tuple carries ``None`` and the worker pays one ``is None`` check
 Worker **metrics** (dispatch/execute/queue-wait timings, channel hand-off
 bytes and nanoseconds, occupancy, restarts) accumulate in ``stats()`` and
 publish into a shared ``MetricsRegistry`` via :meth:`publish_metrics`.
-Channel byte/ns accounting for the ``"process"`` backend requires the
-tracer at *construction* time (the wrapped channels are inherited at
-fork); span shipping works whenever a tracer is attached.
+Slot channels always account their hand-offs (process workers ship a
+per-job delta home); thread channels are wrapped for accounting while a
+tracer is attached.
 
 **Self-healing.**  The pool also exposes the supervision primitives
 :mod:`repro.resilience` builds on: per-worker *heartbeats* (the last time
@@ -57,8 +66,8 @@ a worker produced any message — job result, clock-sync or ``__ping__``
 reply), :meth:`worker_alive` / :meth:`inflight` liveness probes,
 :meth:`fail_inflight` (fail a stuck run on behalf of a dead or wedged
 worker in seconds instead of waiting out the batch timeout),
-:meth:`respawn_worker` / :meth:`heal` (replace a *single* failed worker —
-fresh job queue, reused channels and weights, a one-worker clock-sync
+:meth:`respawn_worker` / :meth:`heal` (replace *single* failed workers —
+fresh job queue, reused plane and weights, a one-worker clock-sync
 handshake — instead of a full :meth:`restart`), and
 :meth:`set_fault_injector` (ship deterministic fault directives to the
 workers for chaos testing; ``None`` directives cost one ``is not None``
@@ -85,6 +94,7 @@ from repro.observability.trace import Tracer
 from repro.resilience.faults import apply_worker_fault
 from repro.runtime.channels import (
     ChannelTelemetry,
+    TensorPlane,
     instrument_channels,
     make_process_channels,
     make_thread_channels,
@@ -106,8 +116,62 @@ _WORKER_TRACER_CAPACITY = 4096
 _WORKER_BUFFER_CAPACITY = 16384
 
 
+class ControlPipe:
+    """A one-way message pipe with a queue's ``put`` / ``get(timeout)``.
+
+    Unlike ``multiprocessing.Queue`` there is no feeder thread: ``put``
+    pickles and writes in the caller, so the message is in the pipe when it
+    returns.  One reader; writers serialize on a lock.  With
+    ``blocking=False`` (job pipes, whose messages are far below
+    ``PIPE_BUF`` and therefore written atomically) a ``put`` into a pipe
+    nobody drains raises ``queue.Full`` instead of blocking the
+    coordinator.
+    """
+
+    def __init__(self, ctx, blocking: bool = True) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+        if not blocking:
+            os.set_blocking(self._writer.fileno(), False)
+
+    def put(self, item) -> None:
+        with self._lock:
+            try:
+                self._writer.send(item)
+            except BlockingIOError:
+                raise queue.Full from None
+
+    def get(self, timeout: Optional[float] = None):
+        if not self._reader.poll(timeout):
+            raise queue.Empty
+        return self._reader.recv()
+
+
+def _reap(processes, join_timeout: float = 1.0) -> None:
+    """Terminate, join and close every process; never raises.
+
+    A failed or timed-out run must not leak live children (they would hold
+    the inherited weights and tensor plane until interpreter exit).
+    """
+    for p in processes:
+        try:
+            if p.is_alive():
+                p.terminate()
+        except Exception:  # noqa: BLE001 - already reaped
+            pass
+    for p in processes:
+        try:
+            p.join(timeout=join_timeout)
+            if p.is_alive():  # terminate lost the race: escalate
+                p.kill()
+                p.join(timeout=join_timeout)
+            p.close()
+        except Exception:  # noqa: BLE001 - already reaped / still running
+            pass
+
+
 def _drain_worker_tracer(tracer: Tracer, ctx: TraceContext,
-                         queue_wait_ns: int, channel_delta) -> Dict:
+                         queue_wait_ns: int) -> Dict:
     """Package a worker-local tracer's buffer for the trip home."""
     snapshot = tracer.export()
     tracer.clear()
@@ -121,11 +185,20 @@ def _drain_worker_tracer(tracer: Tracer, ctx: TraceContext,
         "tid": threading.get_ident(),
         "trace_id": ctx.trace_id,
         "queue_wait_ns": queue_wait_ns,
-        "channels": channel_delta,
     }
 
 
-def _thread_worker(fn, weights, jobs, done, index) -> None:
+def _worker(fn, weights, jobs, done, index,
+            plane: Optional[TensorPlane] = None) -> None:
+    """One cluster's worker loop: a thread, or (with ``plane``) a process.
+
+    A thread job carries the feed and the run's channels by reference.  A
+    process job carries only the *names* of the input slots to read: the
+    worker reads the feed from, and writes its graph outputs to, the
+    inherited tensor plane, and ships its channel-telemetry delta home
+    (its counters are copy-on-write private to the fork).
+    """
+    is_process = plane is not None
     tracer: Optional[Tracer] = None
     while True:
         job = jobs.get()
@@ -140,98 +213,63 @@ def _thread_worker(fn, weights, jobs, done, index) -> None:
         start_ns = time.perf_counter_ns()
         if fault is not None:
             try:
-                action = apply_worker_fault(fault, is_process=False)
+                action = apply_worker_fault(fault, is_process=is_process)
             except BaseException as exc:  # noqa: BLE001 - injected failure
                 done.put((ticket, index, {}, remote_error_text(exc),
                           time.perf_counter_ns() - start_ns, None))
                 continue
             if action == "silent":
                 if fault[0] == "crash":
-                    return  # the thread vanishes without replying
+                    return  # a thread vanishes without replying
                 continue  # hang: stay silent for this job
             if action == "corrupt":
                 done.put(("__corrupt__", index))
                 continue
         try:
+            payload = None
+            if is_process:
+                plane.ticket = ticket
+                channels = plane.channels
+                inputs = {name: plane.read(name) for name in inputs}
+                counted = plane.telemetry.snapshot()
             if ctx is None:
                 outputs = fn(inputs, weights, channels)
-                done.put((ticket, index, outputs, None,
-                          time.perf_counter_ns() - start_ns, None))
-                continue
-            if tracer is None:
-                tracer = Tracer(capacity=_WORKER_TRACER_CAPACITY)
-            queue_wait_ns = ctx.queue_wait_ns(received_ns)
-            args = ctx.span_args({
-                "cluster": str(index),
-                "queue_wait_us": str(queue_wait_ns // 1000)})
-            with tracer.span("worker.execute", cat="worker", args=args):
-                outputs = fn(inputs, weights, channels)
-            exec_ns = time.perf_counter_ns() - start_ns
-            # Thread workers share the coordinator's channel telemetry
-            # object, so no per-job channel delta is shipped (it would
-            # double count against concurrent workers).
-            payload = _drain_worker_tracer(tracer, ctx, queue_wait_ns, None)
-            done.put((ticket, index, outputs, None, exec_ns, payload))
+            else:
+                if tracer is None:
+                    tracer = Tracer(capacity=_WORKER_TRACER_CAPACITY)
+                queue_wait_ns = ctx.queue_wait_ns(received_ns)
+                args = ctx.span_args({
+                    "cluster": str(index),
+                    "queue_wait_us": str(queue_wait_ns // 1000)})
+                with tracer.span("worker.execute", cat="worker", args=args):
+                    outputs = fn(inputs, weights, channels)
+                payload = _drain_worker_tracer(tracer, ctx, queue_wait_ns)
+            if is_process:
+                produced = tuple(name for name in outputs if name in plane)
+                for name in produced:
+                    plane.write(name, outputs[name])
+                outputs = produced
+                payload = dict(payload or (), channels=ChannelTelemetry.delta(
+                    plane.telemetry.snapshot(), counted))
+            done.put((ticket, index, outputs, None,
+                      time.perf_counter_ns() - start_ns, payload))
         except BaseException as exc:  # noqa: BLE001 - propagate to the caller
             done.put((ticket, index, {}, remote_error_text(exc),
                       time.perf_counter_ns() - start_ns, None))
 
 
-def _process_worker(fn, weights, channels, jobs, done, index,
-                    telemetry: Optional[ChannelTelemetry]) -> None:
-    tracer: Optional[Tracer] = None
-    while True:
-        job = jobs.get()
-        if job is None:
-            return
-        ticket = job[0]
-        if ticket == _SYNC or ticket == _PING:
-            done.put((ticket, index, time.perf_counter_ns(), None, 0, None))
-            continue
-        received_ns = time.perf_counter_ns()
-        _, inputs, ctx, fault = job
-        start_ns = time.perf_counter_ns()
-        if fault is not None:
-            try:
-                action = apply_worker_fault(fault, is_process=True)
-            except BaseException as exc:  # noqa: BLE001 - injected failure
-                done.put((ticket, index, {}, remote_error_text(exc),
-                          time.perf_counter_ns() - start_ns, None))
-                continue
-            if action == "silent":
-                continue  # hang: stay silent for this job
-            if action == "corrupt":
-                done.put(("__corrupt__", index))
-                continue
-        try:
-            if ctx is None:
-                outputs = fn(inputs, weights, channels)
-                done.put((ticket, index, outputs, None,
-                          time.perf_counter_ns() - start_ns, None))
-                continue
-            if tracer is None:
-                tracer = Tracer(capacity=_WORKER_TRACER_CAPACITY)
-            channels_before = (telemetry.snapshot()
-                               if telemetry is not None else None)
-            queue_wait_ns = ctx.queue_wait_ns(received_ns)
-            args = ctx.span_args({
-                "cluster": str(index),
-                "queue_wait_us": str(queue_wait_ns // 1000)})
-            with tracer.span("worker.execute", cat="worker", args=args):
-                outputs = fn(inputs, weights, channels)
-            exec_ns = time.perf_counter_ns() - start_ns
-            # This fork's telemetry counters are copy-on-write private:
-            # ship the per-job delta home with the result.
-            channel_delta = None
-            if telemetry is not None:
-                channel_delta = ChannelTelemetry.delta(
-                    telemetry.snapshot(), channels_before)
-            payload = _drain_worker_tracer(tracer, ctx, queue_wait_ns,
-                                           channel_delta)
-            done.put((ticket, index, outputs, None, exec_ns, payload))
-        except BaseException as exc:  # noqa: BLE001 - serialize the failure
-            done.put((ticket, index, {}, remote_error_text(exc),
-                      time.perf_counter_ns() - start_ns, None))
+def _process_main(*args) -> None:
+    """Entry point of a forked worker: run :func:`_worker` on a side thread.
+
+    glibc's main arena gives large freed blocks back to the kernel, so on a
+    process's main thread every big temporary of a cluster function is
+    page-faulted in again; a thread's own arena keeps them.  The generated
+    code allocates its intermediates per node, and measured on BERT this is
+    50 ms per inference on the main thread against 34 ms on any other.
+    """
+    thread = threading.Thread(target=_worker, args=args, name="cluster")
+    thread.start()
+    thread.join()
 
 
 class WarmExecutorPool:
@@ -250,16 +288,18 @@ class WarmExecutorPool:
     backend:
         ``"thread"`` (default) or ``"process"`` (requires ``fork``).
     tracer:
-        Optional coordinator :class:`~repro.observability.Tracer`.  When
-        given at construction, dispatch carries trace contexts, workers
-        ship span buffers home, and (``"process"`` backend) the inherited
-        channels are wrapped for byte/ns accounting.  May also be attached
-        later via :meth:`set_tracer` (spans only, for the process backend).
+        Optional coordinator :class:`~repro.observability.Tracer`: dispatch
+        carries trace contexts and workers ship span buffers home.  May
+        also be attached later via :meth:`set_tracer`.
+    max_batch:
+        The batch the caller may stack over the compile-time shapes; sizes
+        the process backend's tensor slots (a larger batch still runs, via
+        the pickled fallback).
     """
 
     def __init__(self, module, weights: Mapping[str, np.ndarray],
                  backend: str = "thread", tracer: Optional[Tracer] = None,
-                 fail_grace_s: float = 2.0) -> None:
+                 fail_grace_s: float = 2.0, max_batch: int = 1) -> None:
         as_cluster_module = getattr(module, "as_cluster_module", None)
         if as_cluster_module is not None:  # an ExecutionPlan
             module = as_cluster_module()
@@ -270,6 +310,12 @@ class WarmExecutorPool:
         self.backend = backend
         self._weights = dict(weights)
         self._num_clusters = len(module.CLUSTER_FUNCTIONS)
+        self._max_batch = max(int(max_batch), 1)
+        #: graph inputs each cluster function reads (None: hand it all)
+        reads = getattr(module, "CLUSTER_INPUTS", None)
+        self._reads: List[Optional[frozenset]] = [
+            None if reads is None else frozenset(reads[index])
+            for index in range(self._num_clusters)]
         self._tickets = itertools.count(1)
         self._lock = threading.Lock()
         self._close_lock = threading.Lock()
@@ -292,11 +338,11 @@ class WarmExecutorPool:
 
         # -- observability state ---------------------------------------
         self._tracer = tracer
-        #: channel telemetry; for "process" it must exist before fork
+        #: channel telemetry: always on for slot channels (process workers
+        #: ship per-job deltas into it), on demand for thread channels
         self._telemetry: Optional[ChannelTelemetry] = (
-            ChannelTelemetry() if tracer is not None else None)
-        #: aggregated channel counters shipped home by process workers
-        self._channel_totals: Dict[str, int] = {}
+            ChannelTelemetry() if tracer is not None or backend == "process"
+            else None)
         #: measured worker_clock - coordinator_clock per worker index
         self._clock_offsets: List[int] = [0] * self._num_clusters
         #: accumulated per-worker span tuples (+ identity and drops)
@@ -326,11 +372,12 @@ class WarmExecutorPool:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        """Create queues (+ channels for the process backend) and workers."""
+        """Create queues (+ the tensor plane for processes) and workers."""
+        module = self.module
         if self.backend == "thread":
             self._mp_ctx = None
-            self._done: "queue.Queue" = queue.Queue()
-            self._channels = None  # fresh thread channels per run
+            self._done = queue.Queue()
+            self._plane = None  # fresh thread channels per run
         else:
             try:
                 ctx = multiprocessing.get_context("fork")
@@ -339,13 +386,14 @@ class WarmExecutorPool:
                     "the warm process pool requires the 'fork' start method"
                 ) from exc
             self._mp_ctx = ctx
-            # Channels are created once and inherited at fork; every run
-            # drains them completely, so they can be reused across runs.
-            channels = make_process_channels(self.module.CHANNEL_NAMES, ctx=ctx)
-            if self._telemetry is not None:
-                channels = instrument_channels(channels, self._telemetry)
-            self._channels = channels
-            self._done = ctx.Queue()
+            # Created once and inherited at fork; slots are rewritten every
+            # run under a fresh ticket, so the plane is reused across runs.
+            self._plane = make_process_channels(
+                module.CHANNEL_NAMES, getattr(module, "CHANNEL_SPECS", None),
+                tensors=[*getattr(module, "GRAPH_INPUTS", ()),
+                         *module.GRAPH_OUTPUTS],
+                ctx=ctx, max_batch=self._max_batch, telemetry=self._telemetry)
+            self._done = ControlPipe(ctx)
         self._job_queues = [None] * self._num_clusters
         self._workers = [None] * self._num_clusters
         for index in range(self._num_clusters):
@@ -366,15 +414,14 @@ class WarmExecutorPool:
         if self.backend == "thread":
             jobs = queue.Queue()
             worker = threading.Thread(
-                target=_thread_worker,
+                target=_worker,
                 args=(fn, self._weights, jobs, self._done, index),
                 daemon=True, name=f"warm-cluster-{index}")
         else:
-            jobs = self._mp_ctx.Queue()
+            jobs = ControlPipe(self._mp_ctx, blocking=False)
             worker = self._mp_ctx.Process(
-                target=_process_worker,
-                args=(fn, self._weights, self._channels, jobs, self._done,
-                      index, self._telemetry),
+                target=_process_main,
+                args=(fn, self._weights, jobs, self._done, index, self._plane),
                 daemon=True, name=f"warm-cluster-{index}")
         return jobs, worker
 
@@ -418,12 +465,9 @@ class WarmExecutorPool:
                     item = self._done.get(timeout=min(remaining, 0.5))
                 except queue.Empty:
                     continue
-                if not isinstance(item, tuple) or len(item) != 6:
-                    self._protocol_errors += 1
+                if not self._heard(item):
                     continue  # corrupted straggler; the handshake goes on
                 ticket, index, worker_ns, _, _, _ = item
-                if isinstance(index, int) and 0 <= index < self._num_clusters:
-                    self._note_heartbeat(index)
                 if ticket == _PING:
                     continue  # liveness reply, not a handshake reply
                 if ticket != _SYNC or index not in pending:
@@ -458,12 +502,14 @@ class WarmExecutorPool:
         for jobs in self._job_queues:
             try:
                 jobs.put(None)
-            except Exception:  # noqa: BLE001 - queue already torn down
+            except Exception:  # noqa: BLE001 - queue torn down or not drained
                 pass
+        deadline = time.monotonic() + join_timeout
         for worker in self._workers:
-            worker.join(timeout=join_timeout)
-            if self.backend == "process" and worker.is_alive():
-                worker.terminate()
+            worker.join(timeout=max(deadline - time.monotonic(), 0.0))
+        if self.backend == "process":
+            _reap(self._workers)
+            self._plane.close()
 
     # ------------------------------------------------------------------
     # Supervision primitives (consumed by repro.resilience.PoolSupervisor)
@@ -472,10 +518,22 @@ class WarmExecutorPool:
         if 0 <= index < self._num_clusters:
             self._heartbeats[index] = time.monotonic()
 
+    def _heard(self, item) -> bool:
+        """Note the sender's heartbeat of a well-formed done message;
+        count a malformed one as a protocol error and return False."""
+        if (isinstance(item, tuple) and len(item) == 6
+                and isinstance(item[1], int)):
+            self._note_heartbeat(item[1])
+            return True
+        self._protocol_errors += 1
+        return False
+
     def worker_alive(self, index: int) -> bool:
         """Whether worker ``index``'s thread/process is currently alive."""
-        worker = self._workers[index]
-        return worker is not None and worker.is_alive()
+        try:
+            return self._workers[index].is_alive()
+        except ValueError:  # a reaped (closed) process object
+            return False
 
     def heartbeat_age(self, index: int) -> float:
         """Seconds since worker ``index`` last produced any message."""
@@ -528,15 +586,11 @@ class WarmExecutorPool:
             consumed = 0
             while consumed < max_items:
                 try:
-                    item = self._done.get_nowait()
-                except Exception:  # noqa: BLE001 - queue.Empty for both kinds
+                    item = self._done.get(timeout=0)
+                except queue.Empty:
                     break
                 consumed += 1
-                if isinstance(item, tuple) and len(item) == 6 \
-                        and isinstance(item[1], int):
-                    self._note_heartbeat(item[1])
-                else:
-                    self._protocol_errors += 1
+                self._heard(item)
             return consumed
         finally:
             self._lock.release()
@@ -563,50 +617,32 @@ class WarmExecutorPool:
         """Replace the single worker ``index`` with a fresh one.
 
         Unlike :meth:`restart` this keeps every healthy worker (and, for
-        the process backend, the fork-inherited channels) in place: the
-        failed worker is terminated/abandoned, a replacement is spawned
-        over the same cluster function and weights with a *fresh* job
-        queue, and a one-worker clock handshake re-measures its offset.
-        Clears ``broken`` once every worker is alive again.  Counted in
-        ``stats()["respawns"]`` (the full-restart counter is untouched).
+        the process backend, the fork-inherited tensor plane) in place:
+        the failed worker is terminated/abandoned, a replacement is
+        spawned over the same cluster function and weights with a *fresh*
+        job queue, and a one-worker clock handshake re-measures its
+        offset.  Clears ``broken`` once every worker is alive again.
+        Counted in ``stats()["respawns"]`` (the full-restart counter is
+        untouched).
         """
         with self._lock:
             if self._closed:
                 raise ParallelExecutionError(
                     "cannot respawn a worker of a closed pool")
             self._respawn_locked(index, join_timeout, sync_timeout)
-            if all(self.worker_alive(i) for i in range(self._num_clusters)):
-                self._broken = False
+            self._settle_locked()
 
     def _respawn_locked(self, index: int, join_timeout: float,
                         sync_timeout: float) -> None:
-        old = self._workers[index]
-        if (self.backend == "process" and self._channels
-                and old is not None and old.is_alive()):
-            # Terminating a live process worker can kill it while it holds
-            # a shared channel-queue lock (a worker blocked in a channel
-            # ``get`` holds that queue's reader lock), poisoning the
-            # channel for every successor.  The only safe recovery that
-            # involves force-terminating live workers is a full worker-set
-            # respawn over *fresh* channels.
-            self._respawn_all_locked(join_timeout, sync_timeout)
-            return
         try:  # a healthy-but-abandoned worker exits on the sentinel
             self._job_queues[index].put(None)
-        except Exception:  # noqa: BLE001 - queue already torn down
+        except Exception:  # noqa: BLE001 - queue torn down or not drained
             pass
         if self.backend == "process":
-            if old is not None and old.is_alive():
-                old.terminate()
-            if old is not None:
-                old.join(join_timeout)
-                try:
-                    old.close()
-                except Exception:  # noqa: BLE001 - still-running straggler
-                    pass
-            # A mid-run death can strand items in the fork-inherited
-            # channels; drain them so the next run starts from empty.
-            self._drain_channels()
+            # Safe for a live worker too: one blocked on a hand-off waits
+            # on a semaphore, which (unlike a queue's reader lock) a killed
+            # waiter does not leave held.
+            _reap([self._workers[index]], join_timeout)
         # A wedged *thread* cannot be killed: it is abandoned (daemonic,
         # parked on the old job queue or a stale channel) and leaks until
         # its blocking call returns — the documented watchdog contract.
@@ -618,101 +654,62 @@ class WarmExecutorPool:
         self._worker_respawns[index] += 1
         self._sync_clocks(timeout=sync_timeout, indices=[index])
 
-    def _respawn_all_locked(self, join_timeout: float,
-                            sync_timeout: float) -> None:
-        """Replace every process worker over fresh channels and done queue.
+    def _settle_locked(self) -> None:
+        """After respawns: drop stranded hand-offs, clear ``broken``."""
+        if self._plane is not None:
+            # Posts a failed run left behind must not satisfy the next
+            # run's waits (their slots would fail the ticket check).
+            self._plane.reset()
+        if all(self.worker_alive(i) for i in range(self._num_clusters)):
+            self._broken = False
 
-        The escalation path for process-backend heals that must terminate
-        *live* (wedged) workers: a worker killed while blocked inside a
-        channel ``get``/``put`` dies holding the queue's shared lock, so
-        the inherited channels (and, in the worst race, the done queue)
-        cannot be trusted afterwards.  Weights and the compiled module are
-        still reused — this costs worker startup, never a recompile — and
-        it is counted per worker in ``stats()["respawns"]``, not as a
-        ``restart``.
+    def _unresponsive(self, indices, timeout: float) -> set:
+        """The subset of ``indices`` that does not answer a ping in time.
+
+        A worker still inside a failed run — typically blocked on a
+        hand-off its failed peer never made — is alive but will not take
+        the next job; it only answers once it is back in its job loop.
         """
-        for jobs in self._job_queues:
+        pending = set(indices)
+        for index in pending:
             try:
-                jobs.put(None)
-            except Exception:  # noqa: BLE001 - queue already torn down
+                self._job_queues[index].put((_PING, None))
+            except Exception:  # noqa: BLE001 - not draining its queue
                 pass
-        for worker in self._workers:
-            if worker is None:
-                continue
+        deadline = time.monotonic() + timeout
+        while pending:
             try:
-                if worker.is_alive():
-                    worker.terminate()
-            except Exception:  # noqa: BLE001 - already reaped
-                pass
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                worker.join(join_timeout)
-                if worker.is_alive():
-                    worker.kill()
-                    worker.join(join_timeout)
-            except Exception:  # noqa: BLE001 - already reaped
-                pass
-            try:
-                worker.close()
-            except Exception:  # noqa: BLE001 - still-running straggler
-                pass
-        channels = make_process_channels(self.module.CHANNEL_NAMES,
-                                         ctx=self._mp_ctx)
-        if self._telemetry is not None:
-            channels = instrument_channels(channels, self._telemetry)
-        self._channels = channels
-        self._done = self._mp_ctx.Queue()
-        for index in range(self._num_clusters):
-            jobs, worker = self._make_worker(index)
-            self._job_queues[index] = jobs
-            self._workers[index] = worker
-            self._note_heartbeat(index)
-            self._worker_respawns[index] += 1
-        for worker in self._workers:
-            worker.start()
-        self._sync_clocks(timeout=sync_timeout)
-
-    def _drain_channels(self) -> None:
-        if not self._channels:
-            return
-        for channel in self._channels.values():
-            inner = getattr(channel, "_channel", channel)
-            for _ in range(100000):  # bounded: a stranded run's leftovers
-                try:
-                    inner.get_nowait()
-                except Exception:  # noqa: BLE001 - Empty / closed queue
-                    break
+                item = self._done.get(
+                    timeout=max(deadline - time.monotonic(), 0.0))
+            except queue.Empty:
+                break
+            if self._heard(item) and item[0] == _PING:
+                pending.discard(item[1])
+        return pending
 
     def heal(self, wedged: Sequence[int] = (), join_timeout: float = 2.0,
              sync_timeout: float = 60.0) -> List[int]:
-        """Respawn every dead worker (plus explicitly ``wedged`` ones).
+        """Respawn every dead, ``wedged`` or unresponsive worker.
 
-        The supervisor's recovery entry point: detects nothing itself,
-        just replaces the workers it is told about (and any it finds
-        dead), then clears ``broken`` when the full complement is alive.
-        Returns the respawned indices.
+        The recovery entry point (supervisor and :meth:`Session.recover`):
+        replaces the workers it is told about, any it finds dead, and any
+        live one that does not answer a ping within the fail-grace window
+        (stranded inside the failed run); then zeroes the tensor plane's
+        semaphores and clears ``broken`` when the full complement is
+        alive.  Returns the respawned indices.
         """
         with self._lock:
             if self._closed:
                 raise ParallelExecutionError("cannot heal a closed pool")
-            targets = sorted(set(wedged) | {
+            targets = set(wedged) | {
                 i for i in range(self._num_clusters)
-                if not self.worker_alive(i)})
-            if (self.backend == "process" and self._channels and targets
-                    and any(self.worker_alive(i) for i in targets)):
-                # Force-terminating live (wedged) process workers can
-                # poison the shared channels (see _respawn_all_locked):
-                # escalate once to a fresh-channel full respawn.
-                self._respawn_all_locked(join_timeout, sync_timeout)
-                targets = list(range(self._num_clusters))
-            else:
-                for index in targets:
-                    self._respawn_locked(index, join_timeout, sync_timeout)
-            if all(self.worker_alive(i) for i in range(self._num_clusters)):
-                self._broken = False
-            return targets
+                if not self.worker_alive(i)}
+            targets |= self._unresponsive(
+                set(range(self._num_clusters)) - targets, self._fail_grace_s)
+            for index in sorted(targets):
+                self._respawn_locked(index, join_timeout, sync_timeout)
+            self._settle_locked()
+            return sorted(targets)
 
     # ------------------------------------------------------------------
     @property
@@ -744,13 +741,10 @@ class WarmExecutorPool:
         Takes effect on the next run: dispatched jobs carry trace contexts
         and workers ship their span buffers home.  For the ``"thread"``
         backend this also enables channel byte/ns telemetry (fresh channels
-        are wrapped per run); the ``"process"`` backend's channels were
-        frozen at fork, so channel telemetry there requires the tracer at
-        construction time — spans and timings still work.
+        are wrapped per run); slot channels account themselves regardless.
         """
         self._tracer = tracer
-        if (tracer is not None and self._telemetry is None
-                and self.backend == "thread"):
+        if tracer is not None and self._telemetry is None:
             self._telemetry = ChannelTelemetry()
 
     def clock_offsets(self) -> List[int]:
@@ -787,13 +781,20 @@ class WarmExecutorPool:
                 spans.clear()
             self._worker_drops = [0] * self._num_clusters
 
-    def _ingest_trace_payload(self, index: int, payload: Dict) -> None:
-        """Fold one shipped worker buffer into the per-worker accumulators.
+    def _ingest_payload(self, index: int, payload: Dict) -> None:
+        """Fold one shipped worker payload into the pool's accumulators.
 
-        Called from ``_collect`` (under the run lock).  Eviction past the
-        per-worker cap is counted as coordinator-side drops so a truncated
-        lane stays accounted, not silently sparse.
+        Called from ``_collect`` (under the run lock): the channel
+        telemetry delta of a process worker and, when the run was traced,
+        its span buffer.  Eviction past the per-worker cap is counted as
+        coordinator-side drops so a truncated lane stays accounted, not
+        silently sparse.
         """
+        delta = payload.get("channels")
+        if delta:
+            self._telemetry.add(delta)
+        if "spans" not in payload:
+            return
         spans = self._worker_spans[index]
         evicted = max(len(spans) + len(payload["spans"]) - spans.maxlen, 0)
         spans.extend(payload["spans"])
@@ -801,19 +802,11 @@ class WarmExecutorPool:
             evicted, len(payload["spans"]))
         self._worker_ids[index] = (payload["pid"], payload["tid"])
         self._worker_queue_wait_ns[index] += payload["queue_wait_ns"]
-        delta = payload.get("channels")
-        if delta:
-            for key, value in delta.items():
-                self._channel_totals[key] = (
-                    self._channel_totals.get(key, 0) + value)
 
     def stats(self) -> Dict:
         """Run, timing, channel and trace counters for this pool."""
-        channels = None
-        if self.backend == "thread" and self._telemetry is not None:
-            channels = self._telemetry.snapshot()
-        elif self._channel_totals:
-            channels = dict(self._channel_totals)
+        channels = (self._telemetry.snapshot()
+                    if self._telemetry is not None else None)
         return {
             "backend": self.backend,
             "clusters": self._num_clusters,
@@ -914,6 +907,9 @@ class WarmExecutorPool:
                 gauge("pool_channel_get_bytes_total",
                       "Payload bytes moved out of channels",
                       labels=labels).set(channels["get_bytes"])
+                gauge("pool_channel_overflow_puts_total",
+                      "Payloads pickled instead of using a tensor slot",
+                      labels=labels).set(channels["overflow_puts"])
                 gauge("pool_channel_put_seconds_total",
                       "Cumulative producer-side channel hand-off time",
                       labels=labels).set(channels["put_ns"] / 1e9)
@@ -940,7 +936,6 @@ class WarmExecutorPool:
                     "warm executor pool is broken after an earlier failure; "
                     "restart() it or compile a fresh one")
             ticket = next(self._tickets)
-            feed = dict(inputs)
             tracer = self._tracer
             ctx = TraceContext.from_tracer(tracer, parent_span="pool.run")
             injector = self._injector
@@ -953,17 +948,32 @@ class WarmExecutorPool:
             run_start_ns = time.perf_counter_ns()
             try:
                 if self.backend == "thread":
-                    channels = make_thread_channels(self.module.CHANNEL_NAMES)
+                    feed, channels = inputs, make_thread_channels(
+                        self.module.CHANNEL_NAMES)
                     if ctx is not None and self._telemetry is not None:
                         channels = instrument_channels(channels,
                                                        self._telemetry)
-                    for i, jobs in enumerate(self._job_queues):
-                        jobs.put((ticket, feed, channels, ctx,
-                                  faults[i] if faults is not None else None))
                 else:
-                    for i, jobs in enumerate(self._job_queues):
-                        jobs.put((ticket, feed, ctx,
+                    # The feed goes into the input slots once; the jobs
+                    # only name the slots each worker reads.
+                    plane, channels = self._plane, None
+                    plane.ticket = ticket
+                    feed = {name: None for name in inputs if name in plane}
+                    for name in feed:
+                        plane.write(name, inputs[name])
+                for i, jobs in enumerate(self._job_queues):
+                    reads = self._reads[i]
+                    try:
+                        jobs.put((ticket,
+                                  feed if reads is None else
+                                  {n: feed[n] for n in reads if n in feed},
+                                  channels, ctx,
                                   faults[i] if faults is not None else None))
+                    except queue.Full:
+                        self._broken = True
+                        raise ParallelExecutionError(
+                            f"worker {i} of {self.module.MODEL_NAME!r} is "
+                            "not draining its job pipe") from None
                 dispatch_ns = time.perf_counter_ns() - run_start_ns
                 self._dispatch_ns += dispatch_ns
                 outputs = self._collect(ticket, timeout)
@@ -1008,18 +1018,15 @@ class WarmExecutorPool:
                 item = self._done.get(timeout=min(remaining, 0.5))
             except queue.Empty:
                 continue
-            if not isinstance(item, tuple) or len(item) != 6:
+            if not self._heard(item):
                 # a malformed result-channel message cannot be attributed
                 # to a worker, so the run cannot complete: fail fast
-                self._protocol_errors += 1
                 self._broken = True
                 self._collect_wait_ns += time.perf_counter_ns() - wait_start_ns
                 raise ParallelExecutionError(
                     f"corrupted result-channel message during warm run of "
                     f"{self.module.MODEL_NAME!r}: {item!r:.200}")
             got_ticket, index, outputs, error, exec_ns, payload = item
-            if isinstance(index, int):
-                self._note_heartbeat(index)
             if got_ticket == _SYNC or got_ticket == _PING:
                 continue  # liveness/handshake reply; heartbeat noted above
             if got_ticket != ticket:
@@ -1030,7 +1037,7 @@ class WarmExecutorPool:
             if self._execute_histogram is not None:
                 self._execute_histogram.observe(exec_ns / 1e9)
             if payload is not None:
-                self._ingest_trace_payload(index, payload)
+                self._ingest_payload(index, payload)
             if error is not None:
                 failures.append(f"cluster {index}: {error}")
                 # once one worker failed, its peers may be stranded on
@@ -1038,8 +1045,11 @@ class WarmExecutorPool:
                 # short grace window, then fail the run
                 deadline = min(deadline,
                                time.monotonic() + self._fail_grace_s)
-            else:
+            elif self._plane is None:
                 merged.update(outputs)
+            else:  # a process worker names the output slots it wrote
+                for name in outputs:
+                    merged[name] = self._plane.read(name, copy=True)
         self._collect_wait_ns += time.perf_counter_ns() - wait_start_ns
         if failures:
             self._broken = True

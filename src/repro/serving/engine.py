@@ -574,14 +574,13 @@ class InferenceEngine:
         result = ramiel_compile(model, config=dataclasses.replace(
             self.config.pipeline, generate_code=not in_process,
             build_plan=executor == "plan"))
-        # Passing the tracer at construction (rather than set_tracer after)
-        # matters for "process" executors: the pool's channels can only be
-        # instrumented before the workers fork.  Run-level session spans
-        # (and per-step plan spans for "plan" executors) nest inside the
-        # batcher's batch.execute span; pool-backed sessions additionally
-        # ship per-worker execute spans home for merged traces.
+        # Run-level session spans (and per-step plan spans for "plan"
+        # executors) nest inside the batcher's batch.execute span;
+        # pool-backed sessions additionally ship per-worker execute spans
+        # home for merged traces.
         session = create_session(result, executor=executor,
-                                 timeout_s=timeout_s, tracer=self.tracer)
+                                 timeout_s=timeout_s, tracer=self.tracer,
+                                 max_batch=self.config.max_batch_size)
         label = f"{model.name}@{key.short()}"
         resilience = self.config.resilience
         pool = session.pool
@@ -643,16 +642,9 @@ class InferenceEngine:
                 watchdog.reset()
 
         batchable = self._probe_batchable(execute, key.input_signature)
-        if in_process:
-            if broken():
-                recover()
-        else:
-            if pool.broken:
-                # A failed batch-of-two run can strand the failed cluster's
-                # peers on channels that never fill, which a heal of the
-                # (still alive) workers misses: only a fresh worker set is
-                # trustworthy.
-                pool.restart()
+        if broken():
+            recover()
+        if not in_process:
             # Faults and supervision start after the probe, which must see
             # the artifact's real behaviour on a quiet pool.
             if resilience.fault_injector is not None:

@@ -43,7 +43,7 @@ from repro.resilience import (
 )
 from repro.runtime.process_runtime import (
     ParallelExecutionError,
-    _run_processes,
+    execute_generated_module,
     remote_error_text,
 )
 from repro.runtime.session import create_session
@@ -730,14 +730,15 @@ class _FakeModule:
 
 def _cluster_children():
     return [p for p in multiprocessing.active_children()
-            if p.name.startswith("cluster-")]
+            if p.name.startswith("warm-cluster-")]
 
 
 class TestProcessDriverHardening:
     def test_timeout_reaps_child_processes(self):
         module = _FakeModule(_hang_cluster, _ok_cluster)
         with pytest.raises(ParallelExecutionError, match="timed out"):
-            _run_processes(module, {}, {}, timeout=1.0)
+            execute_generated_module(module, {}, {}, backend="process",
+                                     timeout=1.0)
         # The fix: a timed-out run must not leak live children.  (Before,
         # the workers kept running until interpreter exit.)
         _wait_until(lambda: not _cluster_children(), timeout_s=5.0,
@@ -746,7 +747,8 @@ class TestProcessDriverHardening:
     def test_worker_failure_reaps_and_ships_remote_traceback(self):
         module = _FakeModule(_boom_cluster, _ok_cluster)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            _run_processes(module, {}, {}, timeout=30.0)
+            execute_generated_module(module, {}, {}, backend="process",
+                                     timeout=30.0)
         text = str(excinfo.value)
         assert "deliberate child failure" in text
         assert "Remote traceback" in text

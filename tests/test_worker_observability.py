@@ -287,15 +287,19 @@ class TestPoolMetricsAndRestart:
     def test_process_backend_ships_channel_deltas(self, compiled):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
+        # no tracer: slot channels account themselves
         with WarmExecutorPool(result.parallel_module, weights,
-                              backend="process", tracer=Tracer()) as pool:
+                              backend="process") as pool:
             pool.run(feed)
             channels = pool.stats()["channels"]
         # the child processes' counters are copy-on-write invisible; the
         # totals only exist because per-job deltas were shipped home
         assert channels is not None
         assert channels["puts"] > 0 and channels["gets"] > 0
-        assert channels["put_bytes"] == channels["get_bytes"]
+        # a value is written once however many clusters read it
+        assert channels["puts"] <= channels["gets"]
+        assert channels["put_bytes"] <= channels["get_bytes"]
+        assert channels["overflow_puts"] == 0
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_restart_recovers_a_broken_pool(self, compiled, backend):
@@ -383,9 +387,10 @@ class TestExecuteGeneratedModuleTracing:
         for buffer in collector:
             assert any(name == "worker.execute"
                        for name, *_ in buffer.events)
-            assert buffer.clock_offset_ns == 0  # fork shares the clock
+            # fork shares the clock: the handshake measures only noise
+            assert abs(buffer.clock_offset_ns) < 1_000_000_000
         coordinator = [e.name for e in tracer.events()]
-        assert "runtime.parallel_run" in coordinator
+        assert "pool.run" in coordinator
         payload = merge_traces(tracer, collector)
         json.dumps(payload)
 
