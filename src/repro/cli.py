@@ -360,7 +360,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     worker_drops: dict = {}
     try:
         for _ in range(max(args.warmup, 0)):
-            session.run(feed)  # untraced warmup: specialize arena + layouts
+            session.run(feed)  # untraced warmup: pack the slab, grow scratch
         if session.pool is not None:
             session.pool.clear_worker_traces()
         tracer.clear()

@@ -64,9 +64,9 @@ NUM_OUTPUTS = object()
 
 #: Destination capabilities (``OpSchema.out``), strongest first.
 #: Exact ``out=``: bitwise-identical with and without a destination, so the
-#: op can run as an in-place fused tail and compute into an arena buffer.
+#: op can run as an in-place fused tail and compute into a slab view.
 INPLACE = "inplace"
-#: Heavy kernel (conv / GEMM / pooling): computes into an arena or
+#: Heavy kernel (conv / GEMM / pooling): computes into a slab view or
 #: caller-bound destination via ``out=``.
 ARENA = "arena"
 #: Only the final store takes ``out=`` (the internals allocate regardless):
@@ -125,7 +125,7 @@ class OpSchema:
     aliases: bool = False
     #: destination capability: INPLACE, ARENA, OUTPUT or None
     out: Optional[str] = None
-    #: the function takes an arena-backed ``workspace=`` scratch provider
+    #: the function takes a ``workspace=`` scratch provider
     workspace: bool = False
     #: attributes the operator understands but its call does not need
     ignored: Tuple[str, ...] = ()
@@ -307,9 +307,8 @@ class BoundOp(NamedTuple):
 def bind(node, error: type = KeyError, workspace=None) -> BoundOp:
     """Resolve ``node``'s attributes once into a closure over its kernel.
 
-    ``workspace`` is handed to kernels that take an arena-backed scratch
-    provider.  Unsupported operators and missing required attributes raise
-    ``error``.
+    ``workspace`` is handed to kernels that take a scratch provider.
+    Unsupported operators and missing required attributes raise ``error``.
     """
     schema = _schema_of(node, error)
     lead, operands, trail, keywords, direct = _resolve(schema, node, error)

@@ -42,7 +42,7 @@ __all__ = [
 
 #: per-model ratio metrics worth trending (higher is better for all)
 MODEL_RATIO_METRICS: Tuple[str, ...] = (
-    "speedup", "heavy_speedup", "binding_speedup",
+    "speedup", "sequential_speedup", "binding_speedup",
 )
 
 

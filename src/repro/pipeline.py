@@ -313,7 +313,7 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     stage_times["simulate"] = time.perf_counter() - start
 
     # 7. Execution-plan build: resolve handlers/attributes into bound
-    #    closures and precompute the buffer-arena liveness for the
+    #    closures and precompute the buffer liveness for the
     #    interpreter-replacing hot path.  Best-effort — a model with ops the
     #    numpy runtime cannot execute still compiles (the plan is rebuilt
     #    lazily, and fails with the same diagnostic, if actually requested).

@@ -13,8 +13,8 @@ and the benchmarks need:
   that runs an IR graph directly (used to check generated code against the
   source model and by constant folding).
 * :class:`repro.runtime.plan.ExecutionPlan` — the planned execution engine:
-  compile-once bound closures, a liveness-managed buffer arena and fused
-  elementwise tails; the serving engine's default executor, differentially
+  compile-once bound closures, one liveness-packed memory slab per input
+  signature and fused elementwise tails; the serving engine's default executor, differentially
   tested against :class:`GraphExecutor`.
 * :mod:`repro.runtime.channels` — the cluster-to-cluster transports
   (shared-memory tensor slots between processes, as in the paper's

@@ -2,7 +2,7 @@
 
 Arithmetic functions accept an optional ``out=`` destination so callers that
 already own a correctly shaped/typed buffer — the planned execution engine's
-buffer arena (:mod:`repro.runtime.plan`) — can run allocation-free.  ``out``
+slab views (:mod:`repro.runtime.plan`) — can run allocation-free.  ``out``
 must match the result's shape and dtype exactly; with ``out=None`` behaviour
 is identical to the plain numpy call.
 """

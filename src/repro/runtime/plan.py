@@ -1,4 +1,4 @@
-"""Compile-once execution plans: fused dispatch, buffer arena, zero-realloc hot path.
+"""Compile-once execution plans: fused dispatch, one packed memory slab per input signature.
 
 :class:`ExecutionPlan` is the planned counterpart of
 :class:`repro.runtime.executor.GraphExecutor`.  The interpreter redoes three
@@ -8,32 +8,41 @@ kinds of call-invariant work on every request:
 2. **allocation** — a fresh numpy array for every intermediate value,
 3. **bookkeeping** — timing guards and error-context wrapping per node.
 
-The plan does that work once at build time instead:
+The plan does that work once instead:
 
 * every node is bound once by :func:`repro.ir.opset.bind` — the same
   closure over the operator's kernel the interpreter runs, attributes
   normalised from the one operator declaration — and the declaration's
-  capability flags (aliases its input, exact in-place ``out=``, arena
+  capability flags (aliases its input, exact in-place ``out=``, heavy
   destination, output-only destination, takes ``workspace=``) decide how a
   step may use it;
-* a liveness analysis over the topological order assigns recyclable
-  intermediates to a buffer **arena** keyed by ``(shape, dtype)`` slots —
-  once a value's last consumer has run, its buffer returns to the arena and
-  is handed to the next step that needs that slot, so the steady-state hot
-  path performs no allocations for elementwise work;
 * single-consumer elementwise/activation tails (``Conv -> Add -> Relu`` and
   friends) are **fused** into their producer's step and applied in place on
   the producer's output buffer via the ``out=`` destination-passing support
   of :mod:`repro.runtime.functional`;
-* the **heavy operators** — conv (incl. grouped/depthwise/transposed),
-  GEMM/MatMul and the pooling kernels — also run destination-passing:
-  their outputs come from the same liveness-managed arena, and their
-  internal scratch (padded input, the per-sample conv column matrix, the
-  depthwise product buffer, staging for an aliasing destination) is
-  leased per call from arena-backed per-node workspaces, shared across
-  nodes by ``(shape, dtype)`` slot.  The kernels read weights through free
-  views, so the warm hot path is allocation-free end to end, heavy ops
-  included.
+* a liveness analysis over the topological order gives every recyclable
+  intermediate (alias views join their base's storage group) the interval
+  ``[producing step, last reading step]``.  The **first run under a
+  graph-input signature** executes without destinations and records, for
+  every destination-capable step — elementwise/activation ops and the heavy
+  conv / GEMM / pooling kernels — whose output is at least
+  ``_ARENA_MIN_BYTES`` (4 KB; below that malloc is cheaper), the output's
+  shape and dtype and the argument shapes the step saw.
+  :func:`pack_intervals` then first-fits those intervals into **one
+  64-byte-aligned slab**, and every later run under the signature hands
+  each step a precomputed view of it as ``out=``: no allocation, no
+  per-step pool bookkeeping, and a working set several times smaller than
+  the sum of the intermediates;
+* a step uses its view only when its **actual argument shapes equal the
+  recorded ones** (one comparison per step).  The graph-input signature
+  alone does not pin every shape — ``NonZero`` makes them data-dependent —
+  and numpy would silently broadcast a small result into a stale, larger
+  ``out=``; on a mismatch the step allocates as the first run did;
+* kernel scratch (padded input, the per-sample conv column matrix, the
+  depthwise product buffer, staging for an aliasing destination) comes
+  from the plan's one :class:`~repro.runtime.tensor_utils.Workspace`, a
+  grow-only bump allocator every heavy kernel rewinds before returning —
+  so the scratch of every conv lands on the same cache-hot bytes.
 
 Because every step calls the same :mod:`repro.runtime.functional` kernels as
 the interpreter — only with precomputed arguments and destinations — plan
@@ -41,14 +50,13 @@ outputs are bitwise-identical to :class:`GraphExecutor` outputs, which the
 differential tests in ``tests/test_execution_plan.py`` assert on the whole
 model zoo.  ``GraphExecutor`` remains the semantic ground truth.
 
-Shape specialization is lazy: the first run under a given input signature
-executes without destinations and records each step's observed output shape
-and dtype; subsequent runs under the same signature reuse arena buffers.
-Serving traffic with a handful of distinct batch sizes therefore reaches the
-zero-realloc steady state after one warm run per signature.
+Serving traffic with a handful of distinct batch sizes reaches the
+zero-allocation steady state after one run per signature.  Slab ranges are
+overwritten by the next run, so nothing slab-backed ever reaches a caller:
+graph outputs are never given a range, and a run that requests an
+intermediate via ``outputs=`` executes without the slab.
 
-Graph outputs — which must stay private to the caller and therefore never
-come from the arena — accept caller-owned destinations via ``run(feed,
+Graph outputs accept caller-owned destinations via ``run(feed,
 out={name: buffer})`` (surfaced as :class:`repro.runtime.session.Session`'s
 ``IOBinding``): destination-capable producers write the output in place,
 closing the last per-run allocation of the warm hot path.
@@ -69,109 +77,72 @@ from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
 from repro.ir.opset import ARENA, INPLACE, BoundOp, bind, get_schema, require_supported
 from repro.runtime.executor import ExecutionError
+from repro.runtime.tensor_utils import Workspace, align_up, aligned_empty
 
-__all__ = ["ExecutionPlan", "PlanError"]
+__all__ = ["ExecutionPlan", "PlanError", "pack_intervals"]
 
 
 class PlanError(ExecutionError):
     """Raised when a plan cannot be built or executed."""
 
 
-class _ArenaWorkspace:
-    """Scratch provider backed by the plan's buffer arena.
+# ---------------------------------------------------------------------------
+# Memory planning
+# ---------------------------------------------------------------------------
+#: Outputs below this size are cheaper to malloc than to route through the
+#: slab's per-step shape guard; such steps stay on the plain allocating path
+#: (measured crossover is well under one 4 KB page).
+_ARENA_MIN_BYTES = 4096
 
-    Implements the ``take``/``reset`` protocol of
-    :class:`repro.runtime.tensor_utils.Workspace`, but leases buffers from
-    the shared ``(shape, dtype)`` arena pools — so the conv column
-    matrices and padded inputs of *different* nodes share
-    storage whenever their slots match, and the warm steady state performs
-    zero scratch allocations.  Heavy kernels reset the workspace before
-    returning, which releases every leased buffer back to the arena.
+
+def pack_intervals(intervals: Sequence[Tuple[int, int, int]]) -> Tuple[List[int], int]:
+    """First-fit ``(first_step, last_step, nbytes)`` intervals into one slab.
+
+    Returns ``(offsets, total)``: one 64-byte-aligned byte offset per
+    interval, in input order, such that two intervals whose (inclusive)
+    step ranges overlap never share a byte, and the slab size.  Intervals
+    are placed in order of first step, each at the lowest offset free for
+    its whole lifetime — so low, recently vacated ranges are reused first.
+    """
+    offsets = [0] * len(intervals)
+    total = 0
+    live: List[Tuple[int, int, int]] = []  # (offset, end offset, last step), disjoint
+    for index in sorted(range(len(intervals)), key=lambda i: intervals[i][0]):
+        first, last, nbytes = intervals[index]
+        size = align_up(nbytes)
+        # Everything still in `live` was placed at an earlier-or-equal first
+        # step and is read at or after this one: all of it is live now.
+        live = sorted(r for r in live if r[2] >= first)
+        offset = 0
+        for low, high, _ in live:
+            if offset + size <= low:
+                break
+            offset = high
+        live.append((offset, offset + size, last))
+        offsets[index] = offset
+        total = max(total, offset + size)
+    return offsets, total
+
+
+class _Slot:
+    """One step's destination under one graph-input signature.
+
+    The signature's recording run leaves the head's argument shapes in
+    ``arg_shapes`` and its freshly allocated result in ``view``;
+    :meth:`ExecutionPlan._pack` then swaps ``view`` for the step's range of
+    the signature's slab.
     """
 
-    __slots__ = ("_arena", "_taken")
-
-    def __init__(self, arena: "_Arena") -> None:
-        self._arena = arena
-        self._taken: List[np.ndarray] = []
-
-    def take(self, shape, dtype=np.float32) -> np.ndarray:
-        buffer = self._arena.acquire(tuple(int(s) for s in shape),
-                                     np.dtype(dtype))
-        self._taken.append(buffer)
-        return buffer
-
-    def reset(self) -> None:
-        taken, self._taken = self._taken, []
-        for buffer in taken:
-            self._arena.release(buffer)
-
-
-# ---------------------------------------------------------------------------
-# Buffer arena
-# ---------------------------------------------------------------------------
-class _Arena:
-    """Pools of reusable buffers keyed by ``(shape, dtype)`` slots.
-
-    Only buffers the arena itself allocated (or adopted after a first,
-    specializing run) are ever recycled; kernel-allocated arrays pass
-    through untouched.  Ownership is tracked with identity-checked weak
-    references so a garbage-collected buffer can never be confused with an
-    unrelated array that reuses its ``id``.
-    """
-
-    __slots__ = ("pools", "owned", "allocations", "reuses", "__weakref__")
+    __slots__ = ("arg_shapes", "view")
 
     def __init__(self) -> None:
-        self.pools: Dict[Tuple, List[np.ndarray]] = {}
-        self.owned: Dict[int, "weakref.ref"] = {}
-        self.allocations = 0
-        self.reuses = 0
-
-    def acquire(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        pool = self.pools.get((shape, dtype))
-        if pool:
-            self.reuses += 1
-            return pool.pop()
-        self.allocations += 1
-        buffer = np.empty(shape, dtype)
-        self.adopt(buffer)
-        return buffer
-
-    def adopt(self, array: np.ndarray) -> None:
-        key = id(array)
-
-        def drop(ref, key=key, owned=self.owned):
-            if owned.get(key) is ref:
-                del owned[key]
-
-        self.owned[key] = weakref.ref(array, drop)
-
-    def is_owned(self, array: np.ndarray) -> bool:
-        ref = self.owned.get(id(array))
-        return ref is not None and ref() is array
-
-    def release(self, array: np.ndarray) -> None:
-        if self.is_owned(array):
-            self.pools.setdefault((array.shape, array.dtype), []).append(array)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "allocations": self.allocations,
-            "reuses": self.reuses,
-            "slots": len(self.pools),
-            "pooled": sum(len(pool) for pool in self.pools.values()),
-        }
+        self.arg_shapes: Optional[List[Tuple[int, ...]]] = None
+        self.view: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
 # Step construction
 # ---------------------------------------------------------------------------
-#: Buffers below this size are cheaper to malloc than to round-trip through
-#: the arena's bookkeeping; steps whose output is smaller stay on the plain
-#: allocating path (measured crossover is well under one 4 KB page).
-_ARENA_MIN_BYTES = 4096
-
 _MISSING = object()
 
 
@@ -233,139 +204,84 @@ def _make_plain_head(bound: BoundOp, in_names: Sequence[str]) -> Callable:
     in_names = tuple(in_names)
     kernel = bound.call
     if bound.multi:  # a multi-output op with one named output: keep the first
-        return lambda values: kernel([values[n] for n in in_names])[0]
-    if len(in_names) == 1:
-        name = in_names[0]
-        return lambda values: kernel((values[name],))
-    return lambda values: kernel([values[n] for n in in_names])
+        return lambda values, dest, slot: kernel([values[n] for n in in_names])[0]
+    return lambda values, dest, slot: kernel([values[n] for n in in_names])
 
 
-def _make_arena_head(out_kernel: Callable, in_names: Sequence[str],
-                     arena: _Arena) -> Callable:
-    """A head that computes into an arena buffer once specialized.
+def _make_slot_head(kernel: Callable, in_names: Sequence[str]) -> Callable:
+    """A head that computes into its slab view once the signature is packed.
 
-    The first run under an input signature executes without a destination
-    and records the observed output slot; when the output is big enough to
-    be worth recycling, the fresh result is adopted into the arena and
-    later runs under the same signature acquire a pooled buffer for the
-    slot and pass it as ``out=``.  Small outputs stay on the plain
-    allocating path — malloc is cheaper than arena bookkeeping there.
+    ``slot`` is None (no view for this step in this run: allocate), a
+    fresh :class:`_Slot` (the signature's recording run: allocate, then
+    record the argument shapes and the result), or a packed one — whose
+    view is passed as ``out=`` only when the argument shapes are the
+    recorded ones, because the input signature does not pin data-dependent
+    shapes and numpy would broadcast a smaller result into a stale view.
     """
     in_names = tuple(in_names)
-    spec: Dict[Tuple, Optional[Tuple]] = {}
 
-    def specialize(args, key):
-        result = np.asarray(out_kernel(args, None))
-        if result.nbytes >= _ARENA_MIN_BYTES:
-            spec[key] = (result.shape, result.dtype)
-            arena.adopt(result)
-        else:
-            spec[key] = None
+    def head(values, dest, slot):
+        args = [values[n] for n in in_names]
+        if slot is None:
+            return np.asarray(kernel(args, None))
+        shapes = [a.shape for a in args]
+        if shapes == slot.arg_shapes:
+            return kernel(args, slot.view)
+        result = np.asarray(kernel(args, None))
+        if slot.arg_shapes is None:
+            slot.arg_shapes, slot.view = shapes, result
         return result
-
-    if len(in_names) == 1:
-        name = in_names[0]
-
-        def head(values):
-            a = values[name]
-            key = (a.shape, a.dtype)
-            slot = spec.get(key, _MISSING)
-            if slot is _MISSING:
-                return specialize((a,), key)
-            if slot is None:
-                return np.asarray(out_kernel((a,), None))
-            return out_kernel((a,), arena.acquire(*slot))
-    elif len(in_names) == 2:
-        name_a, name_b = in_names
-
-        def head(values):
-            a = values[name_a]
-            b = values[name_b]
-            key = (a.shape, a.dtype, b.shape, b.dtype)
-            slot = spec.get(key, _MISSING)
-            if slot is _MISSING:
-                return specialize((a, b), key)
-            if slot is None:
-                return np.asarray(out_kernel((a, b), None))
-            return out_kernel((a, b), arena.acquire(*slot))
-    else:
-        def head(values):
-            args = [values[n] for n in in_names]
-            key = tuple((a.shape, a.dtype) for a in args)
-            slot = spec.get(key, _MISSING)
-            if slot is _MISSING:
-                return specialize(args, key)
-            if slot is None:
-                return np.asarray(out_kernel(args, None))
-            return out_kernel(args, arena.acquire(*slot))
 
     return head
 
 
-def _make_dest_head(kernel: Callable, in_names: Sequence[str]) -> Callable:
+def _make_dest_head(kernel: Callable, in_names: Sequence[str],
+                    out_name: str) -> Callable:
     """A head that computes straight into a caller-bound output buffer.
 
-    Like :func:`_make_arena_head`, the first run under an input signature
-    executes without a destination and records the observed output slot;
-    once specialized, a matching bound buffer is passed as ``out=`` and the
-    kernel writes the graph output in place — no per-run allocation, no
-    end-of-run copy.  A mismatched buffer falls back to the allocating
+    ``dest`` maps graph-output names to bound buffers.  The first run
+    under an argument signature executes without a destination and records
+    the observed output shape and dtype; once specialized, a matching
+    bound buffer is passed as ``out=`` and the kernel writes the graph
+    output in place — no per-run allocation, no end-of-run copy — and
+    fused tails then apply in place on it, so the chain's final value *is*
+    the caller's buffer.  A mismatched buffer falls back to the allocating
     path; the run-level finalization then copies (and reports the shape or
     dtype error).
     """
     in_names = tuple(in_names)
     spec: Dict[Tuple, Tuple] = {}
 
-    def head(values, buf):
+    def head(values, dest, slot):
         args = [values[n] for n in in_names]
+        buf = dest.get(out_name)
+        if buf is None:
+            return kernel(args)
         key = tuple((a.shape, a.dtype) for a in args)
-        slot = spec.get(key)
-        if slot is None:
+        recorded = spec.get(key)
+        if recorded is None:
             result = np.asarray(kernel(args, None))
             spec[key] = (result.shape, result.dtype)
             return result
-        if (type(buf) is np.ndarray and buf.shape == slot[0]
-                and buf.dtype == slot[1]):
+        if (type(buf) is np.ndarray and buf.shape == recorded[0]
+                and buf.dtype == recorded[1]):
             return kernel(args, buf)
         return np.asarray(kernel(args, None))
 
     return head
 
 
-def _make_step(head: Callable, tail: List[_TailOp], out_name: str,
-               dest_head: Optional[Callable] = None) -> Callable:
-    """Compile one step; ``dest`` maps graph-output names to bound buffers.
-
-    Steps that produce a graph output through a destination-capable head
-    consult ``dest`` and compute directly into the bound buffer; fused
-    tails then apply in place on it, so the chain's final value *is* the
-    caller's buffer in the warm steady state.
-    """
-    if dest_head is None:
-        if not tail:
-            def step(values, dest):
-                values[out_name] = head(values)
-        else:
-            def step(values, dest):
-                chain = head(values)
-                for op in tail:
-                    chain = op.apply(values, chain)
-                values[out_name] = chain
+def _make_step(head: Callable, tail: List[_TailOp], out_name: str) -> Callable:
+    """Compile one single-output step: ``head`` then the fused ``tail``."""
+    if not tail:
+        def step(values, dest, slot):
+            values[out_name] = head(values, dest, slot)
     else:
-        if not tail:
-            def step(values, dest):
-                buf = dest.get(out_name)
-                if buf is None:
-                    values[out_name] = head(values)
-                else:
-                    values[out_name] = dest_head(values, buf)
-        else:
-            def step(values, dest):
-                buf = dest.get(out_name)
-                chain = head(values) if buf is None else dest_head(values, buf)
-                for op in tail:
-                    chain = op.apply(values, chain)
-                values[out_name] = chain
+        def step(values, dest, slot):
+            chain = head(values, dest, slot)
+            for op in tail:
+                chain = op.apply(values, chain)
+            values[out_name] = chain
     return step
 
 
@@ -374,7 +290,7 @@ def _make_multi_step(kernel: Callable, in_names: Sequence[str],
     in_names = tuple(in_names)
     out_names = tuple(out_names)
 
-    def step(values, dest):
+    def step(values, dest, slot):
         results = kernel([values[n] for n in in_names])
         for name, value in zip(out_names, results):
             if name:
@@ -399,30 +315,29 @@ class ExecutionPlan:
         profiling).
     check_supported:
         Raise at build time for ops without a handler.
-    heavy_out:
-        Route the heavy operators (conv / GEMM / pooling) through their
-        destination-passing kernels with arena-backed workspaces.  Disable
-        to get the PR-3-era behaviour where heavy nodes allocate their
-        outputs and scratch per run (used as the baseline by the
-        throughput benchmark).
 
     A plan is cheap to build (one topological sort plus one closure per
     node) and safe to run repeatedly; runs are serialized by an internal
-    lock because the buffer arena is per-plan state.
+    lock because the slabs and the scratch workspace are per-plan state.
     """
 
     def __init__(self, model, fuse: bool = True, check_supported: bool = True,
-                 heavy_out: bool = True, tracer=None) -> None:
+                 tracer=None) -> None:
         self.graph: Graph = model.graph if isinstance(model, Model) else model
         self.model_name = model.name if isinstance(model, Model) else self.graph.name
         order = topological_sort_nodes(self.graph)
         if check_supported:
             require_supported(order, PlanError)
-        self._arena = _Arena()
+        # Heavy kernels rewind the workspace before returning and steps run
+        # one at a time under the plan lock, so one provider serves all.
+        self._workspace = Workspace()
+        #: graph-input signature -> per-step slots (None: step allocates)
+        self._memory: Dict[Tuple, List[Optional[_Slot]]] = {}
+        self._slab_bytes = 0
+        self._intermediate_bytes = 0
         self._lock = threading.Lock()
         self._cluster_module = None
         self.fused = fuse
-        self.heavy_out = heavy_out
         self._build(order, fuse)
         #: the step loop actually executed by :meth:`run`.  The untraced
         #: loop is compiled once here; :meth:`enable_tracing` swaps in a
@@ -440,10 +355,7 @@ class ExecutionPlan:
     def _build(self, order: List[OpNode], fuse: bool) -> None:
         graph = self.graph
         output_set = set(graph.output_names)
-        # Heavy kernels reset their workspace before returning and steps
-        # run one at a time under the plan lock, so one provider serves all.
-        workspace = _ArenaWorkspace(self._arena) if self.heavy_out else None
-        bound = {node.name: bind(node, PlanError, workspace) for node in order}
+        bound = {node.name: bind(node, PlanError, self._workspace) for node in order}
         producer_index: Dict[str, int] = {}
         uses: Dict[str, int] = {}
         consumer: Dict[str, Tuple[int, OpNode]] = {}
@@ -521,12 +433,10 @@ class ExecutionPlan:
 
         # -- storage groups and liveness -------------------------------
         storage_of: Dict[str, int] = {}
-        storage_owner: List[str] = []
         storage_recyclable: List[bool] = []
 
         def new_storage(name: str, recyclable: bool) -> int:
-            storage_of[name] = len(storage_owner)
-            storage_owner.append(name)
+            storage_of[name] = len(storage_recyclable)
             storage_recyclable.append(recyclable)
             return storage_of[name]
 
@@ -559,59 +469,61 @@ class ExecutionPlan:
                 sid = storage_of.get(name)
                 if sid is not None:
                     last_use[sid] = step_index
-        release_after: List[List[str]] = [[] for _ in step_nodes]
-        for sid, step_index in last_use.items():
-            if storage_recyclable[sid]:
-                release_after[step_index].append(storage_owner[sid])
 
         # -- compile steps to closures ---------------------------------
         fused_node_count = 0
-        self._arena_step_count = 0
         self._heavy_step_count = 0
         self._bindable_outputs = 0
+        #: per step: the last step reading its output's storage when the
+        #: step may compute into a slab range, else None
+        slot_last_use: List[Optional[int]] = []
         for nodes, writes in zip(step_nodes, step_writes):
             node = nodes[0]
-            tail_nodes = nodes[1:]
-            if tail_nodes:
-                fused_node_count += len(tail_nodes)
-                tail = []
-                chain_value = single_output(node)
-                for tail_node in tail_nodes:
-                    kernel = bound[tail_node.name].call
-                    operands = tail_node.present_inputs
-                    if len(operands) == 1:
-                        tail.append(_TailOp(kernel, None, True))
-                    else:
-                        chain_first = operands[0] == chain_value
-                        other = operands[1] if chain_first else operands[0]
-                        tail.append(_TailOp(kernel, other, chain_first))
-                    chain_value = single_output(tail_node)
-                head = self._make_head(node, bound[node.name], writes[0],
-                                       storage_of, storage_recyclable)
-                if head is None:
-                    head = _make_plain_head(bound[node.name], node.present_inputs)
-                dest_head = self._make_output_dest_head(node, bound[node.name],
-                                                        writes[0], output_set)
-                steps.append(_make_step(head, tail, writes[0], dest_head))
-            else:
-                out_names = [o for o in node.outputs if o]
-                if len(out_names) == 1:
-                    head = self._make_head(node, bound[node.name], out_names[0],
-                                           storage_of, storage_recyclable)
-                    if head is None:
-                        head = _make_plain_head(bound[node.name],
-                                                node.present_inputs)
-                    dest_head = self._make_output_dest_head(
-                        node, bound[node.name], out_names[0], output_set)
-                    steps.append(_make_step(head, [], out_names[0], dest_head))
+            head_bound = bound[node.name]
+            if len(writes) != 1:
+                steps.append(_make_multi_step(head_bound.call, node.present_inputs,
+                                              node.outputs))
+                slot_last_use.append(None)
+                continue
+            fused_node_count += len(nodes) - 1
+            tail = []
+            chain_value = single_output(node)
+            for tail_node in nodes[1:]:
+                kernel = bound[tail_node.name].call
+                operands = tail_node.present_inputs
+                if len(operands) == 1:
+                    tail.append(_TailOp(kernel, None, True))
                 else:
-                    steps.append(_make_multi_step(bound[node.name].call,
-                                                  node.present_inputs,
-                                                  node.outputs))
+                    chain_first = operands[0] == chain_value
+                    other = operands[1] if chain_first else operands[0]
+                    tail.append(_TailOp(kernel, other, chain_first))
+                chain_value = single_output(tail_node)
+            # Elementwise/activation and heavy conv/GEMM/pooling heads
+            # whose storage recycles compute into the slab; destination-
+            # capable producers of graph outputs (which must stay private
+            # to the caller) into a bound buffer; alias ops, Constant and
+            # the long tail allocate, and a bound output of theirs is
+            # finalized by an end-of-run copy.
+            sid = storage_of[writes[0]]
+            slotted = (head_bound.out in (INPLACE, ARENA)
+                       and storage_recyclable[sid])
+            slot_last_use.append(last_use[sid] if slotted else None)
+            if head_bound.out == ARENA:
+                self._heavy_step_count += 1
+            if slotted:
+                head = _make_slot_head(head_bound.call, node.present_inputs)
+            elif head_bound.out is not None and writes[0] in output_set:
+                self._bindable_outputs += 1
+                head = _make_dest_head(head_bound.call, node.present_inputs,
+                                       writes[0])
+            else:
+                head = _make_plain_head(head_bound, node.present_inputs)
+            steps.append(_make_step(head, tail, writes[0]))
 
         self._steps = steps
         self._step_nodes = step_nodes
-        self._release_after = release_after
+        self._slot_last_use = slot_last_use
+        self._no_slots: List[Optional[_Slot]] = [None] * len(steps)
         #: per-step span labels + args, precomputed at build time so the
         #: traced loop emits without any per-step string formatting
         self._step_labels: List[str] = []
@@ -631,63 +543,14 @@ class ExecutionPlan:
         #: bound-output buffers already cleared against the (immutable)
         #: initializer set, so a warm binding loop pays the O(#weights)
         #: overlap sweep once per buffer, not per run.  Identity-checked
-        #: weakrefs, as in :class:`_Arena`, so a freed buffer can never be
-        #: confused with a new array reusing its ``id``.
+        #: weakrefs, so a freed buffer can never be confused with a new
+        #: array reusing its ``id``.
         self._init_safe: Dict[int, "weakref.ref"] = {}
         self._input_names = list(graph.input_names)
         self._output_names = list(graph.output_names)
         self._output_set = output_set
-        self._storage_of = storage_of
         self._dest_direct_writes = 0
         self._dest_copy_writes = 0
-
-    def _make_output_dest_head(self, node: OpNode, bound: BoundOp, out_name: str,
-                               output_set: set) -> Optional[Callable]:
-        """A caller-destination head for graph-output producers, else None.
-
-        Covers every out-capable elementwise/activation op, the heavy
-        conv/GEMM/pooling kernels (when ``heavy_out`` is on) and the
-        output-only destination kernels (Softmax/LogSoftmax/Concat).
-        Producers without destination support (alias ops, Constant, the
-        long tail) return None; their bound outputs are finalized by an
-        end-of-run copy instead.
-        """
-        if out_name not in output_set or bound.out is None:
-            return None
-        if bound.out == ARENA and not self.heavy_out:
-            return None
-        self._bindable_outputs += 1
-        return _make_dest_head(bound.call, node.present_inputs)
-
-    def _make_head(self, node: OpNode, bound: BoundOp, out_name: str,
-                   storage_of: Dict[str, int],
-                   storage_recyclable: List[bool]) -> Optional[Callable]:
-        """A destination-passing head for out-capable nodes, else None
-        (caller falls back to a plain bound-binder head).
-
-        Elementwise/activation nodes and — when ``heavy_out`` is on — the
-        heavy conv/GEMM/pooling nodes compute into liveness-managed arena
-        buffers.  A heavy node whose output storage is not recyclable
-        (e.g. a graph output, which must stay private to the caller) still
-        gets a destination-passing head without an ``out=``: its workspace
-        scratch stays arena-backed.
-        """
-        heavy = bound.out == ARENA and self.heavy_out
-        if bound.out != INPLACE and not heavy:
-            return None
-        kernel = bound.call
-        sid = storage_of.get(out_name)
-        if sid is None or not storage_recyclable[sid]:
-            if not heavy:
-                return None  # the plain binder path is equivalent
-            in_names = tuple(node.present_inputs)
-            self._heavy_step_count += 1
-            return lambda values: np.asarray(
-                kernel([values[n] for n in in_names], None))
-        self._arena_step_count += 1
-        if heavy:
-            self._heavy_step_count += 1
-        return _make_arena_head(kernel, node.present_inputs, self._arena)
 
     # ------------------------------------------------------------------
     # Tracing
@@ -735,33 +598,18 @@ class ExecutionPlan:
     def _compile_exec(self, tracer=None) -> Callable:
         """Compile the step loop into a closure over the plan's tables.
 
-        With ``tracer=None`` this is the default allocation-free loop;
-        with a tracer, each step is bracketed by ``perf_counter_ns`` reads
-        and emitted as one span.  Both variants share the release/pinning
-        logic and the error-context wrapping.
+        With ``tracer=None`` this is the default loop; with a tracer, each
+        step is bracketed by ``perf_counter_ns`` reads and emitted as one
+        span.  Both wrap a failing step's error with its node context.
         """
         steps = self._steps
-        release_after = self._release_after
-        storage_of = self._storage_of
-        arena = self._arena
-        num_steps = len(steps)
 
         if tracer is None:
-            def run_steps(values, dest, pinned):
+            def run_steps(values, dest, slots):
                 step_index = 0
                 try:
-                    for step_index in range(num_steps):
-                        steps[step_index](values, dest)
-                        released = release_after[step_index]
-                        if released:
-                            for owner in released:
-                                if pinned is not None and storage_of[owner] in pinned:
-                                    continue
-                                array = values.get(owner)
-                                if array is not None:
-                                    arena.release(array)
-                except PlanError:
-                    raise
+                    for step_index, step in enumerate(steps):
+                        step(values, dest, slots[step_index])
                 except ExecutionError:
                     raise
                 except Exception as exc:  # noqa: BLE001 - add node context
@@ -773,57 +621,54 @@ class ExecutionPlan:
         emit = tracer.emit
         now = time.perf_counter_ns
 
-        def run_steps_traced(values, dest, pinned):
+        def run_steps_traced(values, dest, slots):
             step_index = 0
             try:
-                for step_index in range(num_steps):
+                for step_index, step in enumerate(steps):
                     start_ns = now()
-                    steps[step_index](values, dest)
+                    step(values, dest, slots[step_index])
                     emit(labels[step_index], "plan", start_ns, now(),
                          args=span_args[step_index])
-                    released = release_after[step_index]
-                    if released:
-                        for owner in released:
-                            if pinned is not None and storage_of[owner] in pinned:
-                                continue
-                            array = values.get(owner)
-                            if array is not None:
-                                arena.release(array)
-            except PlanError:
-                raise
             except ExecutionError:
                 raise
             except Exception as exc:  # noqa: BLE001 - add node context
                 raise self._step_failure(step_index, exc) from exc
         return run_steps_traced
 
-    def _run_steps_hooked(self, values, dest, pinned, trace_hook) -> None:
+    def _run_steps_hooked(self, values, dest, slots, trace_hook) -> None:
         """The ``trace_hook`` step loop (profiler attribution path)."""
-        steps = self._steps
-        release_after = self._release_after
-        storage_of = self._storage_of
-        arena = self._arena
         step_index = 0
         try:
-            for step_index in range(len(steps)):
+            for step_index, step in enumerate(self._steps):
                 start = time.perf_counter()
-                steps[step_index](values, dest)
+                step(values, dest, slots[step_index])
                 trace_hook(self._step_nodes[step_index][0],
                            time.perf_counter() - start)
-                released = release_after[step_index]
-                if released:
-                    for owner in released:
-                        if pinned is not None and storage_of[owner] in pinned:
-                            continue
-                        array = values.get(owner)
-                        if array is not None:
-                            arena.release(array)
-        except PlanError:
-            raise
         except ExecutionError:
             raise
         except Exception as exc:  # noqa: BLE001 - add node context
             raise self._step_failure(step_index, exc) from exc
+
+    def _pack(self, slots: List[Optional[_Slot]]) -> List[Optional[_Slot]]:
+        """Turn a recording run's slots into views of one packed slab.
+
+        Steps whose recorded output is smaller than ``_ARENA_MIN_BYTES``
+        lose their slot and keep allocating.
+        """
+        kept = [(index, slot) for index, slot in enumerate(slots)
+                if slot is not None and slot.view.nbytes >= _ARENA_MIN_BYTES]
+        offsets, total = pack_intervals(
+            [(index, self._slot_last_use[index], slot.view.nbytes)
+             for index, slot in kept])
+        slab = aligned_empty(total)
+        packed = list(self._no_slots)
+        for (index, slot), offset in zip(kept, offsets):
+            recorded = slot.view
+            slot.view = np.ndarray(recorded.shape, recorded.dtype, slab, offset)
+            packed[index] = slot
+            self._intermediate_bytes += recorded.nbytes
+        self._slab_bytes += total
+        return packed
 
     # ------------------------------------------------------------------
     # Execution
@@ -913,20 +758,24 @@ class ExecutionPlan:
                     continue
                 dest[name] = buf
 
-        # Storages of explicitly requested intermediates must not recycle
-        # during *this* run: a later step sharing their (shape, dtype)
-        # slot would overwrite them before the end-of-run copy-out.
-        # (Graph outputs are never recyclable, so the common case computes
-        # nothing here.)
-        pinned: Optional[set] = None
-        if outputs is not None:
-            pinned = {self._storage_of[name] for name in outputs
-                      if name in self._storage_of} or None
+        # The memory plan of this feed's signature.  A run that requests
+        # an intermediate executes without one: the value's slab range
+        # would be overwritten by a later step, or by the next run.
+        slots, recorded = self._no_slots, None
+        if outputs is None or self._output_set.issuperset(outputs):
+            signature = tuple([(name, values[name].shape, values[name].dtype)
+                               for name in inputs])
+            slots = self._memory.get(signature)
+            if slots is None:  # first run under this signature: record
+                slots = recorded = [None if last is None else _Slot()
+                                    for last in self._slot_last_use]
 
         if trace_hook is None:
-            self._exec(values, dest, pinned)
+            self._exec(values, dest, slots)
         else:
-            self._run_steps_hooked(values, dest, pinned, trace_hook)
+            self._run_steps_hooked(values, dest, slots, trace_hook)
+        if recorded is not None:
+            self._memory[signature] = self._pack(recorded)
 
         wanted = list(outputs) if outputs is not None else self._output_names
         missing = [name for name in wanted if name not in values]
@@ -969,41 +818,34 @@ class ExecutionPlan:
         result: Dict[str, np.ndarray] = {}
         for name in wanted:
             array = values[name]
-            if name in bound:
-                result[name] = array
-                continue
-            # Never hand an arena-recycled buffer (or a view of one) to the
-            # caller — it would be overwritten by the next run.  Graph
-            # outputs are never arena-backed; this only triggers for
-            # explicitly requested intermediates.
-            if self._aliases_arena(array):
-                array = array.copy()
             result[name] = array
         return result
-
-    def _aliases_arena(self, array: np.ndarray) -> bool:
-        seen = 0
-        while array is not None and seen < 8:
-            if self._arena.is_owned(array):
-                return True
-            array = array.base
-            seen += 1
-        return False
 
     # ------------------------------------------------------------------
     # Introspection / interop
     # ------------------------------------------------------------------
     def stats(self) -> Dict:
-        """Plan shape and arena counters (allocations stay flat once warm)."""
+        """Plan shape and memory-plan counters.
+
+        ``arena["allocations"]`` counts slab builds plus scratch-buffer
+        allocations and stays flat once every signature in use has run
+        twice; ``slab_bytes`` against ``intermediate_bytes`` (the summed
+        sizes of the outputs the slabs hold) is the packing ratio.
+        """
         return {
             "model": self.model_name,
             "nodes": self._num_nodes,
             "steps": len(self._steps),
             "fused_nodes": self._fused_node_count,
-            "arena_steps": self._arena_step_count,
+            "arena_steps": sum(last is not None for last in self._slot_last_use),
             "heavy_steps": self._heavy_step_count,
             "tracing": self._tracer is not None,
-            "arena": self._arena.stats(),
+            "arena": {
+                "allocations": len(self._memory) + self._workspace.allocations,
+                "signatures": len(self._memory),
+                "slab_bytes": self._slab_bytes,
+                "intermediate_bytes": self._intermediate_bytes,
+            },
             "output_binding": {
                 "bindable_outputs": self._bindable_outputs,
                 "direct_writes": self._dest_direct_writes,

@@ -60,12 +60,12 @@ class GraphProfile:
     wall_time_s: float
     #: which engine produced the samples ("interpreter" or "plan")
     engine: str = "interpreter"
-    #: final arena counters when profiling through the planned engine
-    #: (allocations / reuses / slots / pooled), else None
+    #: final memory-plan counters when profiling through the planned engine
+    #: (allocations / signatures / slab_bytes / intermediate_bytes), else None
     arena_stats: Optional[Dict[str, int]] = None
-    #: new arena buffer acquisitions during the *measured* runs (after
+    #: slab builds and scratch growths during the *measured* runs (after
     #: warmup); 0 means the profiled hot path was allocation-free — the
-    #: expected steady state once every signature has specialized
+    #: expected steady state once every signature has run twice
     arena_allocs_during_runs: Optional[int] = None
 
     def cost_provider(self, scale: float = 1e6) -> Dict[str, float]:
@@ -108,7 +108,7 @@ def profile_model(
         IR model to profile, or an in-process
         :class:`~repro.runtime.session.Session` (``"plan"`` / ``"interp"``)
         — the unified execution surface.  Profiling a session reuses its
-        warm executor state (the arena); note that a
+        warm executor state (the slabs); note that a
         fused plan session attributes each fused chain to its head node,
         while ``engine="plan"`` builds a fusion-disabled plan with exact
         1:1 node attribution.

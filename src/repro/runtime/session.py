@@ -7,7 +7,7 @@ zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
 ``IOBinding`` pattern:
 
 * a :class:`Session` owns the compiled artifact (pipeline result, execution
-  plan and buffer arena, or a warm worker pool) behind one executor name
+  plan and its memory slabs, or a warm worker pool) behind one executor name
   from :data:`EXECUTOR_REGISTRY` — the single registry every entry point
   (serving config, CLI flags, this module) validates against;
 * :meth:`Session.run` executes a plain feed dict, whatever the executor;
@@ -18,7 +18,7 @@ zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
   ``ExecutionPlan.run(feed, out=...)`` so graph outputs stop allocating
   per run;
 * :meth:`Session.run_with_binding` executes a bound feed.  On a warm
-  ``"plan"`` session the loop performs **zero** arena allocations and
+  ``"plan"`` session the loop performs **zero** plan allocations and
   **zero** graph-output allocations — outputs land in place in the bound
   buffers (gated in ``benchmarks/test_execution_throughput.py``).
 
@@ -307,9 +307,7 @@ class Session:
                 source = self.result.optimized_model
             else:  # a bare-ExecutionPlan artifact: rebuild over its graph
                 source = self._plan.graph
-            old = self._plan
-            self._plan = ExecutionPlan(source, fuse=old.fused,
-                                       heavy_out=old.heavy_out)
+            self._plan = ExecutionPlan(source, fuse=self._plan.fused)
             if self._tracer is not None:
                 self._plan.enable_tracing(self._tracer)
         elif self._interp is not None:
@@ -363,9 +361,9 @@ class Session:
 
         Registers a pull-style collector that refreshes gauges from
         :meth:`stats` before every registry snapshot/exposition: plan shape
-        (steps, fused nodes), arena allocations/reuses, and output-binding
-        direct/copy writes — the counters that previously required calling
-        ``Session.stats()`` by hand.
+        (steps, fused nodes), memory-plan allocations and slab bytes, and
+        output-binding direct/copy writes — the counters that previously
+        required calling ``Session.stats()`` by hand.
         """
         labels = dict(labels) if labels else {"model": self.model_name}
         gauge = registry.gauge
@@ -380,13 +378,11 @@ class Session:
                       labels=labels).set(plan_stats["fused_nodes"])
                 arena = plan_stats["arena"]
                 gauge("plan_arena_allocations",
-                      "Buffers the plan arena has allocated",
+                      "Slabs and scratch buffers the plan has allocated",
                       labels=labels).set(arena["allocations"])
-                gauge("plan_arena_reuses",
-                      "Buffer acquisitions served from the arena pools",
-                      labels=labels).set(arena["reuses"])
-                gauge("plan_arena_pooled", "Buffers currently pooled",
-                      labels=labels).set(arena["pooled"])
+                gauge("plan_slab_bytes",
+                      "Bytes of the plan's per-signature memory slabs",
+                      labels=labels).set(arena["slab_bytes"])
                 binding = plan_stats["output_binding"]
                 gauge("plan_output_direct_writes",
                       "Bound outputs written in place by the producing step",
@@ -457,7 +453,7 @@ class Session:
 
         Returns the output dict; for bound names the returned arrays *are*
         the bound buffers.  On a warm ``"plan"`` session this loop makes
-        zero arena allocations and zero graph-output allocations.  Bound
+        zero plan allocations and zero graph-output allocations.  Bound
         vs unbound runs are bitwise-identical.
         """
         self._check_usable()

@@ -7,71 +7,80 @@ convolution is a handful of slice copies plus one GEMM per sample and a
 pooling reduction is a handful of elementwise sweeps, all in NCHW.
 
 The helpers here support **destination passing**: callers that already own
-correctly sized buffers (the planned execution engine's arena, or a
+correctly sized buffers (the planned execution engine's slab views, or a
 :class:`Workspace`) pass them via ``out=`` so the steady state allocates
 nothing.  With ``out=None`` behaviour is identical to the allocating path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
+#: Slab and scratch offsets are multiples of this (one cache line).
+ALIGNMENT = 64
+
+
+def aligned_empty(nbytes: int) -> np.ndarray:
+    """An uninitialized ``uint8`` buffer whose first byte is 64-byte aligned."""
+    raw = np.empty(nbytes + ALIGNMENT, np.uint8)
+    lead = -raw.ctypes.data % ALIGNMENT
+    return raw[lead:lead + nbytes]
+
+
+def align_up(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of :data:`ALIGNMENT`."""
+    return -(-nbytes // ALIGNMENT) * ALIGNMENT
+
+
 class Workspace:
-    """Reusable scratch-buffer provider for destination-passing operators.
+    """Bump-allocated scratch provider for destination-passing operators.
 
-    ``take(shape, dtype)`` leases an *uninitialized* buffer; ``reset()``
-    returns every leased buffer to the internal ``(shape, dtype)`` pools.
-    Two ``take`` calls between resets always return distinct buffers, so an
-    operator can safely hold several same-shaped scratch arrays at once.
+    ``take(shape, dtype)`` leases an *uninitialized* buffer — a view at the
+    next 64-byte-aligned offset of one grow-only byte buffer — and
+    ``reset()`` rewinds to offset zero.  Two ``take`` calls between resets
+    never overlap, so an operator can safely hold several scratch arrays at
+    once.  A ``take`` that does not fit returns a fresh array instead, and
+    the next ``reset()`` grows the buffer once to that high-water mark.
 
-    Operators that accept ``workspace=`` reset it before returning, which
-    means one :class:`Workspace` can serve a whole inference loop with a
-    bounded, steady-state set of buffers::
+    Operators that accept ``workspace=`` reset it before returning, so one
+    :class:`Workspace` serves a whole inference loop (the planned execution
+    engine owns exactly one) and the scratch of every call lands on the
+    same, cache-hot bytes::
 
         ws = Workspace()
         for batch in batches:
             y = F.conv2d(batch, w, out=y, workspace=ws)   # zero-realloc once warm
-
-    The planned execution engine substitutes an arena-backed provider with
-    the same ``take``/``reset`` protocol so scratch buffers are shared
-    across nodes by slot.
     """
 
-    __slots__ = ("_pools", "_taken", "allocations", "reuses")
+    __slots__ = ("_buffer", "_offset", "allocations")
 
     def __init__(self) -> None:
-        self._pools: Dict[Tuple, List[np.ndarray]] = {}
-        self._taken: List[np.ndarray] = []
+        self._buffer = aligned_empty(0)
+        self._offset = 0
+        #: buffers obtained from numpy (overflows + growths); flat once warm
         self.allocations = 0
-        self.reuses = 0
 
     def take(self, shape: Sequence[int], dtype=np.float32) -> np.ndarray:
-        key = (tuple(int(s) for s in shape), np.dtype(dtype))
-        pool = self._pools.get(key)
-        if pool:
-            buffer = pool.pop()
-            self.reuses += 1
-        else:
-            buffer = np.empty(key[0], key[1])
+        dtype = np.dtype(dtype)
+        start = self._offset
+        self._offset = start + align_up(math.prod(shape) * dtype.itemsize)
+        if self._offset > self._buffer.nbytes:
             self.allocations += 1
-        self._taken.append(buffer)
-        return buffer
+            return np.empty(shape, dtype)
+        return np.ndarray(shape, dtype, self._buffer, start)
 
     def reset(self) -> None:
-        taken, self._taken = self._taken, []
-        for buffer in taken:
-            self._pools.setdefault((buffer.shape, buffer.dtype), []).append(buffer)
+        if self._offset > self._buffer.nbytes:
+            self._buffer = aligned_empty(self._offset)
+            self.allocations += 1
+        self._offset = 0
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "allocations": self.allocations,
-            "reuses": self.reuses,
-            "slots": len(self._pools),
-            "pooled": sum(len(pool) for pool in self._pools.values()),
-        }
+        return {"allocations": self.allocations}
 
 
 def scratch(workspace: Optional[Workspace], shape: Sequence[int],

@@ -13,8 +13,8 @@ are configured by value (:class:`EngineConfig`), never switched off:
    :class:`~repro.runtime.session.Session` (the unified execution
    surface).  With the default ``executor="plan"`` every request batch
    runs through a compile-once
-   :class:`~repro.runtime.plan.ExecutionPlan` (bound closures, buffer
-   arena, fused elementwise tails): no per-request ``GraphExecutor``
+   :class:`~repro.runtime.plan.ExecutionPlan` (bound closures, packed
+   memory slab, fused elementwise tails): no per-request ``GraphExecutor``
    construction, no per-node dispatch, and a zero-realloc steady state;
    fused batches are staged into session-pinned ``IOBinding`` buffers
    instead of a fresh ``concatenate`` per batch, and every in-process
@@ -732,8 +732,8 @@ class InferenceEngine:
 
         Runs as a pull collector before every registry snapshot/exposition,
         so one ``registry.snapshot()`` exposes the serving counters, every
-        cached artifact's arena allocations/reuses and its output-binding
-        direct/copy writes together.
+        cached artifact's plan allocations and slab bytes and its
+        output-binding direct/copy writes together.
         """
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
@@ -809,9 +809,9 @@ def _artifact_gauges(artifact: CompiledArtifact):
     if plan is not None:
         arena, binding = plan["arena"], plan["output_binding"]
         yield ("serving_plan_arena_allocations", arena["allocations"],
-               "Arena buffer allocations of a cached artifact's plan")
-        yield ("serving_plan_arena_reuses", arena["reuses"],
-               "Arena buffer reuses of a cached artifact's plan")
+               "Slab and scratch allocations of a cached artifact's plan")
+        yield ("serving_plan_slab_bytes", arena["slab_bytes"],
+               "Bytes of a cached plan's per-signature memory slabs")
         yield ("serving_plan_output_direct_writes", binding["direct_writes"],
                "Bound outputs written in place by a cached plan")
         yield ("serving_plan_output_copy_writes", binding["copy_writes"],

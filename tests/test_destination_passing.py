@@ -114,7 +114,9 @@ class TestConvDestinations:
             ws = Workspace()
             got = F.conv2d(view, w, out=np.empty_like(expected), workspace=ws)
             np.testing.assert_array_equal(got, expected)
-            assert ws.stats()["allocations"] == column_copies
+            # a cold workspace obtains two buffers per lease: the fresh
+            # array the overflowing take returns, and the growth at reset
+            assert ws.stats()["allocations"] == 2 * column_copies
         assert len(blas_operands) == 2 * 2 * 3  # every GEMM above was checked
 
     def test_grouped_conv_never_hands_matmul_a_batch_strided_out(self, rng, blas_operands):
@@ -157,7 +159,6 @@ class TestConvDestinations:
         for _ in range(3):
             _check_conv(rng, (2, 3, 10, 10), (6, 3, 3, 3), ws=ws, pads=(1, 1, 1, 1))
         assert ws.stats()["allocations"] == warm
-        assert ws.stats()["reuses"] > 0
 
     def test_conv_transpose_out_and_inplace_bias(self, rng):
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
@@ -291,13 +292,22 @@ class TestWorkspaceAndHelpers:
     def test_workspace_leases_distinct_buffers(self):
         ws = Workspace()
         a = ws.take((4, 4))
-        b = ws.take((4, 4))
-        assert a is not b
-        ws.reset()
-        c = ws.take((4, 4))
-        assert c is a or c is b  # recycled, not fresh
-        assert ws.stats()["allocations"] == 2
-        assert ws.stats()["reuses"] == 1
+        b = ws.take((3, 5), np.float64)
+        assert not np.shares_memory(a, b)
+        ws.reset()  # grows once to the first pass's high-water mark
+        warm = ws.stats()["allocations"]
+        for _ in range(2):  # second pass onward: views of the one buffer
+            c = ws.take((4, 4))
+            d = ws.take((3, 5), np.float64)
+            assert (c.shape, c.dtype) == ((4, 4), np.float32)
+            assert (d.shape, d.dtype) == ((3, 5), np.float64)
+            assert c.ctypes.data % 64 == 0 and d.ctypes.data % 64 == 0
+            c.fill(1.0)
+            d.fill(2.0)
+            assert not np.shares_memory(c, d)
+            assert c.sum() == 16.0 and d.sum() == 30.0  # disjoint bytes
+            ws.reset()
+        assert ws.stats()["allocations"] == warm
 
     def test_pad_nchw_out_matches_np_pad(self, rng):
         x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)

@@ -2,22 +2,23 @@
 
 The plan is differentially tested against :class:`GraphExecutor`, the
 reference interpreter: outputs must be *bitwise* equal on every zoo model,
-on first (specializing) and subsequent (arena-reusing) runs alike.  The
-aliasing tests prove that buffer-arena reuse can never corrupt graph
-outputs, shared inputs or initializers.
+on first (recording) and subsequent (slab-backed) runs alike.  The
+aliasing tests prove that slab reuse can never corrupt graph outputs,
+shared inputs or initializers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir import GraphBuilder
 from repro.models import MODEL_REGISTRY
 from repro.pipeline import PipelineConfig, ramiel_compile
 from repro.runtime import profile_model
 from repro.runtime.executor import GraphExecutor
-from repro.runtime.plan import ExecutionPlan, PlanError
+from repro.runtime.plan import ExecutionPlan, PlanError, pack_intervals
 from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving.engine import example_inputs
 from tests.conftest import build_chain_model, build_diamond_model
@@ -32,8 +33,8 @@ def test_plan_bitwise_equals_interpreter_on_zoo(model_name):
     feed = example_inputs(model, seed=7)
     reference = GraphExecutor(model).run(feed)
     plan = ExecutionPlan(model)
-    # Run 1 specializes (records shapes, adopts buffers), runs 2-3 hit the
-    # arena; all three must be bitwise-identical to the interpreter.
+    # Run 1 records shapes and packs the slab, runs 2-3 compute into it;
+    # all three must be bitwise-identical to the interpreter.
     for _ in range(3):
         outputs = plan.run(feed)
         assert set(outputs) == set(reference)
@@ -85,7 +86,7 @@ def test_plan_checks_supported_ops_at_build_time():
 
 
 # ---------------------------------------------------------------------------
-# Fusion and arena behaviour
+# Fusion and memory-plan behaviour
 # ---------------------------------------------------------------------------
 def test_plan_fuses_elementwise_tails():
     model = build_diamond_model()  # conv->relu pairs throughout
@@ -98,53 +99,26 @@ def test_plan_fuses_elementwise_tails():
     assert unfused.stats()["steps"] == unfused.stats()["nodes"]
 
 
-def test_arena_reaches_zero_alloc_steady_state():
-    """After the specializing run, repeated runs allocate nothing new."""
-    model = MODEL_REGISTRY["yolo_v5"].build(variant="small")
-    feed = example_inputs(model, seed=0)
-    plan = ExecutionPlan(model)
-    plan.run(feed)
-    plan.run(feed)  # arena is warm after the first reuse pass
-    warm = plan.stats()["arena"]["allocations"]
-    for _ in range(3):
-        plan.run(feed)
-    assert plan.stats()["arena"]["allocations"] == warm
-    assert plan.stats()["arena"]["reuses"] > 0
-    # conv/pool/GEMM nodes must be on the destination-passing path, so the
-    # zero-alloc property above covers the heavy ops, not just elementwise
-    assert plan.stats()["heavy_steps"] > 0
-
-
-@pytest.mark.parametrize("model_name", ["squeezenet", "googlenet"])
-def test_heavy_zero_alloc_covers_conv_dominated_models(model_name):
-    """Warm steady state performs zero arena acquisitions per run on
-    conv-dominated models — outputs *and* pad/column-matrix workspaces."""
+@pytest.mark.parametrize("model_name", ["yolo_v5", "squeezenet", "googlenet"])
+def test_warm_runs_allocate_nothing(model_name):
+    """After the recording run and one slab-backed run, repeated runs
+    obtain nothing from numpy — step outputs *and* the heavy kernels'
+    pad/column-matrix scratch — and the slab is smaller than what it holds."""
     model = MODEL_REGISTRY[model_name].build(variant="small")
     feed = example_inputs(model, seed=3)
     plan = ExecutionPlan(model)
     plan.run(feed)
-    plan.run(feed)
-    warm = plan.stats()["arena"]["allocations"]
+    plan.run(feed)  # the scratch workspace has grown to its high-water mark
+    warm = plan.stats()["arena"]
     for _ in range(3):
         plan.run(feed)
     stats = plan.stats()
-    assert stats["arena"]["allocations"] == warm
+    assert stats["arena"] == warm
+    assert warm["signatures"] == 1
+    assert 0 < warm["slab_bytes"] < warm["intermediate_bytes"]
+    # conv/pool/GEMM nodes must be on the destination-passing path, so the
+    # zero-alloc property above covers the heavy ops, not just elementwise
     assert stats["heavy_steps"] > 0
-    assert stats["arena"]["reuses"] > 0
-
-
-def test_plan_without_heavy_out_stays_bitwise_identical():
-    """The heavy_out=False baseline (PR-3 behaviour) and the
-    destination-passing plan agree bitwise with the interpreter."""
-    model = MODEL_REGISTRY["squeezenet"].build(variant="small")
-    feed = example_inputs(model, seed=11)
-    reference = GraphExecutor(model).run(feed)
-    baseline = ExecutionPlan(model, heavy_out=False)
-    assert baseline.stats()["heavy_steps"] == 0
-    for _ in range(3):
-        outputs = baseline.run(feed)
-        for name, ref in reference.items():
-            np.testing.assert_array_equal(outputs[name], ref)
 
 
 def test_profiler_plan_engine_reports_alloc_accounting():
@@ -154,8 +128,8 @@ def test_profiler_plan_engine_reports_alloc_accounting():
     assert profile.engine == "plan"
     assert profile.arena_stats is not None
     assert profile.arena_stats["allocations"] > 0
-    # after two warmup runs every signature has specialized: the measured
-    # runs must not have acquired any new arena buffers
+    # after two warmup runs the signature's slab is packed and the scratch
+    # has grown: the measured runs must not have allocated either
     assert profile.arena_allocs_during_runs == 0
     via_interp = profile_model(model, feed, num_runs=1, warmup=0)
     assert via_interp.engine == "interpreter"
@@ -182,7 +156,7 @@ def test_profiler_plan_engine_matches_interpreter_node_set():
 
 
 # ---------------------------------------------------------------------------
-# Aliasing safety: arena reuse must never corrupt user-visible arrays
+# Aliasing safety: slab reuse must never corrupt user-visible arrays
 # ---------------------------------------------------------------------------
 def test_inputs_and_initializers_survive_repeated_runs():
     model = build_diamond_model()
@@ -232,10 +206,10 @@ def test_value_feeding_multiple_consumers_is_not_corrupted():
 
 
 def test_view_chains_do_not_recycle_live_storage():
-    """Reshape/transpose views keep their base storage alive in the arena."""
+    """Reshape/transpose views keep their base storage's slab range live."""
     b = GraphBuilder("views", seed=0)
     x = b.input("x", (2, 3, 4))
-    doubled = b.node("Add", [x, x])              # arena-eligible producer
+    doubled = b.node("Add", [x, x])              # slab-eligible producer
     flat = b.node("Reshape", [doubled], shape=[2, 12])   # view of it
     bumped = b.node("Add", [flat, flat])
     b.output(bumped)
@@ -270,27 +244,33 @@ def test_constant_nodes_never_head_fused_chains():
 
 
 def test_alias_group_storage_actually_recycles():
-    """A buffer whose only escape is a dead view must return to the arena."""
+    """A buffer whose only escape is a view gives its slab range back once
+    the view has been read for the last time — and not a step earlier."""
     b = GraphBuilder("alias_recycle", seed=0)
     x = b.input("x", (1, 4096))
-    doubled = b.node("Add", [x, x])                 # arena-eligible, >4 KB
-    flat = b.node("Reshape", [doubled], shape=[4096])  # view; last use of both
-    total = b.node("ReduceSum", [flat], keepdims=0)
-    anchor = b.node("Sub", [x, x])                  # keeps a second slot live
-    out = b.node("Add", [total, b.node("ReduceSum", [anchor], keepdims=0)])
+    doubled = b.node("Add", [x, x])                 # slab range A
+    flat = b.node("Reshape", [doubled], shape=[4096])  # view of A
+    early = b.node("Mul", [flat, flat])             # A is being read: range B
+    total = b.node("ReduceSum", [flat], keepdims=0)    # last read of A
+    late = b.node("Neg", [early])                   # A is dead: takes its range
+    out = b.node("Add", [total, b.node("ReduceSum", [late], keepdims=0)])
     b.output(out)
     model = b.build()
     feed = {"x": np.ones((1, 4096), dtype=np.float32)}
     reference = GraphExecutor(model).run(feed)
-    plan = ExecutionPlan(model)
+    plan = ExecutionPlan(model, fuse=False)
     for _ in range(3):
         outputs = plan.run(feed)
         for name, ref in reference.items():
             np.testing.assert_array_equal(outputs[name], ref)
     stats = plan.stats()["arena"]
-    assert stats["reuses"] > 0, (
-        "the Add buffer dies with its Reshape view and must be recycled; "
-        f"arena stats: {stats}")
+    assert stats["slab_bytes"] < stats["intermediate_bytes"], stats
+    (slots,) = plan._memory.values()
+    views = {node.outputs[0]: slot.view
+             for nodes, slot in zip(plan._step_nodes, slots) if slot is not None
+             for node in nodes}
+    assert not np.shares_memory(views[doubled], views[early])
+    assert np.shares_memory(views[doubled], views[late])
 
 
 def test_fused_tail_on_scalar_chain_value_stays_out_of_place():
@@ -313,13 +293,13 @@ def test_fused_tail_on_scalar_chain_value_stays_out_of_place():
 
 
 def test_requested_intermediate_survives_intra_run_slot_reuse():
-    """Regression: a requested intermediate whose arena buffer dies mid-run
-    must not be clobbered by a later step acquiring the same slot."""
+    """Regression: a requested intermediate whose slab range dies mid-run
+    must not be clobbered by a later step packed onto the same bytes."""
     b = GraphBuilder("pin_intermediate", seed=0)
     x = b.input("x", (1, 4096))
-    a = b.node("Add", [x, x])        # arena-eligible, >4 KB
-    r = b.node("Relu", [a])          # last consumer of a -> slot would free
-    s = b.node("Sub", [r, x])        # same (shape, dtype) slot: would reuse a
+    a = b.node("Add", [x, x])        # slab-eligible, >4 KB
+    r = b.node("Relu", [a])          # last consumer of a -> its range frees
+    s = b.node("Sub", [r, x])        # same size: packed onto a's range
     out = b.node("Mul", [s, s])
     b.output(out)
     model = b.build()
@@ -327,13 +307,13 @@ def test_requested_intermediate_survives_intra_run_slot_reuse():
     expected = GraphExecutor(model).run(feed, outputs=[a])[a]
     plan = ExecutionPlan(model, fuse=False)
     plan.run(feed)
-    plan.run(feed)  # warm: the arena slot is now shared
+    plan.run(feed)  # warm: a and s now share a slab range
     got = plan.run(feed, outputs=[a])[a]
     np.testing.assert_array_equal(got, expected)
 
 
-def test_requested_intermediates_are_copied_out_of_the_arena():
-    """Explicitly requested arena-backed values must survive the next run."""
+def test_requested_intermediates_are_never_slab_backed():
+    """Explicitly requested intermediates must survive the next run."""
     model = build_chain_model()
     plan = ExecutionPlan(model, fuse=False)  # keep every intermediate addressable
     inner = model.graph.nodes[1].outputs[0]
@@ -344,6 +324,65 @@ def test_requested_intermediates_are_copied_out_of_the_arena():
     plan.run(example_inputs(model, seed=9))
     np.testing.assert_array_equal(got, snapshot)
     np.testing.assert_array_equal(got, expected)
+
+
+def _nonzero_model(head: str):
+    """``x -> NonZero -> Cast -> <head> -> Mul -> ReduceSum``: every shape
+    past ``NonZero`` depends on the data, not on the input signature."""
+    b = GraphBuilder(f"nonzero_{head}", seed=0)
+    x = b.input("x", (64, 64))
+    coords = b.node("Cast", [b.node("NonZero", [x])], to="float32")  # (2, nnz)
+    if head == "unary":
+        y = b.node("Abs", [coords])
+    elif head == "binary":
+        y = b.node("Add", [coords, coords])
+    else:  # three operands
+        weight = b.const(np.ones((2, 8), dtype=np.float32))
+        bias = b.const(np.ones((8,), dtype=np.float32))
+        y = b.node("Gemm", [coords, weight, bias], transA=1)  # (nnz, 8)
+    b.output(b.node("ReduceSum", [b.node("Mul", [y, y])], keepdims=0))
+    return b.build(validate=False, infer=False)
+
+
+@pytest.mark.parametrize("head", ["unary", "binary", "ternary"])
+def test_slab_views_are_guarded_by_argument_shapes(head):
+    """Regression for a signature-only memory plan: a second feed of the
+    same shape with fewer non-zeros must not compute into the view recorded
+    for the first — numpy would broadcast a ``(2, 1)`` result into the
+    stale ``(2, 4096)`` destination and the sum would silently be wrong."""
+    model = _nonzero_model(head)
+    plan = ExecutionPlan(model)
+    executor = GraphExecutor(model)
+    for nonzeros in (4096, 1, 2048, 4096):
+        x = np.zeros(4096, dtype=np.float32)
+        x[:nonzeros] = 1.0
+        feed = {"x": x.reshape(64, 64)}
+        expected = executor.run(feed)
+        outputs = plan.run(feed)
+        for name, ref in expected.items():
+            np.testing.assert_array_equal(outputs[name], ref)
+    stats = plan.stats()["arena"]
+    assert stats["signatures"] == 1 and stats["slab_bytes"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12),
+                          st.integers(1, 5000)), max_size=40))
+def test_pack_intervals_never_overlaps_live_ranges(raw):
+    intervals = [(first, first + span, nbytes) for first, span, nbytes in raw]
+    offsets, total = pack_intervals(intervals)
+    aligned = [-(-nbytes // 64) * 64 for _, _, nbytes in intervals]
+    assert all(offset % 64 == 0 for offset in offsets)
+    for i, (first_i, last_i, _) in enumerate(intervals):
+        assert offsets[i] + aligned[i] <= total
+        for j in range(i):
+            first_j, last_j, _ = intervals[j]
+            if first_i <= last_j and first_j <= last_i:  # live together
+                assert (offsets[i] + aligned[i] <= offsets[j]
+                        or offsets[j] + aligned[j] <= offsets[i])
+    max_live = max((sum(size for (first, last, _), size in zip(intervals, aligned)
+                        if first <= step <= last) for step in range(54)), default=0)
+    assert max_live <= total <= sum(aligned)
 
 
 # ---------------------------------------------------------------------------

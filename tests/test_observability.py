@@ -487,7 +487,7 @@ class TestRegistryUnification:
         # per model+artifact
         assert snapshot["serving_cached_artifacts"]["value"] == 1
         for family in ("serving_plan_arena_allocations",
-                       "serving_plan_arena_reuses",
+                       "serving_plan_slab_bytes",
                        "serving_plan_output_direct_writes",
                        "serving_plan_output_copy_writes"):
             matches = [key for key in snapshot if key.startswith(family)]

@@ -44,7 +44,7 @@ def case(op, inputs, outputs=1, id=None, **attrs):
 
 
 X = f32(1, 4, 8, 8)          # NCHW feature map
-BIG = f32(1, 4, 32, 32)      # >= 4096 bytes, so the plan's arena engages
+BIG = f32(1, 4, 32, 32)      # >= 4096 bytes, so the plan's slab engages
 IDX = i64(2, 0, 1)
 
 #: Example nodes.  Every registered operator appears at least once
@@ -217,9 +217,7 @@ def _assert_identical(got, want, what):
 
 def _plans(model):
     for fuse in (True, False):
-        for heavy_out in (True, False):
-            yield f"plan(fuse={fuse}, heavy_out={heavy_out})", ExecutionPlan(
-                model, fuse=fuse, heavy_out=heavy_out)
+        yield f"plan(fuse={fuse})", ExecutionPlan(model, fuse=fuse)
 
 
 @pytest.mark.parametrize("op, inputs, outputs, attrs", CASES)
@@ -250,7 +248,7 @@ _SANDWICHED = [p for p in CASES if p.values[2] == 1 and p.values[1]]
 
 @pytest.mark.parametrize("op, inputs, outputs, attrs", _SANDWICHED)
 def test_plan_agrees_mid_graph(op, inputs, outputs, attrs):
-    """Mid-graph the node is an arena head, a fused in-place tail or the
+    """Mid-graph the node is a slab-backed head, a fused in-place tail or the
     head of a fused chain — whichever its declaration allows."""
     model, feed = _build(op, inputs, outputs, attrs, sandwich=True)
     reference = GraphExecutor(model).run(feed)

@@ -23,7 +23,7 @@ from repro.observability.trajectory import (
 )
 
 
-def bench_entry(created: int, speedup: float, heavy: float = 1.5,
+def bench_entry(created: int, speedup: float, sequential: float = 1.5,
                 binding: float = 1.2, conv: float = 1.8) -> dict:
     return {
         "schema": "repro-exec-bench/2",
@@ -31,7 +31,7 @@ def bench_entry(created: int, speedup: float, heavy: float = 1.5,
         "models": [{
             "model": "squeezenet",
             "speedup": speedup,
-            "heavy_speedup": heavy,
+            "sequential_speedup": sequential,
             "binding_speedup": binding,
             # machine-dependent milliseconds must be ignored by the trend
             "interp_ms": 120.0,
