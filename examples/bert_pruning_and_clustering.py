@@ -38,7 +38,7 @@ def main() -> None:
     print("\n--- constant propagation + dead-code elimination -------------")
     print(f"  nodes before: {stats['nodes_before']}")
     print(f"  nodes after:  {stats['nodes_after']}  "
-          f"({stats['nodes_removed']} removed in {stats['iterations']} iterations)")
+          f"({stats['nodes_removed']} removed in one sweep: {stats['per_pass']})")
 
     # --- clustering before vs after pruning ------------------------------
     config = ExperimentConfig()

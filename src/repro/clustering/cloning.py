@@ -52,7 +52,9 @@ def clone_cheap_producers(
     Parameters
     ----------
     model:
-        The IR model to transform (a copy is returned; the input is untouched).
+        The IR model to transform.  The input is untouched: the result has
+        its own node list and shares the weight arrays and every node that
+        cloning did not re-point.
     cost_model:
         Static cost model used to decide which nodes are "cheap".
     max_node_cost:
@@ -72,8 +74,7 @@ def clone_cheap_producers(
     (Model, CloningReport)
     """
     cm = cost_model or DEFAULT_COST_MODEL
-    cloned_model = model.copy()
-    graph = cloned_model.graph
+    graph = model.graph
 
     dfg = model_to_dataflow(graph, cost_model=cm)
     levels = graph_levels(dfg)
@@ -100,12 +101,14 @@ def clone_cheap_producers(
 
     clones_created = 0
     nodes_cloned = 0
-    node_by_name = {n.name: n for n in graph.nodes}
+    #: the result's nodes, in order; a consumer is copied before it is re-pointed
+    nodes = {n.name: n for n in graph.nodes}
+    value_info = dict(graph.value_info)
 
     for name in candidates:
         if clones_created >= max_clones:
             break
-        node = node_by_name[name]
+        node = nodes[name]
         out_value = node.primary_output
         users = list(consumers.get(out_value, []))
         if len(users) < 2:
@@ -120,10 +123,12 @@ def clone_cheap_producers(
             clone_out = f"{out_value}__clone{idx}"
             clone = node.copy(name=clone_name)
             clone.outputs = [clone_out]
-            graph.add_node(clone)
-            user.rename_input(out_value, clone_out)
-            if out_value in graph.value_info:
-                graph.value_info[clone_out] = graph.value_info[out_value].with_name(clone_out)
+            nodes[clone_name] = clone
+            if nodes[user.name] is user:
+                nodes[user.name] = user.copy()
+            nodes[user.name].rename_input(out_value, clone_out)
+            if out_value in value_info:
+                value_info[clone_out] = value_info[out_value].with_name(clone_out)
             clones_created += 1
 
     report = CloningReport(
@@ -131,6 +136,9 @@ def clone_cheap_producers(
         nodes_cloned=nodes_cloned,
         clones_created=clones_created,
         nodes_before=model.num_nodes,
-        nodes_after=cloned_model.num_nodes,
+        nodes_after=len(nodes),
     )
-    return cloned_model, report
+    cloned = Graph(name=graph.name, nodes=list(nodes.values()), inputs=list(graph.inputs),
+                   outputs=list(graph.outputs), initializers=dict(graph.initializers),
+                   value_info=value_info)
+    return model.with_graph(cloned), report

@@ -126,11 +126,11 @@ def merge_clusters_once(
     return new_clustering, merge_done
 
 
-def merge_clusters_fixpoint(
-    clustering: Clustering,
-    max_iterations: int = 64,
-    check_cycles: bool = False,
-) -> Clustering:
+#: Safety bound on merge rounds (every round that merges shrinks the clustering).
+_MAX_MERGE_ROUNDS = 64
+
+
+def merge_clusters_fixpoint(clustering: Clustering, check_cycles: bool = False) -> Clustering:
     """Algorithm 3: repeat :func:`merge_clusters_once` until nothing merges.
 
     ``check_cycles`` is off by default: when the distance pass charges a
@@ -140,7 +140,7 @@ def merge_clusters_fixpoint(
     for experiments with zero edge costs.
     """
     current = clustering
-    for _ in range(max_iterations):
+    for _ in range(_MAX_MERGE_ROUNDS):
         current, merge_done = merge_clusters_once(current, check_cycles=check_cycles)
         if not merge_done:
             break

@@ -239,11 +239,7 @@ class DataflowGraph:
                 f"edges={self.num_edges()})")
 
 
-def model_to_dataflow(
-    model_or_graph,
-    cost_model=None,
-    include_zero_cost_ops: bool = True,
-) -> DataflowGraph:
+def model_to_dataflow(model_or_graph, cost_model=None) -> DataflowGraph:
     """Convert an IR :class:`Model`/:class:`Graph` into a :class:`DataflowGraph`.
 
     This is the paper's *Graph creation pass*.  Edges are created for every
@@ -258,9 +254,6 @@ def model_to_dataflow(
     cost_model:
         A :class:`repro.graph.cost_model.CostModel`; defaults to the paper's
         static weights.
-    include_zero_cost_ops:
-        When False, pure metadata ops (Shape/Constant/...) are still included
-        but their cost is forced to zero.  Kept for experimentation.
     """
     from repro.graph.cost_model import DEFAULT_COST_MODEL
 
@@ -271,10 +264,7 @@ def model_to_dataflow(
     dfg.ir_graph = graph
 
     for op in graph.nodes:
-        cost = cm.node_cost(op, graph)
-        if not include_zero_cost_ops:
-            cost = max(cost, 0.0)
-        dfg.add_node(op.name, op.op_type, cost=cost, op_node=op)
+        dfg.add_node(op.name, op.op_type, cost=cm.node_cost(op, graph), op_node=op)
 
     producers = graph.producers()
     for op in graph.nodes:

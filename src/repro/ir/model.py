@@ -95,14 +95,22 @@ class Graph:
         return [o.name for o in self.outputs]
 
     def tensor_info(self, name: str) -> Optional[TensorInfo]:
-        """Best-known :class:`TensorInfo` for any value name, if recorded."""
+        """Best-known :class:`TensorInfo` for any value name, if recorded.
+
+        An inferred annotation wins over a graph output's declaration,
+        which is written before anything is known about the value (the
+        builder declares every output float32).
+        """
         for info in self.inputs:
             if info.name == name:
                 return info
+        inferred = self.value_info.get(name)
+        if inferred is not None:
+            return inferred
         for info in self.outputs:
             if info.name == name:
                 return info
-        return self.value_info.get(name)
+        return None
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -176,16 +184,19 @@ class Model:
         if not self.name:
             self.name = self.graph.name
 
+    def with_graph(self, graph: Graph) -> "Model":
+        """This model around a transformed ``graph``.
+
+        Metadata under the ``ramiel.`` namespace is derived from the graph
+        (the memoised content fingerprint) and is not carried over.
+        """
+        metadata = {key: value for key, value in self.metadata.items()
+                    if not key.startswith("ramiel.")}
+        return dataclasses.replace(self, graph=graph, metadata=metadata)
+
     def copy(self) -> "Model":
         """Deep copy of the model."""
-        return Model(
-            graph=self.graph.copy(),
-            name=self.name,
-            producer=self.producer,
-            opset_version=self.opset_version,
-            doc=self.doc,
-            metadata=dict(self.metadata),
-        )
+        return self.with_graph(self.graph.copy())
 
     @property
     def num_nodes(self) -> int:

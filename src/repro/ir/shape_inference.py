@@ -1,22 +1,28 @@
 """Shape and dtype inference over the IR.
 
-:func:`infer_shapes` walks a :class:`~repro.ir.model.Graph` in topological
-order and fills ``graph.value_info`` with a :class:`TensorInfo` for every
-intermediate value it can reason about.  The cost model and the cluster
-schedule simulator use these shapes to weight operators and messages; the
-validator uses them to catch malformed model-zoo graphs early.
+A :class:`SweepContext` holds what one forward (topological) walk over a
+:class:`~repro.ir.model.Graph` knows so far: per value either its constant
+array or its ``(shape, dtype)``.  :meth:`SweepContext.annotate` applies one
+node's shape function to it.  Two walks read it: :func:`infer_shapes`, which
+only annotates ``graph.value_info`` (the cost model and the cluster schedule
+simulator weight operators and messages with these shapes, the process
+backend sizes its tensor slots from them), and the pruning sweep of
+:mod:`repro.passes`, which also fills the constant table by evaluating nodes.
 
+The shape functions are a hand-written table beside the kernels;
+``tests/test_shape_table.py`` pins every entry to what the kernel returns.
 Inference is best-effort: an op whose output shape depends on runtime data
-(e.g. ``NonZero``) simply produces an unknown shape rather than failing.
+(``NonZero``, a ``Reshape`` whose target is computed) produces an unknown
+shape rather than failing — never a wrong concrete one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.ir.dtypes import DType, promote
+from repro.ir.dtypes import DType, numpy_to_dtype, promote
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
 from repro.ir.opset import attr_value
@@ -25,7 +31,6 @@ from repro.ir.tensor import (
     TensorInfo,
     broadcast_shapes,
     conv_output_dim,
-    normalize_shape,
     pool_output_dim,
 )
 
@@ -34,7 +39,7 @@ class ShapeInferenceError(RuntimeError):
     """Raised when shape inference encounters an inconsistent graph."""
 
 
-_InferFn = Callable[["_Context", OpNode], List[TensorInfo]]
+_InferFn = Callable[["SweepContext", OpNode], List[TensorInfo]]
 _INFER_FNS: Dict[str, _InferFn] = {}
 
 
@@ -46,8 +51,8 @@ def _infer(op_type: str) -> Callable[[_InferFn], _InferFn]:
     return wrap
 
 
-class _Context:
-    """Mutable inference state: known infos and known constant values."""
+class SweepContext:
+    """Mutable state of one forward sweep: known infos and known constant values."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -56,8 +61,7 @@ class _Context:
         for info in graph.inputs:
             self.infos[info.name] = info
         for name, array in graph.initializers.items():
-            self.infos[name] = TensorInfo(name, _np_dtype(array), array.shape)
-            self.constants[name] = array
+            self.set_constant(name, array)
         for name, info in graph.value_info.items():
             self.infos.setdefault(name, info)
 
@@ -75,11 +79,37 @@ class _Context:
     def constant(self, name: str) -> Optional[np.ndarray]:
         return self.constants.get(name)
 
+    def set_constant(self, name: str, array: np.ndarray) -> None:
+        """Record that ``name`` always holds ``array``; its info comes from the array."""
+        self.infos[name] = TensorInfo(name, numpy_to_dtype(array.dtype), array.shape)
+        self.constants[name] = array
 
-def _np_dtype(array: np.ndarray) -> DType:
-    from repro.ir.dtypes import numpy_to_dtype
+    def annotate(self, node: OpNode, strict: bool = False) -> List[TensorInfo]:
+        """Apply ``node``'s shape function; record and return its outputs' infos.
 
-    return numpy_to_dtype(array.dtype)
+        When ``strict``, raise :class:`ShapeInferenceError` for an output
+        whose shape could not be determined; otherwise record an unknown
+        shape and keep going.
+        """
+        fn = _INFER_FNS.get(node.op_type, _unknown_outputs)
+        try:
+            outputs = fn(self, node)
+        except ShapeInferenceError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - inference must not crash callers
+            if strict:
+                raise ShapeInferenceError(
+                    f"shape inference failed for node {node.name} ({node.op_type}): {exc}"
+                ) from exc
+            outputs = _unknown_outputs(self, node)
+        for out in outputs:
+            if strict and out.shape is None:
+                raise ShapeInferenceError(
+                    f"could not infer shape of {out.name} "
+                    f"(node {node.name}, op {node.op_type})"
+                )
+            self.infos[out.name] = out
+        return outputs
 
 
 def infer_shapes(graph: Graph, strict: bool = False) -> Graph:
@@ -96,53 +126,47 @@ def infer_shapes(graph: Graph, strict: bool = False) -> Graph:
     """
     from repro.graph.traversal import topological_sort_nodes
 
-    ctx = _Context(graph)
+    ctx = SweepContext(graph)
     for node in topological_sort_nodes(graph):
-        fn = _INFER_FNS.get(node.op_type, _infer_unknown)
-        try:
-            outputs = fn(ctx, node)
-        except ShapeInferenceError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - inference must not crash callers
-            if strict:
-                raise ShapeInferenceError(
-                    f"shape inference failed for node {node.name} ({node.op_type}): {exc}"
-                ) from exc
-            outputs = _unknown_outputs(ctx, node)
-        if strict:
-            for out in outputs:
-                if out.shape is None:
-                    raise ShapeInferenceError(
-                        f"could not infer shape of {out.name} "
-                        f"(node {node.name}, op {node.op_type})"
-                    )
-        for out in outputs:
-            ctx.infos[out.name] = out
+        for out in ctx.annotate(node, strict):
             graph.value_info[out.name] = out
     return graph
 
 
-def _unknown_outputs(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _unknown_outputs(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     dtype = ctx.dtype(node.inputs[0]) if node.present_inputs else DType.FLOAT32
     return [TensorInfo(out, dtype, None) for out in node.outputs if out]
 
 
-def _infer_unknown(ctx: _Context, node: OpNode) -> List[TensorInfo]:
-    return _unknown_outputs(ctx, node)
-
-
-def _same_shape(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _same_shape(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     info = ctx.info(node.inputs[0])
     shape = None if info is None else info.shape
     dtype = ctx.dtype(node.inputs[0])
     return [TensorInfo(out, dtype, shape) for out in node.outputs if out]
 
 
+def _ints(ctx: SweepContext, node: OpNode, index: int,
+          attr: Optional[str] = None) -> Optional[List[int]]:
+    """The integer-list parameter that ONNX attribute ``attr``, else input ``index``, carries.
+
+    ``None`` when the node has neither.  An input that is not a known
+    constant makes the output shape value-dependent: that raises, and the
+    sweep records the node's outputs as unknown.
+    """
+    value = node.get_attr(attr) if attr else None
+    if value is None and len(node.inputs) > index and node.inputs[index]:
+        value = ctx.constant(node.inputs[index])
+        if value is None:
+            raise ValueError(f"input {index} is not a compile-time constant")
+        value = np.atleast_1d(value)
+    return None if value is None else [int(v) for v in value]
+
+
 # ---------------------------------------------------------------------------
 # Convolution / pooling
 # ---------------------------------------------------------------------------
 @_infer("Conv")
-def _infer_conv(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_conv(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     w = ctx.shape(node.inputs[1])
     if x is None or w is None or len(x) != 4 or len(w) != 4:
@@ -159,7 +183,7 @@ def _infer_conv(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("ConvTranspose")
-def _infer_conv_transpose(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_conv_transpose(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     w = ctx.shape(node.inputs[1])
     if x is None or w is None or len(x) != 4 or len(w) != 4:
@@ -169,15 +193,16 @@ def _infer_conv_transpose(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     kernel = node.get_attr("kernel_shape", [w[2], w[3]])
     strides = attr_value(node, "strides")
     pads = attr_value(node, "pads")
+    extra = attr_value(node, "output_padding")
     if h is None or wdim is None:
         oh = ow = None
     else:
-        oh = (h - 1) * strides[0] - pads[0] - pads[2] + kernel[0]
-        ow = (wdim - 1) * strides[1] - pads[1] - pads[3] + kernel[1]
+        oh = (h - 1) * strides[0] - pads[0] - pads[2] + kernel[0] + extra[0]
+        ow = (wdim - 1) * strides[1] - pads[1] - pads[3] + kernel[1] + extra[1]
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, out_channels, oh, ow))]
 
 
-def _infer_pool(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_pool(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
@@ -195,7 +220,7 @@ _INFER_FNS["MaxPool"] = _infer_pool
 _INFER_FNS["AveragePool"] = _infer_pool
 
 
-def _infer_global_pool(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_global_pool(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
@@ -211,7 +236,7 @@ _INFER_FNS["GlobalMaxPool"] = _infer_global_pool
 # Linear algebra
 # ---------------------------------------------------------------------------
 @_infer("MatMul")
-def _infer_matmul(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_matmul(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     a = ctx.shape(node.inputs[0])
     b = ctx.shape(node.inputs[1])
     if a is None or b is None or len(a) < 1 or len(b) < 1:
@@ -236,7 +261,7 @@ def _infer_matmul(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Gemm")
-def _infer_gemm(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_gemm(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     a = ctx.shape(node.inputs[0])
     b = ctx.shape(node.inputs[1])
     if a is None or b is None or len(a) != 2 or len(b) != 2:
@@ -256,15 +281,34 @@ for _op in ("BatchNormalization", "LayerNormalization", "InstanceNormalization",
             "Relu", "Sigmoid", "Tanh", "Gelu", "Erf", "LeakyRelu", "Elu", "Selu",
             "Softplus", "HardSigmoid", "HardSwish", "Mish", "Clip", "PRelu",
             "Softmax", "LogSoftmax", "Sqrt", "Exp", "Log", "Neg", "Abs",
-            "Reciprocal", "Floor", "Ceil", "Round", "Sign", "Cos", "Sin",
-            "Identity", "Cast", "Dropout", "Pad", "Not"):
+            "Reciprocal", "Floor", "Ceil", "Round", "Sign", "Cos", "Sin", "Identity"):
     _INFER_FNS[_op] = _same_shape
 
 
-def _infer_binary(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+@_infer("Cast")
+def _infer_cast(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    return [TensorInfo(node.primary_output, attr_value(node, "to"), ctx.shape(node.inputs[0]))]
+
+
+@_infer("Not")
+def _infer_not(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    return [TensorInfo(node.primary_output, DType.BOOL, ctx.shape(node.inputs[0]))]
+
+
+@_infer("Dropout")
+def _infer_dropout(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    shape = ctx.shape(node.inputs[0])
+    dtypes = (ctx.dtype(node.inputs[0]), DType.BOOL)  # data, mask
+    return [TensorInfo(out, dtype, shape) for out, dtype in zip(node.outputs, dtypes) if out]
+
+
+def _infer_binary(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     a = ctx.shape(node.inputs[0])
     b = ctx.shape(node.inputs[1]) if len(node.present_inputs) > 1 else a
-    dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[-1]))
+    if node.op_type in _BOOL_BINARY:
+        dtype = DType.BOOL
+    else:
+        dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[-1]))
     try:
         shape = broadcast_shapes(a, b)
     except ValueError as exc:
@@ -272,14 +316,13 @@ def _infer_binary(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     return [TensorInfo(node.primary_output, dtype, shape)]
 
 
-for _op in ("Add", "Sub", "Mul", "Div", "Pow", "Mod", "Min", "Max",
-            "Equal", "Greater", "Less", "GreaterOrEqual", "LessOrEqual",
-            "And", "Or", "Xor"):
+_BOOL_BINARY = ("Equal", "Greater", "Less", "GreaterOrEqual", "LessOrEqual", "And", "Or", "Xor")
+for _op in ("Add", "Sub", "Mul", "Div", "Pow", "Mod", "Min", "Max") + _BOOL_BINARY:
     _INFER_FNS[_op] = _infer_binary
 
 
 @_infer("Where")
-def _infer_where(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_where(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     cond = ctx.shape(node.inputs[0])
     a = ctx.shape(node.inputs[1])
     b = ctx.shape(node.inputs[2])
@@ -290,14 +333,11 @@ def _infer_where(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
-def _infer_reduce(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_reduce(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
-    axes = node.get_attr("axes")
-    if axes is None and len(node.present_inputs) > 1:
-        const = ctx.constant(node.inputs[1])
-        axes = None if const is None else [int(v) for v in np.atleast_1d(const)]
+    axes = _ints(ctx, node, 1, "axes")
     keepdims = attr_value(node, "keepdims")
     if axes is None:
         shape: Shape = tuple(1 for _ in x) if keepdims else ()
@@ -318,7 +358,7 @@ for _op in ("ReduceMean", "ReduceSum", "ReduceMax", "ReduceMin", "ReduceProd", "
     _INFER_FNS[_op] = _infer_reduce
 
 
-def _infer_arg_reduce(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_arg_reduce(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return [TensorInfo(node.primary_output, DType.INT64, None)]
@@ -338,7 +378,7 @@ _INFER_FNS["ArgMin"] = _infer_arg_reduce
 # Concat / split / movement
 # ---------------------------------------------------------------------------
 @_infer("Concat")
-def _infer_concat(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_concat(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     shapes = [ctx.shape(i) for i in node.present_inputs]
     dtype = ctx.dtype(node.inputs[0])
     if any(s is None for s in shapes):
@@ -356,17 +396,14 @@ def _infer_concat(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Split")
-def _infer_split(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_split(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     dtype = ctx.dtype(node.inputs[0])
     outs = [o for o in node.outputs if o]
     if x is None:
         return [TensorInfo(o, dtype, None) for o in outs]
     axis = attr_value(node, "axis") % len(x)
-    split = node.get_attr("split")
-    if split is None and len(node.present_inputs) > 1:
-        const = ctx.constant(node.inputs[1])
-        split = None if const is None else [int(v) for v in np.atleast_1d(const)]
+    split = _ints(ctx, node, 1, "split")
     if split is None:
         if x[axis] is None:
             sizes = [None] * len(outs)
@@ -384,16 +421,10 @@ def _infer_split(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Reshape")
-def _infer_reshape(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_reshape(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     dtype = ctx.dtype(node.inputs[0])
-    target = node.get_attr("shape")
-    if target is None and len(node.present_inputs) > 1:
-        const = ctx.constant(node.inputs[1])
-        target = None if const is None else [int(v) for v in np.atleast_1d(const)]
-    if target is None:
-        return _unknown_outputs(ctx, node)
-    target = list(target)
+    target = _ints(ctx, node, 1, "shape")
     known_elems = None
     if x is not None and all(d is not None for d in x):
         known_elems = int(np.prod(x)) if x else 1
@@ -418,7 +449,7 @@ def _infer_reshape(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Transpose")
-def _infer_transpose(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_transpose(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
@@ -428,7 +459,7 @@ def _infer_transpose(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Flatten")
-def _infer_flatten(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_flatten(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
@@ -440,20 +471,12 @@ def _infer_flatten(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (d0, d1))]
 
 
-def _axes_from(ctx: _Context, node: OpNode) -> Optional[List[int]]:
-    axes = node.get_attr("axes")
-    if axes is None and len(node.present_inputs) > 1:
-        const = ctx.constant(node.inputs[1])
-        axes = None if const is None else [int(v) for v in np.atleast_1d(const)]
-    return None if axes is None else list(axes)
-
-
 @_infer("Squeeze")
-def _infer_squeeze(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_squeeze(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
-    axes = _axes_from(ctx, node)
+    axes = _ints(ctx, node, 1, "axes")
     if axes is None:
         dims = tuple(d for d in x if d != 1)
     else:
@@ -463,13 +486,11 @@ def _infer_squeeze(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Unsqueeze")
-def _infer_unsqueeze(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_unsqueeze(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
-    axes = _axes_from(ctx, node)
-    if axes is None:
-        return _unknown_outputs(ctx, node)
+    axes = _ints(ctx, node, 1, "axes")
     out_rank = len(x) + len(axes)
     axes = sorted(a % out_rank for a in axes)
     dims: List[Optional[int]] = list(x)
@@ -479,27 +500,14 @@ def _infer_unsqueeze(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("Slice")
-def _infer_slice(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_slice(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None:
         return _unknown_outputs(ctx, node)
-    starts = node.get_attr("starts")
-    ends = node.get_attr("ends")
-    axes = node.get_attr("axes")
-    steps = node.get_attr("steps")
-    inputs = node.present_inputs
-    if starts is None and len(inputs) > 1:
-        starts = _const_ints(ctx, inputs[1])
-    if ends is None and len(inputs) > 2:
-        ends = _const_ints(ctx, inputs[2])
-    if axes is None and len(inputs) > 3:
-        axes = _const_ints(ctx, inputs[3])
-    if steps is None and len(inputs) > 4:
-        steps = _const_ints(ctx, inputs[4])
-    if starts is None or ends is None:
-        return _unknown_outputs(ctx, node)
-    axes = list(range(len(starts))) if axes is None else list(axes)
-    steps = [1] * len(starts) if steps is None else list(steps)
+    starts = _ints(ctx, node, 1, "starts")
+    ends = _ints(ctx, node, 2, "ends")
+    axes = _ints(ctx, node, 3, "axes") or range(len(starts))
+    steps = _ints(ctx, node, 4, "steps") or [1] * len(starts)
     dims = list(x)
     for start, end, axis, step in zip(starts, ends, axes, steps):
         axis = axis % len(x)
@@ -513,13 +521,8 @@ def _infer_slice(ctx: _Context, node: OpNode) -> List[TensorInfo]:
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), tuple(dims))]
 
 
-def _const_ints(ctx: _Context, name: str) -> Optional[List[int]]:
-    const = ctx.constant(name)
-    return None if const is None else [int(v) for v in np.atleast_1d(const)]
-
-
 @_infer("Gather")
-def _infer_gather(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_gather(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     data = ctx.shape(node.inputs[0])
     indices = ctx.shape(node.inputs[1])
     if data is None or indices is None:
@@ -541,31 +544,40 @@ _INFER_FNS["EmbeddingLookup"] = lambda ctx, node: [
 
 
 @_infer("Expand")
-def _infer_expand(ctx: _Context, node: OpNode) -> List[TensorInfo]:
-    x = ctx.shape(node.inputs[0])
-    target = _const_ints(ctx, node.inputs[1]) if len(node.present_inputs) > 1 else None
-    if target is None:
-        return _unknown_outputs(ctx, node)
-    shape = broadcast_shapes(x, tuple(target)) if x is not None else tuple(target)
+def _infer_expand(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    shape = broadcast_shapes(ctx.shape(node.inputs[0]), tuple(_ints(ctx, node, 1)))
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), shape)]
 
 
 @_infer("Tile")
-def _infer_tile(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_tile(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
-    reps = _const_ints(ctx, node.inputs[1]) if len(node.present_inputs) > 1 else None
-    if x is None or reps is None:
+    reps = _ints(ctx, node, 1)
+    if x is None:
         return _unknown_outputs(ctx, node)
     dims = tuple(None if d is None else d * r for d, r in zip(x, reps))
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), dims)]
 
 
-def _infer_resize(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+@_infer("Pad")
+def _infer_pad(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    x = ctx.shape(node.inputs[0])
+    if x is None:
+        return _unknown_outputs(ctx, node)
+    pads = _ints(ctx, node, 1, "pads")  # the before-padding per axis, then the after-padding
+    dims = tuple(None if d is None else d + before + after
+                 for d, before, after in zip(x, pads, pads[len(x):]))
+    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), dims)]
+
+
+def _infer_resize(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     scales = node.get_attr("scales")
     if x is None or scales is None or len(x) != len(scales):
         return _unknown_outputs(ctx, node)
-    dims = tuple(None if d is None else int(d * s) for d, s in zip(x, scales))
+    # The kernel resizes the two spatial axes of an NCHW tensor and rounds.
+    dims = x[:2] + tuple(None if d is None else int(round(d * s))
+                         for d, s in zip(x[2:], scales[2:]))
     return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), dims)]
 
 
@@ -574,7 +586,7 @@ _INFER_FNS["Upsample"] = _infer_resize
 
 
 @_infer("DepthToSpace")
-def _infer_depth_to_space(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_depth_to_space(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
@@ -586,7 +598,7 @@ def _infer_depth_to_space(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("SpaceToDepth")
-def _infer_space_to_depth(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_space_to_depth(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
@@ -601,48 +613,57 @@ def _infer_space_to_depth(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 # Metadata ops
 # ---------------------------------------------------------------------------
 @_infer("Shape")
-def _infer_shape_op(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_shape_op(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     rank = None if x is None else len(x)
     return [TensorInfo(node.primary_output, DType.INT64, (rank,) if rank is not None else None)]
 
 
 @_infer("Size")
-def _infer_size(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_size(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     return [TensorInfo(node.primary_output, DType.INT64, ())]
 
 
 @_infer("Constant")
-def _infer_constant(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_constant(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     value = node.get_attr("value")
     if value is None:
         return [TensorInfo(node.primary_output, DType.FLOAT32, None)]
-    arr = np.asarray(value)
-    ctx.constants[node.primary_output] = arr
-    return [TensorInfo(node.primary_output, _np_dtype(arr), arr.shape)]
+    ctx.set_constant(node.primary_output, np.asarray(value))
+    return [ctx.infos[node.primary_output]]
 
 
 @_infer("ConstantOfShape")
-def _infer_constant_of_shape(ctx: _Context, node: OpNode) -> List[TensorInfo]:
-    shape = _const_ints(ctx, node.inputs[0]) if node.present_inputs else None
-    value = attr_value(node, "value")
-    dtype = _np_dtype(np.asarray(value)) if value is not None else DType.FLOAT32
-    return [TensorInfo(node.primary_output, dtype, tuple(shape) if shape is not None else None)]
+def _infer_constant_of_shape(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    dtype = numpy_to_dtype(np.asarray(attr_value(node, "value")).dtype)
+    if dtype is DType.FLOAT64:  # the kernel fills float32 for a Python float
+        dtype = DType.FLOAT32
+    shape = ctx.constant(node.inputs[0])
+    return [TensorInfo(node.primary_output, dtype,
+                       None if shape is None else [int(d) for d in np.atleast_1d(shape)])]
+
+
+@_infer("OneHot")
+def _infer_one_hot(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
+    return [TensorInfo(node.primary_output, DType.FLOAT32, None)]  # the kernel's fill dtype
 
 
 @_infer("Range")
-def _infer_range(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_range(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     start = ctx.constant(node.inputs[0])
     limit = ctx.constant(node.inputs[1])
     delta = ctx.constant(node.inputs[2])
+    # The kernel hands Python scalars to ``np.arange``: int64 or float64.
+    integral = all(ctx.dtype(name).is_integer for name in node.inputs[:3])
+    dtype = DType.INT64 if integral else DType.FLOAT64
     if start is None or limit is None or delta is None:
-        return [TensorInfo(node.primary_output, DType.INT64, None)]
+        return [TensorInfo(node.primary_output, dtype, None)]
     count = int(max(np.ceil((float(limit) - float(start)) / float(delta)), 0))
-    return [TensorInfo(node.primary_output, DType.INT64, (count,))]
+    return [TensorInfo(node.primary_output, dtype, (count,))]
 
 
 @_infer("NonZero")
-def _infer_nonzero(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_nonzero(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
     rank = None if x is None else len(x)
     return [TensorInfo(node.primary_output, DType.INT64,
@@ -650,14 +671,14 @@ def _infer_nonzero(ctx: _Context, node: OpNode) -> List[TensorInfo]:
 
 
 @_infer("TopK")
-def _infer_topk(ctx: _Context, node: OpNode) -> List[TensorInfo]:
+def _infer_topk(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     x = ctx.shape(node.inputs[0])
-    k = _const_ints(ctx, node.inputs[1]) if len(node.present_inputs) > 1 else None
+    k = ctx.constant(node.inputs[1])
     if x is None:
         return _unknown_outputs(ctx, node)
     axis = attr_value(node, "axis") % len(x)
     dims = list(x)
-    dims[axis] = k[0] if k else None
+    dims[axis] = None if k is None else int(k.reshape(-1)[0])
     outs = [o for o in node.outputs if o]
     infos = [TensorInfo(outs[0], ctx.dtype(node.inputs[0]), tuple(dims))]
     if len(outs) > 1:

@@ -262,7 +262,7 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     stage_times: Dict[str, float] = {}
     total_start = time.perf_counter()
 
-    # 1. Optional pruning (CP + DCE via the pass manager).
+    # 1. Optional pruning (CP + DCE: one forward and one backward sweep).
     pruning_stats = None
     optimized = model
     if config.prune:

@@ -10,7 +10,7 @@ reproduction:
 1. ground truth that the execution plan and Ramiel-generated sequential and
    parallel code are compared against in the tests,
 2. the semantics constant folding evaluates nodes with
-   (:mod:`repro.passes.constant_folding` binds nodes the same way), and
+   (:mod:`repro.passes` folds constants by binding nodes the same way), and
 3. the measurement probe used by :mod:`repro.runtime.profiler` to obtain
    per-op execution times for the schedule simulator.
 """

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import threading
 import time
-import types
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -336,7 +335,6 @@ class ExecutionPlan:
         self._slab_bytes = 0
         self._intermediate_bytes = 0
         self._lock = threading.Lock()
-        self._cluster_module = None
         self.fused = fuse
         self._build(order, fuse)
         #: the step loop actually executed by :meth:`run`.  The untraced
@@ -852,24 +850,6 @@ class ExecutionPlan:
                 "copy_writes": self._dest_copy_writes,
             },
         }
-
-    def as_cluster_module(self):
-        """A single-cluster module shim so :class:`WarmExecutorPool` (and
-        ``execute_generated_module``-style drivers) can run a plan directly."""
-        if self._cluster_module is None:
-            plan = self
-
-            def run_cluster(inputs, weights, channels):  # noqa: ARG001
-                return plan.run(inputs)
-
-            self._cluster_module = types.SimpleNamespace(
-                MODEL_NAME=self.model_name,
-                CLUSTER_FUNCTIONS=[run_cluster],
-                CHANNEL_NAMES=[],
-                GRAPH_INPUTS=list(self.graph.input_names),
-                GRAPH_OUTPUTS=list(self._output_names),
-            )
-        return self._cluster_module
 
 
 def plan_model(model, fuse: bool = True) -> ExecutionPlan:

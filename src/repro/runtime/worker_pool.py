@@ -279,9 +279,7 @@ class WarmExecutorPool:
     ----------
     module:
         The generated parallel module (or a
-        :class:`repro.codegen.module_writer.GeneratedModule` wrapper, or an
-        :class:`repro.runtime.plan.ExecutionPlan`, which is adapted into a
-        single-cluster module via ``as_cluster_module()``).
+        :class:`repro.codegen.module_writer.GeneratedModule` wrapper).
     weights:
         Initializer values (``model.graph.initializers``); captured once at
         pool construction and shared by every run.
@@ -300,9 +298,6 @@ class WarmExecutorPool:
     def __init__(self, module, weights: Mapping[str, np.ndarray],
                  backend: str = "thread", tracer: Optional[Tracer] = None,
                  fail_grace_s: float = 2.0, max_batch: int = 1) -> None:
-        as_cluster_module = getattr(module, "as_cluster_module", None)
-        if as_cluster_module is not None:  # an ExecutionPlan
-            module = as_cluster_module()
         module = getattr(module, "module", module)
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")

@@ -19,7 +19,6 @@ from repro.pipeline import PipelineConfig, ramiel_compile
 from repro.runtime import profile_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan, PlanError, pack_intervals
-from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving.engine import example_inputs
 from tests.conftest import build_chain_model, build_diamond_model
 
@@ -406,16 +405,3 @@ def test_pipeline_build_plan_can_be_disabled_then_built_lazily():
                                                          generate_code=False))
     assert result.execution_plan is None
     assert result.plan() is not None  # lazy build on demand
-
-
-def test_warm_executor_pool_runs_plans():
-    model = build_diamond_model()
-    feed = example_inputs(model, seed=6)
-    reference = GraphExecutor(model).run(feed)
-    plan = ExecutionPlan(model)
-    with WarmExecutorPool(plan, model.graph.initializers) as pool:
-        assert pool.num_clusters == 1
-        for _ in range(2):
-            outputs = pool.run(feed, timeout=60.0)
-            for name, ref in reference.items():
-                np.testing.assert_array_equal(outputs[name], ref)

@@ -182,9 +182,10 @@ CASES = [
 ]
 
 
-def _build(op, inputs, outputs, attrs, sandwich=False):
+def _build(op, inputs, outputs, attrs, sandwich=False, constants=False):
     """A model holding the one example node (optionally between two
-    ``Mul``-by-one nodes, so the node sits mid-graph for the plan)."""
+    ``Mul``-by-one nodes, so the node sits mid-graph for the plan; optionally
+    with every input but the first as an initializer, not a graph input)."""
     b = GraphBuilder("case", seed=0)
     names, feed = [], {}
     for index, array in enumerate(inputs):
@@ -192,6 +193,9 @@ def _build(op, inputs, outputs, attrs, sandwich=False):
             names.append("")
             continue
         array = np.asarray(array)
+        if constants and index:
+            names.append(b.initializer(f"in{index}", array))
+            continue
         names.append(b.input(f"in{index}", array.shape, numpy_to_dtype(array.dtype)))
         feed[f"in{index}"] = array
     if sandwich:

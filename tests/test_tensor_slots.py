@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from tests.conftest import build_diamond_model, build_wide_model
+from repro.ir import GraphBuilder
 from repro.models import MODEL_REGISTRY
 from repro.pipeline import ramiel_compile
 from repro.runtime.channels import (
@@ -316,6 +317,29 @@ def test_squeezenet_fits_its_slots_at_the_engine_batch_size():
         outputs = session.run(feed)
         channels = session.stats()["pool"]["channels"]
     for name, ref in reference.items():
+        _bitwise(outputs[name], ref)
+    assert channels["overflow_puts"] == 0 and channels["put_bytes"] > 0
+
+
+def test_slot_of_a_cast_output_is_sized_for_the_cast_type():
+    """A ``Cast`` to float64 doubles the bytes; a slot sized from the input's
+    element type would spill every run to a pickle file."""
+    b = GraphBuilder("cast_out", seed=0)
+    x = b.input("x", (1, 4, 8, 8))
+    left = b.conv_relu(b.conv_relu(x, 4, kernel=3, pads=1), 4, kernel=3, pads=1)
+    right = b.conv_relu(b.conv_relu(x, 4, kernel=3, pads=1), 4, kernel=3, pads=1)
+    b.output(b.cast(b.add(left, right), to="float64"))
+    model = b.build()
+    result = ramiel_compile(model)
+    assert result.num_clusters == 2
+    feed = example_inputs(model, seed=5)
+    reference = GraphExecutor(model).run(feed)
+    with create_session(result, executor="process") as session:
+        for _ in range(2):
+            outputs = session.run(feed)
+        channels = session.stats()["pool"]["channels"]
+    for name, ref in reference.items():
+        assert ref.dtype == np.float64
         _bitwise(outputs[name], ref)
     assert channels["overflow_puts"] == 0 and channels["put_bytes"] > 0
 
