@@ -334,6 +334,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.reports import format_rows
     from repro.observability import MetricsRegistry, Tracer
+    from repro.runtime.profiler import plan_step_rows, summarize_kinds
     from repro.runtime.session import create_session, validate_executor
 
     # Validate eagerly against the central registry: a typo'd executor
@@ -385,19 +386,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             tracer.write_chrome_trace(args.output, process_name=model.name)
         exposition = registry.render_prometheus()
         stats = tracer.stats()
-        step_rows = []
-        plan_spans: dict = {}
-        for event in tracer.events():
-            if event.cat == "plan":
-                plan_spans.setdefault(event.name, []).append(event.dur_ns)
-        for name, durs in plan_spans.items():
-            step_rows.append({
-                "step": name,
-                "count": len(durs),
-                "total_ms": round(sum(durs) / 1e6, 3),
-                "mean_ms": round(sum(durs) / len(durs) / 1e6, 4),
-            })
+        step_rows = [
+            {"step": row["step"], "kind": row["kind"], "count": row["count"],
+             "total_ms": round(row["total_ms"], 3),
+             "mean_ms": round(row["mean_ms"], 4)}
+            for row in (plan_step_rows(session.plan.graph, tracer.events())
+                        if session.plan is not None else [])]
         step_rows.sort(key=lambda row: row["total_ms"], reverse=True)
+        kind_rows = summarize_kinds(step_rows)
     finally:
         session.close()
 
@@ -411,6 +407,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "trace_path": args.output,
             "tracer": stats,
             "steps": step_rows,
+            "kinds": kind_rows,
         }
         if pooled:
             summary["worker_drops"] = worker_drops
@@ -431,6 +428,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"-- slowest plan steps (top {min(args.top, len(step_rows))} "
               f"of {len(step_rows)}, by total time) --")
         print(format_rows(step_rows[:max(args.top, 1)]))
+        print()
+        print("-- plan time by kernel kind --")
+        print(format_rows(kind_rows))
     print()
     print("-- metrics --")
     print(exposition, end="")

@@ -465,7 +465,7 @@ _reg("Einsum", OpKind.GEMM, "einsum", [Param("equation", REQUIRED, place="lead")
 
 # -- normalization ------------------------------------------------------------
 _reg("BatchNormalization", OpKind.NORMALIZATION, "batch_norm", [_EPSILON],
-     min_inputs=5, max_inputs=5, ignored=("momentum",),
+     min_inputs=5, max_inputs=5, out=INPLACE, ignored=("momentum",),
      doc="Inference-mode batch normalization: X, scale, B, mean, var -> Y.")
 _reg("LayerNormalization", OpKind.NORMALIZATION, "layer_norm", [_axis(-1), _EPSILON],
      min_inputs=2, max_inputs=3, doc="Layer normalization: X, scale[, bias] -> Y.")

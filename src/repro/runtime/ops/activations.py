@@ -43,15 +43,52 @@ def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.tanh(np.asarray(x), out=out)
 
 
+#: ``erf(x) ~= x * P(x^2) / Q(x^2)`` on ``[-4, 4]`` (the float32 rational
+#: approximation Eigen and XLA use), highest power first.  Both constant
+#: terms are negative, so the quotient keeps the sign of a zero.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+
+
+def _horner(coefficients, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The polynomial in ``x`` (highest power first), evaluated in ``out``."""
+    out = np.multiply(x, coefficients[0], out=out)
+    for coefficient in coefficients[1:-1]:
+        np.add(out, coefficient, out=out)
+        np.multiply(out, x, out=out)
+    return np.add(out, coefficients[-1], out=out)
+
+
 def erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gauss error function (the core of ONNX-exported GELU)."""
-    return _special.erf(np.asarray(x, dtype=np.float32), out=out)
+    """Gauss error function (the core of ONNX-exported GELU).
+
+    Within 5e-7 of the exact value everywhere and within 1e-6 relative
+    near zero; odd, ``|erf| <= 1``, ``erf(+-inf) = +-1``, NaN and the sign
+    of zero pass through.  ``scipy.special.erf`` is exact to the last bit
+    but a scalar loop (17 ns per element: four times these ufunc passes
+    on a 64 x 1024 activation); it still serves 0-d input, which has no
+    buffer to evaluate in.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim == 0:
+        return _special.erf(x, out=out)
+    clamped = np.clip(x, -4.0, 4.0)  # a copy: ``out`` may alias ``x`` from here on
+    square = np.multiply(clamped, clamped)
+    result = _horner(_ERF_P, square, out=out)
+    np.multiply(result, clamped, out=result)
+    np.divide(result, _horner(_ERF_Q, square), out=result)
+    return np.clip(result, -1.0, 1.0, out=result)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (exact formulation)."""
     x = np.asarray(x, dtype=np.float32)
-    return 0.5 * x * (1.0 + _special.erf(x / np.sqrt(2.0, dtype=np.float32)))
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0, dtype=np.float32)))
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -1,42 +1,48 @@
-"""Convolution operators (NCHW-native tap copies + GEMM, no layout change).
+"""Convolution operators (NCHW-native strided gather + GEMM, no layout change).
 
 These are the "heavy" operators of the paper's cost model.  The forward
-convolution copies the KH*KW kernel taps of the padded input (see
-:func:`repro.runtime.tensor_utils.tap_views`) into a channel-major
-``(C*KH*KW, OH*OW)`` column matrix per sample and multiplies it by the
+convolution gathers every kernel window of a padded sample with **one**
+strided copy (:func:`repro.runtime.tensor_utils.window_view`) into a
+channel-major ``(C*KH*KW, OH*OW)`` column matrix and multiplies it by the
 weights viewed as ``(M, C*KH*KW)``, so the GEMM result *is* the NCHW output:
 it lands in the destination with no transpose, and every sample's GEMM has
 the same shape at any batch size (results are batch-invariant).  A 1x1
-stride-1 unpadded convolution skips the copy (the input already is its own
-column matrix) and a depthwise convolution is KH*KW multiply-accumulate
-sweeps instead of C one-row GEMMs.
+stride-1 unpadded convolution skips the gather (the input already is its
+own column matrix), and a depthwise convolution is the same gather followed
+by one batched ``(C, mult, KH*KW) @ (C, KH*KW, OH*OW)`` GEMM.  The number of
+numpy calls per sample does not depend on the kernel size.
+
+Everything that depends only on shapes and hyper-parameters — validation,
+output and padded shapes, the gather view's shape and strides, the reshape
+targets and per-group row slices of the GEMM operands — is worked out once
+per distinct geometry (:class:`_ConvGeometry`, memoised in ``_GEOMETRY``).
 
 All heavy entry points are **destination-passing**: ``out=`` receives the
-result and ``workspace=`` provides the padded input, the column matrix
-(or the depthwise product buffer) and, when ``out`` overlaps an operand,
-the staging buffer, so a warm serving loop runs the whole conv
-allocation-free.  ``weight.reshape(M, -1)`` and its per-group row slices
-are free views; only the flipped transpose-conv kernel is derived and
-cached, once per weight array.
+result and ``workspace=`` provides the padded input, the column matrix and,
+when ``out`` overlaps an operand, the staging buffer, so a warm serving
+loop runs the whole conv allocation-free.  The weight reshapes and their
+per-group row slices are free views; only the flipped transpose-conv kernel
+is derived and cached, once per weight array.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.runtime.intra_op import get_num_threads, parallel_over_batch
 from repro.runtime.tensor_utils import (
+    BoundedMemo,
     as_pair,
     conv_output_hw,
+    hashable,
     normalize_pads,
     pad_nchw,
-    padded_shape,
     reset_workspace,
     scratch,
-    tap_views,
+    window_view,
 )
 
 
@@ -78,83 +84,144 @@ class _DerivedWeightCache:
 _WEIGHT_CACHE = _DerivedWeightCache()
 
 
-def _conv_forward(
-    batch: np.ndarray,
-    weight: np.ndarray,
-    strides: Tuple[int, int],
-    pads: Sequence[int],
-    dilations: Tuple[int, int],
-    group: int,
-    out: Optional[np.ndarray],
-    workspace,
-) -> np.ndarray:
-    """Convolve one (sub-)batch, writing the NCHW result into ``out``."""
-    n, c, h, w = batch.shape
-    m, c_per_group, kh, kw = weight.shape
+class _ConvGeometry(NamedTuple):
+    """What one ``(x.shape, w.shape, hyper-parameters)`` combination implies."""
+
+    #: "pointwise" (1x1, stride 1, unpadded), "depthwise" or "general"
+    kind: str
+    out_shape: Tuple[int, int, int, int]
+    #: ``[top, left, bottom, right]`` and the padded input's shape, or None
+    pads: Optional[Tuple[int, int, int, int]]
+    padded_shape: Optional[Tuple[int, int, int, int]]
+    #: the gather view: ``(KH, KW, OH, OW)`` and its (dilation, stride) steps
+    window: Tuple[int, int, int, int]
+    steps: Tuple[int, int, int, int]
+    #: one sample's gathered windows, ``(C, KH, KW, OH, OW)``
+    cols_shape: Tuple[int, ...]
+    #: GEMM operand views of the weight, the columns and the destination
+    w_matrix: Tuple[int, ...]
+    cols_matrix: Tuple[int, ...]
+    dest_matrix: Tuple[int, ...]
+    #: ``(weight / destination rows, column rows)`` of each GEMM of a sample
+    gemms: Tuple[Tuple[slice, slice], ...]
+
+
+def _build_geometry(x_shape, w_shape, strides, pads, dilations, group) -> _ConvGeometry:
+    if len(x_shape) != 4 or len(w_shape) != 4:
+        raise ValueError(f"conv2d expects 4D input/weight, got {x_shape} and {w_shape}")
+    n, c, h, w = x_shape
+    m, c_per_group, kh, kw = w_shape
+    group = int(group)
+    if c != c_per_group * group or m % group:
+        raise ValueError(
+            f"channel mismatch: input has {c} channels, weight expects "
+            f"{c_per_group * group} and produces {m} (group={group})"
+        )
+    strides = as_pair(strides)
+    dilations = as_pair(dilations)
+    pads = tuple(normalize_pads(pads))
     oh, ow = conv_output_hw((h, w), (kh, kw), strides, pads, dilations)
-    out_shape = (n, m, oh, ow)
-    if out is None:
-        dest = np.empty(out_shape, dtype=np.float32)
+    padded = any(pads)
+    taps, positions = kh * kw, oh * ow
+    if c_per_group == 1 and group > 1:
+        # One batched GEMM over the channels (any channel multiplier).
+        kind = "depthwise"
+        w_matrix = (c, m // c, taps)
+        cols_matrix = (c, taps, positions)
+        dest_matrix = (n, c, m // c, positions)
+        gemms = ((slice(None), slice(None)),)
     else:
-        if out.shape != out_shape or out.dtype != np.float32:
+        # One contiguous 2-D GEMM per group: a group's rows of the NCHW
+        # destination are strided across the batch, which
+        # ``np.matmul(out=)`` must never be handed.
+        kind = ("pointwise" if (kh, kw, *strides) == (1, 1, 1, 1) and not padded
+                else "general")
+        m_per_group, k_per_group = m // group, c_per_group * taps
+        w_matrix = (m, k_per_group)
+        cols_matrix = (c * taps, positions)
+        dest_matrix = (n, m, positions)
+        gemms = tuple((slice(g * m_per_group, (g + 1) * m_per_group),
+                       slice(g * k_per_group, (g + 1) * k_per_group))
+                      for g in range(group))
+    return _ConvGeometry(
+        kind=kind,
+        out_shape=(n, m, oh, ow),
+        pads=pads if padded else None,
+        padded_shape=((n, c, h + pads[0] + pads[2], w + pads[1] + pads[3])
+                      if padded else None),
+        window=(kh, kw, oh, ow),
+        steps=dilations + strides,
+        cols_shape=(c, kh, kw, oh, ow),
+        w_matrix=w_matrix,
+        cols_matrix=cols_matrix,
+        dest_matrix=dest_matrix,
+        gemms=gemms,
+    )
+
+
+#: Geometry records keyed by ``(x.shape, w.shape, strides, pads, dilations,
+#: group)``; an invalid combination raises and is not stored.  Addresses are
+#: not part of the key: ``out=`` validation and the aliasing checks stay per
+#: call.
+_GEOMETRY = BoundedMemo(_build_geometry, bound=1024)
+
+
+def _conv_geometry(x_shape, w_shape, strides, pads, dilations, group) -> _ConvGeometry:
+    return _GEOMETRY[x_shape, w_shape, hashable(strides), hashable(pads),
+                     hashable(dilations), group]
+
+
+def conv_kind(x_shape, w_shape, strides, pads, dilations, group) -> str:
+    """Which of the three code paths a convolution takes (profiler tables)."""
+    return _conv_geometry(tuple(x_shape), tuple(w_shape), strides, pads,
+                          dilations, group).kind
+
+
+def _conv_forward(batch: np.ndarray, weight: np.ndarray, geometry: _ConvGeometry,
+                  out: Optional[np.ndarray], workspace) -> np.ndarray:
+    """Convolve one (sub-)batch, writing the NCHW result into ``out``."""
+    if out is None:
+        dest = np.empty(geometry.out_shape, dtype=np.float32)
+    else:
+        if out.shape != geometry.out_shape or out.dtype != np.float32:
             raise ValueError(
                 f"conv2d out buffer has shape {out.shape}/{out.dtype}, "
-                f"expected {out_shape}/float32")
+                f"expected {geometry.out_shape}/float32")
         if (not out.flags.c_contiguous
                 or np.may_share_memory(out, batch)
                 or np.may_share_memory(out, weight)):
             # Compute into a private contiguous buffer, then copy: the
             # destination either overlaps an operand (so writing it would
-            # corrupt later reads) or cannot be viewed as the (M, OH*OW)
-            # GEMM result of each sample.
-            staging = scratch(workspace, out_shape)
-            _conv_forward(batch, weight, strides, pads, dilations, group,
-                          staging, workspace)
+            # corrupt later reads) or cannot be viewed as the GEMM result
+            # of each sample.
+            staging = scratch(workspace, geometry.out_shape)
+            _conv_forward(batch, weight, geometry, staging, workspace)
             np.copyto(out, staging)
             return out
         dest = out
-    depthwise = c_per_group == 1 and group > 1
-    # 1x1 / stride 1 / unpadded over samples that are each contiguous (a
-    # channel-slice view of a batch still is): the input is its own columns.
-    pointwise = (not depthwise and (kh, kw) == (1, 1) and strides == (1, 1)
-                 and not any(pads) and batch[:1].flags.c_contiguous)
-    x_p = batch
-    if any(pads):
-        x_p = pad_nchw(batch, pads, out=scratch(
-            workspace, padded_shape(batch.shape, pads)))
-    geometry = ((kh, kw), strides, dilations, (oh, ow))
-    if depthwise:
-        # One multiply-accumulate sweep per tap over the whole output,
-        # broadcasting each channel's weight (any channel multiplier).
-        dest5 = dest.reshape(n, c, m // c, oh, ow)
-        w_taps = weight.reshape(1, c, m // c, kh * kw, 1, 1)
-        prod = scratch(workspace, dest5.shape)
-        taps = tap_views(x_p, *geometry)
-        np.multiply(next(taps)[:, :, None], w_taps[:, :, :, 0], out=dest5)
-        for t, tap in enumerate(taps, 1):
-            np.multiply(tap[:, :, None], w_taps[:, :, :, t], out=prod)
-            np.add(dest5, prod, out=dest5)
-        return dest
-    # One contiguous GEMM per (sample, group), on a column matrix that is
-    # refilled per sample so it stays cache-resident: the GEMM shape does not
-    # depend on the batch size, and a group's rows of ``dest`` are strided
-    # across the batch, which ``np.matmul(out=)`` must never be handed.
-    w_mat = weight.reshape(m, -1)
-    m_per_group = m // group
-    k_per_group = c_per_group * kh * kw
-    if not pointwise:
-        cols4 = scratch(workspace, (c, kh * kw, oh, ow))
-        cols = cols4.reshape(c * kh * kw, oh * ow)
-    for i in range(n):
-        if pointwise:
-            cols = batch[i].reshape(c, h * w)
+    # Over samples that are each contiguous (a channel-slice view of a batch
+    # still is) a pointwise conv's input is its own column matrix.
+    gather = not (geometry.kind == "pointwise" and batch[:1].flags.c_contiguous)
+    if gather:
+        x_p = batch
+        if geometry.pads is not None:
+            x_p = pad_nchw(batch, geometry.pads,
+                           out=scratch(workspace, geometry.padded_shape))
+        windows = window_view(x_p, geometry.window, geometry.steps)
+        # Refilled per sample so it stays cache-resident and the GEMM shape
+        # does not depend on the batch size.
+        cols = scratch(workspace, geometry.cols_shape)
+        cols_matrix = cols.reshape(geometry.cols_matrix)
+    w_matrix = weight.reshape(geometry.w_matrix)
+    dest_matrix = dest.reshape(geometry.dest_matrix)
+    for i in range(geometry.out_shape[0]):
+        if gather:
+            np.copyto(cols, windows[i])
         else:
-            for t, tap in enumerate(tap_views(x_p[i], *geometry)):
-                np.copyto(cols4[:, t], tap)
-        for g in range(group):
-            rows = slice(g * m_per_group, (g + 1) * m_per_group)
-            np.matmul(w_mat[rows], cols[g * k_per_group:(g + 1) * k_per_group],
-                      out=dest[i, rows].reshape(m_per_group, oh * ow))
+            cols_matrix = batch[i].reshape(geometry.cols_matrix)
+        for rows, cols_rows in geometry.gemms:
+            np.matmul(w_matrix[rows], cols_matrix[cols_rows],
+                      out=dest_matrix[i, rows])
     return dest
 
 
@@ -194,31 +261,21 @@ def conv2d(
     """
     x = np.asarray(x, dtype=np.float32)
     weight = np.asarray(weight, dtype=np.float32)
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ValueError(f"conv2d expects 4D input/weight, got {x.shape} and {weight.shape}")
-    n, c, _, _ = x.shape
-    m, c_per_group, kh, kw = weight.shape
-    group = int(group)
-    if c != c_per_group * group:
-        raise ValueError(
-            f"channel mismatch: input has {c} channels, weight expects "
-            f"{c_per_group * group} (group={group})"
-        )
-    strides = as_pair(strides)
-    dilations = as_pair(dilations)
-    pads = normalize_pads(list(pads))
+    hyper = (strides, pads, dilations, group)
+    geometry = _conv_geometry(x.shape, weight.shape, *hyper)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)
         if out is not None and np.may_share_memory(out, bias):
             bias = bias.copy()  # the convolution would overwrite it first
 
     try:
-        if get_num_threads() > 1 and n > 1:
+        if x.shape[0] > 1 and get_num_threads() > 1:
             # The intra-op path shards the batch and concatenates; chunks
             # compute without destinations, then land in ``out`` at the end.
             def _convolve(chunk: np.ndarray) -> np.ndarray:
-                return _conv_forward(chunk, weight, strides, pads,
-                                     dilations, group, None, None)
+                return _conv_forward(
+                    chunk, weight,
+                    _conv_geometry(chunk.shape, weight.shape, *hyper), None, None)
 
             result = parallel_over_batch(_convolve, x)
             if out is not None:
@@ -229,8 +286,7 @@ def conv2d(
                 np.copyto(out, result)
                 result = out
         else:
-            result = _conv_forward(x, weight, strides, pads,
-                                   dilations, group, out, workspace)
+            result = _conv_forward(x, weight, geometry, out, workspace)
         if bias is not None:
             # The destination is exclusively ours at this point, so the
             # bias broadcast-adds in place instead of allocating.
@@ -268,7 +324,7 @@ def conv_transpose2d(
     if c != c_in:
         raise ValueError(f"channel mismatch: input {c} vs weight {c_in}")
     sh, sw = as_pair(strides)
-    pads = normalize_pads(list(pads))
+    pads = normalize_pads(pads)
     oph, opw = as_pair(output_padding)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)

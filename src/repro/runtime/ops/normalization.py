@@ -14,20 +14,22 @@ def batch_norm(
     mean: np.ndarray,
     var: np.ndarray,
     epsilon: float = 1e-5,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Inference-mode batch normalization over the channel dimension (NCHW or NC)."""
+    """Inference-mode batch normalization over the channel dimension (NCHW or NC).
+
+    The statistics fold into one per-channel multiplier and offset, so the
+    activation is swept twice, in place on ``out`` (which may be ``x``).
+    """
     x = np.asarray(x, dtype=np.float32)
     shape = [1] * x.ndim
-    if x.ndim >= 2:
-        shape[1] = -1
-    else:
-        shape[0] = -1
-    scale = np.asarray(scale, dtype=np.float32).reshape(shape)
-    bias = np.asarray(bias, dtype=np.float32).reshape(shape)
-    mean = np.asarray(mean, dtype=np.float32).reshape(shape)
-    var = np.asarray(var, dtype=np.float32).reshape(shape)
-    inv_std = 1.0 / np.sqrt(var + epsilon)
-    return (x - mean) * inv_std * scale + bias
+    shape[1 if x.ndim >= 2 else 0] = -1
+    multiplier = (np.asarray(scale, dtype=np.float32)
+                  / np.sqrt(np.asarray(var, dtype=np.float32) + epsilon))
+    offset = (np.asarray(bias, dtype=np.float32)
+              - np.asarray(mean, dtype=np.float32) * multiplier)
+    out = np.multiply(x, multiplier.reshape(shape), out=out)
+    return np.add(out, offset.reshape(shape), out=out)
 
 
 def layer_norm(

@@ -24,10 +24,11 @@ The plan does that work once instead:
   intermediate (alias views join their base's storage group) the interval
   ``[producing step, last reading step]``.  The **first run under a
   graph-input signature** executes without destinations and records, for
-  every destination-capable step — elementwise/activation ops and the heavy
-  conv / GEMM / pooling kernels — whose output is at least
-  ``_ARENA_MIN_BYTES`` (4 KB; below that malloc is cheaper), the output's
-  shape and dtype and the argument shapes the step saw.
+  every destination-capable step — elementwise/activation ops,
+  BatchNormalization and the heavy conv / GEMM / pooling kernels — whose
+  output is at least ``_ARENA_MIN_BYTES`` (4 KB; below that malloc is
+  cheaper), the output's shape and dtype and the argument shapes the step
+  saw.
   :func:`pack_intervals` then first-fits those intervals into **one
   64-byte-aligned slab**, and every later run under the signature hands
   each step a precomputed view of it as ``out=``: no allocation, no
@@ -38,11 +39,14 @@ The plan does that work once instead:
   alone does not pin every shape — ``NonZero`` makes them data-dependent —
   and numpy would silently broadcast a small result into a stale, larger
   ``out=``; on a mismatch the step allocates as the first run did;
-* kernel scratch (padded input, the per-sample conv column matrix, the
-  depthwise product buffer, staging for an aliasing destination) comes
-  from the plan's one :class:`~repro.runtime.tensor_utils.Workspace`, a
-  grow-only bump allocator every heavy kernel rewinds before returning —
-  so the scratch of every conv lands on the same cache-hot bytes.
+* kernel scratch (padded input, the per-sample conv column matrix a
+  strided gather fills, a pooling window's row-folded scratch, staging for
+  an aliasing destination) comes from the plan's one
+  :class:`~repro.runtime.tensor_utils.Workspace`, a grow-only bump
+  allocator every heavy kernel rewinds before returning — so the scratch
+  of every conv lands on the same cache-hot bytes.  What a kernel derives
+  from shapes and attributes alone it memoises per geometry itself, so the
+  plan keeps no per-step shape state beyond the slab views.
 
 Because every step calls the same :mod:`repro.runtime.functional` kernels as
 the interpreter — only with precomputed arguments and destinations — plan

@@ -19,8 +19,9 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.ir.model import Model
+from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
+from repro.ir.opset import attr_value
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.session import Session
@@ -188,6 +189,80 @@ def profile_model(
     return profile
 
 
+_POOL_KINDS = {"MaxPool": "pool.max", "AveragePool": "pool.avg"}
+
+
+def kernel_kind(graph: Graph, node: OpNode) -> str:
+    """Which kernel a node lands in: the unit of the by-kind time tables.
+
+    A convolution reports the code path its geometry record selects
+    (``conv.pointwise`` / ``conv.general`` / ``conv.depthwise``), pooling
+    ``pool.max`` / ``pool.avg``; everything else — and a convolution whose
+    shapes are not statically known — is its op type.
+    """
+    if node.op_type == "Conv":
+        from repro.runtime.ops.conv import conv_kind  # kernels load on first use
+
+        infos = [graph.tensor_info(name) for name in node.inputs[:2]]
+        if all(info is not None and info.num_elements is not None for info in infos):
+            hyper = [attr_value(node, name)
+                     for name in ("strides", "pads", "dilations", "group")]
+            return "conv." + conv_kind(infos[0].shape, infos[1].shape, *hyper)
+    return _POOL_KINDS.get(node.op_type, node.op_type)
+
+
+def summarize_kinds(rows: List[Dict]) -> List[Dict]:
+    """Aggregate per-step rows (``kind``, ``count``, ``total_ms``) by kernel kind.
+
+    One row per kind, most expensive first: ``count`` plan steps of that
+    kind, their total milliseconds and their share of the whole table.
+    """
+    totals: Dict[str, List[float]] = {}
+    for row in rows:
+        entry = totals.setdefault(row["kind"], [0, 0.0])
+        entry[0] += 1
+        entry[1] += row["total_ms"]
+    grand_total = sum(total for _, total in totals.values()) or 1.0
+    return [{"kind": kind, "count": count, "total_ms": round(total, 3),
+             "share": f"{100.0 * total / grand_total:.1f}%"}
+            for kind, (count, total) in sorted(
+                totals.items(), key=lambda item: item[1][1], reverse=True)]
+
+
+def plan_step_rows(graph: Graph, events) -> List[Dict]:
+    """One row per plan step from the ``cat == "plan"`` spans among ``events``.
+
+    Schedule order; each row carries the step's label, head op and node,
+    kernel ``kind`` (:func:`kernel_kind`), fused tail and count / total /
+    mean / median milliseconds over the spans seen.
+    """
+    samples: Dict[str, List[int]] = {}
+    meta: Dict[str, Dict] = {}
+    for event in events:
+        if event.cat != "plan":
+            continue
+        if event.name not in samples:
+            samples[event.name] = []
+            meta[event.name] = event.args
+        samples[event.name].append(event.dur_ns)
+    nodes = {node.name: node for node in graph.nodes}
+    rows: List[Dict] = []
+    for label, durs in samples.items():
+        info = meta[label]
+        rows.append({
+            "step": label,
+            "op": info["op"],
+            "node": info["node"],
+            "kind": kernel_kind(graph, nodes[info["node"]]),
+            "fused": info.get("fused", ""),
+            "count": len(durs),
+            "total_ms": sum(durs) / 1e6,
+            "mean_ms": statistics.fmean(durs) / 1e6,
+            "median_ms": statistics.median(durs) / 1e6,
+        })
+    return rows
+
+
 def profile_plan_steps(
     plan_or_session,
     inputs: Mapping[str, np.ndarray],
@@ -206,8 +281,8 @@ def profile_plan_steps(
     Accepts an :class:`~repro.runtime.plan.ExecutionPlan` or a ``"plan"``
     :class:`~repro.runtime.session.Session`; pass a ``tracer`` to reuse an
     existing buffer (it is cleared between warmup and measurement).
-    Returns one row per plan step, schedule order, with count / total /
-    mean / median milliseconds aggregated over ``num_runs``.
+    Returns :func:`plan_step_rows` of the measured runs: one row per plan
+    step, schedule order, aggregated over ``num_runs``.
     """
     from repro.observability import Tracer
 
@@ -232,34 +307,11 @@ def profile_plan_steps(
         tracer.clear()
         for _ in range(max(num_runs, 1)):
             plan.run(inputs)
-        events = [e for e in tracer.events() if e.cat == "plan"]
+        events = tracer.events()
     finally:
         if had_tracer is not None:
             plan.enable_tracing(had_tracer)
         else:
             plan.disable_tracing()
 
-    order: List[str] = []
-    samples: Dict[str, List[int]] = {}
-    meta: Dict[str, Dict] = {}
-    for event in events:
-        if event.name not in samples:
-            order.append(event.name)
-            samples[event.name] = []
-            meta[event.name] = dict(event.args or {})
-        samples[event.name].append(event.dur_ns)
-    rows: List[Dict] = []
-    for label in order:
-        durs = samples[label]
-        info = meta[label]
-        rows.append({
-            "step": label,
-            "op": info.get("op", ""),
-            "node": info.get("node", ""),
-            "fused": info.get("fused", ""),
-            "count": len(durs),
-            "total_ms": sum(durs) / 1e6,
-            "mean_ms": statistics.fmean(durs) / 1e6,
-            "median_ms": statistics.median(durs) / 1e6,
-        })
-    return rows
+    return plan_step_rows(plan.graph, events)

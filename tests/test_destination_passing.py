@@ -101,14 +101,15 @@ class TestConvDestinations:
     def test_pointwise_conv_on_non_contiguous_input(self, rng, blas_operands):
         """The 1x1 fast path views each sample as (C, H*W) for free.  An alias
         op's view that is strided *within* a sample cannot be: it must take
-        the column copy (leased from the workspace), never a hidden reshape
-        copy or a strided GEMM operand.  A channel slice of a batch is only
-        strided across samples and may stay on the fast path."""
+        the strided gather into the column matrix (one lease from the
+        workspace, whatever the batch size), never a hidden reshape copy or
+        a strided GEMM operand.  A channel slice of a batch is only strided
+        across samples and may stay on the fast path."""
         wide = rng.standard_normal((2, 8, 6, 10)).astype(np.float32)
         w = rng.standard_normal((5, 4, 1, 1)).astype(np.float32)
-        for view, column_copies in ((wide[:, 2:6], 0),
-                                    (wide[:, :4, :, ::2], 1),
-                                    (wide[:, 4:].transpose(0, 1, 3, 2), 1)):
+        for view, gathered in ((wide[:, 2:6], 0),
+                               (wide[:, :4, :, ::2], 1),
+                               (wide[:, 4:].transpose(0, 1, 3, 2), 1)):
             assert not view.flags.c_contiguous
             expected = F.conv2d(np.ascontiguousarray(view), w)
             ws = Workspace()
@@ -116,7 +117,7 @@ class TestConvDestinations:
             np.testing.assert_array_equal(got, expected)
             # a cold workspace obtains two buffers per lease: the fresh
             # array the overflowing take returns, and the growth at reset
-            assert ws.stats()["allocations"] == 2 * column_copies
+            assert ws.stats()["allocations"] == 2 * gathered
         assert len(blas_operands) == 2 * 2 * 3  # every GEMM above was checked
 
     def test_grouped_conv_never_hands_matmul_a_batch_strided_out(self, rng, blas_operands):

@@ -1,13 +1,17 @@
-"""Property-based tests (hypothesis) for the conv / pooling kernels.
+"""Property-based tests (hypothesis) for the conv / pooling / BatchNorm kernels.
 
 ``conv2d``, ``max_pool2d`` and ``avg_pool2d`` are checked against naive
 per-output-position float64 loops that share no code with the runtime, over
-random batch / channel / spatial sizes, kernels, strides, pads, dilations,
-groups (incl. depthwise and ``1 < group < C``), ``ceil_mode`` and
-``count_include_pad``.  The float32 kernels sum in a different order than
-the float64 reference, so those comparisons use a tolerance fixed from the
-dtype; the structural properties are exact:
+random batch / channel / spatial sizes, kernels (incl. ``1 x k`` and
+``k x 1``), strides, pads, dilations, groups (incl. depthwise with a channel
+multiplier and ``1 < group < C``), ``ceil_mode`` and ``count_include_pad``.
+The float32 kernels sum in a different order than the float64 reference, so
+those comparisons use a tolerance fixed from the dtype; the structural
+properties are exact:
 
+* a non-depthwise convolution is bitwise equal to the per-tap column fill
+  it replaced (:func:`per_tap_conv2d`, kept here as the oracle): the single
+  strided gather builds the same column matrix for the same GEMMs,
 * ``out=`` / ``workspace=`` calls are bitwise equal to the allocating call,
 * a destination that aliases the input still gives the right answer,
 * NaN propagates through max-pool to exactly the windows that contain it,
@@ -64,8 +68,20 @@ def conv_cases(draw):
 
 
 @st.composite
+def separable_geometry(draw):
+    """Windows up to 7 long with one side often 1: each fold stage empty or not."""
+    kernel = (draw(st.sampled_from([1, 1, 2, 5, 7])), draw(st.sampled_from([1, 1, 3, 4, 7])))
+    strides = (draw(small), draw(small))
+    pads = [draw(st.integers(0, kernel[i % 2] - 1)) for i in range(4)]
+    spatial = tuple(draw(st.integers(max(1, kernel[axis] - pads[axis] - pads[axis + 2]), 12))
+                    for axis in (0, 1))
+    return spatial, kernel, strides, pads, (1, 1)
+
+
+@st.composite
 def pool_cases(draw):
-    spatial, kernel, strides, pads, _ = draw(window_geometry(dilated=False))
+    spatial, kernel, strides, pads, _ = draw(
+        st.one_of(window_geometry(dilated=False), separable_geometry()))
     n, c = draw(small), draw(small)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, c) + spatial).astype(np.float32)
@@ -107,6 +123,35 @@ def naive_conv2d(x, w, b, strides, pads, dilations, group):
         out[i, o, y, z] = (patch * w64[o]).sum()
     if b is not None:
         out += b.astype(np.float64).reshape(1, -1, 1, 1)
+    return out
+
+
+def per_tap_conv2d(x, w, b, strides, pads, dilations, group):
+    """The column fill this runtime used before the strided gather: one slice
+    copy per kernel tap, then the same per-(sample, group) float32 GEMMs."""
+    n, c, h, wd = x.shape
+    m, c_per_group, kh, kw = w.shape
+    (sh, sw), (dh, dw) = strides, dilations
+    top, left, bottom, right = pads
+    x_p = np.zeros((n, c, h + top + bottom, wd + left + right), dtype=np.float32)
+    x_p[:, :, top:top + h, left:left + wd] = x
+    oh = (x_p.shape[2] - dh * (kh - 1) - 1) // sh + 1
+    ow = (x_p.shape[3] - dw * (kw - 1) - 1) // sw + 1
+    out = np.empty((n, m, oh, ow), dtype=np.float32)
+    w_mat = w.reshape(m, -1)
+    m_per_group, k_per_group = m // group, c_per_group * kh * kw
+    cols4 = np.empty((c, kh * kw, oh, ow), dtype=np.float32)
+    cols = cols4.reshape(c * kh * kw, oh * ow)
+    for i in range(n):
+        for t, (ki, kj) in enumerate(np.ndindex(kh, kw)):
+            np.copyto(cols4[:, t], x_p[i, :, ki * dh:ki * dh + (oh - 1) * sh + 1:sh,
+                                       kj * dw:kj * dw + (ow - 1) * sw + 1:sw])
+        for g in range(group):
+            rows = slice(g * m_per_group, (g + 1) * m_per_group)
+            np.matmul(w_mat[rows], cols[g * k_per_group:(g + 1) * k_per_group],
+                      out=out[i, rows].reshape(m_per_group, oh * ow))
+    if b is not None:
+        np.add(out, b.reshape(1, -1, 1, 1), out=out)
     return out
 
 
@@ -168,6 +213,35 @@ def test_avg_pool2d_matches_naive_reference(case, count_include_pad):
 # ---------------------------------------------------------------------------
 # Exact properties
 # ---------------------------------------------------------------------------
+def _non_contiguous(x, layout):
+    """A view holding ``x``'s values with strides foreign to a fresh array."""
+    if layout == "interleaved":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    if layout == "transposed":
+        return np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    return x
+
+
+@SETTINGS
+@given(conv_cases(), st.sampled_from(["contiguous", "interleaved", "transposed"]))
+def test_non_depthwise_conv2d_is_bitwise_the_per_tap_column_fill(case, layout):
+    x, w, b, kwargs = case
+    assume(not (w.shape[1] == 1 and kwargs["group"] > 1))
+    expected = per_tap_conv2d(x, w, b, **kwargs)
+    view = _non_contiguous(x, layout)
+    np.testing.assert_array_equal(F.conv2d(view, w, b, **kwargs), expected)
+    out = np.full_like(expected, np.nan)
+    np.testing.assert_array_equal(
+        F.conv2d(view, w, b, out=out, workspace=Workspace(), **kwargs), expected)
+    if expected.shape == x.shape:  # the destination may be the input itself
+        aliased = view.copy() if layout == "contiguous" else view
+        assert F.conv2d(aliased, w, b, out=aliased, workspace=Workspace(),
+                        **kwargs) is aliased
+        np.testing.assert_array_equal(aliased, expected)
+
+
 def _check_destination_and_batch_invariance(x, fn):
     """``fn(x, out=None, workspace=None)`` is one kernel over one drawn case."""
     expected = fn(x)
@@ -202,6 +276,31 @@ def test_pooling_destination_passing_and_batch_rows_are_bitwise(case, include):
     _check_destination_and_batch_invariance(
         x, lambda x, **dest: F.avg_pool2d(x, count_include_pad=include,
                                           **kwargs, **dest))
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_batch_norm_destination_passing_and_batch_rows_are_bitwise(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    per_channel = (-1,) + (1,) * max(x.ndim - 2, 0)  # channels: axis 1, or 0 of a vector
+    scale, bias, mean, var = (rng.standard_normal(x.shape[x.ndim > 1]).astype(np.float32)
+                              for _ in range(4))
+    np.abs(var, out=var)
+
+    def fn(x, out=None, workspace=None):
+        return F.batch_norm(x, scale, bias, mean, var, epsilon=1e-3, out=out)
+
+    expected = fn(x)
+    assert expected.dtype == np.float32
+    s64, b64, m64, v64 = (p.astype(np.float64).reshape(per_channel)
+                          for p in (scale, bias, mean, var))
+    np.testing.assert_allclose(expected, (x - m64) / np.sqrt(v64 + 1e-3) * s64 + b64, **TOL)
+    if x.ndim > 1:
+        _check_destination_and_batch_invariance(x, fn)
+    aliased = x.copy()
+    assert fn(aliased, out=aliased) is aliased
+    np.testing.assert_array_equal(aliased, expected)
 
 
 @SETTINGS

@@ -30,7 +30,7 @@ from repro.observability import (
     Tracer,
 )
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.profiler import profile_model, profile_plan_steps
+from repro.runtime.profiler import profile_model, profile_plan_steps, summarize_kinds
 from repro.runtime.session import create_session
 from repro.serving import EngineConfig, InferenceEngine, example_inputs
 from repro.serving.metrics import ServingMetrics
@@ -447,6 +447,33 @@ class TestTracedExecutionIdentity:
             assert row["total_ms"] >= 0
             assert {"op", "node", "fused", "mean_ms", "median_ms"} <= set(row)
 
+    def test_profile_rows_carry_the_kernel_kind(self):
+        model = small_model("nasnet")  # pointwise, general and depthwise convs
+        feed = example_inputs(model, batch_size=1, seed=2)
+        rows = profile_plan_steps(model, feed, num_runs=2, warmup=1)
+        kinds = {row["kind"] for row in rows}
+        assert {"conv.pointwise", "conv.general", "conv.depthwise",
+                "pool.max", "pool.avg", "BatchNormalization"} <= kinds
+        for row in rows:  # a convolution's kind is its geometry record's
+            assert row["kind"].startswith("conv.") == (row["op"] == "Conv")
+        table = summarize_kinds(rows)
+        assert [r["total_ms"] for r in table] == sorted(
+            (r["total_ms"] for r in table), reverse=True)
+        assert sum(r["count"] for r in table) == len(rows)
+        assert sum(r["total_ms"] for r in table) == pytest.approx(
+            sum(r["total_ms"] for r in rows), abs=1e-3 * len(table))
+
+    def test_trace_verb_prints_the_by_kind_table(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["trace", "squeezenet", "--variant", "small", "--runs", "2",
+                         "--warmup", "1", "-o", str(tmp_path / "trace.json")]) == 0
+        printed = capsys.readouterr().out
+        steps, kinds = (printed.index("-- slowest plan steps"),
+                        printed.index("-- plan time by kernel kind --"))
+        assert steps < kinds < printed.index("-- metrics --")
+        assert "conv.pointwise" in printed[kinds:] and "share" in printed[kinds:]
+
     def test_profile_model_plan_fused_engine(self):
         model = small_model()
         feed = example_inputs(model, batch_size=1, seed=2)
@@ -660,6 +687,9 @@ class TestLazyObservabilityExports:
             "import repro\n"
             "eager = [m for m in lazy if m in sys.modules]\n"
             "assert not eager, f'import repro pulled in: {eager}'\n"
+            "import repro.runtime.profiler\n"
+            "assert 'repro.runtime.ops' not in sys.modules, (\n"
+            "    'the kernels (and scipy) load on the first bind, not on import')\n"
             "repro.observability.TraceContext\n"
             "assert 'repro.observability.context' in sys.modules\n"
             "repro.observability.merge_traces\n"

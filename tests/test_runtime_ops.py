@@ -8,7 +8,7 @@ from scipy.signal import correlate2d
 
 import repro.runtime.functional as F
 from repro.runtime.intra_op import get_num_threads, intra_op_threads, parallel_over_batch, set_num_threads
-from repro.runtime.tensor_utils import normalize_pads, pad_nchw, tap_views
+from repro.runtime.tensor_utils import normalize_pads, pad_nchw, window_view
 
 
 class TestTensorUtils:
@@ -24,26 +24,29 @@ class TestTensorUtils:
         with pytest.raises(ValueError):
             normalize_pads([1, 2, 3])
 
-    def test_tap_views_are_strided_views_in_row_major_order(self):
+    def test_window_view_taps_in_row_major_order(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        taps = list(tap_views(x, (2, 2), (2, 2), (1, 1), (2, 2)))
-        assert len(taps) == 4
-        assert all(tap.shape == (1, 1, 2, 2) and np.shares_memory(tap, x)
-                   for tap in taps)
+        windows = window_view(x, (2, 2, 2, 2), (1, 1, 2, 2))  # 2x2 kernel, stride 2
+        assert windows.shape == (1, 1, 2, 2, 2, 2) and np.shares_memory(windows, x)
         # Output position (0, 0) sees the window [[0, 1], [4, 5]], tap by tap.
-        assert [float(tap[0, 0, 0, 0]) for tap in taps] == [0, 1, 4, 5]
-        np.testing.assert_array_equal(taps[3][0, 0], [[5, 7], [13, 15]])
+        np.testing.assert_array_equal(windows[0, 0, :, :, 0, 0], [[0, 1], [4, 5]])
+        np.testing.assert_array_equal(windows[0, 0, 1, 1], [[5, 7], [13, 15]])
 
-    def test_tap_views_dilation_and_leading_dims(self):
+    def test_window_view_dilation_leading_dims_and_strides(self):
         x = np.arange(25, dtype=np.float32).reshape(5, 5)
-        taps = list(tap_views(x, (2, 2), (1, 1), (2, 2), (3, 3)))
-        assert [tap.shape for tap in taps] == [(3, 3)] * 4
-        np.testing.assert_array_equal(taps[3], x[2:5, 2:5])
+        windows = window_view(x, (2, 2, 3, 3), (2, 2, 1, 1))  # dilation 2
+        assert windows.shape == (2, 2, 3, 3)
+        np.testing.assert_array_equal(windows[1, 1], x[2:5, 2:5])
+        # The view's strides are multiples of the source's own: a transposed
+        # (non-contiguous) source gives the transposed windows.
+        np.testing.assert_array_equal(
+            window_view(x.T, (2, 2, 3, 3), (2, 2, 1, 1))[0, 1], x.T[0:3, 2:5])
 
-    def test_tap_views_build_the_conv_column_matrix(self):
+    def test_window_view_gathers_the_conv_column_matrix(self):
         x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
-        cols = np.stack([tap.reshape(-1) for tap in
-                         tap_views(x, (2, 2), (1, 1), (1, 1), (2, 2))])
+        cols = np.empty((2, 2, 2, 2), dtype=np.float32)
+        np.copyto(cols, window_view(x, (2, 2, 2, 2), (1, 1, 1, 1))[0, 0])
+        cols = cols.reshape(4, 4)
         # Column p is the patch under output position p.
         np.testing.assert_array_equal(cols[:, 0], [0, 1, 3, 4])
         np.testing.assert_array_equal(cols[:, 3], [4, 5, 7, 8])
@@ -152,6 +155,29 @@ class TestActivationsAndElementwise:
         x = np.linspace(-3, 3, 7).astype(np.float32)
         np.testing.assert_allclose(F.gelu(x), 0.5 * x * (1 + F.erf(x / np.sqrt(2))), rtol=1e-5)
         np.testing.assert_allclose(F.silu(x), x * F.sigmoid(x), rtol=1e-5)
+
+    def test_erf_error_contract(self):
+        """The vectorised rational approximation, against float64 ``erf``."""
+        from scipy.special import erf as exact
+
+        grid = np.linspace(-6.0, 6.0, 1_200_001).astype(np.float32)
+        got = F.erf(grid)
+        assert got.dtype == np.float32
+        assert np.abs(got - exact(grid.astype(np.float64))).max() <= 5e-7
+        assert np.abs(got).max() <= 1.0
+        np.testing.assert_array_equal(F.erf(-grid), -got)  # odd, bit for bit
+        tiny = np.logspace(-30, -3, 20_001).astype(np.float32)
+        tiny = np.concatenate([tiny, -tiny])
+        reference = exact(tiny.astype(np.float64))
+        assert np.abs((F.erf(tiny) - reference) / reference).max() <= 1e-6
+        special = F.erf(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float32))
+        np.testing.assert_array_equal(special, [np.nan, 1.0, -1.0, 0.0, -0.0])
+        np.testing.assert_array_equal(np.signbit(special[3:]), [False, True])
+        aliased = grid.copy()
+        assert F.erf(aliased, out=aliased) is aliased
+        np.testing.assert_array_equal(aliased, got)
+        # 0-d input has no buffer to evaluate in: scipy, exact to the last bit.
+        assert F.erf(np.float32(0.5)) == np.float32(exact(np.float32(0.5)))
 
     def test_clip(self):
         x = np.array([-5.0, 0.5, 9.0])
