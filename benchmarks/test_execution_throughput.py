@@ -20,7 +20,7 @@ The acceptance bar for the planned execution engine
   output is written directly into its bound buffer (direct writes only, no
   end-of-run copies), bitwise-identical to the interpreter.
 
-Inputs use a serving-shaped batch (the micro-batcher's fused requests are
+Inputs use a serving-shaped batch (a lane's fused micro-batches are
 exactly this workload), where the in-place fusion and slab reuse pay for
 real memory traffic, not just dispatch overhead.
 

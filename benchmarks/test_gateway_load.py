@@ -87,8 +87,7 @@ def saturation():
                                   max_queue=TENANT_QUEUE),
                      TenantConfig("free", weight=FREE_WEIGHT,
                                   max_queue=TENANT_QUEUE)),
-            max_queue_depth=GLOBAL_QUEUE,
-            max_artifact_inflight=1)))
+            max_queue_depth=GLOBAL_QUEUE)))
     feed = example_inputs(model)
     body = codec.encode_request(feed)
     try:

@@ -5,8 +5,8 @@ Demonstrates the `repro.serving` subsystem end to end:
 1. build two zoo models (reduced-size variants keep the demo fast),
 2. warm the engine up — each model is Ramiel-compiled exactly once into
    the compiled-artifact cache, served through its cached execution plan,
-3. fire concurrent requests from many threads; the dynamic micro-batcher
-   fuses simultaneous requests along the batch axis,
+3. fire concurrent requests from many threads; each model's lane
+   fuses simultaneous requests into micro-batches along the batch axis,
 4. print the serving metrics report: throughput, latency percentiles,
    batch-size histogram and cache hit rate.
 
@@ -50,7 +50,7 @@ def main() -> None:
 
     # Concurrent traffic: CONCURRENCY worker threads per model, each sending
     # a stream of requests.  Simultaneous requests against the same model
-    # are fused by the micro-batcher.
+    # are fused into micro-batches by its lane.
     print("\n--- serving concurrent traffic -----------------------------")
     errors = []
 

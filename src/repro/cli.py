@@ -87,9 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--concurrency", type=int, default=8,
                          help="concurrent caller threads (default 8)")
     serve_p.add_argument("--max-batch", type=int, default=8,
-                         help="micro-batcher max batch size (default 8)")
+                         help="micro-batch max size (default 8)")
     serve_p.add_argument("--max-wait-ms", type=float, default=5.0,
-                         help="micro-batcher max wait in ms (default 5)")
+                         help="micro-batch max wait in ms (default 5)")
     serve_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
                          help="request executor from the session registry "
                               "(plan | interp | pool | process)")
@@ -150,12 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="global admission-queue bound (503 beyond it)")
         p.add_argument("--tenant-queue", type=int, default=64,
                        help="per-tenant admission-queue bound (429 beyond it)")
-        p.add_argument("--max-artifact-inflight", type=int, default=32,
-                       help="per-artifact cap on in-flight admitted requests")
         p.add_argument("--deadline-s", type=float, default=None,
                        help="default per-request deadline budget in seconds")
         p.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batcher max batch size (default 8)")
+                       help="micro-batch max size (default 8)")
         p.add_argument("--executor", default="plan", metavar="EXECUTOR",
                        help="request executor from the session registry "
                             "(plan | interp | pool | process)")
@@ -497,9 +495,7 @@ def _gateway_stack(args: argparse.Namespace):
     from repro.serving import EngineConfig, InferenceEngine, QoSConfig
 
     tenants = _parse_tenants(args.tenant, args.tenant_queue, args.deadline_s)
-    qos = QoSConfig(tenants=tenants,
-                    max_queue_depth=args.max_queue_depth,
-                    max_artifact_inflight=args.max_artifact_inflight)
+    qos = QoSConfig(tenants=tenants, max_queue_depth=args.max_queue_depth)
     tracer = Tracer() if args.trace_out else None
     engine = InferenceEngine(EngineConfig(
         max_batch_size=args.max_batch, executor=args.executor, qos=qos),

@@ -14,10 +14,10 @@ just enough HTTP/1.1 (:mod:`repro.gateway.http`) to expose
   ``qos_*`` and ``serving_*`` families together).
 
 Requests bridge onto the engine without blocking the event loop:
-``submit`` (which admits, and may *compile* on first sight of a
-signature) runs on a small thread pool via ``run_in_executor``, and the
-returned ``concurrent.futures.Future`` is awaited through
-``asyncio.wrap_future``.  QoS rejections map to honest status codes —
+``submit`` does bounded work (validate, push onto the admission queue, one
+cache lookup — a cold artifact compiles on its own lane thread), so it is
+called inline, and the returned ``concurrent.futures.Future`` is awaited
+through ``asyncio.wrap_future``.  QoS rejections map to honest status codes —
 429/503 with ``Retry-After`` from the admission layer's dispatch-rate
 estimate, 504 for exhausted deadline budgets, 403 for unknown tenants
 under strict tenancy — the overload contract the load harness
@@ -35,7 +35,6 @@ import asyncio
 import dataclasses
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Mapping, Optional
 
 from repro.gateway import codec
@@ -62,10 +61,6 @@ class GatewayConfig:
     port: int = 0
     #: request-body size bound (413 beyond it)
     max_body_bytes: int = DEFAULT_MAX_BODY
-    #: threads bridging submit() (admission + possible compile) off the
-    #: event loop; replies themselves are driven by future callbacks, so
-    #: this bounds concurrent *submissions*, not concurrent requests
-    submit_workers: int = 4
     #: per-request wall-clock bound awaiting the engine's answer
     response_timeout_s: float = 300.0
 
@@ -82,9 +77,6 @@ class GatewayServer:
         self.tracer = engine.tracer
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.submit_workers,
-            thread_name_prefix="gateway-submit")
         self._draining = False
         self._active = 0
         self._idle: Optional[asyncio.Event] = None
@@ -154,7 +146,6 @@ class GatewayServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._pool.shutdown(wait=False)
         return completed
 
     async def serve_forever(self) -> None:
@@ -295,13 +286,11 @@ class GatewayServer:
                 raise HTTPError(
                     400, f"malformed X-Deadline-S: {raw_deadline!r}") from None
 
-        loop = asyncio.get_running_loop()
-        # submit() admits synchronously and may compile on a cold artifact
-        # — keep both off the event loop.  QoS rejections raise here and
-        # surface through _map_error with their Retry-After hints.
-        inner = await loop.run_in_executor(
-            self._pool, lambda: self.engine.submit(
-                model, inputs, tenant=tenant, deadline_s=deadline_s))
+        # submit() never waits (a cold artifact compiles on its lane).  QoS
+        # rejections raise here and surface through _map_error with their
+        # Retry-After hints.
+        inner = self.engine.submit(model, inputs, tenant=tenant,
+                                   deadline_s=deadline_s)
         outputs = await asyncio.wait_for(
             asyncio.wrap_future(inner),
             timeout=self.config.response_timeout_s)

@@ -31,7 +31,7 @@ Three recording APIs, least to most convenient:
 * ``span(name, cat)`` — a context manager over begin/end.
 
 Request-shaped lifecycles that cross threads (submit on a caller thread,
-execute on a batcher thread) use **async spans** (``emit_async`` /
+execute on a lane thread) use **async spans** (``emit_async`` /
 ``async_span``): Chrome renders them on their own track, nested by
 ``(category, id)``, so cross-thread phases do not have to nest inside any
 single thread's span stack.
@@ -197,7 +197,7 @@ class Tracer:
         """Record one async span (rendered on a per-``(cat, id)`` track).
 
         Use for lifecycles that cross threads — e.g. a serving request
-        that is submitted on a caller thread and executed on a batcher
+        that is submitted on a caller thread and executed on a lane
         thread — where thread-track spans could not nest well-formedly.
         """
         if not self._enabled:

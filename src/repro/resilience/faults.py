@@ -122,7 +122,7 @@ class FaultSpec:
 class FaultInjector:
     """Decides, deterministically, which dispatches suffer which faults.
 
-    Thread-safe: the serving engine's micro-batcher threads and a pool
+    Thread-safe: the serving engine's lane threads and a pool
     supervisor may consult one injector concurrently.  Construct with the
     specs (or :meth:`add`), attach via
     ``WarmExecutorPool.set_fault_injector`` /

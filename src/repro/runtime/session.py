@@ -12,7 +12,7 @@ zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
   (serving config, CLI flags, this module) validates against;
 * :meth:`Session.run` executes a plain feed dict, whatever the executor;
 * :meth:`Session.bind` returns an :class:`IOBinding`.  ``bind_input`` pins
-  caller-owned staging buffers (the serving micro-batcher stacks request
+  caller-owned staging buffers (the serving lanes stack request
   batches straight into them — no per-batch ``concatenate``), and
   ``bind_output`` threads caller-owned destinations through
   ``ExecutionPlan.run(feed, out=...)`` so graph outputs stop allocating

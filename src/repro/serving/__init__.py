@@ -4,20 +4,22 @@ The rest of the package is one-shot: compile a model, execute it once.
 This subsystem amortizes that work across request traffic:
 
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door
-  and the one request path: validate → admit → cache-or-compile →
-  micro-batch → dispatch under the resilience policy → session execute.
-* :mod:`repro.serving.artifact_cache` — compile-exactly-once LRU cache of
-  compiled artifacts keyed by (model fingerprint, config fingerprint,
+  and the one request path: validate → admit; then the artifact's lane
+  (one thread per compiled artifact) takes a micro-batch out of the
+  admission queue → dispatches it under the resilience policy → session
+  execute → resolves each request's one future.
+* :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
+  the artifacts' lanes keyed by (model fingerprint, config fingerprint,
   input signature).
-* :mod:`repro.serving.batching` — the dynamic micro-batcher (max batch
-  size / max wait policy, batch-axis stacking and scattering).
+* :mod:`repro.serving.batching` — the micro-batching policy (max batch
+  size / max wait) and batch-axis stacking and scattering.
 * :mod:`repro.serving.metrics` — throughput, latency percentiles,
   batch-size histogram and cache statistics.
-* :mod:`repro.serving.qos` — multi-tenant admission control: weighted
-  deadline-aware fair queueing, bounded-queue backpressure (429/503 +
-  Retry-After), per-artifact concurrency caps and per-tenant artifact
-  cache quotas.  The HTTP transport over all of this lives in
-  :mod:`repro.gateway`.
+* :mod:`repro.serving.qos` — multi-tenant admission control and the one
+  queue a request waits in: weighted deadline-aware fair queueing that
+  holds up to the moment of execution, bounded-queue backpressure
+  (429/503 + Retry-After) and per-tenant artifact cache quotas.  The HTTP
+  transport over all of this lives in :mod:`repro.gateway`.
 
 See ``examples/serving_demo.py`` and the ``repro serve-bench`` /
 ``repro warmup`` CLI verbs.
@@ -26,9 +28,7 @@ See ``examples/serving_demo.py`` and the ``repro serve-bench`` /
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
-    BatcherClosed,
     BatchPolicy,
-    MicroBatcher,
     ServingError,
     scatter_outputs,
     stack_requests,
@@ -71,12 +71,10 @@ __all__ = [
     "ArtifactKey",
     "BATCH_AXIS",
     "BatchPolicy",
-    "BatcherClosed",
     "CompiledArtifact",
     "EngineConfig",
     "FAIL_FAST",
     "InferenceEngine",
-    "MicroBatcher",
     "ServingError",
     "ServingMetrics",
     "ShapeMismatchError",

@@ -1,20 +1,24 @@
-"""LRU cache of compiled serving artifacts, keyed by content fingerprints.
+"""LRU cache of serving artifacts' lanes, keyed by content fingerprints.
 
-The cache guarantees *compile-exactly-once* semantics: concurrent lookups of
-the same key block on a single in-flight compilation instead of racing to
-compile twice.  Keys are :class:`ArtifactKey` triples — model fingerprint,
+The cache guarantees *create-exactly-once* semantics: an entry is built by
+its factory under the cache lock, so concurrent first lookups of one key
+get the same entry.  The serving engine's entries are *lanes* — created
+without compiling, each compiles its artifact on its own thread — which is
+what makes a key compile exactly once while no lookup ever waits on a
+compile.  Keys are :class:`ArtifactKey` triples — model fingerprint,
 pipeline-config fingerprint and the request input signature — produced by
 the hooks in :mod:`repro.pipeline` and :mod:`repro.serving.engine`.
 
-Eviction is LRU over *completed* entries only (an in-flight compilation is
-never evicted; the cache may transiently exceed capacity while several keys
-compile at once).  Evicted artifacts are handed to the ``on_evict`` callback
-so their warm worker pools and batchers can be shut down.
+Eviction is LRU over *evictable* entries only (the engine's predicate: a
+lane that is still compiling is never evicted; the cache may transiently
+exceed capacity while several keys compile at once).  Evicted entries are
+handed to the ``on_evict`` callback so their lanes, sessions and warm
+worker pools can be shut down.
 
 **Partitioning** — entries may carry a partition label (the serving QoS
 layer passes the tenant that caused the compile).  A ``quota_for``
 callback maps partitions to resident-entry quotas: when a partition
-exceeds its quota, its *own* least-recently-used completed entry is
+exceeds its quota, its *own* least-recently-used evictable entry is
 evicted, so one heavy tenant churning through models can never evict
 another tenant's warm artifacts — only global capacity overflow falls
 back to cross-partition LRU, and even then over-quota partitions are
@@ -26,7 +30,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -44,18 +47,20 @@ class ArtifactKey:
 
 
 class ArtifactCache:
-    """Thread-safe LRU map of :class:`ArtifactKey` to compiled artifacts."""
+    """Thread-safe LRU map of :class:`ArtifactKey` to cache entries."""
 
     def __init__(self, capacity: int = 8,
                  on_evict: Optional[Callable[[ArtifactKey, object], None]] = None,
-                 quota_for: Optional[Callable[[Optional[str]], Optional[int]]] = None) -> None:
+                 quota_for: Optional[Callable[[Optional[str]], Optional[int]]] = None,
+                 evictable: Callable[[object], bool] = lambda entry: True) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
         self._on_evict = on_evict
         self._quota_for = quota_for
+        self._evictable = evictable
         self._lock = threading.Lock()
-        self._entries: "collections.OrderedDict[ArtifactKey, Future]" = \
+        self._entries: "collections.OrderedDict[ArtifactKey, object]" = \
             collections.OrderedDict()
         self._partitions: Dict[ArtifactKey, Optional[str]] = {}
         self._hits = 0
@@ -65,70 +70,52 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def get_or_create(self, key: ArtifactKey, factory: Callable[[], object],
                       partition: Optional[str] = None):
-        """Return ``(artifact, hit)``; compile via ``factory`` on a miss.
+        """Return ``(entry, hit)``; build the entry via ``factory`` on a miss.
 
-        The factory runs outside the cache lock, but at most once per key:
-        concurrent callers of the same key wait on the winner's future.  A
-        failing factory removes its entry so the key can be retried.
+        The factory runs under the cache lock — at most once per key, so
+        it must be cheap (the engine's starts a lane thread and returns).
+        A failing factory inserts nothing, so the key can be retried.
 
         ``partition`` labels a newly created entry (a hit keeps the
         original owner's label — artifacts are shared across tenants, the
         partition only decides whose quota funds residency).
         """
-        evicted: List[Tuple[ArtifactKey, Future]] = []
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._hits += 1
                 self._entries.move_to_end(key)
-                hit = True
-            else:
-                self._misses += 1
-                entry = Future()
-                self._entries[key] = entry
-                self._partitions[key] = partition
-                hit = False
-                evicted = self._evict_overflow_locked(partition)
-
-        for evicted_key, evicted_future in evicted:
-            self._dispose(evicted_key, evicted_future)
-
-        if hit:
-            return entry.result(), True
-
-        try:
-            artifact = factory()
-        except BaseException as exc:
-            with self._lock:
-                if self._entries.get(key) is entry:
-                    del self._entries[key]
-                    self._partitions.pop(key, None)
-            entry.set_exception(exc)
-            raise
-        entry.set_result(artifact)
-        return artifact, False
+                return entry, True
+            self._misses += 1
+            entry = factory()
+            self._entries[key] = entry
+            self._partitions[key] = partition
+            evicted = self._evict_overflow_locked(partition)
+        for evicted_key, evicted_entry in evicted:
+            self._dispose(evicted_key, evicted_entry)
+        return entry, False
 
     def _partition_size_locked(self, partition: Optional[str]) -> int:
         return sum(1 for part in self._partitions.values() if part == partition)
 
     def _pop_victim_locked(self, partition: Optional[str] = ...,
-                           ) -> Optional[Tuple[ArtifactKey, Future]]:
-        """Pop the oldest completed entry, optionally within one partition."""
-        for key, future in self._entries.items():
-            if not future.done():
+                           ) -> Optional[Tuple[ArtifactKey, object]]:
+        """Pop the oldest evictable entry, optionally within one partition."""
+        for key, entry in self._entries.items():
+            if not self._evictable(entry):
                 continue
             if partition is not ... and self._partitions.get(key) != partition:
                 continue
             self._entries.pop(key)
             self._partitions.pop(key, None)
             self._evictions += 1
-            return key, future
+            return key, entry
         return None
 
     def _evict_overflow_locked(self, new_partition: Optional[str] = None
-                               ) -> List[Tuple[ArtifactKey, Future]]:
-        """Pop oldest *completed* entries while over quota/capacity (lock held)."""
-        evicted: List[Tuple[ArtifactKey, Future]] = []
+                               ) -> List[Tuple[ArtifactKey, object]]:
+        """Pop oldest *evictable* entries while over quota/capacity (lock held)."""
+        evicted: List[Tuple[ArtifactKey, object]] = []
         # Per-partition quota first: the inserting tenant evicts its own
         # LRU entry, never another partition's warm artifact.
         if self._quota_for is not None and new_partition is not None:
@@ -137,7 +124,7 @@ class ArtifactCache:
                    and self._partition_size_locked(new_partition) > quota):
                 victim = self._pop_victim_locked(new_partition)
                 if victim is None:
-                    break  # partition entries all in flight; transient overflow
+                    break  # partition entries all compiling; transient overflow
                 evicted.append(victim)
         # Global capacity: prefer evicting from over-quota partitions so a
         # quota-less tenant's churn still cannot displace protected ones.
@@ -154,47 +141,30 @@ class ArtifactCache:
             if victim is None:
                 victim = self._pop_victim_locked()
             if victim is None:
-                break  # everything in flight; allow transient overflow
+                break  # everything still compiling; allow transient overflow
             evicted.append(victim)
         return evicted
 
-    def _dispose(self, key: ArtifactKey, future: Future) -> None:
-        if self._on_evict is None or not future.done() or future.exception():
-            return
-        self._on_evict(key, future.result())
-
-    def _dispose_when_done(self, key: ArtifactKey, future: Future) -> None:
-        """Dispose now if the entry is built, else as soon as its compile ends.
-
-        Covers shutdown/invalidation racing an in-flight compilation: the
-        artifact (warm pool, batcher thread) built after removal from the
-        cache must still be closed, not leaked.
-        """
-        if future.done():
-            self._dispose(key, future)
-        else:
-            future.add_done_callback(lambda f: self._dispose(key, f))
+    def _dispose(self, key: ArtifactKey, entry: object) -> None:
+        if self._on_evict is not None:
+            self._on_evict(key, entry)
 
     # ------------------------------------------------------------------
     def invalidate(self, key: ArtifactKey, expected: Optional[object] = None) -> bool:
         """Drop one entry (e.g. its warm pool broke); returns True if dropped.
 
-        With ``expected`` given, the entry is only dropped if it currently
-        resolves to that exact artifact — so a stale holder of an evicted
-        artifact cannot knock out a freshly recompiled replacement under
-        the same key.
+        With ``expected`` given, the entry is only dropped if it is that
+        exact object — so a stale holder of an evicted entry cannot knock
+        out a freshly created replacement under the same key.
         """
         with self._lock:
-            future = self._entries.get(key)
-            if future is None:
-                return False
-            if expected is not None and (not future.done() or future.exception()
-                                         or future.result() is not expected):
+            entry = self._entries.get(key)
+            if entry is None or (expected is not None and entry is not expected):
                 return False
             del self._entries[key]
             self._partitions.pop(key, None)
             self._evictions += 1
-        self._dispose_when_done(key, future)
+        self._dispose(key, entry)
         return True
 
     def clear(self) -> None:
@@ -203,8 +173,8 @@ class ArtifactCache:
             entries = list(self._entries.items())
             self._entries.clear()
             self._partitions.clear()
-        for key, future in entries:
-            self._dispose_when_done(key, future)
+        for key, entry in entries:
+            self._dispose(key, entry)
 
     def __len__(self) -> int:
         with self._lock:
@@ -220,15 +190,9 @@ class ArtifactCache:
             return list(self._entries)
 
     def values(self) -> List[object]:
-        """Completed artifacts, LRU-oldest first (in-flight/failed skipped).
-
-        Used by the engine's metrics collector to publish per-artifact
-        session counters without blocking on in-flight compilations.
-        """
+        """Cached entries, LRU-oldest first."""
         with self._lock:
-            futures = list(self._entries.values())
-        return [future.result() for future in futures
-                if future.done() and future.exception() is None]
+            return list(self._entries.values())
 
     def partition_sizes(self) -> Dict[Optional[str], int]:
         """Resident-entry counts per partition label."""

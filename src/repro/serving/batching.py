@@ -1,30 +1,24 @@
-"""Dynamic micro-batching of concurrent inference requests.
+"""Micro-batching policy and the stack / scatter helpers.
 
-One :class:`MicroBatcher` serves one compiled artifact.  Requests arrive via
-:meth:`MicroBatcher.submit` (returning a ``concurrent.futures.Future``); a
-background collector thread gathers them into batches under a
-:class:`BatchPolicy` — a batch closes when it reaches ``max_batch_size`` or
-when ``max_wait_s`` has elapsed since its first request, whichever comes
-first.  Inputs are stacked along the batch axis (axis 0), executed once, and
-the outputs scattered back to the per-request futures.
+A micro-batch is taken out of the admission queue by the artifact's lane
+(:meth:`repro.serving.qos.QoSFrontend.take_batch`) under a
+:class:`BatchPolicy` — it closes when it reaches ``max_batch_size`` or when
+``max_wait_s`` has elapsed since its first request was taken, whichever
+comes first.  Inputs are stacked along the batch axis (axis 0), executed
+once, and the outputs scattered back per request.
 
-Requests reaching the same batcher are guaranteed shape-compatible: the
-engine keys artifacts (and therefore batchers) by input signature, which
-includes every non-batch dimension.
+Requests of one batch are guaranteed shape-compatible: artifacts (and
+therefore lanes) are keyed by input signature, which includes every
+non-batch dimension.  A *request* here is any record with ``inputs`` and
+``batch_len`` (the admission layer's request record).
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import threading
-import time
-from concurrent.futures import Future
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
-
-from repro.serving.metrics import ServingMetrics
 
 #: Requests are stacked/scattered along this axis of every input/output.
 BATCH_AXIS = 0
@@ -32,10 +26,6 @@ BATCH_AXIS = 0
 
 class ServingError(RuntimeError):
     """Base class for serving-layer failures."""
-
-
-class BatcherClosed(ServingError):
-    """Raised when submitting to (or pending inside) a closed batcher."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,19 +47,7 @@ class BatchPolicy:
             raise ValueError("max_wait_s must be >= 0")
 
 
-@dataclasses.dataclass
-class _Request:
-    inputs: Dict[str, np.ndarray]
-    batch_len: int
-    future: Future
-    submit_t: float
-    #: tracing state (only populated when the batcher has a tracer): the
-    #: submit timestamp on the trace clock and the request's async-span id
-    submit_ns: int = 0
-    span_id: int = 0
-
-
-def stack_requests(requests: List[_Request]) -> Dict[str, np.ndarray]:
+def stack_requests(requests: Sequence) -> Dict[str, np.ndarray]:
     """Concatenate the requests' inputs along :data:`BATCH_AXIS`."""
     if len(requests) == 1:
         return dict(requests[0].inputs)
@@ -79,7 +57,7 @@ def stack_requests(requests: List[_Request]) -> Dict[str, np.ndarray]:
 
 
 def scatter_outputs(outputs: Mapping[str, np.ndarray],
-                    requests: List[_Request]) -> List[Dict[str, np.ndarray]]:
+                    requests: Sequence) -> List[Dict[str, np.ndarray]]:
     """Split batched outputs back into per-request dicts.
 
     An output whose leading dimension equals the total batch length is
@@ -100,166 +78,3 @@ def scatter_outputs(outputs: Mapping[str, np.ndarray],
             else:
                 per_request[i][name] = array
     return per_request
-
-
-class MicroBatcher:
-    """Collects concurrent requests into batches and executes them.
-
-    Parameters
-    ----------
-    run_batch:
-        Callable executing one stacked input feed and returning the graph
-        outputs; typically a warm-pool run of a compiled module.
-    policy:
-        Batch-closing policy.
-    metrics:
-        Optional shared :class:`ServingMetrics`; batch sizes and request
-        completions are recorded there.
-    label:
-        Display name (model name / artifact key) for the collector thread.
-    stack:
-        Optional replacement for :func:`stack_requests`: a callable taking
-        the request list and returning whatever ``run_batch`` accepts.  The
-        serving engine passes a pinned-staging stacker here so batches are
-        written into session-bound buffers instead of a fresh
-        ``concatenate`` per batch.
-    tracer:
-        Optional :class:`~repro.observability.Tracer`.  Each request gets
-        an async lifecycle span (``request`` — submit to respond — with a
-        nested ``request.queue`` span for its wait, both keyed by the
-        request's async id so they render correctly across the caller and
-        collector threads), and the collector thread emits ``batch.stack``
-        / ``batch.execute`` / ``batch.respond`` spans per micro-batch.
-    """
-
-    def __init__(self, run_batch: Callable[[Dict[str, np.ndarray]], Mapping[str, np.ndarray]],
-                 policy: Optional[BatchPolicy] = None,
-                 metrics: Optional[ServingMetrics] = None,
-                 label: str = "batcher",
-                 stack: Optional[Callable[[List[_Request]], object]] = None,
-                 tracer=None) -> None:
-        self.policy = policy or BatchPolicy()
-        self.label = label
-        self._run_batch = run_batch
-        self._stack = stack or stack_requests
-        self._metrics = metrics
-        self._tracer = tracer
-        self._pending: "collections.deque[_Request]" = collections.deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._thread = threading.Thread(target=self._collector, daemon=True,
-                                        name=f"microbatch-{label}")
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    def submit(self, inputs: Mapping[str, np.ndarray], batch_len: int) -> Future:
-        """Enqueue one request; the future resolves to its output dict."""
-        request = _Request(inputs=dict(inputs), batch_len=int(batch_len),
-                           future=Future(), submit_t=time.perf_counter())
-        tracer = self._tracer
-        if tracer is not None:
-            request.submit_ns = tracer.now()
-            request.span_id = tracer.next_async_id()
-        with self._cond:
-            if self._closed:
-                raise BatcherClosed(f"batcher {self.label!r} is closed")
-            self._pending.append(request)
-            self._cond.notify()
-        return request.future
-
-    def close(self, join_timeout: float = 5.0) -> None:
-        """Stop the collector; pending/unfinished requests fail cleanly."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            leftovers = list(self._pending)
-            self._pending.clear()
-            self._cond.notify_all()
-        for request in leftovers:
-            self._fail(request, BatcherClosed(
-                f"batcher {self.label!r} closed before the request ran"))
-        # close() may be invoked from the collector itself (a failing batch
-        # invalidating its own artifact); a thread cannot join itself.
-        if threading.current_thread() is not self._thread:
-            self._thread.join(timeout=join_timeout)
-
-    # ------------------------------------------------------------------
-    def _collector(self) -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            self._execute(batch)
-
-    def _collect_batch(self) -> Optional[List[_Request]]:
-        """Block for the first request, then fill until policy closes the batch."""
-        with self._cond:
-            while not self._pending:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            batch = [self._pending.popleft()]
-            deadline = time.monotonic() + self.policy.max_wait_s
-            while len(batch) < self.policy.max_batch_size:
-                if self._pending:
-                    batch.append(self._pending.popleft())
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(timeout=remaining)
-            return batch
-
-    def _execute(self, batch: List[_Request]) -> None:
-        if self._metrics is not None:
-            self._metrics.record_batch(len(batch))
-        tracer = self._tracer
-        if tracer is not None:
-            # Queue-wait spans close the moment the batch starts assembling;
-            # async (per-id) spans render correctly even though submit
-            # happened on a different thread.
-            batch_args = {"size": str(len(batch)), "batcher": self.label}
-            t_assemble = tracer.now()
-            for request in batch:
-                tracer.emit_async("request.queue", "request", request.span_id,
-                                  request.submit_ns, t_assemble)
-        try:
-            stacked = self._stack(batch)
-            if tracer is not None:
-                t_execute = tracer.now()
-                tracer.emit("batch.stack", "serving", t_assemble, t_execute,
-                            args=batch_args)
-            outputs = self._run_batch(stacked)
-            if tracer is not None:
-                t_respond = tracer.now()
-                tracer.emit("batch.execute", "serving", t_execute, t_respond,
-                            args=batch_args)
-            scattered = scatter_outputs(outputs, batch)
-        except BaseException as exc:  # noqa: BLE001 - fail every co-batched request
-            for request in batch:
-                self._fail(request, exc)
-            return
-        for request, result in zip(batch, scattered):
-            latency = time.perf_counter() - request.submit_t
-            if self._metrics is not None:
-                self._metrics.record_completed(latency, ok=True)
-            request.future.set_result(result)
-        if tracer is not None:
-            t_done = tracer.now()
-            tracer.emit("batch.respond", "serving", t_respond, t_done,
-                        args=batch_args)
-            for request in batch:
-                tracer.emit_async("request", "request", request.span_id,
-                                  request.submit_ns, t_done)
-
-    def _fail(self, request: _Request, exc: BaseException) -> None:
-        if self._metrics is not None:
-            self._metrics.record_completed(
-                time.perf_counter() - request.submit_t, ok=False)
-        tracer = self._tracer
-        if tracer is not None and request.span_id:
-            tracer.emit_async("request", "request", request.span_id,
-                              request.submit_ns, tracer.now(),
-                              args={"failed": "true"})
-        request.future.set_exception(exc)

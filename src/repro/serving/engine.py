@@ -1,15 +1,21 @@
 """The batched inference-serving engine on top of Ramiel-compiled schedules.
 
 :class:`InferenceEngine` turns the one-shot ``ramiel_compile`` + ``execute``
-pipeline into a serving loop with one request path — validate → admit
-(:mod:`repro.serving.qos`) → cache-or-compile → micro-batch → dispatch
-under a policy (:mod:`repro.resilience`) → session execute — whose stages
-are configured by value (:class:`EngineConfig`), never switched off:
+pipeline into a serving loop with one request path and **one queue**:
+``submit`` validates, admits the request into the weighted admission queue
+(:mod:`repro.serving.qos`) and makes sure the artifact for its signature
+has a *lane*; the lane — one thread per compiled artifact — compiles the
+artifact, then loops take micro-batch → stack → dispatch under a policy
+(:mod:`repro.resilience`) → session execute → scatter → resolve.  A request
+is one record with one future, it waits in exactly one place, and
+``submit`` never blocks on a compile.  The stages are configured by value
+(:class:`EngineConfig`), never switched off:
 
 1. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
-   input signature) triple is compiled exactly once; the compiled execution
-   state is reused across requests (:mod:`repro.serving.artifact_cache`).
-2. **Session execution** — each cached artifact holds a
+   input signature) triple is compiled exactly once, by its lane; the
+   compiled execution state is reused across requests
+   (:mod:`repro.serving.artifact_cache`).
+2. **Session execution** — each compiled artifact holds a
    :class:`~repro.runtime.session.Session` (the unified execution
    surface).  With the default ``executor="plan"`` every request batch
    runs through a compile-once
@@ -19,13 +25,15 @@ are configured by value (:class:`EngineConfig`), never switched off:
    fused batches are staged into session-pinned ``IOBinding`` buffers
    instead of a fresh ``concatenate`` per batch, and every in-process
    batch runs under a watchdog so a stuck batch cannot pin the artifact's
-   micro-batcher thread.  ``executor="pool"``/``"process"`` instead serve
-   via the generated parallel module on warm per-cluster worker pools
+   lane.  ``executor="pool"``/``"process"`` instead serve via the
+   generated parallel module on warm per-cluster worker pools
    (:mod:`repro.runtime.worker_pool`), the paper-shaped multi-worker
    runtime.
 3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis under a
-   max-batch-size / max-wait policy (:mod:`repro.serving.batching`).
+   max-batch-size / max-wait policy (:mod:`repro.serving.batching`), taken
+   from the admission queue in weighted order at the moment the lane can
+   execute them — one batch in flight per artifact.
 4. **Metrics** — throughput, latency percentiles, batch-size histogram and
    cache hit rate (:mod:`repro.serving.metrics`), rendered by
    :func:`repro.analysis.reports.render_serving_report`.
@@ -46,10 +54,11 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,10 +80,9 @@ from repro.runtime.session import IOBinding, Session, create_session, validate_e
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
-    BatcherClosed,
     BatchPolicy,
-    MicroBatcher,
     ServingError,
+    scatter_outputs,
     stack_requests,
 )
 from repro.serving.metrics import ServingMetrics
@@ -100,7 +108,7 @@ FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
 class EngineConfig:
     """Configuration of one :class:`InferenceEngine`."""
 
-    #: batch-closing policy shared by every artifact's micro-batcher
+    #: batch-closing policy shared by every artifact's lane
     max_batch_size: int = 8
     max_wait_s: float = 0.005
     #: compiled artifacts kept warm before LRU eviction; size it above the
@@ -114,14 +122,14 @@ class EngineConfig:
     executor: str = "plan"
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
-    #: micro-batcher forever)
+    #: lane forever)
     timeout_s: float = 300.0
-    #: admission control (:class:`repro.serving.qos.QoSConfig`) in front of
-    #: the micro-batchers: weighted deadline-aware queueing, bounded-queue
-    #: backpressure, per-artifact concurrency caps and per-tenant
-    #: artifact-cache quotas.  Every request is admitted through it; the
-    #: default is one ``"default"`` tenant under the stock bounds (64 queued
-    #: per tenant, 256 engine-wide, 32 in flight per artifact).
+    #: admission control (:class:`repro.serving.qos.QoSConfig`) — the one
+    #: queue between submit and execute: weighted deadline-aware queueing,
+    #: bounded-queue backpressure and per-tenant artifact-cache quotas.
+    #: Every request is admitted through it; the default is one
+    #: ``"default"`` tenant under the stock bounds (64 queued per tenant,
+    #: 256 engine-wide).
     qos: QoSConfig = QoSConfig()
     #: dispatch policy every batch runs under
     #: (:class:`repro.resilience.ResilienceConfig`): batch retry with
@@ -148,9 +156,9 @@ class _BatchWatchdog:
     recovery (a run that times out marks the pool broken and the artifact
     is invalidated).  This ports the same semantics to the in-process
     session executors ("plan"/"interp"): batches execute on the watchdog's
-    worker thread, the collector waits with a timeout, and a batch that
+    worker thread, the lane waits with a timeout, and a batch that
     never returns marks the watchdog (and its session) broken instead of
-    pinning the artifact's micro-batcher thread forever.  The wedged
+    pinning the artifact's lane forever.  The wedged
     worker thread is daemonic and leaks until its run returns — exactly
     the warm pool's failure contract.
     """
@@ -257,7 +265,7 @@ class _PinnedStacker:
 
 @dataclasses.dataclass
 class CompiledArtifact:
-    """One cached compilation: result, session and batcher.
+    """One compilation: result, session and how its lane runs a batch.
 
     The execution substrate is a :class:`~repro.runtime.session.Session`
     over the compiled result, selected by :attr:`EngineConfig.executor`;
@@ -267,12 +275,19 @@ class CompiledArtifact:
 
     key: ArtifactKey
     result: RamielResult
-    batcher: MicroBatcher
     compile_time_s: float
     #: the unified execution surface holding the plan or warm pool
     session: Session
     #: the retry/breaker/degradation policy every batch is dispatched under
     dispatcher: ResilientDispatcher
+    #: batch-closing policy of the artifact's lane (one request at a time
+    #: when not :attr:`batchable`)
+    policy: BatchPolicy
+    #: request list -> what ``run_batch`` accepts (pinned staging for
+    #: in-process batchable artifacts, plain concatenation otherwise)
+    stack: Callable
+    #: one stacked feed through the dispatcher -> graph outputs
+    run_batch: Callable
     #: watchdog thread for in-process ("plan"/"interp") sessions
     watchdog: Optional[_BatchWatchdog] = None
     #: worker supervisor of a pool-backed artifact (``resilience.supervise``)
@@ -291,8 +306,7 @@ class CompiledArtifact:
         return self.result.model.name
 
     def close(self) -> None:
-        """Shut down the batcher, watchdog and session (warm pool included)."""
-        self.batcher.close()
+        """Shut down the watchdog and session (warm pool included)."""
         if self.supervisor is not None:
             self.supervisor.stop()
         if self.watchdog is not None:
@@ -303,11 +317,185 @@ class CompiledArtifact:
             fb_session.close()
 
 
+class _Lane:
+    """One artifact's thread: compile it, then serve its micro-batches.
+
+    The artifact cache's entry.  Constructing a lane compiles nothing — the
+    lane thread does, so ``submit`` never waits on a compile and a key is
+    compiled once however many first requests race.  The thread then loops
+    ``take_batch -> stack -> run_batch -> scatter -> complete``, pulling
+    each micro-batch out of the admission queue when it can execute it: one
+    batch in flight per artifact, and nothing queued outside the admission
+    queue.  A closed lane (evicted, invalidated, engine shutdown) answers
+    the batch it holds and stops; whatever is still queued for its key is
+    served by a replacement lane it starts on the way out.
+    """
+
+    def __init__(self, engine: "InferenceEngine", model: Model,
+                 key: ArtifactKey, partition: Optional[str]) -> None:
+        self.key = key
+        self.label = f"{model.name}@{key.short()}"
+        self._engine = engine
+        self._model = model
+        self._partition = partition
+        self._artifact: Future = Future()
+        self._closing = False
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name=f"lane-{self.label}")
+        self._thread.start()
+
+    @property
+    def ready(self) -> bool:
+        """Compilation has ended (either way); only then may it be evicted."""
+        return self._artifact.done()
+
+    @property
+    def artifact(self) -> Optional[CompiledArtifact]:
+        """The artifact once compiled; None before, or if the compile failed."""
+        compiled = self._artifact
+        if compiled.done() and compiled.exception() is None:
+            return compiled.result()
+        return None
+
+    def wait(self, timeout: Optional[float] = None) -> CompiledArtifact:
+        """Block until compiled; the artifact, or the compile error raised.
+
+        The one way to a lane's session / dispatcher / watchdog — used by
+        :meth:`InferenceEngine.bind`, ``warmup`` and the tests.
+        """
+        return self._artifact.result(timeout=timeout)
+
+    def close(self) -> None:
+        """Stop after the batch in flight; never blocks (see :meth:`join`)."""
+        self._closing = True
+        self._engine.qos.wake()
+
+    def join(self, timeout: float) -> None:
+        """Wait for the lane thread to end (engine shutdown only)."""
+        self._thread.join(timeout=timeout)
+
+    # ------------------------------------------------------------------
+    def _run(self) -> None:
+        engine, qos = self._engine, self._engine.qos
+        try:
+            artifact = engine._compile(self._model, self.key)
+        except BaseException as exc:  # noqa: BLE001 - fail this key's requests
+            self._artifact.set_exception(exc)
+            # drop the entry first: a request admitted from here on finds
+            # no lane and starts a fresh one instead of being stranded
+            engine._cache.invalidate(self.key, expected=self)
+            qos.fail_queued(self.key, exc)
+            return
+        self._artifact.set_result(artifact)
+        try:
+            while True:
+                batch = qos.take_batch(self.key, artifact.policy,
+                                       lambda: self._closing)
+                if batch is None:
+                    break
+                self._serve(artifact, batch)
+        finally:
+            artifact.close()
+            # whatever ended the lane, its cache entry must not outlive it
+            engine._cache.invalidate(self.key, expected=self)
+        if not engine._closed and qos.has_queued(self.key):
+            engine._lane_for(self._model, self.key, self._partition)
+
+    def _serve(self, artifact: CompiledArtifact, batch: List) -> None:
+        engine = self._engine
+        tracer = engine.tracer
+        if not artifact.batchable and batch[0].batch_len > 1:
+            self._respond(batch[0], exc=ServingError(
+                f"model {self._model.name!r} was compiled non-batch-fusable "
+                "(its generated code bakes in the batch size); requests must "
+                f"carry a single sample, got batch length {batch[0].batch_len}"))
+            return
+        engine.metrics.record_batch(len(batch))
+        if tracer is not None:
+            batch_args = {"size": str(len(batch)), "lane": self.label}
+            t_assemble = tracer.now()
+        try:
+            stacked = artifact.stack(batch)
+            if tracer is not None:
+                t_execute = tracer.now()
+                tracer.emit("batch.stack", "serving", t_assemble, t_execute,
+                            args=batch_args)
+            outputs = artifact.run_batch(stacked)
+            if tracer is not None:
+                t_respond = tracer.now()
+                tracer.emit("batch.execute", "serving", t_execute, t_respond,
+                            args=batch_args)
+            scattered = scatter_outputs(outputs, batch)
+        except BaseException as exc:  # noqa: BLE001 - fail every co-batched request
+            if artifact.session.broken:
+                # the artifact itself is unusable: drop it so this key's
+                # next request (or its queue, on the way out) recompiles
+                engine._cache.invalidate(self.key, expected=self)
+            for request in batch:
+                self._respond(request, exc=exc)
+            return
+        for request, result in zip(batch, scattered):
+            self._respond(request, result)
+        if tracer is not None:
+            tracer.emit("batch.respond", "serving", t_respond, tracer.now(),
+                        args=batch_args)
+
+    def _respond(self, request, outputs=None,
+                 exc: Optional[BaseException] = None) -> None:
+        """Land bound outputs, record the request, resolve its one future."""
+        engine = self._engine
+        if exc is None and request.binding is not None:
+            try:
+                outputs = _land_outputs(request.binding, outputs)
+            except Exception as land_exc:  # noqa: BLE001 - fail this request only
+                exc = land_exc
+        engine.metrics.record_completed(
+            engine.qos.clock() - request.enqueue_t, ok=exc is None)
+        tracer = engine.tracer
+        if tracer is not None and request.span_id:
+            tracer.emit_async("request", "request", request.span_id,
+                              request.submit_ns, tracer.now(),
+                              args={"failed": "true"} if exc else None)
+        engine.qos.complete(request, outputs, exc)
+
+
+def _land_outputs(binding: IOBinding,
+                  outputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Write one response into ``binding``'s bound output buffers.
+
+    Runs on the lane before the next batch executes — so copying out of
+    the scattered views is race-free.  Bound buffers are written with
+    ``np.copyto`` (no allocation); ``bind_output(name)`` placeholders
+    materialize a private reused buffer on first completion; unbound
+    outputs pass through unchanged.
+    """
+    outputs = dict(outputs)
+    for name, bound in binding._outputs.items():
+        if name not in outputs:
+            continue
+        array = np.asarray(outputs[name])
+        if bound is None:
+            # lazily-bound: adopt a private copy as the reused
+            # destination for every later request
+            bound = np.array(array)
+            binding._outputs[name] = bound
+        else:
+            if bound.shape != array.shape or bound.dtype != array.dtype:
+                raise ServingError(
+                    f"bound output {name!r}: destination has "
+                    f"shape {bound.shape} dtype {bound.dtype}, "
+                    f"but the request produced shape "
+                    f"{array.shape} dtype {array.dtype}")
+            np.copyto(bound, array)
+        outputs[name] = bound
+    return outputs
+
+
 class InferenceEngine:
     """Serves Ramiel-compiled models with artifact caching and micro-batching.
 
     The engine is thread-safe: any number of caller threads may ``submit``
-    concurrently, which is precisely what feeds the micro-batcher.
+    concurrently, which is precisely what fills the micro-batches.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
@@ -325,14 +513,15 @@ class InferenceEngine:
         self.tracer = tracer
         self.registry.register_collector(self._collect_artifact_metrics)
         self._config_fp = config_fingerprint(self.config.pipeline)
+        # Entries are lanes; one that is still compiling is never evicted.
         self._cache = ArtifactCache(
             capacity=self.config.cache_capacity,
             on_evict=self._on_evict,
-            quota_for=self.config.qos.cache_quota_for)
+            quota_for=self.config.qos.cache_quota_for,
+            evictable=lambda lane: lane.ready)
         self._closed = False
-        # Every request is admitted here (weighted admission queue +
-        # dispatcher thread) and dispatched into _route_once.
-        self.qos = QoSFrontend(self, self.config.qos)
+        # Every request waits here and only here; the lanes pull from it.
+        self.qos = QoSFrontend(self.config.qos, self.registry, tracer)
 
     # ------------------------------------------------------------------
     # Request path
@@ -345,15 +534,16 @@ class InferenceEngine:
         """Enqueue one inference request; returns a future of its outputs.
 
         The request is validated against the model's declared input
-        signature (:class:`ShapeMismatchError` on mismatch), routed to the
-        compiled artifact for its signature (compiling it on first sight),
-        and micro-batched with concurrent compatible requests.
+        signature (:class:`ShapeMismatchError` on mismatch), admitted into
+        the admission queue, and micro-batched with concurrent compatible
+        requests by the lane of the compiled artifact for its signature.
+        On first sight of a signature the lane is started here and
+        compiles on its own thread — ``submit`` never waits for a compile.
 
-        The request first passes admission control
-        (:attr:`EngineConfig.qos`): ``tenant`` selects the
-        weight/queue/deadline contract (the default tenant otherwise) and
-        ``deadline_s`` overrides the tenant's per-request deadline budget.
-        Rejections (queue full, overload, expired budget) raise
+        Admission control (:attr:`EngineConfig.qos`): ``tenant`` selects
+        the weight/queue/deadline contract (the default tenant otherwise)
+        and ``deadline_s`` overrides the tenant's per-request deadline
+        budget.  Rejections (queue full, overload, expired budget) raise
         :class:`~repro.serving.qos.QoSError` subclasses *synchronously*.
 
         ``binding`` threads a client-supplied
@@ -375,48 +565,19 @@ class InferenceEngine:
         if tracer is not None:
             with tracer.span("request.submit", cat="serving",
                              args={"model": model.name}):
-                return self._submit(model, inputs, tenant, deadline_s, binding)
-        return self._submit(model, inputs, tenant, deadline_s, binding)
+                return self._submit(model, inputs, tenant, deadline_s,
+                                    binding)[0]
+        return self._submit(model, inputs, tenant, deadline_s, binding)[0]
 
-    def _submit(self, model, inputs, tenant, deadline_s, binding) -> Future:
+    def _submit(self, model, inputs, tenant=None, deadline_s=None,
+                binding=None) -> Tuple[Future, _Lane]:
         arrays, batch_len, signature = self._validate(model, inputs)
         self.metrics.record_submitted()
-        future = self.qos.submit(model, arrays, batch_len, signature,
-                                 tenant=tenant, deadline_s=deadline_s)
-        if binding is not None:
-            future = self._finalize_binding(future, binding)
-        return future
+        key = self._key(model, signature)
+        request = self.qos.admit(key, arrays, batch_len, tenant=tenant,
+                                 deadline_s=deadline_s, binding=binding)
+        return request.future, self._lane_for(model, key, request.tenant)
 
-    def _route_once(self, model: Model, signature: Tuple,
-                    arrays: Dict[str, np.ndarray], batch_len: int,
-                    partition: Optional[str] = None):
-        """Resolve the artifact and enqueue exactly once.
-
-        Between the cache lookup and the enqueue the artifact can be closed
-        by LRU eviction or broken-executor invalidation on another thread:
-        this raises :class:`BatcherClosed` (after dropping the stale cache
-        entry) and the QoS dispatcher re-routes under its ``dispatch_retry``
-        :class:`~repro.resilience.RetryPolicy` with the request's remaining
-        deadline budget, so the request transparently recompiles.  (Requests
-        already *enqueued* in an evicted batcher do fail with
-        :class:`BatcherClosed` — size ``cache_capacity`` above the
-        concurrently-served working set to avoid eviction churn.)
-        """
-        artifact = self._artifact_for(model, signature, partition=partition)
-        if not artifact.batchable and batch_len > 1:
-            raise ServingError(
-                f"model {model.name!r} was compiled non-batch-fusable (its "
-                "generated code bakes in the batch size); requests must "
-                f"carry a single sample, got batch length {batch_len}")
-        try:
-            return artifact.batcher.submit(arrays, batch_len), artifact
-        except BatcherClosed:
-            self._cache.invalidate(artifact.key, expected=artifact)
-            raise
-
-    # ------------------------------------------------------------------
-    # Binding-aware responses
-    # ------------------------------------------------------------------
     def bind(self, model: Model,
              inputs: Mapping[str, np.ndarray]) -> IOBinding:
         """An :class:`IOBinding` pinned to the artifact serving ``inputs``.
@@ -432,55 +593,11 @@ class InferenceEngine:
         if self._closed:
             raise ServingError("engine is shut down")
         arrays, _, signature = self._validate(model, inputs)
-        artifact = self._artifact_for(model, signature)
-        binding = artifact.session.bind()
+        lane = self._lane_for(model, self._key(model, signature))
+        binding = lane.wait().session.bind()
         for name, array in arrays.items():
             binding.bind_input(name, np.array(array))
         return binding
-
-    def _finalize_binding(self, inner: Future, binding: IOBinding) -> Future:
-        """Chain a future that lands outputs in the binding's buffers.
-
-        Runs in the completing thread (the batch collector), before the
-        next batch executes — so copying out of the scattered views is
-        race-free.  Bound buffers are written with ``np.copyto`` (no
-        allocation); ``bind_output(name)`` placeholders materialize a
-        private reused buffer on first completion; unbound outputs pass
-        through unchanged.
-        """
-        outer: Future = Future()
-
-        def _done(f: Future) -> None:
-            exc = f.exception()
-            if exc is not None:
-                outer.set_exception(exc)
-                return
-            try:
-                outputs = dict(f.result())
-                for name, bound in binding._outputs.items():
-                    if name not in outputs:
-                        continue
-                    array = np.asarray(outputs[name])
-                    if bound is None:
-                        # lazily-bound: adopt a private copy as the
-                        # reused destination for every later request
-                        bound = np.array(array)
-                        binding._outputs[name] = bound
-                    else:
-                        if bound.shape != array.shape or bound.dtype != array.dtype:
-                            raise ServingError(
-                                f"bound output {name!r}: destination has "
-                                f"shape {bound.shape} dtype {bound.dtype}, "
-                                f"but the request produced shape "
-                                f"{array.shape} dtype {array.dtype}")
-                        np.copyto(bound, array)
-                    outputs[name] = bound
-                outer.set_result(outputs)
-            except BaseException as finalize_exc:  # noqa: BLE001
-                outer.set_exception(finalize_exc)
-
-        inner.add_done_callback(_done)
-        return outer
 
     def infer(self, model: Model, inputs: Mapping[str, np.ndarray],
               timeout: Optional[float] = None) -> Dict[str, np.ndarray]:
@@ -501,18 +618,13 @@ class InferenceEngine:
             raise ServingError("engine is shut down")
         feed = dict(inputs) if inputs is not None else example_inputs(model)
         start = time.perf_counter()
-        arrays, batch_len, signature = self._validate(model, feed)
-        self.metrics.record_submitted()
-        self.qos.submit(model, arrays, batch_len, signature).result(
-            timeout=self.config.timeout_s + 60.0)
-        # an uncounted lookup: warmup is one request, so one cache access
-        key = self._key(model, signature)
-        artifact = next((a for a in self._cache.values() if a.key == key), None)
+        future, lane = self._submit(model, feed)
+        future.result(timeout=self.config.timeout_s + 60.0)
         return {
             "model": model.name,
             "warmup_time_s": round(time.perf_counter() - start, 4),
             "executor": self.config.executor,
-            "batchable": artifact.batchable if artifact is not None else None,
+            "batchable": lane.wait().batchable,
             "cached_artifacts": self._cache.stats()["size"],
             "compiles": self.metrics.snapshot()["cache"]["compiles"],
         }
@@ -526,12 +638,15 @@ class InferenceEngine:
         return self.qos.drain(timeout=timeout)
 
     def shutdown(self) -> None:
-        """Close every cached artifact's batcher and worker pool."""
+        """Stop every lane and close its session and worker pool."""
         self._closed = True
-        # QoS first: stop admitting and fail queued requests before their
-        # target batchers disappear underneath them.
+        # QoS first: stop admitting, let the lanes drain the queue and
+        # fail what is left before the lanes disappear underneath it.
         self.qos.close()
+        lanes = self._cache.values()
         self._cache.clear()
+        for lane in lanes:
+            lane.join(timeout=5.0)
 
     def __enter__(self) -> "InferenceEngine":
         return self
@@ -549,19 +664,14 @@ class InferenceEngine:
     def _key(self, model: Model, signature: Tuple) -> ArtifactKey:
         return ArtifactKey(model_fingerprint(model), self._config_fp, signature)
 
-    def _artifact_for(self, model: Model, signature: Tuple,
-                      partition: Optional[str] = None) -> CompiledArtifact:
-        key = self._key(model, signature)
-        artifact, hit = self._cache.get_or_create(
-            key, lambda: self._compile(model, key), partition=partition)
-        if self._closed:
-            # shutdown raced this lookup/compile: make sure the artifact is
-            # not left running (clear() may have missed the in-flight entry)
-            self._cache.invalidate(key, expected=artifact)
-            artifact.close()
-            raise ServingError("engine is shut down")
+    def _lane_for(self, model: Model, key: ArtifactKey,
+                  partition: Optional[str] = None) -> _Lane:
+        """The lane serving ``key``; a miss starts one (it compiles itself)."""
+        lane, hit = self._cache.get_or_create(
+            key, lambda: _Lane(self, model, key, partition),
+            partition=partition)
         self.metrics.record_cache(hit)
-        return artifact
+        return lane
 
     def _compile(self, model: Model, key: ArtifactKey) -> CompiledArtifact:
         start = time.perf_counter()
@@ -575,7 +685,7 @@ class InferenceEngine:
             self.config.pipeline, generate_code=not in_process,
             build_plan=executor == "plan"))
         # Run-level session spans (and per-step plan spans for "plan"
-        # executors) nest inside the batcher's batch.execute span;
+        # executors) nest inside the lane's batch.execute span;
         # pool-backed sessions additionally ship per-worker execute spans
         # home for merged traces.
         session = create_session(result, executor=executor,
@@ -620,7 +730,7 @@ class InferenceEngine:
                 # keeps traffic off the broken pool.  Built lazily —
                 # fault-free serving never pays for it — and on its own
                 # watchdog so a stuck degraded batch cannot pin the
-                # micro-batcher either.
+                # lane either.
                 if not degraded:
                     degraded.append((
                         create_session(result, executor="plan",
@@ -664,29 +774,25 @@ class InferenceEngine:
                 # Only a still-broken session/pool/watchdog means the
                 # artifact itself is unusable (recovery failed, or the last
                 # attempt wedged it — the stuck run may hold the plan lock
-                # or strand workers forever): retire the session and drop
-                # the artifact so the next request recompiles.  Transient
-                # request errors leave it cached; the breaker does the pacing.
+                # or strand workers forever): retire the session, and the
+                # lane drops the artifact so the next request recompiles.
+                # Transient request errors leave it cached; the breaker
+                # does the pacing.
                 if broken():
                     session.mark_broken("batch dispatch left the executor broken")
-                    self._cache.invalidate(key, expected=artifact)
                 raise
 
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
         policy = (self.config.batch_policy() if batchable
                   else BatchPolicy(max_batch_size=1, max_wait_s=0.0))
-        batcher = MicroBatcher(run_batch, policy=policy,
-                               metrics=self.metrics, label=label,
-                               stack=stacker if batchable else None,
-                               tracer=self.tracer)
-        # run_batch first runs after this returns, when ``artifact`` is bound
-        artifact = CompiledArtifact(key=key, result=result, session=session,
-                                    dispatcher=dispatcher, watchdog=watchdog,
-                                    supervisor=supervisor, batcher=batcher,
-                                    compile_time_s=compile_time,
-                                    batchable=batchable, _degraded=degraded)
-        return artifact
+        return CompiledArtifact(
+            key=key, result=result, session=session, dispatcher=dispatcher,
+            policy=policy, run_batch=run_batch,
+            stack=stacker if batchable and in_process else stack_requests,
+            watchdog=watchdog, supervisor=supervisor,
+            compile_time_s=compile_time, batchable=batchable,
+            _degraded=degraded)
 
     def _probe_batchable(self, execute, signature: Tuple) -> bool:
         """Check whether the compiled artifact tolerates batch-axis fusion.
@@ -723,9 +829,9 @@ class InferenceEngine:
                 return False
         return True
 
-    def _on_evict(self, key: ArtifactKey, artifact: CompiledArtifact) -> None:
+    def _on_evict(self, key: ArtifactKey, lane: _Lane) -> None:
         self.metrics.record_eviction()
-        artifact.close()
+        lane.close()
 
     def _collect_artifact_metrics(self, registry) -> None:
         """Publish per-artifact plan/arena/binding gauges into the registry.
@@ -738,8 +844,9 @@ class InferenceEngine:
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
                        ).set(self._cache.stats()["size"])
-        for artifact in self._cache.values():
-            if artifact.session.closed:
+        for lane in self._cache.values():
+            artifact = lane.artifact
+            if artifact is None or artifact.session.closed:
                 continue
             labels = {"model": artifact.model_name,
                       "artifact": artifact.key.short()}
@@ -896,7 +1003,7 @@ def drive_load(engine: InferenceEngine, model: Model, num_requests: int,
 
     Each caller thread submits and waits (``engine.infer``), so up to
     ``concurrency`` requests are in flight at once — the condition under
-    which the micro-batcher actually batches.
+    which the lane actually fuses micro-batches.
     """
     def one_request(i: int) -> None:
         engine.infer(model, example_inputs(model, seed=i))

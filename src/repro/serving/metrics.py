@@ -1,7 +1,7 @@
 """Thread-safe serving metrics: throughput, latency percentiles, batches, cache.
 
 One :class:`ServingMetrics` instance is shared by an
-:class:`~repro.serving.engine.InferenceEngine`, its micro-batchers and its
+:class:`~repro.serving.engine.InferenceEngine`, its lanes and its
 artifact cache.  Compound recordings take a single lock (the recorded
 quantities are tiny compared to operator execution) and everything is
 exported as a plain dict via :meth:`ServingMetrics.snapshot`.

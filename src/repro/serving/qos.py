@@ -1,11 +1,13 @@
 """Multi-tenant quality of service for the serving engine.
 
 Every :class:`~repro.serving.engine.InferenceEngine` request is admitted
-through this module; the default :class:`QoSConfig` is a single
-``"default"`` tenant, for which weighted fair queueing degenerates to
-first come, first batched under the stock bounds.  The moment many tenants
-share one engine (the gateway's whole purpose) a single heavy tenant could
-otherwise monopolize the micro-batchers, flood the queues and evict
+through this module, and the admission queue is the *only* place a request
+waits: each compiled artifact's lane pulls its micro-batches straight out
+of it at the moment it can execute them.  The default :class:`QoSConfig` is
+a single ``"default"`` tenant, for which weighted fair queueing degenerates
+to first come, first batched under the stock bounds.  The moment many
+tenants share one engine (the gateway's whole purpose) a single heavy
+tenant could otherwise monopolize the lanes, flood the queue and evict
 everyone else's warm artifacts.  The admission-control layer that makes
 many models x many clients safe:
 
@@ -17,33 +19,27 @@ many models x many clients safe:
 * **Weighted, deadline-aware admission** — :class:`AdmissionQueue`
   implements start-time fair queueing: each admitted request is stamped
   with a virtual finish time ``max(V, last_finish[tenant]) +
-  cost/weight`` and dispatch always picks the eligible request with the
-  smallest stamp, so over any busy interval tenants receive service in
-  proportion to their weights regardless of arrival order.  Requests
-  whose deadline has already passed are failed at dispatch instead of
-  wasting service on answers nobody is waiting for.
+  cost/weight`` and a lane always takes the request *for its artifact*
+  with the smallest stamp, so over any busy interval tenants receive
+  service in proportion to their weights regardless of arrival order —
+  up to the moment of execution, because nothing is queued anywhere else.
+  Requests whose deadline has passed by the time they are taken are
+  failed instead of wasting service on answers nobody is waiting for.
 * **Backpressure** — both the per-tenant queues and the global queue are
   bounded.  An overflowing submit fails *synchronously* with
   :class:`TenantQueueFull` (HTTP 429) or :class:`EngineOverloaded`
   (HTTP 503), each carrying a ``retry_after_s`` hint derived from the
   observed dispatch rate, so the gateway can emit honest ``Retry-After``
   headers instead of letting latency grow without bound.
-* **Per-artifact concurrency caps** — at most
-  ``max_artifact_inflight`` admitted requests may be in flight inside
-  any one compiled artifact's micro-batcher, so a burst against a slow
-  model queues in the *admission* layer (where fairness and deadlines
-  apply) rather than deep inside an unaccountable batcher.
-* **Retry integration** — dispatch re-routes around a concurrently
-  invalidated artifact under the PR 8
-  :class:`~repro.resilience.RetryPolicy`, with the request's remaining
-  deadline budget installed as the policy's ``deadline_s`` so retries
-  never outlive the request they serve.
+* **One batch in flight per artifact** — a lane takes its next batch only
+  after answering the previous one, so a burst against a slow model waits
+  here, where fairness and deadlines apply; no concurrency cap is needed.
 
-:class:`QoSFrontend` ties it together for the engine: ``submit`` admits
-(or rejects) a validated request, a dispatcher thread drains the
-admission queue in weighted order into the engine's artifact batchers,
-and everything is observable through ``qos_*`` metrics and
-``qos.admit`` / ``qos.queue`` spans in the engine's tracer.
+:class:`QoSFrontend` ties it together for the engine and starts no thread:
+``admit`` admits (or rejects) a validated request, ``take_batch`` hands a
+lane its next micro-batch in weighted order, ``complete`` resolves a
+request's one future, and everything is observable through ``qos_*``
+metrics and ``qos.admit`` / ``qos.queue`` spans in the engine's tracer.
 """
 
 from __future__ import annotations
@@ -52,13 +48,12 @@ import collections
 import dataclasses
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.resilience import RetryPolicy
-from repro.serving.batching import BatcherClosed, ServingError
+from repro.serving.batching import BatchPolicy, ServingError
 
 __all__ = [
     "AdmissionQueue",
@@ -180,14 +175,6 @@ class QoSConfig:
     max_queue_depth:
         Global bound across every tenant queue; overflow rejects with
         :class:`EngineOverloaded` (HTTP 503).
-    max_artifact_inflight:
-        Per-compiled-artifact cap on admitted-but-unfinished requests.
-    dispatch_retry:
-        :class:`~repro.resilience.RetryPolicy` for routing a dispatched
-        request around a concurrently invalidated artifact
-        (:class:`~repro.serving.batching.BatcherClosed`).  A request
-        with a deadline gets the *remaining* budget installed as the
-        policy's ``deadline_s``.
     strict_tenants:
         Reject requests from unregistered tenants with
         :class:`UnknownTenant` instead of admitting them under the
@@ -197,17 +184,11 @@ class QoSConfig:
     tenants: Tuple[TenantConfig, ...] = ()
     default_tenant: TenantConfig = TenantConfig("default")
     max_queue_depth: int = 256
-    max_artifact_inflight: int = 32
-    dispatch_retry: RetryPolicy = RetryPolicy(
-        max_attempts=3, backoff_base_s=0.001, backoff_max_s=0.05,
-        jitter=0.0, retry_on=(BatcherClosed,))
     strict_tenants: bool = False
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.max_artifact_inflight < 1:
-            raise ValueError("max_artifact_inflight must be >= 1")
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in QoS config: {names}")
@@ -233,19 +214,22 @@ class QoSConfig:
             return None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)  # identity: ``inputs`` holds arrays
 class _QoSRequest:
-    """One admitted request inside the QoS layer."""
+    """One admitted request: the only record, holding the only future."""
 
     tenant: str
-    model: object
-    arrays: Dict[str, np.ndarray]
+    #: the compiled artifact the request is for (any hashable; the engine
+    #: passes an :class:`~repro.serving.artifact_cache.ArtifactKey`)
+    key: object
+    inputs: Dict[str, np.ndarray]
     batch_len: int
-    signature: Tuple
     future: Future
     #: absolute deadline on the ``clock`` timeline (None = no budget)
     deadline: Optional[float]
     enqueue_t: float
+    #: caller-bound output buffers the response is landed in (opaque here)
+    binding: object = None
     #: start-time-fair-queueing stamps (assigned by the admission queue)
     vstart: float = 0.0
     vfinish: float = 0.0
@@ -340,31 +324,28 @@ class AdmissionQueue:
         state.admitted += 1
         self._depth += 1
 
-    def pop(self, eligible: Optional[Callable[[_QoSRequest], bool]] = None
-            ) -> Optional[_QoSRequest]:
-        """Dispatch the eligible request with the smallest finish stamp.
+    def pop(self, key) -> Optional[_QoSRequest]:
+        """Take the request for artifact ``key`` with the smallest finish stamp.
 
-        ``eligible`` lets the caller skip requests whose target artifact
-        is at its concurrency cap.  Ineligible requests do *not* block
-        the rest of their tenant's queue: the scan takes each tenant's
-        first eligible entry (within a tenant stamps are monotone, so
-        that entry carries the tenant's smallest stamp — per-artifact
-        FIFO is preserved, while requests for other artifacts may
-        overtake a capped one).  Returns ``None`` when nothing is
-        eligible.
+        Other artifacts' entries are skipped, not blocked and not
+        reordered: the scan takes each tenant's first entry *for that
+        artifact* (within a tenant stamps are monotone, so that entry
+        carries the tenant's smallest stamp for the key — per-artifact
+        FIFO is preserved).  Returns ``None`` when nothing is queued for
+        ``key``.
         """
         best: Optional[_QoSRequest] = None
         best_state: Optional[_TenantState] = None
         best_idx = -1
         for state in self._tenants.values():
             for idx, head in enumerate(state.queue):
-                if eligible is not None and not eligible(head):
+                if head.key != key:
                     continue
                 if best is None or head.vfinish < best.vfinish:
                     best = head
                     best_state = state
                     best_idx = idx
-                break  # first eligible = this tenant's smallest stamp
+                break  # first for this key = this tenant's smallest stamp
         if best is None or best_state is None:
             return None
         del best_state.queue[best_idx]
@@ -372,47 +353,67 @@ class AdmissionQueue:
         self._vtime = max(self._vtime, best.vstart)
         return best
 
-    def drain_all(self) -> List[_QoSRequest]:
-        """Remove and return every queued request (engine shutdown)."""
+    def has(self, key) -> bool:
+        """Whether any request for artifact ``key`` is queued."""
+        return any(request.key == key for state in self._tenants.values()
+                   for request in state.queue)
+
+    def drain_all(self, key=None) -> List[_QoSRequest]:
+        """Remove and return every queued request (for ``key``, if given)."""
         drained: List[_QoSRequest] = []
         for state in self._tenants.values():
-            drained.extend(state.queue)
-            state.queue.clear()
-        self._depth = 0
+            kept: "collections.deque[_QoSRequest]" = collections.deque()
+            for request in state.queue:
+                (drained if key is None or request.key == key
+                 else kept).append(request)
+            state.queue = kept
+        self._depth -= len(drained)
         return drained
+
+
+def _settle(future: Future, outputs=None,
+            exc: Optional[BaseException] = None) -> None:
+    """Resolve ``future``; one its caller already cancelled is left alone."""
+    try:
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(outputs)
+    except InvalidStateError:
+        pass
 
 
 class QoSFrontend:
     """The engine-side owner of admission control and weighted dispatch.
 
-    ``submit`` performs synchronous admission (reject fast, queue
-    cheap); a daemon dispatcher thread pops requests in weighted order,
-    enforces deadlines and per-artifact concurrency caps, and forwards
-    into the engine's micro-batchers.  The engine calls :meth:`drain`
-    and :meth:`close` from its own shutdown path.
+    :meth:`admit` performs synchronous admission (reject fast, queue
+    cheap); each artifact's lane calls :meth:`take_batch` to pull its next
+    micro-batch in weighted order — deadlines are enforced there, at the
+    moment of execution — and :meth:`complete` to resolve each request's
+    future.  No thread lives here, and no future is ever resolved while
+    the admission lock is held.  The engine calls :meth:`drain` and
+    :meth:`close` from its own shutdown path.
     """
 
     #: fallback Retry-After hint before any dispatch-rate estimate exists
     _DEFAULT_RETRY_AFTER_S = 0.1
 
-    def __init__(self, engine, config: QoSConfig, *,
+    def __init__(self, config: QoSConfig, registry, tracer=None, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self._engine = engine
         self.config = config
-        self._clock = clock
+        #: the timeline of ``enqueue_t`` and deadlines
+        self.clock = clock
+        self._tracer = tracer
         self._queue = AdmissionQueue(config)
         self._cond = threading.Condition()
-        self._inflight: Dict[object, int] = collections.Counter()
-        self._inflight_total = 0
+        #: requests taken by a lane and not yet resolved
+        self._taken = 0
         self._draining = False
         self._closed = False
         #: EWMA of inter-dispatch intervals, feeding Retry-After hints
         self._dispatch_interval_ewma: Optional[float] = None
         self._last_dispatch_t: Optional[float] = None
-        self._instruments(engine.registry)
-        self._thread = threading.Thread(target=self._dispatch_loop,
-                                        daemon=True, name="qos-dispatch")
-        self._thread.start()
+        self._instruments(registry)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -430,14 +431,14 @@ class QoSFrontend:
     def _collect(self, registry) -> None:
         with self._cond:
             depths = self._queue.tenant_depths()
-            inflight = self._inflight_total
+            taken = self._taken
         for tenant, depth in depths.items():
             registry.gauge("qos_queue_depth",
                            "Requests waiting in a tenant's admission queue",
                            labels={"tenant": tenant}).set(depth)
         registry.gauge("qos_inflight_requests",
-                       "Admitted requests currently inside micro-batchers"
-                       ).set(inflight)
+                       "Admitted requests taken by a lane and not yet resolved"
+                       ).set(taken)
         registry.gauge("qos_draining",
                        "1 while the engine is draining (rejecting new work)"
                        ).set(1 if self._draining else 0)
@@ -476,20 +477,22 @@ class QoSFrontend:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, model, arrays: Dict[str, np.ndarray], batch_len: int,
-               signature: Tuple, *, tenant: Optional[str] = None,
-               deadline_s: Optional[float] = None) -> Future:
-        """Admit one validated request; returns its future or rejects.
+    def admit(self, key, inputs: Dict[str, np.ndarray], batch_len: int, *,
+              tenant: Optional[str] = None,
+              deadline_s: Optional[float] = None,
+              binding=None) -> _QoSRequest:
+        """Admit one validated request for artifact ``key``, or reject.
 
-        Rejections (queue full, overloaded, expired budget, unknown
-        tenant under strict tenancy) raise synchronously — nothing of a
-        rejected request ever reaches a queue.
+        Returns the queued request record (``.future`` is what the caller
+        waits on).  Rejections (queue full, overloaded, expired budget,
+        unknown tenant under strict tenancy) raise synchronously — nothing
+        of a rejected request ever reaches the queue.
         """
-        tracer = self._engine.tracer
+        tracer = self._tracer
         t0 = tracer.now() if tracer is not None else 0
         try:
-            request = self._admit(model, arrays, batch_len, signature,
-                                  tenant=tenant, deadline_s=deadline_s)
+            request = self._admit(key, inputs, batch_len, tenant=tenant,
+                                  deadline_s=deadline_s, binding=binding)
         except QoSError as exc:
             if tracer is not None:
                 tracer.emit("qos.admit", "qos", t0, tracer.now(),
@@ -497,19 +500,16 @@ class QoSFrontend:
                                   type(exc).__name__})
             raise
         if tracer is not None:
-            request.submit_ns = t0
-            request.span_id = tracer.next_async_id()
             tracer.emit("qos.admit", "qos", t0, tracer.now(),
                         args={"tenant": request.tenant})
-        return request.future
+        return request
 
-    def _admit(self, model, arrays, batch_len, signature, *,
-               tenant: Optional[str], deadline_s: Optional[float]
-               ) -> _QoSRequest:
+    def _admit(self, key, inputs, batch_len, *, tenant: Optional[str],
+               deadline_s: Optional[float], binding) -> _QoSRequest:
         config = self.config.tenant_config(tenant)  # raises UnknownTenant
         name = tenant if tenant is not None else config.name
         budget = deadline_s if deadline_s is not None else config.deadline_s
-        now = self._clock()
+        now = self.clock()
         if budget is not None and budget <= 0:
             self._count_rejected(name, "expired")
             with self._cond:
@@ -518,10 +518,15 @@ class QoSFrontend:
                 f"request for tenant {name!r} arrived with an already-"
                 f"expired deadline budget ({budget}s)")
         request = _QoSRequest(
-            tenant=name, model=model, arrays=arrays, batch_len=batch_len,
-            signature=signature, future=Future(),
+            tenant=name, key=key, inputs=inputs, batch_len=batch_len,
+            future=Future(), binding=binding,
             deadline=(now + budget) if budget is not None else None,
             enqueue_t=now)
+        tracer = self._tracer
+        if tracer is not None:
+            # stamped before the push: a lane may take the request at once
+            request.submit_ns = tracer.now()
+            request.span_id = tracer.next_async_id()
         with self._cond:
             if self._draining or self._closed:
                 self._count_rejected(name, "draining")
@@ -555,109 +560,118 @@ class QoSFrontend:
                          min(depth * interval, 30.0)), 3)
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Dispatch (called by the artifacts' lanes)
     # ------------------------------------------------------------------
-    def _eligible(self, request: _QoSRequest) -> bool:
-        key = (id(request.model), request.signature)
-        return self._inflight[key] < self.config.max_artifact_inflight
+    def take_batch(self, key, policy: BatchPolicy,
+                   closing: Callable[[], bool] = lambda: False
+                   ) -> Optional[List[_QoSRequest]]:
+        """The next micro-batch for artifact ``key``, in weighted order.
 
-    def _dispatch_loop(self) -> None:
+        Blocks for the key's first live request, then fills until the
+        batch reaches ``policy.max_batch_size`` or ``policy.max_wait_s``
+        has passed since the first request was taken.  Requests whose
+        deadline has passed when they are popped are failed with
+        :class:`DeadlineExpired` instead of joining the batch.  Returns
+        ``None`` — the lane should stop — once the frontend is closed or
+        ``closing()`` holds and nothing has been taken; a batch already
+        begun is returned (and must be answered) either way.  A lane
+        whose ``closing()`` flips must call :meth:`wake`.
+        """
+        batch: List[_QoSRequest] = []
+        close_at = 0.0
         while True:
+            expired: List[_QoSRequest] = []
             with self._cond:
-                request = self._queue.pop(self._eligible)
-                while request is None:
-                    if self._closed:
-                        return
-                    self._cond.wait(timeout=0.1)
-                    request = self._queue.pop(self._eligible)
-                now = self._clock()
-                if self._last_dispatch_t is not None:
-                    sample = now - self._last_dispatch_t
-                    ewma = self._dispatch_interval_ewma
-                    self._dispatch_interval_ewma = (
-                        sample if ewma is None else 0.8 * ewma + 0.2 * sample)
-                self._last_dispatch_t = now
-            self._dispatch_one(request, now)
+                stop = self._closed or closing()
+                if stop and not batch:
+                    return None
+                while len(batch) < policy.max_batch_size:
+                    request = self._queue.pop(key)
+                    if request is None:
+                        break
+                    if not self._pop_is_live_locked(request):
+                        expired.append(request)
+                        continue
+                    if not batch:
+                        close_at = time.monotonic() + policy.max_wait_s
+                    batch.append(request)
+                if not expired:
+                    if len(batch) >= policy.max_batch_size:
+                        return batch
+                    remaining = None
+                    if batch:
+                        remaining = close_at - time.monotonic()
+                        if remaining <= 0 or stop:
+                            return batch
+                    self._cond.wait(timeout=remaining)
+            for request in expired:  # futures resolve outside the lock
+                self._count_rejected(request.tenant, "expired")
+                self._resolve(request, exc=DeadlineExpired(
+                    f"deadline budget ran out after "
+                    f"{self.clock() - request.enqueue_t:.3f}s in the "
+                    f"admission queue (tenant {request.tenant!r})"))
 
-    def _dispatch_one(self, request: _QoSRequest, now: float) -> None:
-        tracer = self._engine.tracer
+    def _pop_is_live_locked(self, request: _QoSRequest) -> bool:
+        """Account one popped request; False if its deadline has passed."""
+        now = self.clock()
+        if self._last_dispatch_t is not None:
+            sample = now - self._last_dispatch_t
+            ewma = self._dispatch_interval_ewma
+            self._dispatch_interval_ewma = (
+                sample if ewma is None else 0.8 * ewma + 0.2 * sample)
+        self._last_dispatch_t = now
+        self._taken += 1
+        self._queue_wait_hist.observe(now - request.enqueue_t)
+        tracer = self._tracer
         if tracer is not None and request.span_id:
             tracer.emit_async("qos.queue", "qos", request.span_id,
                               request.submit_ns, tracer.now(),
                               args={"tenant": request.tenant})
-        self._queue_wait_hist.observe(now - request.enqueue_t)
-        state = self._queue.tenant_state(request.tenant)
         if request.deadline is not None and now >= request.deadline:
-            with self._cond:
-                state.expired += 1
-                self._cond.notify_all()
-            self._count_rejected(request.tenant, "expired")
-            request.future.set_exception(DeadlineExpired(
-                f"deadline budget ran out after "
-                f"{now - request.enqueue_t:.3f}s in the admission queue "
-                f"(tenant {request.tenant!r})"))
-            return
-        key = (id(request.model), request.signature)
+            self._queue.tenant_state(request.tenant).expired += 1
+            return False
+        return True
+
+    def complete(self, request: _QoSRequest, outputs=None,
+                 exc: Optional[BaseException] = None) -> None:
+        """Resolve a taken request's future (``exc`` = it failed)."""
         with self._cond:
-            self._inflight[key] += 1
-            self._inflight_total += 1
-        try:
-            inner = self._route(request)
-        except BaseException as exc:  # noqa: BLE001 - fail this request only
-            self._release(request, key, None, exc)
-            return
-        inner.add_done_callback(
-            lambda f: self._release(request, key, f, None))
-
-    def _route(self, request: _QoSRequest) -> Future:
-        """Route into the artifact's batcher under the dispatch RetryPolicy.
-
-        A request with a deadline gets its *remaining* budget installed
-        as the policy's ``deadline_s`` (the PR 8 deadline-budget
-        mechanism), so re-routing around an invalidated artifact never
-        outlives the request.
-        """
-        policy = self.config.dispatch_retry
-        if request.deadline is not None:
-            remaining = request.deadline - self._clock()
-            if remaining <= 0:
-                raise DeadlineExpired(
-                    f"deadline budget exhausted before dispatch "
-                    f"(tenant {request.tenant!r})")
-            policy = dataclasses.replace(policy, deadline_s=remaining)
-
-        def attempt() -> Future:
-            future, _ = self._engine._route_once(
-                request.model, request.signature, request.arrays,
-                request.batch_len, partition=request.tenant)
-            return future
-
-        return policy.call(attempt)
-
-    def _release(self, request: _QoSRequest, key, inner: Optional[Future],
-                 exc: Optional[BaseException]) -> None:
-        with self._cond:
-            self._inflight[key] -= 1
-            if self._inflight[key] <= 0:
-                del self._inflight[key]
-            self._inflight_total -= 1
             state = self._queue.tenant_state(request.tenant)
-            failed = exc is not None or (inner is not None
-                                         and inner.exception() is not None)
-            if failed:
+            if exc is not None:
                 state.failed += 1
             else:
                 state.completed += 1
+        self._count_done(request.tenant, "failed" if exc is not None else "ok")
+        self._resolve(request, outputs, exc)
+
+    def _resolve(self, request: _QoSRequest, outputs=None,
+                 exc: Optional[BaseException] = None) -> None:
+        _settle(request.future, outputs, exc)
+        with self._cond:
+            self._taken -= 1
+            if self._draining:  # only drain() waits for completions
+                self._cond.notify_all()
+
+    def fail_queued(self, key, exc: BaseException) -> None:
+        """Fail every request still queued for artifact ``key`` with ``exc``."""
+        with self._cond:
+            requests = self._queue.drain_all(key)
+            for request in requests:
+                self._queue.tenant_state(request.tenant).failed += 1
             self._cond.notify_all()
-        self._count_done(request.tenant, "failed" if failed else "ok")
-        if exc is not None:
-            request.future.set_exception(exc)
-        elif inner is not None:
-            inner_exc = inner.exception()
-            if inner_exc is not None:
-                request.future.set_exception(inner_exc)
-            else:
-                request.future.set_result(inner.result())
+        for request in requests:
+            self._count_done(request.tenant, "failed")
+            _settle(request.future, exc=exc)
+
+    def has_queued(self, key) -> bool:
+        """Whether any admitted request still waits for artifact ``key``."""
+        with self._cond:
+            return self._queue.has(key)
+
+    def wake(self) -> None:
+        """Re-evaluate every blocked :meth:`take_batch` (a lane is closing)."""
+        with self._cond:
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -674,18 +688,18 @@ class QoSFrontend:
             self._cond.notify_all()
 
     def drain(self, timeout: Optional[float] = 30.0) -> bool:
-        """Stop admitting, let queued + in-flight requests finish.
+        """Stop admitting, let queued + taken requests finish.
 
         New submissions are rejected with :class:`EngineOverloaded`
         immediately; every already-admitted request runs to completion.
-        Returns ``True`` once the queue and the in-flight set are empty,
-        ``False`` on timeout (work may still be running).
+        Returns ``True`` once nothing is queued and nothing taken is
+        unresolved, ``False`` on timeout (work may still be running).
         """
         deadline = (time.monotonic() + timeout) if timeout is not None else None
         with self._cond:
             self._draining = True
             self._cond.notify_all()
-            while self._queue.depth > 0 or self._inflight_total > 0:
+            while self._queue.depth > 0 or self._taken > 0:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -695,17 +709,15 @@ class QoSFrontend:
         return True
 
     def close(self, drain_timeout: float = 5.0) -> None:
-        """Drain briefly, fail whatever is still queued, stop the thread."""
+        """Drain briefly, fail whatever is still queued, release the lanes."""
         self.drain(timeout=drain_timeout)
         with self._cond:
             self._closed = True
             leftovers = self._queue.drain_all()
             self._cond.notify_all()
         for request in leftovers:
-            request.future.set_exception(EngineOverloaded(
+            _settle(request.future, exc=EngineOverloaded(
                 "engine shut down before the request was dispatched"))
-        if threading.current_thread() is not self._thread:
-            self._thread.join(timeout=2.0)
         self._registry.unregister_collector(self._collect)
 
     # ------------------------------------------------------------------
@@ -727,6 +739,6 @@ class QoSFrontend:
             return {
                 "tenants": tenants,
                 "depth": self._queue.depth,
-                "inflight": self._inflight_total,
+                "inflight": self._taken,
                 "draining": self._draining,
             }

@@ -93,3 +93,84 @@ def make_dataflow(edges, costs=None, name="toy") -> DataflowGraph:
     for src, dst in edges:
         dfg.add_edge(src, dst)
     return dfg
+
+
+def lane_of(engine, model, feed):
+    """The lane serving ``feed`` on ``engine`` (one cache access, like any lookup)."""
+    _, _, signature = engine._validate(model, feed)
+    return engine._lane_for(model, engine._key(model, signature))
+
+
+def artifact_of(engine, model, feed):
+    """The warm ``CompiledArtifact`` serving ``feed`` on ``engine``.
+
+    The one way tests reach an artifact's session / dispatcher / watchdog:
+    the lane for the request's key, through its documented ``wait()``.
+    """
+    return lane_of(engine, model, feed).wait(timeout=60.0)
+
+
+def cached_artifacts(engine):
+    """Every compiled artifact in ``engine``'s cache, LRU-oldest first."""
+    return [lane.wait(timeout=60.0) for lane in engine._cache.values()]
+
+
+def gate_session(artifact):
+    """Hold every batch of ``artifact`` inside its session until released.
+
+    Returns ``(entered, release)``: ``entered`` is set once a batch is
+    held; set ``release`` to let it (and every later batch) run.
+    """
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+    for name in ("run", "run_with_binding"):
+        def gated(*args, _real=getattr(artifact.session, name), **kwargs):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return _real(*args, **kwargs)
+        setattr(artifact.session, name, gated)
+    return entered, release
+
+
+class LaneDouble:
+    """A lane without an engine, for frontend-level tests.
+
+    One thread serving ``key`` out of a ``QoSFrontend`` exactly as the
+    engine's lanes do — ``take_batch -> stack -> run_batch -> scatter ->
+    complete`` — with ``run_batch`` supplied by the test.
+    """
+
+    def __init__(self, frontend, key, run_batch, policy):
+        import threading
+
+        self.frontend, self.key = frontend, key
+        self._run_batch, self._policy = run_batch, policy
+        self._closing = False
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name=f"lane-double-{key}")
+        self._thread.start()
+
+    def _run(self):
+        from repro.serving import scatter_outputs, stack_requests
+
+        while True:
+            batch = self.frontend.take_batch(self.key, self._policy,
+                                             lambda: self._closing)
+            if batch is None:
+                return
+            try:
+                outputs = scatter_outputs(
+                    self._run_batch(stack_requests(batch)), batch)
+            except BaseException as exc:  # noqa: BLE001 - as the real lane does
+                for request in batch:
+                    self.frontend.complete(request, exc=exc)
+            else:
+                for request, result in zip(batch, outputs):
+                    self.frontend.complete(request, result)
+
+    def close(self, timeout: float = 5.0) -> None:
+        self._closing = True
+        self.frontend.wake()
+        self._thread.join(timeout=timeout)
+        assert not self._thread.is_alive()

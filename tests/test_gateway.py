@@ -296,6 +296,7 @@ class TestGatewayServer:
         for name in ("gateway.request", "qos.admit", "qos.queue",
                      "batch.execute", "batch.respond"):
             assert name in cats, name
+        assert "request.queue" not in cats  # one queue, one queueing span
 
 
 class TestGracefulDrain:

@@ -524,10 +524,12 @@ class TestRegistryUnification:
         assert "serving_request_latency_seconds_bucket" in text
 
         # the request lifecycle landed in the tracer: nested
-        # request -> session.run -> plan step spans plus async queue spans
+        # request -> session.run -> plan step spans plus the one async
+        # queueing span (the admission queue is the only place it waits)
         names = {e.name for e in tracer.events()}
-        assert {"request.submit", "request", "request.queue",
+        assert {"request.submit", "request", "qos.queue",
                 "batch.execute", "session.run_with_binding"} <= names
+        assert "request.queue" not in names
         assert any(e.cat == "plan" for e in tracer.events())
 
     def test_session_publish_metrics_exports_plan_gauges(self):

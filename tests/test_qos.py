@@ -3,19 +3,21 @@
 Covers the admission queue's start-time-fair-queueing discipline (weighted
 shares under a 10:1 skew, per-tenant FIFO), the frontend's edge cases the
 issue calls out (deadline already expired at admission, queue-full
-rejection ordering, deadline expiry while queued, drain semantics), the
-RetryPolicy integration on dispatch, and the per-tenant cache quotas that
-stop one heavy tenant from evicting another's warm artifacts.
+rejection ordering, deadline expiry while queued, drain semantics), weights
+and deadlines holding up to the moment a batch is taken, and the per-tenant
+cache quotas that stop one heavy tenant from evicting another's warm
+artifacts.
 
-The frontend tests run against a fake engine whose routing is controlled
-by hand-resolved futures — deterministic, no compilation, no sleeps on
-the happy path.  A final block exercises the real engine end to end.
+The frontend tests play the lane by hand — ``take_batch`` / ``complete``
+from the test thread, a fake clock for deadlines — so they are
+deterministic: no compilation, no sleeps.  A final block exercises the real
+engine end to end.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
-import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.observability import MetricsRegistry
 from repro.runtime.session import create_session
 from repro.serving import (
     ArtifactCache,
-    BatcherClosed,
+    BatchPolicy,
     EngineConfig,
     InferenceEngine,
     example_inputs,
@@ -41,22 +43,25 @@ from repro.serving.qos import (
     UnknownTenant,
     _QoSRequest,
 )
-from tests.conftest import build_diamond_model
+from tests.conftest import (
+    LaneDouble,
+    artifact_of,
+    build_chain_model,
+    build_diamond_model,
+    gate_session,
+)
+
+#: the artifact every request is for unless a test says otherwise
+KEY = "artifact"
+#: a lane that takes one request at a time and never waits for more
+ONE = BatchPolicy(max_batch_size=1, max_wait_s=0.0)
 
 
-def make_request(tenant: str, batch_len: int = 1, model=None,
-                 signature=("sig",), deadline=None) -> _QoSRequest:
-    return _QoSRequest(tenant=tenant, model=model, arrays={},
-                       batch_len=batch_len, signature=signature,
-                       future=Future(), deadline=deadline, enqueue_t=0.0)
-
-
-def wait_until(predicate, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached in time")
-        time.sleep(0.001)
+def make_request(tenant: str, batch_len: int = 1, key=KEY,
+                 deadline=None) -> _QoSRequest:
+    return _QoSRequest(tenant=tenant, key=key, inputs={},
+                       batch_len=batch_len, future=Future(),
+                       deadline=deadline, enqueue_t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ class TestAdmissionQueue:
         for i in range(100):
             q.push(make_request("heavy"))
             q.push(make_request("light"))
-        popped = [q.pop().tenant for _ in range(110)]
+        popped = [q.pop(KEY).tenant for _ in range(110)]
         heavy_share = popped[:55].count("heavy")
         # Ideal is 50 of 55 (10/11); leave slack for stamp ties.
         assert heavy_share >= 45, popped[:55]
@@ -130,7 +135,7 @@ class TestAdmissionQueue:
         reqs = [make_request("heavy") for _ in range(5)]
         for r in reqs:
             q.push(r)
-        assert [q.pop() for _ in range(5)] == reqs
+        assert [q.pop(KEY) for _ in range(5)] == reqs
 
     def test_idle_tenant_does_not_bank_credit(self):
         """A tenant idle while others ran restarts at the virtual clock,
@@ -140,12 +145,12 @@ class TestAdmissionQueue:
         for _ in range(50):
             q.push(make_request("heavy"))
         for _ in range(30):
-            q.pop()
+            q.pop(KEY)
         q.push(make_request("light"))
         # The light arrival lands relative to the *current* virtual time:
         # it waits its weighted share (~10 heavy dispatches at 10:1), not
         # behind all 20 remaining heavy requests.
-        popped = [q.pop().tenant for _ in range(12)]
+        popped = [q.pop(KEY).tenant for _ in range(12)]
         assert "light" in popped
 
     def test_tenant_queue_bound(self):
@@ -163,15 +168,32 @@ class TestAdmissionQueue:
         with pytest.raises(EngineOverloaded):
             q.push(make_request("t9"))
 
-    def test_eligibility_filter_skips_capped_heads(self):
+    def test_pop_skips_other_artifacts_without_reordering(self):
+        """``pop(key)`` passes over other artifacts' entries — they are
+        neither blocked behind it nor reordered among themselves."""
         q = self.queue()
-        blocked = make_request("heavy", signature=("busy",))
-        ready = make_request("light", signature=("idle",))
-        q.push(blocked)
-        q.push(ready)
-        popped = q.pop(lambda r: r.signature != ("busy",))
-        assert popped is ready
-        assert q.pop() is blocked
+        a1, b1, a2, b2 = (make_request("heavy", key=k) for k in "abab")
+        c1 = make_request("light", key="a")
+        for request in (a1, b1, a2, b2, c1):
+            q.push(request)
+        assert q.pop("b") is b1  # not blocked behind a1
+        assert q.pop("missing") is None
+        assert q.depth == 4
+        assert q.pop("b") is b2
+        assert q.pop("b") is None
+        # artifact a's entries kept their order: heavy (weight 10) first
+        assert [q.pop("a") for _ in range(3)] == [a1, a2, c1]
+        assert q.depth == 0
+
+    def test_drain_all_of_one_key_leaves_the_rest_queued(self):
+        q = self.queue()
+        keep, drop = make_request("heavy", key="a"), make_request("heavy", key="b")
+        q.push(keep)
+        q.push(drop)
+        assert q.has("b")
+        assert q.drain_all("b") == [drop]
+        assert not q.has("b") and q.depth == 1
+        assert q.pop("a") is keep
 
     def test_drain_all_empties_every_queue(self):
         q = self.queue()
@@ -183,48 +205,36 @@ class TestAdmissionQueue:
 
 
 # ---------------------------------------------------------------------------
-# QoSFrontend against a fake engine
+# QoSFrontend with the test playing the lane
 # ---------------------------------------------------------------------------
-class _FakeEngine:
-    """Just enough engine for QoSFrontend: registry, tracer, _route_once.
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 100.0
 
-    Each call to ``_route_once`` appends ``(tenant-partition, future)`` to
-    ``routed`` and returns a future the test resolves by hand — dispatch
-    order and in-flight lifetime are fully controlled.
-    """
-
-    def __init__(self, route_once=None):
-        self.registry = MetricsRegistry()
-        self.tracer = None
-        self.routed = []
-        self._route_once_fn = route_once
-
-    def _route_once(self, model, signature, arrays, batch_len,
-                    partition=None):
-        if self._route_once_fn is not None:
-            return self._route_once_fn(model, signature, arrays, batch_len,
-                                       partition)
-        future: Future = Future()
-        self.routed.append((partition, future))
-        return future, None
+    def __call__(self) -> float:
+        return self.now
 
 
-def make_frontend(config=None, route_once=None):
-    engine = _FakeEngine(route_once=route_once)
-    frontend = QoSFrontend(engine, config or QoSConfig())
-    return engine, frontend
+def make_frontend(config=None, clock=None) -> QoSFrontend:
+    kwargs = {"clock": clock} if clock is not None else {}
+    return QoSFrontend(config or QoSConfig(), MetricsRegistry(), **kwargs)
+
+
+def take_one(frontend: QoSFrontend, key=KEY) -> _QoSRequest:
+    """Play the lane: take the next request for ``key`` (must be queued)."""
+    assert frontend.has_queued(key)
+    (request,) = frontend.take_batch(key, ONE)
+    return request
 
 
 class TestQoSFrontend:
     def test_deadline_already_expired_at_admission(self):
-        _, frontend = make_frontend()
+        frontend = make_frontend()
         try:
             with pytest.raises(DeadlineExpired):
-                frontend.submit(object(), {}, 1, ("sig",), tenant="t",
-                                deadline_s=0.0)
+                frontend.admit(KEY, {}, 1, tenant="t", deadline_s=0.0)
             with pytest.raises(DeadlineExpired):
-                frontend.submit(object(), {}, 1, ("sig",), tenant="t",
-                                deadline_s=-1.0)
+                frontend.admit(KEY, {}, 1, tenant="t", deadline_s=-1.0)
             assert frontend.stats()["tenants"]["t"]["expired"] == 2
             assert frontend.stats()["depth"] == 0
         finally:
@@ -232,37 +242,38 @@ class TestQoSFrontend:
 
     def test_tenant_default_deadline_applies(self):
         config = QoSConfig(tenants=(TenantConfig("slo", deadline_s=30.0),))
-        engine, frontend = make_frontend(config)
+        clock = FakeClock()
+        frontend = make_frontend(config, clock)
         try:
-            future = frontend.submit(object(), {}, 1, ("sig",), tenant="slo")
-            wait_until(lambda: engine.routed)
-            engine.routed[0][1].set_result({"y": 1})
+            future = frontend.admit(KEY, {}, 1, tenant="slo").future
+            request = take_one(frontend)
+            assert request.deadline == clock.now + 30.0
+            frontend.complete(request, {"y": 1})
             assert future.result(timeout=5) == {"y": 1}
         finally:
             frontend.close(drain_timeout=0.1)
 
     def test_queue_full_rejection_ordering(self):
         """The overflowing request is rejected; queued ones complete FIFO."""
-        config = QoSConfig(tenants=(TenantConfig("t", max_queue=2),),
-                           max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
+        config = QoSConfig(tenants=(TenantConfig("t", max_queue=2),))
+        frontend = make_frontend(config)
         try:
-            model = object()
-            f1 = frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            wait_until(lambda: len(engine.routed) == 1)  # r1 in flight
-            f2 = frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            f3 = frontend.submit(model, {}, 1, ("sig",), tenant="t")
+            f1 = frontend.admit(KEY, {}, 1, tenant="t").future
+            r1 = take_one(frontend)  # r1 in flight
+            f2 = frontend.admit(KEY, {}, 1, tenant="t").future
+            f3 = frontend.admit(KEY, {}, 1, tenant="t").future
             with pytest.raises(TenantQueueFull) as excinfo:
-                frontend.submit(model, {}, 1, ("sig",), tenant="t")
+                frontend.admit(KEY, {}, 1, tenant="t")
             assert excinfo.value.http_status == 429
             assert excinfo.value.retry_after_s is not None
-            # r2/r3 kept their slots and dispatch strictly in FIFO order.
-            engine.routed[0][1].set_result({"r": 1})
-            wait_until(lambda: len(engine.routed) == 2)
-            assert not f3.done()
-            engine.routed[1][1].set_result({"r": 2})
-            wait_until(lambda: len(engine.routed) == 3)
-            engine.routed[2][1].set_result({"r": 3})
+            # r2/r3 kept their slots and are taken strictly in FIFO order.
+            frontend.complete(r1, {"r": 1})
+            r2 = take_one(frontend)
+            assert r2.future is f2 and not f3.done()
+            frontend.complete(r2, {"r": 2})
+            r3 = take_one(frontend)
+            assert r3.future is f3
+            frontend.complete(r3, {"r": 3})
             assert f1.result(timeout=5) == {"r": 1}
             assert f2.result(timeout=5) == {"r": 2}
             assert f3.result(timeout=5) == {"r": 3}
@@ -273,154 +284,159 @@ class TestQoSFrontend:
             frontend.close(drain_timeout=0.1)
 
     def test_global_overload_returns_503(self):
-        config = QoSConfig(max_queue_depth=1, max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
+        frontend = make_frontend(QoSConfig(max_queue_depth=1))
         try:
-            model = object()
-            frontend.submit(model, {}, 1, ("sig",), tenant="a")
-            wait_until(lambda: len(engine.routed) == 1)
-            frontend.submit(model, {}, 1, ("sig",), tenant="b")  # fills depth 1
+            frontend.admit(KEY, {}, 1, tenant="a")
+            take_one(frontend)  # in flight: no longer counts as queued
+            frontend.admit(KEY, {}, 1, tenant="b")  # fills depth 1
             with pytest.raises(EngineOverloaded) as excinfo:
-                frontend.submit(model, {}, 1, ("sig",), tenant="c")
+                frontend.admit(KEY, {}, 1, tenant="c")
             assert excinfo.value.http_status == 503
         finally:
             frontend.close(drain_timeout=0.1)
 
     def test_deadline_expires_while_queued(self):
-        config = QoSConfig(max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
+        """Under the stock config a deadline holds up to the moment of
+        execution: a request whose budget runs out while it waits behind a
+        held batch is failed when the lane comes for it, never served."""
+        clock = FakeClock()
+        frontend = make_frontend(clock=clock)
         try:
-            model = object()
-            frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            wait_until(lambda: len(engine.routed) == 1)
-            starved = frontend.submit(model, {}, 1, ("sig",), tenant="t",
-                                      deadline_s=0.02)
-            time.sleep(0.05)  # budget runs out behind the in-flight request
-            engine.routed[0][1].set_result({})
+            frontend.admit(KEY, {}, 1, tenant="t")
+            held = take_one(frontend)  # the lane is busy with this batch
+            starved = frontend.admit(KEY, {}, 1, tenant="t", deadline_s=0.1)
+            patient = frontend.admit(KEY, {}, 1, tenant="t", deadline_s=60.0)
+            clock.now += 0.2  # the budget runs out behind the held batch
+            frontend.complete(held, {})
+            assert take_one(frontend) is patient  # never wasted service on it
             with pytest.raises(DeadlineExpired):
-                starved.result(timeout=5)
-            assert len(engine.routed) == 1  # never wasted service on it
+                starved.future.result(timeout=5)
+            stats = frontend.stats()
+            assert stats["tenants"]["t"]["expired"] == 1
+            assert stats["inflight"] == 1  # only the patient one
         finally:
             frontend.close(drain_timeout=0.1)
 
-    def test_inflight_cap_serializes_one_artifact(self):
-        config = QoSConfig(max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
+    def test_weights_hold_up_to_the_moment_of_execution(self):
+        """24 requests of a weight-1 tenant are queued; a weight-10 tenant's
+        request arriving after them is in the very next batch taken."""
+        config = QoSConfig(tenants=(TenantConfig("vip", weight=10.0),))
+        frontend = make_frontend(config)
+        policy = BatchPolicy(max_batch_size=8, max_wait_s=0.0)
         try:
-            model = object()
-            frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            wait_until(lambda: len(engine.routed) == 1)
-            time.sleep(0.05)
-            assert len(engine.routed) == 1  # capped, not dispatched
-            # A different artifact is not capped by the busy one.
-            frontend.submit(model, {}, 1, ("other",), tenant="t")
-            wait_until(lambda: len(engine.routed) == 2)
-            assert engine.routed[1][0] == "t"
-            engine.routed[0][1].set_result({})
-            wait_until(lambda: len(engine.routed) == 3)
-            engine.routed[1][1].set_result({})
-            engine.routed[2][1].set_result({})
+            for _ in range(24):
+                frontend.admit(KEY, {}, 1, tenant="bulk")
+            in_flight = frontend.take_batch(KEY, policy)
+            assert [r.tenant for r in in_flight] == ["bulk"] * 8
+            vip = frontend.admit(KEY, {}, 1, tenant="vip")
+            next_batch = frontend.take_batch(KEY, policy)
+            assert next_batch[0] is vip
+            assert [r.tenant for r in next_batch[1:]] == ["bulk"] * 7
         finally:
-            frontend.close(drain_timeout=0.5)
+            frontend.close(drain_timeout=0.05)
 
-    def test_dispatch_retries_batcher_closed_under_policy(self):
-        """A concurrently invalidated artifact is re-routed, not failed."""
-        attempts = []
-
-        def flaky_route(model, signature, arrays, batch_len, partition):
-            attempts.append(partition)
-            if len(attempts) < 3:
-                raise BatcherClosed("artifact died")
-            future: Future = Future()
-            future.set_result({"ok": True})
-            return future, None
-
-        engine, frontend = make_frontend(route_once=flaky_route)
+    def test_take_batch_serves_one_artifact_only(self):
+        frontend = make_frontend()
         try:
-            future = frontend.submit(object(), {}, 1, ("sig",), tenant="t")
-            assert future.result(timeout=5) == {"ok": True}
-            assert len(attempts) == 3
+            mine = frontend.admit(KEY, {}, 1)
+            frontend.admit("other", {}, 1)
+            policy = BatchPolicy(max_batch_size=8, max_wait_s=0.0)
+            assert frontend.take_batch(KEY, policy) == [mine]
+            assert frontend.has_queued("other") and not frontend.has_queued(KEY)
         finally:
-            frontend.close(drain_timeout=0.1)
+            frontend.close(drain_timeout=0.05)
 
-    def test_dispatch_retry_respects_remaining_deadline(self):
-        """Retries never outlive the request's budget (PR 8 integration)."""
-        def always_closed(model, signature, arrays, batch_len, partition):
-            raise BatcherClosed("artifact keeps dying")
-
-        config = QoSConfig(dispatch_retry=dataclass_replace_retry())
-        engine, frontend = make_frontend(config, route_once=always_closed)
+    def test_closing_lane_takes_nothing_more(self):
+        """A lane told to stop leaves what is queued to its replacement."""
+        frontend = make_frontend()
         try:
-            future = frontend.submit(object(), {}, 1, ("sig",), tenant="t",
-                                     deadline_s=0.05)
-            with pytest.raises((BatcherClosed, DeadlineExpired)):
-                future.result(timeout=5)
+            frontend.admit(KEY, {}, 1)
+            assert frontend.take_batch(KEY, ONE, closing=lambda: True) is None
+            assert frontend.has_queued(KEY)
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_fail_queued_fails_one_artifacts_requests(self):
+        frontend = make_frontend()
+        try:
+            doomed = [frontend.admit(KEY, {}, 1, tenant="t") for _ in range(2)]
+            spared = frontend.admit("other", {}, 1, tenant="t")
+            boom = RuntimeError("compile exploded")
+            frontend.fail_queued(KEY, boom)
+            for request in doomed:
+                assert request.future.exception(timeout=1) is boom
+            assert not spared.future.done()
+            stats = frontend.stats()
+            assert stats["tenants"]["t"]["failed"] == 2 and stats["depth"] == 1
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_a_cancelled_future_does_not_break_its_lane(self):
+        """The gateway's response timeout cancels the future it awaits;
+        answering that request later must be a no-op, not an error."""
+        frontend = make_frontend()
+        try:
+            request = frontend.admit(KEY, {}, 1, tenant="t")
+            assert request.future.cancel()
+            frontend.complete(take_one(frontend), {"late": True})
+            assert frontend.stats()["inflight"] == 0
+            assert frontend.drain(timeout=1.0)
         finally:
             frontend.close(drain_timeout=0.1)
 
     def test_strict_tenancy_rejects_unknown_synchronously(self):
         config = QoSConfig(tenants=(TenantConfig("known"),),
                            strict_tenants=True)
-        _, frontend = make_frontend(config)
+        frontend = make_frontend(config)
         try:
             with pytest.raises(UnknownTenant) as excinfo:
-                frontend.submit(object(), {}, 1, ("sig",), tenant="nope")
+                frontend.admit(KEY, {}, 1, tenant="nope")
             assert excinfo.value.http_status == 403
         finally:
             frontend.close(drain_timeout=0.1)
 
     def test_drain_rejects_new_and_finishes_queued(self):
-        config = QoSConfig(max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
+        frontend = make_frontend()
         try:
-            model = object()
-            f1 = frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            f2 = frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            wait_until(lambda: len(engine.routed) == 1)
+            f1 = frontend.admit(KEY, {}, 1, tenant="t").future
+            f2 = frontend.admit(KEY, {}, 1, tenant="t").future
+            r1 = take_one(frontend)
             frontend.begin_drain()
             with pytest.raises(EngineOverloaded):
-                frontend.submit(model, {}, 1, ("sig",), tenant="t")
-            resolver = threading.Thread(target=self._resolve_all,
-                                        args=(engine, 2))
+                frontend.admit(KEY, {}, 1, tenant="t")
+            assert not frontend.drain(timeout=0.01)  # r1 taken, r2 queued
+
+            def finish() -> None:
+                frontend.complete(r1, {})
+                frontend.complete(take_one(frontend), {})
+
+            resolver = threading.Thread(target=finish)
             resolver.start()
             assert frontend.drain(timeout=5.0)
-            resolver.join()
+            resolver.join(timeout=5.0)
+            assert not resolver.is_alive()
             assert f1.result(timeout=1) == {}
             assert f2.result(timeout=1) == {}
         finally:
             frontend.close(drain_timeout=0.1)
 
-    @staticmethod
-    def _resolve_all(engine: _FakeEngine, expected: int) -> None:
-        deadline = time.monotonic() + 5.0
-        resolved = 0
-        while resolved < expected and time.monotonic() < deadline:
-            if len(engine.routed) > resolved:
-                engine.routed[resolved][1].set_result({})
-                resolved += 1
-            else:
-                time.sleep(0.001)
-
     def test_close_fails_leftover_queued_requests(self):
-        config = QoSConfig(max_artifact_inflight=1)
-        engine, frontend = make_frontend(config)
-        model = object()
-        frontend.submit(model, {}, 1, ("sig",), tenant="t")
-        wait_until(lambda: len(engine.routed) == 1)
-        stuck = frontend.submit(model, {}, 1, ("sig",), tenant="t")
-        frontend.close(drain_timeout=0.05)  # in-flight request never resolves
+        frontend = make_frontend()
+        frontend.admit(KEY, {}, 1, tenant="t")
+        take_one(frontend)  # in flight, never answered
+        stuck = frontend.admit(KEY, {}, 1, tenant="t")
+        frontend.close(drain_timeout=0.05)
         with pytest.raises(EngineOverloaded):
-            stuck.result(timeout=5)
+            stuck.future.result(timeout=5)
+        assert frontend.take_batch(KEY, ONE) is None  # lanes are released
 
     def test_metrics_families_present(self):
-        engine, frontend = make_frontend()
+        frontend = make_frontend()
         try:
-            future = frontend.submit(object(), {}, 1, ("sig",), tenant="m")
-            wait_until(lambda: engine.routed)
-            engine.routed[0][1].set_result({})
+            future = frontend.admit(KEY, {}, 1, tenant="m").future
+            frontend.complete(take_one(frontend), {})
             future.result(timeout=5)
-            text = engine.registry.render_prometheus()
+            text = frontend._registry.render_prometheus()
             for family in ("qos_admitted_total", "qos_requests_done_total",
                            "qos_queue_wait_seconds", "qos_queue_depth",
                            "qos_inflight_requests"):
@@ -428,14 +444,66 @@ class TestQoSFrontend:
         finally:
             frontend.close(drain_timeout=0.1)
 
+    def test_queue_wait_is_observed_when_the_request_is_taken(self):
+        """``qos_queue_wait_seconds`` is the whole wait: admission to the
+        moment a lane takes the request, however long a batch was held."""
+        clock = FakeClock()
+        frontend = make_frontend(clock=clock)
+        hist = frontend._registry.histogram("qos_queue_wait_seconds")
+        try:
+            frontend.admit(KEY, {}, 1)
+            held = take_one(frontend)
+            frontend.admit(KEY, {}, 1)
+            clock.now += 2.5  # waits behind the held batch
+            frontend.complete(held, {})
+            assert hist.count == 1
+            take_one(frontend)
+            assert (hist.count, hist.sum) == (2, 2.5)
+        finally:
+            frontend.close(drain_timeout=0.05)
 
-def dataclass_replace_retry():
-    import dataclasses as _dc
+    def test_lanes_and_submitters_under_contention_lose_nothing(self):
+        """Stress: more threads than cores on one condition.  Every admitted
+        request resolves exactly once with its own payload, and the
+        frontend's books balance."""
+        keys = ("a", "b", "c")
+        frontend = make_frontend(QoSConfig(
+            default_tenant=TenantConfig("default", max_queue=10_000),
+            max_queue_depth=10_000))
+        lanes = [LaneDouble(frontend, key, lambda stacked: {"y": stacked["x"]},
+                            BatchPolicy(max_batch_size=4, max_wait_s=0.0))
+                 for key in keys]
+        futures = {}
 
-    from repro.resilience import RetryPolicy
-    return RetryPolicy(max_attempts=100, backoff_base_s=0.01,
-                       backoff_max_s=0.01, jitter=0.0,
-                       retry_on=(BatcherClosed,))
+        def submitter(worker: int) -> None:
+            for i in range(60):
+                tag = worker * 1000 + i
+                futures[tag] = frontend.admit(
+                    keys[i % 3], {"x": np.full((1, 1), tag)}, 1,
+                    tenant=f"t{worker % 2}").future
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=submitter, args=(w,))
+                       for w in range(4)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            for tag, future in futures.items():
+                assert future.result(timeout=30.0)["y"].item() == tag
+            assert frontend.drain(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+            for lane in lanes:
+                lane.close()
+            frontend.close(drain_timeout=0.1)
+        stats = frontend.stats()
+        assert stats["depth"] == 0 and stats["inflight"] == 0
+        assert sum(t["completed"] for t in stats["tenants"].values()) == 240
+        assert sum(t["failed"] for t in stats["tenants"].values()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -589,19 +657,14 @@ class TestEngineIntegration:
         engine = InferenceEngine()
         try:
             engine.warmup(model, feed)
-            session = list(engine._cache.values())[0].session
-            for name in ("run", "run_with_binding"):
-                def gated(*args, _real=getattr(session, name), **kwargs):
-                    gate.wait(timeout=30.0)
-                    return _real(*args, **kwargs)
-                setattr(session, name, gated)
+            _, gate = gate_session(artifact_of(engine, model, feed))
             admitted = []
             with pytest.raises(TenantQueueFull) as excinfo:
                 for _ in range(200):
                     admitted.append(engine.submit(model, feed))
             assert excinfo.value.retry_after_s is not None
-            # 64 queued at most, plus whatever was already dispatched (<= 32)
-            assert 64 <= len(admitted) <= 64 + 32
+            # 64 queued at most, plus the one batch the lane holds (<= 8)
+            assert 64 <= len(admitted) <= 64 + 8
             gate.set()
             for future in admitted:
                 out = future.result(timeout=60)
@@ -613,6 +676,43 @@ class TestEngineIntegration:
         finally:
             gate.set()
             engine.shutdown()
+
+    def test_one_batch_in_flight_per_artifact(self):
+        """At the default config a busy artifact's requests wait in the
+        admission queue — one batch in flight, never a second — while
+        another artifact is served past them."""
+        model, other = build_diamond_model(), build_chain_model()
+        feed = example_inputs(model)
+        active, peak = [0], [0]
+        entered, release = threading.Event(), threading.Event()
+        with InferenceEngine() as engine:
+            engine.warmup(model, feed)
+            session = artifact_of(engine, model, feed).session
+            for name in ("run", "run_with_binding"):
+                def gated(*args, _real=getattr(session, name), **kwargs):
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                    entered.set()
+                    assert release.wait(timeout=30.0)
+                    try:
+                        return _real(*args, **kwargs)
+                    finally:
+                        active[0] -= 1
+                setattr(session, name, gated)
+            try:
+                first = engine.submit(model, feed)
+                assert entered.wait(timeout=10.0)
+                rest = [engine.submit(model, feed) for _ in range(12)]
+                stats = engine.qos.stats()
+                assert stats["inflight"] == 1 and stats["depth"] == 12
+                # a different artifact is not held up by the busy one
+                assert engine.submit(other, example_inputs(other)).result(
+                    timeout=60)
+            finally:
+                release.set()
+            for future in [first, *rest]:
+                assert future.result(timeout=60)
+            assert peak[0] == 1
 
     def test_warmup_is_an_admitted_request(self):
         """warmup() takes the admitted path (no QoS bypass) and still costs

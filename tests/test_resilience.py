@@ -28,7 +28,12 @@ import time
 import numpy as np
 import pytest
 
-from tests.conftest import build_chain_model, build_diamond_model, build_wide_model
+from tests.conftest import (
+    build_chain_model,
+    build_diamond_model,
+    build_wide_model,
+    cached_artifacts,
+)
 from repro.pipeline import PipelineConfig, ramiel_compile
 from repro.resilience import (
     BreakerOpen,
@@ -631,7 +636,7 @@ class TestServingResilience:
             # served by the degraded in-process plan executor
             outputs = engine.infer(model, feed)
             _assert_bitwise(outputs, reference)
-            artifacts = list(engine._cache.values())
+            artifacts = cached_artifacts(engine)
             assert len(artifacts) == 1
             dispatcher = artifacts[0].dispatcher
             stats = dispatcher.stats()
@@ -670,7 +675,7 @@ class TestServingResilience:
 
         with InferenceEngine(EngineConfig(max_batch_size=1)) as engine:
             reference = engine.infer(model, feed)
-            artifact = list(engine._cache.values())[0]
+            artifact = cached_artifacts(engine)[0]
             artifact.session.run = failing_run
             for _ in range(5):  # past the stock breaker threshold of 3
                 with pytest.raises(RuntimeError) as excinfo:
@@ -684,14 +689,14 @@ class TestServingResilience:
             # a transient failure leaves the (unbroken) artifact cached
             del artifact.session.run
             _assert_bitwise(engine.infer(model, feed), reference)
-            assert list(engine._cache.values()) == [artifact]
+            assert cached_artifacts(engine) == [artifact]
 
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=-1, message="boom")])
         with InferenceEngine(EngineConfig(executor="pool", max_batch_size=1,
                                           timeout_s=60.0)) as engine:
             engine.warmup(model, feed)
-            artifact = list(engine._cache.values())[0]
+            artifact = cached_artifacts(engine)[0]
             assert artifact.supervisor is None
             assert not [t for t in threading.enumerate()
                         if t.name.startswith("pool-supervisor")]
@@ -700,7 +705,7 @@ class TestServingResilience:
                 engine.infer(model, feed)
             assert artifact.dispatcher.stats()["retries"] == 0
             # the failed run broke the pool: the artifact was dropped
-            assert artifact not in engine._cache.values()
+            assert artifact not in cached_artifacts(engine)
 
 
 # ---------------------------------------------------------------------------

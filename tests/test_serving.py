@@ -1,9 +1,12 @@
-"""Tests for the serving subsystem: engine, micro-batcher, artifact cache.
+"""Tests for the serving subsystem: engine, lanes, micro-batching, artifact cache.
 
-Covers the batcher's edge cases (single request flushed at the wait
+Covers micro-batching's edge cases (single request flushed at the wait
 deadline, mismatched non-batch shapes rejected cleanly, cache eviction when
-capacity is exceeded), compile-exactly-once caching, warm-pool reuse, and
-numerical agreement of batched serving with the sequential reference.
+capacity is exceeded), compile-exactly-once caching, warm-pool reuse,
+numerical agreement of batched serving with the sequential reference, and
+the lane guarantees (a compile blocks no other artifact, a failed compile
+fails only its own key, a request queued for an evicted lane is served by
+its replacement, one lane thread per warm artifact and nothing engine-wide).
 """
 
 from __future__ import annotations
@@ -24,19 +27,28 @@ from repro.pipeline import (
 )
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
+from repro.observability import MetricsRegistry
 from repro.serving import (
     ArtifactCache,
     ArtifactKey,
-    BatcherClosed,
     BatchPolicy,
     EngineConfig,
+    EngineOverloaded,
     InferenceEngine,
-    MicroBatcher,
+    QoSConfig,
+    QoSFrontend,
     ShapeMismatchError,
     example_inputs,
     scatter_outputs,
 )
-from tests.conftest import build_chain_model, build_diamond_model
+from tests.conftest import (
+    LaneDouble,
+    artifact_of,
+    build_chain_model,
+    build_diamond_model,
+    gate_session,
+    lane_of,
+)
 
 
 def tiny_engine(**overrides) -> InferenceEngine:
@@ -95,9 +107,16 @@ class TestFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher
+# Micro-batching: a lane pulling batches out of the admission queue
 # ---------------------------------------------------------------------------
 class TestMicroBatcher:
+    KEY = "artifact"
+
+    def serve(self, run_batch, policy):
+        """A frontend with one lane serving ``KEY`` through ``run_batch``."""
+        frontend = QoSFrontend(QoSConfig(), MetricsRegistry())
+        return frontend, LaneDouble(frontend, self.KEY, run_batch, policy)
+
     def test_single_request_flushed_at_deadline(self):
         """One lone in-flight request must not wait for a full batch."""
         batches = []
@@ -106,19 +125,17 @@ class TestMicroBatcher:
             batches.append({k: v.shape for k, v in stacked.items()})
             return {"y": stacked["x"] * 2}
 
-        batcher = MicroBatcher(run_batch,
-                               policy=BatchPolicy(max_batch_size=64, max_wait_s=0.01))
+        frontend, lane = self.serve(
+            run_batch, BatchPolicy(max_batch_size=64, max_wait_s=0.01))
         try:
-            start = time.perf_counter()
-            fut = batcher.submit({"x": np.ones((1, 4))}, batch_len=1)
-            result = fut.result(timeout=5.0)
-            elapsed = time.perf_counter() - start
+            request = frontend.admit(self.KEY, {"x": np.ones((1, 4))}, 1)
+            # flushed by the deadline, not hanging for 64 requests
+            result = request.future.result(timeout=5.0)
         finally:
-            batcher.close()
+            lane.close()
+            frontend.close(drain_timeout=0.1)
         assert result["y"].shape == (1, 4)
         assert batches == [{"x": (1, 4)}]
-        # flushed by the deadline, far before any "wait for 64 requests" hang
-        assert elapsed < 2.0
 
     def test_concurrent_requests_are_fused(self):
         sizes = []
@@ -127,15 +144,16 @@ class TestMicroBatcher:
             sizes.append(stacked["x"].shape[0])
             return {"y": stacked["x"] + 1}
 
-        batcher = MicroBatcher(run_batch,
-                               policy=BatchPolicy(max_batch_size=8, max_wait_s=0.2))
+        frontend, lane = self.serve(
+            run_batch, BatchPolicy(max_batch_size=8, max_wait_s=0.2))
         try:
-            futures = [batcher.submit({"x": np.full((1, 2), i, dtype=np.float64)},
-                                      batch_len=1)
-                       for i in range(8)]
+            futures = [frontend.admit(
+                self.KEY, {"x": np.full((1, 2), i, dtype=np.float64)}, 1).future
+                for i in range(8)]
             results = [f.result(timeout=10.0) for f in futures]
         finally:
-            batcher.close()
+            lane.close()
+            frontend.close(drain_timeout=0.1)
         # every request got its own row back, in order
         for i, result in enumerate(results):
             assert np.array_equal(result["y"], np.full((1, 2), i + 1))
@@ -146,38 +164,42 @@ class TestMicroBatcher:
         def run_batch(stacked):
             raise ValueError("kernel exploded")
 
-        batcher = MicroBatcher(run_batch,
-                               policy=BatchPolicy(max_batch_size=4, max_wait_s=0.05))
+        frontend, lane = self.serve(
+            run_batch, BatchPolicy(max_batch_size=4, max_wait_s=0.05))
         try:
-            futures = [batcher.submit({"x": np.ones((1, 2))}, batch_len=1)
+            futures = [frontend.admit(self.KEY, {"x": np.ones((1, 2))}, 1).future
                        for _ in range(3)]
             for fut in futures:
                 with pytest.raises(ValueError, match="kernel exploded"):
                     fut.result(timeout=5.0)
+            assert frontend.stats()["tenants"]["default"]["failed"] == 3
         finally:
-            batcher.close()
+            lane.close()
+            frontend.close(drain_timeout=0.1)
 
     def test_close_fails_pending_and_rejects_new(self):
-        release = threading.Event()
+        """Closing the frontend under a busy lane: the batch in flight is
+        answered, what is still queued fails, new work is rejected."""
+        entered, release = threading.Event(), threading.Event()
 
         def run_batch(stacked):
+            entered.set()
             release.wait(timeout=5.0)
             return {"y": stacked["x"]}
 
-        batcher = MicroBatcher(run_batch,
-                               policy=BatchPolicy(max_batch_size=1, max_wait_s=0.0))
-        first = batcher.submit({"x": np.ones(1)}, batch_len=1)  # occupies the collector
-        time.sleep(0.05)
-        second = batcher.submit({"x": np.ones(1)}, batch_len=1)  # stays pending
-        closer = threading.Thread(target=batcher.close)
-        closer.start()
-        release.set()
-        closer.join(timeout=5.0)
-        assert first.result(timeout=5.0)["y"].shape == (1,)
-        with pytest.raises(BatcherClosed):
+        frontend, lane = self.serve(
+            run_batch, BatchPolicy(max_batch_size=1, max_wait_s=0.0))
+        first = frontend.admit(self.KEY, {"x": np.ones(1)}, 1).future
+        assert entered.wait(timeout=5.0)  # the lane holds the first batch
+        second = frontend.admit(self.KEY, {"x": np.ones(1)}, 1).future
+        frontend.close(drain_timeout=0.05)  # the held batch outlasts the drain
+        with pytest.raises(EngineOverloaded):
             second.result(timeout=5.0)
-        with pytest.raises(BatcherClosed):
-            batcher.submit({"x": np.ones(1)}, batch_len=1)
+        with pytest.raises(EngineOverloaded):
+            frontend.admit(self.KEY, {"x": np.ones(1)}, 1)
+        release.set()
+        assert first.result(timeout=5.0)["y"].shape == (1,)
+        lane.close()
 
     def test_scatter_handles_unbatched_outputs(self):
         class Req:
@@ -255,6 +277,20 @@ class TestArtifactCache:
                 RuntimeError("boom")))
         artifact, hit = cache.get_or_create(_key("a"), lambda: "recovered")
         assert artifact == "recovered" and not hit
+
+    def test_entry_that_is_not_evictable_is_never_the_victim(self):
+        """The engine's predicate is "compilation has ended": a lane that is
+        still compiling stays, and the cache overflows until it is done."""
+        evicted, compiling = [], {"a", "b", "c"}
+        cache = ArtifactCache(capacity=1,
+                              on_evict=lambda key, entry: evicted.append(entry),
+                              evictable=lambda entry: entry not in compiling)
+        cache.get_or_create(_key("a"), lambda: "a")
+        cache.get_or_create(_key("b"), lambda: "b")
+        assert evicted == [] and len(cache) == 2  # both still compiling
+        compiling -= {"a", "b"}
+        cache.get_or_create(_key("c"), lambda: "c")
+        assert evicted == ["a", "b"] and cache.keys() == [_key("c")]
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +434,7 @@ class TestInferenceEngine:
         with tiny_engine(executor="pool") as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            arrays, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
             artifact.session.pool._broken = True  # simulate a timed-out/failed run
             with pytest.raises(RuntimeError, match="broken"):
                 engine.infer(model, feed)
@@ -411,15 +446,14 @@ class TestInferenceEngine:
             assert snapshot["evictions"] == 1
 
     def test_request_survives_artifact_closed_under_it(self):
-        """Eviction racing the submit path retries with a fresh compile."""
+        """A lane that stops while still cached never strands a request:
+        it drops its own entry, so the request gets a fresh compile."""
         model = build_diamond_model()
         with tiny_engine() as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            arrays, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
-            artifact.batcher.close()  # artifact dies while still cached
-            outputs = engine.infer(model, feed)  # must not raise BatcherClosed
+            lane_of(engine, model, feed).close()  # dies while still cached
+            outputs = engine.infer(model, feed)
             assert outputs
             assert engine.metrics.snapshot()["cache"]["compiles"] == 2
 
@@ -433,8 +467,7 @@ class TestInferenceEngine:
             expected = reference.run_sequential(feed)
             for name, ref in expected.items():
                 np.testing.assert_allclose(outputs[name], ref, rtol=1e-5, atol=1e-6)
-            arrays, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
             assert artifact.session.pool is not None
             assert artifact.session.plan is None
 
@@ -450,8 +483,7 @@ class TestInferenceEngine:
         with tiny_engine() as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            arrays, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
             plan = artifact.session.plan
             assert plan is not None
             assert artifact.session.pool is None
@@ -503,21 +535,15 @@ class TestInferenceEngine:
         def run_batch(stacked):
             raise ValueError("boom")
 
-        from repro.serving import ServingMetrics
-
-        metrics = ServingMetrics()
-        batcher = MicroBatcher(run_batch, policy=BatchPolicy(max_batch_size=2,
-                                                             max_wait_s=0.01),
-                               metrics=metrics)
-        try:
-            futures = [batcher.submit({"x": np.ones(1)}, batch_len=1)
-                       for _ in range(2)]
+        model = build_diamond_model()
+        feed = example_inputs(model)
+        with tiny_engine(max_batch_size=2, max_wait_s=0.01) as engine:
+            artifact_of(engine, model, feed).run_batch = run_batch
+            futures = [engine.submit(model, feed) for _ in range(2)]
             for fut in futures:
                 with pytest.raises(ValueError):
                     fut.result(timeout=5.0)
-        finally:
-            batcher.close()
-        snapshot = metrics.snapshot()
+            snapshot = engine.metrics.snapshot()
         assert snapshot["failed"] == 2
         assert snapshot["completed"] == 0
         assert snapshot["latency_ms"]["p50"] is None
@@ -532,8 +558,7 @@ class TestSessionServing:
         with tiny_engine() as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            _, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
             assert artifact.session is not None
             assert artifact.session.executor == "plan"
             assert artifact.watchdog is not None
@@ -547,8 +572,7 @@ class TestSessionServing:
             expected = reference.session(executor="interp").run(feed)
             for name, ref in expected.items():
                 np.testing.assert_array_equal(outputs[name], ref)
-            _, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
             assert artifact.session.interpreter is not None
             assert artifact.session.plan is None
             assert artifact.session.pool is None
@@ -557,23 +581,23 @@ class TestSessionServing:
         """Fused batches land in session-pinned staging buffers: no new
         staging allocation once the largest batch has been seen, and the
         stacked feed is exactly what np.concatenate would have produced."""
-        from repro.serving.batching import _Request, stack_requests
+        from types import SimpleNamespace
+
+        from repro.serving.batching import stack_requests
         from repro.serving.engine import _PinnedStacker
-        from concurrent.futures import Future
 
         model = build_diamond_model()
         with tiny_engine() as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            _, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
-            stacker = artifact.batcher._stack
+            artifact = artifact_of(engine, model, feed)
+            stacker = artifact.stack
             assert isinstance(stacker, _PinnedStacker)
 
             def requests(seed):
                 return [
-                    _Request(inputs=example_inputs(model, seed=seed + i),
-                             batch_len=1, future=Future(), submit_t=0.0)
+                    SimpleNamespace(inputs=example_inputs(model, seed=seed + i),
+                                    batch_len=1)
                     for i in range(3)
                 ]
 
@@ -645,8 +669,7 @@ class TestSessionServing:
         with tiny_engine(timeout_s=0.2) as engine:
             feed = example_inputs(model)
             engine.infer(model, feed)
-            _, _, signature = engine._validate(model, feed)
-            artifact = engine._artifact_for(model, signature)
+            artifact = artifact_of(engine, model, feed)
 
             def stuck_run(stacked, **kwargs):
                 time.sleep(1.5)
@@ -674,6 +697,126 @@ class TestSessionServing:
         with pytest.raises(RuntimeError, match="broken"):
             watchdog.run(lambda _: {}, None, timeout=1.0)
         watchdog.close()
+
+
+# ---------------------------------------------------------------------------
+# Lanes: one thread per artifact, pulling from the one admission queue
+# ---------------------------------------------------------------------------
+def _assert_bitwise(outputs, reference):
+    assert set(outputs) == set(reference)
+    for name, ref in reference.items():
+        np.testing.assert_array_equal(np.asarray(outputs[name]), np.asarray(ref))
+
+
+def _gate_compile(monkeypatch, engine, gated_model, fail_with=None):
+    """Block ``engine._compile`` for ``gated_model`` until released.
+
+    Returns ``(entered, release, calls)``: ``entered`` is set once the
+    gated compile has started, ``calls`` lists every model compiled.
+    """
+    entered, release, calls = threading.Event(), threading.Event(), []
+    real = engine._compile
+
+    def gated(model, key):
+        calls.append(model)
+        if model is gated_model:
+            entered.set()
+            assert release.wait(timeout=30.0)
+            if fail_with is not None:
+                raise fail_with
+        return real(model, key)
+
+    monkeypatch.setattr(engine, "_compile", gated)
+    return entered, release, calls
+
+
+class TestLanes:
+    def test_warm_request_completes_while_another_model_compiles(self, monkeypatch):
+        """No head-of-line blocking across artifacts: a compile runs on its
+        own lane, so a warm model keeps answering while it is stuck."""
+        warm, cold = build_diamond_model(), build_chain_model()
+        warm_feed = example_inputs(warm)
+        with tiny_engine() as engine:
+            reference = engine.infer(warm, warm_feed)
+            entered, release, _ = _gate_compile(monkeypatch, engine, cold)
+            try:
+                cold_future = engine.submit(cold, example_inputs(cold))
+                assert entered.wait(timeout=10.0)
+                _assert_bitwise(
+                    engine.submit(warm, warm_feed).result(timeout=10.0),
+                    reference)
+                assert not cold_future.done()
+            finally:
+                release.set()
+            assert cold_future.result(timeout=30.0)
+
+    def test_compile_failure_fails_only_its_own_keys_requests(self, monkeypatch):
+        """A failed compile fails exactly what is queued for that key, once,
+        with the compile error — and the key can be compiled again."""
+        good, bad = build_diamond_model(), build_chain_model()
+        good_feed, bad_feed = example_inputs(good), example_inputs(bad)
+        boom = RuntimeError("compile exploded")
+        with tiny_engine() as engine:
+            reference = engine.infer(good, good_feed)
+            entered, release, calls = _gate_compile(
+                monkeypatch, engine, bad, fail_with=boom)
+            try:
+                doomed = [engine.submit(bad, bad_feed) for _ in range(3)]
+                assert entered.wait(timeout=10.0)
+                bystander = engine.submit(good, good_feed)
+            finally:
+                release.set()
+            for future in doomed:
+                with pytest.raises(RuntimeError) as excinfo:
+                    future.result(timeout=10.0)
+                assert excinfo.value is boom
+            _assert_bitwise(bystander.result(timeout=10.0), reference)
+            assert calls.count(bad) == 1  # compiled once, not once per request
+            stats = engine.qos.stats()["tenants"]["default"]
+            assert stats["failed"] == 3
+            # the failed lane dropped its entry: the key compiles afresh
+            monkeypatch.undo()
+            assert engine.infer(bad, bad_feed)
+
+    def test_request_queued_for_an_evicted_lane_is_served_by_its_replacement(self):
+        """Eviction strands nothing: the lane answers the batch it holds,
+        and what is still queued for its key gets a fresh lane."""
+        diamond, chain = build_diamond_model(), build_chain_model()
+        feeds = [example_inputs(diamond, seed=s) for s in range(2)]
+        with tiny_engine(cache_capacity=1, max_batch_size=1) as engine:
+            references = [engine.infer(diamond, feed) for feed in feeds]
+            entered, release = gate_session(artifact_of(engine, diamond, feeds[0]))
+            try:
+                held = engine.submit(diamond, feeds[0])
+                assert entered.wait(timeout=10.0)
+                queued = engine.submit(diamond, feeds[1])  # behind the held batch
+                other = engine.submit(chain, example_inputs(chain))
+                # capacity 1: chain's lane evicted diamond's, mid-batch
+                assert engine.metrics.snapshot()["cache"]["evictions"] == 1
+            finally:
+                release.set()
+            _assert_bitwise(held.result(timeout=30.0), references[0])
+            _assert_bitwise(queued.result(timeout=30.0), references[1])
+            assert other.result(timeout=30.0)
+            assert engine.qos.stats()["tenants"]["default"]["failed"] == 0
+
+    def test_thread_census_two_lanes_two_watchdogs_nothing_engine_wide(self):
+        before = set(threading.enumerate())
+        engine = tiny_engine()
+        try:
+            for model in (build_diamond_model(), build_chain_model()):
+                engine.infer(model, example_inputs(model))
+            names = sorted(t.name for t in threading.enumerate()
+                           if t not in before)
+            assert len(names) == 4, names
+            assert sum(n.startswith("lane-") for n in names) == 2, names
+            assert sum(n.startswith("serve-watchdog-") for n in names) == 2, names
+        finally:
+            engine.shutdown()
+        leftover = [t for t in threading.enumerate() if t not in before]
+        for thread in leftover:
+            thread.join(timeout=5.0)
+        assert not [t.name for t in leftover if t.is_alive()]
 
 
 # ---------------------------------------------------------------------------
