@@ -178,8 +178,7 @@ def test_backpressure_latency_goodput_fairness_at_2x_capacity(saturation):
 @pytest.mark.parametrize("name", GATEWAY_MODELS)
 def test_gateway_response_bitwise_matches_direct_submit(name):
     model = build_model(name, variant="small")
-    engine = InferenceEngine(EngineConfig(
-        max_batch_size=4, max_wait_s=0.002, qos=QoSConfig()))
+    engine = InferenceEngine(EngineConfig(max_batch_size=4, qos=QoSConfig()))
     feed = example_inputs(model)
     try:
         reference = engine.submit(model, feed).result(timeout=300)

@@ -45,7 +45,7 @@ def served_models():
 
 @pytest.fixture(scope="module")
 def engine():
-    eng = InferenceEngine(EngineConfig(max_batch_size=8, max_wait_s=0.005))
+    eng = InferenceEngine(EngineConfig(max_batch_size=8))
     yield eng
     eng.shutdown()
 

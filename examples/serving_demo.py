@@ -5,8 +5,9 @@ Demonstrates the `repro.serving` subsystem end to end:
 1. build two zoo models (reduced-size variants keep the demo fast),
 2. warm the engine up — each model is Ramiel-compiled exactly once into
    the compiled-artifact cache, served through its cached execution plan,
-3. fire concurrent requests from many threads; each model's lane
-   fuses simultaneous requests into micro-batches along the batch axis,
+3. fire concurrent requests from many threads; each model's lane takes
+   what is queued for it the moment it is free (no closing timer), so
+   requests that arrive while it executes fuse into its next micro-batch,
 4. print the serving metrics report: throughput, latency percentiles,
    batch-size histogram and cache hit rate.
 
@@ -39,7 +40,7 @@ CONCURRENCY = 6
 
 
 def main() -> None:
-    engine = InferenceEngine(EngineConfig(max_batch_size=8, max_wait_s=0.005))
+    engine = InferenceEngine(EngineConfig(max_batch_size=8))
     models = [build_model(name, variant="small") for name in MODELS]
 
     print("--- warmup (compile once per model) ------------------------")
@@ -49,8 +50,8 @@ def main() -> None:
               f"(batchable={summary['batchable']})")
 
     # Concurrent traffic: CONCURRENCY worker threads per model, each sending
-    # a stream of requests.  Simultaneous requests against the same model
-    # are fused into micro-batches by its lane.
+    # a stream of requests.  Requests that arrive while a model's lane is
+    # executing are fused into its next micro-batch.
     print("\n--- serving concurrent traffic -----------------------------")
     errors = []
 
@@ -87,7 +88,6 @@ def gateway_main() -> None:
 
     engine = InferenceEngine(EngineConfig(
         max_batch_size=8,
-        max_wait_s=0.005,
         qos=QoSConfig(tenants=(TenantConfig("gold", weight=3.0),
                                TenantConfig("free", weight=1.0)))))
     models = {name: build_model(name, variant="small") for name in MODELS}

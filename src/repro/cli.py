@@ -88,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="concurrent caller threads (default 8)")
     serve_p.add_argument("--max-batch", type=int, default=8,
                          help="micro-batch max size (default 8)")
-    serve_p.add_argument("--max-wait-ms", type=float, default=5.0,
-                         help="micro-batch max wait in ms (default 5)")
     serve_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
                          help="request executor from the session registry "
                               "(plan | interp | pool | process)")
@@ -294,7 +292,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     engine = InferenceEngine(EngineConfig(
         max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         executor=args.executor,
     ))
     per_model = []

@@ -11,8 +11,11 @@ admitted work, weighted fairness) is observable instead of asserted.
 
 Everything is stdlib ``asyncio``: each in-flight request is a task with
 its own connection (an open-loop driver cannot share a small pool —
-waiting for a free connection would close the loop again).  Results
-aggregate per tenant into :class:`TenantReport`.
+waiting for a free connection would close the loop again).  Latency is
+timed from the moment a request was *due*, not from when it was sent, so a
+stall in the generator or the server is charged to the requests it
+delayed; how late the generator ran (send − due) is reported beside it.
+Results aggregate per tenant into :class:`TenantReport`.
 """
 
 from __future__ import annotations
@@ -67,7 +70,10 @@ class TenantReport:
     other_status: int = 0
     transport_errors: int = 0
     retry_after_seen: int = 0
+    #: due time -> reply, of admitted (200) requests
     latencies_s: List[float] = dataclasses.field(default_factory=list)
+    #: due time -> send, of every request fired (how late the generator ran)
+    lateness_s: List[float] = dataclasses.field(default_factory=list)
 
     @property
     def rejected(self) -> int:
@@ -81,9 +87,7 @@ class TenantReport:
 
     def percentile_ms(self, q: float) -> float:
         """Latency percentile of *admitted* (200) requests, milliseconds."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q) * 1e3)
+        return _percentile_ms(self.latencies_s, q)
 
     def summary(self, duration_s: float) -> Dict[str, float]:
         """Flat dict for printing/asserting."""
@@ -98,7 +102,14 @@ class TenantReport:
             "goodput_rps": round(self.ok / duration_s, 2) if duration_s else 0.0,
             "p50_ms": round(self.percentile_ms(50), 2),
             "p99_ms": round(self.percentile_ms(99), 2),
+            "late_p95_ms": round(_percentile_ms(self.lateness_s, 95), 2),
         }
+
+
+def _percentile_ms(samples_s: List[float], q: float) -> float:
+    if not samples_s:
+        return 0.0
+    return float(np.percentile(np.asarray(samples_s), q) * 1e3)
 
 
 @dataclasses.dataclass
@@ -123,14 +134,16 @@ class LoadReport:
     def render(self) -> str:
         """A per-tenant table for humans."""
         lines = [f"{'tenant':<12} {'sent':>6} {'ok':>6} {'429':>5} {'503':>5} "
-                 f"{'504':>5} {'err':>4} {'goodput':>8} {'p50ms':>8} {'p99ms':>8}"]
+                 f"{'504':>5} {'err':>4} {'goodput':>8} {'p50ms':>8} {'p99ms':>8} "
+                 f"{'late95ms':>9}"]
         for name in sorted(self.tenants):
             s = self.tenants[name].summary(self.duration_s)
             lines.append(
                 f"{name:<12} {s['sent']:>6} {s['ok']:>6} "
                 f"{s['rejected_429']:>5} {s['rejected_503']:>5} "
                 f"{s['expired_504']:>5} {s['transport_errors']:>4} "
-                f"{s['goodput_rps']:>8} {s['p50_ms']:>8} {s['p99_ms']:>8}")
+                f"{s['goodput_rps']:>8} {s['p50_ms']:>8} {s['p99_ms']:>8} "
+                f"{s['late_p95_ms']:>9}")
         return "\n".join(lines)
 
 
@@ -160,12 +173,13 @@ async def http_request(host: str, port: int, method: str, path: str,
 
 
 async def _fire_one(host: str, port: int, spec: LoadSpec,
-                    report: TenantReport, timeout: float) -> None:
+                    report: TenantReport, timeout: float, due: float) -> None:
+    """One request, timed from ``due`` (its arrival time on ``loop.time()``)."""
     loop = asyncio.get_running_loop()
     headers = {"X-Tenant": spec.tenant}
     if spec.deadline_s is not None:
         headers["X-Deadline-S"] = f"{spec.deadline_s:g}"
-    start = loop.time()
+    report.lateness_s.append(loop.time() - due)
     try:
         status, resp_headers, _ = await http_request(
             host, port, "POST", f"/v1/models/{spec.model}/infer",
@@ -174,7 +188,7 @@ async def _fire_one(host: str, port: int, spec: LoadSpec,
             OSError):
         report.transport_errors += 1
         return
-    elapsed = loop.time() - start
+    elapsed = loop.time() - due
     if status == 200:
         report.ok += 1
         report.latencies_s.append(elapsed)
@@ -207,7 +221,7 @@ async def _tenant_loop(host: str, port: int, spec: LoadSpec,
         # Open loop: fire-and-track, never wait for the answer here.
         report.sent += 1
         inflight.append(asyncio.ensure_future(
-            _fire_one(host, port, spec, report, timeout)))
+            _fire_one(host, port, spec, report, timeout, next_arrival)))
 
 
 async def run_load(host: str, port: int, specs: Sequence[LoadSpec],

@@ -11,8 +11,8 @@ This subsystem amortizes that work across request traffic:
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
   the artifacts' lanes keyed by (model fingerprint, config fingerprint,
   input signature).
-* :mod:`repro.serving.batching` — the micro-batching policy (max batch
-  size / max wait) and batch-axis stacking and scattering.
+* :mod:`repro.serving.batching` — batch-axis stacking and scattering of a
+  micro-batch (what a free lane finds queued for it: no closing timer).
 * :mod:`repro.serving.metrics` — throughput, latency percentiles,
   batch-size histogram and cache statistics.
 * :mod:`repro.serving.qos` — multi-tenant admission control and the one
@@ -28,7 +28,6 @@ See ``examples/serving_demo.py`` and the ``repro serve-bench`` /
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
-    BatchPolicy,
     ServingError,
     scatter_outputs,
     stack_requests,
@@ -70,7 +69,6 @@ __all__ = [
     "ArtifactCache",
     "ArtifactKey",
     "BATCH_AXIS",
-    "BatchPolicy",
     "CompiledArtifact",
     "EngineConfig",
     "FAIL_FAST",

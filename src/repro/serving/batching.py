@@ -1,11 +1,10 @@
-"""Micro-batching policy and the stack / scatter helpers.
+"""The stack / scatter helpers of micro-batching.
 
-A micro-batch is taken out of the admission queue by the artifact's lane
-(:meth:`repro.serving.qos.QoSFrontend.take_batch`) under a
-:class:`BatchPolicy` — it closes when it reaches ``max_batch_size`` or when
-``max_wait_s`` has elapsed since its first request was taken, whichever
-comes first.  Inputs are stacked along the batch axis (axis 0), executed
-once, and the outputs scattered back per request.
+A micro-batch is what the artifact's lane finds queued for it the moment it
+is free (:meth:`repro.serving.qos.QoSFrontend.take_batch`), up to the
+artifact's maximum batch — no timer closes it.  Inputs are stacked along
+the batch axis (axis 0), executed once, and the outputs scattered back per
+request.
 
 Requests of one batch are guaranteed shape-compatible: artifacts (and
 therefore lanes) are keyed by input signature, which includes every
@@ -15,7 +14,6 @@ non-batch dimension.  A *request* here is any record with ``inputs`` and
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -26,25 +24,6 @@ BATCH_AXIS = 0
 
 class ServingError(RuntimeError):
     """Base class for serving-layer failures."""
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchPolicy:
-    """When to close a micro-batch.
-
-    ``max_batch_size`` bounds how many requests are fused into one
-    execution; ``max_wait_s`` bounds how long the first request of a batch
-    may wait for co-travellers (the tail-latency knob).
-    """
-
-    max_batch_size: int = 8
-    max_wait_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
 
 
 def stack_requests(requests: Sequence) -> Dict[str, np.ndarray]:

@@ -30,10 +30,12 @@ is one record with one future, it waits in exactly one place, and
    (:mod:`repro.runtime.worker_pool`), the paper-shaped multi-worker
    runtime.
 3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
-   calls against the same artifact are fused along the batch axis under a
-   max-batch-size / max-wait policy (:mod:`repro.serving.batching`), taken
-   from the admission queue in weighted order at the moment the lane can
-   execute them — one batch in flight per artifact.
+   calls against the same artifact are fused along the batch axis
+   (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
+   lane takes what is queued for its artifact *now*, in weighted order, up
+   to ``max_batch_size`` — an idle system serves at batch 1 with no wait,
+   and what arrives while the lane executes becomes its next batch.  One
+   batch in flight per artifact.
 4. **Metrics** — throughput, latency percentiles, batch-size histogram and
    cache hit rate (:mod:`repro.serving.metrics`), rendered by
    :func:`repro.analysis.reports.render_serving_report`.
@@ -80,7 +82,6 @@ from repro.runtime.session import IOBinding, Session, create_session, validate_e
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
-    BatchPolicy,
     ServingError,
     scatter_outputs,
     stack_requests,
@@ -108,9 +109,9 @@ FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
 class EngineConfig:
     """Configuration of one :class:`InferenceEngine`."""
 
-    #: batch-closing policy shared by every artifact's lane
+    #: most requests a lane fuses into one execution; a lane never waits to
+    #: reach it — it takes what is queued when it is free
     max_batch_size: int = 8
-    max_wait_s: float = 0.005
     #: compiled artifacts kept warm before LRU eviction; size it above the
     #: concurrently-served working set (model x config x signature triples)
     cache_capacity: int = 16
@@ -142,11 +143,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         validate_executor(self.executor, context="serving executor")
-
-    def batch_policy(self) -> BatchPolicy:
-        """The batching policy derived from this config."""
-        return BatchPolicy(max_batch_size=self.max_batch_size,
-                           max_wait_s=self.max_wait_s)
 
 
 class _BatchWatchdog:
@@ -280,9 +276,8 @@ class CompiledArtifact:
     session: Session
     #: the retry/breaker/degradation policy every batch is dispatched under
     dispatcher: ResilientDispatcher
-    #: batch-closing policy of the artifact's lane (one request at a time
-    #: when not :attr:`batchable`)
-    policy: BatchPolicy
+    #: most requests the lane takes at once (1 when not :attr:`batchable`)
+    max_batch: int
     #: request list -> what ``run_batch`` accepts (pinned staging for
     #: in-process batchable artifacts, plain concatenation otherwise)
     stack: Callable
@@ -292,10 +287,6 @@ class CompiledArtifact:
     watchdog: Optional[_BatchWatchdog] = None
     #: worker supervisor of a pool-backed artifact (``resilience.supervise``)
     supervisor: Optional[PoolSupervisor] = None
-    #: whether concurrent requests may be fused along the batch axis (some
-    #: generated code bakes the batch size into static reshapes — e.g.
-    #: BERT's attention head splits — and must be served one request at a time)
-    batchable: bool = True
     #: ``[(plan session, its watchdog)]`` once a pool-backed artifact's
     #: breaker first routed a batch to the lazily-built degraded fallback
     _degraded: list = dataclasses.field(default_factory=list, repr=False)
@@ -304,6 +295,13 @@ class CompiledArtifact:
     def model_name(self) -> str:
         """Name of the compiled model."""
         return self.result.model.name
+
+    @property
+    def batchable(self) -> bool:
+        """Whether concurrent requests may be fused along the batch axis
+        (generated code that bakes the batch size into static reshapes —
+        e.g. BERT's attention head splits — is served one at a time)."""
+        return self.max_batch > 1
 
     def close(self) -> None:
         """Shut down the watchdog and session (warm pool included)."""
@@ -324,11 +322,12 @@ class _Lane:
     lane thread does, so ``submit`` never waits on a compile and a key is
     compiled once however many first requests race.  The thread then loops
     ``take_batch -> stack -> run_batch -> scatter -> complete``, pulling
-    each micro-batch out of the admission queue when it can execute it: one
-    batch in flight per artifact, and nothing queued outside the admission
-    queue.  A closed lane (evicted, invalidated, engine shutdown) answers
-    the batch it holds and stops; whatever is still queued for its key is
-    served by a replacement lane it starts on the way out.
+    whatever is queued for its artifact (up to ``max_batch``) the moment it
+    can execute it, without waiting for more: one batch in flight per
+    artifact, and nothing queued outside the admission queue.  A closed
+    lane (evicted, invalidated, engine shutdown) answers the batch it holds
+    and stops; whatever is still queued for its key is served by a
+    replacement lane it starts on the way out.
     """
 
     def __init__(self, engine: "InferenceEngine", model: Model,
@@ -389,7 +388,7 @@ class _Lane:
         self._artifact.set_result(artifact)
         try:
             while True:
-                batch = qos.take_batch(self.key, artifact.policy,
+                batch = qos.take_batch(self.key, artifact.max_batch,
                                        lambda: self._closing)
                 if batch is None:
                     break
@@ -784,14 +783,13 @@ class InferenceEngine:
 
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
-        policy = (self.config.batch_policy() if batchable
-                  else BatchPolicy(max_batch_size=1, max_wait_s=0.0))
         return CompiledArtifact(
             key=key, result=result, session=session, dispatcher=dispatcher,
-            policy=policy, run_batch=run_batch,
+            max_batch=self.config.max_batch_size if batchable else 1,
+            run_batch=run_batch,
             stack=stacker if batchable and in_process else stack_requests,
             watchdog=watchdog, supervisor=supervisor,
-            compile_time_s=compile_time, batchable=batchable,
+            compile_time_s=compile_time,
             _degraded=degraded)
 
     def _probe_batchable(self, execute, signature: Tuple) -> bool:

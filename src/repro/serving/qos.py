@@ -31,9 +31,12 @@ many models x many clients safe:
   (HTTP 503), each carrying a ``retry_after_s`` hint derived from the
   observed dispatch rate, so the gateway can emit honest ``Retry-After``
   headers instead of letting latency grow without bound.
-* **One batch in flight per artifact** — a lane takes its next batch only
-  after answering the previous one, so a burst against a slow model waits
-  here, where fairness and deadlines apply; no concurrency cap is needed.
+* **One batch in flight per artifact, closed without a timer** — a lane
+  takes its next batch only after answering the previous one, and a free
+  lane takes what is queued for its artifact *now*: an idle system serves
+  at batch 1 with no wait, and a burst against a busy model accumulates
+  here — where fairness and deadlines apply — into the lane's next batch.
+  No concurrency cap and no batch-closing wait are needed.
 
 :class:`QoSFrontend` ties it together for the engine and starts no thread:
 ``admit`` admits (or rejects) a validated request, ``take_batch`` hands a
@@ -53,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.batching import BatchPolicy, ServingError
+from repro.serving.batching import ServingError
 
 __all__ = [
     "AdmissionQueue",
@@ -410,7 +413,7 @@ class QoSFrontend:
         self._taken = 0
         self._draining = False
         self._closed = False
-        #: EWMA of inter-dispatch intervals, feeding Retry-After hints
+        #: EWMA of the per-request dispatch interval, feeding Retry-After hints
         self._dispatch_interval_ewma: Optional[float] = None
         self._last_dispatch_t: Optional[float] = None
         self._instruments(registry)
@@ -562,64 +565,65 @@ class QoSFrontend:
     # ------------------------------------------------------------------
     # Dispatch (called by the artifacts' lanes)
     # ------------------------------------------------------------------
-    def take_batch(self, key, policy: BatchPolicy,
+    def take_batch(self, key, max_batch: int,
                    closing: Callable[[], bool] = lambda: False
                    ) -> Optional[List[_QoSRequest]]:
         """The next micro-batch for artifact ``key``, in weighted order.
 
-        Blocks for the key's first live request, then fills until the
-        batch reaches ``policy.max_batch_size`` or ``policy.max_wait_s``
-        has passed since the first request was taken.  Requests whose
-        deadline has passed when they are popped are failed with
-        :class:`DeadlineExpired` instead of joining the batch.  Returns
+        Work-conserving: blocks (untimed) until a live request for the key
+        is queued, then returns what is queued for it *now*, up to
+        ``max_batch`` requests — it never waits for co-travellers.  On an
+        idle system that is a batch of one with no wait; while the lane
+        executes, arrivals accumulate and leave together as its next batch.
+        Requests whose deadline has passed when they are popped are failed
+        with :class:`DeadlineExpired` instead of joining the batch.  Returns
         ``None`` — the lane should stop — once the frontend is closed or
-        ``closing()`` holds and nothing has been taken; a batch already
-        begun is returned (and must be answered) either way.  A lane
-        whose ``closing()`` flips must call :meth:`wake`.
+        ``closing()`` holds; a batch that was returned must be answered
+        either way.  A lane whose ``closing()`` flips must call
+        :meth:`wake`.
         """
-        batch: List[_QoSRequest] = []
-        close_at = 0.0
         while True:
+            batch: List[_QoSRequest] = []
             expired: List[_QoSRequest] = []
             with self._cond:
-                stop = self._closed or closing()
-                if stop and not batch:
+                if self._closed or closing():
                     return None
-                while len(batch) < policy.max_batch_size:
+                now = self.clock()
+                while len(batch) < max_batch:
                     request = self._queue.pop(key)
                     if request is None:
                         break
-                    if not self._pop_is_live_locked(request):
-                        expired.append(request)
-                        continue
-                    if not batch:
-                        close_at = time.monotonic() + policy.max_wait_s
-                    batch.append(request)
-                if not expired:
-                    if len(batch) >= policy.max_batch_size:
-                        return batch
-                    remaining = None
-                    if batch:
-                        remaining = close_at - time.monotonic()
-                        if remaining <= 0 or stop:
-                            return batch
-                    self._cond.wait(timeout=remaining)
+                    (batch if self._pop_is_live_locked(request, now)
+                     else expired).append(request)
+                if batch:
+                    self._observe_take_locked(now, len(batch))
+                elif not expired:
+                    self._cond.wait()  # nothing queued: until an admit or a wake
             for request in expired:  # futures resolve outside the lock
                 self._count_rejected(request.tenant, "expired")
                 self._resolve(request, exc=DeadlineExpired(
                     f"deadline budget ran out after "
                     f"{self.clock() - request.enqueue_t:.3f}s in the "
                     f"admission queue (tenant {request.tenant!r})"))
+            if batch:
+                return batch
 
-    def _pop_is_live_locked(self, request: _QoSRequest) -> bool:
-        """Account one popped request; False if its deadline has passed."""
-        now = self.clock()
+    def _observe_take_locked(self, now: float, taken: int) -> None:
+        """Feed the dispatch-interval EWMA one sample per take.
+
+        The sample is the time since the previous take spread over the
+        requests of this one — per request, so ``depth * interval`` stays
+        an honest drain time whatever the batch size.
+        """
         if self._last_dispatch_t is not None:
-            sample = now - self._last_dispatch_t
+            sample = (now - self._last_dispatch_t) / taken
             ewma = self._dispatch_interval_ewma
             self._dispatch_interval_ewma = (
                 sample if ewma is None else 0.8 * ewma + 0.2 * sample)
         self._last_dispatch_t = now
+
+    def _pop_is_live_locked(self, request: _QoSRequest, now: float) -> bool:
+        """Account one popped request; False if its deadline has passed."""
         self._taken += 1
         self._queue_wait_hist.observe(now - request.enqueue_t)
         tracer = self._tracer

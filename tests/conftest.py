@@ -133,6 +133,16 @@ def gate_session(artifact):
     return entered, release
 
 
+class FakeClock:
+    """An injectable ``QoSFrontend(clock=...)`` that only the test advances."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 class LaneDouble:
     """A lane without an engine, for frontend-level tests.
 
@@ -141,11 +151,11 @@ class LaneDouble:
     complete`` — with ``run_batch`` supplied by the test.
     """
 
-    def __init__(self, frontend, key, run_batch, policy):
+    def __init__(self, frontend, key, run_batch, max_batch):
         import threading
 
         self.frontend, self.key = frontend, key
-        self._run_batch, self._policy = run_batch, policy
+        self._run_batch, self._max_batch = run_batch, max_batch
         self._closing = False
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"lane-double-{key}")
@@ -155,7 +165,7 @@ class LaneDouble:
         from repro.serving import scatter_outputs, stack_requests
 
         while True:
-            batch = self.frontend.take_batch(self.key, self._policy,
+            batch = self.frontend.take_batch(self.key, self._max_batch,
                                              lambda: self._closing)
             if batch is None:
                 return

@@ -26,7 +26,13 @@ from repro.gateway.http import (
     read_request,
     render_response,
 )
-from repro.gateway.loadgen import LoadSpec, http_request, run_load
+from repro.gateway.loadgen import (
+    LoadSpec,
+    TenantReport,
+    _fire_one,
+    http_request,
+    run_load,
+)
 from repro.gateway.server import GatewayConfig, GatewayServer, GatewayThread
 from repro.serving import (
     EngineConfig,
@@ -167,7 +173,7 @@ class TestHTTP:
 def gateway_stack():
     model = build_diamond_model()
     engine = InferenceEngine(EngineConfig(
-        max_batch_size=4, max_wait_s=0.002,
+        max_batch_size=4,
         qos=QoSConfig(tenants=(TenantConfig("gold", weight=3.0),
                                TenantConfig("free", weight=1.0)))))
     server = GatewayServer(engine, {"diamond": model})
@@ -370,7 +376,7 @@ class TestOpenLoopHarness:
     def test_small_burst_no_drops_and_fair_outcomes(self):
         model = build_diamond_model()
         engine = InferenceEngine(EngineConfig(
-            max_batch_size=4, max_wait_s=0.002,
+            max_batch_size=4,
             qos=QoSConfig(tenants=(TenantConfig("gold", weight=3.0),
                                    TenantConfig("free", weight=1.0)))))
         server = GatewayServer(engine, {"diamond": model})
@@ -393,3 +399,35 @@ class TestOpenLoopHarness:
             assert tenant.sent == (tenant.ok + tenant.rejected
                                    + tenant.expired_504 + tenant.other_status)
         assert "gold" in report.render()
+        assert "late95ms" in report.render()
+        for name in ("gold", "free"):
+            assert len(report.tenants[name].lateness_s) == report.tenants[name].sent
+
+    def test_latency_is_timed_from_due_time_not_from_send(self):
+        """A request fired half a second after it was due carries that
+        stall in its latency and in the generator-lateness column, however
+        fast the server answers it."""
+        async def scenario() -> TenantReport:
+            async def answer(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(render_response(200, b"{}"))
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            report = TenantReport("t")
+            try:
+                await _fire_one(
+                    "127.0.0.1", port, LoadSpec("t", "m", b"", rate_rps=1.0),
+                    report, 5.0, due=asyncio.get_running_loop().time() - 0.5)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return report
+
+        report = asyncio.run(scenario())
+        assert report.ok == 1
+        assert report.latencies_s[0] >= report.lateness_s[0] >= 0.5
+        summary = report.summary(1.0)
+        assert summary["p50_ms"] >= summary["late_p95_ms"] >= 500.0

@@ -492,9 +492,8 @@ class TestRegistryUnification:
     def test_engine_registry_exposes_serving_and_plan_counters(self):
         registry = MetricsRegistry()
         tracer = Tracer()
-        engine = InferenceEngine(
-            EngineConfig(max_batch_size=4, max_wait_s=0.01),
-            registry=registry, tracer=tracer)
+        engine = InferenceEngine(EngineConfig(max_batch_size=4),
+                                 registry=registry, tracer=tracer)
         model = small_model()
         feed = example_inputs(model, batch_size=1, seed=9)
         try:

@@ -27,7 +27,6 @@ from repro.observability import MetricsRegistry
 from repro.runtime.session import create_session
 from repro.serving import (
     ArtifactCache,
-    BatchPolicy,
     EngineConfig,
     InferenceEngine,
     example_inputs,
@@ -44,6 +43,7 @@ from repro.serving.qos import (
     _QoSRequest,
 )
 from tests.conftest import (
+    FakeClock,
     LaneDouble,
     artifact_of,
     build_chain_model,
@@ -53,9 +53,6 @@ from tests.conftest import (
 
 #: the artifact every request is for unless a test says otherwise
 KEY = "artifact"
-#: a lane that takes one request at a time and never waits for more
-ONE = BatchPolicy(max_batch_size=1, max_wait_s=0.0)
-
 
 def make_request(tenant: str, batch_len: int = 1, key=KEY,
                  deadline=None) -> _QoSRequest:
@@ -207,14 +204,6 @@ class TestAdmissionQueue:
 # ---------------------------------------------------------------------------
 # QoSFrontend with the test playing the lane
 # ---------------------------------------------------------------------------
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 def make_frontend(config=None, clock=None) -> QoSFrontend:
     kwargs = {"clock": clock} if clock is not None else {}
     return QoSFrontend(config or QoSConfig(), MetricsRegistry(), **kwargs)
@@ -223,7 +212,7 @@ def make_frontend(config=None, clock=None) -> QoSFrontend:
 def take_one(frontend: QoSFrontend, key=KEY) -> _QoSRequest:
     """Play the lane: take the next request for ``key`` (must be queued)."""
     assert frontend.has_queued(key)
-    (request,) = frontend.take_batch(key, ONE)
+    (request,) = frontend.take_batch(key, 1)
     return request
 
 
@@ -322,14 +311,13 @@ class TestQoSFrontend:
         request arriving after them is in the very next batch taken."""
         config = QoSConfig(tenants=(TenantConfig("vip", weight=10.0),))
         frontend = make_frontend(config)
-        policy = BatchPolicy(max_batch_size=8, max_wait_s=0.0)
         try:
             for _ in range(24):
                 frontend.admit(KEY, {}, 1, tenant="bulk")
-            in_flight = frontend.take_batch(KEY, policy)
+            in_flight = frontend.take_batch(KEY, 8)
             assert [r.tenant for r in in_flight] == ["bulk"] * 8
             vip = frontend.admit(KEY, {}, 1, tenant="vip")
-            next_batch = frontend.take_batch(KEY, policy)
+            next_batch = frontend.take_batch(KEY, 8)
             assert next_batch[0] is vip
             assert [r.tenant for r in next_batch[1:]] == ["bulk"] * 7
         finally:
@@ -340,8 +328,7 @@ class TestQoSFrontend:
         try:
             mine = frontend.admit(KEY, {}, 1)
             frontend.admit("other", {}, 1)
-            policy = BatchPolicy(max_batch_size=8, max_wait_s=0.0)
-            assert frontend.take_batch(KEY, policy) == [mine]
+            assert frontend.take_batch(KEY, 8) == [mine]
             assert frontend.has_queued("other") and not frontend.has_queued(KEY)
         finally:
             frontend.close(drain_timeout=0.05)
@@ -351,7 +338,7 @@ class TestQoSFrontend:
         frontend = make_frontend()
         try:
             frontend.admit(KEY, {}, 1)
-            assert frontend.take_batch(KEY, ONE, closing=lambda: True) is None
+            assert frontend.take_batch(KEY, 1, closing=lambda: True) is None
             assert frontend.has_queued(KEY)
         finally:
             frontend.close(drain_timeout=0.05)
@@ -428,7 +415,7 @@ class TestQoSFrontend:
         frontend.close(drain_timeout=0.05)
         with pytest.raises(EngineOverloaded):
             stuck.future.result(timeout=5)
-        assert frontend.take_batch(KEY, ONE) is None  # lanes are released
+        assert frontend.take_batch(KEY, 1) is None  # lanes are released
 
     def test_metrics_families_present(self):
         frontend = make_frontend()
@@ -462,6 +449,30 @@ class TestQoSFrontend:
         finally:
             frontend.close(drain_timeout=0.05)
 
+    def test_retry_after_estimate_is_per_request_not_per_pop(self):
+        """The dispatch-interval EWMA gets one sample per take — the time
+        since the previous take over the requests taken — so a fused batch
+        (eight pops microseconds apart) does not decay it towards zero and
+        a rejected client is not told to come back too early."""
+        clock = FakeClock()
+        frontend = make_frontend(
+            QoSConfig(tenants=(TenantConfig("t", max_queue=200),)), clock)
+        try:
+            for _ in range(2):  # two takes of 8 requests, 16 ms apart
+                for _ in range(8):
+                    frontend.admit(KEY, {}, 1, tenant="t")
+                assert len(frontend.take_batch(KEY, 8)) == 8
+                clock.now += 0.016
+            assert frontend._dispatch_interval_ewma == pytest.approx(0.002)
+            for _ in range(200):
+                frontend.admit(KEY, {}, 1, tenant="t")
+            with pytest.raises(TenantQueueFull) as excinfo:
+                frontend.admit(KEY, {}, 1, tenant="t")
+            # 200 queued x 2 ms per request, not the 0.1 s floor
+            assert excinfo.value.retry_after_s == 0.4
+        finally:
+            frontend.close(drain_timeout=0.05)
+
     def test_lanes_and_submitters_under_contention_lose_nothing(self):
         """Stress: more threads than cores on one condition.  Every admitted
         request resolves exactly once with its own payload, and the
@@ -470,8 +481,7 @@ class TestQoSFrontend:
         frontend = make_frontend(QoSConfig(
             default_tenant=TenantConfig("default", max_queue=10_000),
             max_queue_depth=10_000))
-        lanes = [LaneDouble(frontend, key, lambda stacked: {"y": stacked["x"]},
-                            BatchPolicy(max_batch_size=4, max_wait_s=0.0))
+        lanes = [LaneDouble(frontend, key, lambda stacked: {"y": stacked["x"]}, 4)
                  for key in keys]
         futures = {}
 
@@ -592,8 +602,7 @@ class TestEngineIntegration:
                                  TenantConfig("free", weight=1.0)))
         defaults.update(qos_overrides)
         return InferenceEngine(EngineConfig(
-            max_batch_size=4, max_wait_s=0.002, cache_capacity=4,
-            qos=QoSConfig(**defaults)))
+            max_batch_size=4, cache_capacity=4, qos=QoSConfig(**defaults)))
 
     def test_qos_results_match_direct_submit(self):
         model = build_diamond_model()

@@ -1,10 +1,10 @@
 """Tests for the serving subsystem: engine, lanes, micro-batching, artifact cache.
 
-Covers micro-batching's edge cases (single request flushed at the wait
-deadline, mismatched non-batch shapes rejected cleanly, cache eviction when
-capacity is exceeded), compile-exactly-once caching, warm-pool reuse,
-numerical agreement of batched serving with the sequential reference, and
-the lane guarantees (a compile blocks no other artifact, a failed compile
+Covers batch closing (a lone request is taken at once with no timed wait,
+arrivals during a held batch leave together), mismatched non-batch shapes
+rejected cleanly, cache eviction when capacity is exceeded,
+compile-exactly-once caching, warm-pool reuse, numerical agreement of
+batched serving with the sequential reference, and the lane guarantees (a compile blocks no other artifact, a failed compile
 fails only its own key, a request queued for an evicted lane is served by
 its replacement, one lane thread per warm artifact and nothing engine-wide).
 """
@@ -31,17 +31,19 @@ from repro.observability import MetricsRegistry
 from repro.serving import (
     ArtifactCache,
     ArtifactKey,
-    BatchPolicy,
+    DeadlineExpired,
     EngineConfig,
     EngineOverloaded,
     InferenceEngine,
     QoSConfig,
     QoSFrontend,
     ShapeMismatchError,
+    TenantConfig,
     example_inputs,
     scatter_outputs,
 )
 from tests.conftest import (
+    FakeClock,
     LaneDouble,
     artifact_of,
     build_chain_model,
@@ -52,7 +54,7 @@ from tests.conftest import (
 
 
 def tiny_engine(**overrides) -> InferenceEngine:
-    defaults = dict(max_batch_size=4, max_wait_s=0.02, cache_capacity=4)
+    defaults = dict(max_batch_size=4, cache_capacity=4)
     defaults.update(overrides)
     return InferenceEngine(EngineConfig(**defaults))
 
@@ -107,65 +109,157 @@ class TestFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batching: a lane pulling batches out of the admission queue
+# Batch closing: a free lane takes what is queued for its artifact now
 # ---------------------------------------------------------------------------
-class TestMicroBatcher:
+class TestBatchClosing:
+    """The work-conserving rule, with no wall clock: the frontend runs on a
+    ``FakeClock`` nobody advances and lanes are gated on events."""
+
     KEY = "artifact"
 
-    def serve(self, run_batch, policy):
+    def serve(self, run_batch, max_batch, config=None):
         """A frontend with one lane serving ``KEY`` through ``run_batch``."""
-        frontend = QoSFrontend(QoSConfig(), MetricsRegistry())
-        return frontend, LaneDouble(frontend, self.KEY, run_batch, policy)
+        frontend = self.frontend(config)
+        return frontend, LaneDouble(frontend, self.KEY, run_batch, max_batch)
 
-    def test_single_request_flushed_at_deadline(self):
-        """One lone in-flight request must not wait for a full batch."""
+    def frontend(self, config=None) -> QoSFrontend:
+        frontend = QoSFrontend(config or QoSConfig(), MetricsRegistry(),
+                               clock=FakeClock())
+        # every wait of the dispatch path must be untimed: record the rest
+        frontend.timed_waits = []
+        frontend.waiting = threading.Event()
+        real_wait = frontend._cond.wait
+
+        def wait(timeout=None):
+            if timeout is not None:
+                frontend.timed_waits.append(timeout)
+            frontend.waiting.set()
+            return real_wait(timeout)
+
+        frontend._cond.wait = wait
+        return frontend
+
+    def take_in_thread(self, frontend, max_batch, closing=lambda: False):
+        """Play a lane blocked in ``take_batch``; its result lands in a list."""
+        taken = []
+        thread = threading.Thread(target=lambda: taken.append(
+            frontend.take_batch(self.KEY, max_batch, closing)), daemon=True)
+        thread.start()
+        return thread, taken
+
+    def test_lone_request_is_taken_without_a_timed_wait(self):
+        """(a) One lone request never waits for co-travellers: a lane that
+        is already waiting answers it, and a lane that comes for it later
+        is handed it at once — with the clock standing still."""
         batches = []
 
         def run_batch(stacked):
             batches.append({k: v.shape for k, v in stacked.items()})
             return {"y": stacked["x"] * 2}
 
-        frontend, lane = self.serve(
-            run_batch, BatchPolicy(max_batch_size=64, max_wait_s=0.01))
+        frontend, lane = self.serve(run_batch, max_batch=64)
+        started = frontend.clock.now
         try:
+            assert frontend.waiting.wait(timeout=5.0)  # idle lane, empty queue
             request = frontend.admit(self.KEY, {"x": np.ones((1, 4))}, 1)
-            # flushed by the deadline, not hanging for 64 requests
             result = request.future.result(timeout=5.0)
-        finally:
             lane.close()
-            frontend.close(drain_timeout=0.1)
+            # the lane is gone: the next take is played by hand
+            lone = frontend.admit(self.KEY, {"x": np.ones((1, 4))}, 1)
+            assert frontend.take_batch(self.KEY, 64) == [lone]
+            assert frontend.timed_waits == []
+            assert frontend.clock.now == started
+        finally:
+            frontend.close(drain_timeout=0.05)
         assert result["y"].shape == (1, 4)
         assert batches == [{"x": (1, 4)}]
 
-    def test_concurrent_requests_are_fused(self):
-        sizes = []
+    def test_arrivals_during_a_held_batch_leave_together(self):
+        """(b) While the first batch is held in ``run_batch`` 11 more
+        requests arrive; on release they leave as one batch of 8 (the cap)
+        and one of 3 — weighted order across tenants, admission order
+        within one."""
+        order = []
+        entered, release = threading.Event(), threading.Event()
 
         def run_batch(stacked):
-            sizes.append(stacked["x"].shape[0])
+            order.append([int(tag) for tag in stacked["x"][:, 0]])
+            entered.set()
+            assert release.wait(timeout=10.0)
             return {"y": stacked["x"] + 1}
 
-        frontend, lane = self.serve(
-            run_batch, BatchPolicy(max_batch_size=8, max_wait_s=0.2))
+        def admit(tag, tenant):
+            return frontend.admit(
+                self.KEY, {"x": np.full((1, 2), tag, dtype=np.float64)}, 1,
+                tenant=tenant).future
+
+        frontend, lane = self.serve(run_batch, max_batch=8, config=QoSConfig(
+            tenants=(TenantConfig("vip", weight=10.0),)))
         try:
-            futures = [frontend.admit(
-                self.KEY, {"x": np.full((1, 2), i, dtype=np.float64)}, 1).future
-                for i in range(8)]
-            results = [f.result(timeout=10.0) for f in futures]
+            futures = {0: admit(0, "bulk")}
+            assert entered.wait(timeout=5.0)  # the lane holds [0]
+            for tag in range(1, 9):
+                futures[tag] = admit(tag, "bulk")
+            for tag in range(9, 12):
+                futures[tag] = admit(tag, "vip")
+            release.set()
+            # every request got its own row back
+            for tag, future in futures.items():
+                assert np.array_equal(future.result(timeout=10.0)["y"],
+                                      np.full((1, 2), tag + 1))
+            assert frontend.timed_waits == []
         finally:
+            release.set()
             lane.close()
-            frontend.close(drain_timeout=0.1)
-        # every request got its own row back, in order
-        for i, result in enumerate(results):
-            assert np.array_equal(result["y"], np.full((1, 2), i + 1))
-        assert max(sizes) > 1  # at least one real fusion happened
-        assert sum(sizes) == 8
+            frontend.close(drain_timeout=0.05)
+        assert order == [[0], [9, 10, 11, 1, 2, 3, 4, 5], [6, 7, 8]]
+
+    def test_only_expired_requests_fail_and_the_lane_keeps_waiting(self):
+        """(d) A take that pops nothing but expired requests fails them
+        with ``DeadlineExpired`` and goes on waiting: ``[]`` is never a
+        batch."""
+        frontend = self.frontend()
+        try:
+            late = [frontend.admit(self.KEY, {}, 1, deadline_s=0.1)
+                    for _ in range(3)]
+            frontend.clock.now += 0.2
+            thread, taken = self.take_in_thread(frontend, 8)
+            for request in late:
+                with pytest.raises(DeadlineExpired):
+                    request.future.result(timeout=5.0)
+            live = frontend.admit(self.KEY, {}, 1, deadline_s=0.1)
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert taken == [[live]]
+            assert frontend.timed_waits == []
+            stats = frontend.stats()
+            assert stats["tenants"]["default"]["expired"] == 3
+            assert stats["inflight"] == 1  # only the live one
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_closing_wakes_a_lane_waiting_on_an_empty_queue(self):
+        """(e) ``closing()`` flipping while the lane waits returns ``None``
+        once the lane is woken."""
+        closing = []
+        frontend = self.frontend()
+        try:
+            thread, taken = self.take_in_thread(frontend, 8, lambda: bool(closing))
+            assert frontend.waiting.wait(timeout=5.0)
+            closing.append(True)
+            frontend.wake()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert taken == [None]
+            assert frontend.timed_waits == []
+        finally:
+            frontend.close(drain_timeout=0.05)
 
     def test_batch_failure_fails_every_cobatched_request(self):
         def run_batch(stacked):
             raise ValueError("kernel exploded")
 
-        frontend, lane = self.serve(
-            run_batch, BatchPolicy(max_batch_size=4, max_wait_s=0.05))
+        frontend, lane = self.serve(run_batch, max_batch=4)
         try:
             futures = [frontend.admit(self.KEY, {"x": np.ones((1, 2))}, 1).future
                        for _ in range(3)]
@@ -187,8 +281,7 @@ class TestMicroBatcher:
             release.wait(timeout=5.0)
             return {"y": stacked["x"]}
 
-        frontend, lane = self.serve(
-            run_batch, BatchPolicy(max_batch_size=1, max_wait_s=0.0))
+        frontend, lane = self.serve(run_batch, max_batch=1)
         first = frontend.admit(self.KEY, {"x": np.ones(1)}, 1).future
         assert entered.wait(timeout=5.0)  # the lane holds the first batch
         second = frontend.admit(self.KEY, {"x": np.ones(1)}, 1).future
@@ -354,28 +447,26 @@ class TestInferenceEngine:
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
 
     def test_concurrent_load_is_batched(self):
+        """(c) What arrives while the lane executes is its next batch: one
+        request is held inside the session, five more are submitted, and on
+        release they run as one batch of five — exactly."""
         model = build_diamond_model()
-        with tiny_engine(max_batch_size=4, max_wait_s=0.05) as engine:
+        with tiny_engine(max_batch_size=8) as engine:
             engine.warmup(model)
-            threads = []
-            errors = []
-
-            def request(seed):
-                try:
-                    engine.infer(model, example_inputs(model, seed=seed))
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            for seed in range(8):
-                threads.append(threading.Thread(target=request, args=(seed,)))
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
+            feeds = [example_inputs(model, seed=seed) for seed in range(6)]
+            entered, release = gate_session(artifact_of(engine, model, feeds[0]))
+            engine.metrics.reset()
+            try:
+                futures = [engine.submit(model, feeds[0])]
+                assert entered.wait(timeout=10.0)  # the lane holds a batch of 1
+                futures += [engine.submit(model, feed) for feed in feeds[1:]]
+            finally:
+                release.set()
+            for future in futures:
+                assert future.result(timeout=60.0)
             snapshot = engine.metrics.snapshot()
-        assert not errors
-        assert snapshot["completed"] == 9  # warmup + 8 concurrent
-        assert max(snapshot["batch_histogram"]) > 1
+        assert snapshot["completed"] == 6
+        assert snapshot["batch_histogram"] == {1: 1, 5: 1}
 
     def test_mismatched_non_batch_shape_rejected_cleanly(self):
         model = build_diamond_model()  # declares x: (1, 3, 16, 16)
@@ -537,7 +628,7 @@ class TestInferenceEngine:
 
         model = build_diamond_model()
         feed = example_inputs(model)
-        with tiny_engine(max_batch_size=2, max_wait_s=0.01) as engine:
+        with tiny_engine(max_batch_size=2) as engine:
             artifact_of(engine, model, feed).run_batch = run_batch
             futures = [engine.submit(model, feed) for _ in range(2)]
             for fut in futures:
@@ -625,7 +716,7 @@ class TestSessionServing:
         """Fused requests get private output slices: a later batch reusing
         the staging buffers must not corrupt earlier responses."""
         model = build_diamond_model()
-        with tiny_engine(max_wait_s=0.05) as engine:
+        with tiny_engine() as engine:
             engine.warmup(model)
             futures = [engine.submit(model, example_inputs(model, seed=s))
                        for s in range(6)]
@@ -649,7 +740,7 @@ class TestSessionServing:
         binding's strict declared-dtype check must keep serving via the
         stacker's plain-feed fallback, fused batches included."""
         model = build_diamond_model()  # declares float32 input
-        with tiny_engine(max_wait_s=0.05) as engine:
+        with tiny_engine() as engine:
             feeds = [{"x": example_inputs(model, seed=s)["x"].astype(np.float64)}
                      for s in range(4)]
             engine.infer(model, feeds[0])  # compile the float64 artifact
