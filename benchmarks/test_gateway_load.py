@@ -59,8 +59,9 @@ DURATION_S = float(os.environ.get("REPRO_GATEWAY_DURATION", "4"))
 #: slow enough (~45 ms serial) that 2x capacity is a modest connection
 #: rate (~45 rps), and with a sub-KB request body — so the in-process
 #: load harness does not meaningfully distort the service time it is
-#: measuring against.  Image models at this tier ship ~500 KB JSON
-#: bodies whose encode/decode cost drowns the signal.
+#: measuring against.  The image models' service time is a few ms: twice
+#: their capacity is a connection rate the harness, sharing this process
+#: and its GIL, could not offer without becoming the bottleneck itself.
 SATURATION_MODEL = "bert"
 SATURATION_VARIANT = "default"
 

@@ -29,7 +29,8 @@ with every substrate it depends on:
   deterministic fault injection, retry policies, circuit breaking and
   degraded serving,
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
-  engine (stdlib-only HTTP/1.1, bitwise-exact JSON tensor codec) plus
+  engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
+  bitwise exact, parsed closed) plus
   an open-loop multi-tenant load harness; multi-tenant QoS itself
   (weighted fair admission, backpressure, deadlines, cache quotas)
   lives in :mod:`repro.serving.qos`.

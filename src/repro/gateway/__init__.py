@@ -4,7 +4,8 @@
   over one :class:`~repro.serving.engine.InferenceEngine`) and
   :class:`GatewayThread` (background-thread lifecycle for synchronous
   callers).
-* :mod:`repro.gateway.codec` — bitwise-exact JSON tensor encoding.
+* :mod:`repro.gateway.codec` — JSON tensor envelope: base64 raw buffers
+  (bitwise exact) or number lists (by hand); decoding fails closed.
 * :mod:`repro.gateway.http` — the minimal HTTP/1.1 parser/renderer.
 * :mod:`repro.gateway.loadgen` — open-loop Poisson multi-tenant load
   generation and per-tenant reports.

@@ -4,7 +4,10 @@ Just enough protocol for the gateway: request-line + header parsing,
 ``Content-Length`` bodies, keep-alive, and response rendering.  Chunked
 request bodies are refused with 501 (clients of an inference API send
 sized JSON bodies), and every bound (line length, header count, body
-size) is explicit so a misbehaving peer cannot balloon memory.
+size) is explicit so a misbehaving peer cannot balloon memory.  Framing
+is read strictly — ``Content-Length`` is ASCII digits, duplicates must
+agree, a header name holds no whitespace — so a proxy in front cannot
+disagree with this parser about where a request ends.
 
 The parser is deliberately a standalone function over an
 ``asyncio.StreamReader`` so unit tests can drive it with in-memory
@@ -114,9 +117,14 @@ async def read_request(reader: asyncio.StreamReader,
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        # A name with whitespace in it (before the colon, or a folded
+        # continuation line) is read differently by different parsers.
+        if not sep or name.split() != [name]:
             raise HTTPError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HTTPError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
     path, _, query = target.partition("?")
     path = unquote(path)
@@ -125,12 +133,14 @@ async def read_request(reader: asyncio.StreamReader,
         raise HTTPError(501, "chunked request bodies are not supported")
     body = b""
     if "content-length" in headers:
+        digits = headers["content-length"]
+        # ASCII digits only: int() alone also takes "+3" and "1_0"
+        if not (digits.isascii() and digits.isdigit()):
+            raise HTTPError(400, "malformed Content-Length")
         try:
-            length = int(headers["content-length"])
-        except ValueError:
+            length = int(digits)
+        except ValueError:  # beyond int()'s digit limit
             raise HTTPError(400, "malformed Content-Length") from None
-        if length < 0:
-            raise HTTPError(400, "negative Content-Length")
         if length > max_body:
             raise HTTPError(
                 413, f"request body of {length} bytes exceeds the "

@@ -5,8 +5,9 @@ north star needs: a stdlib-only ``asyncio.start_server`` loop speaking
 just enough HTTP/1.1 (:mod:`repro.gateway.http`) to expose
 
 * ``POST /v1/models/{name}/infer`` — JSON tensors in, JSON tensors out
-  (:mod:`repro.gateway.codec`); tenant via the ``X-Tenant`` header,
-  per-request deadline budget via ``X-Deadline-S``.
+  (:mod:`repro.gateway.codec`: base64 raw buffers, or number lists for a
+  hand-typed request, answered in kind); tenant via the ``X-Tenant``
+  header, per-request deadline budget via ``X-Deadline-S``.
 * ``GET /healthz`` — liveness plus drain state (503 while draining so
   load balancers stop routing here before shutdown).
 * ``GET /metrics`` — Prometheus text from the engine's one
@@ -34,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import threading
 from typing import Dict, Mapping, Optional
 
@@ -272,10 +274,17 @@ class GatewayServer:
             raise HTTPError(
                 404, f"unknown model {name!r}; served models: "
                 f"{sorted(self.models)}")
+        tracer = self.tracer
+        t0 = tracer.now() if tracer is not None else 0
         try:
             inputs = codec.decode_request(request.body)
         except codec.CodecError as exc:
             raise HTTPError(400, str(exc)) from None
+        if tracer is not None:
+            spelling = "list" if inputs.lists else "b64"
+            tracer.emit("gateway.decode", "gateway", t0, tracer.now(),
+                        args={"bytes": len(request.body),
+                              "spelling": spelling, "tensors": len(inputs)})
         tenant = request.header("x-tenant")
         deadline_s: Optional[float] = None
         raw_deadline = request.header("x-deadline-s")
@@ -283,8 +292,11 @@ class GatewayServer:
             try:
                 deadline_s = float(raw_deadline)
             except ValueError:
-                raise HTTPError(
-                    400, f"malformed X-Deadline-S: {raw_deadline!r}") from None
+                deadline_s = math.nan
+            # NaN would pass admission's `budget <= 0` and never expire
+            if not math.isfinite(deadline_s):
+                raise HTTPError(400, "X-Deadline-S must be a finite number "
+                                f"of seconds, got {raw_deadline!r}")
 
         # submit() never waits (a cold artifact compiles on its lane).  QoS
         # rejections raise here and surface through _map_error with their
@@ -294,7 +306,14 @@ class GatewayServer:
         outputs = await asyncio.wait_for(
             asyncio.wrap_future(inner),
             timeout=self.config.response_timeout_s)
-        return 200, codec.encode_outputs(outputs), {}
+        t0 = tracer.now() if tracer is not None else 0
+        # answered in the spelling the request used
+        body = codec.encode_outputs(outputs, lists=inputs.lists)
+        if tracer is not None:
+            tracer.emit("gateway.encode", "gateway", t0, tracer.now(),
+                        args={"bytes": len(body), "spelling": spelling,
+                              "tensors": len(outputs)})
+        return 200, body, {}
 
     # ------------------------------------------------------------------
     # Error mapping
