@@ -11,7 +11,8 @@ with every substrate it depends on:
   hyperclustering and schedule simulation (the paper's core contribution),
 * :mod:`repro.codegen` — readable parallel Python code generation,
 * :mod:`repro.runtime` — a numpy operator runtime plus process/thread
-  executors and warm per-cluster worker pools for the generated code,
+  executors and warm worker pools (one worker per placed cluster) for the
+  generated code,
 * :mod:`repro.baselines` — the IOS dynamic-programming scheduler and other
   comparison points,
 * :mod:`repro.pipeline` — the Ramiel pipeline tying it all together, plus

@@ -12,9 +12,9 @@ Two evaluation modes are provided:
   static cost model (or a measured cost provider), which is how the
   benchmark tables are regenerated on arbitrary hardware;
 * **measured** — actually generate the sequential and parallel Python code,
-  execute both with the repro runtime and compare wall-clock times
-  (:func:`measured_speedup`); used by the examples and integration tests on
-  reduced-size models.
+  execute both with the repro runtime (the parallel code placed on this
+  host's cores) and compare wall-clock times (:func:`measured_speedup`);
+  used by ``ramiel run`` and the integration tests on reduced-size models.
 """
 
 from __future__ import annotations
@@ -231,30 +231,33 @@ def measured_speedup(
     backend: str = "thread",
     repeats: int = 3,
     config: Optional[ExperimentConfig] = None,
-) -> Dict[str, float]:
-    """Generate sequential + parallel code and measure real wall-clock speedup.
+) -> Dict[str, object]:
+    """Compile (the default pipeline, pruning included), generate sequential +
+    parallel code and measure real wall-clock speedup.
 
-    Intended for the reduced-size model variants (examples / integration
-    tests); the benchmark tables use the simulator for determinism.
+    The parallel side is a warm ``pool`` (``backend="thread"``) or
+    ``process`` session, i.e. the clustering placed on the cores of this
+    host; ``"placement"`` in the result is the session's
+    ``stats()["placement"]``.  Intended for the reduced-size model variants
+    (examples / integration tests); the benchmark tables use the simulator
+    for determinism.
     """
-    from repro.codegen import generate_parallel_module, generate_sequential_module
-    from repro.runtime.process_runtime import (
-        execute_generated_module,
-        run_sequential_module,
-        time_callable,
-    )
+    from repro.pipeline import PipelineConfig, ramiel_compile  # imports this module
+    from repro.runtime.process_runtime import time_callable
+    from repro.runtime.session import create_session
 
     config = config or ExperimentConfig()
-    merged = cluster_model(model, config)
-    seq_module = generate_sequential_module(model)
-    par_module = generate_parallel_module(model, merged)
-    weights = model.graph.initializers
-
-    seq_time, seq_out = time_callable(
-        lambda: run_sequential_module(seq_module, inputs, weights), repeats=repeats)
-    par_time, par_out = time_callable(
-        lambda: execute_generated_module(par_module, inputs, weights, backend=backend),
-        repeats=repeats)
+    result = ramiel_compile(model, config=PipelineConfig(
+        build_plan=False, cost_model=config.cost_model,
+        num_cores=config.num_cores, message_latency=config.message_latency,
+        per_cluster_overhead=config.per_cluster_overhead))
+    seq_time, seq_out = time_callable(lambda: result.run_sequential(inputs),
+                                      repeats=repeats)
+    with create_session(result, executor="pool" if backend == "thread"
+                        else "process") as session:
+        par_time, par_out = time_callable(lambda: session.run(inputs),
+                                          repeats=repeats)
+        placement = session.stats()["placement"]
 
     max_abs_err = 0.0
     for name, ref in seq_out.items():
@@ -264,6 +267,7 @@ def measured_speedup(
         "seq_time_s": seq_time,
         "par_time_s": par_time,
         "speedup": seq_time / par_time if par_time > 0 else 1.0,
-        "num_clusters": merged.num_clusters,
+        "num_clusters": result.num_clusters,
         "max_abs_err": max_abs_err,
+        "placement": placement,
     }

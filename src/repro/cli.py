@@ -7,7 +7,7 @@ Usage examples::
     ramiel compile squeezenet -o out/        # full pipeline + generated code
     ramiel compile bert --prune --clone
     ramiel compile squeezenet --batch-size 4 --switched
-    ramiel run squeezenet --backend process  # compile, execute, report speedup
+    ramiel run nasnet --backend process      # compile, place on this host's cores, run
     ramiel warmup squeezenet bert            # pre-compile into the serving cache
     ramiel serve-bench squeezenet googlenet --requests 32 --concurrency 8
     ramiel trace squeezenet --runs 20 -o trace.json   # Perfetto-loadable spans
@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("--cores", type=int, default=12)
     compile_p.add_argument("--json", action="store_true", help="print a JSON summary")
 
-    run_p = sub.add_parser("run", help="compile and execute sequential vs parallel code")
+    run_p = sub.add_parser(
+        "run", help="compile, then time the sequential code against the "
+                    "parallel code placed on this host's cores")
     run_p.add_argument("model")
     run_p.add_argument("--variant", default="small", choices=["default", "small"])
     run_p.add_argument("--backend", default="thread", choices=["thread", "process"])
@@ -248,6 +250,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _placement_line(placed: dict) -> str:
+    """``Session.stats()["placement"]`` as the one line `run` / `trace` print."""
+    return ("placement: {clusters} clusters -> {workers} workers ({cores} cores), "
+            "predicted {predicted_speedup:.2f}x".format(**placed))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.speedup import measured_speedup
     from repro.serving import example_inputs
@@ -255,8 +263,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.variant)
     inputs = example_inputs(model)
     stats = measured_speedup(model, inputs, backend=args.backend, repeats=args.repeats)
+    placement = stats.pop("placement")
     for key, value in stats.items():
         print(f"{key:16s} {value:.4f}" if isinstance(value, float) else f"{key:16s} {value}")
+    print(_placement_line(placement))
     return 0
 
 
@@ -373,6 +383,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if pooled:
             from repro.observability.merge import write_merged_trace
 
+            placement = _placement_line(session.stats()["placement"])
             buffers = session.worker_trace_buffers()
             merged = write_merged_trace(args.output, tracer, buffers,
                                         process_name=model.name)
@@ -410,6 +421,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     print(f"model      {model.name}")
     print(f"executor   {args.executor}")
+    if pooled:
+        print(placement)
     print(f"runs       {runs}")
     print(f"trace      {args.output}  (load in https://ui.perfetto.dev)")
     print(f"spans      {stats['recorded']} recorded, {stats['dropped']} dropped")

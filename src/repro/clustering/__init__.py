@@ -17,6 +17,9 @@ The pipeline is:
 5. :class:`~repro.clustering.schedule.ScheduleSimulator` — deterministic
    makespan/slack simulation of a clustering on a multicore, used by the
    speedup benchmarks (Tables IV-VIII, Figs. 12-14).
+6. :func:`~repro.clustering.placement.fold_onto_workers` — on the machine
+   that runs: fold the clustering onto the cores it has, with the binding
+   rule the simulator models (:func:`~repro.clustering.placement.bind_to_workers`).
 """
 
 from repro.clustering.cluster import Cluster, Clustering
@@ -29,6 +32,7 @@ from repro.clustering.hypercluster import (
     build_switched_hyperclusters,
     replicate_for_batch,
 )
+from repro.clustering.placement import bind_to_workers, fold_onto_workers
 from repro.clustering.schedule import ScheduleSimulator, ScheduleResult, SimulationConfig
 from repro.clustering.validation import (
     ClusteringError,
@@ -49,6 +53,8 @@ __all__ = [
     "build_hyperclusters",
     "build_switched_hyperclusters",
     "replicate_for_batch",
+    "bind_to_workers",
+    "fold_onto_workers",
     "ScheduleSimulator",
     "ScheduleResult",
     "SimulationConfig",

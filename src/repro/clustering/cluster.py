@@ -22,6 +22,11 @@ class Cluster:
     cluster_id: int
     nodes: List[str] = dataclasses.field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Clusters are built whole (by Algorithm 1, by merging, by
+        # placement) and never edited afterwards.
+        self._members = frozenset(self.nodes)
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -29,7 +34,7 @@ class Cluster:
         return iter(self.nodes)
 
     def __contains__(self, name: str) -> bool:
-        return name in set(self.nodes)
+        return name in self._members
 
     @property
     def entry_node(self) -> str:
@@ -77,7 +82,9 @@ class Clustering:
 
     def __post_init__(self) -> None:
         self._owner: Dict[str, int] = {}
+        self._by_id: Dict[int, Cluster] = {}
         for cluster in self.clusters:
+            self._by_id.setdefault(cluster.cluster_id, cluster)
             for node in cluster.nodes:
                 self._owner[node] = cluster.cluster_id
 
@@ -93,10 +100,10 @@ class Clustering:
 
     def cluster_by_id(self, cluster_id: int) -> Cluster:
         """Look up a cluster by id."""
-        for cluster in self.clusters:
-            if cluster.cluster_id == cluster_id:
-                return cluster
-        raise KeyError(f"no cluster with id {cluster_id}")
+        try:
+            return self._by_id[cluster_id]
+        except KeyError:
+            raise KeyError(f"no cluster with id {cluster_id}") from None
 
     def cluster_of(self, node_name: str) -> Cluster:
         """The cluster owning a node."""

@@ -97,12 +97,12 @@ def merge_clusters_once(
         if cl1.cluster_id in skip:
             continue
         merged_this = False
+        s1, e1 = cl1.start_span(dist), cl1.end_span(dist)
         for cl2 in clusters:
             if cl2.cluster_id == cl1.cluster_id:
                 continue
             if cl1.cluster_id in skip or cl2.cluster_id in skip:
                 continue
-            s1, e1 = cl1.start_span(dist), cl1.end_span(dist)
             s2, e2 = cl2.start_span(dist), cl2.end_span(dist)
             # Spans do not overlap when one cluster finishes (reaches a
             # smaller distance) before the other starts.

@@ -20,6 +20,7 @@ import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.clustering.cluster import Cluster, Clustering
+from repro.clustering.placement import bind_to_workers
 
 
 @dataclasses.dataclass
@@ -133,12 +134,13 @@ class ScheduleSimulator:
     ) -> ScheduleResult:
         """Simulate the clustered execution and return timing results.
 
-        Clusters are bound to cores with a least-loaded greedy assignment
-        (cluster static cost as the load estimate).  Each core executes at
-        most one node at a time; nodes within a cluster follow the cluster's
-        list order; a node additionally waits for all of its dataflow
-        predecessors, paying ``message_latency`` for each predecessor that
-        lives in a different cluster.
+        Clusters are bound to cores by
+        :func:`~repro.clustering.placement.bind_to_workers`, the rule the
+        runtime places them with.  Each core executes at most one node at a
+        time; nodes within a cluster follow the cluster's list order; a node
+        additionally waits for all of its dataflow predecessors, paying
+        ``message_latency`` for each predecessor that lives in a different
+        cluster.
         """
         cfg = self.config
         dfg = clustering.dfg
@@ -146,13 +148,8 @@ class ScheduleSimulator:
         owner = clustering.assignment()
 
         # --- core binding ----------------------------------------------------
-        num_cores = max(1, min(cfg.num_cores, max(len(clusters), 1)))
-        core_load = [0.0] * num_cores
-        cluster_core: Dict[int, int] = {}
-        for cluster in sorted(clusters, key=lambda c: -c.cost(dfg)):
-            core = min(range(num_cores), key=core_load.__getitem__)
-            cluster_core[cluster.cluster_id] = core
-            core_load[core] += cluster.cost(dfg)
+        num_cores = max(1, min(cfg.num_cores, len(clusters)))
+        cluster_core = bind_to_workers(clustering, num_cores)
 
         # --- event-driven simulation -----------------------------------------
         node_start: Dict[str, float] = {}

@@ -29,6 +29,7 @@ from repro.clustering import (
     merge_clusters_fixpoint,
 )
 from repro.clustering.cluster import Clustering
+from repro.clustering.placement import fold_onto_workers
 from repro.clustering.schedule import ScheduleResult, ScheduleSimulator, SimulationConfig
 from repro.clustering.validation import validate_clustering
 from repro.codegen import (
@@ -76,6 +77,24 @@ class PipelineConfig:
 
 
 @dataclasses.dataclass
+class Placement:
+    """A compiled clustering placed on one machine: one cluster per worker.
+
+    The compiler's output is machine-independent; this is the step between
+    it and the workers, made on the machine that runs
+    (:meth:`RamielResult.placement`).
+    """
+
+    #: the clustering the workers execute (``clustering.num_clusters`` workers)
+    clustering: Clustering
+    #: its parallel module — the compiled one when nothing was folded
+    module: GeneratedModule
+    #: simulated speedup of spreading over the cores offered; at or below
+    #: 1.0 the placement is a single worker instead
+    predicted_speedup: float
+
+
+@dataclasses.dataclass
 class RamielResult:
     """Everything produced by one run of the Ramiel pipeline."""
 
@@ -84,6 +103,9 @@ class RamielResult:
     dataflow_graph: DataflowGraph
     parallelism: ParallelismReport
     clustering_lc: Clustering
+    #: the merged batch-1 clustering ``parallel_module`` is generated from —
+    #: ``clustering`` itself unless that was hyperclustered
+    clustering_merged: Clustering
     clustering: Clustering
     schedule: ScheduleResult
     sequential_module: Optional[GeneratedModule]
@@ -93,6 +115,10 @@ class RamielResult:
     pruning_stats: Optional[dict]
     cloning_report: Optional[object]
     execution_plan: Optional[ExecutionPlan] = None
+    #: the simulator parameters ``schedule`` was predicted with
+    simulation: SimulationConfig = dataclasses.field(default_factory=SimulationConfig)
+    _placements: Dict[int, Placement] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def predicted_speedup(self) -> float:
@@ -123,6 +149,39 @@ class RamielResult:
         return execute_generated_module(self.parallel_module, inputs,
                                         self.optimized_model.graph.initializers,
                                         backend=backend)
+
+    def placement(self, cores: int) -> Placement:
+        """Place the compiled clustering on a machine with ``cores`` cores.
+
+        The clustering is folded onto ``min(clusters, cores)`` workers
+        (:func:`~repro.clustering.placement.fold_onto_workers`) and the fold
+        simulated with one core per worker; a fold predicted not to beat the
+        sequential run is replaced by a single worker — a predicted loss is
+        never parallelised.  Code is generated only for a placement that
+        differs from the compiled clustering, once per worker count, so the
+        ``pool`` and ``process`` sessions of an artifact share it.
+        """
+        if self.parallel_module is None:
+            raise RuntimeError("pipeline was run with generate_code=False")
+        # Hyperclusters span a replicated graph; code is generated per
+        # sample, so it is the merged batch-1 clustering that is placed.
+        compiled = self.clustering_merged
+        workers = max(1, min(compiled.num_clusters, cores))
+        placed = self._placements.get(workers)
+        if placed is None:
+            folded = fold_onto_workers(compiled, workers)
+            simulator = ScheduleSimulator(
+                dataclasses.replace(self.simulation, num_cores=workers))
+            predicted = simulator.simulate(folded).speedup
+            if predicted <= 1.0 and workers > 1:
+                single = self.placement(1)
+                placed = Placement(single.clustering, single.module, predicted)
+            else:
+                module = (self.parallel_module if folded is compiled else
+                          generate_parallel_module(self.optimized_model, folded))
+                placed = Placement(folded, module, predicted)
+            self._placements[workers] = placed
+        return placed
 
     def plan(self) -> ExecutionPlan:
         """The compiled artifact's execution plan (built on first access when
@@ -304,12 +363,12 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
 
     # 6. Schedule prediction.
     start = time.perf_counter()
-    simulator = ScheduleSimulator(SimulationConfig(
+    simulation = SimulationConfig(
         num_cores=config.num_cores,
         message_latency=config.message_latency,
         per_cluster_overhead=config.per_cluster_overhead,
-    ))
-    schedule = simulator.simulate(clustering)
+    )
+    schedule = ScheduleSimulator(simulation).simulate(clustering)
     stage_times["simulate"] = time.perf_counter() - start
 
     # 7. Execution-plan build: resolve handlers/attributes into bound
@@ -334,8 +393,7 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     if config.generate_code:
         start = time.perf_counter()
         sequential_module = generate_sequential_module(optimized, directory=config.output_dir)
-        codegen_clustering = merged
-        parallel_module = generate_parallel_module(optimized, codegen_clustering,
+        parallel_module = generate_parallel_module(optimized, merged,
                                                    directory=config.output_dir)
         stage_times["codegen"] = time.perf_counter() - start
 
@@ -346,6 +404,7 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
         dataflow_graph=dfg,
         parallelism=parallelism,
         clustering_lc=lc,
+        clustering_merged=merged,
         clustering=clustering,
         schedule=schedule,
         sequential_module=sequential_module,
@@ -355,4 +414,5 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
         pruning_stats=pruning_stats,
         cloning_report=cloning_report,
         execution_plan=execution_plan,
+        simulation=simulation,
     )

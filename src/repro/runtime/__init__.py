@@ -23,8 +23,9 @@ and the benchmarks need:
 * :mod:`repro.runtime.intra_op` — intra-operator thread parallelism with a
   ``num_threads`` knob mirroring ``OMP_NUM_THREADS`` (Table V).
 * :class:`repro.runtime.worker_pool.WarmExecutorPool` — the one
-  multi-worker runtime: long-lived per-cluster workers that execute a
-  compiled module repeatedly without per-call thread/process spawn.
+  multi-worker runtime: long-lived workers, one per placed cluster (at
+  most one per core), that execute a generated module repeatedly without
+  per-call thread/process spawn.
 * :mod:`repro.runtime.profiler` — per-node timing and the slack database
   that drives hyperclustering decisions.
 """

@@ -53,8 +53,11 @@ def execute_generated_module(
     inputs / weights:
         Graph-input feed and initializer values (``model.graph.initializers``).
     backend:
-        ``"process"`` — one Python process per cluster (the paper's runtime);
-        ``"thread"`` — one thread per cluster (numpy releases the GIL in BLAS).
+        ``"process"`` — one Python process per cluster function of
+        ``module`` (the paper's runtime); ``"thread"`` — one thread each
+        (numpy releases the GIL in BLAS).  Nothing is placed here: a
+        session folds the clustering onto the cores first and hands over
+        the placement's module (one worker per placed cluster, <= cores).
     timeout:
         Watchdog in seconds; a deadlock (which a correct clustering cannot
         produce) surfaces as :class:`ParallelExecutionError` instead of a

@@ -46,6 +46,7 @@ Example::
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,9 +72,18 @@ __all__ = [
 EXECUTOR_REGISTRY: Dict[str, str] = {
     "plan": "compile-once ExecutionPlan hot path (zero-realloc once warm)",
     "interp": "GraphExecutor reference interpreter (semantic ground truth)",
-    "pool": "generated parallel module on a warm thread-backed worker pool",
-    "process": "generated parallel module on warm forked worker processes",
+    "pool": "generated parallel module on warm worker threads, one per placed cluster",
+    "process": "generated parallel module on warm forked workers, one per placed cluster",
 }
+
+
+def available_cores() -> int:
+    """Cores this process may run on — what a pool-backed session places
+    its clusters onto (``min(clusters, cores)`` workers).  The affinity mask
+    where the platform has one (Linux), the machine's core count elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def known_executors() -> Tuple[str, ...]:
@@ -217,6 +227,7 @@ class Session:
                  result=None, plan: Optional[ExecutionPlan] = None,
                  interp: Optional[GraphExecutor] = None,
                  pool: Optional[WarmExecutorPool] = None,
+                 placement: Optional[Dict] = None,
                  timeout_s: float = 300.0) -> None:
         self.executor = validate_executor(executor)
         self.result = result
@@ -226,6 +237,7 @@ class Session:
         self._plan = plan
         self._interp = interp
         self._pool = pool
+        self._placement = placement
         self._input_info = {info.name: info for info in graph.inputs}
         self._closed = False
         self._broken: Optional[str] = None
@@ -391,7 +403,7 @@ class Session:
                       "Bound outputs finalized by an end-of-run copy",
                       labels=labels).set(binding["copy_writes"])
             if stats.get("pool_clusters") is not None:
-                gauge("pool_clusters", "Clusters in the warm worker pool",
+                gauge("pool_clusters", "Workers in the warm pool (placed clusters)",
                       labels=labels).set(stats["pool_clusters"])
 
         registry.register_collector(collect)
@@ -516,6 +528,8 @@ class Session:
         if self._pool is not None:
             stats["pool_clusters"] = self._pool.num_clusters
             stats["pool"] = self._pool.stats()
+        if self._placement is not None:
+            stats["placement"] = dict(self._placement)
         return stats
 
     def close(self) -> None:
@@ -558,8 +572,11 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
           (default; IOBinding runs are allocation-free once warm),
         * ``"interp"`` — the :class:`GraphExecutor` reference interpreter
           behind the same interface (differential testing),
-        * ``"pool"`` / ``"process"`` — the generated parallel module on a
-          warm thread- or fork-backed per-cluster worker pool.
+        * ``"pool"`` / ``"process"`` — the generated parallel module on
+          warm threads / forked processes, one per placed cluster: the
+          compiled clustering is folded onto ``min(clusters,
+          available_cores())`` workers, or onto one when the simulator
+          predicts the spread loses (:meth:`RamielResult.placement`).
     timeout_s:
         Per-run timeout for pool-backed sessions.
     tracer:
@@ -617,12 +634,19 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
             raise ValueError(
                 f"executor {executor!r} needs generated code, but the artifact "
                 "was compiled with generate_code=False")
+        cores = available_cores()
+        placed = result.placement(cores)
         pool = WarmExecutorPool(
-            result.parallel_module, optimized.graph.initializers,
+            placed.module, optimized.graph.initializers,
             backend="thread" if executor == "pool" else "process",
             tracer=tracer, max_batch=max_batch)
         session = Session(executor, graph=optimized.graph, model_name=name,
-                          result=result, pool=pool, timeout_s=timeout_s)
+                          result=result, pool=pool, timeout_s=timeout_s,
+                          placement={
+                              "clusters": result.clustering_merged.num_clusters,
+                              "workers": placed.clustering.num_clusters,
+                              "cores": cores,
+                              "predicted_speedup": placed.predicted_speedup})
     if tracer is not None:
         session.set_tracer(tracer)
     return session

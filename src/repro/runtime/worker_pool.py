@@ -1,20 +1,23 @@
 """Warm, reusable executor pools for Ramiel-generated parallel modules.
 
 :class:`WarmExecutorPool` is the one multi-worker runtime: it keeps one
-long-lived worker per cluster and feeds it jobs through per-worker control
-queues, so repeated executions of the same compiled module only pay for the
-actual operator work plus the hand-offs.  A one-shot run
+long-lived worker per cluster function of the module it is given and feeds
+it jobs through per-worker control queues, so repeated executions of the
+same module only pay for the actual operator work plus the hand-offs.  A
+session hands it the module of a *placement* — one worker per placed
+cluster, at most one per core (:meth:`repro.pipeline.RamielResult.placement`);
+the pool itself never looks at the machine.  A one-shot run
 (:func:`repro.runtime.process_runtime.execute_generated_module`) is a pool
 used once, so the worker protocol, the watchdog and the reap path exist
 exactly once.
 
 Two backends are supported:
 
-* ``"thread"`` — one persistent thread per cluster.  numpy releases the GIL
-  inside BLAS so clusters still overlap; fresh thread channels are created
-  per run (they are cheap) and arrays are handed over by reference.
-* ``"process"`` — one persistent forked process per cluster (the paper's
-  runtime, minus the per-call fork).  The module, the weights and a
+* ``"thread"`` — one persistent thread per placed cluster.  numpy releases
+  the GIL inside BLAS so clusters still overlap; fresh thread channels are
+  created per run (they are cheap) and arrays are handed over by reference.
+* ``"process"`` — one persistent forked process per placed cluster (the
+  paper's runtime, minus the per-call fork).  The module, the weights and a
   :class:`~repro.runtime.channels.TensorPlane` are inherited at fork: every
   cross-cluster value, graph input and graph output has a slot in one
   anonymous shared mapping, sized from the module's ``CHANNEL_SPECS`` times
@@ -273,7 +276,7 @@ def _process_main(*args) -> None:
 
 
 class WarmExecutorPool:
-    """Persistent per-cluster workers executing one generated module.
+    """Persistent workers, one per cluster function of one generated module.
 
     Parameters
     ----------
@@ -709,7 +712,7 @@ class WarmExecutorPool:
     # ------------------------------------------------------------------
     @property
     def num_clusters(self) -> int:
-        """Number of persistent workers (one per cluster)."""
+        """Number of persistent workers (one per cluster function)."""
         return self._num_clusters
 
     @property

@@ -26,9 +26,9 @@ is one record with one future, it waits in exactly one place, and
    instead of a fresh ``concatenate`` per batch, and every in-process
    batch runs under a watchdog so a stuck batch cannot pin the artifact's
    lane.  ``executor="pool"``/``"process"`` instead serve via the
-   generated parallel module on warm per-cluster worker pools
-   (:mod:`repro.runtime.worker_pool`), the paper-shaped multi-worker
-   runtime.
+   generated parallel module on warm worker pools, one worker per placed
+   cluster (<= cores; :mod:`repro.runtime.worker_pool`), the paper-shaped
+   multi-worker runtime.
 3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
@@ -119,7 +119,8 @@ class EngineConfig:
     #: :func:`repro.runtime.session.known_executors`: "plan" (default — the
     #: compile-once planned hot path), "interp" (the reference interpreter
     #: behind the same Session interface), or "pool"/"process" (the
-    #: generated parallel module on warm per-cluster thread/fork workers)
+    #: generated parallel module on warm thread/fork workers, one per placed
+    #: cluster, <= cores)
     executor: str = "plan"
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
@@ -924,7 +925,7 @@ def _artifact_gauges(artifact: CompiledArtifact):
     pool = stats.get("pool")
     if pool is not None:
         yield ("serving_pool_clusters", stats["pool_clusters"],
-               "Warm worker-pool clusters of a cached artifact")
+               "Warm pool workers (placed clusters) of a cached artifact")
         yield ("serving_pool_runs_total", pool["runs"],
                "Completed pool runs of a cached artifact")
         yield ("serving_pool_failures_total", pool["failures"],

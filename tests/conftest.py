@@ -15,6 +15,31 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+@pytest.fixture()
+def pin_cores(monkeypatch):
+    """``pin_cores(n)``: pool-backed sessions place onto ``n`` cores, whatever
+    the host has — the one seam (`session.available_cores`) placement reads."""
+    import repro.runtime.session as session_module
+
+    def pin(cores: int) -> None:
+        monkeypatch.setattr(session_module, "available_cores", lambda: cores)
+    return pin
+
+
+def compiled_pool(result, backend: str = "process", **kwargs):
+    """One worker per *compiled* cluster of ``result``, placed nowhere.
+
+    Transport, tracing and chaos tests want the cross-worker hand-offs of
+    the compiled clustering on any host, including toy models a session
+    would place on a single worker (their predicted speedup is below 1).
+    """
+    from repro.runtime.worker_pool import WarmExecutorPool
+
+    return WarmExecutorPool(result.parallel_module,
+                            result.optimized_model.graph.initializers,
+                            backend=backend, **kwargs)
+
+
 def build_diamond_model(name: str = "diamond"):
     """A small fork/join CNN: conv -> (branch1 || branch2) -> concat -> head."""
     b = GraphBuilder(name, seed=0)

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tests.conftest import build_diamond_model, build_wide_model
+from tests.conftest import build_diamond_model, build_wide_model, compiled_pool
 from repro.ir import GraphBuilder
-from repro.models import MODEL_REGISTRY
+from repro.models import MODEL_REGISTRY, build_model
 from repro.pipeline import ramiel_compile
 from repro.runtime.channels import (
     MAX_NDIM,
@@ -216,12 +216,22 @@ def _batched(model, batch, seed):
             for name in feeds[0]}
 
 
+@pytest.fixture(scope="module")
+def spread():
+    """A zoo model a session still spreads over two cores (predicted > 1x)."""
+    model = build_model("inception_v3", variant="small")
+    return model, ramiel_compile(model)
+
+
 class TestPoolCapacity:
-    def test_batch_within_capacity_uses_slots_beyond_takes_fallback(self, diamond):
-        model, result = diamond
+    def test_batch_within_capacity_uses_slots_beyond_takes_fallback(
+            self, spread, pin_cores):
+        model, result = spread
+        pin_cores(2)
         interp = GraphExecutor(result.optimized_model)
         session = create_session(result, executor="process", max_batch=4)
         try:
+            assert session.stats()["pool_clusters"] == 2
             for batch, overflows in ((1, False), (4, False), (8, True)):
                 feed = _batched(model, batch, seed=3)
                 before = session.stats()["pool"]["channels"]["overflow_puts"]
@@ -233,10 +243,12 @@ class TestPoolCapacity:
         finally:
             session.close()
 
-    def test_outputs_are_private_copies(self, diamond):
-        model, result = diamond
+    def test_outputs_are_private_copies(self, spread, pin_cores):
+        model, result = spread
+        pin_cores(2)
         feed = example_inputs(model, seed=1)
         with create_session(result, executor="process") as session:
+            assert session.stats()["pool_clusters"] == 2
             first = session.run(feed)
             kept = {name: value.copy() for name, value in first.items()}
             session.run(example_inputs(model, seed=2))  # rewrites the slots
@@ -313,9 +325,11 @@ def test_squeezenet_fits_its_slots_at_the_engine_batch_size():
     result = ramiel_compile(model)
     feed = _batched(model, 8, seed=20)
     reference = GraphExecutor(result.optimized_model).run(feed)
-    with create_session(result, executor="process", max_batch=8) as session:
-        outputs = session.run(feed)
-        channels = session.stats()["pool"]["channels"]
+    # squeezenet is a predicted loss a session runs on one worker; the slots
+    # between its two compiled clusters are what this sizes
+    with compiled_pool(result, max_batch=8) as pool:
+        outputs = pool.run(feed)
+        channels = pool.stats()["channels"]
     for name, ref in reference.items():
         _bitwise(outputs[name], ref)
     assert channels["overflow_puts"] == 0 and channels["put_bytes"] > 0
@@ -334,10 +348,10 @@ def test_slot_of_a_cast_output_is_sized_for_the_cast_type():
     assert result.num_clusters == 2
     feed = example_inputs(model, seed=5)
     reference = GraphExecutor(model).run(feed)
-    with create_session(result, executor="process") as session:
+    with compiled_pool(result) as pool:
         for _ in range(2):
-            outputs = session.run(feed)
-        channels = session.stats()["pool"]["channels"]
+            outputs = pool.run(feed)
+        channels = pool.stats()["channels"]
     for name, ref in reference.items():
         assert ref.dtype == np.float64
         _bitwise(outputs[name], ref)
@@ -345,7 +359,8 @@ def test_slot_of_a_cast_output_is_sized_for_the_cast_type():
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
-def test_process_backend_bitwise_equal_interpreter_on_zoo(model_name):
+def test_process_backend_bitwise_equal_interpreter_on_zoo(model_name, pin_cores):
+    pin_cores(4)  # folds 6-10 clusters onto 4 workers, whatever the host has
     model = MODEL_REGISTRY[model_name].build(variant="small")
     result = ramiel_compile(model)
     feed = example_inputs(model, seed=21)
