@@ -125,7 +125,7 @@ def _measure(model_name: str) -> Dict:
     def run_generated():
         return run_sequential_module(generated, feed, weights)
 
-    # Warm all paths symmetrically: page in weights, let the plan record
+    # Warm all paths symmetrically: page in weights, let the plan sweep
     # its shapes, pack its slab and grow its scratch, and give the BLAS/OS
     # state two full alternating passes before anything is timed.
     for _ in range(2):

@@ -87,22 +87,9 @@ def parse_dtype(value: Union[str, DType]) -> DType:
 
 
 def promote(a: DType, b: DType) -> DType:
-    """Very small type-promotion lattice used by shape inference.
+    """The dtype numpy computes in for array operands of dtypes ``a`` and ``b``.
 
-    Floating beats integer; wider beats narrower.  This is sufficient for
-    the model zoo where almost everything is float32 with int64 index
-    tensors.
+    Raises ``ValueError`` when that dtype has no IR name (``uint8`` with
+    ``int8`` is ``int16``).
     """
-    if a == b:
-        return a
-    order = [
-        DType.BOOL,
-        DType.UINT8,
-        DType.INT8,
-        DType.INT32,
-        DType.INT64,
-        DType.FLOAT16,
-        DType.FLOAT32,
-        DType.FLOAT64,
-    ]
-    return order[max(order.index(a), order.index(b))]
+    return numpy_to_dtype(np.result_type(dtype_to_numpy(a), dtype_to_numpy(b)))

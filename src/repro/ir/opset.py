@@ -474,8 +474,9 @@ _reg("InstanceNormalization", OpKind.NORMALIZATION, "instance_norm", [_EPSILON],
 
 # -- activations --------------------------------------------------------------
 for _op, _fn in (("Relu", "relu"), ("Sigmoid", "sigmoid"), ("Tanh", "tanh"),
-                 ("Erf", "erf"), ("Softplus", "softplus")):
+                 ("Softplus", "softplus")):
     _reg(_op, OpKind.ACTIVATION, _fn, out=INPLACE)
+_reg("Erf", OpKind.ACTIVATION, "erf", out=INPLACE, workspace=True)
 for _op, _fn in (("Gelu", "gelu"), ("HardSwish", "hard_swish"), ("Mish", "mish")):
     _reg(_op, OpKind.ACTIVATION, _fn)
 _reg("LeakyRelu", OpKind.ACTIVATION, "leaky_relu", [Param("alpha", 0.01, float)])

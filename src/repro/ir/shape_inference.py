@@ -18,7 +18,8 @@ shape rather than failing — never a wrong concrete one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,18 +53,31 @@ def _infer(op_type: str) -> Callable[[_InferFn], _InferFn]:
 
 
 class SweepContext:
-    """Mutable state of one forward sweep: known infos and known constant values."""
+    """Mutable state of one forward sweep: known infos and known constant values.
 
-    def __init__(self, graph: Graph) -> None:
+    ``fed`` (name -> array) starts the sweep from one run's feed instead of
+    the graph's declared inputs and stored ``value_info``, which describe
+    the declared batch size, not the run's; a fed initializer is that run's
+    value, not a constant.
+    """
+
+    def __init__(self, graph: Graph, fed: Optional[Mapping[str, np.ndarray]] = None) -> None:
         self.graph = graph
+        self.fed = fed is not None
         self.infos: Dict[str, TensorInfo] = {}
         self.constants: Dict[str, np.ndarray] = {}
-        for info in graph.inputs:
-            self.infos[info.name] = info
+        if fed is None:
+            for info in graph.inputs:
+                self.infos[info.name] = info
         for name, array in graph.initializers.items():
             self.set_constant(name, array)
-        for name, info in graph.value_info.items():
-            self.infos.setdefault(name, info)
+        if fed is None:
+            for name, info in graph.value_info.items():
+                self.infos.setdefault(name, info)
+        else:
+            for name, array in fed.items():
+                self.infos[name] = TensorInfo(name, numpy_to_dtype(array.dtype), array.shape)
+                self.constants.pop(name, None)
 
     def info(self, name: str) -> Optional[TensorInfo]:
         return self.infos.get(name)
@@ -95,7 +109,9 @@ class SweepContext:
         try:
             outputs = fn(self, node)
         except ShapeInferenceError:
-            raise
+            if not self.fed:
+                raise
+            outputs = _unknown_outputs(self, node)  # the run reports it, not the sweep
         except Exception as exc:  # noqa: BLE001 - inference must not crash callers
             if strict:
                 raise ShapeInferenceError(
@@ -126,11 +142,23 @@ def infer_shapes(graph: Graph, strict: bool = False) -> Graph:
     """
     from repro.graph.traversal import topological_sort_nodes
 
-    ctx = SweepContext(graph)
-    for node in topological_sort_nodes(graph):
-        for out in ctx.annotate(node, strict):
-            graph.value_info[out.name] = out
+    graph.value_info.update(sweep_shapes(graph, topological_sort_nodes(graph), strict=strict))
     return graph
+
+
+def sweep_shapes(graph: Graph, order: Sequence[OpNode],
+                 fed: Optional[Mapping[str, np.ndarray]] = None,
+                 strict: bool = False) -> Dict[str, TensorInfo]:
+    """The info of every value the nodes of ``order`` (topological) produce.
+
+    One forward sweep of the shape functions — shapes are propagated from
+    the inputs, not observed from an execution.  With ``fed`` the inputs are
+    one run's arrays (see :class:`SweepContext`) and an inconsistent node is
+    recorded unknown rather than raised, so the answer describes exactly
+    that run; a fed dtype without an IR name raises ``ValueError``.
+    """
+    ctx = SweepContext(graph, fed)
+    return {out.name: out for node in order for out in ctx.annotate(node, strict)}
 
 
 def _unknown_outputs(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
@@ -139,10 +167,18 @@ def _unknown_outputs(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
 
 
 def _same_shape(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
-    info = ctx.info(node.inputs[0])
-    shape = None if info is None else info.shape
+    """The first input's shape, in the dtype the kernel computes in.
+
+    ``_FLOAT32_KERNELS`` cast whatever they are fed; ``_NUMPY_CAST`` ones
+    keep a floating operand's dtype and leave anything else to numpy's
+    casting table, which this table does not model: nothing is claimed.
+    """
     dtype = ctx.dtype(node.inputs[0])
-    return [TensorInfo(out, dtype, shape) for out in node.outputs if out]
+    if node.op_type in _FLOAT32_KERNELS:
+        dtype = DType.FLOAT32
+    elif node.op_type in _NUMPY_CAST and not dtype.is_floating:
+        return _unknown_outputs(ctx, node)
+    return [TensorInfo(out, dtype, ctx.shape(node.inputs[0])) for out in node.outputs if out]
 
 
 def _ints(ctx: SweepContext, node: OpNode, index: int,
@@ -179,7 +215,7 @@ def _infer_conv(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     dilations = attr_value(node, "dilations")
     oh = conv_output_dim(h, kernel[0], strides[0], pads[0], pads[2], dilations[0])
     ow = conv_output_dim(wdim, kernel[1], strides[1], pads[1], pads[3], dilations[1])
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, out_channels, oh, ow))]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, (n, out_channels, oh, ow))]
 
 
 @_infer("ConvTranspose")
@@ -199,7 +235,7 @@ def _infer_conv_transpose(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     else:
         oh = (h - 1) * strides[0] - pads[0] - pads[2] + kernel[0] + extra[0]
         ow = (wdim - 1) * strides[1] - pads[1] - pads[3] + kernel[1] + extra[1]
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, out_channels, oh, ow))]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, (n, out_channels, oh, ow))]
 
 
 def _infer_pool(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
@@ -213,7 +249,7 @@ def _infer_pool(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     ceil_mode = attr_value(node, "ceil_mode")
     oh = pool_output_dim(h, kernel[0], strides[0], pads[0], pads[2], ceil_mode)
     ow = pool_output_dim(w, kernel[1], strides[1], pads[1], pads[3], ceil_mode)
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, c, oh, ow))]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, (n, c, oh, ow))]
 
 
 _INFER_FNS["MaxPool"] = _infer_pool
@@ -225,7 +261,7 @@ def _infer_global_pool(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     if x is None or len(x) != 4:
         return _unknown_outputs(ctx, node)
     n, c = x[0], x[1]
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), (n, c, 1, 1))]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, (n, c, 1, 1))]
 
 
 _INFER_FNS["GlobalAveragePool"] = _infer_global_pool
@@ -241,9 +277,8 @@ def _infer_matmul(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     b = ctx.shape(node.inputs[1])
     if a is None or b is None or len(a) < 1 or len(b) < 1:
         return _unknown_outputs(ctx, node)
-    dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[1]))
     if len(a) == 1 and len(b) == 1:
-        return [TensorInfo(node.primary_output, dtype, ())]
+        return [TensorInfo(node.primary_output, DType.FLOAT32, ())]
     a2 = a if len(a) >= 2 else (1,) + tuple(a)
     b2 = b if len(b) >= 2 else tuple(b) + (1,)
     batch = broadcast_shapes(a2[:-2] or (1,), b2[:-2] or (1,))
@@ -257,7 +292,7 @@ def _infer_matmul(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     if batch == (1,) and len(a) <= 2 and len(b) <= 2:
         batch = ()
     out_shape = batch + (m, n)
-    return [TensorInfo(node.primary_output, dtype, out_shape)]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, out_shape)]
 
 
 @_infer("Gemm")
@@ -270,18 +305,17 @@ def _infer_gemm(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     trans_b = attr_value(node, "transB")
     m = a[1] if trans_a else a[0]
     n = b[0] if trans_b else b[1]
-    dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[1]))
-    return [TensorInfo(node.primary_output, dtype, (m, n))]
+    return [TensorInfo(node.primary_output, DType.FLOAT32, (m, n))]
 
 
 # ---------------------------------------------------------------------------
 # Normalization / activations / elementwise
 # ---------------------------------------------------------------------------
-for _op in ("BatchNormalization", "LayerNormalization", "InstanceNormalization",
-            "Relu", "Sigmoid", "Tanh", "Gelu", "Erf", "LeakyRelu", "Elu", "Selu",
-            "Softplus", "HardSigmoid", "HardSwish", "Mish", "Clip", "PRelu",
-            "Softmax", "LogSoftmax", "Sqrt", "Exp", "Log", "Neg", "Abs",
-            "Reciprocal", "Floor", "Ceil", "Round", "Sign", "Cos", "Sin", "Identity"):
+_FLOAT32_KERNELS = ("BatchNormalization", "LayerNormalization", "InstanceNormalization",
+                    "Sigmoid", "Gelu", "Erf", "Elu", "Selu", "Softplus", "HardSwish", "Mish",
+                    "Softmax", "LogSoftmax", "Sqrt", "Exp", "Log", "Reciprocal")
+_NUMPY_CAST = ("Relu", "Tanh", "LeakyRelu", "HardSigmoid", "Clip", "Round", "Cos", "Sin")
+for _op in _FLOAT32_KERNELS + _NUMPY_CAST + ("Neg", "Abs", "Floor", "Ceil", "Sign", "Identity"):
     _INFER_FNS[_op] = _same_shape
 
 
@@ -309,6 +343,10 @@ def _infer_binary(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
         dtype = DType.BOOL
     else:
         dtype = promote(ctx.dtype(node.inputs[0]), ctx.dtype(node.inputs[-1]))
+        if node.op_type == "Div" and not dtype.is_floating:
+            dtype = DType.FLOAT64  # the kernel is numpy's true division
+        elif node.op_type in ("Pow", "Mod") and dtype is DType.BOOL:
+            dtype = DType.INT8  # numpy has no boolean loop for these
     try:
         shape = broadcast_shapes(a, b)
     except ValueError as exc:
@@ -317,7 +355,7 @@ def _infer_binary(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
 
 
 _BOOL_BINARY = ("Equal", "Greater", "Less", "GreaterOrEqual", "LessOrEqual", "And", "Or", "Xor")
-for _op in ("Add", "Sub", "Mul", "Div", "Pow", "Mod", "Min", "Max") + _BOOL_BINARY:
+for _op in ("Add", "Sub", "Mul", "Div", "Pow", "Mod", "Min", "Max", "PRelu") + _BOOL_BINARY:
     _INFER_FNS[_op] = _infer_binary
 
 
@@ -327,7 +365,8 @@ def _infer_where(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     a = ctx.shape(node.inputs[1])
     b = ctx.shape(node.inputs[2])
     shape = broadcast_shapes(broadcast_shapes(cond, a), b)
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[1]), shape)]
+    dtype = promote(ctx.dtype(node.inputs[1]), ctx.dtype(node.inputs[2]))
+    return [TensorInfo(node.primary_output, dtype, shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +390,9 @@ def _infer_reduce(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
             else:
                 dims.append(d)
         shape = tuple(dims)
-    return [TensorInfo(node.primary_output, ctx.dtype(node.inputs[0]), shape)]
+    # Only the max / min kernels keep the operand's dtype.
+    dtype = ctx.dtype(node.inputs[0]) if node.op_type in ("ReduceMax", "ReduceMin") else DType.FLOAT32
+    return [TensorInfo(node.primary_output, dtype, shape)]
 
 
 for _op in ("ReduceMean", "ReduceSum", "ReduceMax", "ReduceMin", "ReduceProd", "ReduceL2"):
@@ -380,7 +421,7 @@ _INFER_FNS["ArgMin"] = _infer_arg_reduce
 @_infer("Concat")
 def _infer_concat(ctx: SweepContext, node: OpNode) -> List[TensorInfo]:
     shapes = [ctx.shape(i) for i in node.present_inputs]
-    dtype = ctx.dtype(node.inputs[0])
+    dtype = functools.reduce(promote, [ctx.dtype(i) for i in node.present_inputs])
     if any(s is None for s in shapes):
         return _unknown_outputs(ctx, node)
     axis = attr_value(node, "axis") % len(shapes[0])

@@ -7,6 +7,8 @@ from typing import Optional
 import numpy as np
 from scipy import special as _special
 
+from repro.runtime.tensor_utils import reset_workspace, scratch
+
 
 def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rectified linear unit (optionally into a caller-owned ``out`` buffer)."""
@@ -64,7 +66,7 @@ def _horner(coefficients, x: np.ndarray, out: Optional[np.ndarray] = None) -> np
     return np.add(out, coefficients[-1], out=out)
 
 
-def erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def erf(x: np.ndarray, out: Optional[np.ndarray] = None, workspace=None) -> np.ndarray:
     """Gauss error function (the core of ONNX-exported GELU).
 
     Within 5e-7 of the exact value everywhere and within 1e-6 relative
@@ -77,11 +79,13 @@ def erf(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim == 0:
         return _special.erf(x, out=out)
-    clamped = np.clip(x, -4.0, 4.0)  # a copy: ``out`` may alias ``x`` from here on
-    square = np.multiply(clamped, clamped)
+    # ``clamped`` is a copy: ``out`` may alias ``x`` from here on.
+    clamped = np.clip(x, -4.0, 4.0, out=scratch(workspace, x.shape))
+    square = np.multiply(clamped, clamped, out=scratch(workspace, x.shape))
     result = _horner(_ERF_P, square, out=out)
     np.multiply(result, clamped, out=result)
-    np.divide(result, _horner(_ERF_Q, square), out=result)
+    np.divide(result, _horner(_ERF_Q, square, out=scratch(workspace, x.shape)), out=result)
+    reset_workspace(workspace)
     return np.clip(result, -1.0, 1.0, out=result)
 
 

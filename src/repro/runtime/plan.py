@@ -22,26 +22,30 @@ The plan does that work once instead:
   of :mod:`repro.runtime.functional`;
 * a liveness analysis over the topological order gives every recyclable
   intermediate (alias views join their base's storage group) the interval
-  ``[producing step, last reading step]``.  The **first run under a
-  graph-input signature** executes without destinations and records, for
-  every destination-capable step — elementwise/activation ops,
+  ``[producing step, last reading step]``.  On the **first run under a
+  graph-input signature** one shape sweep
+  (:func:`repro.ir.shape_inference.sweep_shapes`, over the plan's own
+  order, seeded from the fed arrays) gives every value's shape and dtype.
+  Every destination-capable step — elementwise/activation ops,
   BatchNormalization and the heavy conv / GEMM / pooling kernels — whose
-  output is at least ``_ARENA_MIN_BYTES`` (4 KB; below that malloc is
-  cheaper), the output's shape and dtype and the argument shapes the step
-  saw.
-  :func:`pack_intervals` then first-fits those intervals into **one
-  64-byte-aligned slab**, and every later run under the signature hands
-  each step a precomputed view of it as ``out=``: no allocation, no
-  per-step pool bookkeeping, and a working set several times smaller than
-  the sum of the intermediates;
-* a step uses its view only when its **actual argument shapes equal the
-  recorded ones** (one comparison per step).  The graph-input signature
-  alone does not pin every shape — ``NonZero`` makes them data-dependent —
-  and numpy would silently broadcast a small result into a stale, larger
-  ``out=``; on a mismatch the step allocates as the first run did;
+  output is fully known and at least ``_ARENA_MIN_BYTES`` (4 KB; below that
+  malloc is cheaper) is sized from that table, :func:`pack_intervals`
+  first-fits the intervals into **one 64-byte-aligned slab**, and that
+  run and every later one under the signature hand each step a
+  precomputed view of it as ``out=``: no allocation, no per-step
+  bookkeeping, and a working set several times smaller than the sum of
+  the intermediates.  The same table says which fused tails run in place
+  and what shape and dtype a bound graph output must have;
+* the memory plan is computed from shapes, never observed from a run.  A
+  step whose shape depends on run-time data (downstream of ``NonZero``, a
+  computed ``Range`` / ``TopK`` / ``Reshape`` target) is unknown to the
+  sweep, gets no view and allocates — numpy would silently broadcast a
+  small result into a larger ``out=``, so nothing is ever handed a view
+  on a guess.  ``tests/test_shape_table.py`` and
+  ``tests/test_op_registry.py`` pin the table to the kernels;
 * kernel scratch (padded input, the per-sample conv column matrix a
-  strided gather fills, a pooling window's row-folded scratch, staging for
-  an aliasing destination) comes from the plan's one
+  strided gather fills, a pooling window's row-folded scratch, ``erf``'s
+  three temporaries, staging for an aliasing destination) comes from the plan's one
   :class:`~repro.runtime.tensor_utils.Workspace`, a grow-only bump
   allocator every heavy kernel rewinds before returning — so the scratch
   of every conv lands on the same cache-hot bytes.  What a kernel derives
@@ -54,16 +58,18 @@ outputs are bitwise-identical to :class:`GraphExecutor` outputs, which the
 differential tests in ``tests/test_execution_plan.py`` assert on the whole
 model zoo.  ``GraphExecutor`` remains the semantic ground truth.
 
-Serving traffic with a handful of distinct batch sizes reaches the
-zero-allocation steady state after one run per signature.  Slab ranges are
+Serving traffic with a handful of distinct batch sizes is in the
+zero-allocation steady state from the second run per signature (the first
+builds the slab and grows the scratch).  Slab ranges are
 overwritten by the next run, so nothing slab-backed ever reaches a caller:
 graph outputs are never given a range, and a run that requests an
 intermediate via ``outputs=`` executes without the slab.
 
 Graph outputs accept caller-owned destinations via ``run(feed,
 out={name: buffer})`` (surfaced as :class:`repro.runtime.session.Session`'s
-``IOBinding``): destination-capable producers write the output in place,
-closing the last per-run allocation of the warm hot path.
+``IOBinding``): a buffer that matches the table's entry is its producing
+step's ``out=`` for that run, so the output is written in place and no
+per-run allocation is left.
 """
 
 from __future__ import annotations
@@ -71,14 +77,16 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
+from repro.ir.dtypes import dtype_to_numpy
 from repro.ir.opset import ARENA, INPLACE, BoundOp, bind, get_schema, require_supported
+from repro.ir.shape_inference import sweep_shapes
 from repro.runtime.executor import ExecutionError
 from repro.runtime.tensor_utils import Workspace, align_up, aligned_empty
 
@@ -92,9 +100,9 @@ class PlanError(ExecutionError):
 # ---------------------------------------------------------------------------
 # Memory planning
 # ---------------------------------------------------------------------------
-#: Outputs below this size are cheaper to malloc than to route through the
-#: slab's per-step shape guard; such steps stay on the plain allocating path
-#: (measured crossover is well under one 4 KB page).
+#: Outputs below this size are cheaper to malloc than to give a slab range;
+#: such steps stay on the allocating path (measured crossover is well under
+#: one 4 KB page).
 _ARENA_MIN_BYTES = 4096
 
 
@@ -127,161 +135,79 @@ def pack_intervals(intervals: Sequence[Tuple[int, int, int]]) -> Tuple[List[int]
     return offsets, total
 
 
-class _Slot:
-    """One step's destination under one graph-input signature.
+class _Memory(NamedTuple):
+    """One graph-input signature's memory plan, computed from its shape table."""
 
-    The signature's recording run leaves the head's argument shapes in
-    ``arg_shapes`` and its freshly allocated result in ``view``;
-    :meth:`ExecutionPlan._pack` then swaps ``view`` for the step's range of
-    the signature's slab.
-    """
-
-    __slots__ = ("arg_shapes", "view")
-
-    def __init__(self) -> None:
-        self.arg_shapes: Optional[List[Tuple[int, ...]]] = None
-        self.view: Optional[np.ndarray] = None
+    #: per step: the head's range of the signature's slab, or None (allocate)
+    outs: List[Optional[np.ndarray]]
+    #: per fused tail op, in ``ExecutionPlan._tails`` order: run on the chain buffer
+    in_place: List[bool]
+    #: per bindable graph output: the ``(shape, dtype)`` its step's head
+    #: returns, or None when the table does not fully know it
+    bound_specs: Dict[str, Optional[Tuple]]
+    slab_bytes: int
+    intermediate_bytes: int
 
 
 # ---------------------------------------------------------------------------
 # Step construction
 # ---------------------------------------------------------------------------
-_MISSING = object()
-
-
 class _TailOp:
     """One fused elementwise/activation op applied on the chain buffer.
 
-    The first execution under a given input signature runs out-of-place and
-    records whether the result matches the chain buffer's shape and dtype;
-    when it does, subsequent executions run in place on the chain buffer,
-    which is private to the fused step (the fused intermediate has exactly
-    one consumer and is not a graph output).  The last-seen signature is
-    kept in dedicated slots so the steady state compares shapes directly
-    instead of building a key tuple per call.
+    ``in_place`` is the active signature's decision (the plan sets it from
+    the shape table): the op's result has the chain's shape and dtype, so
+    it runs on the chain buffer, which is private to the fused step (the
+    fused intermediate has exactly one consumer and is not a graph output).
     """
 
-    __slots__ = ("kernel", "other_name", "chain_first", "spec",
-                 "last_key", "last_in_place")
+    __slots__ = ("kernel", "other_name", "chain_first", "in_place")
 
     def __init__(self, kernel: Callable, other_name: Optional[str],
                  chain_first: bool) -> None:
         self.kernel = kernel
         self.other_name = other_name
         self.chain_first = chain_first
-        self.spec: Dict[Tuple, bool] = {}
-        self.last_key: Optional[Tuple] = None
-        self.last_in_place = False
+        self.in_place = False
 
     def apply(self, values: Dict[str, np.ndarray], chain: np.ndarray) -> np.ndarray:
         if self.other_name is None:
             args = (chain,)
-            key = (chain.shape, chain.dtype)
         else:
             other = values[self.other_name]
             args = (chain, other) if self.chain_first else (other, chain)
-            key = (chain.shape, chain.dtype, other.shape, other.dtype)
-        if key == self.last_key:
-            if self.last_in_place:
-                return self.kernel(args, chain)
-            return np.asarray(self.kernel(args, None))
-        in_place = self.spec.get(key, _MISSING)
-        if in_place is _MISSING:
-            result = np.asarray(self.kernel(args, None))
-            # In-place needs a real, matching ndarray destination — numpy
-            # scalars (e.g. a keepdims=0 reduction head) report shape/dtype
-            # but cannot be ``out=`` targets.
-            in_place = (type(chain) is np.ndarray
-                        and result.shape == chain.shape
-                        and result.dtype == chain.dtype)
-            self.spec[key] = in_place
-            self.last_key, self.last_in_place = key, in_place
-            return result
-        self.last_key, self.last_in_place = key, in_place
-        if in_place:
+        # In-place needs a real ndarray destination — numpy scalars (e.g. a
+        # keepdims=0 reduction head) report shape/dtype but cannot be
+        # ``out=`` targets.
+        if self.in_place and type(chain) is np.ndarray:
             return self.kernel(args, chain)
         return np.asarray(self.kernel(args, None))
 
 
-def _make_plain_head(bound: BoundOp, in_names: Sequence[str]) -> Callable:
+def _make_head(bound: BoundOp, in_names: Sequence[str]) -> Callable:
+    """``head(values, out)``: the node's kernel on its named inputs.
+
+    ``out`` is the step's destination for this run — its range of the
+    signature's slab, or a caller-bound graph-output buffer — or None, and
+    always None for a kernel that takes no destination.
+    """
     in_names = tuple(in_names)
     kernel = bound.call
-    if bound.multi:  # a multi-output op with one named output: keep the first
-        return lambda values, dest, slot: kernel([values[n] for n in in_names])[0]
-    return lambda values, dest, slot: kernel([values[n] for n in in_names])
-
-
-def _make_slot_head(kernel: Callable, in_names: Sequence[str]) -> Callable:
-    """A head that computes into its slab view once the signature is packed.
-
-    ``slot`` is None (no view for this step in this run: allocate), a
-    fresh :class:`_Slot` (the signature's recording run: allocate, then
-    record the argument shapes and the result), or a packed one — whose
-    view is passed as ``out=`` only when the argument shapes are the
-    recorded ones, because the input signature does not pin data-dependent
-    shapes and numpy would broadcast a smaller result into a stale view.
-    """
-    in_names = tuple(in_names)
-
-    def head(values, dest, slot):
-        args = [values[n] for n in in_names]
-        if slot is None:
-            return np.asarray(kernel(args, None))
-        shapes = [a.shape for a in args]
-        if shapes == slot.arg_shapes:
-            return kernel(args, slot.view)
-        result = np.asarray(kernel(args, None))
-        if slot.arg_shapes is None:
-            slot.arg_shapes, slot.view = shapes, result
-        return result
-
-    return head
-
-
-def _make_dest_head(kernel: Callable, in_names: Sequence[str],
-                    out_name: str) -> Callable:
-    """A head that computes straight into a caller-bound output buffer.
-
-    ``dest`` maps graph-output names to bound buffers.  The first run
-    under an argument signature executes without a destination and records
-    the observed output shape and dtype; once specialized, a matching
-    bound buffer is passed as ``out=`` and the kernel writes the graph
-    output in place — no per-run allocation, no end-of-run copy — and
-    fused tails then apply in place on it, so the chain's final value *is*
-    the caller's buffer.  A mismatched buffer falls back to the allocating
-    path; the run-level finalization then copies (and reports the shape or
-    dtype error).
-    """
-    in_names = tuple(in_names)
-    spec: Dict[Tuple, Tuple] = {}
-
-    def head(values, dest, slot):
-        args = [values[n] for n in in_names]
-        buf = dest.get(out_name)
-        if buf is None:
-            return kernel(args)
-        key = tuple((a.shape, a.dtype) for a in args)
-        recorded = spec.get(key)
-        if recorded is None:
-            result = np.asarray(kernel(args, None))
-            spec[key] = (result.shape, result.dtype)
-            return result
-        if (type(buf) is np.ndarray and buf.shape == recorded[0]
-                and buf.dtype == recorded[1]):
-            return kernel(args, buf)
-        return np.asarray(kernel(args, None))
-
-    return head
+    if bound.out is None:
+        if bound.multi:  # a multi-output op with one named output: keep the first
+            return lambda values, out: kernel([values[n] for n in in_names])[0]
+        return lambda values, out: kernel([values[n] for n in in_names])
+    return lambda values, out: kernel([values[n] for n in in_names], out)
 
 
 def _make_step(head: Callable, tail: List[_TailOp], out_name: str) -> Callable:
     """Compile one single-output step: ``head`` then the fused ``tail``."""
     if not tail:
-        def step(values, dest, slot):
-            values[out_name] = head(values, dest, slot)
+        def step(values, out):
+            values[out_name] = head(values, out)
     else:
-        def step(values, dest, slot):
-            chain = head(values, dest, slot)
+        def step(values, out):
+            chain = head(values, out)
             for op in tail:
                 chain = op.apply(values, chain)
             values[out_name] = chain
@@ -293,7 +219,7 @@ def _make_multi_step(kernel: Callable, in_names: Sequence[str],
     in_names = tuple(in_names)
     out_names = tuple(out_names)
 
-    def step(values, dest, slot):
+    def step(values, out):
         results = kernel([values[n] for n in in_names])
         for name, value in zip(out_names, results):
             if name:
@@ -334,10 +260,8 @@ class ExecutionPlan:
         # Heavy kernels rewind the workspace before returning and steps run
         # one at a time under the plan lock, so one provider serves all.
         self._workspace = Workspace()
-        #: graph-input signature -> per-step slots (None: step allocates)
-        self._memory: Dict[Tuple, List[Optional[_Slot]]] = {}
-        self._slab_bytes = 0
-        self._intermediate_bytes = 0
+        #: graph-input signature -> its memory plan
+        self._memory: Dict[Tuple, _Memory] = {}
         self._lock = threading.Lock()
         self.fused = fuse
         self._build(order, fuse)
@@ -473,12 +397,17 @@ class ExecutionPlan:
                     last_use[sid] = step_index
 
         # -- compile steps to closures ---------------------------------
-        fused_node_count = 0
         self._heavy_step_count = 0
-        self._bindable_outputs = 0
         #: per step: the last step reading its output's storage when the
         #: step may compute into a slab range, else None
         slot_last_use: List[Optional[int]] = []
+        #: per step: the value its head produces (what a destination holds)
+        head_outputs: List[Optional[str]] = []
+        #: every fused tail op with its (chain, result) value names, whose
+        #: table entries decide whether it runs in place
+        self._tails: List[Tuple[_TailOp, str, str]] = []
+        #: bindable graph output -> the step whose head can write it
+        self._bound_steps: Dict[str, int] = {}
         for nodes, writes in zip(step_nodes, step_writes):
             node = nodes[0]
             head_bound = bound[node.name]
@@ -486,8 +415,8 @@ class ExecutionPlan:
                 steps.append(_make_multi_step(head_bound.call, node.present_inputs,
                                               node.outputs))
                 slot_last_use.append(None)
+                head_outputs.append(None)
                 continue
-            fused_node_count += len(nodes) - 1
             tail = []
             chain_value = single_output(node)
             for tail_node in nodes[1:]:
@@ -499,6 +428,7 @@ class ExecutionPlan:
                     chain_first = operands[0] == chain_value
                     other = operands[1] if chain_first else operands[0]
                     tail.append(_TailOp(kernel, other, chain_first))
+                self._tails.append((tail[-1], chain_value, single_output(tail_node)))
                 chain_value = single_output(tail_node)
             # Elementwise/activation and heavy conv/GEMM/pooling heads
             # whose storage recycles compute into the slab; destination-
@@ -510,22 +440,25 @@ class ExecutionPlan:
             slotted = (head_bound.out in (INPLACE, ARENA)
                        and storage_recyclable[sid])
             slot_last_use.append(last_use[sid] if slotted else None)
+            head_outputs.append(single_output(node))
             if head_bound.out == ARENA:
                 self._heavy_step_count += 1
-            if slotted:
-                head = _make_slot_head(head_bound.call, node.present_inputs)
-            elif head_bound.out is not None and writes[0] in output_set:
-                self._bindable_outputs += 1
-                head = _make_dest_head(head_bound.call, node.present_inputs,
-                                       writes[0])
-            else:
-                head = _make_plain_head(head_bound, node.present_inputs)
-            steps.append(_make_step(head, tail, writes[0]))
+            if head_bound.out is not None and writes[0] in output_set:
+                self._bound_steps[writes[0]] = len(steps)
+            steps.append(_make_step(_make_head(head_bound, node.present_inputs),
+                                    tail, writes[0]))
 
+        self._order = order
         self._steps = steps
         self._step_nodes = step_nodes
         self._slot_last_use = slot_last_use
-        self._no_slots: List[Optional[_Slot]] = [None] * len(steps)
+        self._head_outputs = head_outputs
+        #: what a run that bypasses the memory plan executes with: no views,
+        #: every tail out of place, every bound output copied
+        self._unplanned = _Memory([None] * len(steps), [False] * len(self._tails),
+                                  {}, 0, 0)
+        #: the memory plan whose in-place decisions the tail ops hold
+        self._active = self._unplanned
         #: per-step span labels + args, precomputed at build time so the
         #: traced loop emits without any per-step string formatting
         self._step_labels: List[str] = []
@@ -537,8 +470,6 @@ class ExecutionPlan:
             if len(nodes) > 1:
                 span_args["fused"] = "+".join(n.op_type for n in nodes[1:])
             self._step_span_args.append(span_args)
-        self._num_nodes = len(order)
-        self._fused_node_count = fused_node_count
         self._init_values = dict(graph.initializers)
         self._init_arrays = [array for array in self._init_values.values()
                              if isinstance(array, np.ndarray)]
@@ -607,11 +538,11 @@ class ExecutionPlan:
         steps = self._steps
 
         if tracer is None:
-            def run_steps(values, dest, slots):
+            def run_steps(values, outs):
                 step_index = 0
                 try:
                     for step_index, step in enumerate(steps):
-                        step(values, dest, slots[step_index])
+                        step(values, outs[step_index])
                 except ExecutionError:
                     raise
                 except Exception as exc:  # noqa: BLE001 - add node context
@@ -623,12 +554,12 @@ class ExecutionPlan:
         emit = tracer.emit
         now = time.perf_counter_ns
 
-        def run_steps_traced(values, dest, slots):
+        def run_steps_traced(values, outs):
             step_index = 0
             try:
                 for step_index, step in enumerate(steps):
                     start_ns = now()
-                    step(values, dest, slots[step_index])
+                    step(values, outs[step_index])
                     emit(labels[step_index], "plan", start_ns, now(),
                          args=span_args[step_index])
             except ExecutionError:
@@ -637,13 +568,13 @@ class ExecutionPlan:
                 raise self._step_failure(step_index, exc) from exc
         return run_steps_traced
 
-    def _run_steps_hooked(self, values, dest, slots, trace_hook) -> None:
+    def _run_steps_hooked(self, values, outs, trace_hook) -> None:
         """The ``trace_hook`` step loop (profiler attribution path)."""
         step_index = 0
         try:
             for step_index, step in enumerate(self._steps):
                 start = time.perf_counter()
-                step(values, dest, slots[step_index])
+                step(values, outs[step_index])
                 trace_hook(self._step_nodes[step_index][0],
                            time.perf_counter() - start)
         except ExecutionError:
@@ -651,26 +582,39 @@ class ExecutionPlan:
         except Exception as exc:  # noqa: BLE001 - add node context
             raise self._step_failure(step_index, exc) from exc
 
-    def _pack(self, slots: List[Optional[_Slot]]) -> List[Optional[_Slot]]:
-        """Turn a recording run's slots into views of one packed slab.
+    def _plan_memory(self, fed: Dict[str, np.ndarray]) -> _Memory:
+        """Compute the memory plan of the signature ``fed`` belongs to.
 
-        Steps whose recorded output is smaller than ``_ARENA_MIN_BYTES``
-        lose their slot and keep allocating.
+        One shape sweep over the plan's own order, seeded from the fed
+        arrays, gives every value's ``(shape, dtype)``.  A slab-capable
+        step whose head output is fully known and at least
+        ``_ARENA_MIN_BYTES`` gets a range of one packed slab; a step the
+        sweep does not fully know (its shape depends on run-time data)
+        gets none and allocates.
         """
-        kept = [(index, slot) for index, slot in enumerate(slots)
-                if slot is not None and slot.view.nbytes >= _ARENA_MIN_BYTES]
-        offsets, total = pack_intervals(
-            [(index, self._slot_last_use[index], slot.view.nbytes)
-             for index, slot in kept])
+        try:
+            table = sweep_shapes(self.graph, self._order, fed)
+        except ValueError:  # a fed dtype the IR has no name for: nothing is known
+            table = {}
+
+        specs = {name: (info.shape, dtype_to_numpy(info.dtype))
+                 for name, info in table.items() if info.is_static()}
+        sized = [(index, last, table[name].nbytes)
+                 for index, (last, name) in enumerate(zip(self._slot_last_use,
+                                                          self._head_outputs))
+                 if last is not None and name in specs
+                 and table[name].nbytes >= _ARENA_MIN_BYTES]
+        offsets, total = pack_intervals(sized)
         slab = aligned_empty(total)
-        packed = list(self._no_slots)
-        for (index, slot), offset in zip(kept, offsets):
-            recorded = slot.view
-            slot.view = np.ndarray(recorded.shape, recorded.dtype, slab, offset)
-            packed[index] = slot
-            self._intermediate_bytes += recorded.nbytes
-        self._slab_bytes += total
-        return packed
+        outs = list(self._unplanned.outs)
+        for (index, _, _), offset in zip(sized, offsets):
+            outs[index] = np.ndarray(*specs[self._head_outputs[index]], slab, offset)
+        in_place = [chain in specs and specs[chain] == specs.get(result)
+                    for _, chain, result in self._tails]
+        bound_specs = {name: specs.get(self._head_outputs[index])
+                       for name, index in self._bound_steps.items()}
+        return _Memory(outs, in_place, bound_specs, total,
+                       sum(nbytes for _, _, nbytes in sized))
 
     # ------------------------------------------------------------------
     # Execution
@@ -691,11 +635,12 @@ class ExecutionPlan:
 
         ``out`` maps graph-output names to caller-owned destination
         buffers.  Destination-capable producers write the output directly
-        into the buffer (no per-run graph-output allocation once the
-        signature has specialized); everything else is finalized with an
-        end-of-run copy.  A buffer overlapping any input array is only
-        written after every step has run, so binding an output over an
-        input is safe.  Shape/dtype mismatches raise :class:`PlanError`.
+        into a buffer of the shape and dtype the signature's shape table
+        expects (no per-run graph-output allocation); everything else is
+        finalized with an end-of-run copy.  A buffer overlapping any input
+        array is only written after every step has run, so binding an
+        output over an input is safe.  Shape/dtype mismatches raise
+        :class:`PlanError`.
         """
         with self._lock:
             return self._run_locked(inputs, outputs, trace_hook, out)
@@ -708,19 +653,39 @@ class ExecutionPlan:
         for name, array in inputs.items():
             values[name] = np.asarray(array)
 
-        # Caller-bound output destinations: `dest` is consulted by the
-        # producing steps for direct writes; `bound` is the full set,
-        # finalized below.  Buffers that may alias an input — or another
-        # destination — are withheld from `dest`: writing them mid-run
-        # could corrupt values later steps still read (or each other), so
-        # they are handled by the end-of-run copy only.  A buffer
-        # overlapping an initializer is rejected outright — even a
-        # deferred copy into it would corrupt the weights of every
-        # subsequent run.
-        dest: Dict[str, np.ndarray] = {}
+        # The memory plan of this feed's signature.  A run that requests
+        # an intermediate executes without one: the value's slab range
+        # would be overwritten by a later step, or by the next run.
+        memory, signature = self._unplanned, None
+        if outputs is None or self._output_set.issuperset(outputs):
+            # Graph inputs in graph order, then any other fed name (an
+            # overridden initializer): one feed, one signature, whatever
+            # order the caller's dict has.
+            names = self._input_names
+            if len(inputs) != len(names):
+                names = names + sorted(set(inputs).difference(names))
+            signature = tuple([(name, values[name].shape, values[name].dtype)
+                               for name in names])
+            memory = self._memory.get(signature)
+            if memory is None:
+                memory = self._plan_memory({name: values[name] for name in names})
+        if memory is not self._active:
+            for (op, _, _), in_place in zip(self._tails, memory.in_place):
+                op.in_place = in_place
+            self._active = memory
+        outs = memory.outs
+
+        # Caller-bound output destinations, all finalized below.  A buffer
+        # overlapping an initializer is rejected outright — even a deferred
+        # copy into it would corrupt the weights of every subsequent run.
+        # A buffer that matches what its step's head returns is that step's
+        # ``out=`` for this run (fused tails then apply in place on it, so
+        # the chain's final value *is* the buffer) — unless it may alias an
+        # input or another destination: writing it mid-run could corrupt
+        # values later steps still read (or each other), so such a buffer
+        # is only written by the end-of-run copy.
         bound: Dict[str, np.ndarray] = {}
         if out:
-            feed_arrays = [values[name] for name in self._input_names]
             for name, buf in out.items():
                 if name not in self._output_set:
                     raise PlanError(
@@ -749,35 +714,21 @@ class ExecutionPlan:
 
                     self._init_safe[key] = weakref.ref(buf, drop)
                 bound[name] = buf
-            buffers = list(bound.items())
-            for index, (name, buf) in enumerate(buffers):
-                if any(np.may_share_memory(buf, array)
-                       for array in feed_arrays):
-                    continue
-                if any(np.may_share_memory(buf, other)
-                       for other_index, (_, other) in enumerate(buffers)
-                       if other_index != index):
-                    continue
-                dest[name] = buf
-
-        # The memory plan of this feed's signature.  A run that requests
-        # an intermediate executes without one: the value's slab range
-        # would be overwritten by a later step, or by the next run.
-        slots, recorded = self._no_slots, None
-        if outputs is None or self._output_set.issuperset(outputs):
-            signature = tuple([(name, values[name].shape, values[name].dtype)
-                               for name in inputs])
-            slots = self._memory.get(signature)
-            if slots is None:  # first run under this signature: record
-                slots = recorded = [None if last is None else _Slot()
-                                    for last in self._slot_last_use]
+            outs = list(outs)
+            feeds = [values[name] for name in self._input_names]
+            for name, buf in bound.items():
+                if (type(buf) is np.ndarray
+                        and memory.bound_specs.get(name) == (buf.shape, buf.dtype)
+                        and not any(np.may_share_memory(buf, other) for other in
+                                    feeds + [b for n, b in bound.items() if n != name])):
+                    outs[self._bound_steps[name]] = buf
 
         if trace_hook is None:
-            self._exec(values, dest, slots)
+            self._exec(values, outs)
         else:
-            self._run_steps_hooked(values, dest, slots, trace_hook)
-        if recorded is not None:
-            self._memory[signature] = self._pack(recorded)
+            self._run_steps_hooked(values, outs, trace_hook)
+        if signature is not None:
+            self._memory[signature] = memory  # kept once a run under it succeeded
 
         wanted = list(outputs) if outputs is not None else self._output_names
         missing = [name for name in wanted if name not in values]
@@ -831,25 +782,26 @@ class ExecutionPlan:
 
         ``arena["allocations"]`` counts slab builds plus scratch-buffer
         allocations and stays flat once every signature in use has run
-        twice; ``slab_bytes`` against ``intermediate_bytes`` (the summed
+        once; ``slab_bytes`` against ``intermediate_bytes`` (the summed
         sizes of the outputs the slabs hold) is the packing ratio.
         """
         return {
             "model": self.model_name,
-            "nodes": self._num_nodes,
+            "nodes": len(self._order),
             "steps": len(self._steps),
-            "fused_nodes": self._fused_node_count,
+            "fused_nodes": len(self._tails),
             "arena_steps": sum(last is not None for last in self._slot_last_use),
             "heavy_steps": self._heavy_step_count,
             "tracing": self._tracer is not None,
             "arena": {
                 "allocations": len(self._memory) + self._workspace.allocations,
                 "signatures": len(self._memory),
-                "slab_bytes": self._slab_bytes,
-                "intermediate_bytes": self._intermediate_bytes,
+                "slab_bytes": sum(m.slab_bytes for m in self._memory.values()),
+                "intermediate_bytes": sum(m.intermediate_bytes
+                                          for m in self._memory.values()),
             },
             "output_binding": {
-                "bindable_outputs": self._bindable_outputs,
+                "bindable_outputs": len(self._bound_steps),
                 "direct_writes": self._dest_direct_writes,
                 "copy_writes": self._dest_copy_writes,
             },

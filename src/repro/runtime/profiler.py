@@ -66,7 +66,7 @@ class GraphProfile:
     arena_stats: Optional[Dict[str, int]] = None
     #: slab builds and scratch growths during the *measured* runs (after
     #: warmup); 0 means the profiled hot path was allocation-free — the
-    #: expected steady state once every signature has run twice
+    #: expected steady state once every signature has run once
     arena_allocs_during_runs: Optional[int] = None
 
     def cost_provider(self, scale: float = 1e6) -> Dict[str, float]:

@@ -435,8 +435,11 @@ class WarmExecutorPool:
         imports), which would bias the midpoint by milliseconds.  On fork
         platforms ``perf_counter_ns`` is machine-wide so the measured
         offset is the handshake noise floor, but the merge stays correct
-        anywhere worker clocks genuinely diverge — and the handshake
-        doubles as a worker liveness check at (re)spawn time.  With
+        anywhere worker clocks genuinely diverge.  A thread worker reads
+        the coordinator's own clock, so its offset is 0 by construction
+        and stays 0: storing the handshake noise would only shift its
+        lane in the merged trace.  Either way the handshake doubles as a
+        worker liveness check at (re)spawn time.  With
         ``indices`` it syncs (and liveness-checks) only those workers —
         the single-worker respawn path.
         """
@@ -472,7 +475,8 @@ class WarmExecutorPool:
                     continue  # straggler of a pre-restart run
                 reply_ns = time.perf_counter_ns()
                 rtt = reply_ns - sent_ns[index]
-                if best_rtt[index] is None or rtt < best_rtt[index]:
+                if self.backend == "process" and (
+                        best_rtt[index] is None or rtt < best_rtt[index]):
                     best_rtt[index] = rtt
                     self._clock_offsets[index] = int(
                         worker_ns - (sent_ns[index] + reply_ns) // 2)

@@ -2,8 +2,8 @@
 
 The plan is differentially tested against :class:`GraphExecutor`, the
 reference interpreter: outputs must be *bitwise* equal on every zoo model,
-on first (recording) and subsequent (slab-backed) runs alike.  The
-aliasing tests prove that slab reuse can never corrupt graph outputs,
+on the first run under a signature (which computes the memory plan) and
+on every later one alike.  The aliasing tests prove that slab reuse can never corrupt graph outputs,
 shared inputs or initializers.
 """
 
@@ -32,8 +32,8 @@ def test_plan_bitwise_equals_interpreter_on_zoo(model_name):
     feed = example_inputs(model, seed=7)
     reference = GraphExecutor(model).run(feed)
     plan = ExecutionPlan(model)
-    # Run 1 records shapes and packs the slab, runs 2-3 compute into it;
-    # all three must be bitwise-identical to the interpreter.
+    # Run 1 computes the memory plan and, like runs 2-3, computes into its
+    # slab; all three must be bitwise-identical to the interpreter.
     for _ in range(3):
         outputs = plan.run(feed)
         assert set(outputs) == set(reference)
@@ -100,14 +100,14 @@ def test_plan_fuses_elementwise_tails():
 
 @pytest.mark.parametrize("model_name", ["yolo_v5", "squeezenet", "googlenet"])
 def test_warm_runs_allocate_nothing(model_name):
-    """After the recording run and one slab-backed run, repeated runs
-    obtain nothing from numpy — step outputs *and* the heavy kernels'
-    pad/column-matrix scratch — and the slab is smaller than what it holds."""
+    """One run packs the signature's slab and grows the scratch workspace
+    to its high-water mark; from the second run on nothing is obtained
+    from numpy — step outputs *and* the heavy kernels' pad/column-matrix
+    scratch — and the slab is smaller than what it holds."""
     model = MODEL_REGISTRY[model_name].build(variant="small")
     feed = example_inputs(model, seed=3)
     plan = ExecutionPlan(model)
     plan.run(feed)
-    plan.run(feed)  # the scratch workspace has grown to its high-water mark
     warm = plan.stats()["arena"]
     for _ in range(3):
         plan.run(feed)
@@ -118,6 +118,105 @@ def test_warm_runs_allocate_nothing(model_name):
     # conv/pool/GEMM nodes must be on the destination-passing path, so the
     # zero-alloc property above covers the heavy ops, not just elementwise
     assert stats["heavy_steps"] > 0
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_every_slab_view_is_what_the_step_returns_unbound(model_name):
+    """The memory plan is computed from the fed shapes, so a wrong table
+    entry would be a wrong ``out=``: every view handed to a step must have
+    exactly the ``(shape, dtype)`` the step's head returns without one, at
+    the declared batch size and at another."""
+    model = MODEL_REGISTRY[model_name].build(variant="small")
+    executor = GraphExecutor(model)
+    for batch in (1, 3):
+        feed = example_inputs(model, batch_size=batch, seed=batch)
+        plan = ExecutionPlan(model)
+        try:
+            plan.run(feed)
+        except PlanError:
+            assert model_name == "bert" and batch == 3  # reshapes bake batch 1 in
+            continue
+        (memory,) = plan._memory.values()
+        views = {name: view for name, view in zip(plan._head_outputs, memory.outs)
+                 if view is not None}
+        assert views
+        unbound = executor.run(feed, outputs=list(views))
+        for name, view in views.items():
+            assert (view.shape, view.dtype) == (unbound[name].shape, unbound[name].dtype), name
+
+
+def test_first_bound_run_under_a_signature_writes_directly():
+    """The table knows a bound output's shape before anything ran, so even
+    the first run under a signature computes straight into the buffer."""
+    model = build_diamond_model()
+    feed = example_inputs(model, seed=6)
+    reference = GraphExecutor(model).run(feed)
+    plan = ExecutionPlan(model)
+    bound = {name: np.empty_like(ref) for name, ref in reference.items()}
+    outputs = plan.run(feed, out=bound)
+    binding = plan.stats()["output_binding"]
+    assert binding["bindable_outputs"] == len(bound)
+    assert (binding["direct_writes"], binding["copy_writes"]) == (len(bound), 0)
+    for name, ref in reference.items():
+        assert outputs[name] is bound[name]
+        np.testing.assert_array_equal(bound[name], ref)
+
+
+def test_one_feed_is_one_signature_whatever_the_dict_order():
+    """Regression: the signature followed the caller's dict order, so the
+    same two-input feed spelled both ways built two slabs."""
+    b = GraphBuilder("two_inputs", seed=0)
+    x, y = b.input("x", (1, 4096)), b.input("y", (1, 4096))
+    total = b.node("Add", [x, y])
+    b.output(b.node("Mul", [total, y]))
+    model = b.build()
+    rng = np.random.default_rng(0)
+    fx, fy = (rng.standard_normal((1, 4096)).astype(np.float32) for _ in "xy")
+    plan = ExecutionPlan(model, fuse=False)
+    first = plan.run({"x": fx, "y": fy})
+    second = plan.run({"y": fy, "x": fx})
+    for name in first:
+        np.testing.assert_array_equal(first[name], second[name])
+    arena = plan.stats()["arena"]
+    assert (arena["signatures"], arena["slab_bytes"]) == (1, 16384)
+
+
+def test_fed_initializer_is_not_a_constant_of_that_signature():
+    """A feed may override an initializer; the sweep must then take its
+    shape from the fed array and must not read the stored one as a
+    compile-time constant (here: a Reshape target)."""
+    b = GraphBuilder("fed_init", seed=0)
+    x = b.input("x", (2, 2048))
+    target = b.const(np.asarray([2, 2048], dtype=np.int64))
+    doubled = b.node("Add", [x, x])
+    b.output(b.node("Neg", [b.node("Abs", [b.node("Reshape", [doubled, target])])]))
+    model = b.build()
+    feed = {"x": np.arange(4096, dtype=np.float32).reshape(2, 2048)}
+    override = dict(feed, **{target: np.asarray([4, 1024], dtype=np.int64)})
+    plan = ExecutionPlan(model, fuse=False)
+    executor = GraphExecutor(model)
+    for inputs in (feed, override, feed, override):
+        expected = executor.run(inputs)
+        outputs = plan.run(inputs)
+        for name, ref in expected.items():
+            np.testing.assert_array_equal(outputs[name], ref)
+    assert plan.stats()["arena"]["signatures"] == 2
+
+
+def test_a_feed_dtype_the_ir_cannot_name_runs_unplanned():
+    b = GraphBuilder("odd_dtype", seed=0)
+    x = b.input("x", (1, 4096))
+    b.output(b.node("Abs", [b.node("Add", [x, x])]))
+    model = b.build()
+    feed = {"x": np.arange(-2048, 2048, dtype=np.int16).reshape(1, 4096)}
+    expected = GraphExecutor(model).run(feed)
+    plan = ExecutionPlan(model, fuse=False)
+    for _ in range(2):
+        outputs = plan.run(feed)
+        for name, ref in expected.items():
+            assert outputs[name].dtype == ref.dtype
+            np.testing.assert_array_equal(outputs[name], ref)
+    assert plan.stats()["arena"]["slab_bytes"] == 0
 
 
 def test_profiler_plan_engine_reports_alloc_accounting():
@@ -264,9 +363,9 @@ def test_alias_group_storage_actually_recycles():
             np.testing.assert_array_equal(outputs[name], ref)
     stats = plan.stats()["arena"]
     assert stats["slab_bytes"] < stats["intermediate_bytes"], stats
-    (slots,) = plan._memory.values()
-    views = {node.outputs[0]: slot.view
-             for nodes, slot in zip(plan._step_nodes, slots) if slot is not None
+    (memory,) = plan._memory.values()
+    views = {node.outputs[0]: view
+             for nodes, view in zip(plan._step_nodes, memory.outs) if view is not None
              for node in nodes}
     assert not np.shares_memory(views[doubled], views[early])
     assert np.shares_memory(views[doubled], views[late])
@@ -305,8 +404,7 @@ def test_requested_intermediate_survives_intra_run_slot_reuse():
     feed = {"x": np.random.default_rng(2).standard_normal((1, 4096)).astype(np.float32)}
     expected = GraphExecutor(model).run(feed, outputs=[a])[a]
     plan = ExecutionPlan(model, fuse=False)
-    plan.run(feed)
-    plan.run(feed)  # warm: a and s now share a slab range
+    plan.run(feed)  # a and s now share a slab range
     got = plan.run(feed, outputs=[a])[a]
     np.testing.assert_array_equal(got, expected)
 
@@ -344,11 +442,12 @@ def _nonzero_model(head: str):
 
 
 @pytest.mark.parametrize("head", ["unary", "binary", "ternary"])
-def test_slab_views_are_guarded_by_argument_shapes(head):
-    """Regression for a signature-only memory plan: a second feed of the
-    same shape with fewer non-zeros must not compute into the view recorded
-    for the first — numpy would broadcast a ``(2, 1)`` result into the
-    stale ``(2, 4096)`` destination and the sum would silently be wrong."""
+def test_data_dependent_steps_allocate_instead_of_taking_a_view(head):
+    """The input signature does not pin a shape downstream of ``NonZero``:
+    a second feed of the same shape with fewer non-zeros must not compute
+    into a view sized for the first — numpy would broadcast a ``(2, 1)``
+    result into a ``(2, 4096)`` destination and the sum would silently be
+    wrong.  The shape sweep marks those steps unknown, so they allocate."""
     model = _nonzero_model(head)
     plan = ExecutionPlan(model)
     executor = GraphExecutor(model)
@@ -360,8 +459,11 @@ def test_slab_views_are_guarded_by_argument_shapes(head):
         outputs = plan.run(feed)
         for name, ref in expected.items():
             np.testing.assert_array_equal(outputs[name], ref)
-    stats = plan.stats()["arena"]
-    assert stats["signatures"] == 1 and stats["slab_bytes"] > 0
+    assert plan.stats()["arena"]["signatures"] == 1
+    # no step downstream of NonZero holds a slab range
+    (memory,) = plan._memory.values()
+    assert [view for nodes, view in zip(plan._step_nodes, memory.outs)
+            if nodes[0].op_type != "NonZero" and view is not None] == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -47,9 +47,13 @@ class TestDTypes:
         assert DType.FLOAT16.itemsize == 2
 
     def test_promotion_float_beats_int(self):
-        assert promote(DType.INT64, DType.FLOAT32) is DType.FLOAT32
+        assert promote(DType.INT8, DType.FLOAT32) is DType.FLOAT32
         assert promote(DType.FLOAT32, DType.FLOAT32) is DType.FLOAT32
         assert promote(DType.BOOL, DType.INT32) is DType.INT32
+        # ... the way numpy does: float32 cannot hold every int64
+        assert promote(DType.INT64, DType.FLOAT32) is DType.FLOAT64
+        with pytest.raises(ValueError):
+            promote(DType.UINT8, DType.INT8)  # int16 has no IR name
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,13 @@ def _build(op, inputs, outputs, attrs, sandwich=False, constants=False):
     return b.build(validate=False, infer=False), feed
 
 
+def _retyped(inputs, dtype, first_only=False):
+    """``inputs`` with its float32 operands (or only a leading one) cast to ``dtype``."""
+    return [np.asarray(a).astype(dtype)
+            if np.asarray(a).dtype == np.float32 and not (first_only and index) else a
+            for index, a in enumerate(inputs)]
+
+
 def _assert_identical(got, want, what):
     assert set(got) == set(want), what
     for name, expected in want.items():
@@ -259,6 +266,26 @@ def test_plan_agrees_mid_graph(op, inputs, outputs, attrs):
     for what, plan in _plans(model):
         for round_ in ("cold", "warm", "warm again"):
             _assert_identical(plan.run(feed), reference, f"{what} {round_}")
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float16", "int64"])
+def test_plan_agrees_mid_graph_when_the_feed_is_retyped(dtype):
+    """The plan sizes slab views and in-place tails from the shape table for
+    the dtype that was fed, not the declared one (serving accepts a float64
+    feed for a float32 model): re-type each case's first operand."""
+    for op, inputs, outputs, attrs in (p.values for p in _SANDWICHED):
+        if np.asarray(inputs[0]).dtype != np.float32:
+            continue
+        model, feed = _build(op, _retyped(inputs, dtype, first_only=True), outputs, attrs,
+                             sandwich=True)
+        with np.errstate(all="ignore"):
+            try:
+                reference = GraphExecutor(model).run(feed)
+            except ExecutionError:
+                continue  # the kernel rejects the dtype outright
+            plan = ExecutionPlan(model)
+            for round_ in ("first run", "second run"):
+                _assert_identical(plan.run(feed), reference, f"{op} {dtype} {round_}")
 
 
 def test_every_registered_op_has_a_case():

@@ -247,6 +247,17 @@ class TestPoolTracePropagation:
         assert all(abs(offset) < 1_000_000_000 for offset in offsets)
 
 
+    def test_thread_workers_share_the_coordinator_clock(self, compiled):
+        """A thread worker reads the coordinator's ``perf_counter_ns``: its
+        offset is 0 by construction, not the handshake's millisecond noise
+        (which ``merge_traces`` would shift its lane by)."""
+        _, result, _ = compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="thread") as pool:
+            assert pool.clock_offsets() == [0] * pool.num_clusters
+
+
 class TestPoolMetricsAndRestart:
     def test_stats_and_registry_metrics(self, compiled):
         _, result, feed = compiled
