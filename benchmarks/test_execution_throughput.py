@@ -11,10 +11,7 @@ The acceptance bar for the planned execution engine
   column-matrix scratch comes from the plan's one bump workspace —
 * the warm plan is not materially slower than the generated sequential
   module (the straight-line allocating code the paper's compiler emits)
-  on the same feed,
-* the destination-passing heavy kernels beat the PR-3-era implementation
-  (per-call weight reshape/transpose, allocating im2col, ``concatenate``
-  group assembly) on a conv-dominated workload, and
+  on the same feed, and
 * a warm ``Session.run_with_binding`` loop (the IOBinding surface) performs
   zero plan allocations **and zero graph-output allocations**: every
   output is written directly into its bound buffer (direct writes only, no
@@ -30,26 +27,22 @@ Environment knobs (used by the CI perf-smoke job):
   (default ``squeezenet,googlenet,yolo_v5``)
 * ``REPRO_PERF_ROUNDS`` — timing rounds per engine, best-of (default 5)
 * ``REPRO_PERF_BATCH``  — input batch size (default 8)
-* ``REPRO_BENCH_JSON``  — when set, write the measured trajectory
-  (throughput, allocs/run, slab stats per model plus the op-level PR-3
-  comparison) to this path; CI uploads it as the ``BENCH_exec.json``
-  artifact so future PRs can gate against a recorded baseline instead of
-  only a same-run paired ratio.
 
 The wall-clock ratio gates carry the ``perf`` marker, which the default
 (tier-1) collection deselects: two medians taken on a shared box are not
 deterministic.  CI's perf job selects them with ``-m "perf or not perf"``;
-the bitwise, zero-alloc and schema assertions here stay in tier-1.
+the bitwise and zero-alloc assertions here stay in tier-1.  Speed itself is
+judged by ``ramiel bench compare`` on perflab's workloads; each gate here
+names the perflab metric it protects.
 
 Run with ``-s`` to see the comparison tables.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -61,15 +54,12 @@ from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.process_runtime import run_sequential_module
 from repro.runtime.session import create_session
-from repro.runtime.tensor_utils import Workspace
-import repro.runtime.functional as F
 from repro.serving.engine import example_inputs
 
 PERF_MODELS = [name.strip() for name in os.environ.get(
     "REPRO_PERF_MODELS", "squeezenet,googlenet,yolo_v5").split(",") if name.strip()]
 PERF_ROUNDS = int(os.environ.get("REPRO_PERF_ROUNDS", "5"))
 PERF_BATCH = int(os.environ.get("REPRO_PERF_BATCH", "8"))
-BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "")
 
 #: tolerance for "must be faster" claims; absorbs scheduler noise on
 #: short CI runs without letting a real regression through
@@ -208,110 +198,17 @@ def _measure_binding(model, plan: ExecutionPlan, interp: GraphExecutor,
     }
 
 
-# ---------------------------------------------------------------------------
-# Op-level PR-3 reference: the conv implementation before destination
-# passing, pinned here so the benchmark measures exactly what this PR
-# removed — per-call weight reshape + transposed-view GEMM, an allocating
-# im2col, a fresh output per call and ``concatenate`` group assembly.  The
-# im2col gather is a private copy: the runtime no longer has one.
-# ---------------------------------------------------------------------------
-def _pr3_im2col(x, kernel, strides, pads):
-    top, left, bottom, right = pads
-    x_p = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    n, c, h, w = x_p.shape
-    (kh, kw), (sh, sw) = kernel, strides
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    sn, sc, sy, sx = x_p.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_p, shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sy * sh, sx * sw, sy, sx), writeable=False)
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)
-    return np.ascontiguousarray(patches.reshape(n * oh * ow, c * kh * kw)), (oh, ow)
-
-
-def _pr3_conv2d(x, weight, strides=(1, 1), pads=(1, 1, 1, 1), group=1):
-    n = x.shape[0]
-    m, c_per_group, kh, kw = weight.shape
-    if group == 1:
-        cols, (oh, ow) = _pr3_im2col(x, (kh, kw), strides, pads)
-        w_mat = weight.reshape(m, -1)
-        out = cols @ w_mat.T
-        out = out.reshape(n, oh, ow, m).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(out)
-    out_groups = []
-    m_per_group = m // group
-    for g in range(group):
-        xs = x[:, g * c_per_group:(g + 1) * c_per_group]
-        ws = weight[g * m_per_group:(g + 1) * m_per_group]
-        cols, (oh, ow) = _pr3_im2col(xs, (kh, kw), strides, pads)
-        res = cols @ ws.reshape(m_per_group, -1).T
-        out_groups.append(res.reshape(n, oh, ow, m_per_group).transpose(0, 3, 1, 2))
-    return np.ascontiguousarray(np.concatenate(out_groups, axis=1))
-
-
-def _measure_conv_op() -> List[Dict]:
-    rng = np.random.default_rng(0)
-    cases = [
-        ("conv3x3_64to128_56", (PERF_BATCH, 64, 56, 56), (128, 64, 3, 3), 1),
-        ("grouped_conv_g8_28", (PERF_BATCH, 64, 28, 28), (128, 8, 3, 3), 8),
-    ]
-    rows = []
-    for label, x_shape, w_shape, group in cases:
-        x = rng.standard_normal(x_shape).astype(np.float32)
-        w = rng.standard_normal(w_shape).astype(np.float32)
-        ws = Workspace()
-        out = F.conv2d(x, w, pads=(1, 1, 1, 1), group=group, workspace=ws)
-        for _ in range(2):
-            _pr3_conv2d(x, w, group=group)
-            F.conv2d(x, w, pads=(1, 1, 1, 1), group=group, out=out, workspace=ws)
-        pr3_s, new_s, median_ratio = _paired_timings(
-            lambda: _pr3_conv2d(x, w, group=group),
-            lambda: F.conv2d(x, w, pads=(1, 1, 1, 1), group=group,
-                             out=out, workspace=ws),
-            max(PERF_ROUNDS, 3))
-        rows.append({
-            "case": label,
-            "pr3_ms": round(pr3_s * 1e3, 3),
-            "dest_ms": round(new_s * 1e3, 3),
-            "speedup": round(median_ratio, 3),
-            "workspace_allocs": ws.stats()["allocations"],
-        })
-    return rows
-
-
-def _emit_trajectory(model_rows: List[Dict], conv_rows: List[Dict],
-                     path: str) -> None:
-    payload = {
-        "schema": "repro-exec-bench/2",
-        "created_unix": time.time(),
-        "config": {"models": PERF_MODELS, "rounds": PERF_ROUNDS,
-                   "batch": PERF_BATCH},
-        "models": model_rows,
-        "conv_op_pr3_comparison": conv_rows,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
 @pytest.fixture(scope="module")
 def throughput_rows():
     return [_measure(name) for name in PERF_MODELS]
 
 
-@pytest.fixture(scope="module")
-def conv_op_rows():
-    return _measure_conv_op()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_artifact(throughput_rows, conv_op_rows):
-    if BENCH_JSON:
-        _emit_trajectory(throughput_rows, conv_op_rows, BENCH_JSON)
-    return BENCH_JSON
-
-
 @pytest.mark.perf
 def test_planned_path_beats_interpreter(throughput_rows):
+    """The warm plan vs the node-by-node interpreter, whole model.
+
+    Protects perflab's ``exec_b1`` ``latency_cu`` (its ``plan`` rows): the
+    default executor must not fall back to interpreter speed."""
     print()
     print(format_rows(throughput_rows))
     for row in throughput_rows:
@@ -385,41 +282,11 @@ def test_bound_runs_zero_output_alloc_and_bitwise(throughput_rows):
 @pytest.mark.perf
 def test_bound_runs_do_not_regress_unbound_plan(throughput_rows):
     """Binding removes the per-run output allocation; it must never make
-    the planned path materially slower (regression bound, not a claim)."""
+    the planned path materially slower (regression bound, not a claim).
+
+    Protects perflab's ``runtime.session.binding_saving_cu`` (traced
+    ``exec_b1``)."""
     for row in throughput_rows:
         assert row["binding_speedup"] * INTERP_REGRESSION_GATE >= 1.0, (
             f"{row['model']}: run_with_binding is materially slower than "
             f"the unbound plan ({row['binding_speedup']}x)")
-
-
-@pytest.mark.perf
-def test_heavy_conv_beats_pr3_implementation(conv_op_rows):
-    print()
-    print(format_rows(conv_op_rows))
-    best = max(row["speedup"] for row in conv_op_rows)
-    assert best * GATE >= 1.0, (
-        "destination-passing conv2d (tap copies into a workspace-backed "
-        "column matrix, GEMM straight into out=) must beat the "
-        f"PR-3-era implementation on at least one conv case; got {conv_op_rows}")
-
-
-def test_heavy_conv_workspace_is_warm_after_one_call(conv_op_rows):
-    for row in conv_op_rows:
-        # The first call overflows (one fresh array per lease) and grows
-        # the workspace once; the timed rounds must not have allocated.
-        assert row["workspace_allocs"] <= 4, row
-
-
-def test_trajectory_artifact_schema(tmp_path, throughput_rows, conv_op_rows):
-    """The BENCH_exec.json trajectory artifact is valid, loadable JSON."""
-    path = tmp_path / "BENCH_exec.json"
-    _emit_trajectory(throughput_rows, conv_op_rows, str(path))
-    payload = json.loads(path.read_text())
-    assert payload["schema"] == "repro-exec-bench/2"
-    assert [row["model"] for row in payload["models"]] == PERF_MODELS
-    for row in payload["models"]:
-        assert {"speedup", "sequential_speedup", "arena_allocs_delta",
-                "heavy_steps", "slab_bytes", "binding_speedup",
-                "binding_allocs_delta", "binding_output_copies",
-                "binding_outputs_pinned", "binding_bitwise_ok"} <= set(row)
-    assert payload["conv_op_pr3_comparison"]

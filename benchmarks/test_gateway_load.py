@@ -143,7 +143,10 @@ def test_backpressure_correctness_at_2x_capacity(saturation):
 @pytest.mark.perf
 def test_backpressure_latency_goodput_fairness_at_2x_capacity(saturation):
     """The wall-clock half: p99, goodput and fairness against the measured
-    service time."""
+    service time.
+
+    Protects perflab's ``gateway_image`` ``alt_latency_cu`` (the closed-loop
+    capacity phase) and ``latency_cu`` (open loop below capacity)."""
     report, _, service_s, capacity_rps = saturation
     # -- p99 of admitted requests is bounded by the queueing the config
     #    allows, not by the offered load.  A request admitted at the back

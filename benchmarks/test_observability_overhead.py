@@ -138,7 +138,10 @@ def overhead_rows():
 @pytest.mark.perf
 def test_disabled_tracing_runs_at_parity(overhead_rows):
     """After enable→disable, the plan is the untraced closure again: a
-    paired run against a never-traced plan must stay within noise."""
+    paired run against a never-traced plan must stay within noise.
+
+    Protects perflab's ``exec_b1`` ``latency_cu`` (measured untraced) and
+    ``observability.trace_overhead``."""
     print()
     print(format_rows(overhead_rows))
     for row in overhead_rows:
@@ -239,7 +242,10 @@ def pool_rows():
 @pytest.mark.perf
 def test_untraced_pool_dispatch_runs_at_parity(pool_rows):
     """After attach→detach, pool jobs carry ``ctx=None`` again: a paired
-    run against a never-traced pool must stay within queue noise."""
+    run against a never-traced pool must stay within queue noise.
+
+    Protects perflab's ``exec_b1`` ``alt_latency_cu`` (its pool and
+    process rows, measured untraced)."""
     print()
     print(format_rows(pool_rows))
     for row in pool_rows:
@@ -330,7 +336,10 @@ def hardened_rows():
 def test_hardened_pool_dispatch_runs_at_parity(hardened_rows):
     """Supervision + a disarmed fault injector must not tax the fault-free
     dispatch path: a paired run against a pristine pool stays within the
-    same queue-noise budget as the tracing gate."""
+    same queue-noise budget as the tracing gate.
+
+    Protects perflab's ``exec_b1`` ``alt_latency_cu``: its pool and process
+    sessions run with the supervision this gate prices."""
     print()
     print(format_rows(hardened_rows))
     for row in hardened_rows:

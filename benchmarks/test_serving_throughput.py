@@ -52,6 +52,10 @@ def engine():
 
 @pytest.mark.perf
 def test_engine_beats_naive_per_request_compile(served_models, engine):
+    """The cached, batching engine beats compiling per request.
+
+    Protects perflab's ``serve_closed`` ``latency_cu`` and
+    ``alt_latency_cu``: a served request must never pay a compile."""
     rows = []
     for name, model in served_models.items():
         engine.warmup(model)

@@ -81,7 +81,6 @@ __all__ = [
     "MetricsRegistry",
     "TraceContext",
     "merge_traces",
-    "load_trajectory",
     "FaultInjector",
     "FaultSpec",
     "RetryPolicy",
@@ -118,7 +117,7 @@ def __getattr__(name):
 
         return getattr(_session, name)
     if name in ("Tracer", "MetricsRegistry", "TraceContext",
-                "merge_traces", "load_trajectory", "analyze_trajectory"):
+                "merge_traces"):
         from repro import observability as _observability
 
         return getattr(_observability, name)

@@ -12,7 +12,7 @@ Usage examples::
     ramiel serve-bench squeezenet googlenet --requests 32 --concurrency 8
     ramiel trace squeezenet --runs 20 -o trace.json   # Perfetto-loadable spans
     ramiel trace squeezenet --executor process        # merged multi-process trace
-    ramiel bench-report bench_history/ --threshold 0.1   # perf-trajectory gate
+    ramiel bench compare HEAD~1 --workload exec_b1    # paired perflab runs
     ramiel serve squeezenet bert --port 8080          # HTTP gateway, foreground
     ramiel load squeezenet googlenet --duration 5 --rate 30 \
         --tenant gold=3 --tenant free=1               # open-loop load harness
@@ -124,21 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--json", action="store_true", help="print a JSON summary")
 
     bench_p = sub.add_parser(
-        "bench-report",
-        help="analyze a series of BENCH_exec.json artifacts and gate on "
-             "perf-trajectory regressions")
-    bench_p.add_argument("paths", nargs="+", metavar="PATH",
-                         help="BENCH_exec.json files and/or directories of "
-                              "them (e.g. a downloaded artifact history)")
-    bench_p.add_argument("--threshold", type=float, default=0.10,
-                         help="relative drop below the rolling baseline "
-                              "that counts as a regression (default 0.10)")
-    bench_p.add_argument("--window", type=int, default=3,
-                         help="rolling-baseline width in entries (default 3)")
-    bench_p.add_argument("--warn-only", action="store_true",
-                         help="print regressions but exit 0 (soft gate)")
-    bench_p.add_argument("--json", action="store_true",
-                         help="print the report as JSON")
+        "bench", help="measure the working tree against a base commit")
+    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
+    compare_p = bench_sub.add_parser(
+        "compare",
+        help="paired perflab runs of BASE and the working tree; writes "
+             "BENCH_<workload>.json at the checkout root")
+    compare_p.add_argument("base", metavar="BASE",
+                           help="the commit to compare against (e.g. HEAD~1)")
+    compare_p.add_argument("--workload", action="append", metavar="W",
+                           help="a BENCHMARK.json workload (repeatable; "
+                                "default: every workload)")
 
     def _add_qos_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tenant", action="append", default=[],
@@ -445,37 +441,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.observability.trajectory import (
-        analyze_trajectory,
-        load_trajectory,
-        render_trend_table,
-    )
+def _cmd_bench_compare(args: argparse.Namespace) -> int:
+    from repro.observability.bench import compare
 
-    entries = load_trajectory(args.paths)
-    if not entries:
-        # An empty artifact history (first CI run, expired retention) is
-        # not a regression; report it and let the gate pass.
-        print("bench-report: no parsable BENCH_exec.json entries under "
-              + ", ".join(args.paths))
-        return 0
     try:
-        report = analyze_trajectory(entries, threshold=args.threshold,
-                                    window=args.window)
+        reports = compare(args.base, args.workload)
     except ValueError as exc:
-        print(f"bench-report: {exc}", file=sys.stderr)
+        print(f"ramiel bench compare: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(render_trend_table(report))
-    if report.ok:
-        return 0
-    if args.warn_only:
-        print("bench-report: --warn-only set; not failing the gate",
-              file=sys.stderr)
-        return 0
-    return 1
+    # The gate: no metric regressed and no larger share of operations failed.
+    ok = all(not report["failed"]["share_rose"]
+             and all(m["verdict"] != "regress" for m in report["metrics"].values())
+             for report in reports.values())
+    return 0 if ok else 1
 
 
 def _parse_tenants(specs: List[str], tenant_queue: int,
@@ -627,8 +605,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve_bench(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "bench-report":
-        return _cmd_bench_report(args)
+    if args.command == "bench":
+        return _cmd_bench_compare(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "load":

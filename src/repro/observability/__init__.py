@@ -2,45 +2,30 @@
 
 The paper's Ramiel runtime is steered by a profile database holding
 "information about the execution trace and the slacks during
-communication"; this subsystem is the repo's production-shaped version of
-it, one layer with two halves:
+communication"; this subsystem is the repo's version of it:
 
 * :mod:`repro.observability.trace` — :class:`Tracer`, a low-overhead span
   recorder (``perf_counter_ns`` intervals in a thread-safe ring buffer)
-  with Chrome trace-event JSON export, loadable in Perfetto.  The hot
-  layers thread spans through it: ``ExecutionPlan`` per-step spans
-  (compiled in at enable time; the untraced path is untouched),
-  ``Session.run`` / ``run_with_binding`` run-level spans, and the serving
-  engine's request lifecycle (submit, queue wait, batch assembly, execute,
-  respond).
-* :mod:`repro.observability.metrics` — :class:`MetricsRegistry`, one
-  registry of counters, gauges and fixed-bucket histograms (bounded
-  memory, bucket-interpolated percentiles) with Prometheus text
-  exposition.  ``ServingMetrics`` mirrors into it, and sessions/engines
-  publish arena, output-binding and worker-pool stats via pull-style
-  collectors — one snapshot where four disjoint ``stats()`` surfaces used
-  to be.
+  with Chrome trace-event JSON export, loadable in Perfetto.  The plan
+  (per-step spans, compiled in at enable time), ``Session.run`` and the
+  serving engine's request lifecycle record into it.
+* :mod:`repro.observability.metrics` — :class:`MetricsRegistry`: counters,
+  gauges and fixed-bucket histograms with Prometheus text exposition.
+  Serving mirrors into it; sessions and engines publish arena, binding
+  and worker-pool stats through pull-style collectors.
+* :mod:`repro.observability.context` and :mod:`repro.observability.merge`
+  (lazily exported, see ``__getattr__``) — :class:`TraceContext`, the
+  picklable token dispatched work carries so per-worker spans correlate
+  with their request, and :func:`merge_traces`, which aligns worker clocks
+  and merges shipped span buffers into one multi-process Chrome trace.
+* :mod:`repro.observability.bench` — ``ramiel bench compare BASE``: the
+  paired perflab protocol against a base commit, written to the committed
+  ``BENCH_<workload>.json`` files.  Only the CLI imports it.
 
-Three further modules extend the layer across execution boundaries
-(lazily exported — see ``__getattr__`` below):
-
-* :mod:`repro.observability.context` — :class:`TraceContext`, the small
-  picklable token worker pools attach to dispatched work so per-worker
-  spans correlate back to the request that caused them;
-* :mod:`repro.observability.merge` — :class:`WorkerTraceBuffer` and
-  :func:`merge_traces`, which align per-worker clocks and merge shipped
-  span buffers into one multi-process Chrome trace with per-worker drop
-  accounting;
-* :mod:`repro.observability.trajectory` — :func:`load_trajectory` /
-  :func:`analyze_trajectory`, the read side of the CI ``BENCH_exec.json``
-  artifact: rolling-baseline deltas per benchmark, rendered and gated by
-  ``ramiel bench-report``.
-
-Entry points: ``repro trace <model>`` (CLI) writes a ``trace.json`` +
-metrics report (``--executor pool|process`` emits the merged multi-worker
-view); ``ramiel bench-report`` gates a perf trajectory;
-``InferenceEngine(..., tracer=...)`` and ``Session.set_tracer`` attach
-tracers to live systems.
+Entry points: ``ramiel trace <model>`` writes a ``trace.json`` plus a
+metrics report (``--executor pool|process`` gives the merged multi-worker
+view); ``InferenceEngine(..., tracer=...)`` and ``Session.set_tracer``
+attach tracers to live systems.
 """
 
 from repro.observability.metrics import (
@@ -62,8 +47,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "WorkerTraceBuffer",
-    "analyze_trajectory",
-    "load_trajectory",
     "merge_traces",
     "write_merged_trace",
 ]
@@ -76,16 +59,11 @@ _LAZY_EXPORTS = {
     "WorkerTraceBuffer": "repro.observability.merge",
     "merge_traces": "repro.observability.merge",
     "write_merged_trace": "repro.observability.merge",
-    "load_trajectory": "repro.observability.trajectory",
-    "analyze_trajectory": "repro.observability.trajectory",
-    "render_trend_table": "repro.observability.trajectory",
-    "TrajectoryReport": "repro.observability.trajectory",
-    "TrendRow": "repro.observability.trajectory",
 }
 
 
 def __getattr__(name):
-    """Lazily expose the cross-boundary and trajectory modules."""
+    """Lazily expose the cross-boundary modules."""
     module_name = _LAZY_EXPORTS.get(name)
     if module_name is None:
         raise AttributeError(

@@ -1,7 +1,7 @@
 """Message-passing channels used by generated parallel code.
 
 The generated cluster functions only assume that ``channels[name]`` supports
-``put(obj)`` and ``get()``.  There are three channel kinds:
+``put(obj)`` and ``get()``.  There are two channel kinds:
 
 * **slot channels** (:func:`make_process_channels`, the process backend —
   the paper's configuration: clusters are separate Python processes because
@@ -15,11 +15,7 @@ The generated cluster functions only assume that ``channels[name]`` supports
   ndarray or does not fit is pickled to a spill file in the plane's private
   temp directory instead and counted as ``overflow_puts``,
 * **thread channels** (:func:`make_thread_channels`) — a ``queue.Queue`` per
-  channel, handing arrays over by reference,
-* **serial channels** (:func:`make_serial_channels`) — unbounded in-process
-  FIFOs for executing the clusters one after another on a single thread
-  (used to test that the generated code is semantically equivalent to the
-  sequential module even without any parallel runtime).
+  channel, handing arrays over by reference.
 
 Hand-offs are accounted into a :class:`ChannelTelemetry` the warm worker
 pools publish into the engine's ``MetricsRegistry``: slot channels count
@@ -29,7 +25,6 @@ themselves; thread channels are wrapped on demand
 
 from __future__ import annotations
 
-import collections
 import math
 import mmap
 import multiprocessing
@@ -48,42 +43,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.process_runtime import ParallelExecutionError
-
-
-class SerialChannel:
-    """A trivial FIFO with the Queue ``put``/``get`` interface.
-
-    ``get`` on an empty serial channel raises immediately instead of
-    blocking: in the serial schedule every value must have been produced by
-    an earlier cluster, so an empty channel indicates an ordering bug and
-    should fail loudly rather than deadlock.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._items = collections.deque()
-
-    def put(self, item) -> None:
-        """Append an item to the FIFO."""
-        self._items.append(item)
-
-    def get(self):
-        """Pop the oldest item; raises ``LookupError`` when empty."""
-        if not self._items:
-            raise LookupError(
-                f"serial channel {self.name!r} is empty — cluster execution order "
-                "does not satisfy this dependence"
-            )
-        return self._items.popleft()
-
-    def empty(self) -> bool:
-        """True when no items are queued."""
-        return not self._items
-
-
-def make_serial_channels(names: Iterable[str]) -> Dict[str, SerialChannel]:
-    """In-process FIFOs for serial cluster-by-cluster execution."""
-    return {name: SerialChannel(name) for name in names}
 
 
 def make_thread_channels(names: Iterable[str]) -> Dict[str, "queue.Queue"]:
@@ -407,8 +366,8 @@ class InstrumentedChannel:
     """A channel proxy accounting puts/gets into a :class:`ChannelTelemetry`.
 
     Exposes exactly the ``put``/``get`` (plus ``empty``) surface the
-    generated cluster functions assume; wraps thread and serial channels
-    (slot channels account themselves).
+    generated cluster functions assume; wraps thread channels (slot
+    channels account themselves).
     """
 
     __slots__ = ("_channel", "_telemetry", "name")

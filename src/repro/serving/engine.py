@@ -980,20 +980,14 @@ def example_inputs(model: Model, batch_size: int = 1, seed: int = 0) -> Dict[str
     """Random inputs matching a model's declared signature.
 
     ``None`` dims resolve to 1 except the leading (batch) axis which takes
-    ``batch_size``; integer inputs are drawn from [0, 100).
+    ``batch_size``; each input has its declared dtype, drawn as
+    :func:`signature_inputs` draws it.
     """
-    rng = np.random.default_rng(seed)
-    feed: Dict[str, np.ndarray] = {}
-    for info in model.graph.inputs:
-        shape = list(info.shape or (1,))
-        shape = [1 if d is None else d for d in shape]
-        if shape:
-            shape[0] = batch_size
-        if info.dtype.value.startswith("int"):
-            feed[info.name] = rng.integers(0, 100, size=shape).astype(info.dtype.value)
-        else:
-            feed[info.name] = rng.standard_normal(shape).astype(np.float32)
-    return feed
+    signature = tuple(
+        (info.name, info.dtype.value,
+         tuple(1 if d is None else d for d in (info.shape or (1,))[1:]))
+        for info in model.graph.inputs)
+    return signature_inputs(signature, batch_size=batch_size, seed=seed)
 
 
 def drive_load(engine: InferenceEngine, model: Model, num_requests: int,

@@ -197,3 +197,25 @@ class TestParallelCodegen:
             out = result.run_parallel({"x": x}, backend=backend)
             for key in ref:
                 np.testing.assert_allclose(ref[key], out[key], rtol=1e-4, atol=1e-5)
+
+
+def test_generated_run_parallel_runs_every_backend_it_names(diamond_model, rng):
+    """The driver a generated parallel module carries runs under each
+    backend its docstring names, bitwise equal to the interpreter (it used
+    to look itself up in ``sys.modules``, where it never is, and to name a
+    'serial' backend that does not exist)."""
+    import re
+
+    from repro.pipeline import ramiel_compile
+
+    result = ramiel_compile(diamond_model)
+    driver = result.parallel_module.run_parallel
+    backends = re.findall(r"'(\w+)'", driver.__doc__)
+    assert backends == ["thread", "process"]
+    feed = {"x": rng.standard_normal((1, 3, 16, 16)).astype(np.float32)}
+    reference = execute_model(result.optimized_model, feed)
+    for backend in backends:
+        out = driver(feed, result.optimized_model.graph.initializers,
+                     backend=backend)
+        for key, ref in reference.items():
+            np.testing.assert_array_equal(out[key], ref, err_msg=backend)

@@ -671,9 +671,10 @@ class TestConcurrentTracerUse:
 # ---------------------------------------------------------------------------
 class TestLazyObservabilityExports:
     def test_cross_boundary_modules_are_not_imported_eagerly(self):
-        """``import repro.observability`` must not pay for the merge,
-        trajectory or context modules — they load on first attribute
-        access only (checked in a fresh interpreter)."""
+        """``import repro.observability`` must not pay for the merge or
+        context modules — they load on first attribute access only — and
+        ``import repro`` never loads the CLI-only bench module (checked in
+        a fresh interpreter)."""
         import subprocess
         import sys as _sys
 
@@ -681,8 +682,8 @@ class TestLazyObservabilityExports:
             "import sys\n"
             "import repro.observability\n"
             "lazy = ['repro.observability.merge',\n"
-            "        'repro.observability.trajectory',\n"
-            "        'repro.observability.context']\n"
+            "        'repro.observability.context',\n"
+            "        'repro.observability.bench']\n"
             "eager = [m for m in lazy if m in sys.modules]\n"
             "assert not eager, f'eagerly imported: {eager}'\n"
             "import repro\n"
@@ -695,8 +696,7 @@ class TestLazyObservabilityExports:
             "assert 'repro.observability.context' in sys.modules\n"
             "repro.observability.merge_traces\n"
             "assert 'repro.observability.merge' in sys.modules\n"
-            "repro.load_trajectory\n"
-            "assert 'repro.observability.trajectory' in sys.modules\n"
+            "assert 'repro.observability.bench' not in sys.modules\n"
         )
         proc = subprocess.run([_sys.executable, "-c", code],
                               capture_output=True, text=True)
@@ -708,7 +708,6 @@ class TestLazyObservabilityExports:
 
         assert obs.TraceContext is repro.TraceContext
         assert callable(obs.merge_traces)
-        assert callable(obs.analyze_trajectory)
         assert obs.WorkerTraceBuffer.__name__ == "WorkerTraceBuffer"
         with pytest.raises(AttributeError):
             obs.not_a_real_export

@@ -7,7 +7,7 @@ import pytest
 
 from repro.ir import GraphBuilder
 from repro.runtime import ExecutionError, GraphExecutor, execute_model, profile_model
-from repro.runtime.channels import SerialChannel, make_serial_channels, make_thread_channels
+from repro.runtime.channels import make_thread_channels
 
 
 class TestExecutor:
@@ -124,22 +124,9 @@ class TestProfiler:
 
 
 class TestChannels:
-    def test_serial_channel_fifo(self):
-        chan = SerialChannel("c")
-        chan.put(1)
-        chan.put(2)
-        assert chan.get() == 1
-        assert chan.get() == 2
-        assert chan.empty()
-
-    def test_serial_channel_empty_get_raises(self):
-        with pytest.raises(LookupError):
-            SerialChannel("c").get()
-
     def test_factories(self):
         names = ["a", "b"]
-        serial = make_serial_channels(names)
         threads = make_thread_channels(names)
-        assert set(serial) == set(threads) == set(names)
+        assert set(threads) == set(names)
         threads["a"].put(42)
         assert threads["a"].get() == 42

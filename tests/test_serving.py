@@ -929,3 +929,62 @@ def test_probe_verdict_is_identical_across_executors(name):
             outputs = engine.infer(model, feed)
             for key, ref in reference.items():
                 np.testing.assert_array_equal(outputs[key], ref)
+
+
+# ---------------------------------------------------------------------------
+# Input synthesis: one synthesiser, declared dtypes
+# ---------------------------------------------------------------------------
+def _float32_or_int_inputs(model, batch_size=1, seed=0):
+    """The synthesiser ``example_inputs`` replaced (float32 for every input
+    not declared ``int*``): the reference its zoo feeds must not move from."""
+    rng = np.random.default_rng(seed)
+    feed = {}
+    for info in model.graph.inputs:
+        shape = [1 if d is None else d for d in (info.shape or (1,))]
+        shape[0] = batch_size
+        if info.dtype.value.startswith("int"):
+            feed[info.name] = rng.integers(0, 100, size=shape).astype(info.dtype.value)
+        else:
+            feed[info.name] = rng.standard_normal(shape).astype(np.float32)
+    return feed
+
+
+class TestExampleInputs:
+    @pytest.mark.parametrize("variant", ["small", "default"])
+    def test_zoo_feeds_are_bitwise_unchanged(self, variant):
+        """perflab feeds every workload through ``example_inputs``: its
+        zoo feeds stay the bytes they were."""
+        for name in MODEL_REGISTRY:
+            model = build_model(name, variant=variant)
+            for seed, batch in ((0, 1), (7, 1), (101, 3)):
+                got = example_inputs(model, batch_size=batch, seed=seed)
+                want = _float32_or_int_inputs(model, batch_size=batch, seed=seed)
+                assert list(got) == list(want)
+                for key, array in want.items():
+                    assert got[key].dtype == array.dtype, (name, key)
+                    assert got[key].shape == array.shape, (name, key)
+                    assert got[key].tobytes() == array.tobytes(), (name, key)
+
+    def test_declared_dtypes_are_fed_and_bind(self):
+        """A ``uint8`` and a ``float64`` input get feeds of those dtypes
+        (they used to get float32, which ``bind_input`` rejects)."""
+        from repro.ir import GraphBuilder
+        from repro.ir.dtypes import DType
+
+        b = GraphBuilder("mixed_dtypes", seed=0)
+        pixels = b.input("pixels", (1, 4), dtype=DType.UINT8)
+        scale = b.input("scale", (1, 4), dtype=DType.FLOAT64)
+        b.output(b.node("Mul", [b.node("Cast", [pixels], to="float64"), scale]),
+                 dtype=DType.FLOAT64)
+        model = b.build()
+        feed = example_inputs(model, batch_size=2, seed=3)
+        assert {k: v.dtype for k, v in feed.items()} == {
+            "pixels": np.dtype(np.uint8), "scale": np.dtype(np.float64)}
+        assert feed["pixels"].shape == feed["scale"].shape == (2, 4)
+        session = create_session(model)
+        binding = session.bind()
+        for name, array in feed.items():
+            binding.bind_input(name, array)
+        (out,) = session.run_with_binding(binding).values()
+        np.testing.assert_array_equal(
+            out, feed["pixels"].astype(np.float64) * feed["scale"])
