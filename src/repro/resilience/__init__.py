@@ -24,9 +24,6 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultSpec,
     InjectedFault,
-    active_injector,
-    install,
-    uninstall,
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import PoolSupervisor
@@ -42,7 +39,4 @@ __all__ = [
     "ResilienceConfig",
     "ResilientDispatcher",
     "RetryPolicy",
-    "active_injector",
-    "install",
-    "uninstall",
 ]

@@ -5,21 +5,16 @@ failure paths are exactly the code you cannot reach with well-formed
 inputs.  A :class:`FaultInjector` holds a list of :class:`FaultSpec`\\ s —
 each naming a *site* (a string like ``"worker.execute"``), a fault *kind*,
 and a deterministic schedule (skip the first ``after`` matching calls,
-then fire ``times`` times, optionally only for one worker index) — and is
-threaded through the dispatch paths:
-
-* :class:`~repro.runtime.worker_pool.WarmExecutorPool` asks the injector
-  for a *directive* per dispatched job and ships it inside the job tuple;
-  the worker applies it (crash, hang, slow, exception, corrupt) on its own
-  side of the process boundary.
-* In-process call sites invoke :func:`FaultInjector.fire` directly, which
-  raises/sleeps in place.
+then fire ``times`` times, optionally only for one worker index).
+:class:`~repro.runtime.worker_pool.WarmExecutorPool` is where it is
+threaded through: the pool asks the injector for a *directive* per
+dispatched job and ships it inside the job tuple, and the worker applies it
+(crash, hang, slow, exception, corrupt) on its own side of the process
+boundary with :func:`apply_worker_fault`.
 
 The harness is **zero-cost when disabled**: an unattached pool dispatches
 ``None`` in the directive slot and workers pay one ``is not None`` check
-(gated at parity in ``benchmarks/test_observability_overhead.py``), and
-in-process sites guard on the module-global :func:`active_injector` being
-``None``.
+(gated at parity in ``benchmarks/test_observability_overhead.py``).
 
 Determinism: schedules are counter-based (``after`` / ``times``) so a
 chaos test replays bit-for-bit; probabilistic specs draw from a private
@@ -58,10 +53,7 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
-    "active_injector",
     "apply_worker_fault",
-    "install",
-    "uninstall",
 ]
 
 #: the supported fault kinds, in documentation order
@@ -69,7 +61,7 @@ FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "slow", "exc", "corrupt")
 
 
 class InjectedFault(RuntimeError):
-    """Raised by ``"exc"`` faults (and in-process ``fire`` sites)."""
+    """Raised by ``"exc"`` faults inside a worker."""
 
 
 @dataclass
@@ -126,8 +118,7 @@ class FaultInjector:
     supervisor may consult one injector concurrently.  Construct with the
     specs (or :meth:`add`), attach via
     ``WarmExecutorPool.set_fault_injector`` /
-    ``ResilienceConfig(fault_injector=...)`` — or :func:`install` it
-    globally for in-process ``fire`` sites.
+    ``ResilienceConfig(fault_injector=...)``.
     """
 
     def __init__(self, specs: Optional[List[FaultSpec]] = None,
@@ -182,26 +173,6 @@ class FaultInjector:
                 return (spec.kind,)
         return None
 
-    def fire(self, site: str, worker: Optional[int] = None) -> None:
-        """Apply a fault in-process at ``site`` (raise or sleep in place).
-
-        ``"crash"`` and ``"corrupt"`` make no sense in-process and map to
-        :class:`InjectedFault` as well.
-        """
-        directive = self.directive(site, worker)
-        if directive is None:
-            return
-        kind = directive[0]
-        if kind == "slow":
-            time.sleep(directive[1])
-            return
-        if kind == "hang":
-            time.sleep(directive[1])
-            raise InjectedFault(f"injected hang at {site!r} "
-                                f"({directive[1]}s)")
-        message = directive[1] if len(directive) > 1 else f"injected {kind}"
-        raise InjectedFault(f"{message} (site={site!r})")
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """``{"site:kind": fired_count}`` for every fault that fired."""
@@ -243,27 +214,3 @@ def apply_worker_fault(directive: Tuple, *, is_process: bool) -> str:
     if kind == "corrupt":
         return "corrupt"
     raise InjectedFault(f"unknown fault directive {directive!r}")
-
-
-# ---------------------------------------------------------------------------
-# Module-global installation for in-process fire() sites
-# ---------------------------------------------------------------------------
-_ACTIVE: Optional[FaultInjector] = None
-
-
-def active_injector() -> Optional[FaultInjector]:
-    """The globally installed injector, or ``None`` (the common case)."""
-    return _ACTIVE
-
-
-def install(injector: FaultInjector) -> FaultInjector:
-    """Install ``injector`` as the process-global one; returns it."""
-    global _ACTIVE
-    _ACTIVE = injector
-    return injector
-
-
-def uninstall() -> None:
-    """Remove the process-global injector."""
-    global _ACTIVE
-    _ACTIVE = None

@@ -26,13 +26,14 @@ and the benchmarks need:
   multi-worker runtime: long-lived workers, one per placed cluster (at
   most one per core), that execute a generated module repeatedly without
   per-call thread/process spawn.
-* :mod:`repro.runtime.profiler` — per-node timing and the slack database
-  that drives hyperclustering decisions.
+* :mod:`repro.runtime.profiler` — per-node and per-step timing, read from
+  the ``"plan"`` spans a traced :class:`ExecutionPlan` emits (the tracer is
+  the one per-step timer), for the schedule simulator and ``ramiel trace``.
 """
 
 from repro.runtime.executor import GraphExecutor, execute_model, ExecutionError
 from repro.runtime.intra_op import intra_op_threads, get_num_threads, set_num_threads
-from repro.runtime.plan import ExecutionPlan, PlanError, plan_model
+from repro.runtime.plan import ExecutionPlan, PlanError
 from repro.runtime.profiler import (OpProfile, GraphProfile, profile_model,
                                     profile_plan_steps)
 from repro.runtime.session import (
@@ -55,7 +56,6 @@ __all__ = [
     "Session",
     "create_session",
     "known_executors",
-    "plan_model",
     "validate_executor",
     "WarmExecutorPool",
     "Workspace",

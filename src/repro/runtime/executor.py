@@ -4,21 +4,22 @@
 Each node is bound once, at construction, by :func:`repro.ir.opset.bind` —
 the operator declaration's closure over the one
 :mod:`repro.runtime.functional` kernel — and :meth:`GraphExecutor.run` is a
-short loop over those closures.  It serves three purposes in the
+short loop over those closures.  It serves two purposes in the
 reproduction:
 
 1. ground truth that the execution plan and Ramiel-generated sequential and
-   parallel code are compared against in the tests,
+   parallel code are compared against in the tests (``run(feed,
+   outputs=[...])`` reads any intermediate value), and
 2. the semantics constant folding evaluates nodes with
-   (:mod:`repro.passes` folds constants by binding nodes the same way), and
-3. the measurement probe used by :mod:`repro.runtime.profiler` to obtain
-   per-op execution times for the schedule simulator.
+   (:mod:`repro.passes` folds constants by binding nodes the same way).
+
+Per-node timings come from the plan's tracer spans instead
+(:mod:`repro.runtime.profiler`).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +76,6 @@ class GraphExecutor:
         self,
         inputs: Mapping[str, np.ndarray],
         outputs: Optional[Sequence[str]] = None,
-        trace_hook: Optional[Callable[[OpNode, float], None]] = None,
     ) -> Dict[str, np.ndarray]:
         """Run the graph and return the requested outputs (graph outputs by default).
 
@@ -85,9 +85,6 @@ class GraphExecutor:
             Mapping of graph-input name to numpy array.
         outputs:
             Names of values to return; defaults to the graph outputs.
-        trace_hook:
-            Optional callable invoked as ``trace_hook(node, seconds)`` after
-            each node (used by the profiler).
         """
         values: Dict[str, np.ndarray] = {}
         for name, array in self.graph.initializers.items():
@@ -106,9 +103,6 @@ class GraphExecutor:
                     f"node {node.name} ({node.op_type}) requires value {exc} "
                     "which has not been computed"
                 ) from exc
-            # Timing is only measured when a trace hook is attached; the
-            # untraced hot path skips both perf_counter() calls per node.
-            start = time.perf_counter() if trace_hook is not None else 0.0
             try:
                 results = bound.call(args)
             except ExecutionError:
@@ -117,8 +111,6 @@ class GraphExecutor:
                 raise ExecutionError(
                     f"execution of node {node.name} ({node.op_type}) failed: {exc}"
                 ) from exc
-            if trace_hook is not None:
-                trace_hook(node, time.perf_counter() - start)
             if not bound.multi:
                 values[node.outputs[0]] = results
             else:

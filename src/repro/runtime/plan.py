@@ -62,8 +62,8 @@ Serving traffic with a handful of distinct batch sizes is in the
 zero-allocation steady state from the second run per signature (the first
 builds the slab and grows the scratch).  Slab ranges are
 overwritten by the next run, so nothing slab-backed ever reaches a caller:
-graph outputs are never given a range, and a run that requests an
-intermediate via ``outputs=`` executes without the slab.
+a run returns the graph outputs only, and graph outputs are never given a
+range.
 
 Graph outputs accept caller-owned destinations via ``run(feed,
 out={name: buffer})`` (surfaced as :class:`repro.runtime.session.Session`'s
@@ -90,7 +90,7 @@ from repro.ir.shape_inference import sweep_shapes
 from repro.runtime.executor import ExecutionError
 from repro.runtime.tensor_utils import Workspace, align_up, aligned_empty
 
-__all__ = ["ExecutionPlan", "PlanError", "pack_intervals"]
+__all__ = ["ExecutionPlan", "PlanError", "land_outputs", "pack_intervals"]
 
 
 class PlanError(ExecutionError):
@@ -133,6 +133,34 @@ def pack_intervals(intervals: Sequence[Tuple[int, int, int]]) -> Tuple[List[int]
         offsets[index] = offset
         total = max(total, offset + size)
     return offsets, total
+
+
+def land_outputs(values: Dict[str, np.ndarray], bound: Mapping[str, np.ndarray]) -> int:
+    """Copy each produced ``values[name]`` into its bound destination.
+
+    Outputs a step already wrote in place (``values[name] is buf``) need
+    nothing; the rest are copied in, and ``values`` then holds the bound
+    buffer.  Every source overlapping *any* pending destination (its own
+    included) is snapshotted before the first ``copyto`` runs — an earlier
+    copy must not corrupt a later copy's source.  Returns how many copies
+    were made; a shape or dtype mismatch raises :class:`PlanError`.
+    """
+    pending = [(name, buf) for name, buf in bound.items() if values[name] is not buf]
+    sources = []
+    for name, buf in pending:
+        src = np.asarray(values[name])
+        if src.shape != buf.shape or src.dtype != buf.dtype:
+            raise PlanError(
+                f"bound output {name!r}: destination has shape {buf.shape} "
+                f"dtype {buf.dtype}, but the run produced shape {src.shape} "
+                f"dtype {src.dtype}")
+        if any(np.may_share_memory(src, other) for _, other in pending):
+            src = src.copy()
+        sources.append(src)
+    for (name, buf), src in zip(pending, sources):
+        np.copyto(buf, src)
+        values[name] = buf
+    return len(pending)
 
 
 class _Memory(NamedTuple):
@@ -242,21 +270,19 @@ class ExecutionPlan:
         Fuse single-consumer elementwise/activation tails into their
         producer's step (disable for 1:1 node<->step tracing, e.g. when
         profiling).
-    check_supported:
-        Raise at build time for ops without a handler.
+
+    An op without a handler raises :class:`PlanError` at build time.
 
     A plan is cheap to build (one topological sort plus one closure per
     node) and safe to run repeatedly; runs are serialized by an internal
     lock because the slabs and the scratch workspace are per-plan state.
     """
 
-    def __init__(self, model, fuse: bool = True, check_supported: bool = True,
-                 tracer=None) -> None:
+    def __init__(self, model, fuse: bool = True) -> None:
         self.graph: Graph = model.graph if isinstance(model, Model) else model
         self.model_name = model.name if isinstance(model, Model) else self.graph.name
         order = topological_sort_nodes(self.graph)
-        if check_supported:
-            require_supported(order, PlanError)
+        require_supported(order, PlanError)
         # Heavy kernels rewind the workspace before returning and steps run
         # one at a time under the plan lock, so one provider serves all.
         self._workspace = Workspace()
@@ -272,8 +298,6 @@ class ExecutionPlan:
         self._exec_untraced = self._compile_exec()
         self._exec = self._exec_untraced
         self._tracer = None
-        if tracer is not None:
-            self.enable_tracing(tracer)
 
     # ------------------------------------------------------------------
     # Build
@@ -453,12 +477,8 @@ class ExecutionPlan:
         self._step_nodes = step_nodes
         self._slot_last_use = slot_last_use
         self._head_outputs = head_outputs
-        #: what a run that bypasses the memory plan executes with: no views,
-        #: every tail out of place, every bound output copied
-        self._unplanned = _Memory([None] * len(steps), [False] * len(self._tails),
-                                  {}, 0, 0)
         #: the memory plan whose in-place decisions the tail ops hold
-        self._active = self._unplanned
+        self._active: Optional[_Memory] = None
         #: per-step span labels + args, precomputed at build time so the
         #: traced loop emits without any per-step string formatting
         self._step_labels: List[str] = []
@@ -568,20 +588,6 @@ class ExecutionPlan:
                 raise self._step_failure(step_index, exc) from exc
         return run_steps_traced
 
-    def _run_steps_hooked(self, values, outs, trace_hook) -> None:
-        """The ``trace_hook`` step loop (profiler attribution path)."""
-        step_index = 0
-        try:
-            for step_index, step in enumerate(self._steps):
-                start = time.perf_counter()
-                step(values, outs[step_index])
-                trace_hook(self._step_nodes[step_index][0],
-                           time.perf_counter() - start)
-        except ExecutionError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - add node context
-            raise self._step_failure(step_index, exc) from exc
-
     def _plan_memory(self, fed: Dict[str, np.ndarray]) -> _Memory:
         """Compute the memory plan of the signature ``fed`` belongs to.
 
@@ -606,7 +612,7 @@ class ExecutionPlan:
                  and table[name].nbytes >= _ARENA_MIN_BYTES]
         offsets, total = pack_intervals(sized)
         slab = aligned_empty(total)
-        outs = list(self._unplanned.outs)
+        outs: List[Optional[np.ndarray]] = [None] * len(self._steps)
         for (index, _, _), offset in zip(sized, offsets):
             outs[index] = np.ndarray(*specs[self._head_outputs[index]], slab, offset)
         in_place = [chain in specs and specs[chain] == specs.get(result)
@@ -619,33 +625,24 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        outputs: Optional[Sequence[str]] = None,
-        trace_hook: Optional[Callable[[OpNode, float], None]] = None,
-        out: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Execute the plan and return the requested outputs.
+    def run(self, inputs: Mapping[str, np.ndarray],
+            out: Optional[Mapping[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
+        """Execute the plan and return the graph outputs.
 
-        Mirrors :meth:`GraphExecutor.run`; ``trace_hook`` receives the
-        step's head node (build with ``fuse=False`` for exact per-node
-        attribution).  Values fused away into a producer's step cannot be
-        requested via ``outputs``.
-
+        Every run executes under its graph-input signature's memory plan.
         ``out`` maps graph-output names to caller-owned destination
         buffers.  Destination-capable producers write the output directly
         into a buffer of the shape and dtype the signature's shape table
         expects (no per-run graph-output allocation); everything else is
-        finalized with an end-of-run copy.  A buffer overlapping any input
-        array is only written after every step has run, so binding an
-        output over an input is safe.  Shape/dtype mismatches raise
-        :class:`PlanError`.
+        finalized with an end-of-run copy (:func:`land_outputs`).  A buffer
+        overlapping any input array is only written after every step has
+        run, so binding an output over an input is safe.  Shape/dtype
+        mismatches raise :class:`PlanError`.
         """
         with self._lock:
-            return self._run_locked(inputs, outputs, trace_hook, out)
+            return self._run_locked(inputs, out)
 
-    def _run_locked(self, inputs, outputs, trace_hook, out) -> Dict[str, np.ndarray]:
+    def _run_locked(self, inputs, out) -> Dict[str, np.ndarray]:
         values: Dict[str, np.ndarray] = dict(self._init_values)
         for name in self._input_names:
             if name not in inputs:
@@ -653,22 +650,17 @@ class ExecutionPlan:
         for name, array in inputs.items():
             values[name] = np.asarray(array)
 
-        # The memory plan of this feed's signature.  A run that requests
-        # an intermediate executes without one: the value's slab range
-        # would be overwritten by a later step, or by the next run.
-        memory, signature = self._unplanned, None
-        if outputs is None or self._output_set.issuperset(outputs):
-            # Graph inputs in graph order, then any other fed name (an
-            # overridden initializer): one feed, one signature, whatever
-            # order the caller's dict has.
-            names = self._input_names
-            if len(inputs) != len(names):
-                names = names + sorted(set(inputs).difference(names))
-            signature = tuple([(name, values[name].shape, values[name].dtype)
-                               for name in names])
-            memory = self._memory.get(signature)
-            if memory is None:
-                memory = self._plan_memory({name: values[name] for name in names})
+        # The memory plan of this feed's signature: graph inputs in graph
+        # order, then any other fed name (an overridden initializer) — one
+        # feed, one signature, whatever order the caller's dict has.
+        names = self._input_names
+        if len(inputs) != len(names):
+            names = names + sorted(set(inputs).difference(names))
+        signature = tuple([(name, values[name].shape, values[name].dtype)
+                           for name in names])
+        memory = self._memory.get(signature)
+        if memory is None:
+            memory = self._plan_memory({name: values[name] for name in names})
         if memory is not self._active:
             for (op, _, _), in_place in zip(self._tails, memory.in_place):
                 op.in_place = in_place
@@ -723,56 +715,14 @@ class ExecutionPlan:
                                     feeds + [b for n, b in bound.items() if n != name])):
                     outs[self._bound_steps[name]] = buf
 
-        if trace_hook is None:
-            self._exec(values, outs)
-        else:
-            self._run_steps_hooked(values, outs, trace_hook)
-        if signature is not None:
-            self._memory[signature] = memory  # kept once a run under it succeeded
-
-        wanted = list(outputs) if outputs is not None else self._output_names
-        missing = [name for name in wanted if name not in values]
-        if missing:
-            raise PlanError(
-                f"requested outputs not available from the plan: {missing} "
-                "(graph outputs are always available; fused intermediates "
-                "are not)")
+        self._exec(values, outs)
+        self._memory[signature] = memory  # kept once a run under it succeeded
 
         if bound:
-            # Finalize every bound destination: outputs the producing step
-            # already wrote in place need nothing; the rest are copied in.
-            # Copies happen after all steps have run, so a destination
-            # overlapping an input can never corrupt the computation.
-            # Every source overlapping *any* pending destination (its own
-            # included) is snapshotted before the first copyto runs — an
-            # earlier copy must not corrupt a later copy's source.
-            pending = [(name, buf) for name, buf in bound.items()
-                       if values[name] is not buf]
-            self._dest_direct_writes += len(bound) - len(pending)
-            if pending:
-                sources = []
-                dest_buffers = [buf for _, buf in pending]
-                for name, buf in pending:
-                    src = values[name]
-                    if src.shape != buf.shape or src.dtype != buf.dtype:
-                        raise PlanError(
-                            f"bound output {name!r}: destination has shape "
-                            f"{buf.shape} dtype {buf.dtype}, but the run "
-                            f"produced shape {src.shape} dtype {src.dtype}")
-                    if any(np.may_share_memory(src, other)
-                           for other in dest_buffers):
-                        src = src.copy()
-                    sources.append(src)
-                for (name, buf), src in zip(pending, sources):
-                    np.copyto(buf, src)
-                    values[name] = buf
-                    self._dest_copy_writes += 1
-
-        result: Dict[str, np.ndarray] = {}
-        for name in wanted:
-            array = values[name]
-            result[name] = array
-        return result
+            copies = land_outputs(values, bound)
+            self._dest_direct_writes += len(bound) - copies
+            self._dest_copy_writes += copies
+        return {name: values[name] for name in self._output_names}
 
     # ------------------------------------------------------------------
     # Introspection / interop
@@ -807,7 +757,3 @@ class ExecutionPlan:
             },
         }
 
-
-def plan_model(model, fuse: bool = True) -> ExecutionPlan:
-    """Convenience constructor mirroring :func:`execute_model`'s shape."""
-    return ExecutionPlan(model, fuse=fuse)

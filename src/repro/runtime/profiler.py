@@ -2,12 +2,15 @@
 
 The paper's Ramiel keeps "a profile database [that] holds information about
 the execution trace and the slacks during communication which can be used
-offline" to guide hyperclustering.  :func:`profile_model` runs a model a few
-times with the reference executor, records per-node wall-clock times, and
-aggregates them into a :class:`GraphProfile`.  The measured times can be fed
-into the schedule simulator (``repro.clustering.schedule``) as a
-measurement-based cost provider — the dynamic counterpart of the static cost
-model.
+offline" to guide hyperclustering.  The execution trace here is the
+tracer's: a traced :class:`~repro.runtime.plan.ExecutionPlan` emits one
+``cat == "plan"`` span per step, and that is the one per-step timer.
+:func:`profile_model` runs a fusion-free plan (one step per node) a few
+times and folds its spans into a per-node :class:`GraphProfile` — the
+measured counterpart of the static cost model, which the schedule simulator
+(``repro.clustering.schedule``) takes as a cost provider.
+:func:`profile_plan_steps` runs the same loop over the production (fused)
+plan and folds the spans into per-step rows.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.ir.model import Graph, Model
+from repro.ir.model import Graph
 from repro.ir.node import OpNode
 from repro.ir.opset import attr_value
-from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.session import Session
 
@@ -53,21 +55,19 @@ class OpProfile:
 
 @dataclasses.dataclass
 class GraphProfile:
-    """Aggregated execution profile of one model."""
+    """Aggregated execution profile of one model: one entry per node."""
 
     model_name: str
     num_runs: int
     ops: Dict[str, OpProfile]
     wall_time_s: float
-    #: which engine produced the samples ("interpreter" or "plan")
-    engine: str = "interpreter"
-    #: final memory-plan counters when profiling through the planned engine
-    #: (allocations / signatures / slab_bytes / intermediate_bytes), else None
-    arena_stats: Optional[Dict[str, int]] = None
+    #: the profiled plan's final memory-plan counters (allocations /
+    #: signatures / slab_bytes / intermediate_bytes)
+    arena_stats: Dict[str, int]
     #: slab builds and scratch growths during the *measured* runs (after
     #: warmup); 0 means the profiled hot path was allocation-free — the
     #: expected steady state once every signature has run once
-    arena_allocs_during_runs: Optional[int] = None
+    arena_allocs_during_runs: int
 
     def cost_provider(self, scale: float = 1e6) -> Dict[str, float]:
         """Node-name -> measured cost mapping for the schedule simulator.
@@ -94,25 +94,68 @@ class GraphProfile:
         return dict(sorted(agg.items(), key=lambda kv: kv[1], reverse=True))
 
 
+def _session_plan(session: Session, caller: str) -> ExecutionPlan:
+    if session.plan is None:
+        raise ValueError(f"{caller} requires an in-process 'plan' session, "
+                         f"not executor {session.executor!r}")
+    return session.plan
+
+
+def _traced_runs(plan: ExecutionPlan, inputs: Mapping[str, np.ndarray],
+                 num_runs: int, warmup: int, tracer=None) -> Tuple[List, float, int]:
+    """``warmup`` runs, clear, ``num_runs`` measured runs — all traced.
+
+    Returns the measured runs' ``cat == "plan"`` spans, their wall time in
+    seconds and the memory-plan allocations they made.  The plan's own
+    tracer (if any) is restored afterwards; pass ``tracer`` to reuse an
+    existing buffer (it is cleared between warmup and measurement).
+    """
+    from repro.observability import Tracer
+
+    runs = max(num_runs, 1)
+    if tracer is None:
+        tracer = Tracer(capacity=max(4096, len(plan._steps) * runs + 64))
+    had_tracer = plan.tracer
+    plan.enable_tracing(tracer)
+    try:
+        for _ in range(max(warmup, 0)):
+            plan.run(inputs)
+        tracer.clear()
+        allocs = plan.stats()["arena"]["allocations"]
+        start = time.perf_counter()
+        for _ in range(runs):
+            plan.run(inputs)
+        wall = time.perf_counter() - start
+        allocs = plan.stats()["arena"]["allocations"] - allocs
+        events = [event for event in tracer.events() if event.cat == "plan"]
+    finally:
+        if had_tracer is not None:
+            plan.enable_tracing(had_tracer)
+        else:
+            plan.disable_tracing()
+    return events, wall, allocs
+
+
 def profile_model(
-    model,
+    model_or_session,
     inputs: Mapping[str, np.ndarray],
     num_runs: int = 3,
     warmup: int = 1,
-    engine: str = "interpreter",
 ) -> GraphProfile:
     """Measure per-node execution times of a model on given inputs.
 
+    Builds a fusion-free :class:`~repro.runtime.plan.ExecutionPlan` (one
+    step per node, so every node is covered) over ``model_or_session`` and
+    folds the spans of ``num_runs`` traced runs into one
+    :class:`OpProfile` per node.
+
     Parameters
     ----------
-    model:
-        IR model to profile, or an in-process
-        :class:`~repro.runtime.session.Session` (``"plan"`` / ``"interp"``)
-        — the unified execution surface.  Profiling a session reuses its
-        warm executor state (the slabs); note that a
-        fused plan session attributes each fused chain to its head node,
-        while ``engine="plan"`` builds a fusion-disabled plan with exact
-        1:1 node attribution.
+    model_or_session:
+        IR model (or graph) to profile, or a ``"plan"``
+        :class:`~repro.runtime.session.Session` — its compiled graph is
+        profiled.  Interp and pool-backed sessions are rejected: their
+        runs emit no per-node spans.
     inputs:
         Graph-input feed dictionary.
     num_runs:
@@ -120,73 +163,25 @@ def profile_model(
         allocation noise that the warmup does not absorb).
     warmup:
         Unmeasured warmup runs.
-    engine:
-        Ignored when ``model`` is a session.  ``"interpreter"`` (default)
-        profiles through :class:`GraphExecutor`; ``"plan"`` reuses a
-        compile-once, fusion-disabled
-        :class:`~repro.runtime.plan.ExecutionPlan`, so the per-node numbers
-        exclude the interpreter's dispatch/attribute-parsing overhead and
-        reflect what the planned serving hot path actually pays (fusion is
-        disabled so every step maps 1:1 onto a node); ``"plan-fused"``
-        profiles the *production* plan — fusion on, heavy destination
-        passing on — attributing each fused chain's time to its head node,
-        which is exactly what the serving hot path executes.
     """
-    session: Optional[Session] = None
-    if isinstance(model, Session):
-        session = model
-        if session.plan is None and session.interpreter is None:
-            raise ValueError(
-                "profiling requires an in-process session ('plan' or "
-                f"'interp'), not executor {session.executor!r}")
-        executor = session.plan if session.plan is not None else session.interpreter
-        engine = f"session:{session.executor}"
-        model_name = session.model_name
-    elif engine == "plan":
-        executor = ExecutionPlan(model, fuse=False)
-        model_name = model.name
-    elif engine == "plan-fused":
-        executor = ExecutionPlan(model, fuse=True)
-        model_name = model.name
-    elif engine == "interpreter":
-        executor = GraphExecutor(model)
-        model_name = model.name
+    if isinstance(model_or_session, Session):
+        name = model_or_session.model_name
+        plan = ExecutionPlan(_session_plan(model_or_session, "profile_model").graph,
+                             fuse=False)
     else:
-        raise ValueError(f"unknown profiling engine {engine!r}; "
-                         "use 'interpreter', 'plan' or 'plan-fused', or "
-                         "pass a Session")
-    plan_backed = isinstance(executor, ExecutionPlan)
+        plan = ExecutionPlan(model_or_session, fuse=False)
+        name = plan.model_name
+    events, wall, allocs = _traced_runs(plan, inputs, num_runs, warmup)
     ops: Dict[str, OpProfile] = {}
-
-    def hook(node: OpNode, seconds: float) -> None:
-        prof = ops.get(node.name)
+    for event in events:
+        node = event.args["node"]
+        prof = ops.get(node)
         if prof is None:
-            prof = ops[node.name] = OpProfile(node.name, node.op_type)
-        prof.samples_s.append(seconds)
-
-    for _ in range(max(warmup, 0)):
-        executor.run(inputs)
-
-    allocs_before = (executor.stats()["arena"]["allocations"]
-                     if plan_backed else None)
-    start = time.perf_counter()
-    for _ in range(max(num_runs, 1)):
-        executor.run(inputs, trace_hook=hook)
-    wall = time.perf_counter() - start
-
-    profile = GraphProfile(
-        model_name=model_name,
-        num_runs=max(num_runs, 1),
-        ops=ops,
-        wall_time_s=wall,
-        engine=engine,
-    )
-    if plan_backed:
-        stats = executor.stats()
-        profile.arena_stats = stats["arena"]
-        profile.arena_allocs_during_runs = (
-            stats["arena"]["allocations"] - allocs_before)
-    return profile
+            prof = ops[node] = OpProfile(node, event.args["op"])
+        prof.samples_s.append(event.dur_ns / 1e9)
+    return GraphProfile(model_name=name, num_runs=max(num_runs, 1), ops=ops,
+                        wall_time_s=wall, arena_stats=plan.stats()["arena"],
+                        arena_allocs_during_runs=allocs)
 
 
 _POOL_KINDS = {"MaxPool": "pool.max", "AveragePool": "pool.avg"}
@@ -272,46 +267,23 @@ def profile_plan_steps(
 ) -> List[Dict]:
     """Per-step timings of the *fused* plan hot path, via the span tracer.
 
-    Unlike ``profile_model(engine="plan")`` — which disables fusion for 1:1
-    node attribution — this measures the production step loop exactly as
+    Unlike :func:`profile_model` — which disables fusion for 1:1 node
+    attribution — this measures the production step loop exactly as
     serving executes it: fused chains stay fused, heavy destination passing
     stays on, and each step's span carries its fused tail in the args.
     Powers the per-step table of the ``repro trace`` CLI verb.
 
-    Accepts an :class:`~repro.runtime.plan.ExecutionPlan` or a ``"plan"``
-    :class:`~repro.runtime.session.Session`; pass a ``tracer`` to reuse an
-    existing buffer (it is cleared between warmup and measurement).
-    Returns :func:`plan_step_rows` of the measured runs: one row per plan
-    step, schedule order, aggregated over ``num_runs``.
+    Accepts an :class:`~repro.runtime.plan.ExecutionPlan`, a ``"plan"``
+    :class:`~repro.runtime.session.Session` or a model; pass a ``tracer``
+    to reuse an existing buffer (it is cleared between warmup and
+    measurement).  Returns :func:`plan_step_rows` of the measured runs: one
+    row per plan step, schedule order, aggregated over ``num_runs``.
     """
-    from repro.observability import Tracer
-
     if isinstance(plan_or_session, Session):
-        plan = plan_or_session.plan
-        if plan is None:
-            raise ValueError(
-                "profile_plan_steps requires a 'plan' session, not "
-                f"executor {plan_or_session.executor!r}")
+        plan = _session_plan(plan_or_session, "profile_plan_steps")
     elif isinstance(plan_or_session, ExecutionPlan):
         plan = plan_or_session
     else:
         plan = ExecutionPlan(plan_or_session)
-
-    if tracer is None:
-        tracer = Tracer(capacity=max(4096, len(plan._steps) * max(num_runs, 1) + 64))
-    had_tracer = plan.tracer
-    plan.enable_tracing(tracer)
-    try:
-        for _ in range(max(warmup, 0)):
-            plan.run(inputs)
-        tracer.clear()
-        for _ in range(max(num_runs, 1)):
-            plan.run(inputs)
-        events = tracer.events()
-    finally:
-        if had_tracer is not None:
-            plan.enable_tracing(had_tracer)
-        else:
-            plan.disable_tracing()
-
+    events, _, _ = _traced_runs(plan, inputs, num_runs, warmup, tracer)
     return plan_step_rows(plan.graph, events)

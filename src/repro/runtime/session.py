@@ -1,10 +1,7 @@
 """Unified execution surface: compile once, bind buffers, run many.
 
-Execution used to be scattered across ``RamielResult.run_planned``,
-``ExecutionPlan.run``, ``GraphExecutor``, ``profile_model(engine=...)`` and
-the serving engine's executor strings.  :func:`create_session` replaces that
-zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
-``IOBinding`` pattern:
+:func:`create_session` is the package's one execution front door, modeled
+on ONNX Runtime's ``InferenceSession`` + ``IOBinding`` pattern:
 
 * a :class:`Session` owns the compiled artifact (pipeline result, execution
   plan and its memory slabs, or a warm worker pool) behind one executor name
@@ -12,8 +9,7 @@ zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
   (serving config, CLI flags, this module) validates against;
 * :meth:`Session.run` executes a plain feed dict, whatever the executor;
 * :meth:`Session.bind` returns an :class:`IOBinding`.  ``bind_input`` pins
-  caller-owned staging buffers (the serving lanes stack request
-  batches straight into them — no per-batch ``concatenate``), and
+  caller-owned staging buffers, and
   ``bind_output`` threads caller-owned destinations through
   ``ExecutionPlan.run(feed, out=...)`` so graph outputs stop allocating
   per run;
@@ -53,7 +49,7 @@ import numpy as np
 
 from repro.ir.model import Model
 from repro.runtime.executor import GraphExecutor
-from repro.runtime.plan import ExecutionPlan
+from repro.runtime.plan import ExecutionPlan, land_outputs
 from repro.runtime.worker_pool import WarmExecutorPool
 
 __all__ = [
@@ -424,34 +420,25 @@ class Session:
                 f"({self._broken}); discard it and create a fresh one")
 
     def run(self, inputs: Mapping[str, np.ndarray],
-            outputs: Optional[Sequence[str]] = None,
-            trace_hook=None,
             timeout: Optional[float] = None) -> Dict[str, np.ndarray]:
         """Execute one feed dict and return the graph outputs.
 
-        ``outputs`` / ``trace_hook`` work on in-process sessions
-        (``"plan"`` / ``"interp"``); ``timeout`` applies to pool-backed
-        sessions (defaults to the session's ``timeout_s``).
+        ``timeout`` applies to pool-backed sessions (defaults to the
+        session's ``timeout_s``).
         """
         self._check_usable()
         tracer = self._tracer
         if tracer is not None:
             with tracer.span("session.run", cat="session",
                              args=self._span_args):
-                return self._run_dispatch(inputs, outputs, trace_hook, timeout)
-        return self._run_dispatch(inputs, outputs, trace_hook, timeout)
+                return self._run_dispatch(inputs, timeout)
+        return self._run_dispatch(inputs, timeout)
 
-    def _run_dispatch(self, inputs, outputs, trace_hook, timeout):
+    def _run_dispatch(self, inputs, timeout):
         if self._plan is not None:
-            return self._plan.run(inputs, outputs=outputs,
-                                  trace_hook=trace_hook)
+            return self._plan.run(inputs)
         if self._interp is not None:
-            return self._interp.run(inputs, outputs=outputs,
-                                    trace_hook=trace_hook)
-        if outputs is not None or trace_hook is not None:
-            raise ValueError(
-                "outputs=/trace_hook= require an in-process session "
-                "('plan' or 'interp'), not " + repr(self.executor))
+            return self._interp.run(inputs)
         return self._pool.run(
             inputs, timeout=timeout if timeout is not None else self.timeout_s)
 
@@ -490,25 +477,10 @@ class Session:
         if self._plan is not None:
             result = self._plan.run(feed, out=bound or None)
         else:
+            # an interp/pool run lands its outputs by copy, under the
+            # plan's aliasing discipline
             result = self.run(feed)
-            # Mirror the plan path's aliasing discipline: an interp/pool
-            # output can be a view of a bound input, so snapshot every
-            # source overlapping any destination before the first copy.
-            buffers = list(bound.values())
-            sources = []
-            for name, buf in bound.items():
-                src = np.asarray(result[name])
-                if src.shape != buf.shape or src.dtype != buf.dtype:
-                    raise ValueError(
-                        f"bound output {name!r}: destination has shape "
-                        f"{buf.shape} dtype {buf.dtype}, but the run "
-                        f"produced shape {src.shape} dtype {src.dtype}")
-                if any(np.may_share_memory(src, other) for other in buffers):
-                    src = src.copy()
-                sources.append(src)
-            for (name, buf), src in zip(bound.items(), sources):
-                np.copyto(buf, src)
-                result[name] = buf
+            land_outputs(result, bound)
         # Materialize lazily-bound outputs into private buffers the next
         # bound run writes in place (always a copy — never adopt the run's
         # array, which may be a view of an input or an initializer).

@@ -22,13 +22,13 @@ is one record with one future, it waits in exactly one place, and
    :class:`~repro.runtime.plan.ExecutionPlan` (bound closures, packed
    memory slab, fused elementwise tails): no per-request ``GraphExecutor``
    construction, no per-node dispatch, and a zero-realloc steady state;
-   fused batches are staged into session-pinned ``IOBinding`` buffers
-   instead of a fresh ``concatenate`` per batch, and every in-process
-   batch runs under a watchdog so a stuck batch cannot pin the artifact's
-   lane.  ``executor="pool"``/``"process"`` instead serve via the
-   generated parallel module on warm worker pools, one worker per placed
-   cluster (<= cores; :mod:`repro.runtime.worker_pool`), the paper-shaped
-   multi-worker runtime.
+   fused batches are stacked into reused staging buffers instead of a
+   fresh ``concatenate`` per batch and run through ``Session.run``, and
+   every in-process batch runs under a watchdog so a stuck batch cannot
+   pin the artifact's lane.  ``executor="pool"``/``"process"`` instead
+   serve via the generated parallel module on warm worker pools, one
+   worker per placed cluster (<= cores; :mod:`repro.runtime.worker_pool`),
+   the paper-shaped multi-worker runtime.
 3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
@@ -78,7 +78,7 @@ from repro.resilience import (
     ResilientDispatcher,
     RetryPolicy,
 )
-from repro.runtime.session import IOBinding, Session, create_session, validate_executor
+from repro.runtime.session import Session, create_session, validate_executor
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
@@ -205,26 +205,26 @@ class _BatchWatchdog:
 
 
 class _PinnedStacker:
-    """Stacks micro-batches into pinned staging buffers bound to a session.
+    """Stacks micro-batches into reused staging buffers: a plain feed.
 
-    Replaces the per-batch ``np.concatenate`` with copies into
-    session-bound staging arrays (``IOBinding.bind_input``): once the
-    largest batch shape has been seen, batch assembly allocates nothing —
-    the cross-run input pinning the ROADMAP called for.  Single-request
-    batches pass through zero-copy.  Falls back to plain stacking when the
-    request names do not cover the session's graph inputs (e.g. pruning
-    changed the input set).
+    Replaces the per-batch ``np.concatenate`` with copies into staging
+    arrays the stacker keeps across batches: once the largest batch shape
+    has been seen, batch assembly allocates nothing.  The returned feed
+    maps each input name to a view of its staging array, ready for
+    ``Session.run`` (the requests were validated at ``submit``).
+    Single-request batches pass through zero-copy.  Falls back to plain
+    stacking when the request names do not cover the session's graph inputs
+    (e.g. pruning changed the input set).
     """
 
     def __init__(self, session: Session, max_batch_size: int) -> None:
         self._session = session
-        self._binding = session.bind()
         self._max_batch = max(int(max_batch_size), 1)
         self._staging: Dict[str, np.ndarray] = {}
 
     @property
     def staging_buffers(self) -> List[np.ndarray]:
-        """The pinned staging arrays currently bound (for alias checks)."""
+        """The staging arrays currently in use (for alias checks)."""
         return list(self._staging.values())
 
     def __call__(self, requests):
@@ -248,16 +248,7 @@ class _PinnedStacker:
                 staging[offset:offset + request.batch_len] = request.inputs[name]
                 offset += request.batch_len
             feed[name] = staging[:total]
-        try:
-            for name, view in feed.items():
-                self._binding.bind_input(name, view)
-        except ValueError:
-            # Requests that pass serving validation but fail the binding's
-            # stricter declared-signature check (e.g. a castable dtype the
-            # kernels accept) must keep serving exactly as before: fall
-            # back to the plain feed of the same pinned staging views.
-            return feed
-        return self._binding
+        return feed
 
 
 @dataclasses.dataclass
@@ -279,8 +270,9 @@ class CompiledArtifact:
     dispatcher: ResilientDispatcher
     #: most requests the lane takes at once (1 when not :attr:`batchable`)
     max_batch: int
-    #: request list -> what ``run_batch`` accepts (pinned staging for
-    #: in-process batchable artifacts, plain concatenation otherwise)
+    #: request list -> the stacked feed ``run_batch`` accepts (reused
+    #: staging for in-process batchable artifacts, plain concatenation
+    #: otherwise)
     stack: Callable
     #: one stacked feed through the dispatcher -> graph outputs
     run_batch: Callable
@@ -361,7 +353,7 @@ class _Lane:
         """Block until compiled; the artifact, or the compile error raised.
 
         The one way to a lane's session / dispatcher / watchdog — used by
-        :meth:`InferenceEngine.bind`, ``warmup`` and the tests.
+        ``warmup`` and the tests.
         """
         return self._artifact.result(timeout=timeout)
 
@@ -442,13 +434,8 @@ class _Lane:
 
     def _respond(self, request, outputs=None,
                  exc: Optional[BaseException] = None) -> None:
-        """Land bound outputs, record the request, resolve its one future."""
+        """Record the request and resolve its one future."""
         engine = self._engine
-        if exc is None and request.binding is not None:
-            try:
-                outputs = _land_outputs(request.binding, outputs)
-            except Exception as land_exc:  # noqa: BLE001 - fail this request only
-                exc = land_exc
         engine.metrics.record_completed(
             engine.qos.clock() - request.enqueue_t, ok=exc is None)
         tracer = engine.tracer
@@ -457,38 +444,6 @@ class _Lane:
                               request.submit_ns, tracer.now(),
                               args={"failed": "true"} if exc else None)
         engine.qos.complete(request, outputs, exc)
-
-
-def _land_outputs(binding: IOBinding,
-                  outputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Write one response into ``binding``'s bound output buffers.
-
-    Runs on the lane before the next batch executes — so copying out of
-    the scattered views is race-free.  Bound buffers are written with
-    ``np.copyto`` (no allocation); ``bind_output(name)`` placeholders
-    materialize a private reused buffer on first completion; unbound
-    outputs pass through unchanged.
-    """
-    outputs = dict(outputs)
-    for name, bound in binding._outputs.items():
-        if name not in outputs:
-            continue
-        array = np.asarray(outputs[name])
-        if bound is None:
-            # lazily-bound: adopt a private copy as the reused
-            # destination for every later request
-            bound = np.array(array)
-            binding._outputs[name] = bound
-        else:
-            if bound.shape != array.shape or bound.dtype != array.dtype:
-                raise ServingError(
-                    f"bound output {name!r}: destination has "
-                    f"shape {bound.shape} dtype {bound.dtype}, "
-                    f"but the request produced shape "
-                    f"{array.shape} dtype {array.dtype}")
-            np.copyto(bound, array)
-        outputs[name] = bound
-    return outputs
 
 
 class InferenceEngine:
@@ -526,11 +481,9 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, model: Model,
-               inputs: Optional[Mapping[str, np.ndarray]] = None, *,
+    def submit(self, model: Model, inputs: Mapping[str, np.ndarray], *,
                tenant: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               binding: Optional[IOBinding] = None) -> Future:
+               deadline_s: Optional[float] = None) -> Future:
         """Enqueue one inference request; returns a future of its outputs.
 
         The request is validated against the model's declared input
@@ -545,59 +498,24 @@ class InferenceEngine:
         and ``deadline_s`` overrides the tenant's per-request deadline
         budget.  Rejections (queue full, overload, expired budget) raise
         :class:`~repro.serving.qos.QoSError` subclasses *synchronously*.
-
-        ``binding`` threads a client-supplied
-        :class:`~repro.runtime.session.IOBinding` (from :meth:`bind`)
-        through the request: inputs are read from the binding's pinned
-        staging buffers when ``inputs`` is ``None``, and outputs are
-        written into the binding's bound output buffers — the resolved
-        dict's arrays *are* those buffers, so a warm request→response
-        loop allocates nothing.  One request per binding may be in
-        flight at a time.
         """
         if self._closed:
             raise ServingError("engine is shut down")
-        if inputs is None:
-            if binding is None:
-                raise ValueError("submit() needs inputs= or binding=")
-            inputs = binding.inputs
         tracer = self.tracer
         if tracer is not None:
             with tracer.span("request.submit", cat="serving",
                              args={"model": model.name}):
-                return self._submit(model, inputs, tenant, deadline_s,
-                                    binding)[0]
-        return self._submit(model, inputs, tenant, deadline_s, binding)[0]
+                return self._submit(model, inputs, tenant, deadline_s)[0]
+        return self._submit(model, inputs, tenant, deadline_s)[0]
 
-    def _submit(self, model, inputs, tenant=None, deadline_s=None,
-                binding=None) -> Tuple[Future, _Lane]:
+    def _submit(self, model, inputs, tenant=None,
+                deadline_s=None) -> Tuple[Future, _Lane]:
         arrays, batch_len, signature = self._validate(model, inputs)
         self.metrics.record_submitted()
         key = self._key(model, signature)
         request = self.qos.admit(key, arrays, batch_len, tenant=tenant,
-                                 deadline_s=deadline_s, binding=binding)
+                                 deadline_s=deadline_s)
         return request.future, self._lane_for(model, key, request.tenant)
-
-    def bind(self, model: Model,
-             inputs: Mapping[str, np.ndarray]) -> IOBinding:
-        """An :class:`IOBinding` pinned to the artifact serving ``inputs``.
-
-        Resolves (compiling on first sight) the artifact for the request
-        signature and returns a fresh binding whose input buffers are
-        *owned copies* of ``inputs`` — refill them in place between
-        requests, then ``submit(model, binding=...)``.  Bind output
-        buffers (``binding.bind_output``) to make the response side
-        allocation-free too: each completed request copies its outputs
-        into the bound buffers instead of handing out fresh arrays.
-        """
-        if self._closed:
-            raise ServingError("engine is shut down")
-        arrays, _, signature = self._validate(model, inputs)
-        lane = self._lane_for(model, self._key(model, signature))
-        binding = lane.wait().session.bind()
-        for name, array in arrays.items():
-            binding.bind_input(name, np.array(array))
-        return binding
 
     def infer(self, model: Model, inputs: Mapping[str, np.ndarray],
               timeout: Optional[float] = None) -> Dict[str, np.ndarray]:
@@ -704,13 +622,9 @@ class InferenceEngine:
             watchdog = _BatchWatchdog(label)
             stacker = _PinnedStacker(session, self.config.max_batch_size)
 
-            def execute(stacked) -> Dict[str, np.ndarray]:
-                # The stacker hands back either a pinned IOBinding (fused
-                # batch) or a plain feed dict (single request / fallback).
-                fn = (session.run_with_binding
-                      if isinstance(stacked, IOBinding) else session.run)
-                outputs = watchdog.run(fn, stacked, timeout_s)
-                # Outputs that alias the pinned staging buffers would be
+            def execute(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+                outputs = watchdog.run(session.run, stacked, timeout_s)
+                # Outputs that alias the reused staging buffers would be
                 # overwritten by the next batch; hand out private copies.
                 staging = stacker.staging_buffers
                 if staging:

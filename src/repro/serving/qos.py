@@ -231,8 +231,6 @@ class _QoSRequest:
     #: absolute deadline on the ``clock`` timeline (None = no budget)
     deadline: Optional[float]
     enqueue_t: float
-    #: caller-bound output buffers the response is landed in (opaque here)
-    binding: object = None
     #: start-time-fair-queueing stamps (assigned by the admission queue)
     vstart: float = 0.0
     vfinish: float = 0.0
@@ -482,8 +480,7 @@ class QoSFrontend:
     # ------------------------------------------------------------------
     def admit(self, key, inputs: Dict[str, np.ndarray], batch_len: int, *,
               tenant: Optional[str] = None,
-              deadline_s: Optional[float] = None,
-              binding=None) -> _QoSRequest:
+              deadline_s: Optional[float] = None) -> _QoSRequest:
         """Admit one validated request for artifact ``key``, or reject.
 
         Returns the queued request record (``.future`` is what the caller
@@ -495,7 +492,7 @@ class QoSFrontend:
         t0 = tracer.now() if tracer is not None else 0
         try:
             request = self._admit(key, inputs, batch_len, tenant=tenant,
-                                  deadline_s=deadline_s, binding=binding)
+                                  deadline_s=deadline_s)
         except QoSError as exc:
             if tracer is not None:
                 tracer.emit("qos.admit", "qos", t0, tracer.now(),
@@ -508,7 +505,7 @@ class QoSFrontend:
         return request
 
     def _admit(self, key, inputs, batch_len, *, tenant: Optional[str],
-               deadline_s: Optional[float], binding) -> _QoSRequest:
+               deadline_s: Optional[float]) -> _QoSRequest:
         config = self.config.tenant_config(tenant)  # raises UnknownTenant
         name = tenant if tenant is not None else config.name
         budget = deadline_s if deadline_s is not None else config.deadline_s
@@ -522,7 +519,7 @@ class QoSFrontend:
                 f"expired deadline budget ({budget}s)")
         request = _QoSRequest(
             tenant=name, key=key, inputs=inputs, batch_len=batch_len,
-            future=Future(), binding=binding,
+            future=Future(),
             deadline=(now + budget) if budget is not None else None,
             enqueue_t=now)
         tracer = self._tracer

@@ -71,8 +71,8 @@ def test_plan_rejects_missing_inputs_and_unknown_outputs():
     with pytest.raises(PlanError, match="missing graph input"):
         plan.run({})
     feed = example_inputs(model)
-    with pytest.raises(PlanError, match="not available"):
-        plan.run(feed, outputs=["no_such_value"])
+    with pytest.raises(PlanError, match="not a graph output"):
+        plan.run(feed, out={"no_such_value": np.empty(1, np.float32)})
 
 
 def test_plan_checks_supported_ops_at_build_time():
@@ -203,7 +203,7 @@ def test_fed_initializer_is_not_a_constant_of_that_signature():
     assert plan.stats()["arena"]["signatures"] == 2
 
 
-def test_a_feed_dtype_the_ir_cannot_name_runs_unplanned():
+def test_a_feed_dtype_the_ir_cannot_name_runs_without_a_slab():
     b = GraphBuilder("odd_dtype", seed=0)
     x = b.input("x", (1, 4096))
     b.output(b.node("Abs", [b.node("Add", [x, x])]))
@@ -222,35 +222,76 @@ def test_a_feed_dtype_the_ir_cannot_name_runs_unplanned():
 def test_profiler_plan_engine_reports_alloc_accounting():
     model = build_diamond_model()
     feed = example_inputs(model)
-    profile = profile_model(model, feed, num_runs=3, warmup=2, engine="plan")
-    assert profile.engine == "plan"
-    assert profile.arena_stats is not None
+    profile = profile_model(model, feed, num_runs=3, warmup=2)
     assert profile.arena_stats["allocations"] > 0
     # after two warmup runs the signature's slab is packed and the scratch
     # has grown: the measured runs must not have allocated either
     assert profile.arena_allocs_during_runs == 0
-    via_interp = profile_model(model, feed, num_runs=1, warmup=0)
-    assert via_interp.engine == "interpreter"
-    assert via_interp.arena_stats is None and via_interp.arena_allocs_during_runs is None
-
-
-def test_trace_hook_reports_every_node_when_unfused():
-    model = build_diamond_model()
-    plan = ExecutionPlan(model, fuse=False)
-    seen = []
-    plan.run(example_inputs(model), trace_hook=lambda node, s: seen.append(node.name))
-    assert sorted(seen) == sorted(n.name for n in model.graph.nodes)
 
 
 def test_profiler_plan_engine_matches_interpreter_node_set():
     model = build_diamond_model()
     feed = example_inputs(model)
-    via_plan = profile_model(model, feed, num_runs=2, warmup=1, engine="plan")
-    via_interp = profile_model(model, feed, num_runs=2, warmup=1)
-    assert set(via_plan.ops) == set(via_interp.ops)
-    assert all(op.samples_s for op in via_plan.ops.values())
-    with pytest.raises(ValueError, match="unknown profiling engine"):
-        profile_model(model, feed, engine="turbo")
+    profile = profile_model(model, feed, num_runs=2, warmup=1)
+    assert set(profile.ops) == {node.name for node in model.graph.nodes}
+    assert all(len(op.samples_s) == 2 for op in profile.ops.values())
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_plan_spans_account_for_every_node(model_name):
+    """The tracer is the one per-step timer, so its spans must cover the
+    graph: one ``plan`` span per node per run unfused, and fused spans
+    whose head plus ``args["fused"]`` op types count every node once."""
+    from collections import Counter
+
+    from repro.observability import Tracer
+
+    model = MODEL_REGISTRY[model_name].build(variant="small")
+    feed = example_inputs(model, seed=1)
+    nodes = model.graph.nodes
+    runs = 2
+    for fuse in (False, True):
+        plan = ExecutionPlan(model, fuse=fuse)
+        tracer = Tracer(capacity=4 * runs * len(nodes) + 64)
+        plan.enable_tracing(tracer)
+        for _ in range(runs):
+            plan.run(feed)
+        spans = [event for event in tracer.events() if event.cat == "plan"]
+        heads = Counter(event.args["node"] for event in spans)
+        ops = Counter()
+        for event in spans:
+            ops[event.args["op"]] += 1
+            fused = event.args.get("fused")
+            if fused:
+                ops.update(fused.split("+"))
+        if not fuse:
+            assert len(spans) == runs * len(nodes)
+            assert heads == Counter({node.name: runs for node in nodes})
+        assert set(heads.values()) == {runs}
+        assert ops == Counter({op: runs * count for op, count in
+                               Counter(node.op_type for node in nodes).items()})
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_profile_model_covers_every_node(model_name):
+    """Regression: profiling a fused plan session timed only the fused
+    steps' heads, so the simulator got measured costs for some nodes and
+    static units for the rest.  Model and session forms both profile a
+    fusion-free plan now, which covers the profiled graph's node set."""
+    from repro.runtime.session import create_session
+
+    model = MODEL_REGISTRY[model_name].build(variant="small")
+    feed = example_inputs(model, seed=2)
+    session = create_session(model)
+    try:
+        for subject, graph in ((model, model.graph), (session, session.plan.graph)):
+            profile = profile_model(subject, feed, num_runs=2, warmup=1)
+            names = {node.name for node in graph.nodes}
+            assert set(profile.ops) == names
+            assert set(profile.cost_provider()) == names
+            assert profile.arena_allocs_during_runs == 0
+    finally:
+        session.close()
 
 
 # ---------------------------------------------------------------------------
@@ -388,39 +429,6 @@ def test_fused_tail_on_scalar_chain_value_stays_out_of_place():
         outputs = plan.run(feed)
         for name, ref in reference.items():
             np.testing.assert_array_equal(outputs[name], ref)
-
-
-def test_requested_intermediate_survives_intra_run_slot_reuse():
-    """Regression: a requested intermediate whose slab range dies mid-run
-    must not be clobbered by a later step packed onto the same bytes."""
-    b = GraphBuilder("pin_intermediate", seed=0)
-    x = b.input("x", (1, 4096))
-    a = b.node("Add", [x, x])        # slab-eligible, >4 KB
-    r = b.node("Relu", [a])          # last consumer of a -> its range frees
-    s = b.node("Sub", [r, x])        # same size: packed onto a's range
-    out = b.node("Mul", [s, s])
-    b.output(out)
-    model = b.build()
-    feed = {"x": np.random.default_rng(2).standard_normal((1, 4096)).astype(np.float32)}
-    expected = GraphExecutor(model).run(feed, outputs=[a])[a]
-    plan = ExecutionPlan(model, fuse=False)
-    plan.run(feed)  # a and s now share a slab range
-    got = plan.run(feed, outputs=[a])[a]
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_requested_intermediates_are_never_slab_backed():
-    """Explicitly requested intermediates must survive the next run."""
-    model = build_chain_model()
-    plan = ExecutionPlan(model, fuse=False)  # keep every intermediate addressable
-    inner = model.graph.nodes[1].outputs[0]
-    feed = example_inputs(model, seed=0)
-    expected = GraphExecutor(model).run(feed, outputs=[inner])[inner]
-    got = plan.run(feed, outputs=[inner])[inner]
-    snapshot = got.copy()
-    plan.run(example_inputs(model, seed=9))
-    np.testing.assert_array_equal(got, snapshot)
-    np.testing.assert_array_equal(got, expected)
 
 
 def _nonzero_model(head: str):

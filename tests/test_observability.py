@@ -30,7 +30,7 @@ from repro.observability import (
     Tracer,
 )
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.profiler import profile_model, profile_plan_steps, summarize_kinds
+from repro.runtime.profiler import profile_plan_steps, summarize_kinds
 from repro.runtime.session import create_session
 from repro.serving import EngineConfig, InferenceEngine, example_inputs
 from repro.serving.metrics import ServingMetrics
@@ -427,7 +427,8 @@ class TestTracedExecutionIdentity:
     def test_traced_warm_plan_stays_zero_alloc(self):
         model = small_model()
         feed = example_inputs(model, batch_size=2, seed=1)
-        plan = ExecutionPlan(model, tracer=Tracer())
+        plan = ExecutionPlan(model)
+        plan.enable_tracing(Tracer())
         for _ in range(2):
             plan.run(feed)
         allocs_warm = plan.stats()["arena"]["allocations"]
@@ -474,16 +475,6 @@ class TestTracedExecutionIdentity:
         assert steps < kinds < printed.index("-- metrics --")
         assert "conv.pointwise" in printed[kinds:] and "share" in printed[kinds:]
 
-    def test_profile_model_plan_fused_engine(self):
-        model = small_model()
-        feed = example_inputs(model, batch_size=1, seed=2)
-        profile = profile_model(model, feed, num_runs=2, warmup=1,
-                                engine="plan-fused")
-        assert profile.engine == "plan-fused"
-        assert profile.ops
-        assert profile.wall_time_s > 0
-        assert profile.arena_stats is not None
-
 
 # ---------------------------------------------------------------------------
 # One registry across serving + arena + binding
@@ -527,7 +518,7 @@ class TestRegistryUnification:
         # queueing span (the admission queue is the only place it waits)
         names = {e.name for e in tracer.events()}
         assert {"request.submit", "request", "qos.queue",
-                "batch.execute", "session.run_with_binding"} <= names
+                "batch.execute", "session.run"} <= names
         assert "request.queue" not in names
         assert any(e.cat == "plan" for e in tracer.events())
 

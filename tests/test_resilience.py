@@ -40,7 +40,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
-    InjectedFault,
     PoolSupervisor,
     ResilienceConfig,
     ResilientDispatcher,
@@ -249,13 +248,6 @@ class TestFaultInjector:
 
         assert draws(3) == draws(3)
         assert any(draws(3)) and not all(draws(3))
-
-    def test_fire_raises_in_process(self):
-        injector = FaultInjector([FaultSpec(site="s", kind="exc",
-                                            message="inline")])
-        with pytest.raises(InjectedFault, match="inline"):
-            injector.fire("s")
-        injector.fire("s")  # schedule exhausted: no-op
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

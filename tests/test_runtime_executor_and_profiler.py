@@ -83,12 +83,6 @@ class TestExecutor:
                                 count_include_pad=True)
         np.testing.assert_array_equal(got, expected)
 
-    def test_trace_hook_called_per_node(self, diamond_model, rng):
-        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
-        seen = []
-        GraphExecutor(diamond_model).run({"x": x}, trace_hook=lambda node, s: seen.append(node.name))
-        assert len(seen) == diamond_model.num_nodes
-
     def test_node_failure_reports_node_name(self):
         b = GraphBuilder("bad", seed=0)
         x = b.input("x", (1, 4))

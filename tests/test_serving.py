@@ -693,21 +693,23 @@ class TestSessionServing:
                 ]
 
             batch = requests(seed=10)
-            binding = stacker(batch)
+            staged = stacker(batch)
             expected = stack_requests(batch)
-            staged = {name: binding.inputs[name] for name in expected}
+            assert set(staged) == set(expected)
             for name, ref in expected.items():
                 np.testing.assert_array_equal(staged[name], ref)
             first_buffers = {id(buf) for buf in stacker.staging_buffers}
             # a second batch of the same shape reuses the pinned staging
             batch2 = requests(seed=20)
-            binding2 = stacker(batch2)
+            staged2 = stacker(batch2)
             assert {id(buf) for buf in stacker.staging_buffers} == first_buffers
             expected2 = stack_requests(batch2)
             for name, ref in expected2.items():
-                np.testing.assert_array_equal(binding2.inputs[name], ref)
-            # and the bound run agrees with the plain-feed run
-            outputs = artifact.session.run_with_binding(binding2)
+                np.testing.assert_array_equal(staged2[name], ref)
+                assert any(np.shares_memory(staged2[name], buf)
+                           for buf in stacker.staging_buffers)
+            # and the staged run agrees with the concatenated-feed run
+            outputs = artifact.session.run(staged2)
             reference = artifact.session.run(expected2)
             for name, ref in reference.items():
                 np.testing.assert_array_equal(outputs[name], ref)
@@ -736,9 +738,9 @@ class TestSessionServing:
                                                rtol=1e-5, atol=1e-6)
 
     def test_castable_dtype_requests_still_serve_when_fused(self):
-        """Requests whose dtype passes serving validation but not the
-        binding's strict declared-dtype check must keep serving via the
-        stacker's plain-feed fallback, fused batches included."""
+        """Requests whose dtype passes serving validation but differs from
+        the declared one (a castable dtype the kernels accept) must keep
+        serving, fused batches included."""
         model = build_diamond_model()  # declares float32 input
         with tiny_engine() as engine:
             feeds = [{"x": example_inputs(model, seed=s)["x"].astype(np.float64)}

@@ -411,14 +411,13 @@ class TestUnifiedSurface:
         session = plan_session(model)
         session.run(feed)  # warm outside the profile
         profile = profile_model(session, feed, num_runs=2, warmup=1)
-        assert profile.engine == "session:plan"
-        assert profile.arena_stats is not None
+        assert set(profile.ops) == {node.name for node in session.plan.graph.nodes}
         assert profile.arena_allocs_during_runs == 0
-        via_interp = profile_model(
-            create_session(ramiel_compile(model, config=PipelineConfig(
-                generate_code=False, build_plan=False)), executor="interp"),
-            feed, num_runs=1)
-        assert via_interp.engine == "session:interp"
+        with pytest.raises(ValueError, match="in-process"):
+            profile_model(
+                create_session(ramiel_compile(model, config=PipelineConfig(
+                    generate_code=False, build_plan=False)), executor="interp"),
+                feed, num_runs=1)
 
     def test_profile_model_rejects_pool_sessions(self):
         result = ramiel_compile(build_diamond_model())
