@@ -2,18 +2,42 @@
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import importlib.util
+import os
+import shutil
 import tempfile
 import types
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.codegen.ssa import sanitize_identifier
 
 #: Counter ensuring unique module names within one interpreter session even
 #: when the same model is generated repeatedly (tests do this a lot).
 _module_counter = 0
+#: ``(pid, path)`` of the directory modules go to when none is given
+_process_dir: Optional[Tuple[int, str]] = None
+
+
+def _default_directory() -> str:
+    """This process's directory for generated modules, made on first use.
+
+    It is removed at exit by the process that made it: a forked child
+    inherits the exit hook, and makes a directory of its own on first use.
+    """
+    global _process_dir
+    pid = os.getpid()
+    if _process_dir is None or _process_dir[0] != pid:
+        _process_dir = (pid, tempfile.mkdtemp(prefix="ramiel_codegen_"))
+        atexit.register(_remove_directory, *_process_dir)
+    return _process_dir[1]
+
+
+def _remove_directory(owner: int, path: str) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 @dataclasses.dataclass
@@ -34,9 +58,10 @@ class GeneratedModule:
 def write_module(source: str, name: str, directory: Optional[str] = None) -> GeneratedModule:
     """Write generated source to ``<directory>/<name>.py`` and import it.
 
-    When ``directory`` is omitted a temporary directory is used (kept for the
-    lifetime of the process so that multiprocessing workers started with the
-    ``fork`` method can still resolve the module file).
+    When ``directory`` is omitted the file is ``<name>_<n>.py`` in one
+    temporary directory per process, kept for the lifetime of the process
+    (so that workers started with the ``fork`` method can still resolve the
+    module file) and removed at its exit.
     """
     global _module_counter
     _module_counter += 1
@@ -44,7 +69,8 @@ def write_module(source: str, name: str, directory: Optional[str] = None) -> Gen
     unique_name = f"ramiel_generated_{safe_name}_{_module_counter}"
 
     if directory is None:
-        directory = tempfile.mkdtemp(prefix="ramiel_codegen_")
+        directory = _default_directory()
+        safe_name = f"{safe_name}_{_module_counter}"
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{safe_name}.py"

@@ -14,7 +14,7 @@ recoverable from the SSA variable names.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.ir.node import OpNode
 from repro.ir.opset import render
@@ -27,3 +27,21 @@ class LoweringError(NotImplementedError):
 def lower_node(node: OpNode, input_exprs: Sequence[str], output_vars: Sequence[str]) -> List[str]:
     """Lower one node to Python statements assigning ``output_vars``."""
     return render(node, input_exprs, output_vars, LoweringError)
+
+
+def shared_lowering() -> Callable[[OpNode, Sequence[str], Sequence[str]], List[str]]:
+    """:func:`lower_node` remembered for one compile.
+
+    The sequential and the parallel module name a node's values alike, so
+    with one of these shared between them each node is rendered once.
+    """
+    statements: Dict[Tuple, List[str]] = {}
+
+    def lower(node: OpNode, input_exprs: Sequence[str], output_vars: Sequence[str]) -> List[str]:
+        key = (node.name, tuple(input_exprs), tuple(output_vars))
+        found = statements.get(key)
+        if found is None:
+            found = statements[key] = lower_node(node, input_exprs, output_vars)
+        return found
+
+    return lower

@@ -14,7 +14,7 @@ process (or thread) per cluster lives in :mod:`repro.runtime.worker_pool`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.clustering.cluster import Clustering
 from repro.codegen.emitter import CodeEmitter
@@ -28,8 +28,10 @@ class _ClusterCodegen:
     """Generates one cluster function."""
 
     def __init__(self, graph: Graph, clustering: Clustering, cluster_index: int,
-                 node_of: Dict[str, object], owner: Dict[str, int]) -> None:
+                 node_of: Dict[str, object], owner: Dict[str, int],
+                 lower: Callable[..., List[str]]) -> None:
         self.graph = graph
+        self.lower = lower
         self.clustering = clustering
         self.cluster = clustering.clusters[cluster_index]
         self.cluster_index = cluster_index
@@ -96,7 +98,7 @@ class _ClusterCodegen:
                 input_exprs = [self._value_expr(v) for v in node.present_inputs]
                 output_vars = [self.namer.name_for(out) for out in node.outputs if out]
                 em.comment(f"{node.op_type} node {node.name!r}")
-                for stmt in lower_node(node, input_exprs, output_vars):
+                for stmt in self.lower(node, input_exprs, output_vars):
                     em.line(stmt)
 
                 # Send every output needed by a remote cluster (once per
@@ -174,6 +176,12 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
     after pruning/cloning transformations that are already reflected in the
     model).
     """
+    return parallel_source(model, clustering, lower_node)
+
+
+def parallel_source(model: Model, clustering: Clustering,
+                    lower: Callable[..., List[str]]) -> str:
+    """:func:`generate_parallel_source`, printing each node with ``lower``."""
     graph = model.graph
     node_of = {node.name: node for node in graph.nodes}
     missing = [name for c in clustering.clusters for name in c.nodes if name not in node_of]
@@ -214,7 +222,7 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
     cluster_inputs: Dict[int, List[str]] = {}
     cluster_outputs: Dict[int, List[str]] = {}
     for index in range(clustering.num_clusters):
-        codegen = _ClusterCodegen(graph, clustering, index, node_of, owner)
+        codegen = _ClusterCodegen(graph, clustering, index, node_of, owner, lower)
         produced = codegen.emit(em, producers, consumers_of, outputs_needed)
         cluster_inputs[index] = codegen.graph_inputs_read
         cluster_outputs[index] = produced

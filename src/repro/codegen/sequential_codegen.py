@@ -8,13 +8,14 @@ the functional reference the parallel code is compared to in tests.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.codegen.emitter import CodeEmitter
 from repro.codegen.op_lowering import lower_node
 from repro.codegen.ssa import SSANamer
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
+from repro.ir.node import OpNode
 
 
 def _value_expr(name: str, graph: Graph, namer: SSANamer) -> str:
@@ -32,6 +33,14 @@ def _value_expr(name: str, graph: Graph, namer: SSANamer) -> str:
 
 def generate_sequential_source(model: Model, function_name: str = "run") -> str:
     """Generate the source of a sequential inference module for a model."""
+    return sequential_source(model, topological_sort_nodes(model.graph), lower_node,
+                             function_name)
+
+
+def sequential_source(model: Model, order: Sequence[OpNode],
+                      lower: Callable[..., List[str]], function_name: str = "run") -> str:
+    """:func:`generate_sequential_source` over a given topological ``order``
+    of the model's nodes, printing each node with ``lower``."""
     graph = model.graph
     namer = SSANamer()
     em = CodeEmitter()
@@ -63,11 +72,11 @@ def generate_sequential_source(model: Model, function_name: str = "run") -> str:
             "    Mapping of initializer name to numpy array (see\n"
             "    ``Model.graph.initializers``).\n"
         )
-        for node in topological_sort_nodes(graph):
+        for node in order:
             input_exprs = [_value_expr(name, graph, namer) for name in node.present_inputs]
             output_vars = [namer.name_for(out) for out in node.outputs if out]
             em.comment(f"{node.op_type} node {node.name!r}")
-            for stmt in lower_node(node, input_exprs, output_vars):
+            for stmt in lower(node, input_exprs, output_vars):
                 em.line(stmt)
         em.line("return {")
         em.indent()

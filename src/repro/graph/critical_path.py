@@ -92,6 +92,7 @@ def critical_path(
 def critical_path_length(
     dfg: DataflowGraph,
     include_edge_cost: bool = True,
+    distance_to_end: Optional[Dict[str, float]] = None,
 ) -> float:
     """Weighted length of the critical path (the paper's ``Wt. CP``).
 
@@ -100,7 +101,7 @@ def critical_path_length(
     """
     if len(dfg) == 0:
         return 0.0
-    dist = compute_distance_to_end(dfg, include_edge_cost)
+    dist = distance_to_end or compute_distance_to_end(dfg, include_edge_cost)
     sources = dfg.source_nodes()
     candidates = sources if sources else dfg.node_names()
     return max(dist[name] for name in candidates)

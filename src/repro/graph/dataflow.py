@@ -10,12 +10,13 @@ tensor dependence between a producer and a consumer becomes a
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclasses.dataclass
@@ -224,8 +225,13 @@ class DataflowGraph:
                 out.add_edge(edge.src, edge.dst, edge.tensor, edge.nbytes, edge.cost)
         return out
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph` (node costs as attributes)."""
+    def to_networkx(self) -> "nx.DiGraph":
+        """Export to a :class:`networkx.DiGraph` (node costs as attributes).
+
+        networkx is a test-only dependency, imported here on first use.
+        """
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for node in self._nodes.values():
             g.add_node(node.name, op_type=node.op_type, cost=node.cost, replica=node.replica)

@@ -14,10 +14,15 @@ the graph is parallelized.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.graph.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.graph.critical_path import critical_path, critical_path_length, path_cost
+from repro.graph.critical_path import (
+    compute_distance_to_end,
+    critical_path,
+    critical_path_length,
+    path_cost,
+)
 from repro.graph.dataflow import DataflowGraph, model_to_dataflow
 from repro.ir.model import Model
 
@@ -75,13 +80,22 @@ def potential_parallelism(
         dfg = model_to_dataflow(source, cost_model=cm)
     else:
         raise TypeError(f"expected Model or DataflowGraph, got {type(source)!r}")
+    return parallelism_and_distances(dfg, include_edge_cost)[0]
 
-    cp_nodes = critical_path(dfg, include_edge_cost=include_edge_cost)
+
+def parallelism_and_distances(
+    dfg: DataflowGraph,
+    include_edge_cost: bool = True,
+) -> Tuple[ParallelismReport, Dict[str, float]]:
+    """:func:`potential_parallelism` of ``dfg`` and the ``distance_to_end``
+    table it was computed from (linear clustering walks the same table)."""
+    dist = compute_distance_to_end(dfg, include_edge_cost)
+    cp_nodes = critical_path(dfg, dist, include_edge_cost)
     cp_cost = path_cost(dfg, cp_nodes, include_edge_cost=include_edge_cost)
     # The true CP length may exceed the greedy path's cost in rare tie cases;
     # use the DP value as ground truth but keep the node count of the path.
-    cp_cost = max(cp_cost, critical_path_length(dfg, include_edge_cost=include_edge_cost))
-    return ParallelismReport(
+    cp_cost = max(cp_cost, critical_path_length(dfg, include_edge_cost, dist))
+    report = ParallelismReport(
         model_name=dfg.name,
         num_nodes=len(dfg),
         num_edges=dfg.num_edges(),
@@ -89,3 +103,4 @@ def potential_parallelism(
         critical_path_cost=cp_cost,
         critical_path_nodes=len(cp_nodes),
     )
+    return report, dist

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import inspect
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -372,13 +374,32 @@ def _literal(value: Any, error: type) -> str:
     raise error(f"cannot render attribute value {value!r} as a literal")
 
 
+@functools.lru_cache(maxsize=None)
+def _default_literals(fn: str) -> Dict[str, str]:
+    """The keyword defaults of ``F.<fn>``'s own signature, as literals.
+
+    Read once per function: they depend on the code only.
+    """
+    import repro.runtime.functional as F
+
+    literals = {}
+    for param in inspect.signature(getattr(F, fn)).parameters.values():
+        try:
+            literals[param.name] = _literal(param.default, TypeError)
+        except TypeError:
+            pass  # no default, or none a literal can spell
+    return literals
+
+
 def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
            error: type = KeyError) -> List[str]:
     """Print ``node`` as Python statements assigning ``output_vars``.
 
     ``input_exprs`` are the expressions of the node's present inputs and
     ``output_vars`` the variables of its named outputs.  The statement is
-    the call :func:`bind` makes, with the resolved parameters as literals.
+    the call :func:`bind` makes, with the resolved parameters as literals;
+    a keyword whose literal is the called function's own default is left
+    out.
     """
     schema = _schema_of(node, error)
     lead, operands, trail, keywords, _ = _resolve(schema, node, error)
@@ -392,7 +413,10 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
         return schema.emit(args, list(output_vars), **named)
     if schema.variadic == "list":
         args = [f"[{', '.join(args)}]"]
-    args = text(lead) + args + text(trail) + [f"{key}={value}" for key, value in named.items()]
+    defaults = _default_literals(schema.fn)
+    args = text(lead) + args + text(trail) + [
+        f"{key}={value}" for key, value in named.items()
+        if type(keywords[key]) is _Input or defaults.get(key) != value]
     if schema.num_outputs == 1:
         targets = output_vars[0]
     else:

@@ -32,16 +32,14 @@ from repro.clustering.cluster import Clustering
 from repro.clustering.placement import fold_onto_workers
 from repro.clustering.schedule import ScheduleResult, ScheduleSimulator, SimulationConfig
 from repro.clustering.validation import validate_clustering
-from repro.codegen import (
-    GeneratedModule,
-    generate_parallel_module,
-    generate_parallel_source,
-    generate_sequential_module,
-    generate_sequential_source,
-)
+from repro.codegen import GeneratedModule, generate_parallel_module, write_module
+from repro.codegen.op_lowering import shared_lowering
+from repro.codegen.parallel_codegen import parallel_source
+from repro.codegen.sequential_codegen import sequential_source
 from repro.graph.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.graph.dataflow import DataflowGraph, model_to_dataflow
-from repro.graph.parallelism import ParallelismReport, potential_parallelism
+from repro.graph.parallelism import ParallelismReport, parallelism_and_distances
+from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Model
 from repro.passes import optimize_model
 from repro.runtime.plan import ExecutionPlan, PlanError
@@ -340,12 +338,12 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     # 3. Model2Graph conversion + distance pass + potential parallelism.
     start = time.perf_counter()
     dfg = model_to_dataflow(optimized, cost_model=config.cost_model)
-    parallelism = potential_parallelism(dfg, cost_model=config.cost_model)
+    parallelism, distance_to_end = parallelism_and_distances(dfg)
     stage_times["graph"] = time.perf_counter() - start
 
     # 4. Linear clustering + merging.
     start = time.perf_counter()
-    lc = linear_clustering(dfg)
+    lc = linear_clustering(dfg, distance_to_end=distance_to_end)
     merged = merge_clusters_fixpoint(lc)
     stage_times["clustering"] = time.perf_counter() - start
 
@@ -388,13 +386,19 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     # 8. Code generation (sequential + parallel), batch-size-1 graphs only:
     #    hyperclusters describe replicated graphs whose code generation would
     #    require replicated inputs; the paper also generates code per sample.
+    #    Both modules print each node from one render, in the plan's
+    #    topological order when there is a plan.
     sequential_module = None
     parallel_module = None
     if config.generate_code:
         start = time.perf_counter()
-        sequential_module = generate_sequential_module(optimized, directory=config.output_dir)
-        parallel_module = generate_parallel_module(optimized, merged,
-                                                   directory=config.output_dir)
+        order = (execution_plan.order if execution_plan is not None
+                 else topological_sort_nodes(optimized.graph))
+        lower = shared_lowering()
+        sequential_module = write_module(sequential_source(optimized, order, lower),
+                                         f"{optimized.name}_sequential", config.output_dir)
+        parallel_module = write_module(parallel_source(optimized, merged, lower),
+                                       f"{optimized.name}_parallel", config.output_dir)
         stage_times["codegen"] = time.perf_counter() - start
 
     compile_time = time.perf_counter() - total_start

@@ -472,7 +472,8 @@ class ExecutionPlan:
             steps.append(_make_step(_make_head(head_bound, node.present_inputs),
                                     tail, writes[0]))
 
-        self._order = order
+        #: the graph's nodes in the topological order the steps follow
+        self.order = order
         self._steps = steps
         self._step_nodes = step_nodes
         self._slot_last_use = slot_last_use
@@ -599,7 +600,7 @@ class ExecutionPlan:
         gets none and allocates.
         """
         try:
-            table = sweep_shapes(self.graph, self._order, fed)
+            table = sweep_shapes(self.graph, self.order, fed)
         except ValueError:  # a fed dtype the IR has no name for: nothing is known
             table = {}
 
@@ -737,7 +738,7 @@ class ExecutionPlan:
         """
         return {
             "model": self.model_name,
-            "nodes": len(self._order),
+            "nodes": len(self.order),
             "steps": len(self._steps),
             "fused_nodes": len(self._tails),
             "arena_steps": sum(last is not None for last in self._slot_last_use),

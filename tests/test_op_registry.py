@@ -9,6 +9,9 @@ parameter — and that the declared defaults are the ONNX defaults.
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ import repro.runtime.functional as F
 from repro.codegen import LoweringError, lower_node
 from repro.ir import GraphBuilder, OpNode
 from repro.ir.dtypes import numpy_to_dtype
-from repro.ir.opset import attr_value, bind, get_schema, registered_ops
+from repro.ir.opset import _resolve, attr_value, bind, get_schema, registered_ops
 from repro.runtime import ExecutionError, ExecutionPlan, GraphExecutor, PlanError
 
 _RNG = np.random.default_rng(13)
@@ -286,6 +289,44 @@ def test_plan_agrees_mid_graph_when_the_feed_is_retyped(dtype):
             plan = ExecutionPlan(model)
             for round_ in ("first run", "second run"):
                 _assert_identical(plan.run(feed), reference, f"{op} {dtype} {round_}")
+
+
+#: cases printed as one ``F.<fn>(...)`` call (not by an ``emit`` of their own)
+_CALLS = [p for p in CASES if get_schema(p.values[0]).emit is None]
+
+
+def _plain(value):
+    return list(value) if isinstance(value, (list, tuple)) else value
+
+
+@pytest.mark.parametrize("op, inputs, outputs, attrs", _CALLS)
+def test_render_leaves_out_only_the_callees_defaults(op, inputs, outputs, attrs):
+    """A keyword missing from the generated call is one whose value is the
+    called function's own signature default, so the call means the same."""
+    model, _ = _build(op, inputs, outputs, attrs)
+    (node,) = model.graph.nodes
+    schema = get_schema(op)
+    keywords = _resolve(schema, node, KeyError)[3]
+    exprs = [f"v_in{index}" for index, _ in enumerate(node.present_inputs)]
+    variables = [f"v_{index}" for index, name in enumerate(node.outputs) if name]
+    (stmt,) = lower_node(node, exprs, variables)
+    passed = {kw.arg for kw in ast.parse(stmt).body[0].value.keywords}
+    signature = inspect.signature(getattr(F, schema.fn)).parameters
+    for key, value in keywords.items():
+        if key in passed:
+            continue
+        default = signature[key].default
+        assert _plain(value) == _plain(default), (op, key, value, default)
+        assert type(_plain(value)) is type(_plain(default)), (op, key, value, default)
+
+
+def test_defaulted_keywords_are_left_out():
+    node = OpNode("Conv", ["x", "w", "b"], ["y"])
+    assert lower_node(node, ["v_x", "v_w", "v_b"], ["v_y"]) == [
+        "v_y = F.conv2d(v_x, v_w, v_b)"]
+    # The declaration's default is not the callee's: F.split's is parts=None.
+    split = OpNode("Split", ["x"], ["a", "b"])
+    assert lower_node(split, ["v_x"], ["v_a", "v_b"]) == ["v_a, v_b = F.split(v_x, parts=2)"]
 
 
 def test_every_registered_op_has_a_case():
