@@ -183,13 +183,12 @@ POOL_PARITY_GATE = 1.25
 
 def _measure_pool(model_name: str) -> Dict:
     from repro.observability.merge import merge_traces
-    from repro.pipeline import PipelineConfig, ramiel_compile
+    from repro.pipeline import ramiel_compile
     from repro.runtime.worker_pool import WarmExecutorPool
 
     model = build_model(model_name, variant="default")
     feed = example_inputs(model, batch_size=PERF_BATCH, seed=1)
-    result = ramiel_compile(model, config=PipelineConfig(
-        generate_code=True, build_plan=False))
+    result = ramiel_compile(model)
     weights = result.optimized_model.graph.initializers
 
     pristine = WarmExecutorPool(result.parallel_module, weights)
@@ -279,14 +278,13 @@ HARDENED_PARITY_GATE = POOL_PARITY_GATE
 
 
 def _measure_hardened_pool(model_name: str) -> Dict:
-    from repro.pipeline import PipelineConfig, ramiel_compile
+    from repro.pipeline import ramiel_compile
     from repro.resilience import FaultInjector, PoolSupervisor
     from repro.runtime.worker_pool import WarmExecutorPool
 
     model = build_model(model_name, variant="default")
     feed = example_inputs(model, batch_size=PERF_BATCH, seed=1)
-    result = ramiel_compile(model, config=PipelineConfig(
-        generate_code=True, build_plan=False))
+    result = ramiel_compile(model)
     weights = result.optimized_model.graph.initializers
 
     pristine = WarmExecutorPool(result.parallel_module, weights)

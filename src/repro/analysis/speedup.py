@@ -248,7 +248,7 @@ def measured_speedup(
 
     config = config or ExperimentConfig()
     result = ramiel_compile(model, config=PipelineConfig(
-        build_plan=False, cost_model=config.cost_model,
+        cost_model=config.cost_model,
         num_cores=config.num_cores, message_latency=config.message_latency,
         per_cluster_overhead=config.per_cluster_overhead))
     seq_time, seq_out = time_callable(lambda: result.run_sequential(inputs),

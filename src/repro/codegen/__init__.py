@@ -15,8 +15,8 @@ This package mirrors that:
 * :func:`~repro.codegen.parallel_codegen.generate_parallel_module` —
   Algorithm 4: one function per cluster with ``queue.put()`` /
   ``queue.get()`` messages on cross-cluster dependences,
-* :mod:`~repro.codegen.module_writer` — materialize generated source as an
-  importable Python module.
+* :mod:`~repro.codegen.module_writer` — write generated source as a Python
+  module, imported on first use.
 """
 
 from repro.codegen.ssa import SSANamer

@@ -1,4 +1,10 @@
-"""Materialize generated source as importable Python modules."""
+"""Materialize generated source as Python modules, imported on first use.
+
+A compile writes its modules; it does not import them.  Byte-compiling and
+executing a generated module costs about as much as generating it, and most
+artifacts never run one (a ``plan`` session executes the optimized model
+directly), so the import is paid by whoever first touches the module.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,7 @@ import importlib.util
 import os
 import shutil
 import tempfile
+import threading
 import types
 from pathlib import Path
 from typing import Optional, Tuple
@@ -42,21 +49,44 @@ def _remove_directory(owner: int, path: str) -> None:
 
 @dataclasses.dataclass
 class GeneratedModule:
-    """A generated module: its source text, on-disk path and loaded module."""
+    """A generated module: its source text, its on-disk path, and the module
+    itself, imported from ``path`` on first use.
+
+    ``module`` or any attribute the module defines (``run``,
+    ``CLUSTER_FUNCTIONS``, ...) triggers the import — once, under a lock, so
+    threads racing on first access share one module.  An import error
+    (a ``SyntaxError`` names ``path``) surfaces at that first use.
+    """
 
     name: str
     source: str
     path: Path
-    module: types.ModuleType
+    _module: Optional[types.ModuleType] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = dataclasses.field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
+
+    @property
+    def module(self) -> types.ModuleType:
+        """The imported module (imported here on the first call)."""
+        if self._module is None:
+            with self._lock:
+                if self._module is None:
+                    self._module = load_module(self.path, self.name)
+        return self._module
 
     def __getattr__(self, item):
         # Delegate attribute access to the underlying module so callers can
-        # use the GeneratedModule as if it were the module itself.
+        # use the GeneratedModule as if it were the module itself; names
+        # with a leading underscore are the wrapper's own.
+        if item.startswith("_"):
+            raise AttributeError(item)
         return getattr(self.module, item)
 
 
 def write_module(source: str, name: str, directory: Optional[str] = None) -> GeneratedModule:
-    """Write generated source to ``<directory>/<name>.py`` and import it.
+    """Write generated source to ``<directory>/<name>.py``; it is imported
+    when the returned :class:`GeneratedModule` is first used.
 
     When ``directory`` is omitted the file is ``<name>_<n>.py`` in one
     temporary directory per process, kept for the lifetime of the process
@@ -75,9 +105,7 @@ def write_module(source: str, name: str, directory: Optional[str] = None) -> Gen
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{safe_name}.py"
     path.write_text(source, encoding="utf-8")
-
-    module = load_module(path, unique_name)
-    return GeneratedModule(name=unique_name, source=source, path=path, module=module)
+    return GeneratedModule(name=unique_name, source=source, path=path)
 
 
 def load_module(path, module_name: str) -> types.ModuleType:

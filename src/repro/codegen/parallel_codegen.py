@@ -250,7 +250,8 @@ def parallel_source(model: Model, clustering: Clustering,
 
 def generate_parallel_module(model: Model, clustering: Clustering,
                              directory: Optional[str] = None):
-    """Generate, write and import the parallel module; returns a GeneratedModule."""
+    """Generate and write the parallel module; returns a GeneratedModule
+    (imported on first use)."""
     from repro.codegen.module_writer import write_module
 
     source = generate_parallel_source(model, clustering)

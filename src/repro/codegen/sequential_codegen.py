@@ -88,7 +88,8 @@ def sequential_source(model: Model, order: Sequence[OpNode],
 
 
 def generate_sequential_module(model: Model, directory: Optional[str] = None):
-    """Generate, write and import the sequential module; returns a GeneratedModule."""
+    """Generate and write the sequential module; returns a GeneratedModule
+    (imported on first use)."""
     from repro.codegen.module_writer import write_module
 
     source = generate_sequential_source(model)

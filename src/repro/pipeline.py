@@ -42,7 +42,7 @@ from repro.graph.parallelism import ParallelismReport, parallelism_and_distances
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Model
 from repro.passes import optimize_model
-from repro.runtime.plan import ExecutionPlan, PlanError
+from repro.runtime.plan import ExecutionPlan
 
 
 @dataclasses.dataclass
@@ -59,9 +59,6 @@ class PipelineConfig:
     switched_hyperclusters: bool = False
     #: generate code (can be disabled for analysis-only runs)
     generate_code: bool = True
-    #: build an :class:`~repro.runtime.plan.ExecutionPlan` for the optimized
-    #: model (the serving engine's single-process fast path)
-    build_plan: bool = True
     #: directory for the generated modules (temporary when omitted)
     output_dir: Optional[str] = None
     #: static cost model
@@ -85,7 +82,8 @@ class Placement:
 
     #: the clustering the workers execute (``clustering.num_clusters`` workers)
     clustering: Clustering
-    #: its parallel module — the compiled one when nothing was folded
+    #: its parallel module — the compiled one when nothing was folded;
+    #: written here, imported when the workers are started
     module: GeneratedModule
     #: simulated speedup of spreading over the cores offered; at or below
     #: 1.0 the placement is a single worker instead
@@ -182,8 +180,11 @@ class RamielResult:
         return placed
 
     def plan(self) -> ExecutionPlan:
-        """The compiled artifact's execution plan (built on first access when
-        the pipeline ran with ``build_plan=False`` or plan building failed)."""
+        """The compiled artifact's execution plan, built on the first call
+        and cached in ``execution_plan``; a compile does not build it.
+
+        Raises :class:`~repro.runtime.plan.PlanError` when the numpy runtime
+        cannot execute the optimized model."""
         if self.execution_plan is None:
             self.execution_plan = ExecutionPlan(self.optimized_model)
         return self.execution_plan
@@ -256,7 +257,7 @@ def model_fingerprint(model: Model) -> str:
 def config_fingerprint(config: PipelineConfig) -> str:
     """Stable hash of the compilation-relevant fields of a :class:`PipelineConfig`.
 
-    ``output_dir``, ``generate_code`` and ``build_plan`` are deliberately
+    ``output_dir`` and ``generate_code`` are deliberately
     excluded: they change where/whether artifacts are materialized but not
     what is compiled, so artifacts compiled under different output
     directories can share a cache entry.  The cost model participates through its ``repr`` — two configs
@@ -369,34 +370,21 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     schedule = ScheduleSimulator(simulation).simulate(clustering)
     stage_times["simulate"] = time.perf_counter() - start
 
-    # 7. Execution-plan build: resolve handlers/attributes into bound
-    #    closures and precompute the buffer liveness for the
-    #    interpreter-replacing hot path.  Best-effort — a model with ops the
-    #    numpy runtime cannot execute still compiles (the plan is rebuilt
-    #    lazily, and fails with the same diagnostic, if actually requested).
-    execution_plan = None
-    if config.build_plan:
-        start = time.perf_counter()
-        try:
-            execution_plan = ExecutionPlan(optimized)
-        except PlanError:
-            execution_plan = None
-        stage_times["plan"] = time.perf_counter() - start
-
-    # 8. Code generation (sequential + parallel), batch-size-1 graphs only:
+    # 7. Code generation (sequential + parallel), batch-size-1 graphs only:
     #    hyperclusters describe replicated graphs whose code generation would
     #    require replicated inputs; the paper also generates code per sample.
-    #    Both modules print each node from one render, in the plan's
-    #    topological order when there is a plan.
+    #    Both modules print each node from one render; the sequential one in
+    #    the topological order an ExecutionPlan of the model follows.  The
+    #    modules are written, not imported: that, like building the plan
+    #    (RamielResult.plan), is paid on first use.
     sequential_module = None
     parallel_module = None
     if config.generate_code:
         start = time.perf_counter()
-        order = (execution_plan.order if execution_plan is not None
-                 else topological_sort_nodes(optimized.graph))
         lower = shared_lowering()
-        sequential_module = write_module(sequential_source(optimized, order, lower),
-                                         f"{optimized.name}_sequential", config.output_dir)
+        sequential_module = write_module(
+            sequential_source(optimized, topological_sort_nodes(optimized.graph), lower),
+            f"{optimized.name}_sequential", config.output_dir)
         parallel_module = write_module(parallel_source(optimized, merged, lower),
                                        f"{optimized.name}_parallel", config.output_dir)
         stage_times["codegen"] = time.perf_counter() - start
@@ -417,6 +405,5 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
         stage_times_s=stage_times,
         pruning_stats=pruning_stats,
         cloning_report=cloning_report,
-        execution_plan=execution_plan,
         simulation=simulation,
     )

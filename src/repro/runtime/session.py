@@ -535,8 +535,11 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         :class:`ExecutionPlan` (wrapped directly; ``"plan"`` only).
     config:
         Optional :class:`~repro.pipeline.PipelineConfig` used when
-        compiling a :class:`Model`; ``generate_code`` / ``build_plan`` are
-        derived from the executor.  Ignored for precompiled artifacts.
+        compiling a :class:`Model`; ``generate_code`` is derived from the
+        executor.  Ignored for precompiled artifacts.  A ``"plan"`` session
+        builds the artifact's plan (:meth:`RamielResult.plan`) on first
+        use; a ``"pool"`` / ``"process"`` session imports its placed
+        module, in this process, before any worker starts.
     executor:
         One of :func:`known_executors`:
 
@@ -580,9 +583,7 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
 
         pipeline_config = config if config is not None else PipelineConfig()
         pipeline_config = dataclasses.replace(
-            pipeline_config,
-            generate_code=executor in ("pool", "process"),
-            build_plan=executor == "plan")
+            pipeline_config, generate_code=executor in ("pool", "process"))
         result = ramiel_compile(obj, config=pipeline_config)
     elif hasattr(obj, "optimized_model"):  # a RamielResult, duck-typed to
         result = obj                       # avoid a circular pipeline import

@@ -600,8 +600,7 @@ class InferenceEngine:
         # generating the parallel module (and spawning its workers) is only
         # needed for the pool-backed executors.
         result = ramiel_compile(model, config=dataclasses.replace(
-            self.config.pipeline, generate_code=not in_process,
-            build_plan=executor == "plan"))
+            self.config.pipeline, generate_code=not in_process))
         # Run-level session spans (and per-step plan spans for "plan"
         # executors) nest inside the lane's batch.execute span;
         # pool-backed sessions additionally ship per-worker execute spans

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir import GraphBuilder
 from repro.models import MODEL_REGISTRY
-from repro.pipeline import PipelineConfig, ramiel_compile
+from repro.pipeline import ramiel_compile
 from repro.runtime import profile_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan, PlanError, pack_intervals
@@ -497,21 +497,19 @@ def test_pack_intervals_never_overlaps_live_ranges(raw):
 # ---------------------------------------------------------------------------
 # Pipeline / worker-pool integration
 # ---------------------------------------------------------------------------
-def test_ramiel_compile_carries_an_execution_plan():
+def test_ramiel_compile_leaves_the_plan_to_first_use():
     model = build_diamond_model()
     result = ramiel_compile(model)
-    assert result.execution_plan is not None
-    assert result.plan() is result.execution_plan  # cached, not rebuilt
-    assert "plan" in result.stage_times_s
-    feed = example_inputs(model, seed=4)
-    np.testing.assert_array_equal(
-        list(result.session().run(feed).values())[0],
-        list(GraphExecutor(result.optimized_model).run(feed).values())[0])
-
-
-def test_pipeline_build_plan_can_be_disabled_then_built_lazily():
-    model = build_diamond_model()
-    result = ramiel_compile(model, config=PipelineConfig(build_plan=False,
-                                                         generate_code=False))
     assert result.execution_plan is None
-    assert result.plan() is not None  # lazy build on demand
+    assert "plan" not in result.stage_times_s
+    plan = result.plan()
+    assert result.plan() is plan is result.execution_plan  # built once, cached
+    session = result.session()
+    assert session.plan is result.execution_plan
+    feed = example_inputs(model, seed=4)
+    got = session.run(feed)
+    want = GraphExecutor(result.optimized_model).run(feed)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        np.testing.assert_array_equal(got[name], want[name])

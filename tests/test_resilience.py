@@ -34,7 +34,7 @@ from tests.conftest import (
     build_wide_model,
     cached_artifacts,
 )
-from repro.pipeline import PipelineConfig, ramiel_compile
+from repro.pipeline import ramiel_compile
 from repro.resilience import (
     BreakerOpen,
     CircuitBreaker,
@@ -56,8 +56,7 @@ from repro.serving import EngineConfig, InferenceEngine, example_inputs
 
 
 def _compile(model):
-    return ramiel_compile(model, config=PipelineConfig(
-        generate_code=True, build_plan=False))
+    return ramiel_compile(model)
 
 
 @pytest.fixture(scope="module")

@@ -416,7 +416,7 @@ class TestUnifiedSurface:
         with pytest.raises(ValueError, match="in-process"):
             profile_model(
                 create_session(ramiel_compile(model, config=PipelineConfig(
-                    generate_code=False, build_plan=False)), executor="interp"),
+                    generate_code=False)), executor="interp"),
                 feed, num_runs=1)
 
     def test_profile_model_rejects_pool_sessions(self):

@@ -29,7 +29,7 @@ from repro.observability.merge import (
     merge_traces,
     write_merged_trace,
 )
-from repro.pipeline import PipelineConfig, ramiel_compile
+from repro.pipeline import ramiel_compile
 from repro.runtime.channels import (
     ChannelTelemetry,
     InstrumentedChannel,
@@ -46,8 +46,7 @@ from repro.serving import example_inputs
 @pytest.fixture(scope="module")
 def compiled():
     model = build_model("squeezenet", variant="small")
-    result = ramiel_compile(model, config=PipelineConfig(
-        generate_code=True, build_plan=False))
+    result = ramiel_compile(model)
     feed = example_inputs(model, seed=3)
     return model, result, feed
 
