@@ -83,7 +83,7 @@ class Placement:
     #: the clustering the workers execute (``clustering.num_clusters`` workers)
     clustering: Clustering
     #: its parallel module — the compiled one when nothing was folded;
-    #: written here, imported when the workers are started
+    #: imported when a session starts the workers
     module: GeneratedModule
     #: simulated speedup of spreading over the cores offered; at or below
     #: 1.0 the placement is a single worker instead
@@ -110,6 +110,7 @@ class RamielResult:
     stage_times_s: Dict[str, float]
     pruning_stats: Optional[dict]
     cloning_report: Optional[object]
+    #: built by :meth:`plan` on its first call
     execution_plan: Optional[ExecutionPlan] = None
     #: the simulator parameters ``schedule`` was predicted with
     simulation: SimulationConfig = dataclasses.field(default_factory=SimulationConfig)

@@ -536,10 +536,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
     config:
         Optional :class:`~repro.pipeline.PipelineConfig` used when
         compiling a :class:`Model`; ``generate_code`` is derived from the
-        executor.  Ignored for precompiled artifacts.  A ``"plan"`` session
-        builds the artifact's plan (:meth:`RamielResult.plan`) on first
-        use; a ``"pool"`` / ``"process"`` session imports its placed
-        module, in this process, before any worker starts.
+        executor.  Ignored for precompiled artifacts.  A compile builds no
+        plan and imports no module: creating a ``"plan"`` session builds the
+        artifact's plan unless an earlier call did
+        (:meth:`RamielResult.plan`), and a ``"pool"`` / ``"process"``
+        session imports its placed module, in this process, before any
+        worker starts.
     executor:
         One of :func:`known_executors`:
 
