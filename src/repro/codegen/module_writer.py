@@ -1,9 +1,15 @@
 """Materialize generated source as Python modules, imported on first use.
 
 A compile writes its modules; it does not import them.  Byte-compiling and
-executing a generated module costs about as much as generating it, and most
-artifacts never run one (a ``plan`` session executes the optimized model
-directly), so the import is paid by whoever first touches the module.
+executing a generated module costs about as much as generating it.  Where
+nothing runs the module (``ramiel compile``, a compile-only run, a ``plan``
+session, which executes the optimized model directly) that work is gone;
+elsewhere it moves to first use, e.g. to ``create_session`` for a ``pool``
+or ``process`` session.
+
+The import executes the text the :class:`GeneratedModule` holds, not the
+file: a later write to the same path (another compile of the same model
+into the same ``output_dir``) cannot change what an earlier result runs.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def _remove_directory(owner: int, path: str) -> None:
 @dataclasses.dataclass
 class GeneratedModule:
     """A generated module: its source text, its on-disk path, and the module
-    itself, imported from ``path`` on first use.
+    itself, imported from ``source`` (under ``path``'s name) on first use.
 
     ``module`` or any attribute the module defines (``run``,
     ``CLUSTER_FUNCTIONS``, ...) triggers the import — once, under a lock, so
@@ -72,7 +78,7 @@ class GeneratedModule:
         if self._module is None:
             with self._lock:
                 if self._module is None:
-                    self._module = load_module(self.path, self.name)
+                    self._module = load_module(self.path, self.name, self.source)
         return self._module
 
     def __getattr__(self, item):
@@ -108,12 +114,18 @@ def write_module(source: str, name: str, directory: Optional[str] = None) -> Gen
     return GeneratedModule(name=unique_name, source=source, path=path)
 
 
-def load_module(path, module_name: str) -> types.ModuleType:
-    """Import a Python file as a module under the given name."""
+def load_module(path, module_name: str, source: Optional[str] = None) -> types.ModuleType:
+    """Import a Python file as a module under the given name.
+
+    ``source``, when given, is executed in place of the file's contents;
+    ``__file__`` and any ``SyntaxError`` still name ``path``.
+    """
     path = Path(path)
+    if source is None:
+        source = path.read_text(encoding="utf-8")
     spec = importlib.util.spec_from_file_location(module_name, path)
-    if spec is None or spec.loader is None:  # pragma: no cover - importlib invariant
+    if spec is None:  # pragma: no cover - importlib invariant
         raise ImportError(f"cannot load generated module from {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    exec(compile(source, str(path), "exec"), module.__dict__)
     return module

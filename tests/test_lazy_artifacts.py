@@ -4,8 +4,9 @@
 :class:`ExecutionPlan`.  A :class:`GeneratedModule` imports its file on
 first use — once, whichever thread gets there first — and a process
 session imports its placed module before its workers fork.  An import
-error surfaces at first use, naming the file.  The plan built later
-follows the order the sequential module was printed in.
+error surfaces at first use, naming the file.  A result runs the text it
+was compiled to, even after another compile overwrote its files.  The
+plan built later follows the order the sequential module was printed in.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.codegen.module_writer as module_writer
+import repro.pipeline as pipeline
 from repro.codegen import write_module
 from repro.models import build_model, list_models
 from repro.pipeline import ramiel_compile
@@ -38,14 +40,14 @@ def _record_loads(monkeypatch, log=None, delay_s=0.0):
     original = module_writer.load_module
     loads = []
 
-    def recorded(path, name):
+    def recorded(path, name, source=None):
         time.sleep(delay_s)
         if log is None:
             loads.append((os.getpid(), str(path)))
         else:
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()} {path}\n")
-        return original(path, name)
+        return original(path, name, source)
 
     monkeypatch.setattr(module_writer, "load_module", recorded)
     return loads
@@ -120,12 +122,18 @@ def test_process_session_imports_its_placed_module_before_forking(
     assert log.read_text().splitlines() == [f"{os.getpid()} {placed.module.path}"]
 
 
-def test_a_broken_source_raises_at_first_use_naming_its_file(tmp_path):
+def test_a_broken_source_raises_at_first_use_naming_its_file(monkeypatch, tmp_path):
+    original = pipeline.sequential_source
+
+    def broken(*args):
+        return original(*args).replace(
+            "def run(inputs, weights):", "def run(inputs, weights:", 1)
+
+    monkeypatch.setattr(pipeline, "sequential_source", broken)
     model = build_model("squeezenet", variant="small")
-    result = ramiel_compile(model, output_dir=str(tmp_path))
+    result = ramiel_compile(model, output_dir=str(tmp_path))  # writes, does not import
     path = result.sequential_module.path
-    path.write_text(result.sequential_module.source.replace(
-        "def run(inputs, weights):", "def run(inputs, weights:", 1))
+    assert "def run(inputs, weights:" in path.read_text()
 
     feed = example_inputs(model)
     for _ in range(2):  # a failed import is not cached as a module
@@ -133,6 +141,29 @@ def test_a_broken_source_raises_at_first_use_naming_its_file(tmp_path):
             result.run_sequential(feed)
         assert excinfo.value.filename == str(path)
     result.run_parallel(feed)  # the other module is untouched
+
+
+@pytest.mark.parametrize("variant, clone", [("small", True), ("default", False)])
+def test_a_result_runs_its_own_code_after_its_files_are_overwritten(
+        tmp_path, variant, clone):
+    model = build_model("squeezenet", variant="small")
+    first = ramiel_compile(model, output_dir=str(tmp_path))
+    # same model name, same directory: the second compile's files replace the first's
+    second = ramiel_compile(build_model("squeezenet", variant=variant),
+                            output_dir=str(tmp_path), clone=clone)
+    assert second.parallel_module.path == first.parallel_module.path
+    assert first.parallel_module.path.read_text() != first.parallel_module.source
+
+    feed = example_inputs(model, seed=3)
+    want = create_session(first, executor="interp").run(feed)
+    for got in (first.run_sequential(feed), first.run_parallel(feed)):
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+    # the shared-memory channels a worker pool sizes fit this result's inputs
+    specs = first.parallel_module.CHANNEL_SPECS
+    assert {name: specs[name][0] for name in feed} == \
+        {name: value.shape for name, value in feed.items()}
 
 
 @pytest.mark.parametrize("name", list_models())
