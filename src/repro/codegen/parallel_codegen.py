@@ -10,17 +10,28 @@ after it is produced — exactly the structure of the paper's Fig. 11 snippet.
 The generated module is plain, readable Python with no dependency beyond
 numpy and :mod:`repro.runtime.functional`; the runtime that keeps one Python
 process (or thread) per cluster lives in :mod:`repro.runtime.worker_pool`.
+A statement is printed exactly as in the sequential module, ``out=out[i]``
+included (``i`` is the node's index in the model's topological order), so
+a cluster function run standalone allocates every intermediate, while a
+warm worker passes a table of views into its own liveness-packed slab.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.clustering.cluster import Clustering
 from repro.codegen.emitter import CodeEmitter
 from repro.codegen.op_lowering import lower_node
+from repro.codegen.sequential_codegen import (
+    DESTINATION_PARAMETERS_DOC,
+    destination_table_header,
+    destination_table_prologue,
+)
 from repro.codegen.ssa import SSANamer
+from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
+from repro.ir.node import OpNode
 from repro.runtime.channels import channel_name
 
 
@@ -29,9 +40,10 @@ class _ClusterCodegen:
 
     def __init__(self, graph: Graph, clustering: Clustering, cluster_index: int,
                  node_of: Dict[str, object], owner: Dict[str, int],
-                 lower: Callable[..., List[str]]) -> None:
+                 lower: Callable[..., List[str]], slots: Dict[str, int]) -> None:
         self.graph = graph
         self.lower = lower
+        self.slots = slots
         self.clustering = clustering
         self.cluster = clustering.clusters[cluster_index]
         self.cluster_index = cluster_index
@@ -68,15 +80,18 @@ class _ClusterCodegen:
         cluster_id = self.cluster.cluster_id
         produced_graph_outputs: List[str] = []
 
-        with em.block(f"def cluster_{self.cluster_index}(inputs, weights, channels):"):
+        with em.block(f"def cluster_{self.cluster_index}"
+                      "(inputs, weights, channels, out=None, ws=None):"):
             em.docstring(
                 f"Cluster {cluster_id} of model {self.graph.name!r} "
                 f"({len(self.cluster.nodes)} operations).\n\n"
                 "Receives remote tensors with ``channels[...].get()`` right before\n"
                 "they are needed and sends locally produced tensors consumed by\n"
                 "other clusters with ``channels[...].put()`` right after producing\n"
-                "them (Algorithm 4)."
+                "them (Algorithm 4).\n\n"
+                + DESTINATION_PARAMETERS_DOC
             )
+            destination_table_prologue(em)
             for node_name in self.cluster.nodes:
                 node = self.node_of[node_name]
 
@@ -98,7 +113,8 @@ class _ClusterCodegen:
                 input_exprs = [self._value_expr(v) for v in node.present_inputs]
                 output_vars = [self.namer.name_for(out) for out in node.outputs if out]
                 em.comment(f"{node.op_type} node {node.name!r}")
-                for stmt in self.lower(node, input_exprs, output_vars):
+                for stmt in self.lower(node, input_exprs, output_vars,
+                                       self.slots[node_name]):
                     em.line(stmt)
 
                 # Send every output needed by a remote cluster (once per
@@ -180,9 +196,17 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
 
 
 def parallel_source(model: Model, clustering: Clustering,
-                    lower: Callable[..., List[str]]) -> str:
-    """:func:`generate_parallel_source`, printing each node with ``lower``."""
+                    lower: Callable[..., List[str]],
+                    order: Optional[Sequence[OpNode]] = None) -> str:
+    """:func:`generate_parallel_source`, printing each node with ``lower``.
+
+    ``order`` is the model's topological order (sorted here when omitted):
+    node ``i`` of it computes into ``out[i]``, as in the sequential module.
+    """
     graph = model.graph
+    if order is None:
+        order = topological_sort_nodes(graph)
+    slots = {node.name: index for index, node in enumerate(order)}
     node_of = {node.name: node for node in graph.nodes}
     missing = [name for c in clustering.clusters for name in c.nodes if name not in node_of]
     if missing:
@@ -217,12 +241,13 @@ def parallel_source(model: Model, clustering: Clustering,
     channel_values = _channel_values(graph, clustering)
     em.line(f"CHANNEL_NAMES = {list(channel_values)!r}")
     em.line(f"CHANNEL_SPECS = {_tensor_specs(graph, channel_values)!r}")
+    destination_table_header(em, len(order))
     em.blank(2)
 
     cluster_inputs: Dict[int, List[str]] = {}
     cluster_outputs: Dict[int, List[str]] = {}
     for index in range(clustering.num_clusters):
-        codegen = _ClusterCodegen(graph, clustering, index, node_of, owner, lower)
+        codegen = _ClusterCodegen(graph, clustering, index, node_of, owner, lower, slots)
         produced = codegen.emit(em, producers, consumers_of, outputs_needed)
         cluster_inputs[index] = codegen.graph_inputs_read
         cluster_outputs[index] = produced

@@ -3,7 +3,11 @@
 "To ensure completeness and to evaluate the parallel code generation, a
 single core non-parallel version of the code is also generated by Ramiel."
 The sequential module is the baseline all speedups are measured against and
-the functional reference the parallel code is compared to in tests.
+the functional reference the parallel code is compared to in tests.  It is
+also the execution plan's code: :class:`repro.runtime.plan.ExecutionPlan`
+runs this very text (byte for byte), passing a destination table of views
+into one liveness-packed slab where a standalone call passes none and
+allocates every intermediate.
 """
 
 from __future__ import annotations
@@ -37,10 +41,43 @@ def generate_sequential_source(model: Model, function_name: str = "run") -> str:
                              function_name)
 
 
+def destination_table_header(em: CodeEmitter, num_nodes: int) -> None:
+    """Emit ``NUM_NODES`` and the all-``None`` destination table of a
+    standalone run (every call allocates)."""
+    em.line(f"NUM_NODES = {num_nodes}")
+    em.line("NO_DESTINATIONS = (None,) * NUM_NODES")
+
+
+def destination_table_prologue(em: CodeEmitter) -> None:
+    """Emit the first statements of a generated function: a caller that
+    passes no destination table runs standalone."""
+    with em.block("if out is None:"):
+        em.line("out = NO_DESTINATIONS")
+
+
+#: the parameters ``out`` and ``ws`` of every generated function
+DESTINATION_PARAMETERS_DOC = (
+    "out:\n"
+    "    Optional destination table: ``out[i]`` is the array node ``i`` (its\n"
+    "    index in the model's topological order) computes into, or None to\n"
+    "    allocate.  Omitted, every call allocates.\n"
+    "ws:\n"
+    "    Optional ``repro.runtime.tensor_utils.Workspace`` the kernels take\n"
+    "    their scratch from.\n"
+)
+
+
 def sequential_source(model: Model, order: Sequence[OpNode],
-                      lower: Callable[..., List[str]], function_name: str = "run") -> str:
+                      lower: Callable[..., List[str]], function_name: str = "run",
+                      traced: bool = False) -> str:
     """:func:`generate_sequential_source` over a given topological ``order``
-    of the model's nodes, printing each node with ``lower``."""
+    of the model's nodes, printing each node with ``lower``.
+
+    Node ``i`` of ``order`` computes into ``out[i]``.  ``traced`` prints the
+    execution plan's traced twin: each node's statements are bracketed by
+    ``_t = _now()`` and ``_span(i, _t)``, names the plan binds when it
+    compiles the twin.
+    """
     graph = model.graph
     namer = SSANamer()
     em = CodeEmitter()
@@ -59,9 +96,10 @@ def sequential_source(model: Model, order: Sequence[OpNode],
     em.line(f"MODEL_NAME = {model.name!r}")
     em.line(f"GRAPH_INPUTS = {list(graph.input_names)!r}")
     em.line(f"GRAPH_OUTPUTS = {list(graph.output_names)!r}")
+    destination_table_header(em, len(order))
     em.blank(2)
 
-    with em.block(f"def {function_name}(inputs, weights):"):
+    with em.block(f"def {function_name}(inputs, weights, out=None, ws=None):"):
         em.docstring(
             "Run the model sequentially.\n\n"
             "Parameters\n"
@@ -71,13 +109,19 @@ def sequential_source(model: Model, order: Sequence[OpNode],
             "weights:\n"
             "    Mapping of initializer name to numpy array (see\n"
             "    ``Model.graph.initializers``).\n"
+            + DESTINATION_PARAMETERS_DOC
         )
-        for node in order:
+        destination_table_prologue(em)
+        for index, node in enumerate(order):
             input_exprs = [_value_expr(name, graph, namer) for name in node.present_inputs]
             output_vars = [namer.name_for(out) for out in node.outputs if out]
             em.comment(f"{node.op_type} node {node.name!r}")
-            for stmt in lower(node, input_exprs, output_vars):
+            if traced:
+                em.line("_t = _now()")
+            for stmt in lower(node, input_exprs, output_vars, index):
                 em.line(stmt)
+            if traced:
+                em.line(f"_span({index}, _t)")
         em.line("return {")
         em.indent()
         for out in graph.output_names:

@@ -17,12 +17,13 @@ Every operator is registered once (``_reg``) with
   destination passing is supported.
 
 Two functions read a declaration.  :func:`bind` resolves a node's
-attributes once into a closure over that one kernel — the interpreter, the
-execution plan (heads, fused tails, heavy destination-passing heads) and
-constant folding all run it.  :func:`render` prints the *same* call, with
-the same normalised values as literals, for generated sequential and
-per-cluster code (the paper's ``GeneratePytorchCodeForOperandType``).  An
-attribute default therefore exists exactly once; shape inference reads the
+attributes once into a closure over that one kernel — the interpreter and
+constant folding run it.  :func:`render` prints the *same* call, with the
+same normalised values as literals, for generated sequential and
+per-cluster code (the paper's ``GeneratePytorchCodeForOperandType``) —
+which is also the code the execution plan and the warm workers run, with
+``out=out[i]`` naming a destination the caller may plan.  An attribute
+default therefore exists exactly once; shape inference reads the
 normalised values through :func:`attr_value`.
 
 The registry intentionally mirrors (a subset of) the ONNX operator set so
@@ -65,14 +66,16 @@ REQUIRED = object()
 NUM_OUTPUTS = object()
 
 #: Destination capabilities (``OpSchema.out``), strongest first.
-#: Exact ``out=``: bitwise-identical with and without a destination, so the
-#: op can run as an in-place fused tail and compute into a slab view.
+#: Exact ``out=``: bitwise-identical with and without a destination, even
+#: when the destination is one of its operands — so the op may compute in
+#: place on an input that dies at it, or into a slab view.
 INPLACE = "inplace"
 #: Heavy kernel (conv / GEMM / pooling): computes into a slab view or
 #: caller-bound destination via ``out=``.
 ARENA = "arena"
 #: Only the final store takes ``out=`` (the internals allocate regardless):
-#: enough to land a graph output in a caller-bound buffer, nothing more.
+#: the result lands in a slab view or a caller-bound buffer, but never in
+#: place on an operand.
 OUTPUT = "output"
 
 
@@ -123,7 +126,7 @@ class OpSchema:
     variadic: Optional[str] = None
     #: the output may share memory with the first input or with state that
     #: outlives the run (a cached constant): its storage joins the input's
-    #: liveness group and no in-place tail may be fused onto it
+    #: liveness group and no op computes in place on it
     aliases: bool = False
     #: destination capability: INPLACE, ARENA, OUTPUT or None
     out: Optional[str] = None
@@ -391,18 +394,35 @@ def _default_literals(fn: str) -> Dict[str, str]:
     return literals
 
 
+def destination(node) -> Optional[str]:
+    """The destination capability of ``node``'s call (``INPLACE``, ``ARENA``,
+    ``OUTPUT``), or None when the call takes no ``out=``.
+
+    A call takes ``out=`` when its declaration supports one and every
+    argument but the tensor operands is a constant — the calls
+    :func:`render` prints with ``out=out[i]``.
+    """
+    schema = _schema_of(node, KeyError)
+    if not schema.out or schema.emit is not None:
+        return None
+    return schema.out if _resolve(schema, node, KeyError)[4] else None
+
+
 def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
-           error: type = KeyError) -> List[str]:
+           error: type = KeyError, slot: Optional[int] = None) -> List[str]:
     """Print ``node`` as Python statements assigning ``output_vars``.
 
     ``input_exprs`` are the expressions of the node's present inputs and
     ``output_vars`` the variables of its named outputs.  The statement is
     the call :func:`bind` makes, with the resolved parameters as literals;
     a keyword whose literal is the called function's own default is left
-    out.
+    out.  With ``slot``, a call that takes a destination (see
+    :func:`destination`) also passes ``out=out[slot]``, and a kernel that
+    takes a scratch provider ``workspace=ws``: the caller's destination
+    table and workspace, ``None`` when it has none.
     """
     schema = _schema_of(node, error)
-    lead, operands, trail, keywords, _ = _resolve(schema, node, error)
+    lead, operands, trail, keywords, direct = _resolve(schema, node, error)
 
     def text(values: Iterable) -> List[str]:
         return [input_exprs[v] if type(v) is _Input else _literal(v, error) for v in values]
@@ -417,6 +437,11 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
     args = text(lead) + args + text(trail) + [
         f"{key}={value}" for key, value in named.items()
         if type(keywords[key]) is _Input or defaults.get(key) != value]
+    if slot is not None:
+        if schema.out and direct:
+            args.append(f"out=out[{slot}]")
+        if schema.workspace:
+            args.append("workspace=ws")
     if schema.num_outputs == 1:
         targets = output_vars[0]
     else:

@@ -184,10 +184,13 @@ class RamielResult:
         """The compiled artifact's execution plan, built on the first call
         and cached in ``execution_plan``; a compile does not build it.
 
+        The plan runs the generated sequential module — imported here when
+        the compile wrote one, rendered by the plan itself otherwise.
         Raises :class:`~repro.runtime.plan.PlanError` when the numpy runtime
         cannot execute the optimized model."""
         if self.execution_plan is None:
-            self.execution_plan = ExecutionPlan(self.optimized_model)
+            self.execution_plan = ExecutionPlan(self.optimized_model,
+                                                module=self.sequential_module)
         return self.execution_plan
 
     def session(self, executor: str = "plan", timeout_s: float = 300.0):
@@ -383,10 +386,11 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     if config.generate_code:
         start = time.perf_counter()
         lower = shared_lowering()
+        order = topological_sort_nodes(optimized.graph)
         sequential_module = write_module(
-            sequential_source(optimized, topological_sort_nodes(optimized.graph), lower),
+            sequential_source(optimized, order, lower),
             f"{optimized.name}_sequential", config.output_dir)
-        parallel_module = write_module(parallel_source(optimized, merged, lower),
+        parallel_module = write_module(parallel_source(optimized, merged, lower, order),
                                        f"{optimized.name}_parallel", config.output_dir)
         stage_times["codegen"] = time.perf_counter() - start
 

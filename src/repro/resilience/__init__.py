@@ -4,8 +4,9 @@ The serving stack's fault-tolerance layer, built from small orthogonal
 pieces that compose across :mod:`repro.runtime` and :mod:`repro.serving`:
 
 * :class:`FaultInjector` / :class:`FaultSpec` — deterministic fault
-  injection (crash, hang, slow, exception, channel corruption) shipped to
-  pool workers as picklable directives; zero-cost when detached.
+  injection (crash, hang, slow, exception, channel corruption, slab
+  poisoning) shipped to pool workers as picklable directives; zero-cost
+  when detached.
 * :class:`PoolSupervisor` — heartbeat + liveness polling over a
   :class:`~repro.runtime.worker_pool.WarmExecutorPool`; detects dead and
   wedged workers in seconds and respawns *individual* workers.

@@ -38,6 +38,11 @@ Fault kinds
 ``"corrupt"``
     The worker replies with a malformed message on the result channel —
     tests the collector's protocol hardening.
+``"poison"``
+    The worker fills its slabs and its scratch workspace with ``0xFF``
+    bytes (NaN in every float dtype), then executes and replies normally —
+    a run that reads a slab range or scratch it did not write this run
+    (a destination planned to outlive its interval) returns NaN.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ __all__ = [
 ]
 
 #: the supported fault kinds, in documentation order
-FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "slow", "exc", "corrupt")
+FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "slow", "exc", "corrupt", "poison")
 
 
 class InjectedFault(RuntimeError):
@@ -193,7 +198,8 @@ def apply_worker_fault(directive: Tuple, *, is_process: bool) -> str:
       first; ``"exc"`` raises from here instead),
     * ``"silent"`` — do not reply for this job (``"hang"``, and thread
       ``"crash"`` where the caller must exit its loop),
-    * ``"corrupt"`` — reply with a malformed message.
+    * ``"corrupt"`` — reply with a malformed message,
+    * ``"poison"`` — overwrite the worker's memory, then run normally.
 
     ``"crash"`` on a process worker never returns (``os._exit``).
     """
@@ -211,6 +217,6 @@ def apply_worker_fault(directive: Tuple, *, is_process: bool) -> str:
         return "run"
     if kind == "exc":
         raise InjectedFault(directive[1])
-    if kind == "corrupt":
-        return "corrupt"
+    if kind in ("corrupt", "poison"):
+        return kind
     raise InjectedFault(f"unknown fault directive {directive!r}")

@@ -1,79 +1,72 @@
-"""Compile-once execution plans: fused dispatch, one packed memory slab per input signature.
+"""Compile-once execution plans: the generated sequential code over one packed slab per input signature.
 
 :class:`ExecutionPlan` is the planned counterpart of
-:class:`repro.runtime.executor.GraphExecutor`.  The interpreter redoes three
-kinds of call-invariant work on every request:
+:class:`repro.runtime.executor.GraphExecutor`.  It is two things:
 
-1. **dispatch** — per-node argument marshalling and output bookkeeping,
-2. **allocation** — a fresh numpy array for every intermediate value,
-3. **bookkeeping** — timing guards and error-context wrapping per node.
+* **one source** — the model's generated sequential module, byte for byte
+  the ``<model>_sequential.py`` a compile writes
+  (:func:`repro.codegen.sequential_codegen.sequential_source` over the
+  plan's topological ``order``).  Every call in it that can compute into a
+  caller-owned buffer names its destination, ``out=out[i]`` for node ``i``
+  of the order, and every kernel that takes scratch gets ``workspace=ws``.
+  The plan compiles that text once (or runs the compile's imported module)
+  and calls its ``run(inputs, weights, out, ws)``: no per-node dispatch, no
+  closures, straight-line code over local variables.  A traced twin of the
+  same text, compiled on the first :meth:`ExecutionPlan.enable_tracing`,
+  brackets every node's statements with one ``plan`` span;
+* **a memory planner** — the destination table ``out`` it passes.  On the
+  first run under a graph-input signature one shape sweep
+  (:func:`repro.ir.shape_inference.sweep_shapes`, seeded from the fed
+  arrays) gives every value's shape and dtype, and :func:`plan_destinations`
+  turns the order into one 64-byte-aligned slab: every destination-capable
+  node whose output is fully known, at least ``_ARENA_MIN_BYTES`` (4 KB;
+  below that malloc is cheaper) and not a graph output gets a view of it.
+  Values whose ranges are live at the same time never share a byte
+  (:func:`pack_intervals`); alias views (``Reshape`` and friends) keep their
+  base's range live.  What used to be fusion is an in-place destination: an
+  exact-``out=`` (``INPLACE``) node whose input dies at it, with the same
+  shape and dtype, computes into that input's range (``Conv -> Add ->
+  Relu`` runs in one range).  That run and every later one under the
+  signature compute into the slab: no allocation, and a working set
+  several times smaller than the sum of the intermediates.
 
-The plan does that work once instead:
+The memory plan is computed from shapes, never observed from a run.  A
+node whose shape depends on run-time data (downstream of ``NonZero``, a
+computed ``Range`` / ``TopK`` / ``Reshape`` target) is unknown to the
+sweep, gets no view and allocates — numpy would silently broadcast a small
+result into a larger ``out=``, so nothing is ever handed a view on a
+guess.  ``tests/test_shape_table.py`` and ``tests/test_op_registry.py`` pin
+the table to the kernels.
 
-* every node is bound once by :func:`repro.ir.opset.bind` — the same
-  closure over the operator's kernel the interpreter runs, attributes
-  normalised from the one operator declaration — and the declaration's
-  capability flags (aliases its input, exact in-place ``out=``, heavy
-  destination, output-only destination, takes ``workspace=``) decide how a
-  step may use it;
-* single-consumer elementwise/activation tails (``Conv -> Add -> Relu`` and
-  friends) are **fused** into their producer's step and applied in place on
-  the producer's output buffer via the ``out=`` destination-passing support
-  of :mod:`repro.runtime.functional`;
-* a liveness analysis over the topological order gives every recyclable
-  intermediate (alias views join their base's storage group) the interval
-  ``[producing step, last reading step]``.  On the **first run under a
-  graph-input signature** one shape sweep
-  (:func:`repro.ir.shape_inference.sweep_shapes`, over the plan's own
-  order, seeded from the fed arrays) gives every value's shape and dtype.
-  Every destination-capable step — elementwise/activation ops,
-  BatchNormalization and the heavy conv / GEMM / pooling kernels — whose
-  output is fully known and at least ``_ARENA_MIN_BYTES`` (4 KB; below that
-  malloc is cheaper) is sized from that table, :func:`pack_intervals`
-  first-fits the intervals into **one 64-byte-aligned slab**, and that
-  run and every later one under the signature hand each step a
-  precomputed view of it as ``out=``: no allocation, no per-step
-  bookkeeping, and a working set several times smaller than the sum of
-  the intermediates.  The same table says which fused tails run in place
-  and what shape and dtype a bound graph output must have;
-* the memory plan is computed from shapes, never observed from a run.  A
-  step whose shape depends on run-time data (downstream of ``NonZero``, a
-  computed ``Range`` / ``TopK`` / ``Reshape`` target) is unknown to the
-  sweep, gets no view and allocates — numpy would silently broadcast a
-  small result into a larger ``out=``, so nothing is ever handed a view
-  on a guess.  ``tests/test_shape_table.py`` and
-  ``tests/test_op_registry.py`` pin the table to the kernels;
-* kernel scratch (padded input, the per-sample conv column matrix a
-  strided gather fills, a pooling window's row-folded scratch, ``erf``'s
-  three temporaries, staging for an aliasing destination) comes from the plan's one
-  :class:`~repro.runtime.tensor_utils.Workspace`, a grow-only bump
-  allocator every heavy kernel rewinds before returning — so the scratch
-  of every conv lands on the same cache-hot bytes.  What a kernel derives
-  from shapes and attributes alone it memoises per geometry itself, so the
-  plan keeps no per-step shape state beyond the slab views.
+Kernel scratch (padded input, the conv column matrix, a pooling window's
+row-folded scratch, ``erf``'s temporaries) comes from the plan's one
+:class:`~repro.runtime.tensor_utils.Workspace`, a grow-only bump allocator
+every kernel rewinds before returning, so the scratch of every conv lands
+on the same cache-hot bytes.
 
-Because every step calls the same :mod:`repro.runtime.functional` kernels as
-the interpreter — only with precomputed arguments and destinations — plan
-outputs are bitwise-identical to :class:`GraphExecutor` outputs, which the
+The same planner packs each warm worker's slab over its cluster's
+sub-order (:class:`ClusterSlabPlanner`): the parallel module prints the
+same statements, and a value that crosses a cluster boundary never gets a
+recyclable range.
+
+Because the plan runs the same :mod:`repro.runtime.functional` calls as
+the interpreter — only with destinations — plan outputs are
+bitwise-identical to :class:`GraphExecutor` outputs, which the
 differential tests in ``tests/test_execution_plan.py`` assert on the whole
 model zoo.  ``GraphExecutor`` remains the semantic ground truth.
 
-Serving traffic with a handful of distinct batch sizes is in the
-zero-allocation steady state from the second run per signature (the first
-builds the slab and grows the scratch).  Slab ranges are
-overwritten by the next run, so nothing slab-backed ever reaches a caller:
-a run returns the graph outputs only, and graph outputs are never given a
-range.
-
-Graph outputs accept caller-owned destinations via ``run(feed,
-out={name: buffer})`` (surfaced as :class:`repro.runtime.session.Session`'s
-``IOBinding``): a buffer that matches the table's entry is its producing
-step's ``out=`` for that run, so the output is written in place and no
-per-run allocation is left.
+Slab ranges are overwritten by the next run, so nothing slab-backed ever
+reaches a caller: a run returns the graph outputs only, and graph outputs
+are never given a range.  Graph outputs accept caller-owned destinations
+via ``run(feed, out={name: buffer})`` (surfaced as
+:class:`repro.runtime.session.Session`'s ``IOBinding``): a buffer that
+matches the table's entry is its producing node's ``out=`` for that run.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 import time
 import weakref
@@ -82,15 +75,16 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.graph.traversal import topological_sort_nodes
+from repro.ir.dtypes import dtype_to_numpy
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
-from repro.ir.dtypes import dtype_to_numpy
-from repro.ir.opset import ARENA, INPLACE, BoundOp, bind, get_schema, require_supported
+from repro.ir.opset import ARENA, INPLACE, destination, get_schema, render, require_supported
 from repro.ir.shape_inference import sweep_shapes
 from repro.runtime.executor import ExecutionError
 from repro.runtime.tensor_utils import Workspace, align_up, aligned_empty
 
-__all__ = ["ExecutionPlan", "PlanError", "land_outputs", "pack_intervals"]
+__all__ = ["ClusterSlabPlanner", "Destinations", "ExecutionPlan", "PlanError",
+           "land_outputs", "pack_intervals", "plan_destinations"]
 
 
 class PlanError(ExecutionError):
@@ -101,7 +95,7 @@ class PlanError(ExecutionError):
 # Memory planning
 # ---------------------------------------------------------------------------
 #: Outputs below this size are cheaper to malloc than to give a slab range;
-#: such steps stay on the allocating path (measured crossover is well under
+#: such nodes stay on the allocating path (measured crossover is well under
 #: one 4 KB page).
 _ARENA_MIN_BYTES = 4096
 
@@ -138,7 +132,7 @@ def pack_intervals(intervals: Sequence[Tuple[int, int, int]]) -> Tuple[List[int]
 def land_outputs(values: Dict[str, np.ndarray], bound: Mapping[str, np.ndarray]) -> int:
     """Copy each produced ``values[name]`` into its bound destination.
 
-    Outputs a step already wrote in place (``values[name] is buf``) need
+    Outputs a node already wrote in place (``values[name] is buf``) need
     nothing; the rest are copied in, and ``values`` then holds the bound
     buffer.  Every source overlapping *any* pending destination (its own
     included) is snapshotted before the first ``copyto`` runs — an earlier
@@ -163,102 +157,197 @@ def land_outputs(values: Dict[str, np.ndarray], bound: Mapping[str, np.ndarray])
     return len(pending)
 
 
+class Destinations(NamedTuple):
+    """One slab's layout: which node computes into which range."""
+
+    #: ``(slot, byte offset, shape, dtype)`` per node that computes into
+    #: the slab; ``slot`` is the node's index in the topological order
+    views: List[Tuple[int, int, Tuple[int, ...], np.dtype]]
+    slab_bytes: int
+    #: summed sizes of the values the slab holds (the packing ratio's base)
+    intermediate_bytes: int
+    #: nodes that compute in place on the range of an input dying at them
+    in_place: int
+
+    def table(self, num_slots: int) -> Tuple[List[Optional[np.ndarray]], np.ndarray]:
+        """A fresh slab and the destination table of views into it."""
+        slab = aligned_empty(self.slab_bytes)
+        out: List[Optional[np.ndarray]] = [None] * num_slots
+        for slot, offset, shape, dtype in self.views:
+            out[slot] = np.ndarray(shape, dtype, slab, offset)
+        return out, slab
+
+
+def plan_destinations(nodes: Sequence[OpNode], capabilities: Sequence[Optional[str]],
+                      slots: Mapping[str, int],
+                      specs: Mapping[str, Tuple[Tuple[int, ...], np.dtype]],
+                      pinned=frozenset()) -> Destinations:
+    """Liveness-pack the destinations of ``nodes`` (in run order) into one slab.
+
+    ``capabilities`` are the nodes' :func:`~repro.ir.opset.destination`
+    and ``slots`` their indices in the topological order.  ``specs`` holds
+    the ``(shape, dtype)`` of every value the shape sweep fully knows;
+    ``pinned`` the values that must never live in the slab
+    (graph outputs — they reach the caller — and values another cluster
+    reads).  A value produced by an aliasing op joins its first input's
+    storage group, so every view keeps its base's range live and a pinned
+    view pins its base.  A destination-capable node gets a range when its
+    single output is known, at least ``_ARENA_MIN_BYTES`` and its group is
+    not pinned; an ``INPLACE`` node whose input holds a range of the same
+    shape and dtype and dies at it (no later read of the input's group)
+    computes into that range instead.
+    """
+    root: Dict[str, str] = {}     # value -> first value of its storage group
+    first: Dict[str, int] = {}    # group -> producing step
+    last: Dict[str, int] = {}     # group -> last step reading any member
+    held: set = set()             # groups holding a pinned value
+    for step, node in enumerate(nodes):
+        for name in node.present_inputs:
+            group = root.get(name)
+            if group is not None:
+                last[group] = step
+        base = node.present_inputs[0] if node.present_inputs else None
+        joins = get_schema(node.op_type).aliases and base in root
+        for name in node.outputs:
+            if not name:
+                continue
+            group = root[base] if joins else name
+            if not joins:
+                first[group] = last[group] = step
+            root[name] = group
+            if name in pinned:
+                held.add(group)
+
+    ranges: List[List[int]] = []             # [first step, last step, nbytes]
+    range_of: Dict[str, int] = {}            # group -> its range
+    holders: Dict[str, Tuple] = {}           # value filling a whole range -> its spec
+    placed: List[Tuple[int, int, Tuple]] = []  # (slot, range, spec)
+    in_place = 0
+    for step, (node, capability) in enumerate(zip(nodes, capabilities)):
+        if capability is None:
+            continue
+        outputs = [name for name in node.outputs if name]
+        if len(outputs) != 1:
+            continue
+        name = outputs[0]
+        group, spec = root[name], specs.get(name)
+        if spec is None or group in held:
+            continue
+        nbytes = math.prod(spec[0]) * spec[1].itemsize
+        if nbytes < _ARENA_MIN_BYTES:
+            continue
+        target = None
+        if capability == INPLACE:
+            target = next((root[x] for x in node.present_inputs
+                           if holders.get(x) == spec and last[root[x]] == step), None)
+        if target is None:
+            range_of[group] = len(ranges)
+            ranges.append([first[group], last[group], nbytes])
+        else:
+            range_of[group] = range_of[target]
+            entry = ranges[range_of[group]]
+            entry[1] = max(entry[1], last[group])
+            in_place += 1
+        holders[name] = spec
+        placed.append((slots[node.name], range_of[group], spec))
+
+    offsets, total = pack_intervals([tuple(entry) for entry in ranges])
+    views = [(slot, offsets[index], shape, dtype)
+             for slot, index, (shape, dtype) in placed]
+    intermediate = sum(math.prod(shape) * dtype.itemsize for _, _, (shape, dtype) in placed)
+    return Destinations(views, total, intermediate, in_place)
+
+
+def _signature(names: Sequence[str], arrays: Mapping[str, np.ndarray]) -> Tuple:
+    """A feed's memory-plan key: graph inputs in graph order, then any other
+    fed name (an overridden initializer) — one feed, one signature, whatever
+    order the caller's dict has."""
+    if len(arrays) != len(names):
+        names = list(names) + sorted(set(arrays).difference(names))
+    return tuple([(name, arrays[name].shape, arrays[name].dtype) for name in names])
+
+
+def _known_specs(graph: Graph, order: Sequence[OpNode],
+                 fed: Mapping[str, np.ndarray]) -> Dict[str, Tuple]:
+    """``{value: (shape, dtype)}`` of every value one shape sweep seeded
+    from ``fed`` fully knows."""
+    try:
+        table = sweep_shapes(graph, order, fed)
+    except ValueError:  # a fed dtype the IR has no name for: nothing is known
+        return {}
+    return {name: (info.shape, dtype_to_numpy(info.dtype))
+            for name, info in table.items() if info.is_static()}
+
+
+class ClusterSlabPlanner:
+    """Per-signature slab layouts for the workers of one placement.
+
+    Built once per pool-backed session over the optimized graph and the
+    placed clustering.  :meth:`plan` sweeps shapes once per graph-input
+    signature and packs one slab per cluster over the cluster's sub-order
+    (the order its generated function runs in), with every value another
+    cluster reads — and every graph output — pinned: a thread channel hands
+    the consumer the producer's very array, so such a value must outlive
+    the producer's run.
+    """
+
+    def __init__(self, graph: Graph, clusters: Sequence[Sequence[str]]) -> None:
+        self.graph = graph
+        self.order = topological_sort_nodes(graph)
+        self.slots = {node.name: index for index, node in enumerate(self.order)}
+        node_of = {node.name: node for node in self.order}
+        owner = {name: index for index, names in enumerate(clusters) for name in names}
+        made_in = {value: owner[node.name] for node in self.order
+                   for value in node.outputs if value}
+        crossing = {value for node in self.order for value in node.present_inputs
+                    if value in made_in and made_in[value] != owner[node.name]}
+        self.pinned = frozenset(graph.output_names) | crossing
+        self.clusters = [[node_of[name] for name in names] for names in clusters]
+        self._capabilities = [[destination(node) for node in nodes]
+                              for nodes in self.clusters]
+        self._input_names = list(graph.input_names)
+        self._plans: Dict[Tuple, Tuple[int, List[Destinations]]] = {}
+        self._lock = threading.Lock()
+
+    def plan(self, inputs: Mapping[str, np.ndarray]) -> Tuple[int, List[Destinations]]:
+        """``(key, one layout per cluster)`` for the signature of ``inputs``;
+        ``key`` numbers the signature (workers cache their slabs by it)."""
+        arrays = {name: np.asarray(value) for name, value in inputs.items()}
+        signature = _signature(self._input_names, arrays)
+        found = self._plans.get(signature)
+        if found is None:
+            with self._lock:
+                found = self._plans.get(signature)
+                if found is None:
+                    specs = _known_specs(self.graph, self.order, arrays)
+                    found = (len(self._plans), [
+                        plan_destinations(nodes, capabilities, self.slots, specs, self.pinned)
+                        for nodes, capabilities in zip(self.clusters, self._capabilities)])
+                    self._plans[signature] = found
+        return found
+
+
 class _Memory(NamedTuple):
     """One graph-input signature's memory plan, computed from its shape table."""
 
-    #: per step: the head's range of the signature's slab, or None (allocate)
+    #: per node (topological order): its view of the slab, or None (allocate)
     outs: List[Optional[np.ndarray]]
-    #: per fused tail op, in ``ExecutionPlan._tails`` order: run on the chain buffer
-    in_place: List[bool]
-    #: per bindable graph output: the ``(shape, dtype)`` its step's head
-    #: returns, or None when the table does not fully know it
+    slab: np.ndarray
+    layout: Destinations
+    #: per bindable graph output: the ``(shape, dtype)`` its node computes,
+    #: or None when the table does not fully know it
     bound_specs: Dict[str, Optional[Tuple]]
-    slab_bytes: int
-    intermediate_bytes: int
-
-
-# ---------------------------------------------------------------------------
-# Step construction
-# ---------------------------------------------------------------------------
-class _TailOp:
-    """One fused elementwise/activation op applied on the chain buffer.
-
-    ``in_place`` is the active signature's decision (the plan sets it from
-    the shape table): the op's result has the chain's shape and dtype, so
-    it runs on the chain buffer, which is private to the fused step (the
-    fused intermediate has exactly one consumer and is not a graph output).
-    """
-
-    __slots__ = ("kernel", "other_name", "chain_first", "in_place")
-
-    def __init__(self, kernel: Callable, other_name: Optional[str],
-                 chain_first: bool) -> None:
-        self.kernel = kernel
-        self.other_name = other_name
-        self.chain_first = chain_first
-        self.in_place = False
-
-    def apply(self, values: Dict[str, np.ndarray], chain: np.ndarray) -> np.ndarray:
-        if self.other_name is None:
-            args = (chain,)
-        else:
-            other = values[self.other_name]
-            args = (chain, other) if self.chain_first else (other, chain)
-        # In-place needs a real ndarray destination — numpy scalars (e.g. a
-        # keepdims=0 reduction head) report shape/dtype but cannot be
-        # ``out=`` targets.
-        if self.in_place and type(chain) is np.ndarray:
-            return self.kernel(args, chain)
-        return np.asarray(self.kernel(args, None))
-
-
-def _make_head(bound: BoundOp, in_names: Sequence[str]) -> Callable:
-    """``head(values, out)``: the node's kernel on its named inputs.
-
-    ``out`` is the step's destination for this run — its range of the
-    signature's slab, or a caller-bound graph-output buffer — or None, and
-    always None for a kernel that takes no destination.
-    """
-    in_names = tuple(in_names)
-    kernel = bound.call
-    if bound.out is None:
-        if bound.multi:  # a multi-output op with one named output: keep the first
-            return lambda values, out: kernel([values[n] for n in in_names])[0]
-        return lambda values, out: kernel([values[n] for n in in_names])
-    return lambda values, out: kernel([values[n] for n in in_names], out)
-
-
-def _make_step(head: Callable, tail: List[_TailOp], out_name: str) -> Callable:
-    """Compile one single-output step: ``head`` then the fused ``tail``."""
-    if not tail:
-        def step(values, out):
-            values[out_name] = head(values, out)
-    else:
-        def step(values, out):
-            chain = head(values, out)
-            for op in tail:
-                chain = op.apply(values, chain)
-            values[out_name] = chain
-    return step
-
-
-def _make_multi_step(kernel: Callable, in_names: Sequence[str],
-                     out_names: Sequence[str]) -> Callable:
-    in_names = tuple(in_names)
-    out_names = tuple(out_names)
-
-    def step(values, out):
-        results = kernel([values[n] for n in in_names])
-        for name, value in zip(out_names, results):
-            if name:
-                values[name] = value
-
-    return step
 
 
 # ---------------------------------------------------------------------------
 # The plan
 # ---------------------------------------------------------------------------
+def _compile(source: str, filename: str, namespace: Dict) -> Callable:
+    """Execute generated ``source`` in ``namespace`` and return its ``run``."""
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - our own generated code
+    return namespace["run"]
+
+
 class ExecutionPlan:
     """A precompiled, reusable execution schedule for one IR model.
 
@@ -266,233 +355,61 @@ class ExecutionPlan:
     ----------
     model:
         An IR :class:`Model` or bare :class:`Graph`.
-    fuse:
-        Fuse single-consumer elementwise/activation tails into their
-        producer's step (disable for 1:1 node<->step tracing, e.g. when
-        profiling).
+    module:
+        The model's generated sequential module, when a compile wrote one
+        (:class:`~repro.codegen.module_writer.GeneratedModule`): the plan
+        runs it instead of rendering and compiling the same text again.
 
     An op without a handler raises :class:`PlanError` at build time.
 
-    A plan is cheap to build (one topological sort plus one closure per
-    node) and safe to run repeatedly; runs are serialized by an internal
-    lock because the slabs and the scratch workspace are per-plan state.
+    A plan is cheap to build (one topological sort, one render of every
+    node, one ``compile``) and safe to run repeatedly; runs are serialized
+    by an internal lock because the slabs and the scratch workspace are
+    per-plan state.
     """
 
-    def __init__(self, model, fuse: bool = True) -> None:
-        self.graph: Graph = model.graph if isinstance(model, Model) else model
-        self.model_name = model.name if isinstance(model, Model) else self.graph.name
-        order = topological_sort_nodes(self.graph)
-        require_supported(order, PlanError)
-        # Heavy kernels rewind the workspace before returning and steps run
-        # one at a time under the plan lock, so one provider serves all.
+    def __init__(self, model, module=None) -> None:
+        if not isinstance(model, Model):
+            model = Model(model)
+        self._model = model
+        self.graph: Graph = model.graph
+        self.model_name = model.name
+        #: the graph's nodes in the topological order the source follows
+        self.order: List[OpNode] = topological_sort_nodes(self.graph)
+        require_supported(self.order, PlanError)
+        if module is not None:
+            #: the generated sequential module's text this plan runs
+            self.source: str = module.source
+            self._run = module.run
+        else:
+            self.source = self._render()
+            self._run = _compile(self.source, f"<plan {self.model_name}>",
+                                 {"__name__": f"ramiel_plan_{self.model_name}"})
+        # Kernels rewind the workspace before returning and runs are
+        # serialized by the plan lock, so one provider serves all.
         self._workspace = Workspace()
         #: graph-input signature -> its memory plan
         self._memory: Dict[Tuple, _Memory] = {}
-        self._lock = threading.Lock()
-        self.fused = fuse
-        self._build(order, fuse)
-        #: the step loop actually executed by :meth:`run`.  The untraced
-        #: loop is compiled once here; :meth:`enable_tracing` swaps in a
-        #: separately compiled traced loop, so the default hot path never
-        #: pays a per-step tracing branch — only one attribute load per run.
-        self._exec_untraced = self._compile_exec()
-        self._exec = self._exec_untraced
-        self._tracer = None
-
-    # ------------------------------------------------------------------
-    # Build
-    # ------------------------------------------------------------------
-    def _build(self, order: List[OpNode], fuse: bool) -> None:
-        graph = self.graph
-        output_set = set(graph.output_names)
-        bound = {node.name: bind(node, PlanError, self._workspace) for node in order}
-        producer_index: Dict[str, int] = {}
-        uses: Dict[str, int] = {}
-        consumer: Dict[str, Tuple[int, OpNode]] = {}
-        for name in list(graph.input_names) + list(graph.initializers):
-            producer_index[name] = -1
-        for index, node in enumerate(order):
-            for name in node.present_inputs:
-                uses[name] = uses.get(name, 0) + 1
-                consumer[name] = (index, node)
-            for name in node.outputs:
-                if name:
-                    producer_index[name] = index
-        for name in output_set:
-            uses[name] = uses.get(name, 0) + 1
-
-        def single_output(node: OpNode) -> Optional[str]:
-            outs = [o for o in node.outputs if o]
-            return outs[0] if len(outs) == 1 else None
-
-        # -- fusion: absorb single-consumer out-capable tails ----------
-        max_tail = 8
-        absorbed: Dict[str, OpNode] = {}  # node name -> chain head node
-        chains: Dict[str, List[OpNode]] = {}
-        if fuse:
-            for index, node in enumerate(order):
-                if node.name in absorbed or get_schema(node.op_type).aliases:
-                    continue
-                head_out = single_output(node)
-                if head_out is None:
-                    continue
-                tail_nodes: List[OpNode] = []
-                current_out = head_out
-                while len(tail_nodes) < max_tail:
-                    if uses.get(current_out, 0) != 1 or current_out in output_set:
-                        break
-                    cons_index, cons = consumer[current_out]
-                    cons_out = single_output(cons)
-                    if cons_out is None or bound[cons.name].out != INPLACE:
-                        break
-                    operands = cons.present_inputs
-                    if operands.count(current_out) != 1 or len(operands) > 2:
-                        break
-                    # Every other operand must already be computed when the
-                    # fused step runs at the head's position in the order.
-                    others = [n for n in operands if n != current_out]
-                    if any(producer_index.get(n, index) >= index for n in others):
-                        break
-                    tail_nodes.append(cons)
-                    absorbed[cons.name] = node
-                    current_out = cons_out
-                if tail_nodes:
-                    chains[node.name] = tail_nodes
-
-        # -- steps -----------------------------------------------------
-        steps: List[Callable] = []
-        step_nodes: List[List[OpNode]] = []
-        step_reads: List[List[str]] = []
-        step_writes: List[List[str]] = []
-        for node in order:
-            if node.name in absorbed:
-                continue
-            tail_nodes = chains.get(node.name, [])
-            nodes = [node] + tail_nodes
-            reads = list(node.present_inputs)
-            fused_away = {single_output(n) for n in nodes[:-1]} if tail_nodes else set()
-            for tail_node in tail_nodes:
-                reads.extend(n for n in tail_node.present_inputs
-                             if n not in fused_away)
-            final_out = single_output(nodes[-1])
-            writes = ([final_out] if tail_nodes
-                      else [o for o in node.outputs if o])
-            step_nodes.append(nodes)
-            step_reads.append(reads)
-            step_writes.append(writes)
-
-        # -- storage groups and liveness -------------------------------
-        storage_of: Dict[str, int] = {}
-        storage_recyclable: List[bool] = []
-
-        def new_storage(name: str, recyclable: bool) -> int:
-            storage_of[name] = len(storage_recyclable)
-            storage_recyclable.append(recyclable)
-            return storage_of[name]
-
-        for name in list(graph.input_names) + list(graph.initializers):
-            new_storage(name, recyclable=False)
-        for nodes, writes in zip(step_nodes, step_writes):
-            producer = nodes[-1] if len(nodes) > 1 else nodes[0]
-            for name in writes:
-                if get_schema(producer.op_type).aliases and producer.present_inputs:
-                    # Join the input's storage group so the whole group's
-                    # liveness governs recycling.  (The base is always known
-                    # here — fused intermediates have a single, non-alias
-                    # consumer — but fall back to a fresh non-recyclable
-                    # storage rather than corrupting the grouping.)
-                    base = producer.present_inputs[0]
-                    sid = storage_of.get(base)
-                    if sid is None:
-                        sid = new_storage(base, recyclable=False)
-                    storage_of[name] = sid
-                else:
-                    new_storage(name, recyclable=True)
-        for name in output_set:
-            sid = storage_of.get(name)
-            if sid is not None:
-                storage_recyclable[sid] = False
-
-        last_use: Dict[int, int] = {}
-        for step_index, (reads, writes) in enumerate(zip(step_reads, step_writes)):
-            for name in reads + writes:
-                sid = storage_of.get(name)
-                if sid is not None:
-                    last_use[sid] = step_index
-
-        # -- compile steps to closures ---------------------------------
-        self._heavy_step_count = 0
-        #: per step: the last step reading its output's storage when the
-        #: step may compute into a slab range, else None
-        slot_last_use: List[Optional[int]] = []
-        #: per step: the value its head produces (what a destination holds)
-        head_outputs: List[Optional[str]] = []
-        #: every fused tail op with its (chain, result) value names, whose
-        #: table entries decide whether it runs in place
-        self._tails: List[Tuple[_TailOp, str, str]] = []
-        #: bindable graph output -> the step whose head can write it
-        self._bound_steps: Dict[str, int] = {}
-        for nodes, writes in zip(step_nodes, step_writes):
-            node = nodes[0]
-            head_bound = bound[node.name]
-            if len(writes) != 1:
-                steps.append(_make_multi_step(head_bound.call, node.present_inputs,
-                                              node.outputs))
-                slot_last_use.append(None)
-                head_outputs.append(None)
-                continue
-            tail = []
-            chain_value = single_output(node)
-            for tail_node in nodes[1:]:
-                kernel = bound[tail_node.name].call
-                operands = tail_node.present_inputs
-                if len(operands) == 1:
-                    tail.append(_TailOp(kernel, None, True))
-                else:
-                    chain_first = operands[0] == chain_value
-                    other = operands[1] if chain_first else operands[0]
-                    tail.append(_TailOp(kernel, other, chain_first))
-                self._tails.append((tail[-1], chain_value, single_output(tail_node)))
-                chain_value = single_output(tail_node)
-            # Elementwise/activation and heavy conv/GEMM/pooling heads
-            # whose storage recycles compute into the slab; destination-
-            # capable producers of graph outputs (which must stay private
-            # to the caller) into a bound buffer; alias ops, Constant and
-            # the long tail allocate, and a bound output of theirs is
-            # finalized by an end-of-run copy.
-            sid = storage_of[writes[0]]
-            slotted = (head_bound.out in (INPLACE, ARENA)
-                       and storage_recyclable[sid])
-            slot_last_use.append(last_use[sid] if slotted else None)
-            head_outputs.append(single_output(node))
-            if head_bound.out == ARENA:
-                self._heavy_step_count += 1
-            if head_bound.out is not None and writes[0] in output_set:
-                self._bound_steps[writes[0]] = len(steps)
-            steps.append(_make_step(_make_head(head_bound, node.present_inputs),
-                                    tail, writes[0]))
-
-        #: the graph's nodes in the topological order the steps follow
-        self.order = order
-        self._steps = steps
-        self._step_nodes = step_nodes
-        self._slot_last_use = slot_last_use
-        self._head_outputs = head_outputs
-        #: the memory plan whose in-place decisions the tail ops hold
+        #: the memory plan of the latest run (what stats() describes)
         self._active: Optional[_Memory] = None
-        #: per-step span labels + args, precomputed at build time so the
-        #: traced loop emits without any per-step string formatting
-        self._step_labels: List[str] = []
-        self._step_span_args: List[Dict[str, str]] = []
-        for nodes in step_nodes:
-            head = nodes[0]
-            self._step_labels.append(f"{head.op_type}:{head.name}")
-            span_args = {"op": head.op_type, "node": head.name}
-            if len(nodes) > 1:
-                span_args["fused"] = "+".join(n.op_type for n in nodes[1:])
-            self._step_span_args.append(span_args)
-        self._init_values = dict(graph.initializers)
-        self._init_arrays = [array for array in self._init_values.values()
+        self._lock = threading.Lock()
+        #: the function run() calls: ``_run``, or the traced twin's
+        self._exec = self._run
+        self._tracer = None
+        #: the traced twin: its source, its globals and its ``run``
+        self._twin: Optional[Tuple[str, Dict, Callable]] = None
+
+        self._slots = {node.name: index for index, node in enumerate(self.order)}
+        output_set = set(self.graph.output_names)
+        #: bindable graph output -> the slot of the node that can write it
+        self._bound_slots: Dict[str, int] = {}
+        self._capabilities = [destination(node) for node in self.order]
+        for index, (node, capability) in enumerate(zip(self.order, self._capabilities)):
+            outputs = [name for name in node.outputs if name]
+            if capability is not None and len(outputs) == 1 and outputs[0] in output_set:
+                self._bound_slots[outputs[0]] = index
+        self._weights = dict(self.graph.initializers)
+        self._init_arrays = [array for array in self._weights.values()
                              if isinstance(array, np.ndarray)]
         #: bound-output buffers already cleared against the (immutable)
         #: initializer set, so a warm binding loop pays the O(#weights)
@@ -500,11 +417,19 @@ class ExecutionPlan:
         #: weakrefs, so a freed buffer can never be confused with a new
         #: array reusing its ``id``.
         self._init_safe: Dict[int, "weakref.ref"] = {}
-        self._input_names = list(graph.input_names)
-        self._output_names = list(graph.output_names)
+        self._input_names = list(self.graph.input_names)
+        self._output_names = list(self.graph.output_names)
         self._output_set = output_set
         self._dest_direct_writes = 0
         self._dest_copy_writes = 0
+
+    def _render(self, traced: bool = False) -> str:
+        from repro.codegen.sequential_codegen import sequential_source  # codegen imports the runtime
+
+        def lower(node, input_exprs, output_vars, slot):
+            return render(node, input_exprs, output_vars, PlanError, slot)
+
+        return sequential_source(self._model, self.order, lower, traced=traced)
 
     # ------------------------------------------------------------------
     # Tracing
@@ -515,117 +440,74 @@ class ExecutionPlan:
         return self._tracer
 
     def enable_tracing(self, tracer) -> None:
-        """Attach ``tracer`` and swap in the traced step loop.
+        """Attach ``tracer`` and run the traced twin of the source.
 
-        The traced loop is a separate closure compiled here — one span per
-        step (category ``"plan"``, label ``"OpType:node_name"``, fused
-        tails named in the span args) via ``perf_counter_ns``.  The
-        untraced loop is untouched, so detaching restores the exact
-        default hot path.
+        The twin — compiled on the first call — brackets each node's
+        statements with ``perf_counter_ns`` reads and emits one span per
+        node (category ``"plan"``, label ``"OpType:node_name"``, args
+        ``op`` and ``node``).  The untraced function is untouched, so
+        detaching restores the exact default hot path.
         """
         if tracer is None:
             self.disable_tracing()
             return
+        if self._twin is None:
+            source = self._render(traced=True)
+            namespace = {"__name__": f"ramiel_plan_{self.model_name}_traced",
+                         "_now": time.perf_counter_ns}
+            self._twin = (source, namespace, _compile(
+                source, f"<plan {self.model_name} traced>", namespace))
+        _, namespace, run = self._twin
+        labels = [f"{node.op_type}:{node.name}" for node in self.order]
+        span_args = [{"op": node.op_type, "node": node.name} for node in self.order]
+        emit, now = tracer.emit, time.perf_counter_ns
+
+        def span(index, start_ns):
+            emit(labels[index], "plan", start_ns, now(), args=span_args[index])
+
+        namespace["_span"] = span
         self._tracer = tracer
-        self._exec = self._compile_exec(tracer)
+        self._exec = run
 
     def disable_tracing(self) -> None:
-        """Detach the tracer and restore the untraced step loop."""
+        """Detach the tracer and restore the untraced function."""
         self._tracer = None
-        self._exec = self._exec_untraced
-
-    # ------------------------------------------------------------------
-    # Step-loop compilation
-    # ------------------------------------------------------------------
-    def _step_failure(self, step_index: int, exc: BaseException) -> PlanError:
-        """Wrap a step failure with node context (KeyError = fused-away)."""
-        nodes = self._step_nodes[step_index]
-        if isinstance(exc, KeyError):
-            return PlanError(
-                f"step for node {nodes[0].name} ({nodes[0].op_type}) requires "
-                f"value {exc} which has not been computed (it may have been "
-                "fused away)")
-        names = "+".join(n.name for n in nodes)
-        return PlanError(
-            f"planned execution of {names} ({nodes[0].op_type}) failed: {exc}")
-
-    def _compile_exec(self, tracer=None) -> Callable:
-        """Compile the step loop into a closure over the plan's tables.
-
-        With ``tracer=None`` this is the default loop; with a tracer, each
-        step is bracketed by ``perf_counter_ns`` reads and emitted as one
-        span.  Both wrap a failing step's error with its node context.
-        """
-        steps = self._steps
-
-        if tracer is None:
-            def run_steps(values, outs):
-                step_index = 0
-                try:
-                    for step_index, step in enumerate(steps):
-                        step(values, outs[step_index])
-                except ExecutionError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - add node context
-                    raise self._step_failure(step_index, exc) from exc
-            return run_steps
-
-        labels = self._step_labels
-        span_args = self._step_span_args
-        emit = tracer.emit
-        now = time.perf_counter_ns
-
-        def run_steps_traced(values, outs):
-            step_index = 0
-            try:
-                for step_index, step in enumerate(steps):
-                    start_ns = now()
-                    step(values, outs[step_index])
-                    emit(labels[step_index], "plan", start_ns, now(),
-                         args=span_args[step_index])
-            except ExecutionError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - add node context
-                raise self._step_failure(step_index, exc) from exc
-        return run_steps_traced
-
-    def _plan_memory(self, fed: Dict[str, np.ndarray]) -> _Memory:
-        """Compute the memory plan of the signature ``fed`` belongs to.
-
-        One shape sweep over the plan's own order, seeded from the fed
-        arrays, gives every value's ``(shape, dtype)``.  A slab-capable
-        step whose head output is fully known and at least
-        ``_ARENA_MIN_BYTES`` gets a range of one packed slab; a step the
-        sweep does not fully know (its shape depends on run-time data)
-        gets none and allocates.
-        """
-        try:
-            table = sweep_shapes(self.graph, self.order, fed)
-        except ValueError:  # a fed dtype the IR has no name for: nothing is known
-            table = {}
-
-        specs = {name: (info.shape, dtype_to_numpy(info.dtype))
-                 for name, info in table.items() if info.is_static()}
-        sized = [(index, last, table[name].nbytes)
-                 for index, (last, name) in enumerate(zip(self._slot_last_use,
-                                                          self._head_outputs))
-                 if last is not None and name in specs
-                 and table[name].nbytes >= _ARENA_MIN_BYTES]
-        offsets, total = pack_intervals(sized)
-        slab = aligned_empty(total)
-        outs: List[Optional[np.ndarray]] = [None] * len(self._steps)
-        for (index, _, _), offset in zip(sized, offsets):
-            outs[index] = np.ndarray(*specs[self._head_outputs[index]], slab, offset)
-        in_place = [chain in specs and specs[chain] == specs.get(result)
-                    for _, chain, result in self._tails]
-        bound_specs = {name: specs.get(self._head_outputs[index])
-                       for name, index in self._bound_steps.items()}
-        return _Memory(outs, in_place, bound_specs, total,
-                       sum(nbytes for _, _, nbytes in sized))
+        self._exec = self._run
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _failure(self, exc: BaseException) -> PlanError:
+        """Wrap a failure inside the generated code with its node's context."""
+        codes = {self._run.__code__: self.source}
+        if self._twin is not None:
+            codes[self._twin[2].__code__] = self._twin[0]
+        tb, line, source = exc.__traceback__, None, None
+        while tb is not None:
+            if tb.tb_frame.f_code in codes:
+                line, source = tb.tb_lineno, codes[tb.tb_frame.f_code]
+            tb = tb.tb_next
+        if line is None:
+            return PlanError(f"planned execution of {self.model_name} failed: {exc}")
+        comments, step = [], 0
+        for number, text in enumerate(source.splitlines(), 1):
+            node = self.order[step] if step < len(self.order) else None
+            if node is not None and text.strip() == f"# {node.op_type} node {node.name!r}":
+                comments.append(number)
+                step += 1
+        node = self.order[max(bisect.bisect_right(comments, line) - 1, 0)]
+        return PlanError(
+            f"planned execution of {node.name} ({node.op_type}) failed: {exc}")
+
+    def _plan_memory(self, fed: Dict[str, np.ndarray]) -> _Memory:
+        """Compute the memory plan of the signature ``fed`` belongs to."""
+        specs = _known_specs(self.graph, self.order, fed)
+        layout = plan_destinations(self.order, self._capabilities, self._slots, specs,
+                                   self._output_set)
+        outs, slab = layout.table(len(self.order))
+        bound_specs = {name: specs.get(name) for name in self._bound_slots}
+        return _Memory(outs, slab, layout, bound_specs)
+
     def run(self, inputs: Mapping[str, np.ndarray],
             out: Optional[Mapping[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
         """Execute the plan and return the graph outputs.
@@ -636,7 +518,7 @@ class ExecutionPlan:
         into a buffer of the shape and dtype the signature's shape table
         expects (no per-run graph-output allocation); everything else is
         finalized with an end-of-run copy (:func:`land_outputs`).  A buffer
-        overlapping any input array is only written after every step has
+        overlapping any input array is only written after every node has
         run, so binding an output over an input is safe.  Shape/dtype
         mismatches raise :class:`PlanError`.
         """
@@ -644,39 +526,30 @@ class ExecutionPlan:
             return self._run_locked(inputs, out)
 
     def _run_locked(self, inputs, out) -> Dict[str, np.ndarray]:
-        values: Dict[str, np.ndarray] = dict(self._init_values)
         for name in self._input_names:
             if name not in inputs:
                 raise PlanError(f"missing graph input {name!r}")
-        for name, array in inputs.items():
-            values[name] = np.asarray(array)
+        arrays = {name: np.asarray(array) for name, array in inputs.items()}
+        weights = self._weights
+        overridden = [name for name in arrays if name in weights]
+        if overridden:  # a fed initializer replaces the stored one
+            weights = dict(weights)
+            weights.update((name, arrays[name]) for name in overridden)
 
-        # The memory plan of this feed's signature: graph inputs in graph
-        # order, then any other fed name (an overridden initializer) — one
-        # feed, one signature, whatever order the caller's dict has.
-        names = self._input_names
-        if len(inputs) != len(names):
-            names = names + sorted(set(inputs).difference(names))
-        signature = tuple([(name, values[name].shape, values[name].dtype)
-                           for name in names])
+        signature = _signature(self._input_names, arrays)
         memory = self._memory.get(signature)
         if memory is None:
-            memory = self._plan_memory({name: values[name] for name in names})
-        if memory is not self._active:
-            for (op, _, _), in_place in zip(self._tails, memory.in_place):
-                op.in_place = in_place
-            self._active = memory
+            memory = self._plan_memory(arrays)
         outs = memory.outs
 
         # Caller-bound output destinations, all finalized below.  A buffer
         # overlapping an initializer is rejected outright — even a deferred
         # copy into it would corrupt the weights of every subsequent run.
-        # A buffer that matches what its step's head returns is that step's
-        # ``out=`` for this run (fused tails then apply in place on it, so
-        # the chain's final value *is* the buffer) — unless it may alias an
-        # input or another destination: writing it mid-run could corrupt
-        # values later steps still read (or each other), so such a buffer
-        # is only written by the end-of-run copy.
+        # A buffer that matches what its node computes is that node's
+        # ``out=`` for this run — unless it may alias an input or another
+        # destination: writing it mid-run could corrupt values later nodes
+        # still read (or each other), so such a buffer is only written by
+        # the end-of-run copy.
         bound: Dict[str, np.ndarray] = {}
         if out:
             for name, buf in out.items():
@@ -708,22 +581,28 @@ class ExecutionPlan:
                     self._init_safe[key] = weakref.ref(buf, drop)
                 bound[name] = buf
             outs = list(outs)
-            feeds = [values[name] for name in self._input_names]
+            feeds = [arrays[name] for name in self._input_names]
             for name, buf in bound.items():
                 if (type(buf) is np.ndarray
                         and memory.bound_specs.get(name) == (buf.shape, buf.dtype)
                         and not any(np.may_share_memory(buf, other) for other in
                                     feeds + [b for n, b in bound.items() if n != name])):
-                    outs[self._bound_steps[name]] = buf
+                    outs[self._bound_slots[name]] = buf
 
-        self._exec(values, outs)
+        try:
+            values = self._exec(arrays, weights, outs, self._workspace)
+        except ExecutionError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - add node context
+            raise self._failure(exc) from exc
         self._memory[signature] = memory  # kept once a run under it succeeded
+        self._active = memory
 
         if bound:
             copies = land_outputs(values, bound)
             self._dest_direct_writes += len(bound) - copies
             self._dest_copy_writes += copies
-        return {name: values[name] for name in self._output_names}
+        return values
 
     # ------------------------------------------------------------------
     # Introspection / interop
@@ -731,30 +610,34 @@ class ExecutionPlan:
     def stats(self) -> Dict:
         """Plan shape and memory-plan counters.
 
+        ``steps`` is one per node (the source has one statement group per
+        node); ``fused_nodes`` and ``arena_steps`` describe the latest
+        run's memory plan: nodes computing in place on a dying input's
+        range, and nodes computing into the slab at all.
         ``arena["allocations"]`` counts slab builds plus scratch-buffer
         allocations and stays flat once every signature in use has run
         once; ``slab_bytes`` against ``intermediate_bytes`` (the summed
-        sizes of the outputs the slabs hold) is the packing ratio.
+        sizes of the values the slabs hold) is the packing ratio.
         """
+        active = self._active.layout if self._active is not None else None
         return {
             "model": self.model_name,
             "nodes": len(self.order),
-            "steps": len(self._steps),
-            "fused_nodes": len(self._tails),
-            "arena_steps": sum(last is not None for last in self._slot_last_use),
-            "heavy_steps": self._heavy_step_count,
+            "steps": len(self.order),
+            "fused_nodes": active.in_place if active else 0,
+            "arena_steps": len(active.views) if active else 0,
+            "heavy_steps": self._capabilities.count(ARENA),
             "tracing": self._tracer is not None,
             "arena": {
                 "allocations": len(self._memory) + self._workspace.allocations,
                 "signatures": len(self._memory),
-                "slab_bytes": sum(m.slab_bytes for m in self._memory.values()),
-                "intermediate_bytes": sum(m.intermediate_bytes
+                "slab_bytes": sum(m.layout.slab_bytes for m in self._memory.values()),
+                "intermediate_bytes": sum(m.layout.intermediate_bytes
                                           for m in self._memory.values()),
             },
             "output_binding": {
-                "bindable_outputs": len(self._bound_steps),
+                "bindable_outputs": len(self._bound_slots),
                 "direct_writes": self._dest_direct_writes,
                 "copy_writes": self._dest_copy_writes,
             },
         }
-

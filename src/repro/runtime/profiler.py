@@ -3,14 +3,14 @@
 The paper's Ramiel keeps "a profile database [that] holds information about
 the execution trace and the slacks during communication which can be used
 offline" to guide hyperclustering.  The execution trace here is the
-tracer's: a traced :class:`~repro.runtime.plan.ExecutionPlan` emits one
-``cat == "plan"`` span per step, and that is the one per-step timer.
-:func:`profile_model` runs a fusion-free plan (one step per node) a few
-times and folds its spans into a per-node :class:`GraphProfile` — the
-measured counterpart of the static cost model, which the schedule simulator
-(``repro.clustering.schedule``) takes as a cost provider.
-:func:`profile_plan_steps` runs the same loop over the production (fused)
-plan and folds the spans into per-step rows.
+tracer's: a traced :class:`~repro.runtime.plan.ExecutionPlan` runs the
+traced twin of its generated source, which emits one ``cat == "plan"``
+span per node — the one per-node timer.  :func:`profile_model` runs a plan
+a few times and folds its spans into a per-node :class:`GraphProfile` —
+the measured counterpart of the static cost model, which the schedule
+simulator (``repro.clustering.schedule``) takes as a cost provider.
+:func:`profile_plan_steps` folds the same spans of the production plan
+(its slab, its in-place destinations) into per-step rows.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _traced_runs(plan: ExecutionPlan, inputs: Mapping[str, np.ndarray],
 
     runs = max(num_runs, 1)
     if tracer is None:
-        tracer = Tracer(capacity=max(4096, len(plan._steps) * runs + 64))
+        tracer = Tracer(capacity=max(4096, len(plan.order) * runs + 64))
     had_tracer = plan.tracer
     plan.enable_tracing(tracer)
     try:
@@ -144,10 +144,9 @@ def profile_model(
 ) -> GraphProfile:
     """Measure per-node execution times of a model on given inputs.
 
-    Builds a fusion-free :class:`~repro.runtime.plan.ExecutionPlan` (one
-    step per node, so every node is covered) over ``model_or_session`` and
-    folds the spans of ``num_runs`` traced runs into one
-    :class:`OpProfile` per node.
+    Builds an :class:`~repro.runtime.plan.ExecutionPlan` (one span per
+    node, so every node is covered) over ``model_or_session`` and folds the
+    spans of ``num_runs`` traced runs into one :class:`OpProfile` per node.
 
     Parameters
     ----------
@@ -166,10 +165,9 @@ def profile_model(
     """
     if isinstance(model_or_session, Session):
         name = model_or_session.model_name
-        plan = ExecutionPlan(_session_plan(model_or_session, "profile_model").graph,
-                             fuse=False)
+        plan = ExecutionPlan(_session_plan(model_or_session, "profile_model").graph)
     else:
-        plan = ExecutionPlan(model_or_session, fuse=False)
+        plan = ExecutionPlan(model_or_session)
         name = plan.model_name
     events, wall, allocs = _traced_runs(plan, inputs, num_runs, warmup)
     ops: Dict[str, OpProfile] = {}
@@ -227,9 +225,9 @@ def summarize_kinds(rows: List[Dict]) -> List[Dict]:
 def plan_step_rows(graph: Graph, events) -> List[Dict]:
     """One row per plan step from the ``cat == "plan"`` spans among ``events``.
 
-    Schedule order; each row carries the step's label, head op and node,
-    kernel ``kind`` (:func:`kernel_kind`), fused tail and count / total /
-    mean / median milliseconds over the spans seen.
+    Schedule order; each row carries the step's label, op and node, kernel
+    ``kind`` (:func:`kernel_kind`) and count / total / mean / median
+    milliseconds over the spans seen.
     """
     samples: Dict[str, List[int]] = {}
     meta: Dict[str, Dict] = {}
@@ -249,7 +247,6 @@ def plan_step_rows(graph: Graph, events) -> List[Dict]:
             "op": info["op"],
             "node": info["node"],
             "kind": kernel_kind(graph, nodes[info["node"]]),
-            "fused": info.get("fused", ""),
             "count": len(durs),
             "total_ms": sum(durs) / 1e6,
             "mean_ms": statistics.fmean(durs) / 1e6,
@@ -265,13 +262,12 @@ def profile_plan_steps(
     warmup: int = 2,
     tracer=None,
 ) -> List[Dict]:
-    """Per-step timings of the *fused* plan hot path, via the span tracer.
+    """Per-step timings of the plan hot path, via the span tracer.
 
-    Unlike :func:`profile_model` — which disables fusion for 1:1 node
-    attribution — this measures the production step loop exactly as
-    serving executes it: fused chains stay fused, heavy destination passing
-    stays on, and each step's span carries its fused tail in the args.
-    Powers the per-step table of the ``repro trace`` CLI verb.
+    Unlike :func:`profile_model` — which builds a plan of its own — this
+    measures the given plan exactly as serving executes it: its slab, its
+    in-place destinations, its warm scratch.  Powers the per-step table of
+    the ``repro trace`` CLI verb.
 
     Accepts an :class:`~repro.runtime.plan.ExecutionPlan`, a ``"plan"``
     :class:`~repro.runtime.session.Session` or a model; pass a ``tracer``

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.ir.model import Model
 from repro.runtime.executor import GraphExecutor
-from repro.runtime.plan import ExecutionPlan, land_outputs
+from repro.runtime.plan import ClusterSlabPlanner, ExecutionPlan, land_outputs
 from repro.runtime.worker_pool import WarmExecutorPool
 
 __all__ = [
@@ -312,10 +312,10 @@ class Session:
                 self._pool.restart()
         elif self._plan is not None:
             if self.result is not None:
-                source = self.result.optimized_model
+                self._plan = ExecutionPlan(self.result.optimized_model,
+                                           module=self.result.sequential_module)
             else:  # a bare-ExecutionPlan artifact: rebuild over its graph
-                source = self._plan.graph
-            self._plan = ExecutionPlan(source, fuse=self._plan.fused)
+                self._plan = ExecutionPlan(self._plan.graph)
             if self._tracer is not None:
                 self._plan.enable_tracing(self._tracer)
         elif self._interp is not None:
@@ -382,7 +382,7 @@ class Session:
             if plan_stats is not None:
                 gauge("plan_steps", "Compiled plan steps",
                       labels=labels).set(plan_stats["steps"])
-                gauge("plan_fused_nodes", "Nodes fused into producer steps",
+                gauge("plan_fused_nodes", "Nodes computing in place on a dying input",
                       labels=labels).set(plan_stats["fused_nodes"])
                 arena = plan_stats["arena"]
                 gauge("plan_arena_allocations",
@@ -554,6 +554,8 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
           compiled clustering is folded onto ``min(clusters,
           available_cores())`` workers, or onto one when the simulator
           predicts the spread loses (:meth:`RamielResult.placement`).
+          Each worker computes into its own slab, packed over its
+          cluster's nodes (:class:`~repro.runtime.plan.ClusterSlabPlanner`).
     timeout_s:
         Per-run timeout for pool-backed sessions.
     tracer:
@@ -611,10 +613,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
                 "was compiled with generate_code=False")
         cores = available_cores()
         placed = result.placement(cores)
+        planner = ClusterSlabPlanner(
+            optimized.graph, [cluster.nodes for cluster in placed.clustering.clusters])
         pool = WarmExecutorPool(
             placed.module, optimized.graph.initializers,
             backend="thread" if executor == "pool" else "process",
-            tracer=tracer, max_batch=max_batch)
+            tracer=tracer, max_batch=max_batch, planner=planner)
         session = Session(executor, graph=optimized.graph, model_name=name,
                           result=result, pool=pool, timeout_s=timeout_s,
                           placement={

@@ -86,6 +86,11 @@ class Workspace:
     def stats(self) -> Dict[str, int]:
         return {"allocations": self.allocations}
 
+    def poison(self) -> None:
+        """Overwrite the scratch bytes with ``0xFF`` (NaN in every float
+        dtype): a chaos check that no kernel reads scratch it did not write."""
+        self._buffer.fill(0xFF)
+
 
 def scratch(workspace: Optional[Workspace], shape: Sequence[int],
             dtype=np.float32) -> np.ndarray:

@@ -31,6 +31,20 @@ Two backends are supported:
   ``stats()["channels"]["overflow_puts"]``.  Requires the ``fork`` start
   method.
 
+**Memory.**  A session's pool carries a
+:class:`~repro.runtime.plan.ClusterSlabPlanner`: the coordinator sweeps
+shapes once per input signature, packs one slab per cluster over the
+cluster's sub-order and ships each worker its layout — ``(offset, shape,
+dtype)`` per destination — with the signature's first job.  Each worker
+(thread or process) builds its own slab from it, keeps its own
+:class:`~repro.runtime.tensor_utils.Workspace`, and calls its cluster
+function with that destination table: once warm, a worker's planned
+intermediates allocate nothing (``stats()["workers"][i]["allocations"]``
+and ``["slab_bytes"]``).  Values another cluster reads and graph outputs
+never get a range, because a thread channel hands over the producer's
+very array.  A pool without a planner runs the cluster functions
+standalone: every intermediate allocated.
+
 A run that times out or raises may leave workers blocked on a hand-off that
 will never arrive, so the pool marks itself *broken* and refuses further
 work.  :meth:`heal` repairs it in place: it respawns every worker that is
@@ -84,9 +98,11 @@ import itertools
 import multiprocessing
 import os
 import queue
+import select
 import threading
 import time
 from collections import deque
+from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,12 +119,17 @@ from repro.runtime.channels import (
     make_thread_channels,
 )
 from repro.runtime.process_runtime import ParallelExecutionError, remote_error_text
+from repro.runtime.tensor_utils import Workspace
 
 #: sentinel ticket for the clock-offset handshake messages
 _SYNC = "__sync__"
 
 #: sentinel ticket for supervisor heartbeat pings (reply proves liveness)
 _PING = "__ping__"
+
+#: the largest pickled message a pipe write delivers whole (``PIPE_BUF``
+#: less the connection's 4-byte length header)
+_ATOMIC_MESSAGE_BYTES = select.PIPE_BUF - 4
 
 #: per-worker local tracer capacity; one run's spans are drained after
 #: every job, so this only bounds a single job's recording
@@ -125,24 +146,36 @@ class ControlPipe:
     Unlike ``multiprocessing.Queue`` there is no feeder thread: ``put``
     pickles and writes in the caller, so the message is in the pipe when it
     returns.  One reader; writers serialize on a lock.  With
-    ``blocking=False`` (job pipes, whose messages are far below
-    ``PIPE_BUF`` and therefore written atomically) a ``put`` into a pipe
-    nobody drains raises ``queue.Full`` instead of blocking the
-    coordinator.
+    ``blocking=False`` (job pipes) a ``put`` into a pipe nobody drains
+    raises ``queue.Full`` instead of blocking the coordinator.  That needs
+    the message written atomically, i.e. within ``PIPE_BUF``; the rare
+    larger one (a job carrying a worker's slab layout, on its signature's
+    first run) is written blocking, since a partial non-blocking write
+    would tear it.
     """
 
     def __init__(self, ctx, blocking: bool = True) -> None:
         self._reader, self._writer = ctx.Pipe(duplex=False)
         self._lock = ctx.Lock()
+        self._blocking = blocking
         if not blocking:
             os.set_blocking(self._writer.fileno(), False)
 
     def put(self, item) -> None:
+        data = ForkingPickler.dumps(item)
         with self._lock:
+            if self._blocking or len(data) <= _ATOMIC_MESSAGE_BYTES:
+                try:
+                    self._writer.send_bytes(data)
+                except BlockingIOError:
+                    raise queue.Full from None
+                return
+            fd = self._writer.fileno()
+            os.set_blocking(fd, True)
             try:
-                self._writer.send(item)
-            except BlockingIOError:
-                raise queue.Full from None
+                self._writer.send_bytes(data)
+            finally:
+                os.set_blocking(fd, False)
 
     def get(self, timeout: Optional[float] = None):
         if not self._reader.poll(timeout):
@@ -191,18 +224,66 @@ def _drain_worker_tracer(tracer: Tracer, ctx: TraceContext,
     }
 
 
+class _WorkerMemory:
+    """One worker's own memory: a scratch workspace and, per input
+    signature, a slab and the destination table of views into it.
+
+    Built from the :class:`~repro.runtime.plan.Destinations` layouts the
+    coordinator ships (``(offset, shape, dtype)`` per destination, once per
+    signature), never shared with another worker — no slab-backed value
+    ever leaves its worker.
+    """
+
+    def __init__(self, num_slots: int) -> None:
+        self.num_slots = num_slots
+        self.workspace = Workspace()
+        self.tables: Dict[int, List[Optional[np.ndarray]]] = {}
+        self.slabs: List[np.ndarray] = []
+        #: the ``(allocations, slab bytes)`` last reported home
+        self.reported: Optional[Tuple[int, int]] = None
+
+    def table(self, key: int, layout) -> List[Optional[np.ndarray]]:
+        """The destination table of signature ``key`` (built from
+        ``layout`` when it is shipped, i.e. on its first run here)."""
+        if layout is not None:
+            self.tables[key], slab = layout.table(self.num_slots)
+            self.slabs.append(slab)
+        return self.tables[key]
+
+    def poison(self) -> None:
+        """NaN-fill every slab and the scratch workspace (chaos testing)."""
+        for slab in self.slabs:
+            slab.fill(0xFF)
+        self.workspace.poison()
+
+    def changed(self) -> Optional[Tuple[int, int]]:
+        """``(allocations, slab bytes)`` when it differs from what was last
+        reported, else None."""
+        current = (len(self.slabs) + self.workspace.allocations,
+                   sum(slab.nbytes for slab in self.slabs))
+        if current == self.reported:
+            return None
+        self.reported = current
+        return current
+
+
 def _worker(fn, weights, jobs, done, index,
-            plane: Optional[TensorPlane] = None) -> None:
+            plane: Optional[TensorPlane] = None, num_slots: int = 0) -> None:
     """One cluster's worker loop: a thread, or (with ``plane``) a process.
 
     A thread job carries the feed and the run's channels by reference.  A
     process job carries only the *names* of the input slots to read: the
     worker reads the feed from, and writes its graph outputs to, the
     inherited tensor plane, and ships its channel-telemetry delta home
-    (its counters are copy-on-write private to the fork).
+    (its counters are copy-on-write private to the fork).  A job of a pool
+    with a slab planner names its signature's layout (shipped on the
+    signature's first run): the worker then calls the cluster function
+    with its own destination table and workspace, and ships its
+    ``(allocations, slab bytes)`` home whenever they change.
     """
     is_process = plane is not None
     tracer: Optional[Tracer] = None
+    memory = _WorkerMemory(num_slots)
     while True:
         job = jobs.get()
         if job is None:
@@ -212,8 +293,11 @@ def _worker(fn, weights, jobs, done, index,
             done.put((ticket, index, time.perf_counter_ns(), None, 0, None))
             continue
         received_ns = time.perf_counter_ns()
-        _, inputs, channels, ctx, fault = job
+        _, inputs, channels, ctx, fault, layout = job
         start_ns = time.perf_counter_ns()
+        # The table is built before anything can fail: the coordinator
+        # ships a layout once, whatever becomes of the job carrying it.
+        out = None if layout is None else memory.table(*layout)
         if fault is not None:
             try:
                 action = apply_worker_fault(fault, is_process=is_process)
@@ -228,6 +312,8 @@ def _worker(fn, weights, jobs, done, index,
             if action == "corrupt":
                 done.put(("__corrupt__", index))
                 continue
+            if action == "poison":
+                memory.poison()
         try:
             payload = None
             if is_process:
@@ -235,18 +321,26 @@ def _worker(fn, weights, jobs, done, index,
                 channels = plane.channels
                 inputs = {name: plane.read(name) for name in inputs}
                 counted = plane.telemetry.snapshot()
+            if out is None:  # standalone: every call allocates
+                args = (inputs, weights, channels)
+            else:
+                args = (inputs, weights, channels, out, memory.workspace)
             if ctx is None:
-                outputs = fn(inputs, weights, channels)
+                outputs = fn(*args)
             else:
                 if tracer is None:
                     tracer = Tracer(capacity=_WORKER_TRACER_CAPACITY)
                 queue_wait_ns = ctx.queue_wait_ns(received_ns)
-                args = ctx.span_args({
+                span_args = ctx.span_args({
                     "cluster": str(index),
                     "queue_wait_us": str(queue_wait_ns // 1000)})
-                with tracer.span("worker.execute", cat="worker", args=args):
-                    outputs = fn(inputs, weights, channels)
+                with tracer.span("worker.execute", cat="worker", args=span_args):
+                    outputs = fn(*args)
                 payload = _drain_worker_tracer(tracer, ctx, queue_wait_ns)
+            if out is not None:
+                usage = memory.changed()
+                if usage is not None:
+                    payload = dict(payload or (), memory=usage)
             if is_process:
                 produced = tuple(name for name in outputs if name in plane)
                 for name in produced:
@@ -265,10 +359,14 @@ def _process_main(*args) -> None:
     """Entry point of a forked worker: run :func:`_worker` on a side thread.
 
     glibc's main arena gives large freed blocks back to the kernel, so on a
-    process's main thread every big temporary of a cluster function is
-    page-faulted in again; a thread's own arena keeps them.  The generated
-    code allocates its intermediates per node, and measured on BERT this is
-    50 ms per inference on the main thread against 34 ms on any other.
+    process's main thread a big temporary allocated on every run is
+    page-faulted in again; a thread's own arena keeps it.  A worker with a
+    slab still allocates what the planner does not place — values it hands
+    to other clusters, graph outputs, outputs under 4 KB, the kernels'
+    internal temporaries — and measured on BERT (2 vCPUs, BLAS on one
+    thread, three sets of 6 x 10 runs) the main thread was still the slower
+    one in every set: 35.3 / 33.8 / 39.2 ms per inference against
+    34.3 / 29.4 / 38.2 ms on a side thread.
     """
     thread = threading.Thread(target=_worker, args=args, name="cluster")
     thread.start()
@@ -296,11 +394,18 @@ class WarmExecutorPool:
         The batch the caller may stack over the compile-time shapes; sizes
         the process backend's tensor slots (a larger batch still runs, via
         the pickled fallback).
+    planner:
+        Optional :class:`~repro.runtime.plan.ClusterSlabPlanner` over the
+        module's clusters.  With one, each worker computes into its own
+        slab: the coordinator plans every input signature once and ships
+        each worker its layout on the signature's first run.  Without
+        one, the cluster functions run standalone and allocate.
     """
 
     def __init__(self, module, weights: Mapping[str, np.ndarray],
                  backend: str = "thread", tracer: Optional[Tracer] = None,
-                 fail_grace_s: float = 2.0, max_batch: int = 1) -> None:
+                 fail_grace_s: float = 2.0, max_batch: int = 1,
+                 planner=None) -> None:
         module = getattr(module, "module", module)
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
@@ -314,6 +419,11 @@ class WarmExecutorPool:
         self._reads: List[Optional[frozenset]] = [
             None if reads is None else frozenset(reads[index])
             for index in range(self._num_clusters)]
+        self._planner = planner
+        #: per worker: the signature keys whose layout it has received
+        self._shipped: List[set] = [set() for _ in range(self._num_clusters)]
+        #: per worker: ``(allocations, slab bytes)`` as it last reported
+        self._worker_memory: List[Tuple[int, int]] = [(0, 0)] * self._num_clusters
         self._tickets = itertools.count(1)
         self._lock = threading.Lock()
         self._close_lock = threading.Lock()
@@ -409,17 +519,21 @@ class WarmExecutorPool:
         inheriting stale jobs a dead or wedged predecessor never consumed.
         """
         fn = self.module.CLUSTER_FUNCTIONS[index]
+        # A fresh worker has built no slab yet.
+        self._shipped[index] = set()
+        self._worker_memory[index] = (0, 0)
+        slots = getattr(self.module, "NUM_NODES", 0)
         if self.backend == "thread":
             jobs = queue.Queue()
             worker = threading.Thread(
                 target=_worker,
-                args=(fn, self._weights, jobs, self._done, index),
+                args=(fn, self._weights, jobs, self._done, index, None, slots),
                 daemon=True, name=f"warm-cluster-{index}")
         else:
             jobs = ControlPipe(self._mp_ctx, blocking=False)
             worker = self._mp_ctx.Process(
                 target=_process_main,
-                args=(fn, self._weights, jobs, self._done, index, self._plane),
+                args=(fn, self._weights, jobs, self._done, index, self._plane, slots),
                 daemon=True, name=f"warm-cluster-{index}")
         return jobs, worker
 
@@ -795,6 +909,8 @@ class WarmExecutorPool:
         delta = payload.get("channels")
         if delta:
             self._telemetry.add(delta)
+        if "memory" in payload:
+            self._worker_memory[index] = payload["memory"]
         if "spans" not in payload:
             return
         spans = self._worker_spans[index]
@@ -831,7 +947,9 @@ class WarmExecutorPool:
                  "queue_wait_ns_total": self._worker_queue_wait_ns[index],
                  "spans_buffered": len(self._worker_spans[index]),
                  "spans_dropped": self._worker_drops[index],
-                 "clock_offset_ns": self._clock_offsets[index]}
+                 "clock_offset_ns": self._clock_offsets[index],
+                 "allocations": self._worker_memory[index][0],
+                 "slab_bytes": self._worker_memory[index][1]}
                 for index in range(self._num_clusters)],
             "channels": channels,
         }
@@ -945,6 +1063,11 @@ class WarmExecutorPool:
             if injector is not None:
                 faults = [injector.directive("worker.execute", worker=i)
                           for i in range(self._num_clusters)]
+            layouts = None
+            if self._planner is not None:
+                key, plans = self._planner.plan(inputs)
+                layouts = [(key, None if key in self._shipped[i] else plans[i])
+                           for i in range(self._num_clusters)]
             self._occupancy = 1
             self._inflight = (ticket, time.monotonic())
             run_start_ns = time.perf_counter_ns()
@@ -970,7 +1093,10 @@ class WarmExecutorPool:
                                   feed if reads is None else
                                   {n: feed[n] for n in reads if n in feed},
                                   channels, ctx,
-                                  faults[i] if faults is not None else None))
+                                  faults[i] if faults is not None else None,
+                                  layouts[i] if layouts is not None else None))
+                        if layouts is not None:
+                            self._shipped[i].add(layouts[i][0])
                     except queue.Full:
                         self._broken = True
                         raise ParallelExecutionError(

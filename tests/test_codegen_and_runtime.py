@@ -105,7 +105,7 @@ class TestOpLowering:
 class TestSequentialCodegen:
     def test_source_structure(self, diamond_model):
         source = generate_sequential_source(diamond_model)
-        assert "def run(inputs, weights):" in source
+        assert "def run(inputs, weights, out=None, ws=None):" in source
         assert "GRAPH_OUTPUTS" in source
         compile(source, "<generated>", "exec")
 

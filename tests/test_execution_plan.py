@@ -42,14 +42,20 @@ def test_plan_bitwise_equals_interpreter_on_zoo(model_name):
 
 
 def test_plan_without_fusion_bitwise_equals_interpreter():
+    """The plan's source run standalone — no destination table, so no slab
+    and no in-place destination: every call allocates — and the plan
+    itself agree with the interpreter."""
     model = build_diamond_model()
     feed = example_inputs(model, seed=3)
     reference = GraphExecutor(model).run(feed)
-    plan = ExecutionPlan(model, fuse=False)
+    plan = ExecutionPlan(model)
+    namespace = {}
+    exec(compile(plan.source, "<standalone>", "exec"), namespace)  # noqa: S102
     for _ in range(2):
-        outputs = plan.run(feed)
-        for name, ref in reference.items():
-            np.testing.assert_array_equal(outputs[name], ref)
+        for outputs in (plan.run(feed),
+                        namespace["run"](feed, model.graph.initializers)):
+            for name, ref in reference.items():
+                np.testing.assert_array_equal(outputs[name], ref)
 
 
 def test_plan_handles_varying_batch_sizes():
@@ -88,14 +94,24 @@ def test_plan_checks_supported_ops_at_build_time():
 # Fusion and memory-plan behaviour
 # ---------------------------------------------------------------------------
 def test_plan_fuses_elementwise_tails():
+    """What was fusion is an in-place destination: an elementwise node whose
+    input dies at it computes into that input's slab range."""
     model = build_diamond_model()  # conv->relu pairs throughout
     plan = ExecutionPlan(model)
+    assert plan.stats()["fused_nodes"] == 0  # nothing planned before a run
+    plan.run(example_inputs(model, seed=1))
     stats = plan.stats()
     assert stats["fused_nodes"] > 0
-    assert stats["steps"] < stats["nodes"]
-    unfused = ExecutionPlan(model, fuse=False)
-    assert unfused.stats()["fused_nodes"] == 0
-    assert unfused.stats()["steps"] == unfused.stats()["nodes"]
+    assert stats["steps"] == stats["nodes"]
+    (memory,) = plan._memory.values()
+    slot = {node.name: index for index, node in enumerate(plan.order)}
+    in_place = [node for node in plan.order if node.op_type == "Relu"
+                and memory.outs[slot[node.name]] is not None]
+    assert in_place
+    producers = {node.outputs[0]: node for node in plan.order}
+    for relu in in_place:
+        conv = producers[relu.inputs[0]]
+        assert np.shares_memory(memory.outs[slot[relu.name]], memory.outs[slot[conv.name]])
 
 
 @pytest.mark.parametrize("model_name", ["yolo_v5", "squeezenet", "googlenet"])
@@ -137,7 +153,7 @@ def test_every_slab_view_is_what_the_step_returns_unbound(model_name):
             assert model_name == "bert" and batch == 3  # reshapes bake batch 1 in
             continue
         (memory,) = plan._memory.values()
-        views = {name: view for name, view in zip(plan._head_outputs, memory.outs)
+        views = {node.outputs[0]: view for node, view in zip(plan.order, memory.outs)
                  if view is not None}
         assert views
         unbound = executor.run(feed, outputs=list(views))
@@ -172,7 +188,7 @@ def test_one_feed_is_one_signature_whatever_the_dict_order():
     model = b.build()
     rng = np.random.default_rng(0)
     fx, fy = (rng.standard_normal((1, 4096)).astype(np.float32) for _ in "xy")
-    plan = ExecutionPlan(model, fuse=False)
+    plan = ExecutionPlan(model)
     first = plan.run({"x": fx, "y": fy})
     second = plan.run({"y": fy, "x": fx})
     for name in first:
@@ -193,7 +209,7 @@ def test_fed_initializer_is_not_a_constant_of_that_signature():
     model = b.build()
     feed = {"x": np.arange(4096, dtype=np.float32).reshape(2, 2048)}
     override = dict(feed, **{target: np.asarray([4, 1024], dtype=np.int64)})
-    plan = ExecutionPlan(model, fuse=False)
+    plan = ExecutionPlan(model)
     executor = GraphExecutor(model)
     for inputs in (feed, override, feed, override):
         expected = executor.run(inputs)
@@ -210,7 +226,7 @@ def test_a_feed_dtype_the_ir_cannot_name_runs_without_a_slab():
     model = b.build()
     feed = {"x": np.arange(-2048, 2048, dtype=np.int16).reshape(1, 4096)}
     expected = GraphExecutor(model).run(feed)
-    plan = ExecutionPlan(model, fuse=False)
+    plan = ExecutionPlan(model)
     for _ in range(2):
         outputs = plan.run(feed)
         for name, ref in expected.items():
@@ -240,44 +256,41 @@ def test_profiler_plan_engine_matches_interpreter_node_set():
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
 def test_plan_spans_account_for_every_node(model_name):
     """The tracer is the one per-step timer, so its spans must cover the
-    graph: one ``plan`` span per node per run unfused, and fused spans
-    whose head plus ``args["fused"]`` op types count every node once."""
+    graph: the traced twin of the plan's source emits one ``plan`` span per
+    node per run, in the plan's order, and still computes bitwise what the
+    interpreter does."""
     from collections import Counter
 
     from repro.observability import Tracer
 
     model = MODEL_REGISTRY[model_name].build(variant="small")
     feed = example_inputs(model, seed=1)
+    reference = GraphExecutor(model).run(feed)
     nodes = model.graph.nodes
     runs = 2
-    for fuse in (False, True):
-        plan = ExecutionPlan(model, fuse=fuse)
-        tracer = Tracer(capacity=4 * runs * len(nodes) + 64)
-        plan.enable_tracing(tracer)
-        for _ in range(runs):
-            plan.run(feed)
-        spans = [event for event in tracer.events() if event.cat == "plan"]
-        heads = Counter(event.args["node"] for event in spans)
-        ops = Counter()
-        for event in spans:
-            ops[event.args["op"]] += 1
-            fused = event.args.get("fused")
-            if fused:
-                ops.update(fused.split("+"))
-        if not fuse:
-            assert len(spans) == runs * len(nodes)
-            assert heads == Counter({node.name: runs for node in nodes})
-        assert set(heads.values()) == {runs}
-        assert ops == Counter({op: runs * count for op, count in
-                               Counter(node.op_type for node in nodes).items()})
+    plan = ExecutionPlan(model)
+    tracer = Tracer(capacity=4 * runs * len(nodes) + 64)
+    plan.enable_tracing(tracer)
+    for _ in range(runs):
+        outputs = plan.run(feed)
+        for name, ref in reference.items():
+            np.testing.assert_array_equal(outputs[name], ref)
+    spans = [event for event in tracer.events() if event.cat == "plan"]
+    assert len(spans) == runs * len(nodes)
+    assert Counter(event.args["node"] for event in spans) == \
+        Counter({node.name: runs for node in nodes})
+    assert [event.args["node"] for event in spans[:len(nodes)]] == \
+        [node.name for node in plan.order]
+    assert Counter(event.args["op"] for event in spans) == Counter(
+        {op: runs * count for op, count in Counter(node.op_type for node in nodes).items()})
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
 def test_profile_model_covers_every_node(model_name):
     """Regression: profiling a fused plan session timed only the fused
     steps' heads, so the simulator got measured costs for some nodes and
-    static units for the rest.  Model and session forms both profile a
-    fusion-free plan now, which covers the profiled graph's node set."""
+    static units for the rest.  A plan emits one span per node, so model
+    and session forms both cover the profiled graph's node set."""
     from repro.runtime.session import create_session
 
     model = MODEL_REGISTRY[model_name].build(variant="small")
@@ -392,12 +405,14 @@ def test_alias_group_storage_actually_recycles():
     early = b.node("Mul", [flat, flat])             # A is being read: range B
     total = b.node("ReduceSum", [flat], keepdims=0)    # last read of A
     late = b.node("Neg", [early])                   # A is dead: takes its range
-    out = b.node("Add", [total, b.node("ReduceSum", [late], keepdims=0)])
+    kept = b.node("ReduceSum", [early], keepdims=0)    # early outlives late
+    out = b.node("Add", [b.node("Add", [total, b.node("ReduceSum", [late], keepdims=0)]),
+                         kept])
     b.output(out)
     model = b.build()
     feed = {"x": np.ones((1, 4096), dtype=np.float32)}
     reference = GraphExecutor(model).run(feed)
-    plan = ExecutionPlan(model, fuse=False)
+    plan = ExecutionPlan(model)
     for _ in range(3):
         outputs = plan.run(feed)
         for name, ref in reference.items():
@@ -406,9 +421,9 @@ def test_alias_group_storage_actually_recycles():
     assert stats["slab_bytes"] < stats["intermediate_bytes"], stats
     (memory,) = plan._memory.values()
     views = {node.outputs[0]: view
-             for nodes, view in zip(plan._step_nodes, memory.outs) if view is not None
-             for node in nodes}
+             for node, view in zip(plan.order, memory.outs) if view is not None}
     assert not np.shares_memory(views[doubled], views[early])
+    assert not np.shares_memory(views[early], views[late])
     assert np.shares_memory(views[doubled], views[late])
 
 
@@ -470,8 +485,8 @@ def test_data_dependent_steps_allocate_instead_of_taking_a_view(head):
     assert plan.stats()["arena"]["signatures"] == 1
     # no step downstream of NonZero holds a slab range
     (memory,) = plan._memory.values()
-    assert [view for nodes, view in zip(plan._step_nodes, memory.outs)
-            if nodes[0].op_type != "NonZero" and view is not None] == []
+    assert [view for node, view in zip(plan.order, memory.outs)
+            if node.op_type != "NonZero" and view is not None] == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,3 +529,23 @@ def test_ramiel_compile_carries_an_execution_plan():
     for name in want:
         assert got[name].dtype == want[name].dtype
         np.testing.assert_array_equal(got[name], want[name])
+
+
+def test_a_failing_node_is_named_in_the_plan_error():
+    """The plan runs generated code; a kernel failing inside it is reported
+    with the node whose statement raised, traced or not."""
+    from repro.observability import Tracer
+
+    b = GraphBuilder("failing", seed=0)
+    x = b.input("x", (1, 4, 8, 8))
+    weight = b.const(np.ones((4, 2, 3, 3), dtype=np.float32))
+    y = b.node("ConvTranspose", [b.node("Relu", [x]), weight], group=2, name="up")
+    b.output(b.node("Relu", [y]))
+    model = b.build(validate=False, infer=False)
+    feed = {"x": np.ones((1, 4, 8, 8), dtype=np.float32)}
+    plan = ExecutionPlan(model)
+    for traced in (False, True):
+        if traced:
+            plan.enable_tracing(Tracer(capacity=64))
+        with pytest.raises(PlanError, match=r"planned execution of up \(ConvTranspose\).*group=1"):
+            plan.run(feed)

@@ -443,10 +443,11 @@ class TestTracedExecutionIdentity:
         plan = ExecutionPlan(model)
         assert len(rows) == plan.stats()["steps"]
         assert all(":" in row["step"] for row in rows)  # "op:node" labels
+        assert [row["node"] for row in rows] == [node.name for node in plan.order]
         for row in rows:
             assert row["count"] == 3
             assert row["total_ms"] >= 0
-            assert {"op", "node", "fused", "mean_ms", "median_ms"} <= set(row)
+            assert {"op", "node", "kind", "mean_ms", "median_ms"} <= set(row)
 
     def test_profile_rows_carry_the_kernel_kind(self):
         model = small_model("nasnet")  # pointwise, general and depthwise convs

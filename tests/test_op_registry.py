@@ -230,8 +230,13 @@ def _assert_identical(got, want, what):
 
 
 def _plans(model):
-    for fuse in (True, False):
-        yield f"plan(fuse={fuse})", ExecutionPlan(model, fuse=fuse)
+    """The plan, and a plan running the traced twin of its source."""
+    from repro.observability import Tracer
+
+    yield "plan", ExecutionPlan(model)
+    traced = ExecutionPlan(model)
+    traced.enable_tracing(Tracer(capacity=64))
+    yield "plan(traced)", traced
 
 
 @pytest.mark.parametrize("op, inputs, outputs, attrs", CASES)
@@ -262,8 +267,9 @@ _SANDWICHED = [p for p in CASES if p.values[2] == 1 and p.values[1]]
 
 @pytest.mark.parametrize("op, inputs, outputs, attrs", _SANDWICHED)
 def test_plan_agrees_mid_graph(op, inputs, outputs, attrs):
-    """Mid-graph the node is a slab-backed head, a fused in-place tail or the
-    head of a fused chain — whichever its declaration allows."""
+    """Mid-graph the node computes into a slab range, in place on the range
+    of an input dying at it, or allocates — whichever its declaration and
+    the shape table allow."""
     model, feed = _build(op, inputs, outputs, attrs, sandwich=True)
     reference = GraphExecutor(model).run(feed)
     for what, plan in _plans(model):
@@ -273,7 +279,7 @@ def test_plan_agrees_mid_graph(op, inputs, outputs, attrs):
 
 @pytest.mark.parametrize("dtype", ["float64", "float16", "int64"])
 def test_plan_agrees_mid_graph_when_the_feed_is_retyped(dtype):
-    """The plan sizes slab views and in-place tails from the shape table for
+    """The plan sizes slab views and in-place destinations from the shape table for
     the dtype that was fed, not the declared one (serving accepts a float64
     feed for a float32 model): re-type each case's first operand."""
     for op, inputs, outputs, attrs in (p.values for p in _SANDWICHED):
