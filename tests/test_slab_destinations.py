@@ -17,7 +17,7 @@ import pytest
 from repro.models import build_model, list_models
 from repro.pipeline import ramiel_compile
 from repro.resilience.faults import FaultInjector, FaultSpec
-from repro.runtime.plan import ClusterSlabPlanner, ExecutionPlan
+from repro.runtime.plan import ClusterSlabPlanner
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving import example_inputs
@@ -118,13 +118,6 @@ def test_no_cluster_slab_holds_a_crossing_value_or_a_graph_output(name):
         for slot, _, _, _ in layout.views:
             produced = [value for value in planner.order[slot].outputs if value]
             assert not set(produced) & planner.pinned
-
-
-def test_a_plan_runs_the_compiles_module():
-    result = ramiel_compile(build_model("squeezenet", variant="small"))
-    plan = result.plan()
-    assert plan.source is result.sequential_module.source
-    assert ExecutionPlan(result.optimized_model).source == plan.source
 
 
 def test_a_job_pipe_carries_a_layout_larger_than_an_atomic_write():
