@@ -36,6 +36,7 @@ import dataclasses
 import enum
 import functools
 import inspect
+import math
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -363,16 +364,30 @@ def bind(node, error: type = KeyError, workspace=None) -> BoundOp:
 # ---------------------------------------------------------------------------
 # render: a node -> the same call as readable Python text
 # ---------------------------------------------------------------------------
+def _python(value: Any) -> str:
+    """``repr(value)`` for plain Python data, except that a non-finite float
+    is spelled ``float('inf')`` / ``float('-inf')`` / ``float('nan')`` —
+    ``repr`` prints a bare ``inf``, which no generated module defines."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float('{value!r}')"
+    if type(value) is list:
+        return f"[{', '.join(map(_python, value))}]"
+    if type(value) is tuple:
+        items = ", ".join(map(_python, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
+
+
 def _literal(value: Any, error: type) -> str:
     """Render a normalised parameter value as a Python literal."""
     if isinstance(value, (list, tuple)):
-        return repr(list(value))
+        return _python(list(value))
     if isinstance(value, np.generic):
-        return f"np.{type(value).__name__}({value.item()!r})"
+        return f"np.{type(value).__name__}({_python(value.item())})"
     if value is None or isinstance(value, (int, float, str)):
-        return repr(value)
+        return _python(value)
     if isinstance(value, np.ndarray):
-        text = f"np.array({value.ravel().tolist()!r}, dtype=np.{value.dtype.name})"
+        text = f"np.array({_python(value.ravel().tolist())}, dtype=np.{value.dtype.name})"
         return text if value.ndim == 1 else f"{text}.reshape({list(value.shape)!r})"
     raise error(f"cannot render attribute value {value!r} as a literal")
 
@@ -403,9 +418,14 @@ def destination(node) -> Optional[str]:
     :func:`render` prints with ``out=out[i]``.
     """
     schema = _schema_of(node, KeyError)
-    if not schema.out or schema.emit is not None:
-        return None
-    return schema.out if _resolve(schema, node, KeyError)[4] else None
+    return _capability(schema, _resolve(schema, node, KeyError)[4])
+
+
+def _capability(schema: OpSchema, direct: bool) -> Optional[str]:
+    """The one rule :func:`destination` and :func:`render` share: a call
+    takes ``out=`` when its declaration supports one, it is not printed by
+    an ``emit`` hook, and ``_resolve`` found it ``direct``."""
+    return schema.out if schema.out and schema.emit is None and direct else None
 
 
 def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
@@ -438,7 +458,7 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
         f"{key}={value}" for key, value in named.items()
         if type(keywords[key]) is _Input or defaults.get(key) != value]
     if slot is not None:
-        if schema.out and direct:
+        if _capability(schema, direct):
             args.append(f"out=out[{slot}]")
         if schema.workspace:
             args.append("workspace=ws")

@@ -15,7 +15,7 @@ Design constraints, in order:
 1. **Zero cost when absent.**  Nothing in the hot layers holds a tracer by
    default; instrumented code paths check ``tracer is None`` once per
    *run*, not per step (:class:`repro.runtime.plan.ExecutionPlan` compiles
-   the traced stepper as a separate closure at enable time).
+   a traced twin of its source at enable time).
 2. **Bounded memory.**  The ring buffer overwrites the oldest events once
    full and counts the overwritten ones (``stats()["dropped"]``), so a
    long-running server can keep a tracer attached as a flight recorder.

@@ -184,13 +184,11 @@ class RamielResult:
         """The compiled artifact's execution plan, built on the first call
         and cached in ``execution_plan``; a compile does not build it.
 
-        The plan runs the generated sequential module — imported here when
-        the compile wrote one, rendered by the plan itself otherwise.
+        The plan renders the generated sequential module's text itself.
         Raises :class:`~repro.runtime.plan.PlanError` when the numpy runtime
         cannot execute the optimized model."""
         if self.execution_plan is None:
-            self.execution_plan = ExecutionPlan(self.optimized_model,
-                                                module=self.sequential_module)
+            self.execution_plan = ExecutionPlan(self.optimized_model)
         return self.execution_plan
 
     def session(self, executor: str = "plan", timeout_s: float = 300.0):

@@ -9,9 +9,9 @@
   plan's topological ``order``).  Every call in it that can compute into a
   caller-owned buffer names its destination, ``out=out[i]`` for node ``i``
   of the order, and every kernel that takes scratch gets ``workspace=ws``.
-  The plan compiles that text once (or runs the compile's imported module)
-  and calls its ``run(inputs, weights, out, ws)``: no per-node dispatch, no
-  closures, straight-line code over local variables.  A traced twin of the
+  The plan renders and compiles that text once and calls its
+  ``run(inputs, weights, out, ws)``: no per-node dispatch, no closures,
+  straight-line code over local variables.  A traced twin of the
   same text, compiled on the first :meth:`ExecutionPlan.enable_tracing`,
   brackets every node's statements with one ``plan`` span;
 * **a memory planner** — the destination table ``out`` it passes.  On the
@@ -355,10 +355,6 @@ class ExecutionPlan:
     ----------
     model:
         An IR :class:`Model` or bare :class:`Graph`.
-    module:
-        The model's generated sequential module, when a compile wrote one
-        (:class:`~repro.codegen.module_writer.GeneratedModule`): the plan
-        runs it instead of rendering and compiling the same text again.
 
     An op without a handler raises :class:`PlanError` at build time.
 
@@ -368,7 +364,7 @@ class ExecutionPlan:
     per-plan state.
     """
 
-    def __init__(self, model, module=None) -> None:
+    def __init__(self, model) -> None:
         if not isinstance(model, Model):
             model = Model(model)
         self._model = model
@@ -377,14 +373,10 @@ class ExecutionPlan:
         #: the graph's nodes in the topological order the source follows
         self.order: List[OpNode] = topological_sort_nodes(self.graph)
         require_supported(self.order, PlanError)
-        if module is not None:
-            #: the generated sequential module's text this plan runs
-            self.source: str = module.source
-            self._run = module.run
-        else:
-            self.source = self._render()
-            self._run = _compile(self.source, f"<plan {self.model_name}>",
-                                 {"__name__": f"ramiel_plan_{self.model_name}"})
+        #: the generated sequential module's text this plan runs
+        self.source: str = self._render()
+        self._run = _compile(self.source, f"<plan {self.model_name}>",
+                             {"__name__": f"ramiel_plan_{self.model_name}"})
         # Kernels rewind the workspace before returning and runs are
         # serialized by the plan lock, so one provider serves all.
         self._workspace = Workspace()

@@ -312,10 +312,10 @@ class Session:
                 self._pool.restart()
         elif self._plan is not None:
             if self.result is not None:
-                self._plan = ExecutionPlan(self.result.optimized_model,
-                                           module=self.result.sequential_module)
+                source = self.result.optimized_model
             else:  # a bare-ExecutionPlan artifact: rebuild over its graph
-                self._plan = ExecutionPlan(self._plan.graph)
+                source = self._plan.graph
+            self._plan = ExecutionPlan(source)
             if self._tracer is not None:
                 self._plan.enable_tracing(self._tracer)
         elif self._interp is not None:

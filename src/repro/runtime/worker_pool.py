@@ -99,6 +99,7 @@ import multiprocessing
 import os
 import queue
 import select
+import struct
 import threading
 import time
 from collections import deque
@@ -150,8 +151,10 @@ class ControlPipe:
     raises ``queue.Full`` instead of blocking the coordinator.  That needs
     the message written atomically, i.e. within ``PIPE_BUF``; the rare
     larger one (a job carrying a worker's slab layout, on its signature's
-    first run) is written blocking, since a partial non-blocking write
-    would tear it.
+    first run) is written piecewise as the pipe drains, and raises
+    ``queue.Full`` once ``timeout`` passes — a message torn that way
+    leaves the pipe unusable, which is why the caller then marks its pool
+    broken.
     """
 
     def __init__(self, ctx, blocking: bool = True) -> None:
@@ -161,7 +164,7 @@ class ControlPipe:
         if not blocking:
             os.set_blocking(self._writer.fileno(), False)
 
-    def put(self, item) -> None:
+    def put(self, item, timeout: Optional[float] = None) -> None:
         data = ForkingPickler.dumps(item)
         with self._lock:
             if self._blocking or len(data) <= _ATOMIC_MESSAGE_BYTES:
@@ -170,12 +173,19 @@ class ControlPipe:
                 except BlockingIOError:
                     raise queue.Full from None
                 return
+            # The connection's own framing: a 4-byte big-endian length.
+            pending = memoryview(struct.pack("!i", len(data)) + data)
             fd = self._writer.fileno()
-            os.set_blocking(fd, True)
-            try:
-                self._writer.send_bytes(data)
-            finally:
-                os.set_blocking(fd, False)
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while pending:
+                wait = None if deadline is None else deadline - time.monotonic()
+                if wait is not None and wait <= 0:
+                    raise queue.Full
+                if select.select([], [fd], [], wait)[1]:
+                    try:
+                        pending = pending[os.write(fd, pending):]
+                    except BlockingIOError:
+                        pass
 
     def get(self, timeout: Optional[float] = None):
         if not self._reader.poll(timeout):
@@ -1070,6 +1080,7 @@ class WarmExecutorPool:
                            for i in range(self._num_clusters)]
             self._occupancy = 1
             self._inflight = (ticket, time.monotonic())
+            deadline = self._inflight[1] + timeout
             run_start_ns = time.perf_counter_ns()
             try:
                 if self.backend == "thread":
@@ -1094,7 +1105,8 @@ class WarmExecutorPool:
                                   {n: feed[n] for n in reads if n in feed},
                                   channels, ctx,
                                   faults[i] if faults is not None else None,
-                                  layouts[i] if layouts is not None else None))
+                                  layouts[i] if layouts is not None else None),
+                                 timeout=max(deadline - time.monotonic(), 0.0))
                         if layouts is not None:
                             self._shipped[i].add(layouts[i][0])
                     except queue.Full:

@@ -19,8 +19,9 @@ is one record with one future, it waits in exactly one place, and
    :class:`~repro.runtime.session.Session` (the unified execution
    surface).  With the default ``executor="plan"`` every request batch
    runs through a compile-once
-   :class:`~repro.runtime.plan.ExecutionPlan` (bound closures, packed
-   memory slab, fused elementwise tails): no per-request ``GraphExecutor``
+   :class:`~repro.runtime.plan.ExecutionPlan` (the model's generated
+   sequential source plus a memory planner that packs one slab per input
+   signature, in-place ops sharing their input's range): no per-request ``GraphExecutor``
    construction, no per-node dispatch, and a zero-realloc steady state;
    fused batches are stacked into reused staging buffers instead of a
    fresh ``concatenate`` per batch and run through ``Session.run``, and

@@ -6,7 +6,7 @@ first use — once, whichever thread gets there first — and a process
 session imports its placed module before its workers fork.  An import
 error surfaces at first use, naming the file.  A result runs the text it
 was compiled to, even after another compile overwrote its files.  The
-plan built later runs the sequential module's very text.
+plan built later renders the sequential module's very text.
 """
 
 from __future__ import annotations
@@ -169,12 +169,12 @@ def test_a_result_runs_its_own_code_after_its_files_are_overwritten(
 @pytest.mark.parametrize("name", list_models())
 @pytest.mark.parametrize("clone", [False, True])
 def test_the_plan_follows_the_sequential_modules_order(name, clone):
-    """The plan renders the compile's sequential module byte for byte (so
-    it follows its order), and a plan built from the result runs it."""
+    """The plan renders the compile's sequential module byte for byte, so
+    it follows its order."""
     result = ramiel_compile(build_model(name, variant="small"), clone=clone)
     plan = ExecutionPlan(result.optimized_model)
     assert plan.source == result.sequential_module.source
     printed = [ast.literal_eval(match) for match in
                _NODE_COMMENT.findall(plan.source)]
     assert printed == [node.name for node in plan.order]
-    assert result.plan().source is result.sequential_module.source
+    assert result.plan().source == result.sequential_module.source

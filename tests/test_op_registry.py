@@ -92,6 +92,7 @@ CASES = [
     case("Clip", [BIG], id="Clip-bare"),
     case("Clip", [BIG, np.float32(-0.25), np.float32(0.75)], id="Clip-inputs"),
     case("Clip", [BIG, None, np.float32(0.1)], id="Clip-max-input-only"),
+    case("Clip", [BIG], id="Clip-infinite-bound", min=-np.inf, max=0.5),
     case("Softmax", [f32(3, 7)]),
     case("Softmax", [f32(3, 7)], id="Softmax-axis0", axis=0),
     case("LogSoftmax", [f32(3, 7)]),
@@ -177,6 +178,9 @@ CASES = [
     case("Constant", [], id="Constant-matrix", value=f32(2, 3)),
     case("Constant", [], id="Constant-one-element", value=i64(5)),
     case("Constant", [], id="Constant-scalar", value=np.asarray(2.5, dtype=np.float32)),
+    # an attention-mask-like constant: non-finite values must print as code
+    case("Constant", [], id="Constant-non-finite",
+         value=np.asarray([[-np.inf, np.nan, 1.0], [0.0, np.inf, -0.0]], dtype=np.float32)),
     case("Range", [np.asarray(1), np.asarray(9), np.asarray(2)]),
     case("NonZero", [flags(3, 4)]),
     case("Identity", [X]),

@@ -131,3 +131,80 @@ def test_a_job_pipe_carries_a_layout_larger_than_an_atomic_write():
     layout = [(slot, slot * 64, (1, 64, 8, 8), "<f4") for slot in range(600)]
     pipe.put(("job", layout))
     assert pipe.get(timeout=5.0) == ("job", layout)
+
+
+def _large_layout(views: int = 6000):
+    """A layout whose pickled job is larger than an empty pipe (64 KB)."""
+    from repro.runtime.plan import Destinations
+
+    dtype = np.dtype(np.float32)
+    return Destinations([(0, 64 * k, (k % 7 + 1, 3), dtype) for k in range(views)],
+                        64 * views, 64 * views, 0)
+
+
+def test_a_large_put_into_an_undrained_pipe_times_out():
+    """Nobody reads: a message larger than the pipe's free space raises
+    ``queue.Full`` once its timeout passes instead of blocking for good."""
+    import multiprocessing
+    import queue
+    import time
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro.runtime.worker_pool import ControlPipe
+
+    layout = _large_layout()
+    assert len(ForkingPickler.dumps(layout)) > 1 << 16
+    pipe = ControlPipe(multiprocessing.get_context("fork"), blocking=False)
+    start = time.monotonic()
+    with pytest.raises(queue.Full):
+        pipe.put(("job", layout), timeout=0.3)
+    assert 0.3 <= time.monotonic() - start < 5.0
+
+
+def test_a_large_put_arrives_whole_while_the_reader_drains():
+    import multiprocessing
+    import threading
+
+    from repro.runtime.worker_pool import ControlPipe
+
+    layout = _large_layout()
+    pipe = ControlPipe(multiprocessing.get_context("fork"), blocking=False)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.get(timeout=10.0)))
+    reader.start()
+    pipe.put(("job", layout), timeout=10.0)
+    reader.join()
+    assert got == [("job", layout)]
+
+
+def test_a_dead_workers_large_layout_breaks_the_pool_within_the_timeout():
+    """A process worker is killed, then a new signature ships it a layout
+    larger than its pipe: the run fails within its timeout and the pool is
+    marked broken, rather than the coordinator blocking on the write."""
+    import time
+
+    from repro.runtime.process_runtime import ParallelExecutionError
+
+    model = build_model("googlenet", variant="small")
+    result = ramiel_compile(model)
+    graph = result.optimized_model.graph
+    clusters = [cluster.nodes for cluster in result.clustering_merged.clusters]
+    planner = ClusterSlabPlanner(graph, clusters)
+    feed = example_inputs(model, seed=3)
+    with WarmExecutorPool(result.parallel_module, graph.initializers, backend="process",
+                          planner=planner) as pool:
+        pool.run(feed, timeout=60.0)
+        victim = pool._workers[0]
+        victim.kill()
+        victim.join(timeout=10.0)
+
+        class NewSignature:
+            def plan(self, inputs):
+                return 99, [_large_layout()] * len(clusters)
+
+        pool._planner = NewSignature()
+        start = time.monotonic()
+        with pytest.raises(ParallelExecutionError, match="not draining its job pipe"):
+            pool.run(feed, timeout=1.0)
+        assert time.monotonic() - start < 10.0
+        assert pool.broken
