@@ -55,7 +55,6 @@ from repro.codegen.sequential_codegen import generate_sequential_module
 from repro.models import build_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.process_runtime import run_sequential_module
 from repro.runtime.session import create_session
 from repro.serving.engine import example_inputs
 
@@ -118,7 +117,7 @@ def _measure(model_name: str) -> Dict:
     weights = model.graph.initializers
 
     def run_generated():
-        return run_sequential_module(generated, single, weights)
+        return generated.run(dict(single), dict(weights))
 
     # Warm all paths symmetrically: page in weights, let the plan sweep
     # its shapes, pack its slabs (one per batch size) and grow its

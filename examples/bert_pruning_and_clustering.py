@@ -24,7 +24,7 @@ from repro.analysis.speedup import ExperimentConfig, cluster_model
 from repro.models import build_model
 from repro.passes import optimize_model
 from repro.pipeline import ramiel_compile
-from repro.runtime import execute_model
+from repro.runtime import create_session, execute_model
 
 
 def main() -> None:
@@ -63,11 +63,14 @@ def main() -> None:
     inputs = {"input_ids": rng.integers(0, 200, size=(1, seq_len)).astype(np.int64)}
 
     reference = execute_model(model, inputs)          # unpruned interpreter
-    parallel_out = result.run_parallel(inputs, backend="thread")
+    with create_session(result, executor="pool") as session:
+        parallel_out = session.run(inputs)
+        placement = session.stats()["placement"]
     for name, ref in reference.items():
         assert np.allclose(ref, parallel_out[name], atol=1e-3), \
             f"pruned parallel output {name} diverges from the unpruned reference"
-    print("\n  pruned parallel outputs match the unpruned reference ✓")
+    print(f"\n  placement: {placement}")
+    print("  pruned parallel outputs match the unpruned reference ✓")
     print(f"  generated parallel module: {result.parallel_module.path}")
 
 

@@ -6,7 +6,10 @@ This walks the full pipeline of the paper on SqueezeNet:
 2. report its potential parallelism (Table I metric),
 3. run linear clustering + cluster merging,
 4. generate readable sequential and parallel Python code,
-5. execute both and check they agree, printing the measured speedup.
+5. run the code through warm sessions — the single-threaded plan and the
+   parallel module on threads (``pool``) and processes (``process``), its
+   clustering placed on this host's cores — check every output bitwise
+   against the reference interpreter and print the timings.
 
 Run with::
 
@@ -15,11 +18,14 @@ Run with::
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import numpy as np
 
 from repro import ramiel_compile
 from repro.models import build_model
-from repro.runtime.process_runtime import time_callable
+from repro.runtime import create_session
 
 
 def main() -> None:
@@ -38,25 +44,35 @@ def main() -> None:
     for line in result.parallel_module.source.splitlines()[:25]:
         print(f"  {line}")
 
-    # Execute the generated code on a random input and compare.
+    # Run the generated code on a random input through warm sessions: the
+    # first run of each imports the module, sizes the memory slabs and
+    # starts the workers, so only the runs after it are timed.
     rng = np.random.default_rng(0)
     inputs = {"input": rng.standard_normal((1, 3, 32, 32)).astype(np.float32)}
+    reference = create_session(result, executor="interp").run(inputs)
 
-    seq_time, seq_out = time_callable(lambda: result.run_sequential(inputs), repeats=3)
-    par_time, par_out = time_callable(lambda: result.run_parallel(inputs, backend="thread"),
-                                      repeats=3)
-
-    for name in seq_out:
-        assert np.allclose(seq_out[name], par_out[name], atol=1e-4), \
-            f"parallel output {name} diverges from sequential"
-
-    print("\n--- execution ------------------------------------------------")
-    print(f"  sequential: {seq_time * 1e3:8.2f} ms")
-    print(f"  parallel:   {par_time * 1e3:8.2f} ms  "
-          f"({result.num_clusters} clusters, thread backend)")
-    print(f"  measured speedup: {seq_time / par_time:.2f}x "
-          f"(simulator predicted {result.predicted_speedup:.2f}x)")
-    print("  outputs match the sequential reference ✓")
+    print("\n--- execution (warm sessions, median of 5 runs) -------------")
+    times = {}
+    for executor in ("plan", "pool", "process"):
+        with create_session(result, executor=executor) as session:
+            outputs = session.run(inputs)
+            samples = []
+            for _ in range(5):
+                start = time.perf_counter()
+                outputs = session.run(inputs)
+                samples.append(time.perf_counter() - start)
+            placement = session.stats().get("placement")  # none for the plan
+        for name, ref in reference.items():
+            np.testing.assert_array_equal(outputs[name], ref,
+                                          err_msg=f"{executor} output {name}")
+        times[executor] = statistics.median(samples)
+        print(f"  {executor:8s} {times[executor] * 1e3:8.2f} ms  "
+              f"{times['plan'] / times[executor]:5.2f}x the plan")
+        if placement is not None:
+            print(f"           placement: {placement}")
+    print(f"  simulator predicted {result.predicted_speedup:.2f}x for the "
+          f"{result.num_clusters} compiled clusters")
+    print("  every output is bitwise equal to the interpreter's ✓")
 
 
 if __name__ == "__main__":

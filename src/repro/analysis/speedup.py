@@ -20,6 +20,7 @@ Two evaluation modes are provided:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Dict, Mapping, Optional
 
@@ -225,6 +226,41 @@ def hypercluster_speedups(
     return out
 
 
+def output_error(ref, got) -> float:
+    """Largest absolute difference between a reference output and another
+    executor's; ``0.0`` only when the two are bitwise equal.
+
+    A dtype or shape mismatch, NaN in different positions, or a difference
+    no subtraction shows (a zero's sign, a NaN's payload) counts as ``inf``,
+    so no mismatch can fold into a maximum as ``0.0``.
+    """
+    ref, got = np.asarray(ref), np.asarray(got)
+    if ref.dtype != got.dtype or ref.shape != got.shape:
+        return math.inf
+    if ref.tobytes() == got.tobytes():
+        return 0.0
+    ref64, got64 = ref.astype(np.float64), got.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(ref64 - got64)
+    # Equal infinities subtract to NaN; a NaN left after this is a NaN
+    # the other side does not have.
+    diff[(ref64 == got64) | (np.isnan(ref64) & np.isnan(got64))] = 0.0
+    err = float(np.max(diff))
+    return err if err > 0.0 else math.inf
+
+
+def _median_time(fn, repeats: int):
+    """Median wall-clock seconds of ``repeats`` calls of ``fn`` after one
+    warm-up call, and the last call's result."""
+    result = fn()
+    samples = []
+    for _ in range(max(repeats, 1)):
+        start = time.perf_counter()
+        result = fn()
+        samples.append(time.perf_counter() - start)
+    return sorted(samples)[len(samples) // 2], result
+
+
 def measured_speedup(
     model: Model,
     inputs: Mapping[str, np.ndarray],
@@ -238,12 +274,13 @@ def measured_speedup(
     The parallel side is a warm ``pool`` (``backend="thread"``) or
     ``process`` session, i.e. the clustering placed on the cores of this
     host; ``"placement"`` in the result is the session's
-    ``stats()["placement"]``.  Intended for the reduced-size model variants
-    (examples / integration tests); the benchmark tables use the simulator
-    for determinism.
+    ``stats()["placement"]``; ``"max_abs_err"`` is the largest
+    :func:`output_error` over the graph outputs, ``0.0`` only when every
+    output is bitwise equal to the standalone sequential module's.
+    Intended for the reduced-size model variants (examples / integration
+    tests); the benchmark tables use the simulator for determinism.
     """
     from repro.pipeline import PipelineConfig, ramiel_compile  # imports this module
-    from repro.runtime.process_runtime import time_callable
     from repro.runtime.session import create_session
 
     config = config or ExperimentConfig()
@@ -251,18 +288,14 @@ def measured_speedup(
         cost_model=config.cost_model,
         num_cores=config.num_cores, message_latency=config.message_latency,
         per_cluster_overhead=config.per_cluster_overhead))
-    seq_time, seq_out = time_callable(lambda: result.run_sequential(inputs),
-                                      repeats=repeats)
+    seq_time, seq_out = _median_time(lambda: result.run_sequential(inputs), repeats)
     with create_session(result, executor="pool" if backend == "thread"
                         else "process") as session:
-        par_time, par_out = time_callable(lambda: session.run(inputs),
-                                          repeats=repeats)
+        par_time, par_out = _median_time(lambda: session.run(inputs), repeats)
         placement = session.stats()["placement"]
 
-    max_abs_err = 0.0
-    for name, ref in seq_out.items():
-        max_abs_err = max(max_abs_err, float(np.max(np.abs(np.asarray(ref, dtype=np.float64)
-                                                           - np.asarray(par_out[name], dtype=np.float64)))))
+    max_abs_err = max((output_error(ref, par_out.get(name)) for name, ref in seq_out.items()),
+                      default=0.0)
     return {
         "seq_time_s": seq_time,
         "par_time_s": par_time,

@@ -257,19 +257,6 @@ def parallel_source(model: Model, clustering: Clustering,
         f"cluster_{i}" for i in range(clustering.num_clusters)) + "]")
     em.line(f"CLUSTER_INPUTS = {cluster_inputs!r}")
     em.line(f"CLUSTER_OUTPUTS = {cluster_outputs!r}")
-    em.blank(2)
-    with em.block("def run_parallel(inputs, weights, backend='thread'):"):
-        em.docstring(
-            "Convenience driver: execute all clusters with the repro runtime.\n\n"
-            "``backend`` is 'thread' (one thread per cluster) or 'process' "
-            "(one process per cluster)."
-        )
-        em.line("from repro.runtime.process_runtime import execute_generated_module")
-        em.line("import types")
-        # The module is loaded from its file, not imported by name, so it
-        # is not in sys.modules: hand the runtime this module's namespace.
-        em.line("module = types.SimpleNamespace(**globals())")
-        em.line("return execute_generated_module(module, inputs, weights, backend=backend)")
     return em.source()
 
 

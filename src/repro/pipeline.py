@@ -128,24 +128,33 @@ class RamielResult:
         return self.clustering.num_clusters
 
     def run_sequential(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Execute the generated sequential module."""
-        from repro.runtime.process_runtime import run_sequential_module
-
+        """Execute the generated sequential module standalone (every
+        intermediate allocated)."""
         if self.sequential_module is None:
             raise RuntimeError("pipeline was run with generate_code=False")
-        return run_sequential_module(self.sequential_module,
-                                     inputs, self.optimized_model.graph.initializers)
+        return self.sequential_module.run(dict(inputs),
+                                          dict(self.optimized_model.graph.initializers))
 
     def run_parallel(self, inputs: Mapping[str, np.ndarray],
                      backend: str = "thread") -> Dict[str, np.ndarray]:
-        """Execute the generated parallel module with the chosen backend."""
-        from repro.runtime.process_runtime import execute_generated_module
+        """Execute the compiled ``parallel_module`` once, one ``backend``
+        worker (``"thread"`` or ``"process"``) per cluster.
+
+        A correctness entry, not a timer: it checks the code the compiler
+        generated, unplaced, and builds and reaps a whole
+        :class:`~repro.runtime.worker_pool.WarmExecutorPool` per call.  To
+        time or serve the parallel code, run a ``pool`` or ``process``
+        session, which places the clustering on this host's cores and
+        keeps its workers warm.
+        """
+        from repro.runtime.worker_pool import WarmExecutorPool
 
         if self.parallel_module is None:
             raise RuntimeError("pipeline was run with generate_code=False")
-        return execute_generated_module(self.parallel_module, inputs,
-                                        self.optimized_model.graph.initializers,
-                                        backend=backend)
+        with WarmExecutorPool(self.parallel_module,
+                              self.optimized_model.graph.initializers,
+                              backend=backend) as pool:
+            return pool.run(inputs)
 
     def placement(self, cores: int) -> Placement:
         """Place the compiled clustering on a machine with ``cores`` cores.

@@ -19,21 +19,18 @@ and the benchmarks need:
   differentially tested against :class:`GraphExecutor`.
 * :mod:`repro.runtime.channels` — the cluster-to-cluster transports
   (shared-memory tensor slots between processes, as in the paper's
-  process-per-cluster runtime; queues between threads) and
-  :mod:`repro.runtime.process_runtime` — the one-shot drivers.
-* :mod:`repro.runtime.intra_op` — intra-operator thread parallelism with a
-  ``num_threads`` knob mirroring ``OMP_NUM_THREADS`` (Table V).
+  process-per-cluster runtime; queues between threads).
 * :class:`repro.runtime.worker_pool.WarmExecutorPool` — the one
   multi-worker runtime: long-lived workers, one per placed cluster (at
   most one per core), that execute a generated module repeatedly without
-  per-call thread/process spawn.
+  per-call thread/process spawn.  Every run of generated parallel code
+  goes through it; no operator keeps a thread pool of its own.
 * :mod:`repro.runtime.profiler` — per-node and per-step timing, read from
   the ``"plan"`` spans a traced :class:`ExecutionPlan` emits (the tracer is
   the one per-step timer), for the schedule simulator and ``ramiel trace``.
 """
 
 from repro.runtime.executor import GraphExecutor, execute_model, ExecutionError
-from repro.runtime.intra_op import intra_op_threads, get_num_threads, set_num_threads
 from repro.runtime.plan import ExecutionPlan, PlanError
 from repro.runtime.profiler import (OpProfile, GraphProfile, profile_model,
                                     profile_plan_steps)
@@ -60,9 +57,6 @@ __all__ = [
     "validate_executor",
     "WarmExecutorPool",
     "Workspace",
-    "intra_op_threads",
-    "get_num_threads",
-    "set_num_threads",
     "OpProfile",
     "GraphProfile",
     "profile_model",

@@ -42,7 +42,9 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.process_runtime import ParallelExecutionError
+
+class ParallelExecutionError(RuntimeError):
+    """Raised when a cluster worker fails or the run times out."""
 
 
 def make_thread_channels(names: Iterable[str]) -> Dict[str, "queue.Queue"]:

@@ -32,7 +32,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.intra_op import get_num_threads, parallel_over_batch
 from repro.runtime.tensor_utils import (
     BoundedMemo,
     as_pair,
@@ -261,32 +260,14 @@ def conv2d(
     """
     x = np.asarray(x, dtype=np.float32)
     weight = np.asarray(weight, dtype=np.float32)
-    hyper = (strides, pads, dilations, group)
-    geometry = _conv_geometry(x.shape, weight.shape, *hyper)
+    geometry = _conv_geometry(x.shape, weight.shape, strides, pads, dilations, group)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float32)
         if out is not None and np.may_share_memory(out, bias):
             bias = bias.copy()  # the convolution would overwrite it first
 
     try:
-        if x.shape[0] > 1 and get_num_threads() > 1:
-            # The intra-op path shards the batch and concatenates; chunks
-            # compute without destinations, then land in ``out`` at the end.
-            def _convolve(chunk: np.ndarray) -> np.ndarray:
-                return _conv_forward(
-                    chunk, weight,
-                    _conv_geometry(chunk.shape, weight.shape, *hyper), None, None)
-
-            result = parallel_over_batch(_convolve, x)
-            if out is not None:
-                if out.shape != result.shape or out.dtype != result.dtype:
-                    raise ValueError(
-                        f"conv2d out buffer has shape {out.shape}/{out.dtype}, "
-                        f"expected {result.shape}/{result.dtype}")
-                np.copyto(out, result)
-                result = out
-        else:
-            result = _conv_forward(x, weight, geometry, out, workspace)
+        result = _conv_forward(x, weight, geometry, out, workspace)
         if bias is not None:
             # The destination is exclusively ours at this point, so the
             # bias broadcast-adds in place instead of allocating.

@@ -6,10 +6,10 @@ it jobs through per-worker control queues, so repeated executions of the
 same module only pay for the actual operator work plus the hand-offs.  A
 session hands it the module of a *placement* — one worker per placed
 cluster, at most one per core (:meth:`repro.pipeline.RamielResult.placement`);
-the pool itself never looks at the machine.  A one-shot run
-(:func:`repro.runtime.process_runtime.execute_generated_module`) is a pool
-used once, so the worker protocol, the watchdog and the reap path exist
-exactly once.
+the pool itself never looks at the machine.  Every run of generated
+parallel code goes through it — a session's warm pool or
+:meth:`repro.pipeline.RamielResult.run_parallel`'s pool used once — so the
+worker protocol, the watchdog and the reap path exist exactly once.
 
 Two backends are supported:
 
@@ -102,6 +102,7 @@ import select
 import struct
 import threading
 import time
+import traceback
 from collections import deque
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -114,12 +115,12 @@ from repro.observability.trace import Tracer
 from repro.resilience.faults import apply_worker_fault
 from repro.runtime.channels import (
     ChannelTelemetry,
+    ParallelExecutionError,
     TensorPlane,
     instrument_channels,
     make_process_channels,
     make_thread_channels,
 )
-from repro.runtime.process_runtime import ParallelExecutionError, remote_error_text
 from repro.runtime.tensor_utils import Workspace
 
 #: sentinel ticket for the clock-offset handshake messages
@@ -191,6 +192,18 @@ class ControlPipe:
         if not self._reader.poll(timeout):
             raise queue.Empty
         return self._reader.recv()
+
+
+def remote_error_text(exc: BaseException) -> str:
+    """Serialize a worker-side failure as repr **plus** its traceback text.
+
+    Exceptions cannot cross the process boundary with their traceback
+    objects attached, so workers ship this string instead of a bare
+    ``repr(exc)`` — the coordinator's :class:`ParallelExecutionError`
+    message then points at the worker-side frame that actually raised,
+    not just the exception type.
+    """
+    return "%r\nRemote traceback:\n%s" % (exc, traceback.format_exc())
 
 
 def _reap(processes, join_timeout: float = 1.0) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,17 @@ from repro.codegen.parallel_codegen import channel_name, collect_channels
 from repro.codegen.ssa import sanitize_identifier
 from repro.graph import model_to_dataflow
 from repro.ir.node import OpNode
-from repro.runtime import execute_model
-from repro.runtime.process_runtime import (
-    ParallelExecutionError,
-    execute_generated_module,
-    run_sequential_module,
-    time_callable,
-)
+from repro.models import MODEL_REGISTRY
+from repro.pipeline import ramiel_compile
+from repro.runtime import WarmExecutorPool, execute_model
+from repro.runtime.worker_pool import ParallelExecutionError
+
+#: what a generated parallel module holds besides its cluster functions
+PARALLEL_MODULE_TABLES = {
+    "MODEL_NAME", "NUM_CLUSTERS", "GRAPH_INPUTS", "GRAPH_OUTPUTS",
+    "CHANNEL_NAMES", "CHANNEL_SPECS", "NUM_NODES", "NO_DESTINATIONS",
+    "CLUSTER_FUNCTIONS", "CLUSTER_INPUTS", "CLUSTER_OUTPUTS",
+}
 
 
 class TestSSANamer:
@@ -113,7 +119,7 @@ class TestSequentialCodegen:
         module = generate_sequential_module(diamond_model)
         x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
         ref = execute_model(diamond_model, {"x": x})
-        out = run_sequential_module(module, {"x": x}, diamond_model.graph.initializers)
+        out = module.run({"x": x}, dict(diamond_model.graph.initializers))
         for key in ref:
             np.testing.assert_allclose(ref[key], out[key], rtol=1e-4, atol=1e-5)
 
@@ -146,17 +152,43 @@ class TestParallelCodegen:
         x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
         weights = diamond_model.graph.initializers
         ref = execute_model(diamond_model, {"x": x})
-        thread_out = execute_generated_module(module, {"x": x}, weights, backend="thread")
-        process_out = execute_generated_module(module, {"x": x}, weights,
-                                               backend="process", timeout=120)
-        for key in ref:
-            np.testing.assert_allclose(ref[key], thread_out[key], rtol=1e-4, atol=1e-5)
-            np.testing.assert_allclose(ref[key], process_out[key], rtol=1e-4, atol=1e-5)
+        for backend in ("thread", "process"):
+            with WarmExecutorPool(module, weights, backend=backend) as pool:
+                out = pool.run({"x": x}, timeout=120)
+            for key in ref:
+                np.testing.assert_allclose(ref[key], out[key], rtol=1e-4, atol=1e-5,
+                                           err_msg=backend)
 
     def test_unknown_backend_rejected(self, diamond_model, rng):
         _, module = self._compile(diamond_model)
         with pytest.raises(ValueError):
-            execute_generated_module(module, {}, {}, backend="gpu")
+            WarmExecutorPool(module, {}, backend="gpu")
+
+    @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+    def test_module_holds_cluster_functions_and_tables_only(self, model_name):
+        """A generated parallel module is driven by a worker pool: it holds
+        its cluster functions and the tables the pool reads, no entry point
+        of its own, and imports nothing from ``repro`` but the operator
+        namespace."""
+        result = ramiel_compile(MODEL_REGISTRY[model_name].build(variant="small"))
+        tree = ast.parse(result.parallel_module.source)
+        names = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                names.add(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                names.update(target.id for target in stmt.targets)
+            else:
+                assert isinstance(stmt, (ast.Expr, ast.Import)), ast.dump(stmt)
+        clusters = {f"cluster_{i}" for i in range(result.clustering_merged.num_clusters)}
+        assert {name for name in names if not name.startswith("_")} == \
+            clusters | PARALLEL_MODULE_TABLES
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert {name for name in imported if name.split(".")[0] == "repro"} == \
+            {"repro.runtime.functional"}
 
     def test_clustering_model_mismatch_detected(self, diamond_model, chain_model):
         clustering = merge_clusters_fixpoint(linear_clustering(model_to_dataflow(chain_model)))
@@ -167,23 +199,16 @@ class TestParallelCodegen:
         _, module = self._compile(diamond_model)
         # Omit the weights: every cluster will fail with a KeyError, which
         # must surface as ParallelExecutionError rather than a hang.
-        with pytest.raises(ParallelExecutionError):
-            execute_generated_module(module, {"x": rng.standard_normal((1, 3, 16, 16))
-                                              .astype(np.float32)}, {}, backend="thread",
-                                     timeout=30)
-
-    def test_time_callable(self):
-        median, result = time_callable(lambda: 42, repeats=3, warmup=0)
-        assert result == 42
-        assert median >= 0
+        feed = {"x": rng.standard_normal((1, 3, 16, 16)).astype(np.float32)}
+        with WarmExecutorPool(module, {}, backend="thread") as pool:
+            with pytest.raises(ParallelExecutionError):
+                pool.run(feed, timeout=30)
 
     def test_compiles_do_not_leak_into_sys_modules(self, diamond_model, rng):
         """Generated modules are reached through their GeneratedModule (and
         inherited by forked workers), never imported by name: a serving
         process that compiles forever must not grow ``sys.modules``."""
         import sys
-
-        from repro.pipeline import ramiel_compile
 
         ramiel_compile(diamond_model)  # first-use imports settle
         before = len(sys.modules)
@@ -199,24 +224,3 @@ class TestParallelCodegen:
             for key in ref:
                 np.testing.assert_allclose(ref[key], out[key], rtol=1e-4, atol=1e-5)
 
-
-def test_generated_run_parallel_runs_every_backend_it_names(diamond_model, rng):
-    """The driver a generated parallel module carries runs under each
-    backend its docstring names, bitwise equal to the interpreter (it used
-    to look itself up in ``sys.modules``, where it never is, and to name a
-    'serial' backend that does not exist)."""
-    import re
-
-    from repro.pipeline import ramiel_compile
-
-    result = ramiel_compile(diamond_model)
-    driver = result.parallel_module.run_parallel
-    backends = re.findall(r"'(\w+)'", driver.__doc__)
-    assert backends == ["thread", "process"]
-    feed = {"x": rng.standard_normal((1, 3, 16, 16)).astype(np.float32)}
-    reference = execute_model(result.optimized_model, feed)
-    for backend in backends:
-        out = driver(feed, result.optimized_model.graph.initializers,
-                     backend=backend)
-        for key, ref in reference.items():
-            np.testing.assert_array_equal(out[key], ref, err_msg=backend)

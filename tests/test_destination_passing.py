@@ -141,14 +141,6 @@ class TestConvDestinations:
         with pytest.raises(ValueError, match="out buffer"):
             F.conv2d(x, w, out=np.empty((1, 4, 3, 3), dtype=np.float32))
 
-    def test_bad_out_shape_raises_on_threaded_path_too(self, rng):
-        from repro.runtime.intra_op import intra_op_threads
-        x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        with intra_op_threads(2):
-            with pytest.raises(ValueError, match="out buffer"):
-                F.conv2d(x, w, out=np.empty((4, 4, 3, 3), dtype=np.float32))
-
     def test_workspace_reuse_across_shapes_is_stable(self, rng):
         """One workspace serving several distinct convs stays bitwise-correct
         and reaches a steady state where no further buffers are allocated."""

@@ -12,6 +12,7 @@ from repro.analysis.speedup import (
     cluster_model,
     hypercluster_speedups,
     measured_speedup,
+    output_error,
     run_full_experiment,
     run_lc_experiment,
 )
@@ -116,7 +117,7 @@ class TestAnalysisHarness:
         assert speedups[2] > speedups[1]
         assert speedups[4] >= speedups[2] * 0.95
 
-    def test_intra_op_threads_reduce_simulated_times(self):
+    def test_simulated_intra_op_scale_reduces_times(self):
         model = build_model("inception_v3")
         config = ExperimentConfig()
         t1 = run_lc_experiment(model, config, num_threads=1)
@@ -131,6 +132,35 @@ class TestAnalysisHarness:
         assert stats["max_abs_err"] < 1e-3
         assert stats["num_clusters"] == 2
         assert stats["seq_time_s"] > 0 and stats["par_time_s"] > 0
+
+    def test_measured_speedup_reports_nan_outputs(self, rng, monkeypatch):
+        # max(0.0, nan) is 0.0: an error folded with max() would read an
+        # all-NaN parallel side as an exact match.
+        from repro.runtime.session import Session
+
+        run = Session.run
+        monkeypatch.setattr(Session, "run", lambda self, *args, **kwargs: {
+            name: np.full_like(value, np.nan)
+            for name, value in run(self, *args, **kwargs).items()})
+        model = build_model("squeezenet", variant="small")
+        inputs = {"input": rng.standard_normal((1, 3, 32, 32)).astype(np.float32)}
+        stats = measured_speedup(model, inputs, backend="thread", repeats=1)
+        assert stats["max_abs_err"] == np.inf
+
+    @pytest.mark.parametrize("got, expected", [
+        ([1.0, np.nan, -np.inf, 0.0], 0.0),
+        ([1.5, np.nan, -np.inf, 0.0], 0.5),
+        ([-1.0, np.nan, -np.inf, 0.0], 2.0),
+        ([1.0, 2.0, -np.inf, 0.0], np.inf),       # NaN moved
+        ([1.0, np.nan, np.inf, 0.0], np.inf),
+        ([1.0, np.nan, -np.inf, -0.0], np.inf),   # a zero's sign
+        (np.array([1.0, np.nan, -np.inf, 0.0], np.float64), np.inf),
+        ([[1.0, np.nan, -np.inf, 0.0]], np.inf),
+    ])
+    def test_output_error_is_zero_only_when_bitwise_equal(self, got, expected):
+        ref = np.array([1.0, np.nan, -np.inf, 0.0], np.float32)
+        got = got if isinstance(got, np.ndarray) else np.array(got, np.float32)
+        assert output_error(ref, got) == expected
 
     def test_slack_report(self):
         model = build_model("squeezenet")

@@ -45,13 +45,12 @@ from repro.resilience import (
     ResilientDispatcher,
     RetryPolicy,
 )
-from repro.runtime.process_runtime import (
+from repro.runtime.session import create_session
+from repro.runtime.worker_pool import (
     ParallelExecutionError,
-    execute_generated_module,
+    WarmExecutorPool,
     remote_error_text,
 )
-from repro.runtime.session import create_session
-from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving import EngineConfig, InferenceEngine, example_inputs
 
 
@@ -730,11 +729,14 @@ def _cluster_children():
 
 
 class TestProcessDriverHardening:
+    """A process pool used once reaps its children and ships worker
+    tracebacks home."""
+
     def test_timeout_reaps_child_processes(self):
         module = _FakeModule(_hang_cluster, _ok_cluster)
-        with pytest.raises(ParallelExecutionError, match="timed out"):
-            execute_generated_module(module, {}, {}, backend="process",
-                                     timeout=1.0)
+        with WarmExecutorPool(module, {}, backend="process") as pool:
+            with pytest.raises(ParallelExecutionError, match="timed out"):
+                pool.run({}, timeout=1.0)
         # The fix: a timed-out run must not leak live children.  (Before,
         # the workers kept running until interpreter exit.)
         _wait_until(lambda: not _cluster_children(), timeout_s=5.0,
@@ -742,9 +744,9 @@ class TestProcessDriverHardening:
 
     def test_worker_failure_reaps_and_ships_remote_traceback(self):
         module = _FakeModule(_boom_cluster, _ok_cluster)
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_generated_module(module, {}, {}, backend="process",
-                                     timeout=30.0)
+        with WarmExecutorPool(module, {}, backend="process") as pool:
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                pool.run({}, timeout=30.0)
         text = str(excinfo.value)
         assert "deliberate child failure" in text
         assert "Remote traceback" in text

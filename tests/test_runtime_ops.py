@@ -7,7 +7,6 @@ import pytest
 from scipy.signal import correlate2d
 
 import repro.runtime.functional as F
-from repro.runtime.intra_op import get_num_threads, intra_op_threads, parallel_over_batch, set_num_threads
 from repro.runtime.tensor_utils import normalize_pads, pad_nchw, window_view
 
 
@@ -288,34 +287,3 @@ class TestMovementAndReduction:
         out = F.one_hot(np.array([0, 2]), 3)
         np.testing.assert_array_equal(out, [[1, 0, 0], [0, 0, 1]])
 
-
-class TestIntraOp:
-    def test_default_single_thread(self):
-        assert get_num_threads() >= 1
-
-    def test_scoped_override(self):
-        set_num_threads(1)
-        with intra_op_threads(4):
-            assert get_num_threads() == 4
-        assert get_num_threads() == 1
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(ValueError):
-            set_num_threads(0)
-        with pytest.raises(ValueError):
-            with intra_op_threads(0):
-                pass
-
-    def test_parallel_over_batch_matches_serial(self, rng):
-        x = rng.standard_normal((8, 3, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        serial = F.conv2d(x, w, pads=(1, 1, 1, 1))
-        with intra_op_threads(4):
-            parallel = F.conv2d(x, w, pads=(1, 1, 1, 1))
-        np.testing.assert_allclose(parallel, serial, rtol=1e-5)
-
-    def test_parallel_over_batch_single_item(self, rng):
-        x = rng.standard_normal((1, 4)).astype(np.float32)
-        with intra_op_threads(8):
-            out = parallel_over_batch(lambda chunk: chunk * 2, x)
-        np.testing.assert_array_equal(out, x * 2)

@@ -183,7 +183,7 @@ def test_a_dead_workers_large_layout_breaks_the_pool_within_the_timeout():
     marked broken, rather than the coordinator blocking on the write."""
     import time
 
-    from repro.runtime.process_runtime import ParallelExecutionError
+    from repro.runtime.worker_pool import ParallelExecutionError
 
     model = build_model("googlenet", variant="small")
     result = ramiel_compile(model)

@@ -30,9 +30,8 @@ from repro.runtime.channels import (
     split_channel_name,
 )
 from repro.runtime.executor import GraphExecutor
-from repro.runtime.process_runtime import ParallelExecutionError
 from repro.runtime.session import create_session
-from repro.runtime.worker_pool import WarmExecutorPool
+from repro.runtime.worker_pool import ParallelExecutionError, WarmExecutorPool
 from repro.serving import example_inputs
 
 FORK = multiprocessing.get_context("fork")

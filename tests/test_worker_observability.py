@@ -37,7 +37,6 @@ from repro.runtime.channels import (
     make_thread_channels,
     payload_nbytes,
 )
-from repro.runtime.process_runtime import execute_generated_module
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
 from repro.serving import example_inputs
@@ -387,15 +386,17 @@ class TestSessionWorkerTraces:
 
 
 class TestExecuteGeneratedModuleTracing:
+    """A traced pool used once ships every worker's span buffer home."""
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_one_shot_workers_ship_buffers(self, compiled, backend):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
         tracer = Tracer()
-        collector: list = []
-        outputs = execute_generated_module(
-            result.parallel_module, feed, weights, backend=backend,
-            tracer=tracer, collector=collector)
+        with WarmExecutorPool(result.parallel_module, weights, backend=backend,
+                              tracer=tracer) as pool:
+            outputs = pool.run(feed)
+            collector = pool.worker_trace_buffers()
         assert outputs
         assert len(collector) == len(
             result.parallel_module.module.CLUSTER_FUNCTIONS)
@@ -412,9 +413,9 @@ class TestExecuteGeneratedModuleTracing:
     def test_untraced_call_is_unchanged(self, compiled):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
-        outputs = execute_generated_module(result.parallel_module, feed,
-                                           weights, backend="thread")
-        assert outputs
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="thread") as pool:
+            assert pool.run(feed)
 
 
 # ---------------------------------------------------------------------------
