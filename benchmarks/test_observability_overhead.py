@@ -19,10 +19,9 @@ claim to the same paired-ratio standard as
   rides the job tuple as a ``None`` and costs one ``is None`` check per
   worker job when absent (a looser gate than the plan's, since pool runs
   include queue hand-off noise), and
-* a *hardened* pool — live :class:`~repro.resilience.PoolSupervisor`
-  plus a :class:`~repro.resilience.FaultInjector` with no specs armed —
-  must dispatch at parity with a pristine pool: resilience, like
-  tracing, is zero-cost when faults are absent.
+* a *hardened* pool — a :class:`~repro.resilience.FaultInjector` with
+  no specs armed — must dispatch at parity with a pristine pool: fault
+  injection, like tracing, is zero-cost when faults are absent.
 
 Environment knobs (shared with the execution benchmark):
 
@@ -31,7 +30,7 @@ Environment knobs (shared with the execution benchmark):
 
 The three wall-clock ratio gates carry the ``perf`` marker, which the
 default ``pytest`` run deselects (``pyproject.toml``); the deterministic
-assertions (zero-alloc, span counts, quiet supervision, bitwise outputs)
+assertions (zero-alloc, span counts, no respawns, bitwise outputs)
 stay in tier-1.  Run with ``-m "perf or not perf" -s`` to run the gates
 and see the measured table.
 """
@@ -268,18 +267,18 @@ def test_traced_pool_ships_worker_spans(pool_rows):
 
 
 # ---------------------------------------------------------------------------
-# Hardened (supervised + injectable) pool dispatch parity
+# Hardened (fault-injectable) pool dispatch parity
 # ---------------------------------------------------------------------------
-#: a pool running under a live supervisor with a fault injector installed
-#: (but no specs armed) must dispatch at parity with a pristine pool: the
-#: resilience layer's cost when faults are absent is one ``is not None``
-#: check per dispatch plus a background thread that only wakes while idle
+#: a pool with a fault injector installed (but no specs armed) must
+#: dispatch at parity with a pristine pool: the resilience layer's cost
+#: when faults are absent is one ``is not None`` check per dispatch (the
+#: pool's own liveness checks run in both pools alike)
 HARDENED_PARITY_GATE = POOL_PARITY_GATE
 
 
 def _measure_hardened_pool(model_name: str) -> Dict:
     from repro.pipeline import ramiel_compile
-    from repro.resilience import FaultInjector, PoolSupervisor
+    from repro.resilience import FaultInjector
     from repro.runtime.worker_pool import WarmExecutorPool
 
     model = build_model(model_name, variant="default")
@@ -289,12 +288,10 @@ def _measure_hardened_pool(model_name: str) -> Dict:
 
     pristine = WarmExecutorPool(result.parallel_module, weights)
     hardened = WarmExecutorPool(result.parallel_module, weights)
-    supervisor = PoolSupervisor(hardened, interval_s=0.1)
     try:
         # injector with no specs: every directive lookup misses, so the
         # fault slot rides each job as ``None`` — the zero-cost claim
         hardened.set_fault_injector(FaultInjector(seed=0))
-        supervisor.start()
         for _ in range(2):                    # warm both symmetrically
             pristine.run(feed)
             hardened.run(feed)
@@ -308,9 +305,7 @@ def _measure_hardened_pool(model_name: str) -> Dict:
                            np.asarray(value))
             for name, value in reference.items())
         stats = hardened.stats()
-        sup_stats = supervisor.stats()
     finally:
-        supervisor.stop()
         pristine.close()
         hardened.close()
     return {
@@ -319,8 +314,6 @@ def _measure_hardened_pool(model_name: str) -> Dict:
         "hardened_ms": round(hardened_s * 1e3, 2),
         "hardened_ratio": round(ratio, 3),
         "respawns": stats["respawns"],
-        "supervisor_respawns": sup_stats["respawns"],
-        "supervisor_wedges": sup_stats["wedges_detected"],
         "hardened_bitwise_ok": bitwise_ok,
     }
 
@@ -332,17 +325,18 @@ def hardened_rows():
 
 @pytest.mark.perf
 def test_hardened_pool_dispatch_runs_at_parity(hardened_rows):
-    """Supervision + a disarmed fault injector must not tax the fault-free
-    dispatch path: a paired run against a pristine pool stays within the
-    same queue-noise budget as the tracing gate.
+    """A disarmed fault injector must not tax the fault-free dispatch
+    path: a paired run against a pristine pool stays within the same
+    queue-noise budget as the tracing gate.
 
-    Protects perflab's ``exec_b1`` ``alt_latency_cu``: its pool and process
-    sessions run with the supervision this gate prices."""
+    Protects serving with ``ResilienceConfig(fault_injector=...)``;
+    perflab's ``exec_b1`` pool and process sessions run with no injector
+    attached, so this gate prices none of their cost."""
     print()
     print(format_rows(hardened_rows))
     for row in hardened_rows:
         assert row["hardened_ratio"] * HARDENED_PARITY_GATE >= 1.0, (
-            f"{row['model']}: a supervised pool with a disarmed fault "
+            f"{row['model']}: a pool with a disarmed fault "
             f"injector is materially slower than a pristine one "
             f"({row['hardened_ratio']}x, {row['hardened_ms']} ms vs "
             f"{row['pristine_ms']} ms) — the resilience layer is taxing "
@@ -350,14 +344,12 @@ def test_hardened_pool_dispatch_runs_at_parity(hardened_rows):
 
 
 def test_hardened_pool_stays_quiet_and_bitwise_correct(hardened_rows):
-    """A healthy pool under supervision never respawns workers, never
-    flags wedges, and produces bitwise-identical outputs."""
+    """A healthy hardened pool never respawns workers and produces
+    bitwise-identical outputs."""
     for row in hardened_rows:
         assert row["respawns"] == 0, (
-            f"{row['model']}: supervisor respawned {row['respawns']} "
+            f"{row['model']}: the pool respawned {row['respawns']} "
             "healthy workers during the parity run")
-        assert row["supervisor_respawns"] == 0
-        assert row["supervisor_wedges"] == 0
         assert row["hardened_bitwise_ok"], (
             f"{row['model']}: hardened pool outputs diverged from the "
             "pristine pool")

@@ -25,10 +25,9 @@ with every substrate it depends on:
   export (Perfetto-loadable) and one metrics registry (counters, gauges,
   histograms, Prometheus text exposition) shared by plan, session and
   serving,
-* :mod:`repro.resilience` — self-healing execution: pool worker
-  supervision (dead/wedged detection, single-worker respawn),
-  deterministic fault injection, retry policies, circuit breaking and
-  degraded serving,
+* :mod:`repro.resilience` — self-healing execution: deterministic fault
+  injection, retry policies, circuit breaking and degraded serving (the
+  warm pools respawn their own dead workers),
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
   engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
   bitwise exact, parsed closed) plus
@@ -85,7 +84,6 @@ __all__ = [
     "FaultSpec",
     "RetryPolicy",
     "CircuitBreaker",
-    "PoolSupervisor",
     "ResilienceConfig",
     "ResilientDispatcher",
 ]
@@ -122,8 +120,8 @@ def __getattr__(name):
 
         return getattr(_observability, name)
     if name in ("FaultInjector", "FaultSpec", "InjectedFault", "RetryPolicy",
-                "CircuitBreaker", "BreakerOpen", "PoolSupervisor",
-                "ResilienceConfig", "ResilientDispatcher"):
+                "CircuitBreaker", "BreakerOpen", "ResilienceConfig",
+                "ResilientDispatcher"):
         from repro import resilience as _resilience
 
         return getattr(_resilience, name)

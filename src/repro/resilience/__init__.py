@@ -1,15 +1,18 @@
-"""Self-healing execution: supervision, fault injection, retry, degradation.
+"""Self-healing execution: fault injection, retry, degradation.
 
 The serving stack's fault-tolerance layer, built from small orthogonal
-pieces that compose across :mod:`repro.runtime` and :mod:`repro.serving`:
+pieces that compose across :mod:`repro.runtime` and :mod:`repro.serving`.
+Worker liveness is not here: a
+:class:`~repro.runtime.worker_pool.WarmExecutorPool` watches its own
+workers where it already waits (a dead worker is respawned at dispatch
+and fails a run in flight within ``fail_grace_s``), and its ``heal()`` is
+the recovery entry point :meth:`~repro.runtime.session.Session.recover`
+calls.
 
 * :class:`FaultInjector` / :class:`FaultSpec` — deterministic fault
   injection (crash, hang, slow, exception, channel corruption, slab
   poisoning) shipped to pool workers as picklable directives; zero-cost
   when detached.
-* :class:`PoolSupervisor` — heartbeat + liveness polling over a
-  :class:`~repro.runtime.worker_pool.WarmExecutorPool`; detects dead and
-  wedged workers in seconds and respawns *individual* workers.
 * :class:`RetryPolicy` — bounded attempts, deterministic-jitter backoff,
   per-request deadline budget.
 * :class:`CircuitBreaker` — artifact-level closed/open/half-open gate.
@@ -27,7 +30,6 @@ from repro.resilience.faults import (
     InjectedFault,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import PoolSupervisor
 
 __all__ = [
     "BreakerOpen",
@@ -36,7 +38,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
-    "PoolSupervisor",
     "ResilienceConfig",
     "ResilientDispatcher",
     "RetryPolicy",

@@ -20,8 +20,8 @@ wraps one *primary* dispatch callable (a session batch run) with:
 :class:`ResilienceConfig` is the user-facing knob bundle
 (``EngineConfig.resilience``).  Fail-fast serving is a *value* of it, not
 its absence: the engine's default (``repro.serving.engine.FAIL_FAST``) is
-one attempt, a breaker threshold that is never reached, no degradation
-and no supervisor, so a failed batch surfaces the executor's own error.
+one attempt, a breaker threshold that is never reached and no
+degradation, so a failed batch surfaces the executor's own error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ResilienceConfig:
     ----------
     retry:
         Policy applied around each primary dispatch; ``max_attempts=1``
-        disables re-dispatch while keeping breaker/supervision.
+        disables re-dispatch while keeping the breaker.
     breaker_threshold / breaker_cooldown_s / breaker_half_open_probes:
         Artifact-level circuit breaker: consecutive *post-retry* failures
         before opening, seconds before half-open probing, and how many
@@ -53,13 +53,6 @@ class ResilienceConfig:
         When True (and the artifact has a degraded fallback — pool- and
         process-backed artifacts fall back to the in-process ``"plan"``
         executor), an open breaker serves degraded instead of failing.
-    supervise:
-        Attach a :class:`~repro.resilience.supervisor.PoolSupervisor` to
-        pool-backed sessions so dead/wedged workers are detected and
-        respawned in seconds.
-    heartbeat_interval_s / hang_timeout_s:
-        Supervisor poll cadence and the silent-while-running threshold
-        after which a worker is declared wedged.
     fault_injector:
         Optional deterministic :class:`~repro.resilience.faults.FaultInjector`
         attached to pool dispatch for chaos testing.
@@ -70,9 +63,6 @@ class ResilienceConfig:
     breaker_cooldown_s: float = 5.0
     breaker_half_open_probes: int = 1
     degrade: bool = True
-    supervise: bool = True
-    heartbeat_interval_s: float = 0.25
-    hang_timeout_s: float = 30.0
     fault_injector: Optional[object] = None
 
 

@@ -119,8 +119,8 @@ class FaultSpec:
 class FaultInjector:
     """Decides, deterministically, which dispatches suffer which faults.
 
-    Thread-safe: the serving engine's lane threads and a pool
-    supervisor may consult one injector concurrently.  Construct with the
+    Thread-safe: the serving engine's lane threads may consult one
+    injector concurrently.  Construct with the
     specs (or :meth:`add`), attach via
     ``WarmExecutorPool.set_fault_injector`` /
     ``ResilienceConfig(fault_injector=...)``.

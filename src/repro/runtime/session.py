@@ -50,7 +50,7 @@ import numpy as np
 from repro.ir.model import Model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ClusterSlabPlanner, ExecutionPlan, land_outputs
-from repro.runtime.worker_pool import WarmExecutorPool
+from repro.runtime.worker_pool import ParallelExecutionError, WarmExecutorPool
 
 __all__ = [
     "EXECUTOR_REGISTRY",
@@ -291,8 +291,8 @@ class Session:
 
         * pool-backed sessions :meth:`~WarmExecutorPool.heal` the pool
           (respawn dead workers and those a failed run left stranded,
-          drop stale hand-offs); if it is still broken they fall back to
-          a full :meth:`~WarmExecutorPool.restart`;
+          drop stale hand-offs); if the heal fails or leaves it broken
+          they fall back to a full :meth:`~WarmExecutorPool.restart`;
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,
@@ -307,8 +307,12 @@ class Session:
             raise RuntimeError(
                 f"cannot recover closed session for {self.model_name!r}")
         if self._pool is not None:
-            self._pool.heal()
-            if self._pool.broken:
+            try:
+                self._pool.heal()
+                healed = not self._pool.broken
+            except ParallelExecutionError:  # e.g. a respawn handshake timed out
+                healed = False
+            if not healed:
                 self._pool.restart()
         elif self._plan is not None:
             if self.result is not None:

@@ -26,10 +26,12 @@ Two backends are supported:
   copy and a semaphore post, and graph outputs are copied out of the output
   slots — the job/done control messages (ticket, trace context, fault
   directive, error text, telemetry delta) travel :class:`ControlPipe`\\ s
-  without a feeder thread and carry no tensors.  A payload that does not
-  fit its slot is pickled to a spill file instead and counted in
-  ``stats()["channels"]["overflow_puts"]``.  Requires the ``fork`` start
-  method.
+  without a feeder thread and carry no tensors.  Each worker owns its job
+  pipe and its done pipe (one writer each), so a worker killed at any
+  moment can tear only its own pipes, and a respawn replaces them.  A
+  payload that does not fit its slot is pickled to a spill file instead
+  and counted in ``stats()["channels"]["overflow_puts"]``.  Requires the
+  ``fork`` start method.
 
 **Memory.**  A session's pool carries a
 :class:`~repro.runtime.plan.ClusterSlabPlanner`: the coordinator sweeps
@@ -45,15 +47,22 @@ never get a range, because a thread channel hands over the producer's
 very array.  A pool without a planner runs the cluster functions
 standalone: every intermediate allocated.
 
+**Liveness.**  The pool watches its own workers where it already waits:
+:meth:`run` respawns any worker whose thread or process has died before it
+dispatches (counted in ``stats()["respawns"]``, a ``pool.respawn`` span
+under a tracer), and the result collector checks the pending workers'
+liveness whenever a poll comes back empty, so a worker that dies mid-run
+fails the run within ``fail_grace_s`` rather than at the run's timeout.  A
+worker that stays silent past the run's ``timeout`` is wedged.
+
 A run that times out or raises may leave workers blocked on a hand-off that
 will never arrive, so the pool marks itself *broken* and refuses further
 work.  :meth:`heal` repairs it in place: it respawns every worker that is
-dead, was reported wedged, or does not answer a ping, and zeroes the
-plane's semaphores; every slot write is stamped with its run ticket, so a
-value stranded by the failed run can never be mistaken for the next run's.
-:meth:`restart` tears the whole worker set down and spawns a fresh one
-(counted in ``stats()["restarts"]``); both are much cheaper than
-recompiling.
+dead or does not answer a ping, and zeroes the plane's semaphores; every
+slot write is stamped with its run ticket, so a value stranded by the
+failed run can never be mistaken for the next run's.  :meth:`restart`
+tears the whole worker set down and spawns a fresh one (counted in
+``stats()["restarts"]``); both are much cheaper than recompiling.
 
 **Observability.**  With a tracer attached (constructor ``tracer=`` or
 :meth:`set_tracer`), every dispatched job carries a
@@ -77,17 +86,8 @@ Slot channels always account their hand-offs (process workers ship a
 per-job delta home); thread channels are wrapped for accounting while a
 tracer is attached.
 
-**Self-healing.**  The pool also exposes the supervision primitives
-:mod:`repro.resilience` builds on: per-worker *heartbeats* (the last time
-a worker produced any message — job result, clock-sync or ``__ping__``
-reply), :meth:`worker_alive` / :meth:`inflight` liveness probes,
-:meth:`fail_inflight` (fail a stuck run on behalf of a dead or wedged
-worker in seconds instead of waiting out the batch timeout),
-:meth:`respawn_worker` / :meth:`heal` (replace *single* failed workers —
-fresh job queue, reused plane and weights, a one-worker clock-sync
-handshake — instead of a full :meth:`restart`), and
-:meth:`set_fault_injector` (ship deterministic fault directives to the
-workers for chaos testing; ``None`` directives cost one ``is not None``
+:meth:`set_fault_injector` ships deterministic fault directives to the
+workers for chaos testing (``None`` directives cost one ``is not None``
 check per job).  Worker failures ship their **remote traceback text**
 home, so a cross-process exception reads like a local one.
 """
@@ -104,6 +104,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -126,7 +127,8 @@ from repro.runtime.tensor_utils import Workspace
 #: sentinel ticket for the clock-offset handshake messages
 _SYNC = "__sync__"
 
-#: sentinel ticket for supervisor heartbeat pings (reply proves liveness)
+#: sentinel ticket of :meth:`WarmExecutorPool.heal`'s pings (a reply
+#: proves the worker is back in its job loop)
 _PING = "__ping__"
 
 #: the largest pickled message a pipe write delivers whole (``PIPE_BUF``
@@ -147,23 +149,31 @@ class ControlPipe:
 
     Unlike ``multiprocessing.Queue`` there is no feeder thread: ``put``
     pickles and writes in the caller, so the message is in the pipe when it
-    returns.  One reader; writers serialize on a lock.  With
-    ``blocking=False`` (job pipes) a ``put`` into a pipe nobody drains
-    raises ``queue.Full`` instead of blocking the coordinator.  That needs
-    the message written atomically, i.e. within ``PIPE_BUF``; the rare
-    larger one (a job carrying a worker's slab layout, on its signature's
-    first run) is written piecewise as the pipe drains, and raises
-    ``queue.Full`` once ``timeout`` passes — a message torn that way
-    leaves the pipe unusable, which is why the caller then marks its pool
-    broken.
+    returns.  One reader, one writing process: a job pipe is written only
+    by the coordinator's threads (``run``, ``heal`` and ``close``, which
+    serialize on a ``threading.Lock``), a done pipe only by its worker, so
+    no lock is shared with another process.  With ``blocking=False`` (job
+    pipes) a ``put`` into a pipe nobody drains raises ``queue.Full``
+    instead of blocking the coordinator.  That needs the message written
+    atomically, i.e. within ``PIPE_BUF``; the rare larger one (a job
+    carrying a worker's slab layout, on its signature's first run) is
+    written piecewise as the pipe drains, and raises ``queue.Full`` once
+    ``timeout`` passes — a message torn that way leaves the pipe unusable,
+    which is why the caller then marks its pool broken.
     """
 
     def __init__(self, ctx, blocking: bool = True) -> None:
-        self._reader, self._writer = ctx.Pipe(duplex=False)
-        self._lock = ctx.Lock()
+        self.reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = threading.Lock()
         self._blocking = blocking
         if not blocking:
             os.set_blocking(self._writer.fileno(), False)
+
+    def close_writer(self) -> None:
+        """Drop this process's write end (the coordinator's copy of a done
+        pipe, once its worker has forked): a dead worker then reads as
+        end-of-file instead of a message that never completes."""
+        self._writer.close()
 
     def put(self, item, timeout: Optional[float] = None) -> None:
         data = ForkingPickler.dumps(item)
@@ -189,9 +199,9 @@ class ControlPipe:
                         pass
 
     def get(self, timeout: Optional[float] = None):
-        if not self._reader.poll(timeout):
+        if not self.reader.poll(timeout):
             raise queue.Empty
-        return self._reader.recv()
+        return self.reader.recv()
 
 
 def remote_error_text(exc: BaseException) -> str:
@@ -454,16 +464,12 @@ class WarmExecutorPool:
         self._broken = False
 
         # -- resilience state ------------------------------------------
-        #: once a worker failure arrives mid-collection, wait at most this
-        #: long for straggler results before failing the run — a broken run
-        #: should cost seconds, not the full batch timeout
+        #: once a worker fails or is found dead mid-collection, wait at
+        #: most this long for straggler results before failing the run — a
+        #: broken run should cost seconds, not the full batch timeout
         self._fail_grace_s = fail_grace_s
-        #: (ticket, started_monotonic) of the run in flight, else None
-        self._inflight: Optional[Tuple[int, float]] = None
         #: optional deterministic FaultInjector consulted per dispatch
         self._injector = None
-        #: last time each worker produced any message (monotonic seconds)
-        self._heartbeats: List[float] = [time.monotonic()] * self._num_clusters
         self._worker_respawns = [0] * self._num_clusters
         self._protocol_errors = 0
 
@@ -503,10 +509,12 @@ class WarmExecutorPool:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        """Create queues (+ the tensor plane for processes) and workers."""
+        """Create the done queue (+ the tensor plane for processes) and the
+        workers."""
         module = self.module
         if self.backend == "thread":
             self._mp_ctx = None
+            #: the thread workers' one shared done queue
             self._done = queue.Queue()
             self._plane = None  # fresh thread channels per run
         else:
@@ -524,22 +532,21 @@ class WarmExecutorPool:
                 tensors=[*getattr(module, "GRAPH_INPUTS", ()),
                          *module.GRAPH_OUTPUTS],
                 ctx=ctx, max_batch=self._max_batch, telemetry=self._telemetry)
-            self._done = ControlPipe(ctx)
+            #: per process worker: its own done pipe
+            self._done = [None] * self._num_clusters
         self._job_queues = [None] * self._num_clusters
         self._workers = [None] * self._num_clusters
         for index in range(self._num_clusters):
-            self._job_queues[index], self._workers[index] = \
-                self._make_worker(index)
-        for worker in self._workers:
-            worker.start()
-        self._heartbeats = [time.monotonic()] * self._num_clusters
+            self._start_worker(index)
         self._sync_clocks()
 
-    def _make_worker(self, index: int):
-        """Build (job queue, unstarted worker) for one cluster index.
+    def _start_worker(self, index: int) -> None:
+        """Start a worker for one cluster index over fresh pipes.
 
         A fresh job queue per (re)spawn keeps a replacement worker from
-        inheriting stale jobs a dead or wedged predecessor never consumed.
+        inheriting stale jobs a dead or wedged predecessor never consumed;
+        a process worker also gets a fresh done pipe, whose write end the
+        coordinator drops once the worker has forked.
         """
         fn = self.module.CLUSTER_FUNCTIONS[index]
         # A fresh worker has built no slab yet.
@@ -547,18 +554,44 @@ class WarmExecutorPool:
         self._worker_memory[index] = (0, 0)
         slots = getattr(self.module, "NUM_NODES", 0)
         if self.backend == "thread":
-            jobs = queue.Queue()
+            jobs, done = queue.Queue(), self._done
             worker = threading.Thread(
                 target=_worker,
-                args=(fn, self._weights, jobs, self._done, index, None, slots),
+                args=(fn, self._weights, jobs, done, index, None, slots),
                 daemon=True, name=f"warm-cluster-{index}")
         else:
             jobs = ControlPipe(self._mp_ctx, blocking=False)
+            done = self._done[index] = ControlPipe(self._mp_ctx)
             worker = self._mp_ctx.Process(
                 target=_process_main,
-                args=(fn, self._weights, jobs, self._done, index, self._plane, slots),
+                args=(fn, self._weights, jobs, done, index, self._plane, slots),
                 daemon=True, name=f"warm-cluster-{index}")
-        return jobs, worker
+        self._job_queues[index] = jobs
+        self._workers[index] = worker
+        worker.start()
+        if self.backend == "process":
+            done.close_writer()
+
+    def _receive(self, indices, timeout: float) -> Tuple[list, list]:
+        """Wait up to ``timeout`` for messages from the workers ``indices``.
+
+        Returns ``(messages, died)``: the ready messages, possibly none,
+        and the process workers among ``indices`` whose done pipe read
+        end-of-file — they have died.
+        """
+        if self.backend == "thread":
+            try:
+                return [self._done.get(timeout=timeout)], []
+            except queue.Empty:
+                return [], []
+        readers = {self._done[i].reader: i for i in indices}
+        messages, died = [], []
+        for reader in wait(list(readers), timeout):
+            try:
+                messages.append(reader.recv())
+            except (EOFError, OSError):
+                died.append(readers[reader])
+        return messages, died
 
     def _sync_clocks(self, timeout: float = 60.0, rounds: int = 3,
                      indices: Optional[Sequence[int]] = None) -> None:
@@ -599,25 +632,26 @@ class WarmExecutorPool:
                         f"{self.module.MODEL_NAME!r} timed out after "
                         f"{timeout}s ({len(pending)}/{len(targets)} "
                         "workers silent)")
-                try:
-                    item = self._done.get(timeout=min(remaining, 0.5))
-                except queue.Empty:
-                    continue
-                if not self._heard(item):
-                    continue  # corrupted straggler; the handshake goes on
-                ticket, index, worker_ns, _, _, _ = item
-                if ticket == _PING:
-                    continue  # liveness reply, not a handshake reply
-                if ticket != _SYNC or index not in pending:
-                    continue  # straggler of a pre-restart run
-                reply_ns = time.perf_counter_ns()
-                rtt = reply_ns - sent_ns[index]
-                if self.backend == "process" and (
-                        best_rtt[index] is None or rtt < best_rtt[index]):
-                    best_rtt[index] = rtt
-                    self._clock_offsets[index] = int(
-                        worker_ns - (sent_ns[index] + reply_ns) // 2)
-                pending.discard(index)
+                messages, died = self._receive(pending, min(remaining, 0.5))
+                if died:
+                    self._broken = True
+                    raise ParallelExecutionError(
+                        f"worker {died[0]} of {self.module.MODEL_NAME!r} "
+                        "died during its clock handshake")
+                for item in messages:
+                    if not self._well_formed(item) or item[0] != _SYNC:
+                        continue  # a straggler of an earlier run, or corrupt
+                    _, index, worker_ns, _, _, _ = item
+                    if index not in pending:
+                        continue
+                    reply_ns = time.perf_counter_ns()
+                    rtt = reply_ns - sent_ns[index]
+                    if self.backend == "process" and (
+                            best_rtt[index] is None or rtt < best_rtt[index]):
+                        best_rtt[index] = rtt
+                        self._clock_offsets[index] = int(
+                            worker_ns - (sent_ns[index] + reply_ns) // 2)
+                    pending.discard(index)
 
     def restart(self, join_timeout: float = 2.0) -> None:
         """Tear down the workers and spawn a fresh set; clears ``broken``.
@@ -651,18 +685,13 @@ class WarmExecutorPool:
             self._plane.close()
 
     # ------------------------------------------------------------------
-    # Supervision primitives (consumed by repro.resilience.PoolSupervisor)
+    # Liveness and repair
     # ------------------------------------------------------------------
-    def _note_heartbeat(self, index: int) -> None:
-        if 0 <= index < self._num_clusters:
-            self._heartbeats[index] = time.monotonic()
-
-    def _heard(self, item) -> bool:
-        """Note the sender's heartbeat of a well-formed done message;
-        count a malformed one as a protocol error and return False."""
+    def _well_formed(self, item) -> bool:
+        """Whether a done message has the worker protocol's shape; counts a
+        malformed one as a protocol error."""
         if (isinstance(item, tuple) and len(item) == 6
                 and isinstance(item[1], int)):
-            self._note_heartbeat(item[1])
             return True
         self._protocol_errors += 1
         return False
@@ -673,14 +702,6 @@ class WarmExecutorPool:
             return self._workers[index].is_alive()
         except ValueError:  # a reaped (closed) process object
             return False
-
-    def heartbeat_age(self, index: int) -> float:
-        """Seconds since worker ``index`` last produced any message."""
-        return max(time.monotonic() - self._heartbeats[index], 0.0)
-
-    def inflight(self) -> Optional[Tuple[int, float]]:
-        """``(ticket, started_monotonic)`` of the run in flight, or None."""
-        return self._inflight
 
     def set_fault_injector(self, injector) -> None:
         """Attach (or detach, with ``None``) a deterministic FaultInjector.
@@ -693,114 +714,37 @@ class WarmExecutorPool:
         """
         self._injector = injector
 
-    def ping_workers(self) -> None:
-        """Enqueue a ``__ping__`` heartbeat ticket for every worker.
-
-        A live worker replies on the done queue as soon as it drains its
-        job queue; the reply refreshes its heartbeat wherever it is
-        consumed (:meth:`_collect`, :meth:`_sync_clocks` or
-        :meth:`poll_done`).  A wedged worker never replies — which is the
-        signal the supervisor's hang detection keys on.
-        """
-        if self._closed:
-            return
-        for jobs in self._job_queues:
-            try:
-                jobs.put((_PING, None))
-            except Exception:  # noqa: BLE001 - queue being torn down
-                pass
-
-    def poll_done(self, max_items: int = 64) -> int:
-        """Drain ready done-queue messages while the pool is idle.
-
-        Non-blocking (skips entirely if a run holds the pool lock):
-        consumes up to ``max_items`` ready messages — ping/sync replies
-        and stragglers of failed runs — recording heartbeats, so idle
-        supervision does not grow the done queue without bound.  Returns
-        the number of messages consumed.
-        """
-        if not self._lock.acquire(blocking=False):
-            return 0
-        try:
-            consumed = 0
-            while consumed < max_items:
-                try:
-                    item = self._done.get(timeout=0)
-                except queue.Empty:
-                    break
-                consumed += 1
-                self._heard(item)
-            return consumed
-        finally:
-            self._lock.release()
-
-    def fail_inflight(self, index: int, reason: str) -> bool:
-        """Fail the in-flight run on behalf of a dead or wedged worker.
-
-        Posts a synthetic failure message carrying the current ticket to
-        the done queue, so :meth:`_collect` surfaces the failure within
-        the *fail grace* window instead of waiting out the full batch
-        timeout.  Returns False when no run is in flight.  Lock-free by
-        design: the caller (the supervisor) must work while :meth:`run`
-        holds the pool lock.
-        """
-        inflight = self._inflight
-        if inflight is None:
-            return False
-        ticket, _ = inflight
-        self._done.put((ticket, index, {}, reason, 0, None))
-        return True
-
-    def respawn_worker(self, index: int, join_timeout: float = 2.0,
-                       sync_timeout: float = 60.0) -> None:
-        """Replace the single worker ``index`` with a fresh one.
-
-        Unlike :meth:`restart` this keeps every healthy worker (and, for
-        the process backend, the fork-inherited tensor plane) in place:
-        the failed worker is terminated/abandoned, a replacement is
-        spawned over the same cluster function and weights with a *fresh*
-        job queue, and a one-worker clock handshake re-measures its
-        offset.  Clears ``broken`` once every worker is alive again.
-        Counted in ``stats()["respawns"]`` (the full-restart counter is
-        untouched).
-        """
-        with self._lock:
-            if self._closed:
-                raise ParallelExecutionError(
-                    "cannot respawn a worker of a closed pool")
-            self._respawn_locked(index, join_timeout, sync_timeout)
-            self._settle_locked()
-
     def _respawn_locked(self, index: int, join_timeout: float,
                         sync_timeout: float) -> None:
+        """Replace worker ``index`` with a fresh one, under the run lock.
+
+        Every healthy worker (and, for the process backend, the
+        fork-inherited tensor plane) stays in place: the failed worker is
+        terminated or abandoned, a replacement is started over the same
+        cluster function and weights with fresh pipes, and a one-worker
+        clock handshake re-measures its offset.  Counted in
+        ``stats()["respawns"]``; a ``pool.respawn`` span under a tracer.
+        """
+        start_ns = time.perf_counter_ns()
         try:  # a healthy-but-abandoned worker exits on the sentinel
             self._job_queues[index].put(None)
         except Exception:  # noqa: BLE001 - queue torn down or not drained
             pass
         if self.backend == "process":
             # Safe for a live worker too: one blocked on a hand-off waits
-            # on a semaphore, which (unlike a queue's reader lock) a killed
-            # waiter does not leave held.
+            # on a semaphore, which a killed waiter does not leave held.
             _reap([self._workers[index]], join_timeout)
         # A wedged *thread* cannot be killed: it is abandoned (daemonic,
         # parked on the old job queue or a stale channel) and leaks until
         # its blocking call returns — the documented watchdog contract.
-        jobs, worker = self._make_worker(index)
-        self._job_queues[index] = jobs
-        self._workers[index] = worker
-        worker.start()
-        self._note_heartbeat(index)
+        self._start_worker(index)
         self._worker_respawns[index] += 1
         self._sync_clocks(timeout=sync_timeout, indices=[index])
-
-    def _settle_locked(self) -> None:
-        """After respawns: drop stranded hand-offs, clear ``broken``."""
-        if self._plane is not None:
-            # Posts a failed run left behind must not satisfy the next
-            # run's waits (their slots would fail the ticket check).
-            self._plane.reset()
-        if all(self.worker_alive(i) for i in range(self._num_clusters)):
-            self._broken = False
+        if self._tracer is not None:
+            self._tracer.emit("pool.respawn", "pool", start_ns,
+                              time.perf_counter_ns(),
+                              args={"model": self.module.MODEL_NAME,
+                                    "worker": str(index)})
 
     def _unresponsive(self, indices, timeout: float) -> set:
         """The subset of ``indices`` that does not answer a ping in time.
@@ -809,7 +753,7 @@ class WarmExecutorPool:
         hand-off its failed peer never made — is alive but will not take
         the next job; it only answers once it is back in its job loop.
         """
-        pending = set(indices)
+        pending, died = set(indices), set()
         for index in pending:
             try:
                 self._job_queues[index].put((_PING, None))
@@ -817,37 +761,43 @@ class WarmExecutorPool:
                 pass
         deadline = time.monotonic() + timeout
         while pending:
-            try:
-                item = self._done.get(
-                    timeout=max(deadline - time.monotonic(), 0.0))
-            except queue.Empty:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 break
-            if self._heard(item) and item[0] == _PING:
-                pending.discard(item[1])
-        return pending
+            messages, gone = self._receive(pending, remaining)
+            died.update(gone)
+            pending.difference_update(gone)
+            for item in messages:
+                if self._well_formed(item) and item[0] == _PING:
+                    pending.discard(item[1])
+        return pending | died
 
-    def heal(self, wedged: Sequence[int] = (), join_timeout: float = 2.0,
+    def heal(self, join_timeout: float = 2.0,
              sync_timeout: float = 60.0) -> List[int]:
-        """Respawn every dead, ``wedged`` or unresponsive worker.
+        """Respawn every dead or unresponsive worker.
 
-        The recovery entry point (supervisor and :meth:`Session.recover`):
-        replaces the workers it is told about, any it finds dead, and any
-        live one that does not answer a ping within the fail-grace window
-        (stranded inside the failed run); then zeroes the tensor plane's
+        The recovery entry point (:meth:`Session.recover` calls it after a
+        failed run): replaces any worker it finds dead and any live one
+        that does not answer a ping within the fail-grace window (stranded
+        inside the failed run, or wedged); then zeroes the tensor plane's
         semaphores and clears ``broken`` when the full complement is
         alive.  Returns the respawned indices.
         """
         with self._lock:
             if self._closed:
                 raise ParallelExecutionError("cannot heal a closed pool")
-            targets = set(wedged) | {
-                i for i in range(self._num_clusters)
-                if not self.worker_alive(i)}
+            targets = {i for i in range(self._num_clusters)
+                       if not self.worker_alive(i)}
             targets |= self._unresponsive(
                 set(range(self._num_clusters)) - targets, self._fail_grace_s)
             for index in sorted(targets):
                 self._respawn_locked(index, join_timeout, sync_timeout)
-            self._settle_locked()
+            if self._plane is not None:
+                # Posts a failed run left behind must not satisfy the next
+                # run's waits (their slots would fail the ticket check).
+                self._plane.reset()
+            if all(self.worker_alive(i) for i in range(self._num_clusters)):
+                self._broken = False
             return sorted(targets)
 
     # ------------------------------------------------------------------
@@ -965,7 +915,6 @@ class WarmExecutorPool:
                  "jobs": self._worker_jobs[index],
                  "alive": self.worker_alive(index),
                  "respawns": self._worker_respawns[index],
-                 "heartbeat_age_s": self.heartbeat_age(index),
                  "execute_ns_total": self._worker_execute_ns[index],
                  "queue_wait_ns_total": self._worker_queue_wait_ns[index],
                  "spans_buffered": len(self._worker_spans[index]),
@@ -1007,7 +956,7 @@ class WarmExecutorPool:
                   "Times the pool's workers were restarted",
                   labels=labels).set(stats["restarts"])
             gauge("pool_worker_respawns_total",
-                  "Single workers replaced by supervision (no full restart)",
+                  "Single workers respawned (no full restart)",
                   labels=labels).set(stats["respawns"])
             gauge("pool_protocol_errors_total",
                   "Malformed result-channel messages observed",
@@ -1069,7 +1018,8 @@ class WarmExecutorPool:
         """Execute the module once and return its graph outputs.
 
         Runs are serialized: the pool owns exactly one set of workers, so a
-        second concurrent ``run`` blocks until the first finishes.
+        second concurrent ``run`` blocks until the first finishes.  A worker
+        that died since the last run is respawned before the dispatch.
         """
         with self._lock:
             if self._closed:
@@ -1077,7 +1027,10 @@ class WarmExecutorPool:
             if self._broken:
                 raise ParallelExecutionError(
                     "warm executor pool is broken after an earlier failure; "
-                    "restart() it or compile a fresh one")
+                    "heal() or restart() it")
+            for index in range(self._num_clusters):
+                if not self.worker_alive(index):
+                    self._respawn_locked(index, 2.0, timeout)
             ticket = next(self._tickets)
             tracer = self._tracer
             ctx = TraceContext.from_tracer(tracer, parent_span="pool.run")
@@ -1092,8 +1045,7 @@ class WarmExecutorPool:
                 layouts = [(key, None if key in self._shipped[i] else plans[i])
                            for i in range(self._num_clusters)]
             self._occupancy = 1
-            self._inflight = (ticket, time.monotonic())
-            deadline = self._inflight[1] + timeout
+            deadline = time.monotonic() + timeout
             run_start_ns = time.perf_counter_ns()
             try:
                 if self.backend == "thread":
@@ -1137,7 +1089,6 @@ class WarmExecutorPool:
                 raise
             finally:
                 self._occupancy = 0
-                self._inflight = None
                 end_ns = time.perf_counter_ns()
                 if self._run_histogram is not None:
                     self._run_histogram.observe((end_ns - run_start_ns) / 1e9)
@@ -1152,10 +1103,10 @@ class WarmExecutorPool:
     def _collect(self, ticket: int, timeout: float) -> Dict[str, np.ndarray]:
         merged: Dict[str, np.ndarray] = {}
         failures: List[str] = []
-        pending = self._num_clusters
+        pending = set(range(self._num_clusters))
         deadline = time.monotonic() + timeout
         wait_start_ns = time.perf_counter_ns()
-        while pending > 0:
+        while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._broken = True
@@ -1167,42 +1118,46 @@ class WarmExecutorPool:
                 raise ParallelExecutionError(
                     f"warm execution of {self.module.MODEL_NAME!r} timed out "
                     f"after {timeout}s (possible deadlock)")
-            try:
-                item = self._done.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            if not self._heard(item):
-                # a malformed result-channel message cannot be attributed
-                # to a worker, so the run cannot complete: fail fast
-                self._broken = True
-                self._collect_wait_ns += time.perf_counter_ns() - wait_start_ns
-                raise ParallelExecutionError(
-                    f"corrupted result-channel message during warm run of "
-                    f"{self.module.MODEL_NAME!r}: {item!r:.200}")
-            got_ticket, index, outputs, error, exec_ns, payload = item
-            if got_ticket == _SYNC or got_ticket == _PING:
-                continue  # liveness/handshake reply; heartbeat noted above
-            if got_ticket != ticket:
-                continue  # straggler of an earlier, failed run
-            pending -= 1
-            self._worker_jobs[index] += 1
-            self._worker_execute_ns[index] += exec_ns
-            if self._execute_histogram is not None:
-                self._execute_histogram.observe(exec_ns / 1e9)
-            if payload is not None:
-                self._ingest_payload(index, payload)
-            if error is not None:
-                failures.append(f"cluster {index}: {error}")
-                # once one worker failed, its peers may be stranded on
-                # channels that will never fill: collect stragglers for a
-                # short grace window, then fail the run
-                deadline = min(deadline,
-                               time.monotonic() + self._fail_grace_s)
-            elif self._plane is None:
-                merged.update(outputs)
-            else:  # a process worker names the output slots it wrote
-                for name in outputs:
-                    merged[name] = self._plane.read(name, copy=True)
+            messages, died = self._receive(pending, min(remaining, 0.5))
+            if not messages and not died:
+                # a quiet poll: has a worker died without a word?
+                died = [i for i in pending if not self.worker_alive(i)]
+            for index in died:
+                pending.discard(index)
+                failures.append(f"cluster {index}: worker died mid-run")
+                deadline = min(deadline, time.monotonic() + self._fail_grace_s)
+            for item in messages:
+                if not self._well_formed(item):
+                    # a malformed result-channel message cannot be
+                    # attributed to a worker, so the run cannot complete
+                    self._broken = True
+                    self._collect_wait_ns += (time.perf_counter_ns()
+                                              - wait_start_ns)
+                    raise ParallelExecutionError(
+                        f"corrupted result-channel message during warm run "
+                        f"of {self.module.MODEL_NAME!r}: {item!r:.200}")
+                got_ticket, index, outputs, error, exec_ns, payload = item
+                if got_ticket != ticket or index not in pending:
+                    continue  # a ping reply or a straggler of a failed run
+                pending.discard(index)
+                self._worker_jobs[index] += 1
+                self._worker_execute_ns[index] += exec_ns
+                if self._execute_histogram is not None:
+                    self._execute_histogram.observe(exec_ns / 1e9)
+                if payload is not None:
+                    self._ingest_payload(index, payload)
+                if error is not None:
+                    failures.append(f"cluster {index}: {error}")
+                    # once one worker failed, its peers may be stranded on
+                    # channels that will never fill: collect stragglers for
+                    # a short grace window, then fail the run
+                    deadline = min(deadline,
+                                   time.monotonic() + self._fail_grace_s)
+                elif self._plane is None:
+                    merged.update(outputs)
+                else:  # a process worker names the output slots it wrote
+                    for name in outputs:
+                        merged[name] = self._plane.read(name, copy=True)
         self._collect_wait_ns += time.perf_counter_ns() - wait_start_ns
         if failures:
             self._broken = True

@@ -74,7 +74,6 @@ from repro.pipeline import (
     ramiel_compile,
 )
 from repro.resilience import (
-    PoolSupervisor,
     ResilienceConfig,
     ResilientDispatcher,
     RetryPolicy,
@@ -96,14 +95,13 @@ class ShapeMismatchError(ServingError):
 
 
 #: The fail-fast dispatch policy (the :attr:`EngineConfig.resilience`
-#: default): one attempt, a breaker that never opens, no degraded fallback,
-#: no supervisor — a failed batch fails its requests with the executor's own
-#: error, and an artifact whose executor is left broken is invalidated so
-#: the next request recompiles.  ``ResilienceConfig()`` is the self-healing
-#: spelling: retries with session recovery, breaker, fallback, supervisor.
+#: default): one attempt, a breaker that never opens, no degraded fallback
+#: — a failed batch fails its requests with the executor's own error, and
+#: an artifact whose executor is left broken is invalidated so the next
+#: request recompiles.  ``ResilienceConfig()`` is the self-healing
+#: spelling: retries with session recovery, breaker, fallback.
 FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
-                             breaker_threshold=sys.maxsize,
-                             degrade=False, supervise=False)
+                             breaker_threshold=sys.maxsize, degrade=False)
 
 
 @dataclasses.dataclass
@@ -125,7 +123,9 @@ class EngineConfig:
     executor: str = "plan"
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
-    #: lane forever)
+    #: lane forever) and the one bound on a wedged pool worker: a batch
+    #: silent past it fails, and recovery respawns the worker.  A worker
+    #: that *dies* fails its batch within the pool's fail grace instead.
     timeout_s: float = 300.0
     #: admission control (:class:`repro.serving.qos.QoSConfig`) — the one
     #: queue between submit and execute: weighted deadline-aware queueing,
@@ -136,9 +136,9 @@ class EngineConfig:
     qos: QoSConfig = QoSConfig()
     #: dispatch policy every batch runs under
     #: (:class:`repro.resilience.ResilienceConfig`): batch retry with
-    #: session recovery, artifact-level circuit breaking, degraded fallback
-    #: onto the in-process "plan" executor and worker supervision.  The
-    #: default is :data:`FAIL_FAST`.
+    #: session recovery, artifact-level circuit breaking and degraded
+    #: fallback onto the in-process "plan" executor.  The default is
+    #: :data:`FAIL_FAST`.
     resilience: ResilienceConfig = FAIL_FAST
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
@@ -279,8 +279,6 @@ class CompiledArtifact:
     run_batch: Callable
     #: watchdog thread for in-process ("plan"/"interp") sessions
     watchdog: Optional[_BatchWatchdog] = None
-    #: worker supervisor of a pool-backed artifact (``resilience.supervise``)
-    supervisor: Optional[PoolSupervisor] = None
     #: ``[(plan session, its watchdog)]`` once a pool-backed artifact's
     #: breaker first routed a batch to the lazily-built degraded fallback
     _degraded: list = dataclasses.field(default_factory=list, repr=False)
@@ -299,8 +297,6 @@ class CompiledArtifact:
 
     def close(self) -> None:
         """Shut down the watchdog and session (warm pool included)."""
-        if self.supervisor is not None:
-            self.supervisor.stop()
         if self.watchdog is not None:
             self.watchdog.close()
         self.session.close()
@@ -613,7 +609,7 @@ class InferenceEngine:
         resilience = self.config.resilience
         pool = session.pool
         degraded: list = []
-        watchdog = stacker = supervisor = fallback = None
+        watchdog = stacker = fallback = None
 
         # The only executor-dependent parts: how one batch is bounded in
         # time (a watchdog thread in process, the pool's own timeout
@@ -668,16 +664,10 @@ class InferenceEngine:
         batchable = self._probe_batchable(execute, key.input_signature)
         if broken():
             recover()
-        if not in_process:
-            # Faults and supervision start after the probe, which must see
-            # the artifact's real behaviour on a quiet pool.
-            if resilience.fault_injector is not None:
-                pool.set_fault_injector(resilience.fault_injector)
-            if resilience.supervise:
-                supervisor = PoolSupervisor(
-                    pool, interval_s=resilience.heartbeat_interval_s,
-                    hang_timeout_s=resilience.hang_timeout_s,
-                    tracer=self.tracer).start()
+        if not in_process and resilience.fault_injector is not None:
+            # Faults start after the probe, which must see the artifact's
+            # real behaviour on a quiet pool.
+            pool.set_fault_injector(resilience.fault_injector)
         dispatcher = ResilientDispatcher(execute, resilience, recover=recover,
                                          fallback=fallback, name=label)
 
@@ -703,7 +693,7 @@ class InferenceEngine:
             max_batch=self.config.max_batch_size if batchable else 1,
             run_batch=run_batch,
             stack=stacker if batchable and in_process else stack_requests,
-            watchdog=watchdog, supervisor=supervisor,
+            watchdog=watchdog,
             compile_time_s=compile_time,
             _degraded=degraded)
 
@@ -864,13 +854,6 @@ def _artifact_gauges(artifact: CompiledArtifact):
     yield ("serving_resilience_breaker_state",
            {"closed": 0, "half-open": 1, "open": 2}.get(breaker["state"], -1),
            "Breaker state (0=closed, 1=half-open, 2=open)")
-    if artifact.supervisor is not None:
-        supervisor = artifact.supervisor.stats()
-        yield ("serving_supervisor_respawns_total", supervisor["respawns"],
-               "Workers respawned by the artifact's supervisor")
-        yield ("serving_supervisor_wedges_detected_total",
-               supervisor["wedges_detected"],
-               "Wedged workers detected by the artifact's supervisor")
 
 
 # ---------------------------------------------------------------------------

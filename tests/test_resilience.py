@@ -5,8 +5,9 @@ through crash / hang / slow / exception / channel-corruption faults
 against the warm pools (thread and process backends) and the serving
 engine, asserting the properties the layer promises:
 
-* a killed worker is detected and respawned *individually* — never via a
-  full pool restart — within seconds, not the batch timeout;
+* a dead worker fails its run within the pool's fail grace, not the batch
+  timeout, and is respawned *individually* — at the next dispatch or by
+  ``heal()``, never via a full pool restart;
 * an injected failure mid-batch is retried and the caller's future
   resolves with **bitwise-correct** outputs;
 * a persistently failing artifact trips its circuit breaker and serving
@@ -22,6 +23,8 @@ driver's child-leak fix and cross-process traceback preservation.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -40,7 +43,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
-    PoolSupervisor,
     ResilienceConfig,
     ResilientDispatcher,
     RetryPolicy,
@@ -253,7 +255,7 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Pool-level chaos: injected worker faults + supervision
+# Pool-level chaos: injected worker faults, liveness and heal()
 # ---------------------------------------------------------------------------
 class TestPoolChaos:
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -302,36 +304,28 @@ class TestPoolChaos:
         weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="crash", worker=0, times=1)])
+        grace = 1.0
         with WarmExecutorPool(result.parallel_module, weights,
-                              backend=backend, fail_grace_s=1.0) as pool:
+                              backend=backend, fail_grace_s=grace) as pool:
             pool.set_fault_injector(injector)
-            supervisor = PoolSupervisor(pool, interval_s=0.1,
-                                        hang_timeout_s=2.0).start()
-            try:
-                start = time.monotonic()
-                # The batch timeout is 120s; supervision must fail the run
-                # in seconds via fail_inflight, not wait out the watchdog.
-                with pytest.raises(ParallelExecutionError, match="died|timed out"):
-                    pool.run(feed, timeout=120.0)
-                detection_s = time.monotonic() - start
-                assert detection_s < 30.0
-                _wait_until(
-                    lambda: not pool.broken and pool.worker_alive(0)
-                    and pool.stats()["respawns"] >= 1,
-                    timeout_s=15.0, what="supervised respawn")
-                outputs = pool.run(feed, timeout=30.0)
-                _assert_bitwise(outputs, reference)
-                stats = pool.stats()
-                assert stats["respawns"] >= 1
-                assert stats["restarts"] == 0  # never a full restart
-                assert supervisor.stats()["deaths_detected"] >= 1
-                assert supervisor.stats()["respawns"] >= 1
-            finally:
-                supervisor.stop()
+            start = time.monotonic()
+            # The batch timeout is 120s; the dead worker must fail the run
+            # within the fail grace, not wait out the watchdog.
+            with pytest.raises(ParallelExecutionError, match="died"):
+                pool.run(feed, timeout=120.0)
+            assert time.monotonic() - start < grace + 1.0
+            assert pool.heal() == [0]
+            assert not pool.broken and pool.worker_alive(0)
+            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["restarts"] == 0  # never a full restart
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_hung_worker_is_declared_wedged_and_replaced(self, chain_compiled,
                                                          backend):
+        """A worker silent past the run's timeout is wedged; heal() finds
+        it does not answer a ping and replaces it."""
         _, result, feed, reference = chain_compiled
         weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
@@ -339,21 +333,14 @@ class TestPoolChaos:
         with WarmExecutorPool(result.parallel_module, weights,
                               backend=backend, fail_grace_s=1.0) as pool:
             pool.set_fault_injector(injector)
-            supervisor = PoolSupervisor(pool, interval_s=0.1,
-                                        hang_timeout_s=1.0).start()
-            try:
-                start = time.monotonic()
-                with pytest.raises(ParallelExecutionError, match="wedged"):
-                    pool.run(feed, timeout=120.0)
-                assert time.monotonic() - start < 30.0
-                _wait_until(
-                    lambda: not pool.broken and pool.stats()["respawns"] >= 1,
-                    timeout_s=15.0, what="wedged-worker respawn")
-                _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-                assert pool.stats()["restarts"] == 0
-                assert supervisor.stats()["wedges_detected"] >= 1
-            finally:
-                supervisor.stop()
+            start = time.monotonic()
+            with pytest.raises(ParallelExecutionError, match="timed out"):
+                pool.run(feed, timeout=1.0)
+            assert pool.heal() == [0]
+            assert time.monotonic() - start < 8.0  # not the hang itself
+            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            assert pool.stats()["respawns"] == 1
+            assert pool.stats()["restarts"] == 0
 
     def test_corrupted_result_channel_fails_fast(self, chain_compiled):
         _, result, feed, reference = chain_compiled
@@ -371,35 +358,28 @@ class TestPoolChaos:
             assert pool.heal() == []  # the worker itself is still alive
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
 
-    def test_multi_cluster_crash_converges_under_supervision(
-            self, wide_compiled):
-        """Peers stranded on a dead worker's channels heal via wedge sweeps."""
+    def test_multi_cluster_crash_converges_through_heal(self, wide_compiled):
+        """Peers stranded on a dead worker's channels: the run fails within
+        the fail grace, and heal() replaces the dead worker and every peer
+        that does not answer a ping."""
         _, result, feed, reference = wide_compiled
         weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="crash", worker=1, times=1)])
+        grace = 1.0
         with WarmExecutorPool(result.parallel_module, weights,
-                              backend="process", fail_grace_s=1.0) as pool:
+                              backend="process", fail_grace_s=grace) as pool:
             pool.set_fault_injector(injector)
-            supervisor = PoolSupervisor(pool, interval_s=0.1,
-                                        hang_timeout_s=1.5).start()
-            try:
-                outputs = None
-                for _ in range(5):
-                    _wait_until(lambda: not pool.broken, timeout_s=20.0,
-                                what="pool healed")
-                    try:
-                        outputs = pool.run(feed, timeout=60.0)
-                        break
-                    except ParallelExecutionError:
-                        continue
-                assert outputs is not None, "pool never converged"
-                _assert_bitwise(outputs, reference)
-                stats = pool.stats()
-                assert stats["respawns"] >= 1
-                assert stats["restarts"] == 0
-            finally:
-                supervisor.stop()
+            start = time.monotonic()
+            with pytest.raises(ParallelExecutionError, match="cluster 1"):
+                pool.run(feed, timeout=60.0)
+            assert time.monotonic() - start < grace + 1.0
+            assert 1 in pool.heal()
+            assert not pool.broken
+            _assert_bitwise(pool.run(feed, timeout=60.0), reference)
+            stats = pool.stats()
+            assert stats["respawns"] >= 1
+            assert stats["restarts"] == 0
 
     def test_fault_metrics_visible_in_registry(self, chain_compiled):
         from repro.observability import MetricsRegistry
@@ -413,25 +393,94 @@ class TestPoolChaos:
                               fail_grace_s=1.0) as pool:
             pool.set_fault_injector(injector)
             pool.publish_metrics(registry, labels={"model": "chain"})
-            supervisor = PoolSupervisor(pool, interval_s=0.1,
-                                        hang_timeout_s=2.0).start()
-            supervisor.publish_metrics(registry, labels={"model": "chain"})
-            try:
-                with pytest.raises(ParallelExecutionError):
-                    pool.run(feed, timeout=120.0)
-                _wait_until(lambda: pool.stats()["respawns"] >= 1,
-                            timeout_s=15.0, what="respawn")
-                snapshot = registry.snapshot()
-                assert snapshot['pool_worker_respawns_total{model="chain"}'][
-                    "value"] >= 1
-                assert snapshot['pool_workers_alive{model="chain"}'][
-                    "value"] == pool.num_clusters
-                assert snapshot['supervisor_respawns_total{model="chain"}'][
-                    "value"] >= 1
-                assert snapshot['pool_failures_total{model="chain"}'][
-                    "value"] == 1
-            finally:
-                supervisor.stop()
+            with pytest.raises(ParallelExecutionError):
+                pool.run(feed, timeout=120.0)
+            pool.heal()
+            snapshot = registry.snapshot()
+            assert snapshot['pool_worker_respawns_total{model="chain"}'][
+                "value"] == 1
+            assert snapshot['pool_workers_alive{model="chain"}'][
+                "value"] == pool.num_clusters
+            assert snapshot['pool_failures_total{model="chain"}'][
+                "value"] == 1
+
+
+# ---------------------------------------------------------------------------
+# A pool watches its own workers: no watcher thread, no shared done pipe
+# ---------------------------------------------------------------------------
+def _sigkill(pool, index: int) -> None:
+    """SIGKILL one process worker and wait until the pool sees it dead."""
+    os.kill(pool._workers[index].pid, signal.SIGKILL)
+    _wait_until(lambda: not pool.worker_alive(index), timeout_s=10.0,
+                what=f"worker {index} dead")
+
+
+class TestPoolLiveness:
+    def test_an_idle_worker_killed_is_respawned_at_dispatch(self,
+                                                             wide_compiled):
+        _, result, feed, reference = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as pool:
+            assert pool.num_clusters == 4
+            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            _sigkill(pool, 1)
+            start = time.monotonic()
+            outputs = pool.run(feed, timeout=30.0)
+            assert time.monotonic() - start < 5.0
+            _assert_bitwise(outputs, reference)
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["failures"] == 0
+
+    def test_each_process_worker_owns_its_done_pipe(self, wide_compiled):
+        _, result, _, _ = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as pool:
+            before = list(pool._done)
+            assert len({id(pipe) for pipe in before}) == pool.num_clusters
+            assert all(isinstance(pipe._lock, type(threading.Lock()))
+                       for pipe in [*before, *pool._job_queues])
+            _sigkill(pool, 2)
+            assert pool.heal() == [2]
+            assert pool._done[2] is not before[2]  # replaced with the worker
+            assert [pool._done[i] for i in (0, 1, 3)] == [
+                before[i] for i in (0, 1, 3)]
+
+    def test_a_kill_anywhere_in_a_traced_run_heals_bitwise(self,
+                                                           wide_compiled):
+        """SIGKILL a worker at ten offsets across a traced run: whatever the
+        run did, heal() and the next run come back bitwise, never a hang."""
+        from repro.observability import Tracer
+
+        _, result, feed, reference = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process", fail_grace_s=1.0,
+                              tracer=Tracer()) as pool:
+            times = []
+            for _ in range(5):
+                start = time.monotonic()
+                pool.run(feed, timeout=30.0)
+                times.append(time.monotonic() - start)
+            run_s = sorted(times)[2]  # a warm run's length
+            for offset in range(10):
+                victim = offset % pool.num_clusters
+                pid = pool._workers[victim].pid
+                killer = threading.Timer(run_s * offset / 10, os.kill,
+                                         (pid, signal.SIGKILL))
+                start = time.monotonic()
+                killer.start()
+                try:
+                    pool.run(feed, timeout=30.0)
+                except ParallelExecutionError:
+                    pass
+                killer.join(timeout=10.0)
+                pool.heal()
+                _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+                assert time.monotonic() - start < 10.0
+            assert pool.stats()["restarts"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +515,24 @@ class TestSessionRecover:
             assert not session.pool.broken
             _assert_bitwise(session.run(feed, timeout=30.0), reference)
             assert session.pool.stats()["restarts"] == 0
+        finally:
+            session.close()
+
+    def test_pool_session_restarts_when_heal_fails(self, chain_compiled,
+                                                   monkeypatch):
+        _, result, feed, reference = chain_compiled
+        session = create_session(result, executor="process")
+        try:
+            pool = session.pool
+
+            def heal_times_out():
+                raise ParallelExecutionError("respawn handshake timed out")
+
+            monkeypatch.setattr(pool, "heal", heal_times_out)
+            session.mark_broken("simulated")
+            session.recover()
+            assert pool.stats()["restarts"] == 1
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
         finally:
             session.close()
 
@@ -592,8 +659,7 @@ class TestServingResilience:
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                                   jitter=0.0),
-                fault_injector=injector,
-                hang_timeout_s=5.0))
+                fault_injector=injector))
         with InferenceEngine(config) as engine:
             engine.warmup(model, feed)  # injector fires on the first batches
             outputs = engine.infer(model, feed)
@@ -619,8 +685,7 @@ class TestServingResilience:
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                                   jitter=0.0),
                 breaker_threshold=1, breaker_cooldown_s=0.3,
-                fault_injector=injector,
-                hang_timeout_s=5.0))
+                fault_injector=injector))
         with InferenceEngine(config) as engine:
             # every primary attempt fails: the batch must still resolve,
             # served by the degraded in-process plan executor
@@ -632,8 +697,6 @@ class TestServingResilience:
             stats = dispatcher.stats()
             assert stats["degraded_runs"] >= 1
             assert stats["breaker"]["opens"] >= 1
-            assert artifacts[0].supervisor is not None
-            assert artifacts[0].supervisor.running
 
             # while open, requests keep being served (degraded)
             _assert_bitwise(engine.infer(model, feed), reference)
@@ -687,9 +750,6 @@ class TestServingResilience:
                                           timeout_s=60.0)) as engine:
             engine.warmup(model, feed)
             artifact = cached_artifacts(engine)[0]
-            assert artifact.supervisor is None
-            assert not [t for t in threading.enumerate()
-                        if t.name.startswith("pool-supervisor")]
             artifact.session.pool.set_fault_injector(injector)
             with pytest.raises(Exception, match="boom"):
                 engine.infer(model, feed)

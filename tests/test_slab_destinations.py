@@ -177,10 +177,13 @@ def test_a_large_put_arrives_whole_while_the_reader_drains():
     assert got == [("job", layout)]
 
 
-def test_a_dead_workers_large_layout_breaks_the_pool_within_the_timeout():
-    """A process worker is killed, then a new signature ships it a layout
-    larger than its pipe: the run fails within its timeout and the pool is
-    marked broken, rather than the coordinator blocking on the write."""
+def test_a_stopped_workers_large_layout_breaks_the_pool_within_the_timeout():
+    """A process worker is stopped (alive, not draining its job pipe), then
+    a new signature ships it a layout larger than its pipe: the run fails
+    within its timeout and the pool is marked broken, rather than the
+    coordinator blocking on the write."""
+    import os
+    import signal
     import time
 
     from repro.runtime.worker_pool import ParallelExecutionError
@@ -195,8 +198,9 @@ def test_a_dead_workers_large_layout_breaks_the_pool_within_the_timeout():
                           planner=planner) as pool:
         pool.run(feed, timeout=60.0)
         victim = pool._workers[0]
-        victim.kill()
-        victim.join(timeout=10.0)
+        # A dead worker would be respawned at dispatch; a stopped one is
+        # alive and never drains.
+        os.kill(victim.pid, signal.SIGSTOP)
 
         class NewSignature:
             def plan(self, inputs):
@@ -204,7 +208,11 @@ def test_a_dead_workers_large_layout_breaks_the_pool_within_the_timeout():
 
         pool._planner = NewSignature()
         start = time.monotonic()
-        with pytest.raises(ParallelExecutionError, match="not draining its job pipe"):
-            pool.run(feed, timeout=1.0)
-        assert time.monotonic() - start < 10.0
+        try:
+            with pytest.raises(ParallelExecutionError,
+                               match="not draining its job pipe"):
+                pool.run(feed, timeout=1.0)
+            assert time.monotonic() - start < 10.0
+        finally:
+            os.kill(victim.pid, signal.SIGKILL)
         assert pool.broken
