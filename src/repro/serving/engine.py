@@ -124,8 +124,8 @@ class EngineConfig:
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
     #: lane forever) and the one bound on a wedged pool worker: a batch
-    #: silent past it fails, and recovery respawns the worker.  A worker
-    #: that *dies* fails its batch within the pool's fail grace instead.
+    #: silent past it fails.  A pool worker that *dies* fails its batch
+    #: within the pool's fail grace instead.
     timeout_s: float = 300.0
     #: admission control (:class:`repro.serving.qos.QoSConfig`) — the one
     #: queue between submit and execute: weighted deadline-aware queueing,
