@@ -16,8 +16,9 @@ communication"; this subsystem is the repo's version of it:
 * :mod:`repro.observability.context` and :mod:`repro.observability.merge`
   (lazily exported, see ``__getattr__``) — :class:`TraceContext`, the
   picklable token dispatched work carries so per-worker spans correlate
-  with their request, and :func:`merge_traces`, which aligns worker clocks
-  and merges shipped span buffers into one multi-process Chrome trace.
+  with their request, and :func:`merge_traces`, which merges shipped span
+  buffers, as recorded on the shared clock, into one multi-process Chrome
+  trace.
 * :mod:`repro.observability.bench` — ``ramiel bench compare BASE``: the
   paired perflab protocol against a base commit, written to the committed
   ``BENCH_<workload>.json`` files.  Only the CLI imports it.

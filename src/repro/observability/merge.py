@@ -5,21 +5,18 @@ and forked processes the coordinator's :class:`~repro.observability.Tracer`
 cannot see into: a worker records spans on its *own* thread/process-local
 tracer and ships the completed buffer back over the existing result
 channels as a :class:`WorkerTraceBuffer` — plain tuples plus the worker's
-real pid/tid, its drop count and its clock offset.  :func:`merge_traces`
-aligns every buffer onto the coordinator's trace clock and emits a single
+real pid/tid and its drop count.  :func:`merge_traces` emits a single
 Chrome trace-event JSON object in which each worker renders as its own
 pid/tid lane in Perfetto, with the coordinator's request/dispatch spans
 above them.
 
-Clock alignment: worker timestamps are ``perf_counter_ns`` readings taken
-in the worker.  ``clock_offset_ns`` is ``worker_clock - coordinator_clock``
-as measured by the pool's startup handshake (the coordinator sends its
-clock, the worker replies with its own, and the offset is taken against
-the midpoint of the round trip).  On the fork platforms the pools support,
-``perf_counter`` is machine-wide monotonic so the measured offset is the
-handshake's noise floor — but the handshake keeps the merge correct on any
-platform where worker clocks genuinely diverge, and doubles as a liveness
-check at pool startup.
+One clock: worker timestamps are ``perf_counter_ns`` readings taken in the
+worker, and they are merged as recorded.  A thread worker reads the
+coordinator's own clock; a process worker is forked, and ``perf_counter``
+is ``CLOCK_MONOTONIC``, which a forked child shares with its parent (as
+:meth:`~repro.observability.context.TraceContext.queue_wait_ns` already
+relies on).  So a worker's ``worker.execute`` span lies inside the
+``pool.run`` span that dispatched it, by causality alone.
 
 Drop accounting is per worker: a buffer whose source ring wrapped (or that
 the pool truncated while accumulating) carries its own ``dropped`` count,
@@ -51,18 +48,11 @@ class WorkerTraceBuffer:
     pid: int
     #: the worker's thread ident inside its process
     tid: int
-    #: span tuples ``(name, cat, start_ns, dur_ns, args)`` in the worker's
-    #: own ``perf_counter_ns`` clock
+    #: span tuples ``(name, cat, start_ns, dur_ns, args)`` on the shared
+    #: ``perf_counter_ns`` clock
     events: List[SpanTuple] = dataclasses.field(default_factory=list)
     #: spans lost in the worker's ring or to the pool's accumulation cap
     dropped: int = 0
-    #: ``worker_clock - coordinator_clock`` from the startup handshake
-    clock_offset_ns: int = 0
-
-    def extend(self, events: Sequence[SpanTuple], dropped: int = 0) -> None:
-        """Append shipped spans (and any drops) to this buffer."""
-        self.events.extend(events)
-        self.dropped += int(dropped)
 
 
 def merge_traces(tracer, buffers: Sequence[WorkerTraceBuffer],
@@ -76,9 +66,8 @@ def merge_traces(tracer, buffers: Sequence[WorkerTraceBuffer],
         ``None`` when only worker lanes are wanted).  Its epoch defines
         ``ts == 0`` of the merged trace.
     buffers:
-        Per-worker buffers; worker timestamps are shifted by their
-        ``clock_offset_ns`` onto the coordinator clock before the epoch is
-        subtracted.
+        Per-worker buffers; their timestamps are on the coordinator's
+        clock already, so only the epoch is subtracted.
 
     Returns the Chrome trace-event JSON object (``traceEvents`` +
     ``metadata``), loadable directly in Perfetto: coordinator spans on the
@@ -91,14 +80,13 @@ def merge_traces(tracer, buffers: Sequence[WorkerTraceBuffer],
     else:
         payload = {"traceEvents": [], "displayTimeUnit": "ms",
                    "metadata": {"recorded": 0, "dropped": 0}}
-        epoch = min((_earliest_ns(b) for b in buffers if b.events),
-                    default=0)
+        epoch = min((start_ns for b in buffers for _, _, start_ns, _, _
+                     in b.events), default=0)
     trace_events: List[Dict] = payload["traceEvents"]
     metadata: Dict = payload.setdefault("metadata", {})
     metadata["coordinator_dropped"] = metadata.pop("dropped", 0)
     metadata["coordinator_recorded"] = metadata.pop("recorded", 0)
     worker_drops: Dict[str, int] = {}
-    clock_offsets: Dict[str, int] = {}
 
     import os
     coordinator_pid = os.getpid()
@@ -117,7 +105,7 @@ def merge_traces(tracer, buffers: Sequence[WorkerTraceBuffer],
         for name, cat, start_ns, dur_ns, args in buffer.events:
             record = {
                 "name": name, "cat": cat or "default", "ph": "X",
-                "ts": (start_ns - buffer.clock_offset_ns - epoch) / 1e3,
+                "ts": (start_ns - epoch) / 1e3,
                 "dur": dur_ns / 1e3,
                 "pid": buffer.pid, "tid": buffer.tid,
             }
@@ -126,9 +114,7 @@ def merge_traces(tracer, buffers: Sequence[WorkerTraceBuffer],
             trace_events.append(record)
         worker_drops[buffer.worker] = (
             worker_drops.get(buffer.worker, 0) + buffer.dropped)
-        clock_offsets[buffer.worker] = buffer.clock_offset_ns
     metadata["worker_drops"] = worker_drops
-    metadata["worker_clock_offsets_ns"] = clock_offsets
     metadata["workers"] = len(worker_drops)
     return payload
 
@@ -140,8 +126,3 @@ def write_merged_trace(path, tracer, buffers: Sequence[WorkerTraceBuffer],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return payload
-
-
-def _earliest_ns(buffer: WorkerTraceBuffer) -> int:
-    return min(start_ns - buffer.clock_offset_ns
-               for _, _, start_ns, _, _ in buffer.events)

@@ -291,8 +291,11 @@ class Session:
 
         * pool-backed sessions :meth:`~WarmExecutorPool.heal` the pool
           (respawn dead workers and those a failed run left stranded,
-          drop stale hand-offs); if the heal fails or leaves it broken
-          they fall back to a full :meth:`~WarmExecutorPool.restart`;
+          drop stale hand-offs); if the heal raises or leaves the pool
+          broken, this raises :class:`ParallelExecutionError` with the
+          pool still broken, and the caller's own fallback takes over (the
+          serving engine degrades onto its plan session or retires the
+          artifact);
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,
@@ -301,19 +304,16 @@ class Session:
 
         Existing :class:`IOBinding` objects remain valid: they reference
         the session, not the replaced executor.  The attached tracer is
-        re-propagated.  Raises if the session is closed.
+        re-propagated.  Raises ``RuntimeError`` if the session is closed.
         """
         if self._closed:
             raise RuntimeError(
                 f"cannot recover closed session for {self.model_name!r}")
         if self._pool is not None:
-            try:
-                self._pool.heal()
-                healed = not self._pool.broken
-            except ParallelExecutionError:  # e.g. a respawn handshake timed out
-                healed = False
-            if not healed:
-                self._pool.restart()
+            self._pool.heal()
+            if self._pool.broken:
+                raise ParallelExecutionError(
+                    f"healing the pool of {self.model_name!r} left it broken")
         elif self._plan is not None:
             if self.result is not None:
                 source = self.result.optimized_model
@@ -361,8 +361,8 @@ class Session:
 
         The returned :class:`~repro.observability.merge.WorkerTraceBuffer`
         list — together with the session's tracer — feeds
-        :func:`repro.observability.merge.merge_traces`, which aligns the
-        worker clocks and emits one multi-process Chrome trace.
+        :func:`repro.observability.merge.merge_traces`, which emits one
+        multi-process Chrome trace on the shared ``perf_counter_ns`` clock.
         """
         if self._pool is None:
             return []
@@ -410,7 +410,7 @@ class Session:
         self._metrics_collectors.append((registry, collect))
         if self._pool is not None:
             # Worker-layer counters (runs, dispatch/execute/queue-wait time,
-            # channel bytes, restarts) publish under the same labels.
+            # channel bytes, respawns) publish under the same labels.
             self._pool.publish_metrics(registry, labels)
 
     # ------------------------------------------------------------------

@@ -47,22 +47,26 @@ never get a range, because a thread channel hands over the producer's
 very array.  A pool without a planner runs the cluster functions
 standalone: every intermediate allocated.
 
-**Liveness.**  The pool watches its own workers where it already waits:
-:meth:`run` respawns any worker whose thread or process has died before it
-dispatches (counted in ``stats()["respawns"]``, a ``pool.respawn`` span
-under a tracer), and the result collector checks the pending workers'
-liveness whenever a poll comes back empty, so a worker that dies mid-run
-fails the run within ``fail_grace_s`` rather than at the run's timeout.  A
-worker that stays silent past the run's ``timeout`` is wedged.
+**Liveness.**  The pool watches its own workers where it already waits.
+One check proves a worker is in its job loop: a ping round trip, which
+every new worker passes before the pool uses it (at construction and at
+every respawn, bounded by 60 s) and which :meth:`heal` sends to find
+stranded ones.  :meth:`run` respawns any worker whose thread or process
+has died before it dispatches (counted in ``stats()["respawns"]``, a
+``pool.respawn`` span under a tracer), and the result collector checks
+the pending workers' liveness whenever a poll comes back empty, so a
+worker that dies mid-run fails the run within ``fail_grace_s`` rather than
+at the run's timeout.  A worker that stays silent past the run's
+``timeout`` is wedged.
 
 A run that times out or raises may leave workers blocked on a hand-off that
 will never arrive, so the pool marks itself *broken* and refuses further
-work.  :meth:`heal` repairs it in place: it respawns every worker that is
-dead or does not answer a ping, and zeroes the plane's semaphores; every
-slot write is stamped with its run ticket, so a value stranded by the
-failed run can never be mistaken for the next run's.  :meth:`restart`
-tears the whole worker set down and spawns a fresh one (counted in
-``stats()["restarts"]``); both are much cheaper than recompiling.
+work.  :meth:`heal` is the one repair, in place and much cheaper than
+recompiling: it respawns every worker that is dead or does not answer a
+ping, and zeroes the plane's semaphores; every slot write is stamped with
+its run ticket, so a value stranded by the failed run can never be
+mistaken for the next run's.  A heal whose respawn fails its ping leaves
+the pool broken.
 
 **Observability.**  With a tracer attached (constructor ``tracer=`` or
 :meth:`set_tracer`), every dispatched job carries a
@@ -72,15 +76,16 @@ own thread/process-local :class:`~repro.observability.Tracer`, records its
 completed buffer back with the job result.  The pool accumulates per-worker
 :class:`~repro.observability.merge.WorkerTraceBuffer`\\ s (bounded, with
 per-worker drop accounting) that
-:func:`repro.observability.merge.merge_traces` aligns — using the
-per-worker **clock offsets measured by a startup handshake** — into one
-multi-process Chrome trace.  Untraced dispatch stays on the fast path: the
-job tuple carries ``None`` and the worker pays one ``is None`` check
-(gated at paired-ratio parity in
-``benchmarks/test_observability_overhead.py``).
+:func:`repro.observability.merge.merge_traces` merges into one
+multi-process Chrome trace.  Workers stamp spans with the same
+``perf_counter_ns`` the coordinator reads (a thread shares it; a forked
+process inherits ``CLOCK_MONOTONIC``), so the merge shifts no lane.
+Untraced dispatch stays on the fast path: the job tuple carries ``None``
+and the worker pays one ``is None`` check (gated at paired-ratio parity
+in ``benchmarks/test_observability_overhead.py``).
 
 Worker **metrics** (dispatch/execute/queue-wait timings, channel hand-off
-bytes and nanoseconds, occupancy, restarts) accumulate in ``stats()`` and
+bytes and nanoseconds, occupancy, respawns) accumulate in ``stats()`` and
 publish into a shared ``MetricsRegistry`` via :meth:`publish_metrics`.
 Slot channels always account their hand-offs (process workers ship a
 per-job delta home); thread channels are wrapped for accounting while a
@@ -106,7 +111,7 @@ import traceback
 from collections import deque
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -124,12 +129,12 @@ from repro.runtime.channels import (
 )
 from repro.runtime.tensor_utils import Workspace
 
-#: sentinel ticket for the clock-offset handshake messages
-_SYNC = "__sync__"
-
-#: sentinel ticket of :meth:`WarmExecutorPool.heal`'s pings (a reply
-#: proves the worker is back in its job loop)
+#: sentinel ticket of the liveness pings (a reply proves the worker is in
+#: its job loop): every new worker's startup check and :meth:`heal`'s probe
 _PING = "__ping__"
+
+#: how long a new worker may take to answer its startup ping
+_STARTUP_TIMEOUT_S = 60.0
 
 #: the largest pickled message a pipe write delivers whole (``PIPE_BUF``
 #: less the connection's 4-byte length header)
@@ -322,8 +327,8 @@ def _worker(fn, weights, jobs, done, index,
         if job is None:
             return
         ticket = job[0]
-        if ticket == _SYNC or ticket == _PING:
-            done.put((ticket, index, time.perf_counter_ns(), None, 0, None))
+        if ticket == _PING:  # echo the round's token
+            done.put((_PING, index, job[1], None, 0, None))
             continue
         received_ns = time.perf_counter_ns()
         _, inputs, channels, ctx, fault, layout = job
@@ -480,8 +485,6 @@ class WarmExecutorPool:
         self._telemetry: Optional[ChannelTelemetry] = (
             ChannelTelemetry() if tracer is not None or backend == "process"
             else None)
-        #: measured worker_clock - coordinator_clock per worker index
-        self._clock_offsets: List[int] = [0] * self._num_clusters
         #: accumulated per-worker span tuples (+ identity and drops)
         self._worker_spans: List[deque] = [
             deque(maxlen=_WORKER_BUFFER_CAPACITY)
@@ -491,7 +494,6 @@ class WarmExecutorPool:
         #: run/timing counters surfaced by stats() and publish_metrics()
         self._runs = 0
         self._failures = 0
-        self._restarts = 0
         self._occupancy = 0
         self._dispatch_ns = 0
         self._collect_wait_ns = 0
@@ -538,7 +540,11 @@ class WarmExecutorPool:
         self._workers = [None] * self._num_clusters
         for index in range(self._num_clusters):
             self._start_worker(index)
-        self._sync_clocks()
+        try:
+            self._await_ready(range(self._num_clusters), _STARTUP_TIMEOUT_S)
+        except ParallelExecutionError:
+            self.close()
+            raise
 
     def _start_worker(self, index: int) -> None:
         """Start a worker for one cluster index over fresh pipes.
@@ -593,84 +599,6 @@ class WarmExecutorPool:
                 died.append(readers[reader])
         return messages, died
 
-    def _sync_clocks(self, timeout: float = 60.0, rounds: int = 3,
-                     indices: Optional[Sequence[int]] = None) -> None:
-        """Measure each worker's clock offset with ping/pong handshakes.
-
-        The coordinator records its clock, sends a sync message, and the
-        worker replies with its own clock reading; the offset is taken
-        against the midpoint of the round trip (the NTP estimator).
-        Several rounds are run and the measurement with the smallest round
-        trip wins — the first round's trip includes worker startup (fork,
-        imports), which would bias the midpoint by milliseconds.  On fork
-        platforms ``perf_counter_ns`` is machine-wide so the measured
-        offset is the handshake noise floor, but the merge stays correct
-        anywhere worker clocks genuinely diverge.  A thread worker reads
-        the coordinator's own clock, so its offset is 0 by construction
-        and stays 0: storing the handshake noise would only shift its
-        lane in the merged trace.  Either way the handshake doubles as a
-        worker liveness check at (re)spawn time.  With
-        ``indices`` it syncs (and liveness-checks) only those workers —
-        the single-worker respawn path.
-        """
-        targets = (list(range(self._num_clusters)) if indices is None
-                   else sorted(set(indices)))
-        best_rtt: Dict[int, Optional[int]] = {i: None for i in targets}
-        deadline = time.monotonic() + timeout
-        for _ in range(max(rounds, 1)):
-            sent_ns: Dict[int, int] = {}
-            for i in targets:
-                sent_ns[i] = time.perf_counter_ns()
-                self._job_queues[i].put((_SYNC, None))
-            pending = set(targets)
-            while pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._broken = True
-                    raise ParallelExecutionError(
-                        f"worker clock handshake for "
-                        f"{self.module.MODEL_NAME!r} timed out after "
-                        f"{timeout}s ({len(pending)}/{len(targets)} "
-                        "workers silent)")
-                messages, died = self._receive(pending, min(remaining, 0.5))
-                if died:
-                    self._broken = True
-                    raise ParallelExecutionError(
-                        f"worker {died[0]} of {self.module.MODEL_NAME!r} "
-                        "died during its clock handshake")
-                for item in messages:
-                    if not self._well_formed(item) or item[0] != _SYNC:
-                        continue  # a straggler of an earlier run, or corrupt
-                    _, index, worker_ns, _, _, _ = item
-                    if index not in pending:
-                        continue
-                    reply_ns = time.perf_counter_ns()
-                    rtt = reply_ns - sent_ns[index]
-                    if self.backend == "process" and (
-                            best_rtt[index] is None or rtt < best_rtt[index]):
-                        best_rtt[index] = rtt
-                        self._clock_offsets[index] = int(
-                            worker_ns - (sent_ns[index] + reply_ns) // 2)
-                    pending.discard(index)
-
-    def restart(self, join_timeout: float = 2.0) -> None:
-        """Tear down the workers and spawn a fresh set; clears ``broken``.
-
-        Recovery after a timed-out or failed run: the compiled module and
-        weights are reused, so a restart costs worker startup only — far
-        cheaper than invalidating the artifact and recompiling.  Counted
-        in ``stats()["restarts"]`` (and the ``pool_worker_restarts_total``
-        registry metric).
-        """
-        with self._lock:
-            if self._closed:
-                raise ParallelExecutionError(
-                    "cannot restart a closed warm executor pool")
-            self._stop_workers(join_timeout)
-            self._broken = False
-            self._restarts += 1
-            self._spawn()
-
     def _stop_workers(self, join_timeout: float) -> None:
         for jobs in self._job_queues:
             try:
@@ -715,14 +643,14 @@ class WarmExecutorPool:
         self._injector = injector
 
     def _respawn_locked(self, index: int, join_timeout: float,
-                        sync_timeout: float) -> None:
+                        ready_timeout: float = _STARTUP_TIMEOUT_S) -> None:
         """Replace worker ``index`` with a fresh one, under the run lock.
 
         Every healthy worker (and, for the process backend, the
         fork-inherited tensor plane) stays in place: the failed worker is
-        terminated or abandoned, a replacement is started over the same
-        cluster function and weights with fresh pipes, and a one-worker
-        clock handshake re-measures its offset.  Counted in
+        terminated or abandoned, and a replacement is started over the
+        same cluster function and weights with fresh pipes and must answer
+        its startup ping within ``ready_timeout``.  Counted in
         ``stats()["respawns"]``; a ``pool.respawn`` span under a tracer.
         """
         start_ns = time.perf_counter_ns()
@@ -739,7 +667,7 @@ class WarmExecutorPool:
         # its blocking call returns — the documented watchdog contract.
         self._start_worker(index)
         self._worker_respawns[index] += 1
-        self._sync_clocks(timeout=sync_timeout, indices=[index])
+        self._await_ready([index], ready_timeout)
         if self._tracer is not None:
             self._tracer.emit("pool.respawn", "pool", start_ns,
                               time.perf_counter_ns(),
@@ -752,11 +680,16 @@ class WarmExecutorPool:
         A worker still inside a failed run — typically blocked on a
         hand-off its failed peer never made — is alive but will not take
         the next job; it only answers once it is back in its job loop.
+        Each round's ping carries a fresh token, so a late reply to an
+        earlier round (say, from an abandoned thread) answers nothing.  A
+        dead worker counts at once: a process's done pipe reads
+        end-of-file, a thread is caught on the first quiet poll.
         """
         pending, died = set(indices), set()
+        token = next(self._tickets)
         for index in pending:
             try:
-                self._job_queues[index].put((_PING, None))
+                self._job_queues[index].put((_PING, token))
             except Exception:  # noqa: BLE001 - not draining its queue
                 pass
         deadline = time.monotonic() + timeout
@@ -764,24 +697,37 @@ class WarmExecutorPool:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            messages, gone = self._receive(pending, remaining)
+            messages, gone = self._receive(pending, min(remaining, 0.5))
+            if not messages and not gone:
+                gone = [i for i in pending if not self.worker_alive(i)]
             died.update(gone)
             pending.difference_update(gone)
             for item in messages:
-                if self._well_formed(item) and item[0] == _PING:
+                if (self._well_formed(item) and item[0] == _PING
+                        and item[2] == token):
                     pending.discard(item[1])
         return pending | died
 
-    def heal(self, join_timeout: float = 2.0,
-             sync_timeout: float = 60.0) -> List[int]:
+    def _await_ready(self, indices, timeout: float) -> None:
+        """The startup check of new workers: one ping round.  Any worker
+        that dies or stays silent past ``timeout`` marks the pool broken."""
+        failed = self._unresponsive(indices, timeout)
+        if failed:
+            self._broken = True
+            raise ParallelExecutionError(
+                f"worker(s) {sorted(failed)} of {self.module.MODEL_NAME!r} "
+                f"died or did not answer their startup ping within {timeout}s")
+
+    def heal(self, join_timeout: float = 2.0) -> List[int]:
         """Respawn every dead or unresponsive worker.
 
-        The recovery entry point (:meth:`Session.recover` calls it after a
-        failed run): replaces any worker it finds dead and any live one
-        that does not answer a ping within the fail-grace window (stranded
-        inside the failed run, or wedged); then zeroes the tensor plane's
-        semaphores and clears ``broken`` when the full complement is
-        alive.  Returns the respawned indices.
+        The one repair (:meth:`Session.recover` calls it after a failed
+        run): replaces any worker it finds dead and any live one that does
+        not answer a ping within the fail-grace window (stranded inside the
+        failed run, or wedged); then zeroes the tensor plane's semaphores
+        and clears ``broken`` when the full complement is alive.  Returns
+        the respawned indices.  A replacement that fails its startup ping
+        raises :class:`ParallelExecutionError` and leaves the pool broken.
         """
         with self._lock:
             if self._closed:
@@ -791,7 +737,7 @@ class WarmExecutorPool:
             targets |= self._unresponsive(
                 set(range(self._num_clusters)) - targets, self._fail_grace_s)
             for index in sorted(targets):
-                self._respawn_locked(index, join_timeout, sync_timeout)
+                self._respawn_locked(index, join_timeout)
             if self._plane is not None:
                 # Posts a failed run left behind must not satisfy the next
                 # run's waits (their slots would fail the ticket check).
@@ -836,18 +782,13 @@ class WarmExecutorPool:
         if tracer is not None and self._telemetry is None:
             self._telemetry = ChannelTelemetry()
 
-    def clock_offsets(self) -> List[int]:
-        """Measured per-worker clock offsets (worker - coordinator), ns."""
-        return list(self._clock_offsets)
-
     def worker_trace_buffers(self) -> List[WorkerTraceBuffer]:
         """The accumulated per-worker span buffers, ready for merging.
 
-        Each buffer carries the worker's real pid/tid, its handshake clock
-        offset and its drop count (worker-ring drops plus coordinator-side
-        evictions past the per-worker cap).  Feed the result — together
-        with the coordinator tracer — to
-        :func:`repro.observability.merge.merge_traces`.
+        Each buffer carries the worker's real pid/tid and its drop count
+        (worker-ring drops plus coordinator-side evictions past the
+        per-worker cap).  Feed the result — together with the coordinator
+        tracer — to :func:`repro.observability.merge.merge_traces`.
         """
         buffers: List[WorkerTraceBuffer] = []
         with self._lock:
@@ -859,8 +800,7 @@ class WarmExecutorPool:
                 buffers.append(WorkerTraceBuffer(
                     worker=f"cluster-{index}", pid=pid, tid=tid,
                     events=list(self._worker_spans[index]),
-                    dropped=self._worker_drops[index],
-                    clock_offset_ns=self._clock_offsets[index]))
+                    dropped=self._worker_drops[index]))
         return buffers
 
     def clear_worker_traces(self) -> None:
@@ -903,7 +843,6 @@ class WarmExecutorPool:
             "clusters": self._num_clusters,
             "runs": self._runs,
             "failures": self._failures,
-            "restarts": self._restarts,
             "respawns": sum(self._worker_respawns),
             "protocol_errors": self._protocol_errors,
             "occupancy": self._occupancy,
@@ -919,7 +858,6 @@ class WarmExecutorPool:
                  "queue_wait_ns_total": self._worker_queue_wait_ns[index],
                  "spans_buffered": len(self._worker_spans[index]),
                  "spans_dropped": self._worker_drops[index],
-                 "clock_offset_ns": self._clock_offsets[index],
                  "allocations": self._worker_memory[index][0],
                  "slab_bytes": self._worker_memory[index][1]}
                 for index in range(self._num_clusters)],
@@ -930,7 +868,7 @@ class WarmExecutorPool:
                         labels: Optional[Mapping[str, str]] = None) -> None:
         """Mirror the pool's counters into a ``MetricsRegistry``.
 
-        Registers a pull-style collector refreshing run/failure/restart
+        Registers a pull-style collector refreshing run/failure/respawn
         totals, occupancy, dispatch/execute/queue-wait time totals and the
         channel byte/ns counters before every snapshot, plus per-worker
         job/execute series labelled ``worker="<index>"`` — so one registry
@@ -952,11 +890,8 @@ class WarmExecutorPool:
                   labels=labels).set(stats["runs"])
             gauge("pool_failures_total", "Failed or timed-out pool runs",
                   labels=labels).set(stats["failures"])
-            gauge("pool_worker_restarts_total",
-                  "Times the pool's workers were restarted",
-                  labels=labels).set(stats["restarts"])
             gauge("pool_worker_respawns_total",
-                  "Single workers respawned (no full restart)",
+                  "Workers respawned after dying or going silent",
                   labels=labels).set(stats["respawns"])
             gauge("pool_protocol_errors_total",
                   "Malformed result-channel messages observed",
@@ -1027,27 +962,29 @@ class WarmExecutorPool:
             if self._broken:
                 raise ParallelExecutionError(
                     "warm executor pool is broken after an earlier failure; "
-                    "heal() or restart() it")
-            for index in range(self._num_clusters):
-                if not self.worker_alive(index):
-                    self._respawn_locked(index, 2.0, timeout)
-            ticket = next(self._tickets)
-            tracer = self._tracer
-            ctx = TraceContext.from_tracer(tracer, parent_span="pool.run")
-            injector = self._injector
-            faults = None
-            if injector is not None:
-                faults = [injector.directive("worker.execute", worker=i)
-                          for i in range(self._num_clusters)]
-            layouts = None
-            if self._planner is not None:
-                key, plans = self._planner.plan(inputs)
-                layouts = [(key, None if key in self._shipped[i] else plans[i])
-                           for i in range(self._num_clusters)]
+                    "heal() it")
+            tracer, ctx = self._tracer, None
             self._occupancy = 1
-            deadline = time.monotonic() + timeout
             run_start_ns = time.perf_counter_ns()
             try:
+                for index in range(self._num_clusters):
+                    if not self.worker_alive(index):
+                        self._respawn_locked(index, 2.0,
+                                             min(timeout, _STARTUP_TIMEOUT_S))
+                ticket = next(self._tickets)
+                ctx = TraceContext.from_tracer(tracer, parent_span="pool.run")
+                injector = self._injector
+                faults = None
+                if injector is not None:
+                    faults = [injector.directive("worker.execute", worker=i)
+                              for i in range(self._num_clusters)]
+                layouts = None
+                if self._planner is not None:
+                    key, plans = self._planner.plan(inputs)
+                    layouts = [(key, None if key in self._shipped[i]
+                                else plans[i])
+                               for i in range(self._num_clusters)]
+                deadline = time.monotonic() + timeout
                 if self.backend == "thread":
                     feed, channels = inputs, make_thread_channels(
                         self.module.CHANNEL_NAMES)

@@ -834,8 +834,6 @@ def _artifact_gauges(artifact: CompiledArtifact):
                "Completed pool runs of a cached artifact")
         yield ("serving_pool_failures_total", pool["failures"],
                "Failed pool runs of a cached artifact")
-        yield ("serving_pool_restarts_total", pool["restarts"],
-               "Worker restarts of a cached artifact's pool")
         yield ("serving_pool_respawns_total", pool["respawns"],
                "Single workers respawned in a cached artifact's pool")
         yield ("serving_pool_execute_seconds_total",

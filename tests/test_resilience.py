@@ -7,7 +7,8 @@ engine, asserting the properties the layer promises:
 
 * a dead worker fails its run within the pool's fail grace, not the batch
   timeout, and is respawned *individually* — at the next dispatch or by
-  ``heal()``, never via a full pool restart;
+  ``heal()``, the one repair — and every new worker must answer a ping
+  before the pool uses it;
 * an injected failure mid-batch is retried and the caller's future
   resolves with **bitwise-correct** outputs;
 * a persistently failing artifact trips its circuit breaker and serving
@@ -47,6 +48,7 @@ from repro.resilience import (
     ResilientDispatcher,
     RetryPolicy,
 )
+from repro.runtime import worker_pool
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import (
     ParallelExecutionError,
@@ -295,7 +297,6 @@ class TestPoolChaos:
             assert pool.heal() == []
             assert not pool.broken
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            assert pool.stats()["restarts"] == 0
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_crashed_worker_is_respawned_not_restarted(self, chain_compiled,
@@ -319,7 +320,6 @@ class TestPoolChaos:
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
             stats = pool.stats()
             assert stats["respawns"] == 1
-            assert stats["restarts"] == 0  # never a full restart
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_hung_worker_is_declared_wedged_and_replaced(self, chain_compiled,
@@ -340,7 +340,6 @@ class TestPoolChaos:
             assert time.monotonic() - start < 8.0  # not the hang itself
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
             assert pool.stats()["respawns"] == 1
-            assert pool.stats()["restarts"] == 0
 
     def test_corrupted_result_channel_fails_fast(self, chain_compiled):
         _, result, feed, reference = chain_compiled
@@ -377,9 +376,7 @@ class TestPoolChaos:
             assert 1 in pool.heal()
             assert not pool.broken
             _assert_bitwise(pool.run(feed, timeout=60.0), reference)
-            stats = pool.stats()
-            assert stats["respawns"] >= 1
-            assert stats["restarts"] == 0
+            assert pool.stats()["respawns"] >= 1
 
     def test_fault_metrics_visible_in_registry(self, chain_compiled):
         from repro.observability import MetricsRegistry
@@ -415,7 +412,62 @@ def _sigkill(pool, index: int) -> None:
                 what=f"worker {index} dead")
 
 
+def _exit_at_once(*args) -> None:
+    """A worker loop that returns before serving anything."""
+
+
 class TestPoolLiveness:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_worker_that_never_serves_fails_the_startup_check(
+            self, wide_compiled, backend, monkeypatch):
+        """The startup ping notices a dead worker at once — end-of-file on
+        a process's done pipe, a quiet poll's liveness check for a thread —
+        not after the 60 s bound."""
+        _, result, _, _ = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
+        start = time.monotonic()
+        with pytest.raises(ParallelExecutionError, match="startup ping"):
+            WarmExecutorPool(result.parallel_module, weights, backend=backend)
+        assert time.monotonic() - start < 5.0
+
+    def test_start_and_respawn_each_run_one_ping_round(self, wide_compiled,
+                                                       monkeypatch):
+        _, result, feed, reference = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        rounds = []
+        unresponsive = WarmExecutorPool._unresponsive
+
+        def spy(pool, indices, timeout):
+            rounds.append(sorted(indices))
+            return unresponsive(pool, indices, timeout)
+
+        monkeypatch.setattr(WarmExecutorPool, "_unresponsive", spy)
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as pool:
+            assert rounds == [[0, 1, 2, 3]]
+            _sigkill(pool, 1)
+            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            assert rounds == [[0, 1, 2, 3], [1]]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_failed_respawn_at_dispatch_is_a_failed_run(
+            self, wide_compiled, backend, monkeypatch):
+        _, result, feed, _ = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend=backend) as pool:
+            # Worker 0 leaves its loop, and so will its replacement.
+            pool._job_queues[0].put(None)
+            _wait_until(lambda: not pool.worker_alive(0),
+                        what="worker 0 gone")
+            monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
+            with pytest.raises(ParallelExecutionError):
+                pool.run(feed, timeout=10.0)
+            assert pool.broken
+            assert pool.stats()["failures"] == 1
+            assert pool.stats()["runs"] == 0
+
     def test_an_idle_worker_killed_is_respawned_at_dispatch(self,
                                                              wide_compiled):
         _, result, feed, reference = wide_compiled
@@ -480,12 +532,16 @@ class TestPoolLiveness:
                 pool.heal()
                 _assert_bitwise(pool.run(feed, timeout=30.0), reference)
                 assert time.monotonic() - start < 10.0
-            assert pool.stats()["restarts"] == 0
 
 
 # ---------------------------------------------------------------------------
 # Session.recover
 # ---------------------------------------------------------------------------
+def _heal_fails():
+    raise ParallelExecutionError("worker(s) [0] of 'chain' died or did not "
+                                 "answer their startup ping within 60.0s")
+
+
 class TestSessionRecover:
     def test_plan_session_rebuilds_fresh_plan(self):
         model = build_diamond_model()
@@ -514,27 +570,43 @@ class TestSessionRecover:
             session.recover()
             assert not session.pool.broken
             _assert_bitwise(session.run(feed, timeout=30.0), reference)
-            assert session.pool.stats()["restarts"] == 0
         finally:
             session.close()
 
-    def test_pool_session_restarts_when_heal_fails(self, chain_compiled,
-                                                   monkeypatch):
-        _, result, feed, reference = chain_compiled
+    def test_pool_session_recover_raises_when_heal_fails(self, chain_compiled,
+                                                         monkeypatch):
+        _, result, feed, _ = chain_compiled
         session = create_session(result, executor="process")
         try:
             pool = session.pool
-
-            def heal_times_out():
-                raise ParallelExecutionError("respawn handshake timed out")
-
-            monkeypatch.setattr(pool, "heal", heal_times_out)
-            session.mark_broken("simulated")
-            session.recover()
-            assert pool.stats()["restarts"] == 1
-            _assert_bitwise(session.run(feed, timeout=30.0), reference)
+            pool.set_fault_injector(FaultInjector([FaultSpec(
+                site="worker.execute", kind="exc", times=1)]))
+            with pytest.raises(ParallelExecutionError):
+                session.run(feed, timeout=30.0)
+            assert pool.broken
+            monkeypatch.setattr(pool, "heal", _heal_fails)
+            with pytest.raises(ParallelExecutionError, match="startup ping"):
+                session.recover()
+            assert pool.broken
         finally:
             session.close()
+
+    def test_failed_heal_is_served_by_the_degraded_fallback(
+            self, chain_compiled, monkeypatch):
+        model, _, feed, reference = chain_compiled
+        injector = FaultInjector([FaultSpec(
+            site="worker.execute", kind="exc", times=1)])
+        config = EngineConfig(executor="process", max_batch_size=1,
+                              timeout_s=60.0, resilience=ResilienceConfig())
+        with InferenceEngine(config) as engine:
+            engine.warmup(model, feed)
+            artifact = cached_artifacts(engine)[0]
+            pool = artifact.session.pool
+            pool.set_fault_injector(injector)
+            monkeypatch.setattr(pool, "heal", _heal_fails)
+            _assert_bitwise(engine.infer(model, feed), reference)
+            assert artifact.dispatcher.stats()["degraded_runs"] >= 1
+            assert injector.stats() == {"worker.execute:exc": 1}
 
     def test_interp_session_recovers(self):
         model = build_diamond_model()

@@ -7,8 +7,9 @@ their own loops, forked processes with separate address spaces); these
 tests pin the whole relay: a ``TraceContext`` rides each dispatched job,
 the worker records ``worker.execute`` on a local tracer against its real
 pid/tid, the buffer ships home over the existing done queue, and
-``merge_traces`` aligns the clocks into one Perfetto-loadable trace where
-request spans nest over per-worker execute spans on distinct lanes.
+``merge_traces`` merges it, on the one ``perf_counter_ns`` clock every
+worker shares, into one Perfetto-loadable trace where request spans nest
+over per-worker execute spans on distinct lanes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import threading
 import numpy as np
 import pytest
 
+from tests.conftest import build_wide_model, compiled_pool
 from repro.models import build_model
 from repro.observability import MetricsRegistry, Tracer
 from repro.observability.context import TraceContext
@@ -84,36 +86,31 @@ class TestTraceContext:
 # Merging
 # ---------------------------------------------------------------------------
 class TestMergeTraces:
-    def _buffer(self, worker, pid, tid, offset=0, spans=(), dropped=0):
+    def _buffer(self, worker, pid, tid, spans=(), dropped=0):
         return WorkerTraceBuffer(worker=worker, pid=pid, tid=tid,
-                                 events=list(spans), dropped=dropped,
-                                 clock_offset_ns=offset)
+                                 events=list(spans), dropped=dropped)
 
     def test_merges_synthetic_buffers_onto_coordinator_clock(self):
         tracer = Tracer()
         t0 = tracer.now()
         tracer.emit("request", "request", t0, t0 + 10_000_000)
-        epoch = tracer.epoch_ns
-        # worker clock runs 5ms ahead of the coordinator's
-        offset = 5_000_000
-        span_start = t0 + 2_000_000 + offset   # 2ms in, on the worker clock
+        span_start = t0 + 2_000_000   # 2ms in, on the shared clock
         buffers = [self._buffer(
-            "cluster-0", pid=9999, tid=1, offset=offset,
+            "cluster-0", pid=9999, tid=1,
             spans=[("worker.execute", "worker", span_start, 1_000_000,
                     {"cluster": "0"})], dropped=3)]
         payload = merge_traces(tracer, buffers)
         spans = {e["name"]: e for e in payload["traceEvents"]
                  if e.get("ph") == "X"}
         request, execute = spans["request"], spans["worker.execute"]
-        # after alignment the worker span sits inside the request span
+        # merged as recorded: the worker span sits inside the request span
+        assert execute["ts"] - request["ts"] == 2_000
         assert request["ts"] <= execute["ts"]
         assert (execute["ts"] + execute["dur"]
                 <= request["ts"] + request["dur"])
         assert execute["pid"] == 9999
         assert request["pid"] == os.getpid()
         assert payload["metadata"]["worker_drops"] == {"cluster-0": 3}
-        assert payload["metadata"]["worker_clock_offsets_ns"] == {
-            "cluster-0": offset}
 
     def test_worker_lanes_get_process_and_thread_names(self):
         payload = merge_traces(None, [
@@ -233,30 +230,8 @@ class TestPoolTracePropagation:
             np.testing.assert_array_equal(np.asarray(actual[name]),
                                           np.asarray(value))
 
-    def test_handshake_offsets_are_small_on_fork_platforms(self, compiled):
-        _, result, feed = compiled
-        weights = result.optimized_model.graph.initializers
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend="process") as pool:
-            offsets = pool.clock_offsets()
-        assert len(offsets) == pool.num_clusters
-        # perf_counter is machine-wide on fork platforms: measured offsets
-        # are handshake noise, far below a second
-        assert all(abs(offset) < 1_000_000_000 for offset in offsets)
 
-
-    def test_thread_workers_share_the_coordinator_clock(self, compiled):
-        """A thread worker reads the coordinator's ``perf_counter_ns``: its
-        offset is 0 by construction, not the handshake's millisecond noise
-        (which ``merge_traces`` would shift its lane by)."""
-        _, result, _ = compiled
-        weights = result.optimized_model.graph.initializers
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend="thread") as pool:
-            assert pool.clock_offsets() == [0] * pool.num_clusters
-
-
-class TestPoolMetricsAndRestart:
+class TestPoolMetricsAndHeal:
     def test_stats_and_registry_metrics(self, compiled):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
@@ -312,11 +287,12 @@ class TestPoolMetricsAndRestart:
         assert channels["overflow_puts"] == 0
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_restart_recovers_a_broken_pool(self, compiled, backend):
+    def test_heal_recovers_a_broken_pool(self, compiled, backend):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
         with WarmExecutorPool(result.parallel_module, weights,
                               backend=backend) as pool:
+            expected = pool.run(feed)
             # Missing graph inputs: the first cluster fails fast while the
             # others block on channels fed by it, so the run ends at the
             # watchdog — keep it short.
@@ -324,13 +300,14 @@ class TestPoolMetricsAndRestart:
                 pool.run({}, timeout=3.0)
             assert pool.broken
             assert pool.stats()["failures"] == 1
-            pool.restart()
+            pool.heal()
             assert not pool.broken
             outputs = pool.run(feed)
-            assert outputs
-            stats = pool.stats()
-            assert stats["restarts"] == 1
-            assert stats["runs"] == 1
+            assert set(outputs) == set(expected)
+            for name, value in expected.items():
+                np.testing.assert_array_equal(np.asarray(outputs[name]),
+                                              np.asarray(value))
+            assert pool.stats()["runs"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +380,38 @@ class TestExecuteGeneratedModuleTracing:
         for buffer in collector:
             assert any(name == "worker.execute"
                        for name, *_ in buffer.events)
-            # fork shares the clock: the handshake measures only noise
-            assert abs(buffer.clock_offset_ns) < 1_000_000_000
         coordinator = [e.name for e in tracer.events()]
         assert "pool.run" in coordinator
         payload = merge_traces(tracer, collector)
         json.dumps(payload)
+
+    def test_process_lanes_merge_on_the_raw_clock(self):
+        """Worker spans merge on the ``perf_counter_ns`` they were recorded
+        with.  Dispatch precedes a worker's receipt of its job, and its
+        reply precedes ``run``'s return, so on a shared clock every
+        ``worker.execute`` lies inside the ``pool.run`` that dispatched it."""
+        model = build_wide_model()
+        result = ramiel_compile(model)
+        feed = example_inputs(model, seed=11)
+        tracer = Tracer()
+        with compiled_pool(result, "process", tracer=tracer) as pool:
+            assert pool.num_clusters == 4
+            for _ in range(10):
+                pool.run(feed)
+            buffers = pool.worker_trace_buffers()
+        payload = merge_traces(tracer, buffers)
+        assert not any("offset" in key for key in payload["metadata"])
+        spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
+        runs = {e["args"]["trace_id"]: e for e in spans
+                if e["name"] == "pool.run"}
+        executes = [e for e in spans if e["name"] == "worker.execute"]
+        assert len(runs) == 10 and len(executes) == 40
+        lanes = {e["pid"] for e in executes}
+        assert len(lanes) == 4 and os.getpid() not in lanes
+        for span in executes:
+            run = runs[span["args"]["trace_id"]]
+            assert run["ts"] <= span["ts"]
+            assert span["ts"] + span["dur"] <= run["ts"] + run["dur"]
 
     def test_untraced_call_is_unchanged(self, compiled):
         _, result, feed = compiled
