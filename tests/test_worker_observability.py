@@ -230,8 +230,32 @@ class TestPoolTracePropagation:
             np.testing.assert_array_equal(np.asarray(actual[name]),
                                           np.asarray(value))
 
+    def test_thread_workers_share_the_coordinator_clock(self, compiled):
+        """A thread worker records on the coordinator's own
+        ``perf_counter_ns``: merged as recorded, each ``worker.execute``
+        lies inside the ``pool.run`` that dispatched it, on the
+        coordinator's pid."""
+        _, result, feed = compiled
+        tracer = Tracer()
+        with compiled_pool(result, "thread", tracer=tracer) as pool:
+            for _ in range(3):
+                pool.run(feed)
+            buffers = pool.worker_trace_buffers()
+        payload = merge_traces(tracer, buffers)
+        spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
+        runs = {e["args"]["trace_id"]: e for e in spans
+                if e["name"] == "pool.run"}
+        executes = [e for e in spans if e["name"] == "worker.execute"]
+        assert len(runs) == 3
+        assert len(executes) == 3 * pool.num_clusters
+        assert {e["pid"] for e in executes} == {os.getpid()}
+        for span in executes:
+            run = runs[span["args"]["trace_id"]]
+            assert run["ts"] <= span["ts"]
+            assert span["ts"] + span["dur"] <= run["ts"] + run["dur"]
 
-class TestPoolMetricsAndHeal:
+
+class TestPoolMetricsAndRestart:
     def test_stats_and_registry_metrics(self, compiled):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
@@ -287,7 +311,7 @@ class TestPoolMetricsAndHeal:
         assert channels["overflow_puts"] == 0
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_heal_recovers_a_broken_pool(self, compiled, backend):
+    def test_restart_recovers_a_broken_pool(self, compiled, backend):
         _, result, feed = compiled
         weights = result.optimized_model.graph.initializers
         with WarmExecutorPool(result.parallel_module, weights,
