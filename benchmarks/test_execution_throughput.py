@@ -56,7 +56,7 @@ from repro.models import build_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.session import create_session
-from repro.serving.engine import example_inputs
+from repro.serving import example_inputs
 
 PERF_MODELS = [name.strip() for name in os.environ.get(
     "REPRO_PERF_MODELS", "squeezenet,googlenet,yolo_v5").split(",") if name.strip()]

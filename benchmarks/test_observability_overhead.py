@@ -48,7 +48,7 @@ from repro.analysis.reports import format_rows
 from repro.models import build_model
 from repro.observability import Tracer
 from repro.runtime.plan import ExecutionPlan
-from repro.serving.engine import example_inputs
+from repro.serving import example_inputs
 
 OVERHEAD_MODELS = [name.strip() for name in os.environ.get(
     "REPRO_OBS_MODELS", "squeezenet").split(",") if name.strip()]

@@ -55,12 +55,6 @@ class _ClusterCodegen:
         self.graph_inputs_read: List[str] = []
 
     # ------------------------------------------------------------------
-    def _producer_cluster(self, value: str) -> Optional[int]:
-        producer = self.producers.get(value)
-        if producer is None:
-            return None
-        return self.owner[producer]
-
     def _value_expr(self, value: str) -> str:
         if value in self.namer or value in self.received:
             return self.namer.name_for(value)

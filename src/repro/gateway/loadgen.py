@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.gateway import codec
 from repro.gateway.http import parse_response
 
 __all__ = [
@@ -250,9 +249,3 @@ async def run_load(host: str, port: int, specs: Sequence[LoadSpec],
         await asyncio.gather(*inflight, return_exceptions=False)
     elapsed = loop.time() - start
     return LoadReport(duration_s=elapsed, tenants=reports)
-
-
-def body_for(model) -> bytes:
-    """Pre-encode a single-sample request body for a zoo model."""
-    from repro.serving.engine import example_inputs
-    return codec.encode_request(example_inputs(model))

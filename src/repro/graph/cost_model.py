@@ -16,7 +16,7 @@ factors of Table I come out in the right bands (Squeezenet < 1, Inception
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
@@ -195,9 +195,3 @@ class CostModel:
 
 #: The default cost model used throughout the reproduction.
 DEFAULT_COST_MODEL = CostModel()
-
-
-def graph_node_costs(graph: Graph, cost_model: Optional[CostModel] = None) -> Dict[str, float]:
-    """Convenience: map node name -> static cost for a whole IR graph."""
-    cm = cost_model or DEFAULT_COST_MODEL
-    return {op.name: cm.node_cost(op, graph) for op in graph.nodes}

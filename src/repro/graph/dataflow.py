@@ -119,11 +119,6 @@ class DataflowGraph:
         del self._succ[name]
         del self._pred[name]
 
-    def remove_edge(self, src: str, dst: str) -> None:
-        """Remove all direct edges src -> dst."""
-        self._succ[src] = [e for e in self._succ[src] if e.dst != dst]
-        self._pred[dst] = [e for e in self._pred[dst] if e.src != src]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

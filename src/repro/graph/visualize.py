@@ -8,8 +8,7 @@ No Graphviz binary is required — we only emit the textual ``.dot`` format.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.graph.dataflow import DataflowGraph
 
@@ -78,10 +77,3 @@ def clusters_to_dot(dfg: DataflowGraph, clusters: Sequence, **kwargs) -> str:
         for name in names:
             cluster_of[name] = idx
     return to_dot(dfg, cluster_of=cluster_of, **kwargs)
-
-
-def write_dot(dot_source: str, path: Union[str, Path]) -> Path:
-    """Write DOT source to a file and return the path."""
-    path = Path(path)
-    path.write_text(dot_source, encoding="utf-8")
-    return path

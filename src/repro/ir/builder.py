@@ -306,18 +306,6 @@ class GraphBuilder:
         self.shapes[out] = in_shape
         return out
 
-    def layernorm(self, x: str, normalized_dim: int, axis: int = -1,
-                  epsilon: float = 1e-5, name: Optional[str] = None) -> str:
-        """Layer normalization over the trailing dimension."""
-        scale = self.initializer(self.fresh("ln_scale"),
-                                 np.ones(normalized_dim, dtype=np.float32))
-        bias = self.initializer(self.fresh("ln_bias"),
-                                np.zeros(normalized_dim, dtype=np.float32))
-        out = self.node("LayerNormalization", [x, scale, bias], name=name,
-                        axis=axis, epsilon=epsilon)
-        self.shapes[out] = self.shapes.get(x)
-        return out
-
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------
@@ -490,14 +478,6 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     # Composite blocks commonly used in the zoo
     # ------------------------------------------------------------------
-    def conv_bn_relu(self, x: str, out_channels: int, kernel: IntOrPair = 3,
-                     strides: IntOrPair = 1, pads: IntOrPair = 0,
-                     name: Optional[str] = None) -> str:
-        """Conv -> BatchNorm -> ReLU block."""
-        y = self.conv(x, out_channels, kernel=kernel, strides=strides, pads=pads, name=name)
-        y = self.batchnorm(y)
-        return self.relu(y)
-
     def conv_relu(self, x: str, out_channels: int, kernel: IntOrPair = 3,
                   strides: IntOrPair = 1, pads: IntOrPair = 0,
                   name: Optional[str] = None) -> str:

@@ -80,10 +80,6 @@ class Graph:
         self.value_info[name] = info
         return info
 
-    def is_initializer(self, name: str) -> bool:
-        """True when ``name`` refers to a weight/constant."""
-        return name in self.initializers
-
     @property
     def input_names(self) -> List[str]:
         """Names of the graph inputs."""

@@ -65,10 +65,6 @@ class OpNode:
         """True when the node carries the named attribute."""
         return name in self.attributes
 
-    def del_attr(self, name: str) -> None:
-        """Remove an attribute if present."""
-        self.attributes.pop(name, None)
-
     # ------------------------------------------------------------------
     # Structural helpers
     # ------------------------------------------------------------------
@@ -167,9 +163,3 @@ class OpNode:
             f"OpNode({self.op_type}, name={self.name!r}, "
             f"inputs={self.inputs}, outputs={self.outputs})"
         )
-
-
-def reset_node_counter() -> None:
-    """Reset the auto-naming counter (used by tests for determinism)."""
-    global _node_counter
-    _node_counter = itertools.count()

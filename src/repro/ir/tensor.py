@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.ir.dtypes import DType, parse_dtype
 
@@ -157,16 +157,6 @@ class TensorInfo:
             "?" if d is None else str(d) for d in self.shape
         )
         return f"TensorInfo({self.name!r}, {self.dtype.value}, {shape})"
-
-
-def tensor_volume_mb(infos: Iterable[TensorInfo]) -> float:
-    """Total static size of a collection of tensors in MiB (unknown = 0)."""
-    total = 0
-    for info in infos:
-        nbytes = info.nbytes
-        if nbytes:
-            total += nbytes
-    return total / (1024.0 * 1024.0)
 
 
 def conv_output_dim(

@@ -164,11 +164,12 @@ class RamielResult:
         simulated with one core per worker; a fold predicted not to beat the
         sequential run is replaced by a single worker — a predicted loss is
         never parallelised.  Code is generated only for a placement that
-        differs from the compiled clustering, once per worker count, so the
-        ``pool`` and ``process`` sessions of an artifact share it.
+        differs from the compiled clustering (or when the compile generated
+        none, ``generate_code=False``), once per worker count, so the
+        ``pool`` and ``process`` sessions of an artifact share it — and a
+        serving lane's one-worker replicas (``placement(1)``) generate just
+        the one-worker module, on first use.
         """
-        if self.parallel_module is None:
-            raise RuntimeError("pipeline was run with generate_code=False")
         # Hyperclusters span a replicated graph; code is generated per
         # sample, so it is the merged batch-1 clustering that is placed.
         compiled = self.clustering_merged
@@ -183,8 +184,9 @@ class RamielResult:
                 single = self.placement(1)
                 placed = Placement(single.clustering, single.module, predicted)
             else:
-                module = (self.parallel_module if folded is compiled else
-                          generate_parallel_module(self.optimized_model, folded))
+                module = (self.parallel_module
+                          if folded is compiled and self.parallel_module is not None
+                          else generate_parallel_module(self.optimized_model, folded))
                 placed = Placement(folded, module, predicted)
             self._placements[workers] = placed
         return placed

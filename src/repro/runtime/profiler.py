@@ -47,11 +47,6 @@ class OpProfile:
         """Median execution time in seconds."""
         return statistics.median(self.samples_s) if self.samples_s else 0.0
 
-    @property
-    def total_s(self) -> float:
-        """Total time across samples."""
-        return float(sum(self.samples_s))
-
 
 @dataclasses.dataclass
 class GraphProfile:

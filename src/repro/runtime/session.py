@@ -528,7 +528,7 @@ class Session:
 
 def create_session(model_or_artifact, config=None, executor: str = "plan",
                    timeout_s: float = 300.0, *, tracer=None,
-                   max_batch: int = 1) -> Session:
+                   max_batch: int = 1, cores: Optional[int] = None) -> Session:
     """Create a :class:`Session` — the package's one execution front door.
 
     Parameters
@@ -570,6 +570,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         shapes (the serving engine passes its ``max_batch_size``); sizes a
         ``"process"`` session's tensor slots.  Larger batches still run,
         through the pickled fallback.
+    cores:
+        The cores a ``"pool"`` / ``"process"`` session places onto
+        (default :func:`available_cores`); ``cores=1`` is one worker
+        running the whole model, the serving engine's lane replica.  An
+        artifact compiled with ``generate_code=False`` generates the
+        placed module here.
     """
     executor = validate_executor(executor)
     obj = model_or_artifact
@@ -611,11 +617,7 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
                           result=result, interp=GraphExecutor(optimized),
                           timeout_s=timeout_s)
     else:
-        if result.parallel_module is None:
-            raise ValueError(
-                f"executor {executor!r} needs generated code, but the artifact "
-                "was compiled with generate_code=False")
-        cores = available_cores()
+        cores = available_cores() if cores is None else max(int(cores), 1)
         placed = result.placement(cores)
         planner = ClusterSlabPlanner(
             optimized.graph, [cluster.nodes for cluster in placed.clustering.clusters])

@@ -31,7 +31,8 @@ Two backends are supported:
   moment can tear only its own pipes, and a respawn replaces them.  A
   payload that does not fit its slot is pickled to a spill file instead
   and counted in ``stats()["channels"]["overflow_puts"]``.  Requires the
-  ``fork`` start method.
+  ``fork`` start method.  Each forked worker pins every loaded OpenBLAS
+  copy to one thread right after the fork (:mod:`repro.runtime.blas`).
 
 **Memory.**  A session's pool carries a
 :class:`~repro.runtime.plan.ClusterSlabPlanner`: the coordinator sweeps
@@ -87,6 +88,9 @@ in ``benchmarks/test_observability_overhead.py``).
 Worker **metrics** (dispatch/execute/queue-wait timings, channel hand-off
 bytes and nanoseconds, occupancy, respawns) accumulate in ``stats()`` and
 publish into a shared ``MetricsRegistry`` via :meth:`publish_metrics`.
+Every ping reply carries the worker's BLAS thread count, or
+``"unmanaged"``: ``stats()["workers"][i]["blas_threads"]`` (a thread
+worker reports its process's, which it shares).
 Slot channels always account their hand-offs (process workers ship a
 per-job delta home); thread channels are wrapped for accounting while a
 tracer is attached.
@@ -104,6 +108,7 @@ import multiprocessing
 import os
 import queue
 import select
+import stat
 import struct
 import threading
 import time
@@ -119,6 +124,7 @@ from repro.observability.context import TraceContext
 from repro.observability.merge import WorkerTraceBuffer
 from repro.observability.trace import Tracer
 from repro.resilience.faults import apply_worker_fault
+from repro.runtime.blas import blas_threads, pin_blas_threads
 from repro.runtime.channels import (
     ChannelTelemetry,
     ParallelExecutionError,
@@ -327,8 +333,8 @@ def _worker(fn, weights, jobs, done, index,
         if job is None:
             return
         ticket = job[0]
-        if ticket == _PING:  # echo the round's token
-            done.put((_PING, index, job[1], None, 0, None))
+        if ticket == _PING:  # echo the round's token and the BLAS budget
+            done.put((_PING, index, job[1], None, 0, blas_threads()))
             continue
         received_ns = time.perf_counter_ns()
         _, inputs, channels, ctx, fault, layout = job
@@ -393,8 +399,34 @@ def _worker(fn, weights, jobs, done, index,
                       time.perf_counter_ns() - start_ns, None))
 
 
+def _close_inherited_sockets() -> None:
+    """Close this forked worker's copies of its parent's sockets.
+
+    A worker talks through pipes and shared memory only.  A socket it
+    inherits — a gateway's listener or an accepted connection — would stay
+    open here after the parent has answered and closed it, and the peer
+    would wait for an end of file that never comes.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no procfs: nothing to find them by
+        return
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own descriptor, already gone
+            pass
+
+
 def _process_main(*args) -> None:
-    """Entry point of a forked worker: run :func:`_worker` on a side thread.
+    """Entry point of a forked worker: drop the parent's sockets, pin BLAS
+    to one thread, then run :func:`_worker` on a side thread.
+
+    The pin comes first, before any kernel: a worker runs one cluster on
+    one core, and OpenBLAS threads inherited at the caller's count would
+    spin on the cores of its peers and of the coordinator
+    (:mod:`repro.runtime.blas`; the startup ping reports the result).
 
     glibc's main arena gives large freed blocks back to the kernel, so on a
     process's main thread a big temporary allocated on every run is
@@ -406,6 +438,8 @@ def _process_main(*args) -> None:
     one in every set: 35.3 / 33.8 / 39.2 ms per inference against
     34.3 / 29.4 / 38.2 ms on a side thread.
     """
+    _close_inherited_sockets()
+    pin_blas_threads(1)
     thread = threading.Thread(target=_worker, args=args, name="cluster")
     thread.start()
     thread.join()
@@ -477,6 +511,8 @@ class WarmExecutorPool:
         self._injector = None
         self._worker_respawns = [0] * self._num_clusters
         self._protocol_errors = 0
+        #: per worker: the BLAS threads its last ping reported
+        self._worker_blas: List[object] = [None] * self._num_clusters
 
         # -- observability state ---------------------------------------
         self._tracer = tracer
@@ -706,6 +742,7 @@ class WarmExecutorPool:
                 if (self._well_formed(item) and item[0] == _PING
                         and item[2] == token):
                     pending.discard(item[1])
+                    self._worker_blas[item[1]] = item[5]
         return pending | died
 
     def _await_ready(self, indices, timeout: float) -> None:
@@ -859,7 +896,8 @@ class WarmExecutorPool:
                  "spans_buffered": len(self._worker_spans[index]),
                  "spans_dropped": self._worker_drops[index],
                  "allocations": self._worker_memory[index][0],
-                 "slab_bytes": self._worker_memory[index][1]}
+                 "slab_bytes": self._worker_memory[index][1],
+                 "blas_threads": self._worker_blas[index]}
                 for index in range(self._num_clusters)],
             "channels": channels,
         }

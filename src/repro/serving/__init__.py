@@ -4,10 +4,11 @@ The rest of the package is one-shot: compile a model, execute it once.
 This subsystem amortizes that work across request traffic:
 
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door
-  and the one request path: validate → admit; then the artifact's lane
-  (one thread per compiled artifact) takes a micro-batch out of the
-  admission queue → dispatches it under the resilience policy → session
-  execute → resolves each request's one future.
+  and the one request path: validate → admit; then a free replica of the
+  artifact's lane (one thread per replica; a ``"plan"`` lane grows to one
+  replica per core under load) takes a micro-batch out of the admission
+  queue → dispatches it under the resilience policy → session execute →
+  resolves each request's one future.
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
   the artifacts' lanes keyed by (model fingerprint, config fingerprint,
   input signature).
@@ -21,7 +22,10 @@ This subsystem amortizes that work across request traffic:
   (429/503 + Retry-After) and per-tenant artifact cache quotas.  The HTTP
   transport over all of this lives in :mod:`repro.gateway`.
 
-See ``examples/serving_demo.py`` and the ``repro serve-bench`` /
+The request feeds and load drivers (``example_inputs``,
+``signature_inputs``, ``drive_load``, ``naive_throughput``) live in
+:mod:`repro.models.inputs` and are re-exported here.  See
+``examples/serving_demo.py`` and the ``repro serve-bench`` /
 ``repro warmup`` CLI verbs.
 """
 
@@ -32,16 +36,18 @@ from repro.serving.batching import (
     scatter_outputs,
     stack_requests,
 )
+from repro.models.inputs import (
+    drive_load,
+    example_inputs,
+    naive_throughput,
+    signature_inputs,
+)
 from repro.serving.engine import (
     FAIL_FAST,
     CompiledArtifact,
     EngineConfig,
     InferenceEngine,
     ShapeMismatchError,
-    drive_load,
-    example_inputs,
-    naive_throughput,
-    signature_inputs,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.qos import (

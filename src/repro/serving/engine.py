@@ -4,21 +4,21 @@
 pipeline into a serving loop with one request path and **one queue**:
 ``submit`` validates, admits the request into the weighted admission queue
 (:mod:`repro.serving.qos`) and makes sure the artifact for its signature
-has a *lane*; the lane — one thread per compiled artifact — compiles the
-artifact, then loops take micro-batch → stack → dispatch under a policy
-(:mod:`repro.resilience`) → session execute → scatter → resolve.  A request
-is one record with one future, it waits in exactly one place, and
-``submit`` never blocks on a compile.  The stages are configured by value
-(:class:`EngineConfig`), never switched off:
+has a *lane*; the lane compiles the artifact, then each of its
+*replicas* — one thread per replica — loops take micro-batch → stack →
+dispatch under a policy (:mod:`repro.resilience`) → session execute →
+scatter → resolve.  A request is one record with one future, it waits in
+exactly one place, and ``submit`` never blocks on a compile.  The stages
+are configured by value (:class:`EngineConfig`), never switched off:
 
 1. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
    input signature) triple is compiled exactly once, by its lane; the
    compiled execution state is reused across requests
    (:mod:`repro.serving.artifact_cache`).
-2. **Session execution** — each compiled artifact holds a
+2. **Session execution** — each replica holds a
    :class:`~repro.runtime.session.Session` (the unified execution
-   surface).  With the default ``executor="plan"`` every request batch
-   runs through a compile-once
+   surface).  With the default ``executor="plan"`` replica 0's batches
+   run through a compile-once
    :class:`~repro.runtime.plan.ExecutionPlan` (the model's generated
    sequential source plus a memory planner that packs one slab per input
    signature, in-place ops sharing their input's range): no per-request ``GraphExecutor``
@@ -30,14 +30,30 @@ is one record with one future, it waits in exactly one place, and
    serve via the generated parallel module on warm worker pools, one
    worker per placed cluster (<= cores; :mod:`repro.runtime.worker_pool`),
    the paper-shaped multi-worker runtime.
-3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
+3. **Replicas** — splitting one request across cores loses on a CPU at
+   batch 1, while whole requests side by side scale, so a ``"plan"``
+   lane serves one hot model on every core: it holds up to
+   R = ``available_cores()`` replicas and a free replica takes the next
+   batch.  Replica 0 is the in-process plan session above; when a
+   replica takes a batch and finds every replica busy with requests still
+   queued, the lane forks one more — a one-worker ``"process"`` session
+   of ``result.placement(1)`` (K = 1), which computes with one BLAS
+   thread (B = 1), so K·B·R <= cores.  Before the first fork the engine
+   pins *its own process's* BLAS to one thread as well
+   (:mod:`repro.runtime.blas`), so a response is bitwise the same
+   whichever replica computed it.  Each replica has its own dispatcher:
+   retry, ``heal()``, breaker and degraded fallback act per replica, and
+   a process replica left broken retires while the others serve on.
+   ``"interp"``, ``"pool"`` and ``"process"`` lanes, a one-core host and
+   a host whose BLAS the engine cannot pin (``"unmanaged"``) keep R = 1.
+4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
-   lane takes what is queued for its artifact *now*, in weighted order, up
-   to ``max_batch_size`` — an idle system serves at batch 1 with no wait,
-   and what arrives while the lane executes becomes its next batch.  One
-   batch in flight per artifact.
-4. **Metrics** — throughput, latency percentiles, batch-size histogram and
+   replica takes what is queued for its artifact *now*, in weighted
+   order, up to ``max_batch_size`` — an idle system serves at batch 1
+   with no wait, and what arrives while every replica executes becomes
+   the next batch.  One batch in flight per replica.
+5. **Metrics** — throughput, latency percentiles, batch-size histogram and
    cache hit rate (:mod:`repro.serving.metrics`), rendered by
    :func:`repro.analysis.reports.render_serving_report`.
 
@@ -56,6 +72,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 import threading
 import time
@@ -66,6 +83,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.ir.model import Model
+from repro.models.inputs import example_inputs, signature_inputs
 from repro.pipeline import (
     PipelineConfig,
     RamielResult,
@@ -78,6 +96,8 @@ from repro.resilience import (
     ResilientDispatcher,
     RetryPolicy,
 )
+from repro.runtime import session as session_module
+from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
 from repro.runtime.session import Session, create_session, validate_executor
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
@@ -116,10 +136,13 @@ class EngineConfig:
     cache_capacity: int = 16
     #: request execution engine — any name from
     #: :func:`repro.runtime.session.known_executors`: "plan" (default — the
-    #: compile-once planned hot path), "interp" (the reference interpreter
+    #: compile-once planned hot path; under load the lane adds one-worker
+    #: forked replicas up to one per core and pins BLAS to one thread in
+    #: this process and every replica), "interp" (the reference interpreter
     #: behind the same Session interface), or "pool"/"process" (the
     #: generated parallel module on warm thread/fork workers, one per placed
-    #: cluster, <= cores)
+    #: cluster, <= cores).  Every executor but "plan" serves one batch at a
+    #: time per artifact.
     executor: str = "plan"
     #: per-batch execution watchdog (all executors — in-process sessions
     #: run batches on a watchdog thread so a stuck batch cannot pin the
@@ -252,36 +275,180 @@ class _PinnedStacker:
         return feed
 
 
+class Replica:
+    """One session of an artifact's lane, and how a batch runs on it.
+
+    Wraps the session in what every batch needs: a time bound (a watchdog
+    thread for an in-process session, the pool's own timeout otherwise),
+    the repair between retries (:meth:`recover`), a lazily built degraded
+    ``"plan"`` fallback for a pool-backed session, and the
+    :class:`~repro.resilience.ResilientDispatcher` every batch runs under.
+    Replica 0 is the session the artifact was compiled into; the one-worker
+    ``"process"`` replicas a ``"plan"`` lane forks each get their own
+    dispatcher, so retry, breaker, ``heal()`` and fallback act per replica.
+    """
+
+    def __init__(self, index: int, session: Session, result: RamielResult,
+                 config: EngineConfig, label: str) -> None:
+        self.index = index
+        self.session = session
+        self.label = label
+        #: a batch is in flight on it (guarded by its lane's lock)
+        self.busy = False
+        #: its session was left broken: its thread stops and closes it
+        self.retired = False
+        self._result = result
+        self._timeout_s = config.timeout_s
+        self._degraded: list = []
+        self.watchdog: Optional[_BatchWatchdog] = None
+        self.stacker: Optional[_PinnedStacker] = None
+        fallback = None
+        if session.pool is None:
+            self.watchdog = _BatchWatchdog(label)
+            self.stacker = _PinnedStacker(session, config.max_batch_size)
+        else:
+            fallback = self._fallback
+        #: request list -> the stacked feed :meth:`run_batch` accepts;
+        #: replica 0 of a batchable in-process artifact switches to its
+        #: pinned :attr:`stacker`
+        self.stack: Callable = stack_requests
+        self.dispatcher = ResilientDispatcher(
+            self.execute, config.resilience, recover=self.recover,
+            fallback=fallback, name=label)
+
+    def execute(self, stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """One batch on the bare session, under its time bound."""
+        if self.watchdog is None:
+            return self.session.run(stacked, timeout=self._timeout_s)
+        outputs = self.watchdog.run(self.session.run, stacked, self._timeout_s)
+        # Outputs that alias the reused staging buffers would be
+        # overwritten by the next batch; hand out private copies.
+        staging = self.stacker.staging_buffers
+        if staging:
+            for name, array in list(outputs.items()):
+                array = np.asarray(array)
+                if any(np.may_share_memory(array, buf) for buf in staging):
+                    outputs[name] = np.array(array)
+        return outputs
+
+    def _fallback(self, stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        # Graceful degradation: serve through an in-process "plan" session
+        # over the same compiled result while the breaker keeps traffic off
+        # the broken pool.  Built lazily — fault-free serving never pays
+        # for it — and on its own watchdog so a stuck degraded batch cannot
+        # pin the replica either.
+        if not self._degraded:
+            self._degraded.append((
+                create_session(self._result, executor="plan",
+                               timeout_s=self._timeout_s),
+                _BatchWatchdog(f"{self.label}/degraded")))
+        fb_session, fb_watchdog = self._degraded[0]
+        return fb_watchdog.run(fb_session.run, stacked, self._timeout_s)
+
+    @property
+    def broken(self) -> bool:
+        """The session, its watchdog or its pool is unusable."""
+        session = self.session
+        return session.broken or (self.watchdog.broken if self.watchdog
+                                  else session.pool.broken)
+
+    def recover(self) -> None:
+        # Order matters: a fresh ExecutionPlan first (the wedged run may
+        # hold the old plan's lock forever), then a fresh watchdog thread
+        # to run it on.
+        self.session.recover()
+        if self.watchdog is not None:
+            self.watchdog.reset()
+
+    def run_batch(self, stacked) -> Dict[str, np.ndarray]:
+        """One stacked feed through the dispatcher -> graph outputs."""
+        try:
+            return self.dispatcher(stacked)
+        except BaseException:
+            # Only a still-broken session/pool/watchdog means the replica
+            # itself is unusable (recovery failed, or the last attempt
+            # wedged it — the stuck run may hold the plan lock or strand
+            # workers forever): retire the session, and the lane drops the
+            # replica (replica 0: the artifact, so the next request
+            # recompiles).  Transient request errors leave it in place;
+            # the breaker does the pacing.
+            if self.broken:
+                self.session.mark_broken("batch dispatch left the executor broken")
+            raise
+
+    def blas_threads(self, coordinator):
+        """B of this replica: the coordinator's budget for an in-process
+        session, else the most any of its workers reported."""
+        if self.session.pool is None:
+            return coordinator
+        reported = [row["blas_threads"]
+                    for row in self.session.pool.stats()["workers"]]
+        if UNMANAGED in reported or None in reported:
+            return UNMANAGED
+        return max(reported)
+
+    def close(self) -> None:
+        """Shut down the watchdog, the session and any degraded fallback."""
+        if self.watchdog is not None:
+            self.watchdog.close()
+        self.session.close()
+        for fb_session, fb_watchdog in self._degraded:
+            fb_watchdog.close()
+            fb_session.close()
+
+
 @dataclasses.dataclass
 class CompiledArtifact:
-    """One compilation: result, session and how its lane runs a batch.
+    """One compilation and the replicas its lane runs batches on.
 
-    The execution substrate is a :class:`~repro.runtime.session.Session`
-    over the compiled result, selected by :attr:`EngineConfig.executor`;
-    requests never construct a fresh ``GraphExecutor`` (or any other
-    per-request execution state).
+    Every replica is a :class:`~repro.runtime.session.Session` over the
+    compiled result; requests never construct a fresh ``GraphExecutor``
+    (or any other per-request execution state).  Replica 0 is the session
+    :attr:`EngineConfig.executor` names; ``session``, ``dispatcher``,
+    ``stack``, ``run_batch`` and ``watchdog`` are its.
     """
 
     key: ArtifactKey
     result: RamielResult
     compile_time_s: float
-    #: the unified execution surface holding the plan or warm pool
-    session: Session
-    #: the retry/breaker/degradation policy every batch is dispatched under
-    dispatcher: ResilientDispatcher
-    #: most requests the lane takes at once (1 when not :attr:`batchable`)
+    #: most requests a replica takes at once (1 when not :attr:`batchable`)
     max_batch: int
-    #: request list -> the stacked feed ``run_batch`` accepts (reused
-    #: staging for in-process batchable artifacts, plain concatenation
-    #: otherwise)
-    stack: Callable
-    #: one stacked feed through the dispatcher -> graph outputs
-    run_batch: Callable
-    #: watchdog thread for in-process ("plan"/"interp") sessions
-    watchdog: Optional[_BatchWatchdog] = None
-    #: ``[(plan session, its watchdog)]`` once a pool-backed artifact's
-    #: breaker first routed a batch to the lazily-built degraded fallback
-    _degraded: list = dataclasses.field(default_factory=list, repr=False)
+    #: replica 0 first; a "plan" lane appends one-worker process replicas
+    replicas: List[Replica]
+    #: R — the most replicas the lane may run: the host's cores for a
+    #: "plan" lane whose BLAS the engine can pin, 1 otherwise
+    max_replicas: int = 1
+    #: the cores the lane was sized on
+    cores: int = 1
+
+    @property
+    def session(self) -> Session:
+        """Replica 0's session: the plan, interpreter or warm pool."""
+        return self.replicas[0].session
+
+    @property
+    def dispatcher(self) -> ResilientDispatcher:
+        """Replica 0's retry/breaker/degradation policy."""
+        return self.replicas[0].dispatcher
+
+    @property
+    def stack(self) -> Callable:
+        """Replica 0's request list -> stacked feed."""
+        return self.replicas[0].stack
+
+    @property
+    def run_batch(self) -> Callable:
+        """Replica 0's stacked feed -> graph outputs, through its dispatcher."""
+        return self.replicas[0].run_batch
+
+    @run_batch.setter
+    def run_batch(self, run_batch: Callable) -> None:
+        self.replicas[0].run_batch = run_batch
+
+    @property
+    def watchdog(self) -> Optional[_BatchWatchdog]:
+        """Replica 0's watchdog thread (in-process sessions)."""
+        return self.replicas[0].watchdog
 
     @property
     def model_name(self) -> str:
@@ -296,28 +463,29 @@ class CompiledArtifact:
         return self.max_batch > 1
 
     def close(self) -> None:
-        """Shut down the watchdog and session (warm pool included)."""
-        if self.watchdog is not None:
-            self.watchdog.close()
-        self.session.close()
-        for fb_session, fb_watchdog in self._degraded:
-            fb_watchdog.close()
-            fb_session.close()
+        """Close every replica (warm pools included)."""
+        for replica in list(self.replicas):
+            replica.close()
 
 
 class _Lane:
-    """One artifact's thread: compile it, then serve its micro-batches.
+    """One artifact's threads: compile it, then serve its micro-batches.
 
     The artifact cache's entry.  Constructing a lane compiles nothing — the
     lane thread does, so ``submit`` never waits on a compile and a key is
-    compiled once however many first requests race.  The thread then loops
-    ``take_batch -> stack -> run_batch -> scatter -> complete``, pulling
-    whatever is queued for its artifact (up to ``max_batch``) the moment it
-    can execute it, without waiting for more: one batch in flight per
-    artifact, and nothing queued outside the admission queue.  A closed
-    lane (evicted, invalidated, engine shutdown) answers the batch it holds
-    and stops; whatever is still queued for its key is served by a
-    replacement lane it starts on the way out.
+    compiled once however many first requests race.  Each replica then has
+    one thread looping ``take_batch -> stack -> run_batch -> scatter ->
+    complete``: a free replica pulls whatever is queued for its artifact
+    (up to ``max_batch``) the moment it can execute it, without waiting
+    for more, and nothing is queued outside the admission queue.  The lane
+    thread serves replica 0.  When a replica takes a batch and finds every
+    replica busy with requests still queued, the lane starts one more
+    replica thread (up to ``max_replicas``), which forks its one-worker
+    process session and then pulls like the others.  A replica left broken
+    retires on its own; replica 0 left broken drops the artifact.  A
+    closed lane (evicted, invalidated, engine shutdown) answers the
+    batches it holds and stops; whatever is still queued for its key is
+    served by a replacement lane it starts on the way out.
     """
 
     def __init__(self, engine: "InferenceEngine", model: Model,
@@ -329,6 +497,12 @@ class _Lane:
         self._partition = partition
         self._artifact: Future = Future()
         self._closing = False
+        #: guards the replica list, busy flags and the replica threads
+        self._lock = threading.Lock()
+        self._replica_threads: List[threading.Thread] = []
+        self._growing = False
+        #: process replica ids; never reused within the lane
+        self._replica_ids = itertools.count(1)
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"lane-{self.label}")
         self._thread.start()
@@ -355,12 +529,13 @@ class _Lane:
         return self._artifact.result(timeout=timeout)
 
     def close(self) -> None:
-        """Stop after the batch in flight; never blocks (see :meth:`join`)."""
+        """Stop after the batches in flight; never blocks (see :meth:`join`)."""
         self._closing = True
         self._engine.qos.wake()
 
     def join(self, timeout: float) -> None:
-        """Wait for the lane thread to end (engine shutdown only)."""
+        """Wait for the lane thread (which waits for the replica threads) to
+        end (engine shutdown only)."""
         self._thread.join(timeout=timeout)
 
     # ------------------------------------------------------------------
@@ -377,20 +552,81 @@ class _Lane:
             return
         self._artifact.set_result(artifact)
         try:
-            while True:
-                batch = qos.take_batch(self.key, artifact.max_batch,
-                                       lambda: self._closing)
-                if batch is None:
-                    break
-                self._serve(artifact, batch)
+            self._serve_replica(artifact, artifact.replicas[0])
         finally:
+            with self._lock:
+                self._closing = True  # no replica starts from here on
+                others = list(self._replica_threads)
+            qos.wake()
+            for thread in others:
+                thread.join()
             artifact.close()
             # whatever ended the lane, its cache entry must not outlive it
             engine._cache.invalidate(self.key, expected=self)
         if not engine._closed and qos.has_queued(self.key):
             engine._lane_for(self._model, self.key, self._partition)
 
-    def _serve(self, artifact: CompiledArtifact, batch: List) -> None:
+    def _serve_replica(self, artifact: CompiledArtifact, replica: Replica) -> None:
+        qos = self._engine.qos
+        while True:
+            batch = qos.take_batch(self.key, artifact.max_batch,
+                                   lambda: self._closing or replica.retired)
+            if batch is None:
+                return
+            with self._lock:
+                replica.busy = True
+                self._maybe_grow(artifact)
+            try:
+                self._serve(artifact, replica, batch)
+            finally:
+                replica.busy = False
+
+    def _maybe_grow(self, artifact: CompiledArtifact) -> None:
+        """Start one more replica if a queued batch finds every replica
+        busy (under the lane lock, so a closing lane joins what it starts)."""
+        replicas = artifact.replicas
+        if (self._closing or self._growing
+                or len(replicas) >= artifact.max_replicas
+                or not all(replica.busy for replica in replicas)
+                or not self._engine.qos.has_queued(self.key)):
+            return
+        self._growing = True
+        index = next(self._replica_ids)
+        thread = threading.Thread(target=self._run_replica,
+                                  args=(artifact, index), daemon=True,
+                                  name=f"lane-{self.label}/r{index}")
+        self._replica_threads.append(thread)
+        thread.start()
+
+    def _run_replica(self, artifact: CompiledArtifact, index: int) -> None:
+        """A process replica's thread: fork its session, then serve."""
+        try:
+            replica = self._engine._process_replica(artifact, index)
+        except Exception:
+            # The lane serves on the replicas it has, and a fork that
+            # failed once is not retried for this artifact; the traceback
+            # goes to the thread's excepthook.
+            with self._lock:
+                artifact.max_replicas = len(artifact.replicas)
+                self._growing = False
+            raise
+        with self._lock:
+            self._growing = False
+            closing = self._closing
+            if not closing:
+                artifact.replicas.append(replica)
+        if closing:
+            replica.close()
+            return
+        try:
+            self._serve_replica(artifact, replica)
+        finally:
+            with self._lock:
+                artifact.replicas.remove(replica)
+            replica.close()
+
+    def _serve(self, artifact: CompiledArtifact, replica: Replica,
+               batch: List) -> None:
         engine = self._engine
         tracer = engine.tracer
         if not artifact.batchable and batch[0].batch_len > 1:
@@ -401,25 +637,30 @@ class _Lane:
             return
         engine.metrics.record_batch(len(batch))
         if tracer is not None:
-            batch_args = {"size": str(len(batch)), "lane": self.label}
+            batch_args = {"size": str(len(batch)), "lane": self.label,
+                          "replica": str(replica.index)}
             t_assemble = tracer.now()
         try:
-            stacked = artifact.stack(batch)
+            stacked = replica.stack(batch)
             if tracer is not None:
                 t_execute = tracer.now()
                 tracer.emit("batch.stack", "serving", t_assemble, t_execute,
                             args=batch_args)
-            outputs = artifact.run_batch(stacked)
+            outputs = replica.run_batch(stacked)
             if tracer is not None:
                 t_respond = tracer.now()
                 tracer.emit("batch.execute", "serving", t_execute, t_respond,
                             args=batch_args)
             scattered = scatter_outputs(outputs, batch)
         except BaseException as exc:  # noqa: BLE001 - fail every co-batched request
-            if artifact.session.broken:
-                # the artifact itself is unusable: drop it so this key's
-                # next request (or its queue, on the way out) recompiles
-                engine._cache.invalidate(self.key, expected=self)
+            if replica.session.broken:
+                if replica.index == 0:
+                    # the artifact itself is unusable: drop it so this
+                    # key's next request (or its queue, on the way out)
+                    # recompiles
+                    engine._cache.invalidate(self.key, expected=self)
+                else:  # a process replica stops; the others serve on
+                    replica.retired = True
             for request in batch:
                 self._respond(request, exc=exc)
             return
@@ -444,10 +685,19 @@ class _Lane:
 
 
 class InferenceEngine:
-    """Serves Ramiel-compiled models with artifact caching and micro-batching.
+    """Serves Ramiel-compiled models with artifact caching, micro-batching
+    and, for ``"plan"`` lanes, one replica per core.
 
     The engine is thread-safe: any number of caller threads may ``submit``
     concurrently, which is precisely what fills the micro-batches.
+
+    **It changes the caller's numpy.**  A BLAS thread count is
+    process-global: when a ``"plan"`` lane first forks a replica, the
+    engine pins every loaded OpenBLAS copy of *this process* to one
+    thread, and it stays pinned after :meth:`shutdown` — the caller's own
+    BLAS calls then run on one thread too.  A one-core host, a host whose
+    BLAS cannot be pinned, and an engine whose traffic never finds its
+    replica 0 busy with more queued never pin anything.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
@@ -472,6 +722,8 @@ class InferenceEngine:
             quota_for=self.config.qos.cache_quota_for,
             evictable=lambda lane: lane.ready)
         self._closed = False
+        #: this process's BLAS threads, read on first need
+        self._blas = None
         # Every request waits here and only here; the lanes pull from it.
         self.qos = QoSFrontend(self.config.qos, self.registry, tracer)
 
@@ -591,111 +843,71 @@ class InferenceEngine:
     def _compile(self, model: Model, key: ArtifactKey) -> CompiledArtifact:
         start = time.perf_counter()
         executor = self.config.executor
-        timeout_s = self.config.timeout_s
-        in_process = executor in ("plan", "interp")
-        # The in-process session executes the optimized model directly;
-        # generating the parallel module (and spawning its workers) is only
-        # needed for the pool-backed executors.
+        # The in-process session executes the optimized model directly; the
+        # parallel module is generated when a pool-backed session (or a
+        # lane's first process replica, placement(1) only) needs it.
         result = ramiel_compile(model, config=dataclasses.replace(
-            self.config.pipeline, generate_code=not in_process))
+            self.config.pipeline,
+            generate_code=executor not in ("plan", "interp")))
         # Run-level session spans (and per-step plan spans for "plan"
         # executors) nest inside the lane's batch.execute span;
         # pool-backed sessions additionally ship per-worker execute spans
         # home for merged traces.
         session = create_session(result, executor=executor,
-                                 timeout_s=timeout_s, tracer=self.tracer,
+                                 timeout_s=self.config.timeout_s,
+                                 tracer=self.tracer,
                                  max_batch=self.config.max_batch_size)
-        label = f"{model.name}@{key.short()}"
-        resilience = self.config.resilience
-        pool = session.pool
-        degraded: list = []
-        watchdog = stacker = fallback = None
-
-        # The only executor-dependent parts: how one batch is bounded in
-        # time (a watchdog thread in process, the pool's own timeout
-        # otherwise) and whether a degraded fallback exists.
-        if in_process:
-            watchdog = _BatchWatchdog(label)
-            stacker = _PinnedStacker(session, self.config.max_batch_size)
-
-            def execute(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                outputs = watchdog.run(session.run, stacked, timeout_s)
-                # Outputs that alias the reused staging buffers would be
-                # overwritten by the next batch; hand out private copies.
-                staging = stacker.staging_buffers
-                if staging:
-                    for name, array in list(outputs.items()):
-                        array = np.asarray(array)
-                        if any(np.may_share_memory(array, buf)
-                               for buf in staging):
-                            outputs[name] = np.array(array)
-                return outputs
-        else:
-            def execute(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                return session.run(stacked, timeout=timeout_s)
-
-            def fallback(stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-                # Graceful degradation: serve through an in-process "plan"
-                # session over the same compiled result while the breaker
-                # keeps traffic off the broken pool.  Built lazily —
-                # fault-free serving never pays for it — and on its own
-                # watchdog so a stuck degraded batch cannot pin the
-                # lane either.
-                if not degraded:
-                    degraded.append((
-                        create_session(result, executor="plan",
-                                       timeout_s=timeout_s),
-                        _BatchWatchdog(f"{label}/degraded")))
-                fb_session, fb_watchdog = degraded[0]
-                return fb_watchdog.run(fb_session.run, stacked, timeout_s)
-
-        def broken() -> bool:
-            return session.broken or (watchdog.broken if in_process
-                                      else pool.broken)
-
-        def recover() -> None:
-            # Order matters: a fresh ExecutionPlan first (the wedged run may
-            # hold the old plan's lock forever), then a fresh watchdog
-            # thread to run it on.
-            session.recover()
-            if in_process:
-                watchdog.reset()
-
-        batchable = self._probe_batchable(execute, key.input_signature)
-        if broken():
-            recover()
-        if not in_process and resilience.fault_injector is not None:
-            # Faults start after the probe, which must see the artifact's
-            # real behaviour on a quiet pool.
-            pool.set_fault_injector(resilience.fault_injector)
-        dispatcher = ResilientDispatcher(execute, resilience, recover=recover,
-                                         fallback=fallback, name=label)
-
-        def run_batch(stacked) -> Dict[str, np.ndarray]:
-            try:
-                return dispatcher(stacked)
-            except BaseException:
-                # Only a still-broken session/pool/watchdog means the
-                # artifact itself is unusable (recovery failed, or the last
-                # attempt wedged it — the stuck run may hold the plan lock
-                # or strand workers forever): retire the session, and the
-                # lane drops the artifact so the next request recompiles.
-                # Transient request errors leave it cached; the breaker
-                # does the pacing.
-                if broken():
-                    session.mark_broken("batch dispatch left the executor broken")
-                raise
-
+        replica = Replica(0, session, result, self.config,
+                          f"{model.name}@{key.short()}")
+        batchable = self._probe_batchable(replica.execute, key.input_signature)
+        if replica.broken:
+            replica.recover()
+        if batchable and replica.stacker is not None:
+            replica.stack = replica.stacker
+        # Faults start after the probe, which must see the artifact's real
+        # behaviour on a quiet pool.
+        self._attach_faults(session)
+        cores = session_module.available_cores()
+        max_replicas = 1
+        if (executor == "plan" and cores > 1
+                and self._coordinator_blas() != UNMANAGED):
+            max_replicas = cores
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
         return CompiledArtifact(
-            key=key, result=result, session=session, dispatcher=dispatcher,
+            key=key, result=result, compile_time_s=compile_time,
             max_batch=self.config.max_batch_size if batchable else 1,
-            run_batch=run_batch,
-            stack=stacker if batchable and in_process else stack_requests,
-            watchdog=watchdog,
-            compile_time_s=compile_time,
-            _degraded=degraded)
+            replicas=[replica], max_replicas=max_replicas, cores=cores)
+
+    def _process_replica(self, artifact: CompiledArtifact,
+                         index: int) -> Replica:
+        """Fork one more replica of a "plan" lane: a one-worker "process"
+        session of ``placement(1)``.
+
+        The coordinator's BLAS is pinned to one thread first, the budget
+        every forked worker pins itself to, so a response is bitwise the
+        same whichever replica computed it.
+        """
+        self._blas = pin_blas_threads(1)
+        session = create_session(artifact.result, executor="process",
+                                 timeout_s=self.config.timeout_s,
+                                 tracer=self.tracer,
+                                 max_batch=self.config.max_batch_size, cores=1)
+        self._attach_faults(session)
+        return Replica(index, session, artifact.result, self.config,
+                       f"{artifact.model_name}@{artifact.key.short()}/r{index}")
+
+    def _attach_faults(self, session: Session) -> None:
+        injector = self.config.resilience.fault_injector
+        if session.pool is not None and injector is not None:
+            session.pool.set_fault_injector(injector)
+
+    def _coordinator_blas(self):
+        """This process's BLAS threads (read once; the engine's own pin
+        updates it)."""
+        if self._blas is None:
+            self._blas = blas_threads()
+        return self._blas
 
     def _probe_batchable(self, execute, signature: Tuple) -> bool:
         """Check whether the compiled artifact tolerates batch-axis fusion.
@@ -737,12 +949,14 @@ class InferenceEngine:
         lane.close()
 
     def _collect_artifact_metrics(self, registry) -> None:
-        """Publish per-artifact plan/arena/binding gauges into the registry.
+        """Publish per-artifact lane, plan and replica gauges into the registry.
 
         Runs as a pull collector before every registry snapshot/exposition,
         so one ``registry.snapshot()`` exposes the serving counters, every
-        cached artifact's plan allocations and slab bytes and its
-        output-binding direct/copy writes together.
+        cached artifact's budget (cores, replicas R, workers per replica K,
+        BLAS threads B), its plan allocations and slab bytes and its
+        output-binding direct/copy writes, and each replica's pool and
+        dispatch counters (labelled ``replica="<id>"``) together.
         """
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
@@ -753,8 +967,16 @@ class InferenceEngine:
                 continue
             labels = {"model": artifact.model_name,
                       "artifact": artifact.key.short()}
-            for name, value, help in _artifact_gauges(artifact):
+            replicas = list(artifact.replicas)
+            for name, value, help in _lane_gauges(
+                    artifact, replicas, self._coordinator_blas()):
                 registry.gauge(name, help, labels=labels).set(value)
+            for replica in replicas:
+                if replica.session.closed:
+                    continue
+                replica_labels = dict(labels, replica=str(replica.index))
+                for name, value, help in _replica_gauges(replica):
+                    registry.gauge(name, help, labels=replica_labels).set(value)
 
     # ------------------------------------------------------------------
     # Validation
@@ -812,10 +1034,23 @@ class InferenceEngine:
         return arrays, batch_len or 1, tuple(signature)
 
 
-def _artifact_gauges(artifact: CompiledArtifact):
-    """``(name, value, help)`` of every gauge one cached artifact publishes."""
-    stats = artifact.session.stats()
-    plan = stats.get("plan")
+def _lane_gauges(artifact: CompiledArtifact, replicas: List[Replica],
+                 coordinator_blas):
+    """``(name, value, help)`` of every gauge one cached artifact publishes
+    once: its budget, then replica 0's plan memory."""
+    blas = [replica.blas_threads(coordinator_blas) for replica in replicas]
+    pool = replicas[0].session.pool
+    yield ("serving_lane_cores", artifact.cores,
+           "Cores a cached artifact's lane was sized on")
+    yield ("serving_lane_replicas", len(replicas),
+           "Replicas (R) a cached artifact's lane runs batches on")
+    yield ("serving_lane_workers", 1 if pool is None else pool.num_clusters,
+           "Workers per replica (K) of a cached artifact's lane")
+    yield ("serving_lane_blas_threads",
+           0 if UNMANAGED in blas else max(blas),
+           "BLAS threads per worker (B) of a cached artifact's lane; "
+           "0 = unmanaged")
+    plan = replicas[0].session.stats().get("plan")
     if plan is not None:
         arena, binding = plan["arena"], plan["output_binding"]
         yield ("serving_plan_arena_allocations", arena["allocations"],
@@ -826,6 +1061,11 @@ def _artifact_gauges(artifact: CompiledArtifact):
                "Bound outputs written in place by a cached plan")
         yield ("serving_plan_output_copy_writes", binding["copy_writes"],
                "Bound outputs finalized by copy in a cached plan")
+
+
+def _replica_gauges(replica: Replica):
+    """``(name, value, help)`` of every gauge one replica publishes."""
+    stats = replica.session.stats()
     pool = stats.get("pool")
     if pool is not None:
         yield ("serving_pool_clusters", stats["pool_clusters"],
@@ -839,7 +1079,7 @@ def _artifact_gauges(artifact: CompiledArtifact):
         yield ("serving_pool_execute_seconds_total",
                pool["execute_ns_total"] / 1e9,
                "Cumulative worker execute time of a cached artifact")
-    dispatch = artifact.dispatcher.stats()
+    dispatch = replica.dispatcher.stats()
     breaker = dispatch["breaker"]
     yield ("serving_resilience_retries_total", dispatch["retries"],
            "Batches re-dispatched after a primary failure")
@@ -852,75 +1092,3 @@ def _artifact_gauges(artifact: CompiledArtifact):
     yield ("serving_resilience_breaker_state",
            {"closed": 0, "half-open": 1, "open": 2}.get(breaker["state"], -1),
            "Breaker state (0=closed, 1=half-open, 2=open)")
-
-
-# ---------------------------------------------------------------------------
-# Input synthesis and load-generation helpers (CLI, benchmarks, examples)
-# ---------------------------------------------------------------------------
-def signature_inputs(signature: Tuple, batch_size: int = 1,
-                     seed: int = 0) -> Dict[str, np.ndarray]:
-    """Random inputs matching a request signature (name, dtype, tail shape)."""
-    rng = np.random.default_rng(seed)
-    feed: Dict[str, np.ndarray] = {}
-    for name, dtype, tail in signature:
-        shape = (batch_size,) + tuple(tail)
-        if str(dtype).startswith("int") or str(dtype).startswith("uint"):
-            feed[name] = rng.integers(0, 100, size=shape).astype(dtype)
-        else:
-            feed[name] = rng.standard_normal(shape).astype(dtype)
-    return feed
-
-
-def example_inputs(model: Model, batch_size: int = 1, seed: int = 0) -> Dict[str, np.ndarray]:
-    """Random inputs matching a model's declared signature.
-
-    ``None`` dims resolve to 1 except the leading (batch) axis which takes
-    ``batch_size``; each input has its declared dtype, drawn as
-    :func:`signature_inputs` draws it.
-    """
-    signature = tuple(
-        (info.name, info.dtype.value,
-         tuple(1 if d is None else d for d in (info.shape or (1,))[1:]))
-        for info in model.graph.inputs)
-    return signature_inputs(signature, batch_size=batch_size, seed=seed)
-
-
-def drive_load(engine: InferenceEngine, model: Model, num_requests: int,
-               concurrency: int = 8) -> Dict[str, float]:
-    """Fire ``num_requests`` concurrent requests at the engine; report rps.
-
-    Each caller thread submits and waits (``engine.infer``), so up to
-    ``concurrency`` requests are in flight at once — the condition under
-    which the lane actually fuses micro-batches.
-    """
-    def one_request(i: int) -> None:
-        engine.infer(model, example_inputs(model, seed=i))
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=concurrency) as executor:
-        futures = [executor.submit(one_request, i) for i in range(num_requests)]
-        for future in futures:
-            future.result()
-    elapsed = time.perf_counter() - start
-    return {"requests": num_requests, "elapsed_s": elapsed,
-            "rps": num_requests / elapsed if elapsed > 0 else float("inf")}
-
-
-def naive_throughput(model: Model, num_requests: int = 3,
-                     pipeline_config: Optional[PipelineConfig] = None
-                     ) -> Dict[str, float]:
-    """Requests/sec of the pre-serving path: full recompile per request.
-
-    This is what every invocation cost before the serving layer existed —
-    ``ramiel_compile`` plus one parallel execution, with nothing reused —
-    and is the baseline the serving benchmark compares against.
-    """
-    config = pipeline_config or PipelineConfig()
-    start = time.perf_counter()
-    for i in range(num_requests):
-        result = ramiel_compile(model, config=dataclasses.replace(
-            config, generate_code=True))
-        result.run_parallel(example_inputs(model, seed=i))
-    elapsed = time.perf_counter() - start
-    return {"requests": num_requests, "elapsed_s": elapsed,
-            "rps": num_requests / elapsed if elapsed > 0 else float("inf")}

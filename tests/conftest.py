@@ -26,6 +26,22 @@ def pin_cores(monkeypatch):
     return pin
 
 
+@pytest.fixture()
+def restore_blas():
+    """Put this process's BLAS thread count back after the test.
+
+    An engine that forks a lane replica pins the whole process to one BLAS
+    thread; the tests after it should start from the count they would have
+    had alone.
+    """
+    from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
+
+    before = blas_threads()
+    yield before
+    if before != UNMANAGED:
+        pin_blas_threads(before)
+
+
 def compiled_pool(result, backend: str = "process", **kwargs):
     """One worker per *compiled* cluster of ``result``, placed nowhere.
 
@@ -133,6 +149,50 @@ def artifact_of(engine, model, feed):
     the lane for the request's key, through its documented ``wait()``.
     """
     return lane_of(engine, model, feed).wait(timeout=60.0)
+
+
+def serve_across_replicas(engine, model, feeds, timeout: float = 60.0):
+    """Serve ``feeds`` (at least three) concurrently, so that the lane forks
+    a second replica and that replica answers at least one of them.
+
+    Replica 0 is held on its first request until every other one is
+    queued, and on its second until another replica has answered — so the
+    second take finds replica 0 busy with requests still queued, which is
+    what forks a replica.  Returns ``(outputs in feed order, artifact)``.
+    """
+    import threading
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    artifact = artifact_of(engine, model, feeds[0])
+    session = artifact.session
+    real_run = session.run
+    entered = threading.Event()
+    gates = [threading.Event(), threading.Event()]
+    calls = []
+
+    def held(*args, **kwargs):
+        call = len(calls)
+        calls.append(call)
+        if call < len(gates):
+            if call == 0:
+                entered.set()
+            assert gates[call].wait(timeout=timeout)
+        return real_run(*args, **kwargs)
+
+    session.run = held
+    try:
+        futures = [engine.submit(model, feeds[0])]
+        assert entered.wait(timeout=timeout)
+        futures += [engine.submit(model, feed) for feed in feeds[1:]]
+        gates[0].set()
+        answered, _ = wait(futures[2:], timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+        assert answered, "no second replica answered"
+    finally:
+        for gate in gates:
+            gate.set()
+        del session.run
+    return [future.result(timeout=timeout) for future in futures], artifact
 
 
 def cached_artifacts(engine):

@@ -19,7 +19,7 @@ from repro.pipeline import ramiel_compile
 from repro.runtime import profile_model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ExecutionPlan, PlanError, pack_intervals
-from repro.serving.engine import example_inputs
+from repro.serving import example_inputs
 from tests.conftest import build_chain_model, build_diamond_model
 
 

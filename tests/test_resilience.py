@@ -833,6 +833,79 @@ class TestServingResilience:
 # ---------------------------------------------------------------------------
 # One-shot process driver: leak fix + remote tracebacks (satellites)
 # ---------------------------------------------------------------------------
+class TestReplicaChaos:
+    def test_a_killed_replica_worker_heals_alone_while_the_others_serve(
+            self, pin_cores, restore_blas):
+        """Kill the worker of a "plan" lane's process replica while a
+        closed loop keeps four requests in flight: that replica's pool
+        repairs itself (respawn at dispatch, or a retry after ``heal()``),
+        replica 0 never retries, both keep serving, and every response is
+        the B = 1 plan's, bit for bit."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        from repro.models import build_model
+        from repro.runtime.blas import blas_threads
+
+        from tests.conftest import serve_across_replicas
+
+        pin_cores(2)
+        model = build_model("bert", variant="small")
+        feeds = [example_inputs(model, seed=80 + i) for i in range(8)]
+        config = EngineConfig(resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)))
+        served = []
+        with InferenceEngine(config) as engine:
+            warm, artifact = serve_across_replicas(engine, model, feeds)
+            served += list(zip(range(len(feeds)), warm))
+            replica0, replica1 = artifact.replicas
+            pool = replica1.session.pool
+            victim = pool._workers[0].pid
+            runs = [replica0.dispatcher.stats()["primary_runs"],
+                    replica1.dispatcher.stats()["primary_runs"]]
+            inflight, sent, killed_at = {}, 0, None
+            deadline = time.monotonic() + 60.0
+
+            def submit():
+                nonlocal sent
+                index = sent % len(feeds)
+                inflight[engine.submit(model, feeds[index])] = index
+                sent += 1
+
+            for _ in range(4):
+                submit()
+            while inflight and time.monotonic() < deadline:
+                done, _ = wait(list(inflight), timeout=30.0,
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    served.append((inflight.pop(future), future.result()))
+                    if len(served) == 16 and killed_at is None:
+                        os.kill(victim, signal.SIGKILL)
+                        killed_at = [replica0.dispatcher.stats()["primary_runs"],
+                                     replica1.dispatcher.stats()["primary_runs"]]
+                    healed = (killed_at is not None and pool.stats()["respawns"]
+                              and replica1.dispatcher.stats()["primary_runs"]
+                              >= killed_at[1] + 3)
+                    if not healed and len(served) < 400:
+                        submit()
+            assert not inflight, "requests left unanswered"
+            assert killed_at is not None
+            assert list(artifact.replicas) == [replica0, replica1]
+            assert not replica1.retired and pool is replica1.session.pool
+            assert pool.stats()["respawns"] == 1
+            assert victim not in [worker.pid for worker in pool._workers]
+            after = [replica0.dispatcher.stats()["primary_runs"],
+                     replica1.dispatcher.stats()["primary_runs"]]
+            assert after[0] > killed_at[0] >= runs[0]
+            assert after[1] >= killed_at[1] + 3
+            zero = replica0.dispatcher.stats()
+            assert zero["retries"] == zero["recoveries"] == 0
+        assert blas_threads() == 1
+        plan = create_session(ramiel_compile(model), executor="plan")
+        references = [plan.run(feed) for feed in feeds]
+        for index, outputs in served:
+            _assert_bitwise(outputs, references[index])
+
+
 def _hang_cluster(inputs, weights, channels):  # pragma: no cover - child code
     time.sleep(60.0)
     return {}

@@ -913,6 +913,141 @@ class TestLanes:
 
 
 # ---------------------------------------------------------------------------
+# Replicas: a "plan" lane serves one hot model on every core
+# ---------------------------------------------------------------------------
+def _gauge(snapshot, family, artifact):
+    (value,) = [entry["value"] for key, entry in snapshot.items()
+                if key.startswith(family + "{")
+                and f'artifact="{artifact.key.short()}"' in key]
+    return value
+
+
+class TestLaneReplicas:
+    def test_sixteen_bert_requests_use_every_replica_bitwise_at_one_blas_thread(
+            self, pin_cores, restore_blas):
+        """The suite runs with no BLAS variable set: the engine pins this
+        process to one BLAS thread when the lane forks its replica, every
+        forked worker pins itself, and a response is the B = 1 plan's
+        whichever replica computed it."""
+        from repro.runtime.blas import blas_threads
+
+        from tests.conftest import serve_across_replicas
+
+        pin_cores(2)
+        model = build_model("bert", variant="small")
+        feeds = [example_inputs(model, seed=40 + i) for i in range(16)]
+        with InferenceEngine() as engine:
+            outputs, artifact = serve_across_replicas(engine, model, feeds)
+            assert artifact.max_replicas == 2
+            replicas = list(artifact.replicas)
+            assert [r.session.executor for r in replicas] == ["plan", "process"]
+            served = [r.dispatcher.stats()["primary_runs"] for r in replicas]
+            assert min(served) >= 1 and sum(served) == 16, served
+            (worker,) = replicas[1].session.stats()["pool"]["workers"]
+            assert worker["blas_threads"] == 1
+            assert replicas[1].session.stats()["placement"]["workers"] == 1
+            snapshot = engine.registry.snapshot()
+            r, k, b, cores = (_gauge(snapshot, f"serving_lane_{name}", artifact)
+                              for name in ("replicas", "workers",
+                                           "blas_threads", "cores"))
+            assert (r, k, b, cores) == (2, 1, 1, 2)
+            assert k * b * r <= cores
+            runs = [key for key in snapshot
+                    if key.startswith("serving_resilience_retries_total{")]
+            assert sorted(key.split('replica="')[1][0] for key in runs) == ["0", "1"]
+        assert blas_threads() == 1
+        plan = create_session(ramiel_compile(model), executor="plan")
+        for feed, served_out in zip(feeds, outputs):
+            _assert_bitwise(served_out, plan.run(feed))
+
+    def test_replica_threads_share_the_lane_without_losing_a_batch(
+            self, pin_cores, restore_blas):
+        """Four replicas on a two-core host, eight client threads and a
+        short switch interval: every request is answered once, bitwise,
+        and the replicas' dispatch counts add up to the engine's batches."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        pin_cores(4)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=i) for i in range(8)]
+        plan = create_session(ramiel_compile(model), executor="plan")
+        references = [plan.run(feed) for feed in feeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # batch 1: a row of a fused batch need not equal the batch-1 run
+            with tiny_engine(max_batch_size=1) as engine:
+                engine.warmup(model, feeds[0])
+                with ThreadPoolExecutor(max_workers=8) as clients:
+                    results = list(clients.map(
+                        lambda i: (i % 8, engine.infer(model, feeds[i % 8],
+                                                       timeout=60.0)),
+                        range(400), timeout=120.0))
+                artifact = artifact_of(engine, model, feeds[0])
+                replicas = list(artifact.replicas)
+                assert 2 <= len(replicas) <= artifact.max_replicas == 4
+                runs = sum(r.dispatcher.stats()["primary_runs"] for r in replicas)
+                assert runs == engine.metrics.snapshot()["batches"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 400
+        for index, outputs in results:
+            _assert_bitwise(outputs, references[index])
+
+    def test_one_core_host_forks_nothing(self, pin_cores, restore_blas):
+        import multiprocessing
+
+        from repro.runtime.blas import blas_threads
+
+        pin_cores(1)
+        model = build_model("bert", variant="small")
+        feeds = [example_inputs(model, seed=60 + i) for i in range(16)]
+        before = blas_threads()
+        threads = set(threading.enumerate())
+        with InferenceEngine() as engine:
+            engine.warmup(model, feeds[0])
+            futures = [engine.submit(model, feed) for feed in feeds]
+            outputs = [future.result(timeout=60.0) for future in futures]
+            artifact = artifact_of(engine, model, feeds[0])
+            assert artifact.max_replicas == 1
+            assert [r.index for r in artifact.replicas] == [0]
+            assert not multiprocessing.active_children()
+            lanes = [t.name for t in threading.enumerate()
+                     if t not in threads and t.name.startswith("lane-")]
+            assert len(lanes) == 1, lanes
+        assert blas_threads() == before
+        plan = create_session(ramiel_compile(model), executor="plan")
+        for feed, served_out in zip(feeds, outputs):
+            _assert_bitwise(served_out, plan.run(feed))
+
+    @pytest.mark.parametrize("executor", ["interp", "process"])
+    def test_other_executors_keep_one_replica(self, executor, pin_cores):
+        pin_cores(2)
+        model = build_diamond_model()
+        feed = example_inputs(model)
+        with tiny_engine(executor=executor) as engine:
+            engine.infer(model, feed)
+            artifact = artifact_of(engine, model, feed)
+            assert artifact.max_replicas == 1
+            assert len(artifact.replicas) == 1
+
+    def test_unmanaged_blas_keeps_one_replica(self, pin_cores, monkeypatch):
+        import repro.serving.engine as engine_module
+
+        pin_cores(2)
+        monkeypatch.setattr(engine_module, "blas_threads", lambda: "unmanaged")
+        model = build_diamond_model()
+        feed = example_inputs(model)
+        with tiny_engine() as engine:
+            engine.infer(model, feed)
+            artifact = artifact_of(engine, model, feed)
+            assert artifact.max_replicas == 1
+            snapshot = engine.registry.snapshot()
+            assert _gauge(snapshot, "serving_lane_blas_threads", artifact) == 0
+
+
+# ---------------------------------------------------------------------------
 # The batch-fusion probe runs through the artifact's own executor
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))

@@ -27,7 +27,7 @@ from repro.runtime.session import (
     known_executors,
     validate_executor,
 )
-from repro.serving.engine import example_inputs
+from repro.serving import example_inputs
 from tests.conftest import build_chain_model, build_diamond_model
 
 
