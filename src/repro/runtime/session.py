@@ -617,7 +617,7 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
                           result=result, interp=GraphExecutor(optimized),
                           timeout_s=timeout_s)
     else:
-        cores = available_cores() if cores is None else max(int(cores), 1)
+        cores = available_cores() if cores is None else cores
         placed = result.placement(cores)
         planner = ClusterSlabPlanner(
             optimized.graph, [cluster.nodes for cluster in placed.clustering.clusters])

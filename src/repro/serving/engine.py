@@ -867,6 +867,7 @@ class InferenceEngine:
         # Faults start after the probe, which must see the artifact's real
         # behaviour on a quiet pool.
         self._attach_faults(session)
+        # read through the module: the one seam placement and tests pin
         cores = session_module.available_cores()
         max_replicas = 1
         if (executor == "plan" and cores > 1
