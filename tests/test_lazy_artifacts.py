@@ -122,6 +122,30 @@ def test_process_session_imports_its_placed_module_before_forking(
     assert log.read_text().splitlines() == [f"{os.getpid()} {placed.module.path}"]
 
 
+def test_a_codeless_compile_places_one_worker_on_first_use(monkeypatch, tmp_path):
+    """A serving lane compiles with ``generate_code=False``; its process
+    replica's ``placement(1)`` generates just the one-worker module, and
+    the session over it runs bitwise like the plan."""
+    log = tmp_path / "loads.txt"
+    _record_loads(monkeypatch, log=log)
+    model = build_model("googlenet", variant="small")
+    result = ramiel_compile(model, generate_code=False)
+    assert result.parallel_module is None and result.sequential_module is None
+
+    feed = example_inputs(model, seed=6)
+    want = create_session(result, executor="plan").run(feed)
+    with create_session(result, executor="process", cores=1) as session:
+        placed = result.placement(1)
+        assert placed.clustering.num_clusters == 1
+        assert len(placed.module.CLUSTER_FUNCTIONS) == 1
+        assert session.stats()["placement"]["workers"] == 1
+        got = session.run(feed)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+    assert result.parallel_module is None  # the full module was never made
+    assert log.read_text().splitlines() == [f"{os.getpid()} {placed.module.path}"]
+
+
 def test_a_broken_source_raises_at_first_use_naming_its_file(monkeypatch, tmp_path):
     original = pipeline.sequential_source
 
