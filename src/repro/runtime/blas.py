@@ -30,10 +30,12 @@ __all__ = ["UNMANAGED", "blas_threads", "pin_blas_threads"]
 UNMANAGED = "unmanaged"
 
 #: (setter, getter) symbol pairs, tried in order on every loaded copy:
-#: numpy's ILP64 build, scipy's LP64 build, a plain system OpenBLAS
+#: numpy's and scipy's ``scipy-openblas`` builds (ILP64, LP64), then the
+#: plain OpenBLAS names older wheels and system libraries export
 _SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 

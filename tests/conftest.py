@@ -26,6 +26,19 @@ def pin_cores(monkeypatch):
     return pin
 
 
+def _blas_is_managed() -> bool:
+    from repro.runtime.blas import UNMANAGED, blas_threads
+
+    return blas_threads() != UNMANAGED
+
+
+#: for tests that pin BLAS threads or fork lane replicas: a host whose
+#: OpenBLAS copies export no known thread setter keeps one replica
+managed_blas = pytest.mark.skipif(
+    not _blas_is_managed(),
+    reason="a loaded OpenBLAS copy exports no known thread setter")
+
+
 @pytest.fixture()
 def restore_blas():
     """Put this process's BLAS thread count back after the test.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.pipeline import ramiel_compile
 from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
 from repro.runtime.session import create_session
 from repro.serving import example_inputs
-from tests.conftest import compiled_pool, build_diamond_model
+from tests.conftest import build_diamond_model, compiled_pool, managed_blas
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +32,15 @@ def squeezenet():
     return ramiel_compile(model), example_inputs(model, seed=9)
 
 
+@managed_blas
 class TestBlasControls:
-    def test_numpy_and_scipy_copies_are_both_found(self):
+    def test_every_loaded_copy_is_controlled(self):
         """Reading the budget loads the kernels' scipy copy first, so a pin
         never misses a copy that maps in at the first ``erf``."""
         controls = blas._controls()
-        names = sorted(os.path.basename(path) for path in blas._loaded_copies())
-        assert controls is not None and len(controls) == len(names) == 2, names
-        assert names[0].startswith("libscipy_openblas-")
-        assert names[1].startswith("libscipy_openblas64_")
+        copies = blas._loaded_copies()
+        assert "scipy.special" in sys.modules
+        assert controls is not None and len(controls) == len(copies) >= 1, copies
 
     def test_pin_sets_every_copy_and_reads_back(self, restore_blas):
         assert pin_blas_threads(1) == 1
@@ -60,8 +61,6 @@ class TestBlasControls:
         """Half-pinned would still oversubscribe and make results depend on
         which copy ran a kernel: one uncontrollable copy means none is
         touched."""
-        if restore_blas == UNMANAGED:
-            pytest.skip("this host's BLAS is not managed")
         pin_blas_threads(2)
         before = [get() for _, get in blas._controls()]
         first = blas._loaded_copies()[0]
@@ -73,6 +72,7 @@ class TestBlasControls:
         assert [get() for _, get in blas._controls()] == before
 
 
+@managed_blas
 class TestWorkerBudget:
     def test_forked_workers_report_one_blas_thread(self, squeezenet, pin_cores,
                                                    restore_blas):
@@ -111,6 +111,8 @@ class TestWorkerBudget:
             assert [row["blas_threads"] for row in rows] == \
                 [blas_threads()] * pool.num_clusters
 
+
+class TestForkedWorkers:
     def test_forked_workers_hold_none_of_the_parents_sockets(self):
         """A worker forked while a gateway serves must not keep the
         gateway's connections open: the client would wait for an end of

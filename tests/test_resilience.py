@@ -37,6 +37,7 @@ from tests.conftest import (
     build_diamond_model,
     build_wide_model,
     cached_artifacts,
+    managed_blas,
 )
 from repro.pipeline import ramiel_compile
 from repro.resilience import (
@@ -834,6 +835,7 @@ class TestServingResilience:
 # One-shot process driver: leak fix + remote tracebacks (satellites)
 # ---------------------------------------------------------------------------
 class TestReplicaChaos:
+    @managed_blas
     def test_a_killed_replica_worker_heals_alone_while_the_others_serve(
             self, pin_cores, restore_blas):
         """Kill the worker of a "plan" lane's process replica while a

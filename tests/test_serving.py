@@ -50,6 +50,7 @@ from tests.conftest import (
     build_diamond_model,
     gate_session,
     lane_of,
+    managed_blas,
 )
 
 
@@ -923,6 +924,7 @@ def _gauge(snapshot, family, artifact):
 
 
 class TestLaneReplicas:
+    @managed_blas
     def test_sixteen_bert_requests_use_every_replica_bitwise_at_one_blas_thread(
             self, pin_cores, restore_blas):
         """The suite runs with no BLAS variable set: the engine pins this
@@ -960,6 +962,7 @@ class TestLaneReplicas:
         for feed, served_out in zip(feeds, outputs):
             _assert_bitwise(served_out, plan.run(feed))
 
+    @managed_blas
     def test_replica_threads_share_the_lane_without_losing_a_batch(
             self, pin_cores, restore_blas):
         """Four replicas on a two-core host, eight client threads and a
