@@ -1,7 +1,7 @@
 """Inputs for the zoo's models, and the load helpers that fire them.
 
 Random feeds matching a model's declared signature (or a serving request
-signature), plus the two throughput drivers the CLI's ``serve-bench`` and
+signature), plus the two throughput helpers the CLI's ``serve-bench`` and
 the serving benchmarks use: concurrent requests through an
 :class:`~repro.serving.engine.InferenceEngine`, and the pre-serving
 baseline that recompiles per request.  ``repro.serving`` re-exports all

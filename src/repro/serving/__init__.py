@@ -22,7 +22,7 @@ This subsystem amortizes that work across request traffic:
   (429/503 + Retry-After) and per-tenant artifact cache quotas.  The HTTP
   transport over all of this lives in :mod:`repro.gateway`.
 
-The request feeds and load drivers (``example_inputs``,
+The request feeds and load helpers (``example_inputs``,
 ``signature_inputs``, ``drive_load``, ``naive_throughput``) live in
 :mod:`repro.models.inputs` and are re-exported here.  See
 ``examples/serving_demo.py`` and the ``repro serve-bench`` /
