@@ -40,8 +40,9 @@ are configured by value (:class:`EngineConfig`), never switched off:
    of ``result.placement(1)`` (K = 1), which computes with one BLAS
    thread (B = 1), so K·B·R <= cores.  Before the first fork the engine
    pins *its own process's* BLAS to one thread as well
-   (:mod:`repro.runtime.blas`), so a response is bitwise the same
-   whichever replica computed it.  Each replica has its own dispatcher:
+   (:mod:`repro.runtime.blas`), so from then on a response is bitwise
+   the same whichever replica computed it (before it, replica 0 computes
+   at the caller's budget).  Each replica has its own dispatcher:
    retry, ``heal()``, breaker and degraded fallback act per replica, and
    a process replica left broken retires while the others serve on.
    ``"interp"``, ``"pool"`` and ``"process"`` lanes, a one-core host and

@@ -26,33 +26,35 @@ def pin_cores(monkeypatch):
     return pin
 
 
-def _blas_is_managed() -> bool:
-    from repro.runtime.blas import UNMANAGED, blas_threads
+def _initial_blas():
+    from repro.runtime.blas import blas_threads
 
-    return blas_threads() != UNMANAGED
+    return blas_threads()
 
+
+#: this process's BLAS thread count before any test ran
+INITIAL_BLAS = _initial_blas()
 
 #: for tests that pin BLAS threads or fork lane replicas: a host whose
 #: OpenBLAS copies export no known thread setter keeps one replica
 managed_blas = pytest.mark.skipif(
-    not _blas_is_managed(),
+    INITIAL_BLAS == "unmanaged",
     reason="a loaded OpenBLAS copy exports no known thread setter")
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def restore_blas():
-    """Put this process's BLAS thread count back after the test.
+    """Every test starts at the BLAS thread count the process started with.
 
     An engine that forks a lane replica pins the whole process to one BLAS
-    thread; the tests after it should start from the count they would have
-    had alone.
+    thread, and so do tests that pin it themselves; without this a test
+    would compute at a budget that depends on what ran before it.
     """
-    from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
+    if INITIAL_BLAS != "unmanaged":
+        from repro.runtime.blas import blas_threads, pin_blas_threads
 
-    before = blas_threads()
-    yield before
-    if before != UNMANAGED:
-        pin_blas_threads(before)
+        if blas_threads() != INITIAL_BLAS:
+            pin_blas_threads(INITIAL_BLAS)
 
 
 def compiled_pool(result, backend: str = "process", **kwargs):

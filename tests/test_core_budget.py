@@ -42,13 +42,13 @@ class TestBlasControls:
         assert "scipy.special" in sys.modules
         assert controls is not None and len(controls) == len(copies) >= 1, copies
 
-    def test_pin_sets_every_copy_and_reads_back(self, restore_blas):
+    def test_pin_sets_every_copy_and_reads_back(self):
         assert pin_blas_threads(1) == 1
         assert blas_threads() == 1
         assert all(get() == 1 for _, get in blas._controls())
 
     def test_no_copy_found_is_unmanaged_and_changes_nothing(
-            self, monkeypatch, restore_blas):
+            self, monkeypatch):
         before = blas_threads()
         monkeypatch.setattr(blas, "_loaded_copies", lambda: [])
         assert blas_threads() == UNMANAGED
@@ -57,7 +57,7 @@ class TestBlasControls:
         assert blas_threads() == before
 
     def test_a_copy_without_a_setter_leaves_every_copy_alone(
-            self, monkeypatch, restore_blas):
+            self, monkeypatch):
         """Half-pinned would still oversubscribe and make results depend on
         which copy ran a kernel: one uncontrollable copy means none is
         touched."""
@@ -74,8 +74,7 @@ class TestBlasControls:
 
 @managed_blas
 class TestWorkerBudget:
-    def test_forked_workers_report_one_blas_thread(self, squeezenet, pin_cores,
-                                                   restore_blas):
+    def test_forked_workers_report_one_blas_thread(self, squeezenet, pin_cores):
         result, feed = squeezenet
         pin_blas_threads(2)  # the caller's budget must not leak into workers
         pin_cores(2)
@@ -87,7 +86,7 @@ class TestWorkerBudget:
         for name, ref in reference.items():
             np.testing.assert_array_equal(outputs[name], ref)
 
-    def test_a_respawned_worker_pins_itself_again(self, restore_blas):
+    def test_a_respawned_worker_pins_itself_again(self):
         result = ramiel_compile(build_diamond_model())
         feed = example_inputs(result.model, seed=2)
         pin_blas_threads(2)
@@ -103,7 +102,7 @@ class TestWorkerBudget:
         for name, ref in before.items():
             np.testing.assert_array_equal(after[name], ref)
 
-    def test_thread_workers_report_their_process_budget(self, restore_blas):
+    def test_thread_workers_report_their_process_budget(self):
         result = ramiel_compile(build_diamond_model())
         pin_blas_threads(1)
         with compiled_pool(result, backend="thread") as pool:

@@ -837,7 +837,7 @@ class TestServingResilience:
 class TestReplicaChaos:
     @managed_blas
     def test_a_killed_replica_worker_heals_alone_while_the_others_serve(
-            self, pin_cores, restore_blas):
+            self, pin_cores):
         """Kill the worker of a "plan" lane's process replica while a
         closed loop keeps four requests in flight: that replica's pool
         repairs itself (respawn at dispatch, or a retry after ``heal()``),

@@ -926,7 +926,7 @@ def _gauge(snapshot, family, artifact):
 class TestLaneReplicas:
     @managed_blas
     def test_sixteen_bert_requests_use_every_replica_bitwise_at_one_blas_thread(
-            self, pin_cores, restore_blas):
+            self, pin_cores):
         """The suite runs with no BLAS variable set: the engine pins this
         process to one BLAS thread when the lane forks its replica, every
         forked worker pins itself, and a response is the B = 1 plan's
@@ -964,7 +964,7 @@ class TestLaneReplicas:
 
     @managed_blas
     def test_replica_threads_share_the_lane_without_losing_a_batch(
-            self, pin_cores, restore_blas):
+            self, pin_cores):
         """Four replicas on a two-core host, eight client threads and a
         short switch interval: every request is answered once, bitwise,
         and the replicas' dispatch counts add up to the engine's batches."""
@@ -998,7 +998,7 @@ class TestLaneReplicas:
         for index, outputs in results:
             _assert_bitwise(outputs, references[index])
 
-    def test_one_core_host_forks_nothing(self, pin_cores, restore_blas):
+    def test_one_core_host_forks_nothing(self, pin_cores):
         import multiprocessing
 
         from repro.runtime.blas import blas_threads
@@ -1058,7 +1058,12 @@ def test_probe_verdict_is_identical_across_executors(name):
     """``batchable`` is a property of the compiled model, not of the
     executor that probed it — and an executor that failed the batch-of-two
     probe run (BERT bakes the batch size into its reshapes) serves the very
-    next request correctly."""
+    next request correctly.  Every executor computes at the forked
+    workers' one BLAS thread: bitwise at equal budget (``restore_blas``
+    puts the count back)."""
+    from repro.runtime.blas import pin_blas_threads
+
+    pin_blas_threads(1)
     model = build_model(name, variant="small")
     feed = example_inputs(model, seed=5)
     reference = create_session(model, executor="interp").run(feed)

@@ -17,6 +17,7 @@ import pytest
 from repro.models import build_model, list_models
 from repro.pipeline import ramiel_compile
 from repro.resilience.faults import FaultInjector, FaultSpec
+from repro.runtime.blas import pin_blas_threads
 from repro.runtime.plan import ClusterSlabPlanner
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
@@ -59,8 +60,11 @@ def _poison_workers(pool):
 def test_poisoned_slabs_leave_every_executor_bitwise(name, clone, pin_cores):
     """The plan, the placed ``pool`` and ``process`` sessions, and a thread
     pool with one worker per *compiled* cluster (every cross-cluster value
-    a hand-off by reference), at default and cloned clusterings."""
+    a hand-off by reference), at default and cloned clusterings.  Every
+    side computes at the forked workers' one BLAS thread: bitwise at equal
+    budget (``restore_blas`` puts the count back)."""
     pin_cores(2)
+    pin_blas_threads(1)
     model = build_model(name, variant="small")
     result = ramiel_compile(model, clone=clone)
     feed = example_inputs(model, seed=11)
