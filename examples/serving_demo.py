@@ -5,9 +5,10 @@ Demonstrates the `repro.serving` subsystem end to end:
 1. build two zoo models (reduced-size variants keep the demo fast),
 2. warm the engine up — each model is Ramiel-compiled exactly once into
    the compiled-artifact cache, served through its cached execution plan,
-3. fire concurrent requests from many threads; each model's lane takes
-   what is queued for it the moment it is free (no closing timer), so
-   requests that arrive while it executes fuse into its next micro-batch,
+3. fire concurrent requests from many threads; each of a model's lane
+   replicas takes its share of what is queued the moment it is free (no
+   closing timer), so requests that arrive while the replicas execute
+   fuse into their next micro-batches,
 4. print the serving metrics report: throughput, latency percentiles,
    batch-size histogram and cache hit rate.
 
@@ -50,8 +51,8 @@ def main() -> None:
               f"(batchable={summary['batchable']})")
 
     # Concurrent traffic: CONCURRENCY worker threads per model, each sending
-    # a stream of requests.  Requests that arrive while a model's lane is
-    # executing are fused into its next micro-batch.
+    # a stream of requests.  Requests that arrive while a model's replicas
+    # are executing are fused into their next micro-batches.
     print("\n--- serving concurrent traffic -----------------------------")
     errors = []
 

@@ -560,6 +560,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
           predicts the spread loses (:meth:`RamielResult.placement`).
           Each worker computes into its own slab, packed over its
           cluster's nodes (:class:`~repro.runtime.plan.ClusterSlabPlanner`).
+          Forked workers compute with one BLAS thread whatever the
+          caller's budget, so a ``"process"`` session's outputs are
+          bitwise those of the plan run at one BLAS thread
+          (:func:`repro.runtime.blas.pin_blas_threads`); at another budget
+          a GEMM may round differently.  This process's own budget is
+          left alone.
     timeout_s:
         Per-run timeout for pool-backed sessions.
     tracer:

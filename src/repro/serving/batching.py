@@ -1,8 +1,8 @@
 """The stack / scatter helpers of micro-batching.
 
-A micro-batch is what the artifact's lane finds queued for it the moment it
-is free (:meth:`repro.serving.qos.QoSFrontend.take_batch`), up to the
-artifact's maximum batch — no timer closes it.  Inputs are stacked along
+A micro-batch is a replica's share of what is queued for its artifact the
+moment it is free (:meth:`repro.serving.qos.QoSFrontend.take_batch`), up
+to the artifact's maximum batch — no timer closes it.  Inputs are stacked along
 the batch axis (axis 0), executed once, and the outputs scattered back per
 request.
 

@@ -33,16 +33,16 @@ are configured by value (:class:`EngineConfig`), never switched off:
 3. **Replicas** — splitting one request across cores loses on a CPU at
    batch 1, while whole requests side by side scale, so a ``"plan"``
    lane serves one hot model on every core: it holds up to
-   R = ``available_cores()`` replicas and a free replica takes the next
-   batch.  Replica 0 is the in-process plan session above; when a
-   replica takes a batch and finds every replica busy with requests still
-   queued, the lane forks one more — a one-worker ``"process"`` session
-   of ``result.placement(1)`` (K = 1), which computes with one BLAS
-   thread (B = 1), so K·B·R <= cores.  Before the first fork the engine
-   pins *its own process's* BLAS to one thread as well
-   (:mod:`repro.runtime.blas`), so from then on a response is bitwise
-   the same whichever replica computed it (before it, replica 0 computes
-   at the caller's budget).  Each replica has its own dispatcher:
+   R = ``available_cores()`` replicas and a free replica takes its share
+   of the backlog.  Replica 0 is the in-process plan session above; when
+   a replica's take leaves requests queued and no replica is idle, the
+   lane forks one more — a one-worker ``"process"`` session of
+   ``result.placement(1)`` (K = 1), which computes with one BLAS thread
+   (B = 1), so K·B·R <= cores.  While a forked replica lives the engine
+   holds *its own process's* BLAS at one thread as well
+   (:mod:`repro.runtime.blas`), so a response is bitwise the same
+   whichever replica computed it (with none, replica 0 computes at the
+   caller's budget).  Each replica has its own dispatcher:
    retry, ``heal()``, breaker and degraded fallback act per replica, and
    a process replica left broken retires while the others serve on.
    ``"interp"``, ``"pool"`` and ``"process"`` lanes, a one-core host and
@@ -50,10 +50,14 @@ are configured by value (:class:`EngineConfig`), never switched off:
 4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
-   replica takes what is queued for its artifact *now*, in weighted
-   order, up to ``max_batch_size`` — an idle system serves at batch 1
-   with no wait, and what arrives while every replica executes becomes
-   the next batch.  One batch in flight per replica.
+   replica takes its share of what is queued for its artifact *now*, in
+   weighted order — the backlog divided over the replicas that could
+   take it, one more while the lane may still fork, up to
+   ``max_batch_size``.  An idle system serves at batch 1 with no wait
+   (a lone request goes to replica 0 whenever it is idle), a window that
+   fits in one batch is split over the cores, and what arrives while
+   every replica executes becomes the next batches.  One batch in flight
+   per replica.
 5. **Metrics** — throughput, latency percentiles, batch-size histogram and
    cache hit rate (:mod:`repro.serving.metrics`), rendered by
    :func:`repro.analysis.reports.render_serving_report`.
@@ -98,7 +102,12 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.runtime import session as session_module
-from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
+from repro.runtime.blas import (
+    UNMANAGED,
+    blas_threads,
+    hold_one_blas_thread,
+    release_one_blas_thread,
+)
 from repro.runtime.session import Session, create_session, validate_executor
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
@@ -129,8 +138,8 @@ FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
 class EngineConfig:
     """Configuration of one :class:`InferenceEngine`."""
 
-    #: most requests a lane fuses into one execution; a lane never waits to
-    #: reach it — it takes what is queued when it is free
+    #: most requests a replica fuses into one execution; it never waits to
+    #: reach it — it takes its share of what is queued when it is free
     max_batch_size: int = 8
     #: compiled artifacts kept warm before LRU eviction; size it above the
     #: concurrently-served working set (model x config x signature triples)
@@ -294,8 +303,6 @@ class Replica:
         self.index = index
         self.session = session
         self.label = label
-        #: a batch is in flight on it (guarded by its lane's lock)
-        self.busy = False
         #: its session was left broken: its thread stops and closes it
         self.retired = False
         self._result = result
@@ -476,17 +483,21 @@ class _Lane:
     lane thread does, so ``submit`` never waits on a compile and a key is
     compiled once however many first requests race.  Each replica then has
     one thread looping ``take_batch -> stack -> run_batch -> scatter ->
-    complete``: a free replica pulls whatever is queued for its artifact
-    (up to ``max_batch``) the moment it can execute it, without waiting
-    for more, and nothing is queued outside the admission queue.  The lane
-    thread serves replica 0.  When a replica takes a batch and finds every
-    replica busy with requests still queued, the lane starts one more
-    replica thread (up to ``max_replicas``), which forks its one-worker
-    process session and then pulls like the others.  A replica left broken
-    retires on its own; replica 0 left broken drops the artifact.  A
-    closed lane (evicted, invalidated, engine shutdown) answers the
-    batches it holds and stops; whatever is still queued for its key is
-    served by a replacement lane it starts on the way out.
+    complete``: a free replica pulls its share of what is queued for its
+    artifact the moment it can execute it, without waiting for more, and
+    nothing is queued outside the admission queue.  The share divides the
+    backlog over every replica that could take it now — the idle ones,
+    plus one more while the lane may still grow — up to ``max_batch``, so
+    a window that fits in one batch still spreads over the cores; a lone
+    request goes to replica 0 whenever it is idle.  The lane thread serves
+    replica 0.  When a replica's take leaves requests queued and no replica
+    is idle, the lane starts one more replica thread (up to
+    ``max_replicas``), which forks its one-worker process session and then
+    pulls like the others.  A replica left broken retires on its own;
+    replica 0 left broken drops the artifact.  A closed lane (evicted,
+    invalidated, engine shutdown) answers the batches it holds and stops;
+    whatever is still queued for its key is served by a replacement lane
+    it starts on the way out.
     """
 
     def __init__(self, engine: "InferenceEngine", model: Model,
@@ -498,7 +509,7 @@ class _Lane:
         self._partition = partition
         self._artifact: Future = Future()
         self._closing = False
-        #: guards the replica list, busy flags and the replica threads
+        #: guards the replica list and the replica threads
         self._lock = threading.Lock()
         self._replica_threads: List[threading.Thread] = []
         self._growing = False
@@ -569,27 +580,36 @@ class _Lane:
 
     def _serve_replica(self, artifact: CompiledArtifact, replica: Replica) -> None:
         qos = self._engine.qos
+
+        def closing() -> bool:
+            return self._closing or replica.retired
+
+        def spare() -> int:
+            return self._spare(artifact)
+
         while True:
-            batch = qos.take_batch(self.key, artifact.max_batch,
-                                   lambda: self._closing or replica.retired)
+            batch = qos.take_batch(self.key, artifact.max_batch, closing,
+                                   primary=replica.index == 0, spare=spare)
             if batch is None:
                 return
             with self._lock:
-                replica.busy = True
                 self._maybe_grow(artifact)
-            try:
-                self._serve(artifact, replica, batch)
-            finally:
-                replica.busy = False
+            self._serve(artifact, replica, batch)
+
+    def _spare(self, artifact: CompiledArtifact) -> int:
+        """1 while the lane may start one more replica, else 0.
+
+        Read under the frontend's lock by every take, so it takes no lock
+        of its own: a stale answer only changes how one backlog splits.
+        """
+        return int(not self._closing and not self._growing
+                   and len(artifact.replicas) < artifact.max_replicas)
 
     def _maybe_grow(self, artifact: CompiledArtifact) -> None:
-        """Start one more replica if a queued batch finds every replica
-        busy (under the lane lock, so a closing lane joins what it starts)."""
-        replicas = artifact.replicas
-        if (self._closing or self._growing
-                or len(replicas) >= artifact.max_replicas
-                or not all(replica.busy for replica in replicas)
-                or not self._engine.qos.has_queued(self.key)):
+        """Start one more replica if a take left requests queued with no
+        replica idle (under the lane lock, so a closing lane joins what it
+        starts)."""
+        if not self._spare(artifact) or not self._engine.qos.backlogged(self.key):
             return
         self._growing = True
         index = next(self._replica_ids)
@@ -613,18 +633,17 @@ class _Lane:
             raise
         with self._lock:
             self._growing = False
-            closing = self._closing
-            if not closing:
+            serving = not self._closing
+            if serving:
                 artifact.replicas.append(replica)
-        if closing:
-            replica.close()
-            return
         try:
-            self._serve_replica(artifact, replica)
+            if serving:
+                self._serve_replica(artifact, replica)
         finally:
-            with self._lock:
-                artifact.replicas.remove(replica)
-            replica.close()
+            if serving:
+                with self._lock:
+                    artifact.replicas.remove(replica)
+            self._engine._close_process_replica(replica)
 
     def _serve(self, artifact: CompiledArtifact, replica: Replica,
                batch: List) -> None:
@@ -692,13 +711,15 @@ class InferenceEngine:
     The engine is thread-safe: any number of caller threads may ``submit``
     concurrently, which is precisely what fills the micro-batches.
 
-    **It changes the caller's numpy.**  A BLAS thread count is
-    process-global: when a ``"plan"`` lane first forks a replica, the
-    engine pins every loaded OpenBLAS copy of *this process* to one
-    thread, and it stays pinned after :meth:`shutdown` — the caller's own
-    BLAS calls then run on one thread too.  A one-core host, a host whose
-    BLAS cannot be pinned, and an engine whose traffic never finds its
-    replica 0 busy with more queued never pin anything.
+    **It changes the caller's numpy while it serves on forked replicas.**
+    A BLAS thread count is process-global: while any ``"plan"`` lane runs
+    a forked replica, the engine holds every loaded OpenBLAS copy of
+    *this process* at one thread — the caller's own BLAS calls run on one
+    thread too.  When the last forked replica closes (eviction,
+    retirement or :meth:`shutdown`), the count found before the first
+    fork is put back.  A one-core host, a host whose BLAS cannot be
+    pinned, and an engine whose traffic never leaves a backlog with no
+    replica idle never pin anything.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
@@ -886,18 +907,32 @@ class InferenceEngine:
         """Fork one more replica of a "plan" lane: a one-worker "process"
         session of ``placement(1)``.
 
-        The coordinator's BLAS is pinned to one thread first, the budget
+        The coordinator's BLAS is held at one thread first, the budget
         every forked worker pins itself to, so a response is bitwise the
-        same whichever replica computed it.
+        same whichever replica computed it; :meth:`_close_process_replica`
+        ends the hold.
         """
-        self._blas = pin_blas_threads(1)
-        session = create_session(artifact.result, executor="process",
-                                 timeout_s=self.config.timeout_s,
-                                 tracer=self.tracer,
-                                 max_batch=self.config.max_batch_size, cores=1)
+        self._blas = hold_one_blas_thread()
+        try:
+            session = create_session(artifact.result, executor="process",
+                                     timeout_s=self.config.timeout_s,
+                                     tracer=self.tracer,
+                                     max_batch=self.config.max_batch_size,
+                                     cores=1)
+        except BaseException:
+            self._blas = release_one_blas_thread()
+            raise
         self._attach_faults(session)
         return Replica(index, session, artifact.result, self.config,
                        f"{artifact.model_name}@{artifact.key.short()}/r{index}")
+
+    def _close_process_replica(self, replica: Replica) -> None:
+        """Close a forked replica and end its BLAS hold: once the last one
+        in the process closes, the count found before the first is back."""
+        try:
+            replica.close()
+        finally:
+            self._blas = release_one_blas_thread()
 
     def _attach_faults(self, session: Session) -> None:
         injector = self.config.resilience.fault_injector

@@ -31,12 +31,14 @@ many models x many clients safe:
   (HTTP 503), each carrying a ``retry_after_s`` hint derived from the
   observed dispatch rate, so the gateway can emit honest ``Retry-After``
   headers instead of letting latency grow without bound.
-* **One batch in flight per artifact, closed without a timer** — a lane
-  takes its next batch only after answering the previous one, and a free
-  lane takes what is queued for its artifact *now*: an idle system serves
-  at batch 1 with no wait, and a burst against a busy model accumulates
-  here — where fairness and deadlines apply — into the lane's next batch.
-  No concurrency cap and no batch-closing wait are needed.
+* **One batch in flight per taker, closed without a timer** — a lane's
+  replica takes its next batch only after answering the previous one, and
+  a free replica takes its share of what is queued for its artifact *now*:
+  an idle system serves at batch 1 with no wait, a backlog is divided
+  over every replica that could take it, and a burst against busy
+  replicas accumulates here — where fairness and deadlines apply — into
+  their next batches.  No concurrency cap and no batch-closing wait are
+  needed.
 
 :class:`QoSFrontend` ties it together for the engine and starts no thread:
 ``admit`` admits (or rejects) a validated request, ``take_batch`` hands a
@@ -269,8 +271,8 @@ class AdmissionQueue:
     bank unused service.
 
     Not thread-safe by itself: :class:`QoSFrontend` serializes access
-    under its own condition variable.  Kept separate so the scheduling
-    discipline is unit-testable without an engine.
+    under its own lock.  Kept separate so the scheduling discipline is
+    unit-testable without an engine.
     """
 
     def __init__(self, config: QoSConfig) -> None:
@@ -280,6 +282,8 @@ class AdmissionQueue:
             self._tenants[tenant.name] = _TenantState(tenant)
         self._vtime = 0.0
         self._depth = 0
+        #: artifact key -> requests queued for it (keys with none are absent)
+        self._queued: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     def tenant_state(self, name: str) -> _TenantState:
@@ -299,6 +303,17 @@ class AdmissionQueue:
         """Per-tenant queued-request counts."""
         return {name: len(state.queue)
                 for name, state in self._tenants.items()}
+
+    def queued(self, key) -> int:
+        """Requests queued for artifact ``key``, across every tenant."""
+        return self._queued.get(key, 0)
+
+    def _unqueue(self, key) -> None:
+        left = self._queued[key] - 1
+        if left:
+            self._queued[key] = left
+        else:
+            del self._queued[key]
 
     # ------------------------------------------------------------------
     def push(self, request: _QoSRequest) -> None:
@@ -324,6 +339,7 @@ class AdmissionQueue:
         state.queue.append(request)
         state.admitted += 1
         self._depth += 1
+        self._queued[request.key] = self._queued.get(request.key, 0) + 1
 
     def pop(self, key) -> Optional[_QoSRequest]:
         """Take the request for artifact ``key`` with the smallest finish stamp.
@@ -335,6 +351,8 @@ class AdmissionQueue:
         FIFO is preserved).  Returns ``None`` when nothing is queued for
         ``key``.
         """
+        if key not in self._queued:
+            return None
         best: Optional[_QoSRequest] = None
         best_state: Optional[_TenantState] = None
         best_idx = -1
@@ -351,13 +369,13 @@ class AdmissionQueue:
             return None
         del best_state.queue[best_idx]
         self._depth -= 1
+        self._unqueue(key)
         self._vtime = max(self._vtime, best.vstart)
         return best
 
     def has(self, key) -> bool:
         """Whether any request for artifact ``key`` is queued."""
-        return any(request.key == key for state in self._tenants.values()
-                   for request in state.queue)
+        return key in self._queued
 
     def drain_all(self, key=None) -> List[_QoSRequest]:
         """Remove and return every queued request (for ``key``, if given)."""
@@ -369,7 +387,49 @@ class AdmissionQueue:
                  else kept).append(request)
             state.queue = kept
         self._depth -= len(drained)
+        for request in drained:
+            self._unqueue(request.key)
         return drained
+
+
+class _Takers:
+    """The takers of one artifact key: how many wait, and what they wait on.
+
+    A taker — a lane's replica — is *idle* from the moment it enters
+    :meth:`QoSFrontend.take_batch` until it takes a batch, and *busy* from
+    then until it comes back: both changes happen under the frontend's
+    lock, so a count read there is exact.  One record per key ever taken;
+    a key is an artifact, so their number is the engine's working set.
+    """
+
+    __slots__ = ("cond", "idle", "primary_idle")
+
+    def __init__(self, lock) -> None:
+        #: admits for the key wake only these takers
+        self.cond = threading.Condition(lock)
+        self.idle = 0
+        #: idle takers that are their lane's replica 0
+        self.primary_idle = 0
+
+    def count(self, primary: bool, step: int) -> None:
+        self.idle += step
+        if primary:
+            self.primary_idle += step
+
+    def share(self, queued: int, max_batch: int, primary: bool,
+              spare: Callable[[], int]) -> int:
+        """How many of ``queued`` requests one idle taker takes now (0: wait).
+
+        The backlog is divided over every taker that could take it now —
+        the idle ones, the caller included, plus ``spare()`` takers its lane
+        could still start — rounded up and capped at ``max_batch``.  A
+        lone request is left to an idle primary: it runs in-process, with
+        no hand-off to a forked worker.
+        """
+        if not queued or (queued == 1 and not primary and self.primary_idle):
+            return 0
+        takers = self.idle + spare()
+        return min(-(-queued // takers), max_batch)
 
 
 def _settle(future: Future, outputs=None,
@@ -406,7 +466,11 @@ class QoSFrontend:
         self.clock = clock
         self._tracer = tracer
         self._queue = AdmissionQueue(config)
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        #: what :meth:`drain` waits on for the queue to empty
+        self._cond = threading.Condition(self._lock)
+        #: artifact key -> its takers, who wait on their own condition
+        self._takers: Dict[object, _Takers] = {}
         #: requests taken by a lane and not yet resolved
         self._taken = 0
         self._draining = False
@@ -430,7 +494,7 @@ class QoSFrontend:
         registry.register_collector(self._collect)
 
     def _collect(self, registry) -> None:
-        with self._cond:
+        with self._lock:
             depths = self._queue.tenant_depths()
             taken = self._taken
         for tenant, depth in depths.items():
@@ -512,7 +576,7 @@ class QoSFrontend:
         now = self.clock()
         if budget is not None and budget <= 0:
             self._count_rejected(name, "expired")
-            with self._cond:
+            with self._lock:
                 self._queue.tenant_state(name).expired += 1
             raise DeadlineExpired(
                 f"request for tenant {name!r} arrived with an already-"
@@ -527,7 +591,7 @@ class QoSFrontend:
             # stamped before the push: a lane may take the request at once
             request.submit_ns = tracer.now()
             request.span_id = tracer.next_async_id()
-        with self._cond:
+        with self._lock:
             if self._draining or self._closed:
                 self._count_rejected(name, "draining")
                 raise EngineOverloaded(
@@ -547,7 +611,11 @@ class QoSFrontend:
                 exc.retry_after_s = self._retry_after_locked(
                     depth=self._queue.depth)
                 raise
-            self._cond.notify_all()
+            takers = self._takers.get(key)
+            if takers is not None:
+                # every one: a process replica passes a lone request over
+                # to an idle replica 0, which must be awake to take it
+                takers.cond.notify_all()
         self._count_admitted(name)
         return request
 
@@ -563,47 +631,77 @@ class QoSFrontend:
     # Dispatch (called by the artifacts' lanes)
     # ------------------------------------------------------------------
     def take_batch(self, key, max_batch: int,
-                   closing: Callable[[], bool] = lambda: False
+                   closing: Callable[[], bool] = lambda: False, *,
+                   primary: bool = True,
+                   spare: Callable[[], int] = lambda: 0
                    ) -> Optional[List[_QoSRequest]]:
         """The next micro-batch for artifact ``key``, in weighted order.
 
         Work-conserving: blocks (untimed) until a live request for the key
-        is queued, then returns what is queued for it *now*, up to
-        ``max_batch`` requests — it never waits for co-travellers.  On an
-        idle system that is a batch of one with no wait; while the lane
-        executes, arrivals accumulate and leave together as its next batch.
+        is queued, then returns the caller's *share* of what is queued now
+        — never waiting for co-travellers.  The share divides the backlog
+        over every taker of the key that could take it now: the idle ones,
+        the caller included, plus ``spare()`` more its lane could still
+        start; rounded up, capped at ``max_batch``.  A lone taker with no
+        spare takes everything queued, up to ``max_batch``: on an idle
+        system that is a batch of one with no wait, and while it executes,
+        arrivals accumulate and leave together as its next batch.  A taker
+        that is not ``primary`` leaves a lone request to an idle primary
+        taker of the key.  ``spare`` is called under the frontend's lock
+        and must not block.
+
         Requests whose deadline has passed when they are popped are failed
         with :class:`DeadlineExpired` instead of joining the batch.  Returns
-        ``None`` — the lane should stop — once the frontend is closed or
+        ``None`` — the caller should stop — once the frontend is closed or
         ``closing()`` holds; a batch that was returned must be answered
-        either way.  A lane whose ``closing()`` flips must call
+        either way.  A caller whose ``closing()`` flips must call
         :meth:`wake`.
         """
-        while True:
-            batch: List[_QoSRequest] = []
-            expired: List[_QoSRequest] = []
-            with self._cond:
-                if self._closed or closing():
-                    return None
-                now = self.clock()
-                while len(batch) < max_batch:
-                    request = self._queue.pop(key)
-                    if request is None:
-                        break
-                    (batch if self._pop_is_live_locked(request, now)
-                     else expired).append(request)
+        with self._lock:
+            takers = self._takers_of(key)
+            takers.count(primary, 1)
+        idle = True
+        try:
+            while True:
+                batch: List[_QoSRequest] = []
+                expired: List[_QoSRequest] = []
+                with self._lock:
+                    if self._closed or closing():
+                        return None
+                    share = takers.share(self._queue.queued(key), max_batch,
+                                         primary, spare)
+                    now = self.clock()
+                    while len(batch) < share:
+                        request = self._queue.pop(key)
+                        if request is None:
+                            break
+                        (batch if self._pop_is_live_locked(request, now)
+                         else expired).append(request)
+                    if batch:
+                        takers.count(primary, -1)  # busy from here
+                        idle = False
+                        self._observe_take_locked(now, len(batch))
+                    elif not expired:
+                        takers.cond.wait()  # until an admit for the key or a wake
+                for request in expired:  # futures resolve outside the lock
+                    self._count_rejected(request.tenant, "expired")
+                    self._resolve(request, exc=DeadlineExpired(
+                        f"deadline budget ran out after "
+                        f"{self.clock() - request.enqueue_t:.3f}s in the "
+                        f"admission queue (tenant {request.tenant!r})"))
                 if batch:
-                    self._observe_take_locked(now, len(batch))
-                elif not expired:
-                    self._cond.wait()  # nothing queued: until an admit or a wake
-            for request in expired:  # futures resolve outside the lock
-                self._count_rejected(request.tenant, "expired")
-                self._resolve(request, exc=DeadlineExpired(
-                    f"deadline budget ran out after "
-                    f"{self.clock() - request.enqueue_t:.3f}s in the "
-                    f"admission queue (tenant {request.tenant!r})"))
-            if batch:
-                return batch
+                    return batch
+        finally:
+            if idle:
+                with self._lock:
+                    takers.count(primary, -1)
+
+    def _takers_of(self, key) -> _Takers:
+        """The takers of ``key`` (created on first use; lock held)."""
+        takers = self._takers.get(key)
+        if takers is None:
+            takers = self._takers[key] = _Takers(self._lock)
+        return takers
 
     def _observe_take_locked(self, now: float, taken: int) -> None:
         """Feed the dispatch-interval EWMA one sample per take.
@@ -636,7 +734,7 @@ class QoSFrontend:
     def complete(self, request: _QoSRequest, outputs=None,
                  exc: Optional[BaseException] = None) -> None:
         """Resolve a taken request's future (``exc`` = it failed)."""
-        with self._cond:
+        with self._lock:
             state = self._queue.tenant_state(request.tenant)
             if exc is not None:
                 state.failed += 1
@@ -648,31 +746,44 @@ class QoSFrontend:
     def _resolve(self, request: _QoSRequest, outputs=None,
                  exc: Optional[BaseException] = None) -> None:
         _settle(request.future, outputs, exc)
-        with self._cond:
+        with self._lock:
             self._taken -= 1
             if self._draining:  # only drain() waits for completions
-                self._cond.notify_all()
+                self._wake_all_locked()
 
     def fail_queued(self, key, exc: BaseException) -> None:
         """Fail every request still queued for artifact ``key`` with ``exc``."""
-        with self._cond:
+        with self._lock:
             requests = self._queue.drain_all(key)
             for request in requests:
                 self._queue.tenant_state(request.tenant).failed += 1
-            self._cond.notify_all()
+            self._wake_all_locked()
         for request in requests:
             self._count_done(request.tenant, "failed")
             _settle(request.future, exc=exc)
 
     def has_queued(self, key) -> bool:
         """Whether any admitted request still waits for artifact ``key``."""
-        with self._cond:
+        with self._lock:
             return self._queue.has(key)
+
+    def backlogged(self, key) -> bool:
+        """Requests for artifact ``key`` are queued and none of its takers
+        is idle: the condition a lane adds a replica on."""
+        with self._lock:
+            takers = self._takers.get(key)
+            return (self._queue.has(key)
+                    and (takers is None or takers.idle == 0))
 
     def wake(self) -> None:
         """Re-evaluate every blocked :meth:`take_batch` (a lane is closing)."""
-        with self._cond:
-            self._cond.notify_all()
+        with self._lock:
+            self._wake_all_locked()
+
+    def _wake_all_locked(self) -> None:
+        self._cond.notify_all()
+        for takers in self._takers.values():
+            takers.cond.notify_all()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -684,9 +795,9 @@ class QoSFrontend:
 
     def begin_drain(self) -> None:
         """Start rejecting new submissions without waiting for the queue."""
-        with self._cond:
+        with self._lock:
             self._draining = True
-            self._cond.notify_all()
+            self._wake_all_locked()
 
     def drain(self, timeout: Optional[float] = 30.0) -> bool:
         """Stop admitting, let queued + taken requests finish.
@@ -697,9 +808,9 @@ class QoSFrontend:
         unresolved, ``False`` on timeout (work may still be running).
         """
         deadline = (time.monotonic() + timeout) if timeout is not None else None
-        with self._cond:
+        with self._lock:
             self._draining = True
-            self._cond.notify_all()
+            self._wake_all_locked()
             while self._queue.depth > 0 or self._taken > 0:
                 remaining = None
                 if deadline is not None:
@@ -712,10 +823,10 @@ class QoSFrontend:
     def close(self, drain_timeout: float = 5.0) -> None:
         """Drain briefly, fail whatever is still queued, release the lanes."""
         self.drain(timeout=drain_timeout)
-        with self._cond:
+        with self._lock:
             self._closed = True
             leftovers = self._queue.drain_all()
-            self._cond.notify_all()
+            self._wake_all_locked()
         for request in leftovers:
             _settle(request.future, exc=EngineOverloaded(
                 "engine shut down before the request was dispatched"))
@@ -724,7 +835,7 @@ class QoSFrontend:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Dict]:
         """Per-tenant admission counters and queue depths."""
-        with self._cond:
+        with self._lock:
             tenants = {
                 name: {
                     "weight": state.config.weight,

@@ -247,15 +247,17 @@ class LaneDouble:
     """A lane without an engine, for frontend-level tests.
 
     One thread serving ``key`` out of a ``QoSFrontend`` exactly as the
-    engine's lanes do — ``take_batch -> stack -> run_batch -> scatter ->
-    complete`` — with ``run_batch`` supplied by the test.
+    engine's replicas do — ``take_batch -> stack -> run_batch -> scatter ->
+    complete`` — with ``run_batch`` supplied by the test; ``primary=False``
+    plays a forked replica.
     """
 
-    def __init__(self, frontend, key, run_batch, max_batch):
+    def __init__(self, frontend, key, run_batch, max_batch, primary=True):
         import threading
 
         self.frontend, self.key = frontend, key
         self._run_batch, self._max_batch = run_batch, max_batch
+        self._primary = primary
         self._closing = False
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"lane-double-{key}")
@@ -266,7 +268,8 @@ class LaneDouble:
 
         while True:
             batch = self.frontend.take_batch(self.key, self._max_batch,
-                                             lambda: self._closing)
+                                             lambda: self._closing,
+                                             primary=self._primary)
             if batch is None:
                 return
             try:

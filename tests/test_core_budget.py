@@ -47,6 +47,17 @@ class TestBlasControls:
         assert blas_threads() == 1
         assert all(get() == 1 for _, get in blas._controls())
 
+    def test_holds_nest_and_the_last_release_restores_the_count(self):
+        """Two holders (two engines with forked replicas): the first
+        release keeps one thread, the last puts back what the first hold
+        found."""
+        pin_blas_threads(2)
+        assert blas.hold_one_blas_thread() == 1
+        assert blas.hold_one_blas_thread() == 1
+        assert blas.release_one_blas_thread() == 1
+        assert blas.release_one_blas_thread() == 2
+        assert blas_threads() == 2
+
     def test_no_copy_found_is_unmanaged_and_changes_nothing(
             self, monkeypatch):
         before = blas_threads()
@@ -101,6 +112,28 @@ class TestWorkerBudget:
                 [1] * pool.num_clusters
         for name, ref in before.items():
             np.testing.assert_array_equal(after[name], ref)
+
+    def test_full_googlenet_process_session_is_the_plan_at_one_blas_thread(
+            self, pin_cores):
+        """The suite runs with no BLAS variable set, so this process
+        computes at the host's count while the forked workers compute at
+        one thread; googlenet ends in a 1x1024 -> 1000 GEMV whose rounding
+        moves with the thread count.  The reference side pins B = 1 and the
+        session leaves this process's budget alone."""
+        pin_cores(2)
+        model = build_model("googlenet")
+        result = ramiel_compile(model)
+        feed = example_inputs(model, seed=3)
+        before = blas_threads()
+        with create_session(result, executor="process") as session:
+            outputs = session.run(feed)
+            assert session.stats()["placement"]["workers"] == 2
+        assert blas_threads() == before
+        pin_blas_threads(1)
+        reference = create_session(result, executor="plan").run(feed)
+        assert set(outputs) == set(reference)
+        for name, ref in reference.items():
+            np.testing.assert_array_equal(outputs[name], ref)
 
     def test_thread_workers_report_their_process_budget(self):
         result = ramiel_compile(build_diamond_model())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -214,6 +215,111 @@ def take_one(frontend: QoSFrontend, key=KEY) -> _QoSRequest:
     assert frontend.has_queued(key)
     (request,) = frontend.take_batch(key, 1)
     return request
+
+
+def take_in_thread(frontend: QoSFrontend, key=KEY, max_batch: int = 8,
+                   **kwargs):
+    """Play a replica blocked in ``take_batch``; its batch lands in a list."""
+    taken = []
+    thread = threading.Thread(target=lambda: taken.append(
+        frontend.take_batch(key, max_batch, **kwargs)), daemon=True)
+    thread.start()
+    return thread, taken
+
+
+def wait_idle(frontend: QoSFrontend, count: int, key=KEY) -> None:
+    """Block until ``count`` takers of ``key`` are inside ``take_batch``."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        with frontend._lock:
+            takers = frontend._takers.get(key)
+            if takers is not None and takers.idle == count:
+                return
+        assert time.monotonic() < deadline, "takers did not arrive"
+        time.sleep(0.001)
+
+
+def joined(thread, taken):
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    (batch,) = taken
+    return batch
+
+
+class TestTakeShares:
+    """How one key's backlog is divided over its takers (a lane's replicas)."""
+
+    def test_eight_queued_split_four_and_four_over_two_takers(self):
+        frontend = make_frontend()
+        try:
+            takers = [take_in_thread(frontend, primary=primary)
+                      for primary in (True, False)]
+            wait_idle(frontend, 2)
+            with frontend._lock:  # both takers see all eight at once
+                admitted = [frontend.admit(KEY, {}, 1) for _ in range(8)]
+            batches = [joined(*taker) for taker in takers]
+            assert sorted(map(len, batches)) == [4, 4]
+            assert sorted(map(id, batches[0] + batches[1])) == \
+                sorted(map(id, admitted))
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_a_taker_the_lane_could_still_start_counts(self):
+        """One idle taker and one spare: half now, and the rest is the
+        next taker's — capped at ``max_batch`` either way."""
+        frontend = make_frontend()
+        try:
+            for _ in range(8):
+                frontend.admit(KEY, {}, 1)
+            assert len(frontend.take_batch(KEY, 8, spare=lambda: 1)) == 4
+            assert len(frontend.take_batch(KEY, 3, spare=lambda: 1)) == 2
+            assert len(frontend.take_batch(KEY, 8)) == 2
+            assert not frontend.has_queued(KEY)
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_a_lone_request_waits_for_the_idle_primary(self):
+        """With replica 0 idle, a process replica's take leaves a lone
+        request to it; once replica 0 is busy, the next lone request is
+        the process replica's."""
+        frontend = make_frontend()
+        try:
+            primary = take_in_thread(frontend, primary=True)
+            other = take_in_thread(frontend, primary=False)
+            wait_idle(frontend, 2)
+            lone = frontend.admit(KEY, {}, 1)
+            assert joined(*primary) == [lone]
+            wait_idle(frontend, 1)
+            assert other[0].is_alive() and other[1] == []
+            second = frontend.admit(KEY, {}, 1)  # replica 0 is busy now
+            assert joined(*other) == [second]
+        finally:
+            frontend.close(drain_timeout=0.05)
+
+    def test_an_admit_wakes_only_its_own_keys_takers(self):
+        frontend = make_frontend()
+        try:
+            thread, taken = take_in_thread(frontend, key="b")
+            wait_idle(frontend, 1, key="b")
+            cond = frontend._takers["b"].cond
+            notified = []
+            real_notify_all = cond.notify_all
+
+            def notify_all():
+                notified.append(True)
+                real_notify_all()
+
+            cond.notify_all = notify_all
+            request = frontend.admit("a", {}, 1)
+            assert notified == [] and thread.is_alive()
+            assert frontend.take_batch("a", 8) == [request]
+            mine = frontend.admit("b", {}, 1)
+            assert notified == [True]
+            assert joined(thread, taken) == [mine]
+            frontend.wake()  # a closing lane still wakes every key's takers
+            assert notified == [True, True]
+        finally:
+            frontend.close(drain_timeout=0.05)
 
 
 class TestQoSFrontend:
@@ -474,15 +580,17 @@ class TestQoSFrontend:
             frontend.close(drain_timeout=0.05)
 
     def test_lanes_and_submitters_under_contention_lose_nothing(self):
-        """Stress: more threads than cores on one condition.  Every admitted
-        request resolves exactly once with its own payload, and the
-        frontend's books balance."""
+        """Stress: more threads than cores on the frontend's lock, two
+        takers per key sharing its backlog.  Every admitted request
+        resolves exactly once with its own payload, and the frontend's
+        books balance, its idle-taker counts included."""
         keys = ("a", "b", "c")
         frontend = make_frontend(QoSConfig(
             default_tenant=TenantConfig("default", max_queue=10_000),
             max_queue_depth=10_000))
-        lanes = [LaneDouble(frontend, key, lambda stacked: {"y": stacked["x"]}, 4)
-                 for key in keys]
+        lanes = [LaneDouble(frontend, key, lambda stacked: {"y": stacked["x"]},
+                            4, primary=primary)
+                 for key in keys for primary in (True, False)]
         futures = {}
 
         def submitter(worker: int) -> None:
@@ -512,6 +620,8 @@ class TestQoSFrontend:
             frontend.close(drain_timeout=0.1)
         stats = frontend.stats()
         assert stats["depth"] == 0 and stats["inflight"] == 0
+        assert [(t.idle, t.primary_idle) for t in frontend._takers.values()] \
+            == [(0, 0)] * len(keys)
         assert sum(t["completed"] for t in stats["tenants"].values()) == 240
         assert sum(t["failed"] for t in stats["tenants"].values()) == 0
 

@@ -846,13 +846,14 @@ class TestReplicaChaos:
         from concurrent.futures import FIRST_COMPLETED, wait
 
         from repro.models import build_model
-        from repro.runtime.blas import blas_threads
+        from repro.runtime.blas import blas_threads, pin_blas_threads
 
         from tests.conftest import serve_across_replicas
 
         pin_cores(2)
         model = build_model("bert", variant="small")
         feeds = [example_inputs(model, seed=80 + i) for i in range(8)]
+        before = blas_threads()
         config = EngineConfig(resilience=ResilienceConfig(
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)))
         served = []
@@ -901,7 +902,8 @@ class TestReplicaChaos:
             assert after[1] >= killed_at[1] + 3
             zero = replica0.dispatcher.stats()
             assert zero["retries"] == zero["recoveries"] == 0
-        assert blas_threads() == 1
+        assert blas_threads() == before  # the last replica put it back
+        pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")
         references = [plan.run(feed) for feed in feeds]
         for index, outputs in served:

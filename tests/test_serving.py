@@ -51,6 +51,7 @@ from tests.conftest import (
     gate_session,
     lane_of,
     managed_blas,
+    serve_across_replicas,
 )
 
 
@@ -129,7 +130,9 @@ class TestBatchClosing:
         # every wait of the dispatch path must be untimed: record the rest
         frontend.timed_waits = []
         frontend.waiting = threading.Event()
-        real_wait = frontend._cond.wait
+        with frontend._lock:
+            cond = frontend._takers_of(self.KEY).cond
+        real_wait = cond.wait
 
         def wait(timeout=None):
             if timeout is not None:
@@ -137,7 +140,7 @@ class TestBatchClosing:
             frontend.waiting.set()
             return real_wait(timeout)
 
-        frontend._cond.wait = wait
+        cond.wait = wait
         return frontend
 
     def take_in_thread(self, frontend, max_batch, closing=lambda: False):
@@ -447,10 +450,11 @@ class TestInferenceEngine:
             engine.infer(build_diamond_model(), example_inputs(build_diamond_model()))
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
 
-    def test_concurrent_load_is_batched(self):
-        """(c) What arrives while the lane executes is its next batch: one
-        request is held inside the session, five more are submitted, and on
-        release they run as one batch of five — exactly."""
+    def test_concurrent_load_is_batched(self, pin_cores):
+        """(c) What arrives while a one-replica lane executes is its next
+        batch: one request is held inside the session, five more are
+        submitted, and on release they run as one batch of five — exactly."""
+        pin_cores(1)
         model = build_diamond_model()
         with tiny_engine(max_batch_size=8) as engine:
             engine.warmup(model)
@@ -468,6 +472,48 @@ class TestInferenceEngine:
             snapshot = engine.metrics.snapshot()
         assert snapshot["completed"] == 6
         assert snapshot["batch_histogram"] == {1: 1, 5: 1}
+
+    @managed_blas
+    def test_concurrent_load_is_batched_on_the_idle_replica(self, pin_cores):
+        """The two-core twin: replica 0 is held inside its session with a
+        batch of 1 while a forked replica waits idle; the five later
+        requests are that replica's share — one batch of five — and every
+        response is bitwise the B = 1 plan's."""
+        from repro.runtime.blas import pin_blas_threads
+
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=seed) for seed in range(6)]
+        with tiny_engine(max_batch_size=8) as engine:
+            _, artifact = serve_across_replicas(engine, model, feeds[:3])
+            _, replica1 = artifact.replicas
+            _wait_until_idle(engine, artifact, 2)  # a lone request is replica 0's
+            entered, release = gate_session(artifact)
+            runs = replica1.dispatcher.stats()["primary_runs"]
+            engine.metrics.reset()
+            try:
+                futures = [engine.submit(model, feeds[0])]
+                assert entered.wait(timeout=10.0)  # replica 0 holds a batch of 1
+                with engine.qos._lock:  # replica 1 sees all five at once
+                    futures += [engine.submit(model, feed) for feed in feeds[1:]]
+                outputs = [future.result(timeout=60.0) for future in futures[1:]]
+            finally:
+                release.set()
+            outputs.insert(0, futures[0].result(timeout=60.0))
+            assert replica1.dispatcher.stats()["primary_runs"] == runs + 1
+            snapshot = engine.metrics.snapshot()
+        assert snapshot["completed"] == 6
+        assert snapshot["batch_histogram"] == {1: 1, 5: 1}
+        pin_blas_threads(1)
+        plan = create_session(ramiel_compile(model), executor="plan")
+        stacked = {name: np.concatenate([feed[name] for feed in feeds[1:]])
+                   for name in feeds[0]}
+        fused = plan.run(stacked)
+        references = [plan.run(feeds[0])] + [
+            {name: value[i:i + 1] for name, value in fused.items()}
+            for i in range(5)]
+        for served, reference in zip(outputs, references):
+            _assert_bitwise(served, reference)
 
     def test_mismatched_non_batch_shape_rejected_cleanly(self):
         model = build_diamond_model()  # declares x: (1, 3, 16, 16)
@@ -916,6 +962,14 @@ class TestLanes:
 # ---------------------------------------------------------------------------
 # Replicas: a "plan" lane serves one hot model on every core
 # ---------------------------------------------------------------------------
+def _wait_until_idle(engine, artifact, replicas: int, timeout: float = 10.0):
+    """Block until ``replicas`` of the artifact's replicas wait for work."""
+    deadline = time.monotonic() + timeout
+    while engine.qos._takers[artifact.key].idle < replicas:
+        assert time.monotonic() < deadline, "replicas did not come back idle"
+        time.sleep(0.001)
+
+
 def _gauge(snapshot, family, artifact):
     (value,) = [entry["value"] for key, entry in snapshot.items()
                 if key.startswith(family + "{")
@@ -927,19 +981,19 @@ class TestLaneReplicas:
     @managed_blas
     def test_sixteen_bert_requests_use_every_replica_bitwise_at_one_blas_thread(
             self, pin_cores):
-        """The suite runs with no BLAS variable set: the engine pins this
-        process to one BLAS thread when the lane forks its replica, every
-        forked worker pins itself, and a response is the B = 1 plan's
-        whichever replica computed it."""
-        from repro.runtime.blas import blas_threads
-
-        from tests.conftest import serve_across_replicas
+        """The suite runs with no BLAS variable set: the engine holds this
+        process at one BLAS thread while the lane runs a forked replica,
+        every forked worker pins itself, a response is the B = 1 plan's
+        whichever replica computed it, and shutdown puts the count back."""
+        from repro.runtime.blas import blas_threads, pin_blas_threads
 
         pin_cores(2)
         model = build_model("bert", variant="small")
         feeds = [example_inputs(model, seed=40 + i) for i in range(16)]
+        before = blas_threads()
         with InferenceEngine() as engine:
             outputs, artifact = serve_across_replicas(engine, model, feeds)
+            assert blas_threads() == 1
             assert artifact.max_replicas == 2
             replicas = list(artifact.replicas)
             assert [r.session.executor for r in replicas] == ["plan", "process"]
@@ -957,7 +1011,8 @@ class TestLaneReplicas:
             runs = [key for key in snapshot
                     if key.startswith("serving_resilience_retries_total{")]
             assert sorted(key.split('replica="')[1][0] for key in runs) == ["0", "1"]
-        assert blas_threads() == 1
+        assert blas_threads() == before  # the last replica put it back
+        pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")
         for feed, served_out in zip(feeds, outputs):
             _assert_bitwise(served_out, plan.run(feed))
@@ -1024,6 +1079,29 @@ class TestLaneReplicas:
         plan = create_session(ramiel_compile(model), executor="plan")
         for feed, served_out in zip(feeds, outputs):
             _assert_bitwise(served_out, plan.run(feed))
+
+    def test_lone_requests_on_an_idle_two_core_lane_fork_nothing(
+            self, pin_cores):
+        """A lone request is a share of one on replica 0, in process: one
+        after another, they never leave a backlog that would fork."""
+        import multiprocessing
+
+        from repro.runtime.blas import blas_threads
+
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=seed) for seed in range(8)]
+        before = blas_threads()
+        children = set(multiprocessing.active_children())
+        with tiny_engine(max_batch_size=8) as engine:
+            for feed in feeds:
+                engine.infer(model, feed)
+            artifact = artifact_of(engine, model, feeds[0])
+            assert artifact.max_replicas == 2
+            assert [r.index for r in artifact.replicas] == [0]
+            assert artifact.dispatcher.stats()["primary_runs"] == len(feeds)
+            assert set(multiprocessing.active_children()) <= children
+            assert blas_threads() == before
 
     @pytest.mark.parametrize("executor", ["interp", "process"])
     def test_other_executors_keep_one_replica(self, executor, pin_cores):
