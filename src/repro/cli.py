@@ -5,7 +5,7 @@ Usage examples::
     ramiel list                              # show the model zoo
     ramiel analyze squeezenet                # Table-I style graph metrics
     ramiel compile squeezenet -o out/        # full pipeline + generated code
-    ramiel compile bert --prune --clone
+    ramiel compile bert --clone
     ramiel compile squeezenet --batch-size 4 --switched
     ramiel run nasnet --backend process      # compile, place on this host's cores, run
     ramiel warmup squeezenet bert            # pre-compile into the serving cache
@@ -70,12 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     warmup_p.add_argument("models", nargs="+",
                           help="model names (e.g. squeezenet bert)")
     warmup_p.add_argument("--variant", default="small", choices=["default", "small"])
-    # Executor strings are validated eagerly by EngineConfig against the
-    # session registry (repro.runtime.session.EXECUTOR_REGISTRY); no
-    # choices= here so parser construction stays import-light.
-    warmup_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
-                          help="request executor from the session registry "
-                               "(plan | interp | pool | process)")
     warmup_p.add_argument("--json", action="store_true", help="print a JSON summary")
 
     serve_p = sub.add_parser(
@@ -90,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="concurrent caller threads (default 8)")
     serve_p.add_argument("--max-batch", type=int, default=8,
                          help="micro-batch max size (default 8)")
-    serve_p.add_argument("--executor", default="plan", metavar="EXECUTOR",
-                         help="request executor from the session registry "
-                              "(plan | interp | pool | process)")
     serve_p.add_argument("--compare-naive", type=int, default=0, metavar="N",
                          help="also measure N naive compile-per-request calls per model")
     serve_p.add_argument("--json", action="store_true", help="print a JSON summary")
@@ -150,9 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline budget in seconds")
         p.add_argument("--max-batch", type=int, default=8,
                        help="micro-batch max size (default 8)")
-        p.add_argument("--executor", default="plan", metavar="EXECUTOR",
-                       help="request executor from the session registry "
-                            "(plan | interp | pool | process)")
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write a Chrome trace of the run here")
 
@@ -267,9 +255,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_warmup(args: argparse.Namespace) -> int:
-    from repro.serving import EngineConfig, InferenceEngine
+    from repro.serving import InferenceEngine
 
-    engine = InferenceEngine(EngineConfig(executor=args.executor))
+    engine = InferenceEngine()
     summaries = []
     try:
         for name in args.models:
@@ -296,10 +284,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         naive_throughput,
     )
 
-    engine = InferenceEngine(EngineConfig(
-        max_batch_size=args.max_batch,
-        executor=args.executor,
-    ))
+    engine = InferenceEngine(EngineConfig(max_batch_size=args.max_batch))
     per_model = []
     try:
         models = [_load_model(name, args.variant) for name in args.models]
@@ -486,7 +471,7 @@ def _gateway_stack(args: argparse.Namespace):
     qos = QoSConfig(tenants=tenants, max_queue_depth=args.max_queue_depth)
     tracer = Tracer() if args.trace_out else None
     engine = InferenceEngine(EngineConfig(
-        max_batch_size=args.max_batch, executor=args.executor, qos=qos),
+        max_batch_size=args.max_batch, qos=qos),
         tracer=tracer)
     models = {name: _load_model(name, args.variant) for name in args.models}
     server = GatewayServer(engine, models, GatewayConfig(

@@ -43,7 +43,7 @@ Example::
 from __future__ import annotations
 
 import os
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -87,23 +87,16 @@ def known_executors() -> Tuple[str, ...]:
     return tuple(EXECUTOR_REGISTRY)
 
 
-def validate_executor(name: str, allowed: Optional[Sequence[str]] = None,
-                      context: str = "executor") -> str:
+def validate_executor(name: str, context: str = "executor") -> str:
     """Validate an executor name eagerly against the central registry.
 
-    Raises :class:`ValueError` naming the known registry (and, when a
-    caller supports only a subset, the subset) so a typo fails at
-    configuration time instead of deep inside dispatch.
+    Raises :class:`ValueError` naming the known registry so a typo fails
+    at configuration time instead of deep inside dispatch.
     """
     if name not in EXECUTOR_REGISTRY:
         raise ValueError(
             f"unknown {context} {name!r}; known executors: "
             f"{', '.join(EXECUTOR_REGISTRY)}")
-    if allowed is not None and name not in allowed:
-        raise ValueError(
-            f"{context} {name!r} is not supported here; choose from: "
-            f"{', '.join(allowed)} (full registry: "
-            f"{', '.join(EXECUTOR_REGISTRY)})")
     return name
 
 

@@ -5,8 +5,8 @@ This subsystem amortizes that work across request traffic:
 
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door
   and the one request path: validate → admit; then a free replica of the
-  artifact's lane (one thread per replica; a ``"plan"`` lane grows to one
-  replica per core under load) takes a micro-batch out of the admission
+  artifact's lane (one thread per replica; the lane grows from its
+  in-process plan to one replica per core under load) takes a micro-batch out of the admission
   queue → dispatches it under the resilience policy → session execute →
   resolves each request's one future.
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of

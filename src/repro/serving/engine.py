@@ -17,8 +17,7 @@ are configured by value (:class:`EngineConfig`), never switched off:
    (:mod:`repro.serving.artifact_cache`).
 2. **Session execution** — each replica holds a
    :class:`~repro.runtime.session.Session` (the unified execution
-   surface).  With the default ``executor="plan"`` replica 0's batches
-   run through a compile-once
+   surface).  Replica 0's batches run in process through a compile-once
    :class:`~repro.runtime.plan.ExecutionPlan` (the model's generated
    sequential source plus a memory planner that packs one slab per input
    signature, in-place ops sharing their input's range): no per-request ``GraphExecutor``
@@ -26,13 +25,10 @@ are configured by value (:class:`EngineConfig`), never switched off:
    fused batches are stacked into reused staging buffers instead of a
    fresh ``concatenate`` per batch and run through ``Session.run``, and
    every in-process batch runs under a watchdog so a stuck batch cannot
-   pin the artifact's lane.  ``executor="pool"``/``"process"`` instead
-   serve via the generated parallel module on warm worker pools, one
-   worker per placed cluster (<= cores; :mod:`repro.runtime.worker_pool`),
-   the paper-shaped multi-worker runtime.
+   pin the artifact's lane.
 3. **Replicas** — splitting one request across cores loses on a CPU at
-   batch 1, while whole requests side by side scale, so a ``"plan"``
-   lane serves one hot model on every core: it holds up to
+   batch 1, while whole requests side by side scale, so every lane
+   serves one hot model on every core: it holds up to
    R = ``available_cores()`` replicas and a free replica takes its share
    of the backlog.  Replica 0 is the in-process plan session above; when
    a replica's take leaves requests queued and no replica is idle, the
@@ -45,8 +41,8 @@ are configured by value (:class:`EngineConfig`), never switched off:
    caller's budget).  Each replica has its own dispatcher:
    retry, ``heal()``, breaker and degraded fallback act per replica, and
    a process replica left broken retires while the others serve on.
-   ``"interp"``, ``"pool"`` and ``"process"`` lanes, a one-core host and
-   a host whose BLAS the engine cannot pin (``"unmanaged"``) keep R = 1.
+   A one-core host and a host whose BLAS the engine cannot pin
+   (``"unmanaged"``) keep R = 1.
 4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
@@ -108,7 +104,7 @@ from repro.runtime.blas import (
     hold_one_blas_thread,
     release_one_blas_thread,
 )
-from repro.runtime.session import Session, create_session, validate_executor
+from repro.runtime.session import Session, create_session
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
     BATCH_AXIS,
@@ -144,21 +140,11 @@ class EngineConfig:
     #: compiled artifacts kept warm before LRU eviction; size it above the
     #: concurrently-served working set (model x config x signature triples)
     cache_capacity: int = 16
-    #: request execution engine — any name from
-    #: :func:`repro.runtime.session.known_executors`: "plan" (default — the
-    #: compile-once planned hot path; under load the lane adds one-worker
-    #: forked replicas up to one per core and pins BLAS to one thread in
-    #: this process and every replica), "interp" (the reference interpreter
-    #: behind the same Session interface), or "pool"/"process" (the
-    #: generated parallel module on warm thread/fork workers, one per placed
-    #: cluster, <= cores).  Every executor but "plan" serves one batch at a
-    #: time per artifact.
-    executor: str = "plan"
-    #: per-batch execution watchdog (all executors — in-process sessions
-    #: run batches on a watchdog thread so a stuck batch cannot pin the
-    #: lane forever) and the one bound on a wedged pool worker: a batch
-    #: silent past it fails.  A pool worker that *dies* fails its batch
-    #: within the pool's fail grace instead.
+    #: per-batch time bound: replica 0 runs its batches on a watchdog
+    #: thread so a stuck batch cannot pin the lane forever, and a forked
+    #: replica's batch whose worker stays silent past it fails.  A forked
+    #: worker that *dies* fails its batch within the pool's fail grace
+    #: instead.
     timeout_s: float = 300.0
     #: admission control (:class:`repro.serving.qos.QoSConfig`) — the one
     #: queue between submit and execute: weighted deadline-aware queueing,
@@ -170,23 +156,20 @@ class EngineConfig:
     #: dispatch policy every batch runs under
     #: (:class:`repro.resilience.ResilienceConfig`): batch retry with
     #: session recovery, artifact-level circuit breaking and degraded
-    #: fallback onto the in-process "plan" executor.  The default is
-    #: :data:`FAIL_FAST`.
+    #: fallback onto an in-process plan.  The default is :data:`FAIL_FAST`.
+    #: Its ``fault_injector`` reaches the forked replicas' workers only:
+    #: replica 0's plan has no pool to inject into.
     resilience: ResilienceConfig = FAIL_FAST
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
-
-    def __post_init__(self) -> None:
-        validate_executor(self.executor, context="serving executor")
 
 
 class _BatchWatchdog:
     """Runs in-process batches on a private thread with a deadline.
 
-    The pool executor has always had per-batch timeout + broken-artifact
-    recovery (a run that times out marks the pool broken and the artifact
-    is invalidated).  This ports the same semantics to the in-process
-    session executors ("plan"/"interp"): batches execute on the watchdog's
+    A worker pool has its own per-batch timeout (a run that times out
+    marks the pool broken).  This gives replica 0's in-process plan the
+    same semantics: batches execute on the watchdog's
     worker thread, the lane waits with a timeout, and a batch that
     never returns marks the watchdog (and its session) broken instead of
     pinning the artifact's lane forever.  The wedged
@@ -289,12 +272,12 @@ class Replica:
     """One session of an artifact's lane, and how a batch runs on it.
 
     Wraps the session in what every batch needs: a time bound (a watchdog
-    thread for an in-process session, the pool's own timeout otherwise),
-    the repair between retries (:meth:`recover`), a lazily built degraded
-    ``"plan"`` fallback for a pool-backed session, and the
+    thread for the in-process plan, the pool's own timeout for a forked
+    replica), the repair between retries (:meth:`recover`), a lazily built
+    degraded in-process plan fallback for a forked replica, and the
     :class:`~repro.resilience.ResilientDispatcher` every batch runs under.
-    Replica 0 is the session the artifact was compiled into; the one-worker
-    ``"process"`` replicas a ``"plan"`` lane forks each get their own
+    Replica 0 is the plan session the artifact was compiled into; the
+    one-worker process replicas the lane forks each get their own
     dispatcher, so retry, breaker, ``heal()`` and fallback act per replica.
     """
 
@@ -411,9 +394,9 @@ class CompiledArtifact:
 
     Every replica is a :class:`~repro.runtime.session.Session` over the
     compiled result; requests never construct a fresh ``GraphExecutor``
-    (or any other per-request execution state).  Replica 0 is the session
-    :attr:`EngineConfig.executor` names; ``session``, ``dispatcher``,
-    ``stack``, ``run_batch`` and ``watchdog`` are its.
+    (or any other per-request execution state).  Replica 0 is the
+    in-process plan session; ``session``, ``dispatcher``, ``stack``,
+    ``run_batch`` and ``watchdog`` are its.
     """
 
     key: ArtifactKey
@@ -421,17 +404,17 @@ class CompiledArtifact:
     compile_time_s: float
     #: most requests a replica takes at once (1 when not :attr:`batchable`)
     max_batch: int
-    #: replica 0 first; a "plan" lane appends one-worker process replicas
+    #: replica 0 first; the lane appends one-worker process replicas
     replicas: List[Replica]
-    #: R — the most replicas the lane may run: the host's cores for a
-    #: "plan" lane whose BLAS the engine can pin, 1 otherwise
+    #: R — the most replicas the lane may run: the host's cores where the
+    #: engine can pin BLAS, 1 otherwise
     max_replicas: int = 1
     #: the cores the lane was sized on
     cores: int = 1
 
     @property
     def session(self) -> Session:
-        """Replica 0's session: the plan, interpreter or warm pool."""
+        """Replica 0's session: the in-process plan."""
         return self.replicas[0].session
 
     @property
@@ -455,7 +438,7 @@ class CompiledArtifact:
 
     @property
     def watchdog(self) -> Optional[_BatchWatchdog]:
-        """Replica 0's watchdog thread (in-process sessions)."""
+        """Replica 0's watchdog thread."""
         return self.replicas[0].watchdog
 
     @property
@@ -706,14 +689,14 @@ class _Lane:
 
 class InferenceEngine:
     """Serves Ramiel-compiled models with artifact caching, micro-batching
-    and, for ``"plan"`` lanes, one replica per core.
+    and one replica per core.
 
     The engine is thread-safe: any number of caller threads may ``submit``
     concurrently, which is precisely what fills the micro-batches.
 
     **It changes the caller's numpy while it serves on forked replicas.**
-    A BLAS thread count is process-global: while any ``"plan"`` lane runs
-    a forked replica, the engine holds every loaded OpenBLAS copy of
+    A BLAS thread count is process-global: while any lane runs a forked
+    replica, the engine holds every loaded OpenBLAS copy of
     *this process* at one thread — the caller's own BLAS calls run on one
     thread too.  When the last forked replica closes (eviction,
     retirement or :meth:`shutdown`), the count found before the first
@@ -725,9 +708,6 @@ class InferenceEngine:
     def __init__(self, config: Optional[EngineConfig] = None, *,
                  registry=None, tracer=None) -> None:
         self.config = config or EngineConfig()
-        # EngineConfig validates eagerly in __post_init__; re-validate here
-        # for callers that mutated the dataclass after construction.
-        validate_executor(self.config.executor, context="serving executor")
         # One MetricsRegistry per engine (or a caller-shared one): serving
         # counters live in it, and a pull collector publishes every cached
         # artifact's plan/arena/binding gauges — the single snapshot that
@@ -812,7 +792,6 @@ class InferenceEngine:
         return {
             "model": model.name,
             "warmup_time_s": round(time.perf_counter() - start, 4),
-            "executor": self.config.executor,
             "batchable": lane.wait().batchable,
             "cached_artifacts": self._cache.stats()["size"],
             "compiles": self.metrics.snapshot()["cache"]["compiles"],
@@ -864,36 +843,26 @@ class InferenceEngine:
 
     def _compile(self, model: Model, key: ArtifactKey) -> CompiledArtifact:
         start = time.perf_counter()
-        executor = self.config.executor
-        # The in-process session executes the optimized model directly; the
-        # parallel module is generated when a pool-backed session (or a
-        # lane's first process replica, placement(1) only) needs it.
+        # The plan executes the optimized model directly; the parallel
+        # module is generated when the lane's first process replica
+        # (placement(1) only) needs it.
         result = ramiel_compile(model, config=dataclasses.replace(
-            self.config.pipeline,
-            generate_code=executor not in ("plan", "interp")))
-        # Run-level session spans (and per-step plan spans for "plan"
-        # executors) nest inside the lane's batch.execute span;
-        # pool-backed sessions additionally ship per-worker execute spans
-        # home for merged traces.
-        session = create_session(result, executor=executor,
-                                 timeout_s=self.config.timeout_s,
-                                 tracer=self.tracer,
-                                 max_batch=self.config.max_batch_size)
+            self.config.pipeline, generate_code=False))
+        # Run-level session spans and per-step plan spans nest inside the
+        # lane's batch.execute span; forked replicas additionally ship
+        # per-worker execute spans home for merged traces.
+        session = create_session(result, executor="plan", tracer=self.tracer)
         replica = Replica(0, session, result, self.config,
                           f"{model.name}@{key.short()}")
         batchable = self._probe_batchable(replica.execute, key.input_signature)
         if replica.broken:
             replica.recover()
-        if batchable and replica.stacker is not None:
+        if batchable:
             replica.stack = replica.stacker
-        # Faults start after the probe, which must see the artifact's real
-        # behaviour on a quiet pool.
-        self._attach_faults(session)
         # read through the module: the one seam placement and tests pin
         cores = session_module.available_cores()
         max_replicas = 1
-        if (executor == "plan" and cores > 1
-                and self._coordinator_blas() != UNMANAGED):
+        if cores > 1 and self._coordinator_blas() != UNMANAGED:
             max_replicas = cores
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
@@ -904,8 +873,8 @@ class InferenceEngine:
 
     def _process_replica(self, artifact: CompiledArtifact,
                          index: int) -> Replica:
-        """Fork one more replica of a "plan" lane: a one-worker "process"
-        session of ``placement(1)``.
+        """Fork one more replica of a lane: a one-worker process session
+        of ``placement(1)``.
 
         The coordinator's BLAS is held at one thread first, the budget
         every forked worker pins itself to, so a response is bitwise the
@@ -922,7 +891,9 @@ class InferenceEngine:
         except BaseException:
             self._blas = release_one_blas_thread()
             raise
-        self._attach_faults(session)
+        injector = self.config.resilience.fault_injector
+        if injector is not None:
+            session.pool.set_fault_injector(injector)
         return Replica(index, session, artifact.result, self.config,
                        f"{artifact.model_name}@{artifact.key.short()}/r{index}")
 
@@ -933,11 +904,6 @@ class InferenceEngine:
             replica.close()
         finally:
             self._blas = release_one_blas_thread()
-
-    def _attach_faults(self, session: Session) -> None:
-        injector = self.config.resilience.fault_injector
-        if session.pool is not None and injector is not None:
-            session.pool.set_fault_injector(injector)
 
     def _coordinator_blas(self):
         """This process's BLAS threads (read once; the engine's own pin
@@ -1076,28 +1042,26 @@ def _lane_gauges(artifact: CompiledArtifact, replicas: List[Replica],
     """``(name, value, help)`` of every gauge one cached artifact publishes
     once: its budget, then replica 0's plan memory."""
     blas = [replica.blas_threads(coordinator_blas) for replica in replicas]
-    pool = replicas[0].session.pool
     yield ("serving_lane_cores", artifact.cores,
            "Cores a cached artifact's lane was sized on")
     yield ("serving_lane_replicas", len(replicas),
            "Replicas (R) a cached artifact's lane runs batches on")
-    yield ("serving_lane_workers", 1 if pool is None else pool.num_clusters,
+    yield ("serving_lane_workers", 1,
            "Workers per replica (K) of a cached artifact's lane")
     yield ("serving_lane_blas_threads",
            0 if UNMANAGED in blas else max(blas),
            "BLAS threads per worker (B) of a cached artifact's lane; "
            "0 = unmanaged")
-    plan = replicas[0].session.stats().get("plan")
-    if plan is not None:
-        arena, binding = plan["arena"], plan["output_binding"]
-        yield ("serving_plan_arena_allocations", arena["allocations"],
-               "Slab and scratch allocations of a cached artifact's plan")
-        yield ("serving_plan_slab_bytes", arena["slab_bytes"],
-               "Bytes of a cached plan's per-signature memory slabs")
-        yield ("serving_plan_output_direct_writes", binding["direct_writes"],
-               "Bound outputs written in place by a cached plan")
-        yield ("serving_plan_output_copy_writes", binding["copy_writes"],
-               "Bound outputs finalized by copy in a cached plan")
+    plan = replicas[0].session.stats()["plan"]
+    arena, binding = plan["arena"], plan["output_binding"]
+    yield ("serving_plan_arena_allocations", arena["allocations"],
+           "Slab and scratch allocations of a cached artifact's plan")
+    yield ("serving_plan_slab_bytes", arena["slab_bytes"],
+           "Bytes of a cached plan's per-signature memory slabs")
+    yield ("serving_plan_output_direct_writes", binding["direct_writes"],
+           "Bound outputs written in place by a cached plan")
+    yield ("serving_plan_output_copy_writes", binding["copy_writes"],
+           "Bound outputs finalized by copy in a cached plan")
 
 
 def _replica_gauges(replica: Replica):

@@ -398,8 +398,10 @@ class _Takers:
     A taker — a lane's replica — is *idle* from the moment it enters
     :meth:`QoSFrontend.take_batch` until it takes a batch, and *busy* from
     then until it comes back: both changes happen under the frontend's
-    lock, so a count read there is exact.  One record per key ever taken;
-    a key is an artifact, so their number is the engine's working set.
+    lock, so a count read there is exact.  A record lives while its key
+    has an idle taker: the last one to leave drops it, so the frontend
+    holds one record per key a taker waits on, and a missing record
+    reads as "no idle taker".
     """
 
     __slots__ = ("cond", "idle", "primary_idle")
@@ -678,7 +680,7 @@ class QoSFrontend:
                         (batch if self._pop_is_live_locked(request, now)
                          else expired).append(request)
                     if batch:
-                        takers.count(primary, -1)  # busy from here
+                        self._leave_locked(key, takers, primary)  # busy
                         idle = False
                         self._observe_take_locked(now, len(batch))
                     elif not expired:
@@ -694,7 +696,17 @@ class QoSFrontend:
         finally:
             if idle:
                 with self._lock:
-                    takers.count(primary, -1)
+                    self._leave_locked(key, takers, primary)
+
+    def _leave_locked(self, key, takers: _Takers, primary: bool) -> None:
+        """One taker of ``key`` stops being idle; the last drops the record.
+
+        Every taker holding ``takers`` is counted idle until it leaves, so
+        no waiter is left on a dropped record's condition.
+        """
+        takers.count(primary, -1)
+        if not takers.idle:
+            del self._takers[key]
 
     def _takers_of(self, key) -> _Takers:
         """The takers of ``key`` (created on first use; lock held)."""

@@ -11,9 +11,10 @@ engine, asserting the properties the layer promises:
   before the pool uses it;
 * an injected failure mid-batch is retried and the caller's future
   resolves with **bitwise-correct** outputs;
-* a persistently failing artifact trips its circuit breaker and serving
-  degrades onto the in-process ``"plan"`` executor, then recovers through
-  a half-open probe;
+* a persistently failing forked serving replica trips its circuit breaker
+  and degrades onto an in-process plan, then recovers through a half-open
+  probe; a broken one under the fail-fast default retires while replica 0
+  serves on;
 * every recovery decision is visible in ``stats()`` and the shared
   ``MetricsRegistry``.
 
@@ -37,7 +38,9 @@ from tests.conftest import (
     build_diamond_model,
     build_wide_model,
     cached_artifacts,
+    gate_session,
     managed_blas,
+    serve_across_replicas,
 )
 from repro.pipeline import ramiel_compile
 from repro.resilience import (
@@ -592,22 +595,26 @@ class TestSessionRecover:
         finally:
             session.close()
 
+    @managed_blas
     def test_failed_heal_is_served_by_the_degraded_fallback(
-            self, chain_compiled, monkeypatch):
-        model, _, feed, reference = chain_compiled
+            self, chain_compiled, monkeypatch, pin_cores):
+        pin_cores(2)
+        model, _, feed, _ = chain_compiled
+        feeds = [feed] + [example_inputs(model, seed=s) for s in (8, 9)]
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=1)])
-        config = EngineConfig(executor="process", max_batch_size=1,
-                              timeout_s=60.0, resilience=ResilienceConfig())
+        config = EngineConfig(max_batch_size=1, timeout_s=60.0,
+                              resilience=ResilienceConfig())
         with InferenceEngine(config) as engine:
-            engine.warmup(model, feed)
-            artifact = cached_artifacts(engine)[0]
-            pool = artifact.session.pool
+            served, artifact = serve_across_replicas(engine, model, feeds)
+            replica = artifact.replicas[1]
+            pool = replica.session.pool
             pool.set_fault_injector(injector)
             monkeypatch.setattr(pool, "heal", _heal_fails)
-            _assert_bitwise(engine.infer(model, feed), reference)
-            assert artifact.dispatcher.stats()["degraded_runs"] >= 1
+            outputs = replica.run_batch(feed)
+            assert replica.dispatcher.stats()["degraded_runs"] >= 1
             assert injector.stats() == {"worker.execute:exc": 1}
+        _assert_plan_bitwise(model, feeds + [feed], served + [outputs])
 
     def test_interp_session_recovers(self):
         model = build_diamond_model()
@@ -714,78 +721,102 @@ class TestResilientDispatcher:
 
 
 # ---------------------------------------------------------------------------
-# Serving-engine integration
+# Serving-engine integration: faults reach the lane's forked replicas
 # ---------------------------------------------------------------------------
-class TestServingResilience:
-    def test_injected_batch_failure_is_retried_to_bitwise_correctness(self):
-        model = build_diamond_model()
-        feed = example_inputs(model, seed=21)
-        with InferenceEngine(EngineConfig(executor="plan",
-                                          max_batch_size=1)) as plain:
-            reference = plain.infer(model, feed)
+def _assert_plan_bitwise(model, feeds, served) -> None:
+    """Every served output is the one-BLAS-thread plan's, bit for bit."""
+    from repro.runtime.blas import pin_blas_threads
 
-        injector = FaultInjector([FaultSpec(
-            site="worker.execute", kind="exc", times=2,
-            message="serving-chaos")])
+    pin_blas_threads(1)
+    plan = create_session(model, executor="plan")
+    assert len(feeds) == len(served)
+    for feed, outputs in zip(feeds, served):
+        _assert_bitwise(outputs, plan.run(feed))
+
+
+def _replica_gauge(engine, family: str, replica) -> float:
+    (value,) = [entry["value"] for key, entry in engine.registry.snapshot().items()
+                if key.startswith(family + "{")
+                and f'replica="{replica.index}"' in key]
+    return value
+
+
+class TestServingResilience:
+    """The chaos tests fork a lane's second replica
+    (``serve_across_replicas`` on two pinned cores), then fail that
+    replica's one worker: the configured ``fault_injector`` reaches only
+    forked replicas."""
+
+    @managed_blas
+    def test_injected_batch_failure_is_retried_to_bitwise_correctness(
+            self, pin_cores):
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=21 + i) for i in range(3)]
+        injector = FaultInjector()
         config = EngineConfig(
-            executor="pool", max_batch_size=1, timeout_s=60.0,
+            max_batch_size=1, timeout_s=60.0,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                                   jitter=0.0),
                 fault_injector=injector))
         with InferenceEngine(config) as engine:
-            engine.warmup(model, feed)  # injector fires on the first batches
-            outputs = engine.infer(model, feed)
-            _assert_bitwise(outputs, reference)
-            snapshot = engine.registry.snapshot()
-            retried = [v["value"] for k, v in snapshot.items()
-                       if k.startswith("serving_resilience_retries_total")]
-            assert retried and max(retried) >= 1
+            served, artifact = serve_across_replicas(engine, model, feeds)
+            replica0, replica = artifact.replicas
+            assert replica.session.pool._injector is injector
+            injector.add(FaultSpec(site="worker.execute", kind="exc",
+                                   times=2, message="serving-chaos"))
+            outputs = replica.run_batch(feeds[0])
+            assert injector.stats() == {"worker.execute:exc": 2}
+            stats = replica.dispatcher.stats()
+            assert stats["retries"] == stats["recoveries"] == 2
+            assert _replica_gauge(engine, "serving_resilience_retries_total",
+                                  replica) == 2
+            assert replica0.dispatcher.stats()["retries"] == 0
+        _assert_plan_bitwise(model, feeds + feeds[:1], served + [outputs])
 
-    def test_breaker_degrades_to_plan_and_recovers(self):
+    @managed_blas
+    def test_breaker_degrades_to_plan_and_recovers(self, pin_cores):
+        pin_cores(2)
         model = build_diamond_model()
-        feed = example_inputs(model, seed=22)
-        with InferenceEngine(EngineConfig(executor="plan",
-                                          max_batch_size=1)) as plain:
-            reference = plain.infer(model, feed)
-
-        injector = FaultInjector([FaultSpec(
-            site="worker.execute", kind="exc", times=-1,
-            message="always failing")])
+        feeds = [example_inputs(model, seed=22 + i) for i in range(3)]
+        injector = FaultInjector()
         config = EngineConfig(
-            executor="pool", max_batch_size=1, timeout_s=60.0,
+            max_batch_size=1, timeout_s=60.0,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                                   jitter=0.0),
                 breaker_threshold=1, breaker_cooldown_s=0.3,
                 fault_injector=injector))
         with InferenceEngine(config) as engine:
+            served, artifact = serve_across_replicas(engine, model, feeds)
+            replica = artifact.replicas[1]
+            dispatcher = replica.dispatcher
+            injector.add(FaultSpec(site="worker.execute", kind="exc",
+                                   times=-1, message="always failing"))
             # every primary attempt fails: the batch must still resolve,
-            # served by the degraded in-process plan executor
-            outputs = engine.infer(model, feed)
-            _assert_bitwise(outputs, reference)
-            artifacts = cached_artifacts(engine)
-            assert len(artifacts) == 1
-            dispatcher = artifacts[0].dispatcher
+            # served by the degraded in-process plan
+            served.append(replica.run_batch(feeds[0]))
             stats = dispatcher.stats()
-            assert stats["degraded_runs"] >= 1
-            assert stats["breaker"]["opens"] >= 1
+            assert stats["degraded_runs"] == 1
+            assert stats["breaker"]["opens"] == 1
 
-            # while open, requests keep being served (degraded)
-            _assert_bitwise(engine.infer(model, feed), reference)
+            # while open, batches keep being served (degraded)
+            served.append(replica.run_batch(feeds[1]))
+            assert dispatcher.stats()["degraded_runs"] == 2
 
             # the fault clears; after cooldown a half-open probe restores
-            # the pool fast path
+            # the forked worker's fast path
             injector.clear()
             time.sleep(0.35)
             primary_before = dispatcher.stats()["primary_runs"]
-            _assert_bitwise(engine.infer(model, feed), reference)
+            served.append(replica.run_batch(feeds[2]))
             assert dispatcher.stats()["primary_runs"] > primary_before
             assert dispatcher.stats()["breaker"]["state"] == "closed"
-            snapshot = engine.registry.snapshot()
-            degraded = [v["value"] for k, v in snapshot.items()
-                        if k.startswith("serving_resilience_degraded_runs")]
-            assert degraded and max(degraded) >= 1
+            assert _replica_gauge(engine, "serving_resilience_degraded_runs_total",
+                                  replica) == 2
+            assert artifact.replicas[1] is replica and not replica.retired
+        _assert_plan_bitwise(model, feeds + feeds, served)
 
     def test_default_config_is_fail_fast_through_the_dispatcher(self):
         """The default policy is a value of ResilienceConfig, not its
@@ -817,18 +848,44 @@ class TestServingResilience:
             _assert_bitwise(engine.infer(model, feed), reference)
             assert cached_artifacts(engine) == [artifact]
 
-        injector = FaultInjector([FaultSpec(
-            site="worker.execute", kind="exc", times=-1, message="boom")])
-        with InferenceEngine(EngineConfig(executor="pool", max_batch_size=1,
+    @managed_blas
+    def test_a_broken_forked_replica_retires_and_replica_0_serves_on(
+            self, pin_cores):
+        """Under the fail-fast default a forked replica whose one attempt
+        broke its pool retires: the lane drops it, the artifact stays
+        cached with no recompile, replica 0 serves on, and the process's
+        BLAS count is back once the replica has closed."""
+        from repro.runtime.blas import blas_threads
+
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=23 + i) for i in range(4)]
+        before = blas_threads()
+        with InferenceEngine(EngineConfig(max_batch_size=1,
                                           timeout_s=60.0)) as engine:
-            engine.warmup(model, feed)
-            artifact = cached_artifacts(engine)[0]
-            artifact.session.pool.set_fault_injector(injector)
+            served, artifact = serve_across_replicas(engine, model, feeds[:3])
+            replica0, replica = artifact.replicas
+            replica.session.pool.set_fault_injector(FaultInjector([FaultSpec(
+                site="worker.execute", kind="exc", times=-1, message="boom")]))
+            entered, release = gate_session(artifact)
+            held = engine.submit(model, feeds[0])  # replica 0 takes it
+            assert entered.wait(timeout=30.0)
             with pytest.raises(Exception, match="boom"):
-                engine.infer(model, feed)
-            assert artifact.dispatcher.stats()["retries"] == 0
-            # the failed run broke the pool: the artifact was dropped
-            assert artifact not in cached_artifacts(engine)
+                engine.submit(model, feeds[1]).result(timeout=60.0)
+            assert replica.retired
+            assert replica.dispatcher.stats()["retries"] == 0
+            release.set()
+            served.append(held.result(timeout=60.0))
+            _wait_until(lambda: artifact.replicas == [replica0],
+                        what="the retired replica dropped")
+            _wait_until(lambda: replica.session.closed
+                        and blas_threads() == before,
+                        what="the retired replica closed, BLAS count back")
+            served.append(engine.infer(model, feeds[3]))
+            assert cached_artifacts(engine) == [artifact]
+            assert engine.metrics.snapshot()["cache"]["compiles"] == 1
+            assert artifact.replicas == [replica0]
+        _assert_plan_bitwise(model, feeds[:3] + [feeds[0], feeds[3]], served)
 
 
 # ---------------------------------------------------------------------------

@@ -127,20 +127,29 @@ class TestBatchClosing:
     def frontend(self, config=None) -> QoSFrontend:
         frontend = QoSFrontend(config or QoSConfig(), MetricsRegistry(),
                                clock=FakeClock())
-        # every wait of the dispatch path must be untimed: record the rest
+        # every wait of the dispatch path must be untimed: record the rest,
+        # on every takers record — the last taker to leave drops its record
+        # and the next take builds a fresh one
         frontend.timed_waits = []
         frontend.waiting = threading.Event()
-        with frontend._lock:
-            cond = frontend._takers_of(self.KEY).cond
-        real_wait = cond.wait
+        real_takers_of = frontend._takers_of
 
-        def wait(timeout=None):
-            if timeout is not None:
-                frontend.timed_waits.append(timeout)
-            frontend.waiting.set()
-            return real_wait(timeout)
+        def takers_of(key):
+            takers = real_takers_of(key)
+            cond = takers.cond
+            if "wait" not in vars(cond):
+                real_wait = cond.wait
 
-        cond.wait = wait
+                def wait(timeout=None):
+                    if timeout is not None:
+                        frontend.timed_waits.append(timeout)
+                    frontend.waiting.set()
+                    return real_wait(timeout)
+
+                cond.wait = wait
+            return takers
+
+        frontend._takers_of = takers_of
         return frontend
 
     def take_in_thread(self, frontend, max_batch, closing=lambda: False):
@@ -550,6 +559,24 @@ class TestInferenceEngine:
             engine.infer(diamond, example_inputs(diamond))
             assert engine.metrics.snapshot()["cache"]["compiles"] == 3
 
+    def test_evicted_keys_leave_no_takers_record(self):
+        """The frontend keeps one takers record per key a replica waits on,
+        not one per key ever served: the last taker to leave drops it."""
+        with tiny_engine(cache_capacity=2) as engine:
+            for index in range(5):
+                model = build_diamond_model(f"diamond{index}")
+                engine.infer(model, example_inputs(model))
+            assert engine.metrics.snapshot()["cache"]["evictions"] == 3
+            deadline = time.monotonic() + 10.0
+            while True:  # the evicted lanes' threads leave on their own
+                with engine.qos._lock:
+                    records = dict(engine.qos._takers)
+                waiting = [key for key, takers in records.items() if takers.idle]
+                if len(waiting) == len(records) <= 2:
+                    break
+                assert time.monotonic() < deadline, records
+                time.sleep(0.001)
+
     def test_shutdown_rejects_new_requests(self):
         model = build_diamond_model()
         engine = tiny_engine()
@@ -566,19 +593,20 @@ class TestInferenceEngine:
         assert cache["misses"] == 1
         assert cache["hits"] == 0
 
-    def test_broken_pool_is_invalidated_and_recompiled(self):
-        """A wedged warm pool must not poison the artifact forever."""
+    def test_broken_plan_is_invalidated_and_recompiled(self):
+        """Replica 0's plan session left broken must not poison the
+        artifact forever."""
         model = build_diamond_model()
-        with tiny_engine(executor="pool") as engine:
+        with tiny_engine() as engine:
             feed = example_inputs(model)
-            engine.infer(model, feed)
+            reference = engine.infer(model, feed)
             artifact = artifact_of(engine, model, feed)
-            artifact.session.pool._broken = True  # simulate a timed-out/failed run
+            artifact.session.mark_broken("simulated wedged run")
             with pytest.raises(RuntimeError, match="broken"):
                 engine.infer(model, feed)
             # the poisoned artifact was dropped; the next request recompiles
-            outputs = engine.infer(model, feed)
-            assert outputs
+            _assert_bitwise(engine.infer(model, feed), reference)
+            assert artifact_of(engine, model, feed) is not artifact
             snapshot = engine.metrics.snapshot()["cache"]
             assert snapshot["compiles"] == 2
             assert snapshot["evictions"] == 1
@@ -594,26 +622,6 @@ class TestInferenceEngine:
             outputs = engine.infer(model, feed)
             assert outputs
             assert engine.metrics.snapshot()["cache"]["compiles"] == 2
-
-    def test_pool_executor_serves_correctly(self):
-        """The warm-pool execution path stays a first-class alternative."""
-        model = build_diamond_model()
-        reference = ramiel_compile(model)
-        with tiny_engine(executor="pool") as engine:
-            feed = example_inputs(model, seed=2)
-            outputs = engine.infer(model, feed)
-            expected = reference.run_sequential(feed)
-            for name, ref in expected.items():
-                np.testing.assert_allclose(outputs[name], ref, rtol=1e-5, atol=1e-6)
-            artifact = artifact_of(engine, model, feed)
-            assert artifact.session.pool is not None
-            assert artifact.session.plan is None
-
-    def test_unknown_executor_rejected_eagerly_with_registry(self):
-        """A typo'd executor fails at config construction, naming the
-        known registry — not deep inside dispatch."""
-        with pytest.raises(ValueError, match="plan, interp, pool, process"):
-            EngineConfig(executor="bogus")
 
     def test_plan_executor_routes_requests_through_execution_plan(self):
         """Default serving executes via the cached ExecutionPlan."""
@@ -688,7 +696,7 @@ class TestInferenceEngine:
 
 
 # ---------------------------------------------------------------------------
-# Session-era serving: pinned staging, plan-path watchdog, interp executor
+# Session-era serving: pinned staging, plan-path watchdog
 # ---------------------------------------------------------------------------
 class TestSessionServing:
     def test_artifacts_hold_sessions(self):
@@ -700,20 +708,6 @@ class TestSessionServing:
             assert artifact.session is not None
             assert artifact.session.executor == "plan"
             assert artifact.watchdog is not None
-
-    def test_interp_executor_serves_correctly(self):
-        model = build_diamond_model()
-        reference = ramiel_compile(model)
-        with tiny_engine(executor="interp") as engine:
-            feed = example_inputs(model, seed=3)
-            outputs = engine.infer(model, feed)
-            expected = reference.session(executor="interp").run(feed)
-            for name, ref in expected.items():
-                np.testing.assert_array_equal(outputs[name], ref)
-            artifact = artifact_of(engine, model, feed)
-            assert artifact.session.interpreter is not None
-            assert artifact.session.plan is None
-            assert artifact.session.pool is None
 
     def test_pinned_stacker_reuses_staging_and_matches_concatenate(self):
         """Fused batches land in session-pinned staging buffers: no new
@@ -965,7 +959,7 @@ class TestLanes:
 def _wait_until_idle(engine, artifact, replicas: int, timeout: float = 10.0):
     """Block until ``replicas`` of the artifact's replicas wait for work."""
     deadline = time.monotonic() + timeout
-    while engine.qos._takers[artifact.key].idle < replicas:
+    while getattr(engine.qos._takers.get(artifact.key), "idle", 0) < replicas:
         assert time.monotonic() < deadline, "replicas did not come back idle"
         time.sleep(0.001)
 
@@ -1103,17 +1097,6 @@ class TestLaneReplicas:
             assert set(multiprocessing.active_children()) <= children
             assert blas_threads() == before
 
-    @pytest.mark.parametrize("executor", ["interp", "process"])
-    def test_other_executors_keep_one_replica(self, executor, pin_cores):
-        pin_cores(2)
-        model = build_diamond_model()
-        feed = example_inputs(model)
-        with tiny_engine(executor=executor) as engine:
-            engine.infer(model, feed)
-            artifact = artifact_of(engine, model, feed)
-            assert artifact.max_replicas == 1
-            assert len(artifact.replicas) == 1
-
     def test_unmanaged_blas_keeps_one_replica(self, pin_cores, monkeypatch):
         import repro.serving.engine as engine_module
 
@@ -1130,29 +1113,34 @@ class TestLaneReplicas:
 
 
 # ---------------------------------------------------------------------------
-# The batch-fusion probe runs through the artifact's own executor
+# The batch-fusion probe: one verdict per compiled model
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_probe_verdict_is_identical_across_executors(name):
     """``batchable`` is a property of the compiled model, not of the
-    executor that probed it — and an executor that failed the batch-of-two
-    probe run (BERT bakes the batch size into its reshapes) serves the very
-    next request correctly.  Every executor computes at the forked
-    workers' one BLAS thread: bitwise at equal budget (``restore_blas``
-    puts the count back)."""
+    executor that probed it: replica 0's plan probes once and the lane's
+    forked replicas serve under that verdict, so a one-worker process
+    session must reach the same one.  A plan that failed the batch-of-two
+    probe run (BERT bakes the batch size into its reshapes) serves the
+    very next request bitwise.  Everything computes at the forked workers'
+    one BLAS thread (``restore_blas`` puts the count back)."""
     from repro.runtime.blas import pin_blas_threads
 
     pin_blas_threads(1)
     model = build_model(name, variant="small")
     feed = example_inputs(model, seed=5)
     reference = create_session(model, executor="interp").run(feed)
-    for executor in ("plan", "interp", "pool", "process"):
-        with InferenceEngine(EngineConfig(executor=executor)) as engine:
-            summary = engine.warmup(model)
-            assert summary["batchable"] is (name != "bert"), executor
-            outputs = engine.infer(model, feed)
-            for key, ref in reference.items():
-                np.testing.assert_array_equal(outputs[key], ref)
+    with InferenceEngine() as engine:
+        summary = engine.warmup(model)
+        assert summary["batchable"] is (name != "bert")
+        outputs = engine.infer(model, feed)
+        artifact = artifact_of(engine, model, feed)
+        with create_session(artifact.result, executor="process",
+                            cores=1) as forked:
+            assert engine._probe_batchable(
+                forked.run, artifact.key.input_signature) is artifact.batchable
+    for key, ref in reference.items():
+        np.testing.assert_array_equal(outputs[key], ref)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class TestExecutorRegistry:
         with pytest.raises(ValueError, match="plan, interp, pool, process"):
             validate_executor("turbo")
 
-    def test_validate_rejects_outside_allowed_subset(self):
-        with pytest.raises(ValueError, match="choose from: plan"):
-            validate_executor("pool", allowed=("plan",))
-
     def test_create_session_validates_eagerly(self):
         with pytest.raises(ValueError, match="known executors"):
             create_session(build_diamond_model(), executor="bogus")
