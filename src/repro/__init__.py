@@ -26,8 +26,8 @@ with every substrate it depends on:
   histograms, Prometheus text exposition) shared by plan, session and
   serving,
 * :mod:`repro.resilience` — self-healing execution: deterministic fault
-  injection, retry policies, circuit breaking and degraded serving (the
-  warm pools respawn their own dead workers),
+  injection and retry policies (the warm pools respawn their own dead
+  workers, and a lane's replica 0 answers for a failing forked replica),
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
   engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
   bitwise exact, parsed closed) plus
@@ -83,9 +83,7 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "RetryPolicy",
-    "CircuitBreaker",
     "ResilienceConfig",
-    "ResilientDispatcher",
 ]
 
 
@@ -120,8 +118,7 @@ def __getattr__(name):
 
         return getattr(_observability, name)
     if name in ("FaultInjector", "FaultSpec", "InjectedFault", "RetryPolicy",
-                "CircuitBreaker", "BreakerOpen", "ResilienceConfig",
-                "ResilientDispatcher"):
+                "ResilienceConfig"):
         from repro import resilience as _resilience
 
         return getattr(_resilience, name)

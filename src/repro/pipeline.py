@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -289,22 +289,6 @@ def config_fingerprint(config: PipelineConfig) -> str:
         repr(config.cost_model),
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def artifact_fingerprint(model: Model, config: Optional[PipelineConfig] = None,
-                         input_signature: Optional[Tuple] = None) -> str:
-    """Combined cache key for one compiled artifact.
-
-    The serving layer keys its compiled-artifact cache by
-    ``(model fingerprint, config fingerprint, input signature)``; this helper
-    collapses the triple into a single hex digest for logging and file names.
-    """
-    digest = hashlib.sha256()
-    digest.update(model_fingerprint(model).encode())
-    digest.update(config_fingerprint(config or PipelineConfig()).encode())
-    if input_signature is not None:
-        digest.update(repr(input_signature).encode())
-    return digest.hexdigest()
 
 
 class RamielPipeline:

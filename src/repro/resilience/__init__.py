@@ -1,4 +1,4 @@
-"""Self-healing execution: fault injection, retry, degradation.
+"""Self-healing execution: fault injection and retry.
 
 The serving stack's fault-tolerance layer, built from small orthogonal
 pieces that compose across :mod:`repro.runtime` and :mod:`repro.serving`.
@@ -7,7 +7,10 @@ Worker liveness is not here: a
 workers where it already waits (a dead worker is respawned at dispatch
 and fails a run in flight within ``fail_grace_s``), and its ``heal()`` is
 the recovery entry point :meth:`~repro.runtime.session.Session.recover`
-calls.
+calls.  Redundancy is not here either: a serving lane's replicas are
+each other's, and a forked replica that still fails after its retries
+retires and hands its batch to replica 0
+(:class:`repro.serving.engine.Replica`).
 
 * :class:`FaultInjector` / :class:`FaultSpec` — deterministic fault
   injection (crash, hang, slow, exception, channel corruption, slab
@@ -15,30 +18,24 @@ calls.
   when detached.
 * :class:`RetryPolicy` — bounded attempts, deterministic-jitter backoff,
   per-request deadline budget.
-* :class:`CircuitBreaker` — artifact-level closed/open/half-open gate.
-* :class:`ResilientDispatcher` / :class:`ResilienceConfig` — the policy
-  stack the serving engine wraps around batch dispatch (retry + recover,
-  breaker, degraded fallback onto the in-process ``"plan"`` executor).
+* :class:`ResilienceConfig` — the serving engine's knob bundle
+  (``EngineConfig.resilience``): the retry policy every batch runs under
+  and the fault injector its forked replicas' workers get.
 """
 
-from repro.resilience.breaker import BreakerOpen, CircuitBreaker
-from repro.resilience.dispatch import ResilienceConfig, ResilientDispatcher
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
     FaultSpec,
     InjectedFault,
 )
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import ResilienceConfig, RetryPolicy
 
 __all__ = [
-    "BreakerOpen",
-    "CircuitBreaker",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
     "ResilienceConfig",
-    "ResilientDispatcher",
     "RetryPolicy",
 ]

@@ -10,9 +10,12 @@ a chaos test's recovery timeline replays exactly — all under an optional
 
 The policy is mechanism-free: :meth:`call` runs any callable, retrying on
 the configured exception types and invoking an ``on_retry`` hook (used by
-the serving dispatcher to run ``Session.recover()`` and bump metrics)
+a serving replica to run ``Session.recover()`` and bump its counters)
 between attempts.  When attempts or deadline run out, the *last* failure
 propagates unchanged, so callers still see the true error.
+
+:class:`ResilienceConfig` bundles the policy with an optional fault
+injector for the serving engine.  Its default is fail-fast: one attempt.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, Type
 
-__all__ = ["RetryPolicy"]
+__all__ = ["ResilienceConfig", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -117,3 +120,22 @@ class RetryPolicy:
                     on_retry(attempt, exc)
                 if delay > 0:
                     sleep(delay)
+
+
+@dataclass(frozen=True)
+class ResilienceConfig:
+    """Fault-tolerance knobs for a serving engine.
+
+    Parameters
+    ----------
+    retry:
+        Policy every batch runs under, with ``Session.recover()`` between
+        attempts.  The default, one attempt, is fail-fast: a failed batch
+        on replica 0 fails its requests with the executor's own error.
+    fault_injector:
+        Optional deterministic :class:`~repro.resilience.faults.FaultInjector`
+        attached to the forked replicas' pools for chaos testing.
+    """
+
+    retry: RetryPolicy = RetryPolicy(max_attempts=1)
+    fault_injector: Optional[object] = None

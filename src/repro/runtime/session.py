@@ -286,9 +286,9 @@ class Session:
           (respawn dead workers and those a failed run left stranded,
           drop stale hand-offs); if the heal raises or leaves the pool
           broken, this raises :class:`ParallelExecutionError` with the
-          pool still broken, and the caller's own fallback takes over (the
-          serving engine degrades onto its plan session or retires the
-          artifact);
+          pool still broken, and the caller's own fallback takes over (a
+          serving lane's forked replica retires and hands its batch to
+          replica 0);
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,

@@ -7,7 +7,7 @@ This subsystem amortizes that work across request traffic:
   and the one request path: validate → admit; then a free replica of the
   artifact's lane (one thread per replica; the lane grows from its
   in-process plan to one replica per core under load) takes a micro-batch out of the admission
-  queue → dispatches it under the resilience policy → session execute →
+  queue → runs it under the retry policy → session execute →
   resolves each request's one future.
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
   the artifacts' lanes keyed by (model fingerprint, config fingerprint,
@@ -43,7 +43,6 @@ from repro.models.inputs import (
     signature_inputs,
 )
 from repro.serving.engine import (
-    FAIL_FAST,
     CompiledArtifact,
     EngineConfig,
     InferenceEngine,
@@ -77,7 +76,6 @@ __all__ = [
     "BATCH_AXIS",
     "CompiledArtifact",
     "EngineConfig",
-    "FAIL_FAST",
     "InferenceEngine",
     "ServingError",
     "ServingMetrics",

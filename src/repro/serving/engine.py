@@ -6,8 +6,8 @@ pipeline into a serving loop with one request path and **one queue**:
 (:mod:`repro.serving.qos`) and makes sure the artifact for its signature
 has a *lane*; the lane compiles the artifact, then each of its
 *replicas* — one thread per replica — loops take micro-batch → stack →
-dispatch under a policy (:mod:`repro.resilience`) → session execute →
-scatter → resolve.  A request is one record with one future, it waits in
+execute under a retry policy (:mod:`repro.resilience`) → scatter →
+resolve.  A request is one record with one future, it waits in
 exactly one place, and ``submit`` never blocks on a compile.  The stages
 are configured by value (:class:`EngineConfig`), never switched off:
 
@@ -38,9 +38,10 @@ are configured by value (:class:`EngineConfig`), never switched off:
    holds *its own process's* BLAS at one thread as well
    (:mod:`repro.runtime.blas`), so a response is bitwise the same
    whichever replica computed it (with none, replica 0 computes at the
-   caller's budget).  Each replica has its own dispatcher:
-   retry, ``heal()``, breaker and degraded fallback act per replica, and
-   a process replica left broken retires while the others serve on.
+   caller's budget).  The replicas are each other's redundancy: retry
+   and ``heal()`` act per replica, and a forked replica that still fails
+   after its retries retires and hands the batch to replica 0, which
+   answers it bitwise; the next backlog may fork a fresh replica.
    A one-core host and a host whose BLAS the engine cannot pin
    (``"unmanaged"``) keep R = 1.
 4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -92,11 +92,7 @@ from repro.pipeline import (
     model_fingerprint,
     ramiel_compile,
 )
-from repro.resilience import (
-    ResilienceConfig,
-    ResilientDispatcher,
-    RetryPolicy,
-)
+from repro.resilience import ResilienceConfig
 from repro.runtime import session as session_module
 from repro.runtime.blas import (
     UNMANAGED,
@@ -118,16 +114,6 @@ from repro.serving.qos import QoSConfig, QoSFrontend
 
 class ShapeMismatchError(ServingError):
     """A request's inputs do not match the model's declared signature."""
-
-
-#: The fail-fast dispatch policy (the :attr:`EngineConfig.resilience`
-#: default): one attempt, a breaker that never opens, no degraded fallback
-#: — a failed batch fails its requests with the executor's own error, and
-#: an artifact whose executor is left broken is invalidated so the next
-#: request recompiles.  ``ResilienceConfig()`` is the self-healing
-#: spelling: retries with session recovery, breaker, fallback.
-FAIL_FAST = ResilienceConfig(retry=RetryPolicy(max_attempts=1),
-                             breaker_threshold=sys.maxsize, degrade=False)
 
 
 @dataclasses.dataclass
@@ -153,13 +139,13 @@ class EngineConfig:
     #: ``"default"`` tenant under the stock bounds (64 queued per tenant,
     #: 256 engine-wide).
     qos: QoSConfig = QoSConfig()
-    #: dispatch policy every batch runs under
-    #: (:class:`repro.resilience.ResilienceConfig`): batch retry with
-    #: session recovery, artifact-level circuit breaking and degraded
-    #: fallback onto an in-process plan.  The default is :data:`FAIL_FAST`.
-    #: Its ``fault_injector`` reaches the forked replicas' workers only:
-    #: replica 0's plan has no pool to inject into.
-    resilience: ResilienceConfig = FAIL_FAST
+    #: retry policy every batch runs under, with session recovery between
+    #: attempts (:class:`repro.resilience.ResilienceConfig`).  The default
+    #: is fail-fast: one attempt, and a failed batch on replica 0 fails its
+    #: requests with the executor's own error.  Its ``fault_injector``
+    #: reaches the forked replicas' workers only: replica 0's plan has no
+    #: pool to inject into.
+    resilience: ResilienceConfig = ResilienceConfig()
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
 
@@ -273,39 +259,37 @@ class Replica:
 
     Wraps the session in what every batch needs: a time bound (a watchdog
     thread for the in-process plan, the pool's own timeout for a forked
-    replica), the repair between retries (:meth:`recover`), a lazily built
-    degraded in-process plan fallback for a forked replica, and the
-    :class:`~repro.resilience.ResilientDispatcher` every batch runs under.
-    Replica 0 is the plan session the artifact was compiled into; the
-    one-worker process replicas the lane forks each get their own
-    dispatcher, so retry, breaker, ``heal()`` and fallback act per replica.
+    replica), the retry policy, and the repair between retries
+    (:meth:`recover`).  Replica 0 is the plan session the artifact was
+    compiled into.  A one-worker process replica the lane forks also gets
+    replica 0's :meth:`execute` as its ``failover``: when a batch still
+    fails after its retries, the forked replica retires and replica 0
+    answers that batch.
     """
 
-    def __init__(self, index: int, session: Session, result: RamielResult,
-                 config: EngineConfig, label: str) -> None:
+    def __init__(self, index: int, session: Session, config: EngineConfig,
+                 label: str, failover: Optional[Callable] = None) -> None:
         self.index = index
         self.session = session
         self.label = label
-        #: its session was left broken: its thread stops and closes it
+        #: a forked replica's batch failed through its retries: its thread
+        #: stops and closes it
         self.retired = False
-        self._result = result
         self._timeout_s = config.timeout_s
-        self._degraded: list = []
+        self._retry = config.resilience.retry
+        self._failover = failover
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("runs", "retries", "recoveries", "failovers"), 0)
         self.watchdog: Optional[_BatchWatchdog] = None
         self.stacker: Optional[_PinnedStacker] = None
-        fallback = None
         if session.pool is None:
             self.watchdog = _BatchWatchdog(label)
             self.stacker = _PinnedStacker(session, config.max_batch_size)
-        else:
-            fallback = self._fallback
         #: request list -> the stacked feed :meth:`run_batch` accepts;
         #: replica 0 of a batchable in-process artifact switches to its
         #: pinned :attr:`stacker`
         self.stack: Callable = stack_requests
-        self.dispatcher = ResilientDispatcher(
-            self.execute, config.resilience, recover=self.recover,
-            fallback=fallback, name=label)
 
     def execute(self, stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """One batch on the bare session, under its time bound."""
@@ -321,20 +305,6 @@ class Replica:
                 if any(np.may_share_memory(array, buf) for buf in staging):
                     outputs[name] = np.array(array)
         return outputs
-
-    def _fallback(self, stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        # Graceful degradation: serve through an in-process "plan" session
-        # over the same compiled result while the breaker keeps traffic off
-        # the broken pool.  Built lazily — fault-free serving never pays
-        # for it — and on its own watchdog so a stuck degraded batch cannot
-        # pin the replica either.
-        if not self._degraded:
-            self._degraded.append((
-                create_session(self._result, executor="plan",
-                               timeout_s=self._timeout_s),
-                _BatchWatchdog(f"{self.label}/degraded")))
-        fb_session, fb_watchdog = self._degraded[0]
-        return fb_watchdog.run(fb_session.run, stacked, self._timeout_s)
 
     @property
     def broken(self) -> bool:
@@ -352,20 +322,54 @@ class Replica:
             self.watchdog.reset()
 
     def run_batch(self, stacked) -> Dict[str, np.ndarray]:
-        """One stacked feed through the dispatcher -> graph outputs."""
+        """One stacked feed -> graph outputs, retried under the policy.
+
+        A forked replica whose batch still fails retires (its session is
+        marked broken; its thread stops and closes it) and answers the
+        batch through replica 0; if replica 0 raises too, its error surfaces, chained
+        from this replica's.  Replica 0 raises its own error.
+        """
         try:
-            return self.dispatcher(stacked)
-        except BaseException:
-            # Only a still-broken session/pool/watchdog means the replica
-            # itself is unusable (recovery failed, or the last attempt
-            # wedged it — the stuck run may hold the plan lock or strand
-            # workers forever): retire the session, and the lane drops the
-            # replica (replica 0: the artifact, so the next request
-            # recompiles).  Transient request errors leave it in place;
-            # the breaker does the pacing.
-            if self.broken:
-                self.session.mark_broken("batch dispatch left the executor broken")
-            raise
+            return self._retry.call(lambda: self._attempt(stacked),
+                                    on_retry=self._on_retry)
+        except BaseException as exc:
+            if self._failover is None:
+                # Only a still-broken session/watchdog means replica 0
+                # itself is unusable (recovery failed, or the last attempt
+                # wedged it — the stuck run may hold the plan lock
+                # forever): the lane drops the artifact, so the next
+                # request recompiles.  A transient error leaves it.
+                if self.broken:
+                    self.session.mark_broken(
+                        "batch dispatch left the executor broken")
+                raise
+            self.retired = True
+            self.session.mark_broken(f"retired after a failed batch: {exc!r}")
+            self._count("failovers")
+            try:
+                return self._failover(stacked)
+            except BaseException as failover_exc:
+                raise failover_exc from exc
+
+    def _attempt(self, stacked) -> Dict[str, np.ndarray]:
+        self._count("runs")
+        return self.execute(stacked)
+
+    def _on_retry(self, attempt: int, exc: BaseException) -> None:
+        self._count("retries")
+        self.recover()
+        self._count("recoveries")
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self._counts[name] += 1
+
+    def stats(self) -> Dict[str, int]:
+        """Attempts on this replica's session (``runs``), ``retries``,
+        ``recoveries`` run between them and ``failovers``: batches this
+        replica handed to replica 0 when it retired."""
+        with self._lock:
+            return dict(self._counts)
 
     def blas_threads(self, coordinator):
         """B of this replica: the coordinator's budget for an in-process
@@ -379,13 +383,10 @@ class Replica:
         return max(reported)
 
     def close(self) -> None:
-        """Shut down the watchdog, the session and any degraded fallback."""
+        """Shut down the watchdog and the session."""
         if self.watchdog is not None:
             self.watchdog.close()
         self.session.close()
-        for fb_session, fb_watchdog in self._degraded:
-            fb_watchdog.close()
-            fb_session.close()
 
 
 @dataclasses.dataclass
@@ -394,9 +395,8 @@ class CompiledArtifact:
 
     Every replica is a :class:`~repro.runtime.session.Session` over the
     compiled result; requests never construct a fresh ``GraphExecutor``
-    (or any other per-request execution state).  Replica 0 is the
-    in-process plan session; ``session``, ``dispatcher``, ``stack``,
-    ``run_batch`` and ``watchdog`` are its.
+    (or any other per-request execution state).  ``replicas[0]`` is the
+    in-process plan session.
     """
 
     key: ArtifactKey
@@ -411,35 +411,6 @@ class CompiledArtifact:
     max_replicas: int = 1
     #: the cores the lane was sized on
     cores: int = 1
-
-    @property
-    def session(self) -> Session:
-        """Replica 0's session: the in-process plan."""
-        return self.replicas[0].session
-
-    @property
-    def dispatcher(self) -> ResilientDispatcher:
-        """Replica 0's retry/breaker/degradation policy."""
-        return self.replicas[0].dispatcher
-
-    @property
-    def stack(self) -> Callable:
-        """Replica 0's request list -> stacked feed."""
-        return self.replicas[0].stack
-
-    @property
-    def run_batch(self) -> Callable:
-        """Replica 0's stacked feed -> graph outputs, through its dispatcher."""
-        return self.replicas[0].run_batch
-
-    @run_batch.setter
-    def run_batch(self, run_batch: Callable) -> None:
-        self.replicas[0].run_batch = run_batch
-
-    @property
-    def watchdog(self) -> Optional[_BatchWatchdog]:
-        """Replica 0's watchdog thread."""
-        return self.replicas[0].watchdog
 
     @property
     def model_name(self) -> str:
@@ -476,8 +447,9 @@ class _Lane:
     replica 0.  When a replica's take leaves requests queued and no replica
     is idle, the lane starts one more replica thread (up to
     ``max_replicas``), which forks its one-worker process session and then
-    pulls like the others.  A replica left broken retires on its own;
-    replica 0 left broken drops the artifact.  A closed lane (evicted,
+    pulls like the others.  A forked replica whose batch still fails
+    retires on its own, once replica 0 has answered that batch; replica 0
+    left broken drops the artifact.  A closed lane (evicted,
     invalidated, engine shutdown) answers the batches it holds and stops;
     whatever is still queued for its key is served by a replacement lane
     it starts on the way out.
@@ -518,8 +490,8 @@ class _Lane:
     def wait(self, timeout: Optional[float] = None) -> CompiledArtifact:
         """Block until compiled; the artifact, or the compile error raised.
 
-        The one way to a lane's session / dispatcher / watchdog — used by
-        ``warmup`` and the tests.
+        The one way to a lane's replicas — used by ``warmup`` and the
+        tests.
         """
         return self._artifact.result(timeout=timeout)
 
@@ -656,14 +628,10 @@ class _Lane:
                             args=batch_args)
             scattered = scatter_outputs(outputs, batch)
         except BaseException as exc:  # noqa: BLE001 - fail every co-batched request
-            if replica.session.broken:
-                if replica.index == 0:
-                    # the artifact itself is unusable: drop it so this
-                    # key's next request (or its queue, on the way out)
-                    # recompiles
-                    engine._cache.invalidate(self.key, expected=self)
-                else:  # a process replica stops; the others serve on
-                    replica.retired = True
+            if replica.index == 0 and replica.session.broken:
+                # the artifact itself is unusable: drop it so this key's
+                # next request (or its queue, on the way out) recompiles
+                engine._cache.invalidate(self.key, expected=self)
             for request in batch:
                 self._respond(request, exc=exc)
             return
@@ -852,7 +820,7 @@ class InferenceEngine:
         # lane's batch.execute span; forked replicas additionally ship
         # per-worker execute spans home for merged traces.
         session = create_session(result, executor="plan", tracer=self.tracer)
-        replica = Replica(0, session, result, self.config,
+        replica = Replica(0, session, self.config,
                           f"{model.name}@{key.short()}")
         batchable = self._probe_batchable(replica.execute, key.input_signature)
         if replica.broken:
@@ -894,8 +862,9 @@ class InferenceEngine:
         injector = self.config.resilience.fault_injector
         if injector is not None:
             session.pool.set_fault_injector(injector)
-        return Replica(index, session, artifact.result, self.config,
-                       f"{artifact.model_name}@{artifact.key.short()}/r{index}")
+        return Replica(index, session, self.config,
+                       f"{artifact.model_name}@{artifact.key.short()}/r{index}",
+                       failover=artifact.replicas[0].execute)
 
     def _close_process_replica(self, replica: Replica) -> None:
         """Close a forked replica and end its BLAS hold: once the last one
@@ -959,14 +928,14 @@ class InferenceEngine:
         cached artifact's budget (cores, replicas R, workers per replica K,
         BLAS threads B), its plan allocations and slab bytes and its
         output-binding direct/copy writes, and each replica's pool and
-        dispatch counters (labelled ``replica="<id>"``) together.
+        retry/failover counters (labelled ``replica="<id>"``) together.
         """
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
                        ).set(self._cache.stats()["size"])
         for lane in self._cache.values():
             artifact = lane.artifact
-            if artifact is None or artifact.session.closed:
+            if artifact is None or artifact.replicas[0].session.closed:
                 continue
             labels = {"model": artifact.model_name,
                       "artifact": artifact.key.short()}
@@ -1080,16 +1049,10 @@ def _replica_gauges(replica: Replica):
         yield ("serving_pool_execute_seconds_total",
                pool["execute_ns_total"] / 1e9,
                "Cumulative worker execute time of a cached artifact")
-    dispatch = replica.dispatcher.stats()
-    breaker = dispatch["breaker"]
-    yield ("serving_resilience_retries_total", dispatch["retries"],
-           "Batches re-dispatched after a primary failure")
-    yield ("serving_resilience_recoveries_total", dispatch["recoveries"],
+    counts = replica.stats()
+    yield ("serving_resilience_retries_total", counts["retries"],
+           "Batches re-dispatched after a failed attempt")
+    yield ("serving_resilience_recoveries_total", counts["recoveries"],
            "Session recoveries run between retry attempts")
-    yield ("serving_resilience_degraded_runs_total", dispatch["degraded_runs"],
-           "Batches served by the degraded plan fallback")
-    yield ("serving_resilience_breaker_opens_total", breaker["opens"],
-           "Times the artifact's circuit breaker tripped")
-    yield ("serving_resilience_breaker_state",
-           {"closed": 0, "half-open": 1, "open": 2}.get(breaker["state"], -1),
-           "Breaker state (0=closed, 1=half-open, 2=open)")
+    yield ("serving_resilience_failovers_total", counts["failovers"],
+           "Batches a retiring forked replica handed to replica 0")

@@ -160,8 +160,8 @@ def lane_of(engine, model, feed):
 def artifact_of(engine, model, feed):
     """The warm ``CompiledArtifact`` serving ``feed`` on ``engine``.
 
-    The one way tests reach an artifact's session / dispatcher / watchdog:
-    the lane for the request's key, through its documented ``wait()``.
+    The one way tests reach an artifact's replicas: the lane for the
+    request's key, through its documented ``wait()``.
     """
     return lane_of(engine, model, feed).wait(timeout=60.0)
 
@@ -179,7 +179,7 @@ def serve_across_replicas(engine, model, feeds, timeout: float = 60.0):
     from concurrent.futures import FIRST_COMPLETED, wait
 
     artifact = artifact_of(engine, model, feeds[0])
-    session = artifact.session
+    session = artifact.replicas[0].session
     real_run = session.run
     entered = threading.Event()
     gates = [threading.Event(), threading.Event()]
@@ -216,7 +216,7 @@ def cached_artifacts(engine):
 
 
 def gate_session(artifact):
-    """Hold every batch of ``artifact`` inside its session until released.
+    """Hold every batch of ``artifact`` inside replica 0's session until released.
 
     Returns ``(entered, release)``: ``entered`` is set once a batch is
     held; set ``release`` to let it (and every later batch) run.
@@ -224,12 +224,13 @@ def gate_session(artifact):
     import threading
 
     entered, release = threading.Event(), threading.Event()
+    session = artifact.replicas[0].session
     for name in ("run", "run_with_binding"):
-        def gated(*args, _real=getattr(artifact.session, name), **kwargs):
+        def gated(*args, _real=getattr(session, name), **kwargs):
             entered.set()
             assert release.wait(timeout=30.0)
             return _real(*args, **kwargs)
-        setattr(artifact.session, name, gated)
+        setattr(session, name, gated)
     return entered, release
 
 

@@ -809,7 +809,7 @@ class TestEngineIntegration:
         entered, release = threading.Event(), threading.Event()
         with InferenceEngine() as engine:
             engine.warmup(model, feed)
-            session = artifact_of(engine, model, feed).session
+            session = artifact_of(engine, model, feed).replicas[0].session
             for name in ("run", "run_with_binding"):
                 def gated(*args, _real=getattr(session, name), **kwargs):
                     active[0] += 1

@@ -11,10 +11,10 @@ engine, asserting the properties the layer promises:
   before the pool uses it;
 * an injected failure mid-batch is retried and the caller's future
   resolves with **bitwise-correct** outputs;
-* a persistently failing forked serving replica trips its circuit breaker
-  and degrades onto an in-process plan, then recovers through a half-open
-  probe; a broken one under the fail-fast default retires while replica 0
-  serves on;
+* a forked serving replica that still fails after its retries (or whose
+  heal fails) retires and hands its batch to replica 0, which answers it
+  bitwise without building anything; the lane forks a fresh replica once
+  the fault clears;
 * every recovery decision is visible in ``stats()`` and the shared
   ``MetricsRegistry``.
 
@@ -44,12 +44,9 @@ from tests.conftest import (
 )
 from repro.pipeline import ramiel_compile
 from repro.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
     FaultInjector,
     FaultSpec,
     ResilienceConfig,
-    ResilientDispatcher,
     RetryPolicy,
 )
 from repro.runtime import worker_pool
@@ -178,52 +175,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-
-
-# ---------------------------------------------------------------------------
-# CircuitBreaker
-# ---------------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_half_opens(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=5.0,
-                                 clock=lambda: now[0])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # below threshold
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        now[0] = 5.1
-        assert breaker.state == "half-open"
-        assert breaker.allow()        # the single probe is admitted
-        assert not breaker.allow()    # ... and only the single probe
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.stats()["opens"] == 1
-
-    def test_probe_failure_reopens_with_fresh_cooldown(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=2.0,
-                                 clock=lambda: now[0])
-        breaker.record_failure()
-        assert breaker.state == "open"
-        now[0] = 2.5
-        assert breaker.allow()
-        breaker.record_failure()      # the probe fails
-        assert breaker.state == "open"
-        now[0] = 4.0                  # 1.5s into the *new* cooldown
-        assert breaker.state == "open"
-        now[0] = 4.6
-        assert breaker.state == "half-open"
-
-    def test_success_resets_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +547,7 @@ class TestSessionRecover:
             session.close()
 
     @managed_blas
-    def test_failed_heal_is_served_by_the_degraded_fallback(
+    def test_a_failed_heal_fails_over_to_replica_0(
             self, chain_compiled, monkeypatch, pin_cores):
         pin_cores(2)
         model, _, feed, _ = chain_compiled
@@ -604,16 +555,21 @@ class TestSessionRecover:
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=1)])
         config = EngineConfig(max_batch_size=1, timeout_s=60.0,
-                              resilience=ResilienceConfig())
+                              resilience=ResilienceConfig(retry=RetryPolicy(
+                                  max_attempts=3, backoff_base_s=0.01,
+                                  jitter=0.0)))
         with InferenceEngine(config) as engine:
             served, artifact = serve_across_replicas(engine, model, feeds)
             replica = artifact.replicas[1]
+            runs = replica.stats()["runs"]
             pool = replica.session.pool
             pool.set_fault_injector(injector)
             monkeypatch.setattr(pool, "heal", _heal_fails)
             outputs = replica.run_batch(feed)
-            assert replica.dispatcher.stats()["degraded_runs"] >= 1
             assert injector.stats() == {"worker.execute:exc": 1}
+            assert replica.stats() == {"runs": runs + 1, "retries": 1,
+                                       "recoveries": 0, "failovers": 1}
+            assert replica.retired and replica.session.broken
         _assert_plan_bitwise(model, feeds + [feed], served + [outputs])
 
     def test_interp_session_recovers(self):
@@ -632,92 +588,6 @@ class TestSessionRecover:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.recover()
-
-
-# ---------------------------------------------------------------------------
-# ResilientDispatcher
-# ---------------------------------------------------------------------------
-class TestResilientDispatcher:
-    @staticmethod
-    def _config(**kw):
-        kw.setdefault("retry", RetryPolicy(max_attempts=3, backoff_base_s=0.0,
-                                           jitter=0.0))
-        return ResilienceConfig(**kw)
-
-    def test_retry_with_recovery_then_success(self):
-        calls, recovered = [], []
-
-        def primary():
-            calls.append(1)
-            if len(calls) < 3:
-                raise ValueError("transient")
-            return {"y": 1}
-
-        dispatcher = ResilientDispatcher(
-            primary, self._config(), recover=lambda: recovered.append(1))
-        assert dispatcher() == {"y": 1}
-        stats = dispatcher.stats()
-        assert stats["retries"] == 2
-        assert stats["recoveries"] == 2
-        assert stats["breaker"]["state"] == "closed"
-
-    def test_breaker_opens_and_serves_degraded(self):
-        def primary():
-            raise ValueError("persistent")
-
-        def fallback():
-            return {"y": "degraded"}
-
-        dispatcher = ResilientDispatcher(
-            primary, self._config(breaker_threshold=2, breaker_cooldown_s=60.0),
-            fallback=fallback)
-        assert dispatcher() == {"y": "degraded"}  # exhausted -> fallback
-        assert dispatcher() == {"y": "degraded"}
-        stats = dispatcher.stats()
-        assert stats["breaker"]["state"] == "open"
-        assert stats["exhausted"] == 2
-        # breaker now open: the primary is not touched at all
-        before = stats["primary_runs"]
-        assert dispatcher() == {"y": "degraded"}
-        assert dispatcher.stats()["primary_runs"] == before
-        assert dispatcher.stats()["degraded_runs"] == 3
-
-    def test_open_breaker_without_fallback_raises_breaker_open(self):
-        def primary():
-            raise ValueError("persistent")
-
-        dispatcher = ResilientDispatcher(
-            primary,
-            self._config(breaker_threshold=1, breaker_cooldown_s=60.0,
-                         degrade=False))
-        with pytest.raises(ValueError):
-            dispatcher()
-        with pytest.raises(BreakerOpen):
-            dispatcher()
-
-    def test_half_open_probe_restores_the_fast_path(self):
-        healthy = [False]
-
-        def primary():
-            if not healthy[0]:
-                raise ValueError("still broken")
-            return {"y": "fast"}
-
-        def fallback():
-            return {"y": "degraded"}
-
-        dispatcher = ResilientDispatcher(
-            primary,
-            self._config(breaker_threshold=1, breaker_cooldown_s=0.05,
-                         retry=RetryPolicy(max_attempts=1)),
-            fallback=fallback)
-        assert dispatcher() == {"y": "degraded"}
-        assert dispatcher.stats()["breaker"]["opens"] == 1
-        healthy[0] = True
-        time.sleep(0.06)  # cooldown elapses -> next call is the probe
-        assert dispatcher() == {"y": "fast"}
-        assert dispatcher.stats()["breaker"]["state"] == "closed"
-        assert dispatcher() == {"y": "fast"}
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +638,20 @@ class TestServingResilience:
                                    times=2, message="serving-chaos"))
             outputs = replica.run_batch(feeds[0])
             assert injector.stats() == {"worker.execute:exc": 2}
-            stats = replica.dispatcher.stats()
+            stats = replica.stats()
             assert stats["retries"] == stats["recoveries"] == 2
+            assert stats["failovers"] == 0 and not replica.retired
             assert _replica_gauge(engine, "serving_resilience_retries_total",
                                   replica) == 2
-            assert replica0.dispatcher.stats()["retries"] == 0
+            assert replica0.stats()["retries"] == 0
         _assert_plan_bitwise(model, feeds + feeds[:1], served + [outputs])
 
     @managed_blas
-    def test_breaker_degrades_to_plan_and_recovers(self, pin_cores):
+    def test_a_failing_replica_fails_over_then_reforks(
+            self, pin_cores):
+        """A forked replica that keeps failing through its retries retires
+        and replica 0 answers its batch; once the fault clears, the next
+        backlog forks a fresh replica that serves with no failover."""
         pin_cores(2)
         model = build_diamond_model()
         feeds = [example_inputs(model, seed=22 + i) for i in range(3)]
@@ -786,43 +661,95 @@ class TestServingResilience:
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                                   jitter=0.0),
-                breaker_threshold=1, breaker_cooldown_s=0.3,
                 fault_injector=injector))
         with InferenceEngine(config) as engine:
             served, artifact = serve_across_replicas(engine, model, feeds)
-            replica = artifact.replicas[1]
-            dispatcher = replica.dispatcher
+            replica0, replica = artifact.replicas
+            runs = replica.stats()["runs"]
             injector.add(FaultSpec(site="worker.execute", kind="exc",
                                    times=-1, message="always failing"))
-            # every primary attempt fails: the batch must still resolve,
-            # served by the degraded in-process plan
+            # every attempt fails: the batch still resolves, on replica 0
             served.append(replica.run_batch(feeds[0]))
-            stats = dispatcher.stats()
-            assert stats["degraded_runs"] == 1
-            assert stats["breaker"]["opens"] == 1
+            assert replica.stats() == {"runs": runs + 2, "retries": 1,
+                                       "recoveries": 1, "failovers": 1}
+            assert replica.retired and replica.session.broken
+            assert _replica_gauge(engine, "serving_resilience_failovers_total",
+                                  replica) == 1
+            assert replica0.stats()["failovers"] == 0
 
-            # while open, batches keep being served (degraded)
-            served.append(replica.run_batch(feeds[1]))
-            assert dispatcher.stats()["degraded_runs"] == 2
-
-            # the fault clears; after cooldown a half-open probe restores
-            # the forked worker's fast path
+            # the retired replica's idle thread notices and closes it
+            engine.qos.wake()
+            _wait_until(lambda: artifact.replicas == [replica0]
+                        and replica.session.closed,
+                        what="the retired replica dropped")
             injector.clear()
-            time.sleep(0.35)
-            primary_before = dispatcher.stats()["primary_runs"]
-            served.append(replica.run_batch(feeds[2]))
-            assert dispatcher.stats()["primary_runs"] > primary_before
-            assert dispatcher.stats()["breaker"]["state"] == "closed"
-            assert _replica_gauge(engine, "serving_resilience_degraded_runs_total",
-                                  replica) == 2
-            assert artifact.replicas[1] is replica and not replica.retired
-        _assert_plan_bitwise(model, feeds + feeds, served)
+            again, _ = serve_across_replicas(engine, model, feeds)
+            served += again
+            (fresh,) = artifact.replicas[1:]
+            assert fresh is not replica and fresh.index == 2
+            assert fresh.stats()["runs"] >= 1
+            assert fresh.stats()["failovers"] == 0 and not fresh.retired
+            assert engine.metrics.snapshot()["cache"]["compiles"] == 1
+        _assert_plan_bitwise(model, feeds + feeds[:1] + feeds, served)
+
+    @managed_blas
+    def test_a_failover_builds_no_session_and_no_thread(
+            self, pin_cores, monkeypatch):
+        """Replica 0 answers a retiring replica's batch with what it already
+        has: no session is created and no thread is started."""
+        import repro.serving.engine as engine_module
+
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=40 + i) for i in range(3)]
+        config = EngineConfig(max_batch_size=1, timeout_s=60.0)
+        with InferenceEngine(config) as engine:
+            served, artifact = serve_across_replicas(engine, model, feeds)
+            replica = artifact.replicas[1]
+            replica.session.pool.set_fault_injector(FaultInjector([FaultSpec(
+                site="worker.execute", kind="exc", times=-1)]))
+            created = []
+            real_create = engine_module.create_session
+            monkeypatch.setattr(
+                engine_module, "create_session",
+                lambda *a, **kw: created.append(a) or real_create(*a, **kw))
+            threads = set(threading.enumerate())
+            served.append(replica.run_batch(feeds[0]))
+            assert replica.stats()["failovers"] == 1
+            assert created == []
+            assert set(threading.enumerate()) <= threads
+        _assert_plan_bitwise(model, feeds + feeds[:1], served)
+
+    @managed_blas
+    def test_a_failover_that_fails_raises_replica_0s_error(self, pin_cores):
+        """When replica 0 cannot answer a retiring replica's batch either,
+        the requests get replica 0's error, chained from the replica's."""
+        pin_cores(2)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=50 + i) for i in range(3)]
+        boom = RuntimeError("replica 0 failed too")
+
+        def failing_run(*args, **kwargs):
+            raise boom
+
+        with InferenceEngine(EngineConfig(max_batch_size=1,
+                                          timeout_s=60.0)) as engine:
+            _, artifact = serve_across_replicas(engine, model, feeds)
+            replica0, replica = artifact.replicas
+            replica.session.pool.set_fault_injector(FaultInjector([FaultSpec(
+                site="worker.execute", kind="exc", times=-1)]))
+            replica0.session.run = failing_run
+            with pytest.raises(RuntimeError) as excinfo:
+                replica.run_batch(feeds[0])
+            assert excinfo.value is boom
+            assert isinstance(excinfo.value.__cause__, ParallelExecutionError)
+            assert replica.retired and replica.stats()["failovers"] == 1
+            del replica0.session.run
 
     def test_default_config_is_fail_fast_through_the_dispatcher(self):
         """The default policy is a value of ResilienceConfig, not its
-        absence: every batch runs through the dispatcher, which makes one
-        attempt, never opens its breaker and surfaces the executor's own
-        error."""
+        absence: replica 0 makes one attempt per batch and surfaces the
+        executor's own error, every time."""
         model = build_diamond_model()
         feed = example_inputs(model, seed=23)
         boom = RuntimeError("boom")
@@ -833,18 +760,15 @@ class TestServingResilience:
         with InferenceEngine(EngineConfig(max_batch_size=1)) as engine:
             reference = engine.infer(model, feed)
             artifact = cached_artifacts(engine)[0]
-            artifact.session.run = failing_run
-            for _ in range(5):  # past the stock breaker threshold of 3
+            artifact.replicas[0].session.run = failing_run
+            for _ in range(5):
                 with pytest.raises(RuntimeError) as excinfo:
                     engine.infer(model, feed)
-                assert excinfo.value is boom  # never BreakerOpen
-            stats = artifact.dispatcher.stats()
-            assert stats["primary_runs"] == 6
-            assert stats["retries"] == 0 and stats["recoveries"] == 0
-            assert stats["degraded_runs"] == 0
-            assert stats["breaker"]["state"] == "closed"
+                assert excinfo.value is boom  # never another exception type
+            assert artifact.replicas[0].stats() == {
+                "runs": 6, "retries": 0, "recoveries": 0, "failovers": 0}
             # a transient failure leaves the (unbroken) artifact cached
-            del artifact.session.run
+            del artifact.replicas[0].session.run
             _assert_bitwise(engine.infer(model, feed), reference)
             assert cached_artifacts(engine) == [artifact]
 
@@ -852,9 +776,10 @@ class TestServingResilience:
     def test_a_broken_forked_replica_retires_and_replica_0_serves_on(
             self, pin_cores):
         """Under the fail-fast default a forked replica whose one attempt
-        broke its pool retires: the lane drops it, the artifact stays
-        cached with no recompile, replica 0 serves on, and the process's
-        BLAS count is back once the replica has closed."""
+        fails retires and replica 0 answers its batch, after the batch it
+        holds: the lane drops the replica, the artifact stays cached with
+        no recompile, replica 0 serves on, and the process's BLAS count is
+        back once the replica has closed."""
         from repro.runtime.blas import blas_threads
 
         pin_cores(2)
@@ -870,12 +795,14 @@ class TestServingResilience:
             entered, release = gate_session(artifact)
             held = engine.submit(model, feeds[0])  # replica 0 takes it
             assert entered.wait(timeout=30.0)
-            with pytest.raises(Exception, match="boom"):
-                engine.submit(model, feeds[1]).result(timeout=60.0)
-            assert replica.retired
-            assert replica.dispatcher.stats()["retries"] == 0
+            failed_over = engine.submit(model, feeds[1])
+            _wait_until(lambda: replica.retired, what="the replica retired")
+            assert not failed_over.done()  # queued behind replica 0's batch
             release.set()
             served.append(held.result(timeout=60.0))
+            served.append(failed_over.result(timeout=60.0))
+            assert replica.stats()["retries"] == 0
+            assert replica.stats()["failovers"] == 1
             _wait_until(lambda: artifact.replicas == [replica0],
                         what="the retired replica dropped")
             _wait_until(lambda: replica.session.closed
@@ -885,7 +812,7 @@ class TestServingResilience:
             assert cached_artifacts(engine) == [artifact]
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
             assert artifact.replicas == [replica0]
-        _assert_plan_bitwise(model, feeds[:3] + [feeds[0], feeds[3]], served)
+        _assert_plan_bitwise(model, feeds[:3] + feeds[:2] + [feeds[3]], served)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +847,8 @@ class TestReplicaChaos:
             replica0, replica1 = artifact.replicas
             pool = replica1.session.pool
             victim = pool._workers[0].pid
-            runs = [replica0.dispatcher.stats()["primary_runs"],
-                    replica1.dispatcher.stats()["primary_runs"]]
+            runs = [replica0.stats()["runs"],
+                    replica1.stats()["runs"]]
             inflight, sent, killed_at = {}, 0, None
             deadline = time.monotonic() + 60.0
 
@@ -940,10 +867,10 @@ class TestReplicaChaos:
                     served.append((inflight.pop(future), future.result()))
                     if len(served) == 16 and killed_at is None:
                         os.kill(victim, signal.SIGKILL)
-                        killed_at = [replica0.dispatcher.stats()["primary_runs"],
-                                     replica1.dispatcher.stats()["primary_runs"]]
+                        killed_at = [replica0.stats()["runs"],
+                                     replica1.stats()["runs"]]
                     healed = (killed_at is not None and pool.stats()["respawns"]
-                              and replica1.dispatcher.stats()["primary_runs"]
+                              and replica1.stats()["runs"]
                               >= killed_at[1] + 3)
                     if not healed and len(served) < 400:
                         submit()
@@ -953,12 +880,13 @@ class TestReplicaChaos:
             assert not replica1.retired and pool is replica1.session.pool
             assert pool.stats()["respawns"] == 1
             assert victim not in [worker.pid for worker in pool._workers]
-            after = [replica0.dispatcher.stats()["primary_runs"],
-                     replica1.dispatcher.stats()["primary_runs"]]
+            after = [replica0.stats()["runs"],
+                     replica1.stats()["runs"]]
             assert after[0] > killed_at[0] >= runs[0]
             assert after[1] >= killed_at[1] + 3
-            zero = replica0.dispatcher.stats()
+            zero = replica0.stats()
             assert zero["retries"] == zero["recoveries"] == 0
+            assert replica1.stats()["failovers"] == 0
         assert blas_threads() == before  # the last replica put it back
         pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")

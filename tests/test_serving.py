@@ -20,7 +20,6 @@ import pytest
 from repro.models import MODEL_REGISTRY, build_model
 from repro.pipeline import (
     PipelineConfig,
-    artifact_fingerprint,
     config_fingerprint,
     model_fingerprint,
     ramiel_compile,
@@ -83,10 +82,11 @@ class TestFingerprints:
                                                  generate_code=False)) == \
             config_fingerprint(PipelineConfig())
 
-    def test_artifact_fingerprint_includes_signature(self):
+    def test_cache_key_includes_signature(self):
         model = build_diamond_model()
-        assert artifact_fingerprint(model, input_signature=(("x", "float32", (3,)),)) != \
-            artifact_fingerprint(model, input_signature=(("x", "float32", (4,)),))
+        with InferenceEngine() as engine:
+            assert engine._key(model, (("x", "float32", (3,)),)) != \
+                engine._key(model, (("x", "float32", (4,)),))
 
     def test_memoized_fingerprint_not_persisted_through_serialization(self):
         """A saved/reloaded/mutated model must re-derive its fingerprint,
@@ -498,7 +498,7 @@ class TestInferenceEngine:
             _, replica1 = artifact.replicas
             _wait_until_idle(engine, artifact, 2)  # a lone request is replica 0's
             entered, release = gate_session(artifact)
-            runs = replica1.dispatcher.stats()["primary_runs"]
+            runs = replica1.stats()["runs"]
             engine.metrics.reset()
             try:
                 futures = [engine.submit(model, feeds[0])]
@@ -509,7 +509,7 @@ class TestInferenceEngine:
             finally:
                 release.set()
             outputs.insert(0, futures[0].result(timeout=60.0))
-            assert replica1.dispatcher.stats()["primary_runs"] == runs + 1
+            assert replica1.stats()["runs"] == runs + 1
             snapshot = engine.metrics.snapshot()
         assert snapshot["completed"] == 6
         assert snapshot["batch_histogram"] == {1: 1, 5: 1}
@@ -601,7 +601,7 @@ class TestInferenceEngine:
             feed = example_inputs(model)
             reference = engine.infer(model, feed)
             artifact = artifact_of(engine, model, feed)
-            artifact.session.mark_broken("simulated wedged run")
+            artifact.replicas[0].session.mark_broken("simulated wedged run")
             with pytest.raises(RuntimeError, match="broken"):
                 engine.infer(model, feed)
             # the poisoned artifact was dropped; the next request recompiles
@@ -630,9 +630,9 @@ class TestInferenceEngine:
             feed = example_inputs(model)
             engine.infer(model, feed)
             artifact = artifact_of(engine, model, feed)
-            plan = artifact.session.plan
+            plan = artifact.replicas[0].session.plan
             assert plan is not None
-            assert artifact.session.pool is None
+            assert artifact.replicas[0].session.pool is None
             # the artifact's plan is the compiled result's plan, built once
             assert plan is artifact.result.execution_plan
             # ... and a repeat request runs on the slab the first one packed
@@ -684,7 +684,7 @@ class TestInferenceEngine:
         model = build_diamond_model()
         feed = example_inputs(model)
         with tiny_engine(max_batch_size=2) as engine:
-            artifact_of(engine, model, feed).run_batch = run_batch
+            artifact_of(engine, model, feed).replicas[0].run_batch = run_batch
             futures = [engine.submit(model, feed) for _ in range(2)]
             for fut in futures:
                 with pytest.raises(ValueError):
@@ -705,9 +705,9 @@ class TestSessionServing:
             feed = example_inputs(model)
             engine.infer(model, feed)
             artifact = artifact_of(engine, model, feed)
-            assert artifact.session is not None
-            assert artifact.session.executor == "plan"
-            assert artifact.watchdog is not None
+            assert artifact.replicas[0].session is not None
+            assert artifact.replicas[0].session.executor == "plan"
+            assert artifact.replicas[0].watchdog is not None
 
     def test_pinned_stacker_reuses_staging_and_matches_concatenate(self):
         """Fused batches land in session-pinned staging buffers: no new
@@ -723,7 +723,7 @@ class TestSessionServing:
             feed = example_inputs(model)
             engine.infer(model, feed)
             artifact = artifact_of(engine, model, feed)
-            stacker = artifact.stack
+            stacker = artifact.replicas[0].stack
             assert isinstance(stacker, _PinnedStacker)
 
             def requests(seed):
@@ -750,8 +750,8 @@ class TestSessionServing:
                 assert any(np.shares_memory(staged2[name], buf)
                            for buf in stacker.staging_buffers)
             # and the staged run agrees with the concatenated-feed run
-            outputs = artifact.session.run(staged2)
-            reference = artifact.session.run(expected2)
+            outputs = artifact.replicas[0].session.run(staged2)
+            reference = artifact.replicas[0].session.run(expected2)
             for name, ref in reference.items():
                 np.testing.assert_array_equal(outputs[name], ref)
 
@@ -809,11 +809,11 @@ class TestSessionServing:
                 time.sleep(1.5)
                 return {}
 
-            artifact.session.run = stuck_run  # wedge the next batch
+            artifact.replicas[0].session.run = stuck_run  # wedge the next batch
             with pytest.raises(RuntimeError, match="timed out"):
                 engine.infer(model, feed)
-            assert artifact.session.broken
-            assert artifact.watchdog.broken
+            assert artifact.replicas[0].session.broken
+            assert artifact.replicas[0].watchdog.broken
             # the poisoned artifact was dropped; the next request recompiles
             outputs = engine.infer(model, feed)
             assert outputs
@@ -991,7 +991,7 @@ class TestLaneReplicas:
             assert artifact.max_replicas == 2
             replicas = list(artifact.replicas)
             assert [r.session.executor for r in replicas] == ["plan", "process"]
-            served = [r.dispatcher.stats()["primary_runs"] for r in replicas]
+            served = [r.stats()["runs"] for r in replicas]
             assert min(served) >= 1 and sum(served) == 16, served
             (worker,) = replicas[1].session.stats()["pool"]["workers"]
             assert worker["blas_threads"] == 1
@@ -1039,7 +1039,7 @@ class TestLaneReplicas:
                 artifact = artifact_of(engine, model, feeds[0])
                 replicas = list(artifact.replicas)
                 assert 2 <= len(replicas) <= artifact.max_replicas == 4
-                runs = sum(r.dispatcher.stats()["primary_runs"] for r in replicas)
+                runs = sum(r.stats()["runs"] for r in replicas)
                 assert runs == engine.metrics.snapshot()["batches"]
         finally:
             sys.setswitchinterval(interval)
@@ -1093,7 +1093,7 @@ class TestLaneReplicas:
             artifact = artifact_of(engine, model, feeds[0])
             assert artifact.max_replicas == 2
             assert [r.index for r in artifact.replicas] == [0]
-            assert artifact.dispatcher.stats()["primary_runs"] == len(feeds)
+            assert artifact.replicas[0].stats()["runs"] == len(feeds)
             assert set(multiprocessing.active_children()) <= children
             assert blas_threads() == before
 
