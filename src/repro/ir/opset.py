@@ -522,11 +522,15 @@ _reg("GlobalMaxPool", OpKind.POOL, "global_max_pool2d",
      doc="Spatial global max pooling.")
 
 # -- linear algebra -----------------------------------------------------------
-_reg("MatMul", OpKind.GEMM, "matmul", min_inputs=2, max_inputs=2, out=ARENA,
+# ``sample_rows``: a 2-D product's row count at the compiled signature, which
+# ``optimize_model`` records so a fused batch runs one such call per sample.
+_SAMPLE_ROWS = Param("sample_rows", None, int)
+_reg("MatMul", OpKind.GEMM, "matmul", [_SAMPLE_ROWS], min_inputs=2, max_inputs=2, out=ARENA,
      doc="Batched matrix multiply.")
 _reg("Gemm", OpKind.GEMM, "gemm",
      [Param("alpha", 1.0, float), Param("beta", 1.0, float),
-      Param("trans_a", False, bool, attr="transA"), Param("trans_b", False, bool, attr="transB")],
+      Param("trans_a", False, bool, attr="transA"), Param("trans_b", False, bool, attr="transB"),
+      _SAMPLE_ROWS],
      min_inputs=2, max_inputs=3, out=ARENA,
      doc="General matrix multiply with optional bias: alpha*A@B + beta*C.")
 _reg("Einsum", OpKind.GEMM, "einsum", [Param("equation", REQUIRED, place="lead")],

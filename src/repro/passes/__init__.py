@@ -19,6 +19,10 @@ constant propagation is a Horizontal branch reduction strategy."
   initializers; everything else — dead branches, unreferenced weights —
   is dropped.
 
+Folding leaves batch-1 literals behind, so the kept nodes are then made to
+follow a fused batch (:func:`_follow_batch`): a reshape target that keeps
+axis 0 copies it, and a 2-D product records its row count.
+
 No fixpoint iteration is needed: on a DAG each of these analyses only feeds
 the others *forwards* (a folded ``Gather`` gives a ``Reshape`` its static
 shape, whose ``Shape`` becomes a constant, which folds the next
@@ -130,13 +134,60 @@ def forward_sweep(graph: Graph) -> Tuple[SweepContext, List[Tuple[OpNode, Option
     return ctx, visited
 
 
+def _follow_batch(node: OpNode, ctx: SweepContext, initializers: dict,
+                  readers: collections.Counter) -> OpNode:
+    """``node``, rewritten so that a fused batch on axis 0 passes through it.
+
+    Folding leaves batch-1 literals behind.  A ``Reshape`` whose constant
+    target keeps its input's axis 0 gets ``0`` ("copy the input dim") there
+    instead: the same node at the compiled shapes, and at batch N axis 0
+    stays N.  A target that folds the batch into another axis — or one
+    held in a tensor that other nodes read too — is left as it is.  A 2-D
+    ``MatMul`` / ``Gemm`` records its row count as ``sample_rows``, so a
+    fused batch runs as one product of the compiled shape per sample
+    (:mod:`repro.runtime.ops.linear`).  A rewritten node, and a rewritten
+    target tensor in ``initializers``, are copies.
+    """
+    if node.op_type in ("MatMul", "Gemm"):
+        a, b = ctx.shape(node.inputs[0]), ctx.shape(node.inputs[1])
+        if a is None or b is None or len(a) != 2 or len(b) != 2:
+            return node
+        rows = a[1] if node.get_attr("transA") else a[0]
+        if rows is None:
+            return node
+        node = node.copy()
+        node.set_attr("sample_rows", int(rows))
+        return node
+    if node.op_type != "Reshape":
+        return node
+    x = ctx.shape(node.inputs[0])
+    batch = x[0] if x else None
+    attr = node.get_attr("shape")
+    tensor = node.inputs[1] if len(node.inputs) > 1 else ""
+    if tensor and (tensor not in initializers or readers[tensor] != 1):
+        return node
+    targets = [t for t in (attr, initializers.get(tensor)) if t is not None]
+    if batch is None or not targets or any(
+            np.ndim(t) != 1 or len(t) == 0 or int(t[0]) != batch for t in targets):
+        return node
+    node = node.copy()
+    if attr is not None:
+        node.set_attr("shape", [0, *list(attr)[1:]])
+    if tensor:
+        target = np.array(initializers[tensor])
+        target[0] = 0
+        initializers[tensor] = target
+    return node
+
+
 def optimize_model(model: Model) -> Tuple[Model, dict]:
     """Apply the paper's CP + DCE pruning recipe to a model.
 
     Returns ``(optimized_model, stats)`` where ``stats`` summarizes the node
     reduction (used by the Table III benchmark) and counts the removed
-    nodes by cause.  The input model is not modified; the result shares
-    its weight arrays.
+    nodes by cause.  The kept nodes follow a fused batch
+    (:func:`_follow_batch`).  The input model is not modified; the result
+    shares its weight arrays.
     """
     graph = model.graph
     ctx, visited = forward_sweep(graph)
@@ -160,6 +211,8 @@ def optimize_model(model: Model) -> Tuple[Model, dict]:
     # then every folded value in topological order.
     initializers = {name: array for name, array in ctx.constants.items()
                     if name in needed and name not in produced}
+    readers = collections.Counter(name for node in nodes for name in node.present_inputs)
+    nodes = [_follow_batch(node, ctx, initializers, readers) for node in nodes]
     pruned = Graph(
         name=graph.name,
         nodes=nodes,

@@ -7,6 +7,15 @@ and the epilogue (``alpha`` scale, ``beta * C`` / bias add) is applied in
 place.  A destination that is non-contiguous or overlaps an operand is
 staged through a temporary so BLAS always sees a clean output buffer and
 results are bitwise-identical to the ``out=None`` path.
+
+A 2-D product over a fused batch is not one BLAS call: OpenBLAS gives the
+rows of an ``(N, K) @ (K, M)`` product other bits than the ``(1, K) @ (K, M)``
+call of one sample, while a stacked ``(N, 1, K) @ (K, M)`` repeats that call
+N times.  So each entry point takes ``sample_rows`` — the product's row
+count R at the compiled signature, which ``optimize_model`` records on every
+2-D ``MatMul`` / ``Gemm`` — and runs ``N * R`` rows as N stacked calls of the
+compiled ``(R, K)`` shape, each row bitwise what its request computes
+alone.  It never splits finer than R, and R rows stay one call.
 """
 
 from __future__ import annotations
@@ -16,28 +25,56 @@ from typing import Optional
 import numpy as np
 
 
-def _matmul_into(a: np.ndarray, b: np.ndarray,
-                 out: Optional[np.ndarray]) -> np.ndarray:
+def _per_sample(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` (N*R, K) as (N, R, K), each sample laid out as its batch-1 operand."""
+    samples = a.shape[0] // rows
+    if a.flags.c_contiguous or not a.T.flags.c_contiguous:
+        return a.reshape(samples, rows, a.shape[1])
+    # A transposed operand (``Gemm`` transA): its batch-1 call reads the
+    # transpose of a contiguous (K, R) block, so give each sample one.
+    blocks = a.T.reshape(a.shape[1], samples, rows).transpose(1, 0, 2)
+    return np.ascontiguousarray(blocks).transpose(0, 2, 1)
+
+
+def _staged(out: np.ndarray, result: np.ndarray) -> np.ndarray:
+    if out.shape != result.shape or out.dtype != result.dtype:
+        raise ValueError(
+            f"matmul out buffer has shape {out.shape}/{out.dtype}, "
+            f"expected {result.shape}/{result.dtype}")
+    np.copyto(out, result)
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray,
+             out: Optional[np.ndarray]) -> np.ndarray:
     if out is None:
         return np.matmul(a, b)
     if (not out.flags.c_contiguous
             or np.may_share_memory(out, a)
             or np.may_share_memory(out, b)):
-        result = np.matmul(a, b)
-        if out.shape != result.shape or out.dtype != result.dtype:
-            raise ValueError(
-                f"matmul out buffer has shape {out.shape}/{out.dtype}, "
-                f"expected {result.shape}/{result.dtype}")
-        np.copyto(out, result)
-        return out
+        return _staged(out, np.matmul(a, b))
     return np.matmul(a, b, out=out)
 
 
-def matmul(a: np.ndarray, b: np.ndarray,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+def _matmul_into(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray],
+                 sample_rows: Optional[int] = None) -> np.ndarray:
+    if not (sample_rows and a.ndim == 2 and b.ndim == 2
+            and a.shape[0] != sample_rows and a.shape[0] % sample_rows == 0):
+        return _product(a, b, out)
+    shape = (a.shape[0], b.shape[1])
+    a = _per_sample(a, sample_rows)
+    if out is not None and out.flags.c_contiguous and out.shape == shape:
+        _product(a, b, out.reshape(a.shape[0], sample_rows, shape[1]))
+        return out
+    result = np.matmul(a, b).reshape(shape)
+    return result if out is None else _staged(out, result)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None,
+           sample_rows: Optional[int] = None) -> np.ndarray:
     """Batched matrix multiplication with numpy broadcasting semantics."""
     return _matmul_into(np.asarray(a, dtype=np.float32),
-                        np.asarray(b, dtype=np.float32), out)
+                        np.asarray(b, dtype=np.float32), out, sample_rows)
 
 
 def gemm(
@@ -49,6 +86,7 @@ def gemm(
     trans_a: bool = False,
     trans_b: bool = False,
     out: Optional[np.ndarray] = None,
+    sample_rows: Optional[int] = None,
 ) -> np.ndarray:
     """ONNX ``Gemm``: ``alpha * A' @ B' + beta * C`` on 2D operands.
 
@@ -70,7 +108,7 @@ def gemm(
         if out is not None and np.may_share_memory(out, c):
             # The product would overwrite C before the epilogue reads it.
             c = c.copy()
-    result = _matmul_into(a, b, out)
+    result = _matmul_into(a, b, out, sample_rows)
     if alpha != 1.0:
         np.multiply(result, np.float32(alpha), out=result)
     if c is not None and beta != 0.0:
@@ -83,7 +121,8 @@ def gemm(
 
 def linear(x: np.ndarray, weight: np.ndarray,
            bias: Optional[np.ndarray] = None,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+           out: Optional[np.ndarray] = None,
+           sample_rows: Optional[int] = None) -> np.ndarray:
     """Dense layer ``x @ W + b`` where W has shape (in_features, out_features).
 
     The bias broadcast-adds in place on the product buffer instead of
@@ -94,7 +133,7 @@ def linear(x: np.ndarray, weight: np.ndarray,
         if out is not None and np.may_share_memory(out, bias):
             bias = bias.copy()  # the product would overwrite it first
     result = _matmul_into(np.asarray(x, dtype=np.float32),
-                          np.asarray(weight, dtype=np.float32), out)
+                          np.asarray(weight, dtype=np.float32), out, sample_rows)
     if bias is not None:
         np.add(result, bias, out=result)
     return result

@@ -6,7 +6,7 @@ on ONNX Runtime's ``InferenceSession`` + ``IOBinding`` pattern:
 * a :class:`Session` owns the compiled artifact (pipeline result, execution
   plan and its memory slabs, or a warm worker pool) behind one executor name
   from :data:`EXECUTOR_REGISTRY` — the single registry every entry point
-  (serving config, CLI flags, this module) validates against;
+  (the CLI's ``trace --executor`` flag, this module) validates against;
 * :meth:`Session.run` executes a plain feed dict, whatever the executor;
 * :meth:`Session.bind` returns an :class:`IOBinding`.  ``bind_input`` pins
   caller-owned staging buffers, and
@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 #: The one registry of execution-surface names.  Every entry point that
-#: accepts an executor string — :func:`create_session`, the serving
-#: ``EngineConfig``, the CLI ``--executor`` flag — validates against this
-#: table via :func:`validate_executor` instead of keeping its own list.
+#: accepts an executor string — :func:`create_session` and the CLI's
+#: ``trace --executor`` flag — validates against this table via
+#: :func:`validate_executor` instead of keeping its own list.
 EXECUTOR_REGISTRY: Dict[str, str] = {
     "plan": "compile-once ExecutionPlan hot path (zero-realloc once warm)",
     "interp": "GraphExecutor reference interpreter (semantic ground truth)",

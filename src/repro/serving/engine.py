@@ -38,7 +38,9 @@ are configured by value (:class:`EngineConfig`), never switched off:
    holds *its own process's* BLAS at one thread as well
    (:mod:`repro.runtime.blas`), so a response is bitwise the same
    whichever replica computed it (with none, replica 0 computes at the
-   caller's budget).  The replicas are each other's redundancy: retry
+   caller's budget), and whichever batch it rode in: a fused answer is
+   bitwise the request's batch-1 answer (the probe below checks it with
+   ``np.array_equal``).  The replicas are each other's redundancy: retry
    and ``heal()`` act per replica, and a forked replica that still fails
    after its retries retires and hands the batch to replica 0, which
    answers it bitwise; the next backlog may fork a fresh replica.
@@ -419,9 +421,10 @@ class CompiledArtifact:
 
     @property
     def batchable(self) -> bool:
-        """Whether concurrent requests may be fused along the batch axis
-        (generated code that bakes the batch size into static reshapes —
-        e.g. BERT's attention head splits — is served one at a time)."""
+        """Whether concurrent requests may be fused along the batch axis:
+        every output row of a fused batch is bitwise its request's batch-1
+        answer.  A model whose code folds the batch into another axis (a
+        reshape ``(1, 64, 256) -> (64, 256)``) is served one at a time."""
         return self.max_batch > 1
 
     def close(self) -> None:
@@ -607,8 +610,9 @@ class _Lane:
         if not artifact.batchable and batch[0].batch_len > 1:
             self._respond(batch[0], exc=ServingError(
                 f"model {self._model.name!r} was compiled non-batch-fusable "
-                "(its generated code bakes in the batch size); requests must "
-                f"carry a single sample, got batch length {batch[0].batch_len}"))
+                "(a stacked batch does not give each row its batch-1 answer); "
+                "requests must carry a single sample, got batch length "
+                f"{batch[0].batch_len}"))
             return
         engine.metrics.record_batch(len(batch))
         if tracer is not None:
@@ -886,14 +890,17 @@ class InferenceEngine:
 
         Runs the artifact's own ``execute`` once on a single sample and once
         on a stacked batch of two and requires every output to carry the
-        batch on axis 0 with the first row matching the single-sample run.
-        Probe inputs are synthesized from the *request signature* the
-        artifact is keyed by — the exact shapes this artifact will serve —
-        not from the model's declared shapes, whose wildcard dims may
-        differ.  Models that bake the batch size into static shapes (e.g.
-        BERT's attention reshapes) fail the probe and are served one request
-        at a time — still cached and warm, just not fused.  A failing probe
-        run may leave the executor broken; the caller repairs it.
+        batch on axis 0 with the first row *bitwise* equal to the
+        single-sample run: a fused answer must be the batch-1 answer, not
+        one close to it.  ``optimize_model`` makes reshape targets follow
+        the batch and 2-D products run one call per sample, so every zoo
+        model passes.  Probe inputs are synthesized from the *request
+        signature* the artifact is keyed by — the exact shapes this
+        artifact will serve — not from the model's declared shapes, whose
+        wildcard dims may differ.  A model that folds the batch into
+        another axis fails the probe and is served one request at a time —
+        still cached and warm, just not fused.  A failing probe run may
+        leave the executor broken; the caller repairs it.
         """
         if self.config.max_batch_size <= 1:
             return False
@@ -912,7 +919,7 @@ class InferenceEngine:
             out = np.asarray(batched[name])
             if out.ndim < 1 or out.shape[0] != 2 or out.shape[1:] != ref.shape[1:]:
                 return False
-            if not np.allclose(out[:1], ref, rtol=1e-4, atol=1e-5, equal_nan=True):
+            if not np.array_equal(out[:1], ref, equal_nan=True):
                 return False
         return True
 

@@ -10,7 +10,7 @@ from repro.clustering import clone_cheap_producers
 from repro.ir import GraphBuilder, validate_graph
 from repro.models import build_model, list_models
 from repro.passes import optimize_model
-from repro.pipeline import model_fingerprint
+from repro.pipeline import model_fingerprint, ramiel_compile
 from repro.runtime import execute_model
 from repro.serving import example_inputs
 
@@ -137,7 +137,12 @@ class TestDeadCodeElimination:
     def test_noop_on_fully_live_graph(self, diamond_model):
         optimized, stats = optimize_model(diamond_model)
         assert stats["nodes_removed"] == 0
-        assert optimized.graph.nodes == diamond_model.graph.nodes
+        # Nothing is pruned; the one change is the row count the 2-D Gemm
+        # records for fused batches.
+        expected = [node.copy() for node in diamond_model.graph.nodes]
+        [gemm] = [node for node in expected if node.op_type == "Gemm"]
+        gemm.set_attr("sample_rows", 1)
+        assert optimized.graph.nodes == expected
 
     @pytest.mark.parametrize("name", list_models())
     def test_every_initializer_of_a_pruned_zoo_model_is_referenced(self, name):
@@ -312,3 +317,56 @@ class TestTransformedModels:
         assert all(cloned.graph.initializers[k] is v for k, v in model.graph.initializers.items())
         feed = example_inputs(model)
         _assert_bitwise(model, cloned, feed)
+
+
+def _reshape_model(in_shape, target):
+    b = GraphBuilder("reshape", seed=0)
+    x = b.input("x", in_shape)
+    b.output(b.relu(b.reshape(b.relu(x), target)))
+    return b.build()
+
+
+class TestBatchFollowing:
+    """Batch-1 literals that folding leaves behind let a fused batch through."""
+
+    def test_a_target_that_keeps_axis_0_copies_it_and_the_input_model_is_untouched(self, rng):
+        model = _reshape_model((1, 64, 256), [1, 64, 4, 64])
+        before = _snapshot(model.graph)
+        values = {name: array.copy() for name, array in model.graph.initializers.items()}
+        optimized, _ = optimize_model(model)
+        [node] = [n for n in optimized.graph.nodes if n.op_type == "Reshape"]
+        assert node.get_attr("shape") == [0, 64, 4, 64]
+        assert optimized.graph.initializers[node.inputs[1]].tolist() == [0, 64, 4, 64]
+        assert _snapshot(model.graph) == before
+        assert all(np.array_equal(model.graph.initializers[name], value)
+                   for name, value in values.items())
+        _assert_bitwise(model, optimized,
+                        {"x": rng.standard_normal((1, 64, 256)).astype(np.float32)})
+        batch = {"x": rng.standard_normal((3, 64, 256)).astype(np.float32)}
+        [out] = execute_model(optimized, batch).values()
+        assert out.shape == (3, 64, 4, 64)
+
+    def test_a_reshape_that_folds_the_batch_is_left_as_it_is(self):
+        model = _reshape_model((1, 64, 256), [64, 256])
+        optimized, _ = optimize_model(model)
+        [node] = [n for n in optimized.graph.nodes if n.op_type == "Reshape"]
+        [original] = [n for n in model.graph.nodes if n.op_type == "Reshape"]
+        assert node == original
+        assert optimized.graph.initializers[node.inputs[1]].tolist() == [64, 256]
+
+    def test_two_d_products_record_their_compiled_row_count(self):
+        b = GraphBuilder("products", seed=0)
+        x = b.input("x", (3, 8))
+        rows = b.matmul(x, b.weight("w", (8, 8)), name="rows")
+        cols = b.node("Gemm", [b.weight("a", (8, 5)), rows], name="cols", transA=1)
+        b.output(b.matmul(b.reshape(cols, [1, 5, 8]), b.weight("v", (8, 2)), name="three_d"))
+        optimized, _ = optimize_model(b.build())
+        recorded = {n.name: n.get_attr("sample_rows") for n in optimized.graph.nodes}
+        assert recorded == {"rows": 3, "cols": 5, "three_d": None,
+                            **{n.name: None for n in optimized.graph.nodes
+                               if n.op_type == "Reshape"}}
+
+    def test_bert_head_splits_follow_the_batch(self):
+        source = ramiel_compile(build_model("bert")).sequential_module.source
+        assert "F.reshape(" in source and ", [0, 64, 4, 64])" in source
+        assert ", [1, 64, 4, 64])" not in source

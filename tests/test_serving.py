@@ -11,6 +11,7 @@ its replacement, one lane thread per warm artifact and nothing engine-wide).
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 
@@ -27,6 +28,7 @@ from repro.pipeline import (
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import WarmExecutorPool
 from repro.observability import MetricsRegistry
+from repro.serving.engine import Replica
 from repro.serving import (
     ArtifactCache,
     ArtifactKey,
@@ -974,14 +976,23 @@ def _gauge(snapshot, family, artifact):
 class TestLaneReplicas:
     @managed_blas
     def test_sixteen_bert_requests_use_every_replica_bitwise_at_one_blas_thread(
-            self, pin_cores):
+            self, pin_cores, monkeypatch):
         """The suite runs with no BLAS variable set: the engine holds this
         process at one BLAS thread while the lane runs a forked replica,
         every forked worker pins itself, a response is the B = 1 plan's
-        whichever replica computed it, and shutdown puts the count back."""
+        whichever replica computed it and whichever batch it rode in, and
+        shutdown puts the count back."""
         from repro.runtime.blas import blas_threads, pin_blas_threads
 
         pin_cores(2)
+        requests = collections.Counter()  # replica index -> requests it ran
+        run_batch = Replica.run_batch
+
+        def counted(replica, stacked):
+            requests[replica.index] += len(next(iter(stacked.values())))
+            return run_batch(replica, stacked)
+
+        monkeypatch.setattr(Replica, "run_batch", counted)
         model = build_model("bert", variant="small")
         feeds = [example_inputs(model, seed=40 + i) for i in range(16)]
         before = blas_threads()
@@ -991,8 +1002,8 @@ class TestLaneReplicas:
             assert artifact.max_replicas == 2
             replicas = list(artifact.replicas)
             assert [r.session.executor for r in replicas] == ["plan", "process"]
-            served = [r.stats()["runs"] for r in replicas]
-            assert min(served) >= 1 and sum(served) == 16, served
+            assert min(r.stats()["runs"] for r in replicas) >= 1
+            assert sorted(requests) == [0, 1] and sum(requests.values()) == 16, requests
             (worker,) = replicas[1].session.stats()["pool"]["workers"]
             assert worker["blas_threads"] == 1
             assert replicas[1].session.stats()["placement"]["workers"] == 1
@@ -1120,10 +1131,10 @@ def test_probe_verdict_is_identical_across_executors(name):
     """``batchable`` is a property of the compiled model, not of the
     executor that probed it: replica 0's plan probes once and the lane's
     forked replicas serve under that verdict, so a one-worker process
-    session must reach the same one.  A plan that failed the batch-of-two
-    probe run (BERT bakes the batch size into its reshapes) serves the
-    very next request bitwise.  Everything computes at the forked workers'
-    one BLAS thread (``restore_blas`` puts the count back)."""
+    session must reach the same one.  Every zoo model fuses (BERT's reshape
+    targets follow the batch), and the engine's answer is bitwise the
+    interpreter's.  Everything computes at the forked workers' one BLAS
+    thread (``restore_blas`` puts the count back)."""
     from repro.runtime.blas import pin_blas_threads
 
     pin_blas_threads(1)
@@ -1132,7 +1143,7 @@ def test_probe_verdict_is_identical_across_executors(name):
     reference = create_session(model, executor="interp").run(feed)
     with InferenceEngine() as engine:
         summary = engine.warmup(model)
-        assert summary["batchable"] is (name != "bert")
+        assert summary["batchable"] is True
         outputs = engine.infer(model, feed)
         artifact = artifact_of(engine, model, feed)
         with create_session(artifact.result, executor="process",
