@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.reports import format_rows, render_serving_report
-from repro.ir import GraphBuilder
 from repro.models import build_model
 from repro.pipeline import ramiel_compile
 from repro.serving import (
@@ -29,6 +28,7 @@ from repro.serving import (
     example_inputs,
     naive_throughput,
 )
+from tests.conftest import build_batch_folding_model
 
 #: three zoo models of different topology (fire modules, inception blocks,
 #: transformer layers) served from one engine
@@ -97,22 +97,11 @@ def test_identical_triple_is_cache_hit_with_zero_recompilation(served_models, en
     assert engine.metrics.snapshot()["cache"]["compiles"] == compiles_before
 
 
-def _batch_folding_model():
-    """A reshape that folds the batch into the rows, ``(1, 8, 16) -> (8, 16)``:
-    a stacked batch cannot pass through it."""
-    b = GraphBuilder("batch_folding", seed=0)
-    x = b.input("x", (1, 8, 16))
-    rows = b.reshape(b.relu(x), [8, 16])
-    product = b.matmul(rows, b.weight("w", (16, 4)))
-    b.output(b.relu(b.reshape(product, [1, 32])))
-    return b.build()
-
-
 def test_unbatchable_model_degrades_gracefully(engine):
     """A model whose reshape folds the batch into another axis fails the
     fusion probe, so the engine must serve it unfused — but still cached,
     warm and correct."""
-    model = _batch_folding_model()
+    model = build_batch_folding_model()
     info = engine.warmup(model)
     assert info["batchable"] is False
 

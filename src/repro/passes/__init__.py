@@ -22,6 +22,7 @@ constant propagation is a Horizontal branch reduction strategy."
 Folding leaves batch-1 literals behind, so the kept nodes are then made to
 follow a fused batch (:func:`_follow_batch`): a reshape target that keeps
 axis 0 copies it, and a 2-D product records its row count.
+:func:`follow_batch` applies that step alone, to a model left unpruned.
 
 No fixpoint iteration is needed: on a DAG each of these analyses only feeds
 the others *forwards* (a folded ``Gather`` gives a ``Reshape`` its static
@@ -232,4 +233,25 @@ def optimize_model(model: Model) -> Tuple[Model, dict]:
     return model.with_graph(pruned), stats
 
 
-__all__ = ["forward_sweep", "optimize_model"]
+def follow_batch(model: Model) -> Model:
+    """``model``, unpruned, with its nodes made to follow a fused batch
+    (:func:`_follow_batch`) — what :func:`optimize_model` does to the nodes
+    it keeps, for a compile that skips pruning.  The input model is not
+    modified; the result shares its weight arrays.
+    """
+    graph = model.graph
+    ctx, _ = forward_sweep(graph)
+    initializers = dict(graph.initializers)
+    readers = collections.Counter(name for node in graph.nodes for name in node.present_inputs)
+    nodes = [_follow_batch(node, ctx, initializers, readers) for node in graph.nodes]
+    return model.with_graph(Graph(
+        name=graph.name,
+        nodes=nodes,
+        inputs=list(graph.inputs),
+        outputs=list(graph.outputs),
+        initializers=initializers,
+        value_info=dict(graph.value_info),
+    ))
+
+
+__all__ = ["follow_batch", "forward_sweep", "optimize_model"]

@@ -41,7 +41,7 @@ from repro.graph.dataflow import DataflowGraph, model_to_dataflow
 from repro.graph.parallelism import ParallelismReport, parallelism_and_distances
 from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Model
-from repro.passes import optimize_model
+from repro.passes import follow_batch, optimize_model
 from repro.runtime.plan import ExecutionPlan
 
 
@@ -50,6 +50,7 @@ class PipelineConfig:
     """Configuration of one Ramiel compilation."""
 
     #: apply constant propagation + dead-code elimination before clustering
+    #: (either way the nodes follow a fused batch: ``passes.follow_batch``)
     prune: bool = True
     #: apply restricted task cloning before clustering
     clone: bool = False
@@ -317,13 +318,15 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     stage_times: Dict[str, float] = {}
     total_start = time.perf_counter()
 
-    # 1. Optional pruning (CP + DCE: one forward and one backward sweep).
+    # 1. Optional pruning (CP + DCE: one forward and one backward sweep);
+    #    without it the nodes are still made to follow a fused batch.
     pruning_stats = None
-    optimized = model
     if config.prune:
         start = time.perf_counter()
         optimized, pruning_stats = optimize_model(model)
         stage_times["prune"] = time.perf_counter() - start
+    else:
+        optimized = follow_batch(model)
 
     # 2. Optional restricted cloning.
     cloning_report = None

@@ -11,9 +11,9 @@ results are bitwise-identical to the ``out=None`` path.
 A 2-D product over a fused batch is not one BLAS call: OpenBLAS gives the
 rows of an ``(N, K) @ (K, M)`` product other bits than the ``(1, K) @ (K, M)``
 call of one sample, while a stacked ``(N, 1, K) @ (K, M)`` repeats that call
-N times.  So each entry point takes ``sample_rows`` — the product's row
+N times.  So ``matmul`` and ``gemm`` take ``sample_rows`` — the product's row
 count R at the compiled signature, which ``optimize_model`` records on every
-2-D ``MatMul`` / ``Gemm`` — and runs ``N * R`` rows as N stacked calls of the
+2-D ``MatMul`` / ``Gemm`` — and run ``N * R`` rows as N stacked calls of the
 compiled ``(R, K)`` shape, each row bitwise what its request computes
 alone.  It never splits finer than R, and R rows stay one call.
 """
@@ -121,8 +121,7 @@ def gemm(
 
 def linear(x: np.ndarray, weight: np.ndarray,
            bias: Optional[np.ndarray] = None,
-           out: Optional[np.ndarray] = None,
-           sample_rows: Optional[int] = None) -> np.ndarray:
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense layer ``x @ W + b`` where W has shape (in_features, out_features).
 
     The bias broadcast-adds in place on the product buffer instead of
@@ -133,7 +132,7 @@ def linear(x: np.ndarray, weight: np.ndarray,
         if out is not None and np.may_share_memory(out, bias):
             bias = bias.copy()  # the product would overwrite it first
     result = _matmul_into(np.asarray(x, dtype=np.float32),
-                          np.asarray(weight, dtype=np.float32), out, sample_rows)
+                          np.asarray(weight, dtype=np.float32), out)
     if bias is not None:
         np.add(result, bias, out=result)
     return result

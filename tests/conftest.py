@@ -109,6 +109,17 @@ def build_wide_model(branches: int = 4, name: str = "wide"):
     return b.build()
 
 
+def build_batch_folding_model(name: str = "batch_folding"):
+    """A reshape that folds the batch into the rows, ``(1, 8, 16) -> (8, 16)``:
+    a stacked batch cannot pass through it, so the engine serves it unfused."""
+    b = GraphBuilder(name, seed=0)
+    x = b.input("x", (1, 8, 16))
+    rows = b.reshape(b.relu(x), [8, 16])
+    product = b.matmul(rows, b.weight("w", (16, 4)))
+    b.output(b.relu(b.reshape(product, [1, 32])))
+    return b.build()
+
+
 @pytest.fixture()
 def diamond_model():
     """Fork/join model fixture."""

@@ -27,8 +27,6 @@ def _call(kernel, x, weight, bias, rows, out=None):
     """One product of ``x`` (rows on axis 0; on axis 1 for ``gemm_trans``)."""
     if kernel == "matmul":
         return F.matmul(x, weight, out=out, sample_rows=rows)
-    if kernel == "linear":
-        return F.linear(x, weight, bias, out=out, sample_rows=rows)
     if kernel == "gemm":
         return F.gemm(x, weight.T.copy(), bias, trans_b=True, out=out, sample_rows=rows)
     return F.gemm(x, weight, bias, alpha=0.5, trans_a=True, out=out, sample_rows=rows)
@@ -36,8 +34,11 @@ def _call(kernel, x, weight, bias, rows, out=None):
 
 @pytest.mark.parametrize("dest", ["contiguous", "aliasing", "strided", None])
 @pytest.mark.parametrize("rows", [1, 3])
-@pytest.mark.parametrize("kernel", ["matmul", "gemm", "gemm_trans", "linear"])
-def test_fused_rows_are_bitwise_their_batch_1_calls(kernel, rows, dest):
+@pytest.mark.parametrize("kernel", ["matmul", "gemm", "gemm_trans"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_fused_rows_are_bitwise_their_batch_1_calls(threads, kernel, rows, dest):
+    # replica 0 probes and serves at the process's BLAS count, not just one
+    pin_blas_threads(threads)
     rng = np.random.default_rng(rows)
     weight = rng.standard_normal((K, M), dtype=np.float32)
     bias = rng.standard_normal(M, dtype=np.float32)
@@ -71,6 +72,20 @@ def test_the_compiled_row_count_stays_one_call(monkeypatch):
     F.matmul(np.ones((6, K), dtype=np.float32), weight, sample_rows=3)
     F.matmul(x, weight)
     assert calls == [(3, K), (2, 3, K), (3, K)]
+
+
+def test_an_unpruned_compile_fuses_its_classifier_bitwise():
+    """``prune=False`` skips ``optimize_model`` but not the batch-following
+    rewrite, so googlenet's classifier ``Gemm`` still splits per sample."""
+    pin_blas_threads(1)
+    model = build_model("googlenet", variant="small")
+    plan = create_session(ramiel_compile(model, prune=False, generate_code=False),
+                          executor="plan")
+    feeds = [example_inputs(model, seed=seed) for seed in range(3)]
+    stacked = plan.run({key: np.concatenate([feed[key] for feed in feeds]) for key in feeds[0]})
+    for index, feed in enumerate(feeds):
+        for key, value in plan.run(feed).items():
+            assert np.array_equal(stacked[key][index:index + 1], value), (key, index)
 
 
 @pytest.mark.parametrize("name", list_models())

@@ -9,7 +9,7 @@ import repro.passes as passes
 from repro.clustering import clone_cheap_producers
 from repro.ir import GraphBuilder, validate_graph
 from repro.models import build_model, list_models
-from repro.passes import optimize_model
+from repro.passes import follow_batch, optimize_model
 from repro.pipeline import model_fingerprint, ramiel_compile
 from repro.runtime import execute_model
 from repro.serving import example_inputs
@@ -365,6 +365,16 @@ class TestBatchFollowing:
         assert recorded == {"rows": 3, "cols": 5, "three_d": None,
                             **{n.name: None for n in optimized.graph.nodes
                                if n.op_type == "Reshape"}}
+
+    def test_an_unpruned_model_follows_the_batch_too(self):
+        model = _reshape_model((1, 64, 256), [1, 64, 4, 64])
+        before = _snapshot(model.graph)
+        followed = follow_batch(model)
+        assert _snapshot(model.graph) == before
+        assert [n.name for n in followed.graph.nodes] == [n.name for n in model.graph.nodes]
+        [node] = [n for n in followed.graph.nodes if n.op_type == "Reshape"]
+        assert node.get_attr("shape") == [0, 64, 4, 64]
+        assert followed.graph.initializers[node.inputs[1]].tolist() == [0, 64, 4, 64]
 
     def test_bert_head_splits_follow_the_batch(self):
         source = ramiel_compile(build_model("bert")).sequential_module.source

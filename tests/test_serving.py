@@ -47,6 +47,7 @@ from tests.conftest import (
     FakeClock,
     LaneDouble,
     artifact_of,
+    build_batch_folding_model,
     build_chain_model,
     build_diamond_model,
     gate_session,
@@ -1126,26 +1127,32 @@ class TestLaneReplicas:
 # ---------------------------------------------------------------------------
 # The batch-fusion probe: one verdict per compiled model
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+@pytest.mark.parametrize("name", [*sorted(MODEL_REGISTRY), "batch_folding"])
 def test_probe_verdict_is_identical_across_executors(name):
     """``batchable`` is a property of the compiled model, not of the
     executor that probed it: replica 0's plan probes once and the lane's
     forked replicas serve under that verdict, so a one-worker process
     session must reach the same one.  Every zoo model fuses (BERT's reshape
-    targets follow the batch), and the engine's answer is bitwise the
+    targets follow the batch); a reshape that folds the batch into another
+    axis fails the probe on both, and replica 0 serves on after its failed
+    stacked run.  Either way the engine's answer is bitwise the
     interpreter's.  Everything computes at the forked workers' one BLAS
     thread (``restore_blas`` puts the count back)."""
     from repro.runtime.blas import pin_blas_threads
 
     pin_blas_threads(1)
-    model = build_model(name, variant="small")
+    if name == "batch_folding":
+        model = build_batch_folding_model()
+    else:
+        model = build_model(name, variant="small")
     feed = example_inputs(model, seed=5)
     reference = create_session(model, executor="interp").run(feed)
     with InferenceEngine() as engine:
         summary = engine.warmup(model)
-        assert summary["batchable"] is True
+        assert summary["batchable"] is (name != "batch_folding")
         outputs = engine.infer(model, feed)
         artifact = artifact_of(engine, model, feed)
+        assert not artifact.replicas[0].broken
         with create_session(artifact.result, executor="process",
                             cores=1) as forked:
             assert engine._probe_batchable(
