@@ -12,6 +12,14 @@ the slack windows that motivate hyperclustering.
 Node durations come either from the static cost model (default) or from a
 measured cost provider (``repro.runtime.profiler``), so the same simulator
 supports both "predicted" and "measured-cost" experiments.
+
+Each node counts its unfinished in-edges; when the last one finishes, the
+node's dependency-ready time (latest input arrival, message latency
+included) is computed once and cached.  A step then costs one head
+comparison per unfinished cluster, with no rescan of in-edges, and the
+whole simulation O(V * C + E).  The schedule is exactly that of re-walking
+every head's in-edges at every step (``tests/test_clustering_oracles.py``
+keeps that formulation as the oracle).
 """
 
 from __future__ import annotations
@@ -165,35 +173,25 @@ class ScheduleSimulator:
         num_messages = 0
         message_cost_total = 0.0
 
-        total_nodes = sum(len(c) for c in clusters)
-        scheduled = 0
-        cluster_by_id = {c.cluster_id: c for c in clusters}
+        # Unfinished in-edges per node; when the last one finishes, the
+        # node's dependency-ready time is fixed and cached.
+        waiting = {n: dfg.in_degree(n) for n in dfg.node_names()}
+        dep_ready: Dict[str, float] = {n: 0.0 for n, count in waiting.items() if not count}
+        active = [c for c in clusters if c.nodes]
 
-        while scheduled < total_nodes:
-            # Collect the head node of every unfinished cluster whose
-            # dependences have all completed.
+        while active:
+            # The earliest-starting head node among the unfinished clusters
+            # whose dependences have all completed.
             best: Optional[Tuple[float, int, str]] = None
-            for cluster in clusters:
-                idx = next_index[cluster.cluster_id]
-                if idx >= len(cluster.nodes):
+            for cluster in active:
+                cid = cluster.cluster_id
+                name = cluster.nodes[next_index[cid]]
+                if waiting[name]:
                     continue
-                name = cluster.nodes[idx]
-                preds = dfg.in_edges(name)
-                if any(e.src not in node_finish for e in preds):
-                    continue
-                dep_ready = 0.0
-                for e in preds:
-                    arrival = node_finish[e.src]
-                    if owner[e.src] != cluster.cluster_id:
-                        arrival += cfg.message_latency
-                    dep_ready = max(dep_ready, arrival)
-                core = cluster_core[cluster.cluster_id]
-                start = max(dep_ready,
-                            cluster_available[cluster.cluster_id],
-                            core_available[core])
-                key = (start, cluster.cluster_id, name)
+                key = (max(dep_ready[name], cluster_available[cid],
+                           core_available[cluster_core[cid]]), cid, name)
                 if best is None or key < best:
-                    best = key
+                    best, chosen = key, cluster
             if best is None:  # pragma: no cover - impossible for valid clusterings
                 raise RuntimeError(
                     f"schedule simulation stalled for {dfg.name!r}: "
@@ -205,22 +203,32 @@ class ScheduleSimulator:
             finish = start + duration
             node_start[name] = start
             node_finish[name] = finish
-            cluster = cluster_by_id[cluster_id]
             core = cluster_core[cluster_id]
 
             for e in dfg.in_edges(name):
                 if owner[e.src] != cluster_id:
                     num_messages += 1
                     message_cost_total += cfg.message_latency
+            for succ in dfg.successors(name):
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    ready = 0.0
+                    for e in dfg.in_edges(succ):
+                        arrival = node_finish[e.src]
+                        if owner[e.src] != owner.get(succ):
+                            arrival += cfg.message_latency
+                        ready = max(ready, arrival)
+                    dep_ready[succ] = ready
 
             next_index[cluster_id] += 1
+            if next_index[cluster_id] == len(chosen.nodes):
+                active.remove(chosen)
             cluster_available[cluster_id] = finish
             core_available[core] = finish
             cluster_busy[cluster_id] += duration
             cluster_finish[cluster_id] = finish
             if cluster_first_start[cluster_id] is None:
                 cluster_first_start[cluster_id] = start
-            scheduled += 1
 
         makespan = max(node_finish.values()) if node_finish else 0.0
         cluster_idle: Dict[int, float] = {}

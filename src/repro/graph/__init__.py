@@ -16,7 +16,6 @@ from repro.graph.dataflow import DataflowGraph, DFNode, DFEdge, model_to_dataflo
 from repro.graph.traversal import (
     topological_sort,
     topological_sort_nodes,
-    ancestors,
     descendants,
     graph_levels,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "model_to_dataflow",
     "topological_sort",
     "topological_sort_nodes",
-    "ancestors",
     "descendants",
     "graph_levels",
     "CostModel",

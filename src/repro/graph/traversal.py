@@ -82,19 +82,6 @@ def topological_sort(dfg: "DataflowGraph") -> List[str]:
     return order
 
 
-def ancestors(dfg: "DataflowGraph", name: str) -> Set[str]:
-    """All transitive predecessors of a node (excluding the node itself)."""
-    seen: Set[str] = set()
-    stack = list(dfg.predecessors(name))
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(dfg.predecessors(current))
-    return seen
-
-
 def descendants(dfg: "DataflowGraph", name: str) -> Set[str]:
     """All transitive successors of a node (excluding the node itself)."""
     seen: Set[str] = set()
@@ -115,19 +102,6 @@ def graph_levels(dfg: "DataflowGraph") -> Dict[str, int]:
         preds = dfg.predecessors(name)
         levels[name] = 0 if not preds else 1 + max(levels[p] for p in preds)
     return levels
-
-
-def reachable_from(dfg: "DataflowGraph", sources: Iterable[str]) -> Set[str]:
-    """All nodes reachable from the given set of sources (inclusive)."""
-    seen: Set[str] = set()
-    stack = list(sources)
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(dfg.successors(current))
-    return seen
 
 
 def reaches(dfg: "DataflowGraph", targets: Iterable[str]) -> Set[str]:

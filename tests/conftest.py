@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -159,6 +160,41 @@ def make_dataflow(edges, costs=None, name="toy") -> DataflowGraph:
         dfg.add_node(n, "Generic", cost=float(costs.get(n, 1.0)))
     for src, dst in edges:
         dfg.add_edge(src, dst)
+    return dfg
+
+
+@st.composite
+def random_dags(draw, max_nodes: int = 18) -> DataflowGraph:
+    """Random weighted DAG: edges always point from lower to higher index.
+
+    Costs come from a small pool half of the time, so equal (and zero)
+    distances are common and the algorithms' tie-breaking is exercised; the
+    nodes are inserted in a drawn order, so the insertion index that breaks
+    ties need not be a topological order; a few edges are repeated, as when
+    one tensor feeds two inputs of a node.
+    """
+    num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
+    cost = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                     st.floats(min_value=0.0, max_value=20.0,
+                               allow_nan=False, allow_infinity=False))
+    costs = draw(st.lists(cost, min_size=num_nodes, max_size=num_nodes))
+    edge_flags = draw(st.lists(st.booleans(),
+                               min_size=num_nodes * (num_nodes - 1) // 2,
+                               max_size=num_nodes * (num_nodes - 1) // 2))
+    density = draw(st.floats(min_value=0.1, max_value=0.6))
+
+    dfg = DataflowGraph("random")
+    for i in draw(st.permutations(range(num_nodes))):
+        dfg.add_node(f"n{i}", "Generic", cost=float(costs[i]))
+    flag_iter = iter(edge_flags)
+    for i in range(num_nodes):
+        for j in range(i + 1, num_nodes):
+            if next(flag_iter) and (j - i == 1 or (i * 31 + j) % 100 < density * 100):
+                dfg.add_edge(f"n{i}", f"n{j}")
+    edges = dfg.edges()
+    if edges:
+        for k in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3)):
+            dfg.add_edge(edges[k].src, edges[k].dst)
     return dfg
 
 

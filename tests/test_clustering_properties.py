@@ -44,29 +44,7 @@ from repro.graph.dataflow import DataflowGraph, model_to_dataflow
 from repro.graph.traversal import topological_sort
 from repro.models import build_model
 from repro.passes import optimize_model
-
-
-@st.composite
-def random_dags(draw, max_nodes: int = 18) -> DataflowGraph:
-    """Random weighted DAG: edges always point from lower to higher index."""
-    num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
-    costs = draw(st.lists(st.floats(min_value=0.0, max_value=20.0,
-                                    allow_nan=False, allow_infinity=False),
-                          min_size=num_nodes, max_size=num_nodes))
-    edge_flags = draw(st.lists(st.booleans(),
-                               min_size=num_nodes * (num_nodes - 1) // 2,
-                               max_size=num_nodes * (num_nodes - 1) // 2))
-    density = draw(st.floats(min_value=0.1, max_value=0.6))
-
-    dfg = DataflowGraph("random")
-    for i in range(num_nodes):
-        dfg.add_node(f"n{i}", "Generic", cost=float(costs[i]))
-    flag_iter = iter(edge_flags)
-    for i in range(num_nodes):
-        for j in range(i + 1, num_nodes):
-            if next(flag_iter) and (j - i == 1 or (i * 31 + j) % 100 < density * 100):
-                dfg.add_edge(f"n{i}", f"n{j}")
-    return dfg
+from tests.conftest import random_dags
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from repro.graph import (
 )
 from repro.graph.critical_path import compute_distance_from_start, path_cost
 from repro.graph.dataflow import DataflowGraph
-from repro.graph.traversal import CycleError, ancestors, descendants, reachable_from, reaches
+from repro.graph.traversal import CycleError, descendants, reaches
 from repro.graph.visualize import clusters_to_dot, to_dot
 from repro.ir.node import OpNode
 
@@ -106,9 +106,7 @@ class TestTraversal:
 
     def test_ancestors_descendants(self):
         dfg = make_dataflow([("a", "b"), ("b", "c"), ("x", "c")])
-        assert ancestors(dfg, "c") == {"a", "b", "x"}
         assert descendants(dfg, "a") == {"b", "c"}
-        assert reachable_from(dfg, ["x"]) == {"x", "c"}
         assert reaches(dfg, ["b"]) == {"a", "b"}
 
     def test_levels(self):

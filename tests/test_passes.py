@@ -198,9 +198,8 @@ class TestIdentityElimination:
         _assert_bitwise(model, optimized, {"x": rng.standard_normal((1, 4)).astype(np.float32)})
 
 
-class TestPassManagerAndRecipe:
-    """``optimize_model`` as a whole (the class name predates the sweep and
-    is kept so the test ids stay comparable across PRs)."""
+class TestOptimizeModel:
+    """``optimize_model`` as a whole."""
 
     def test_optimize_model_reports_stats(self):
         model = _model_with_constant_chain()
