@@ -68,7 +68,7 @@ def linear_clustering(
     key: Dict[str, Tuple[float, int]] = {
         n: (-dist[n], dfg.node(n).index) for n in names}
     succ = {n: dfg.successors(n) for n in names}
-    waiting = {n: dfg.in_degree(n) for n in names}
+    waiting = {n: dfg.in_degree(n) for n in names}  # in-edges from unclustered nodes
     ready = [(key[n], n) for n in names if not waiting[n]]
     heapq.heapify(ready)
     clustered: Set[str] = set()

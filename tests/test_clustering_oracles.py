@@ -312,7 +312,7 @@ def test_simulate_matches_the_rescanning_oracle(dfg: DataflowGraph, shape: str, 
                          reference_simulate(simulator, clustering, cost_provider))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # the two rows of a model run one after the other
 def _zoo_model(name: str):
     return build_model(name)
 
