@@ -165,7 +165,8 @@ def make_dataflow(edges, costs=None, name="toy") -> DataflowGraph:
 
 @st.composite
 def random_dags(draw, max_nodes: int = 18) -> DataflowGraph:
-    """Random weighted DAG: edges always point from lower to higher index.
+    """Random weighted DAG: edges always point from a lower to a higher
+    node number (``n3 -> n7``).
 
     Costs come from a small pool half of the time, so equal (and zero)
     distances are common and the algorithms' tie-breaking is exercised; the
