@@ -13,11 +13,10 @@ fan-out points such as the stem of Inception live, cf. Fig. 7).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.graph.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.graph.dataflow import model_to_dataflow
-from repro.graph.traversal import graph_levels
+from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Graph, Model
 
 
@@ -76,8 +75,13 @@ def clone_cheap_producers(
     cm = cost_model or DEFAULT_COST_MODEL
     graph = model.graph
 
-    dfg = model_to_dataflow(graph, cost_model=cm)
-    levels = graph_levels(dfg)
+    # ASAP level: the longest hop-distance from a node without producers.
+    producers = graph.producers()
+    levels: Dict[str, int] = {}
+    for node in topological_sort_nodes(graph):
+        above = [levels[producers[value].name] for value in node.inputs
+                 if value and value in producers and producers[value] is not node]
+        levels[node.name] = 1 + max(above, default=-1)
     depth = max(levels.values()) + 1 if levels else 1
     level_cutoff = depth * top_fraction
 

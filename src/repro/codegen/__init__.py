@@ -9,7 +9,7 @@ This package mirrors that:
 * :mod:`~repro.codegen.emitter` — indentation-aware source emitter,
 * :mod:`~repro.codegen.op_lowering` — per-operator lowering to calls into
   :mod:`repro.runtime.functional` (the stand-in for the paper's PyTorch
-  calls),
+  calls), done once per node for both modules,
 * :func:`~repro.codegen.sequential_codegen.generate_sequential_module` —
   the single-core reference version Ramiel also emits,
 * :func:`~repro.codegen.parallel_codegen.generate_parallel_module` —

@@ -28,6 +28,11 @@ class CodeEmitter:
             self.line(text)
         return self
 
+    def extend(self, texts: Iterable[str]) -> "CodeEmitter":
+        """Emit text already indented, as it is (one or more lines each)."""
+        self._lines.extend(texts)
+        return self
+
     def comment(self, text: str) -> "CodeEmitter":
         """Emit a ``#`` comment line."""
         return self.line(f"# {text}")

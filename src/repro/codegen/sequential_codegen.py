@@ -8,37 +8,24 @@ also the execution plan's code: :class:`repro.runtime.plan.ExecutionPlan`
 runs this very text (byte for byte), passing a destination table of views
 into one liveness-packed slab where a standalone call passes none and
 allocates every intermediate.
+
+Its body is the node blocks of a :class:`~repro.codegen.op_lowering.LoweredModel`
+in topological order — the blocks the parallel module's cluster functions
+print too, so a compile names and renders each node once for both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 from repro.codegen.emitter import CodeEmitter
-from repro.codegen.op_lowering import lower_node
-from repro.codegen.ssa import SSANamer
-from repro.graph.traversal import topological_sort_nodes
-from repro.ir.model import Graph, Model
-from repro.ir.node import OpNode
-
-
-def _value_expr(name: str, graph: Graph, namer: SSANamer) -> str:
-    """Expression that reads an IR value: local SSA var, graph input or weight."""
-    if name in namer:
-        return namer.name_for(name)
-    if name in graph.initializers:
-        return f"weights[{name!r}]"
-    if name in graph.input_names:
-        return f"inputs[{name!r}]"
-    # Fall back to a local variable reference (will be defined before use in
-    # a topologically ordered emission).
-    return namer.name_for(name)
+from repro.codegen.op_lowering import BODY, LoweredModel
+from repro.ir.model import Model
 
 
 def generate_sequential_source(model: Model, function_name: str = "run") -> str:
     """Generate the source of a sequential inference module for a model."""
-    return sequential_source(model, topological_sort_nodes(model.graph), lower_node,
-                             function_name)
+    return sequential_source(LoweredModel(model), function_name)
 
 
 def destination_table_header(em: CodeEmitter, num_nodes: int) -> None:
@@ -67,19 +54,18 @@ DESTINATION_PARAMETERS_DOC = (
 )
 
 
-def sequential_source(model: Model, order: Sequence[OpNode],
-                      lower: Callable[..., List[str]], function_name: str = "run",
+def sequential_source(lowered: LoweredModel, function_name: str = "run",
                       traced: bool = False) -> str:
-    """:func:`generate_sequential_source` over a given topological ``order``
-    of the model's nodes, printing each node with ``lower``.
+    """:func:`generate_sequential_source` of a lowered model: its node blocks
+    in its topological order.
 
-    Node ``i`` of ``order`` computes into ``out[i]``.  ``traced`` prints the
+    Node ``i`` of the order computes into ``out[i]``.  ``traced`` prints the
     execution plan's traced twin: each node's statements are bracketed by
     ``_t = _now()`` and ``_span(i, _t)``, names the plan binds when it
     compiles the twin.
     """
+    model = lowered.model
     graph = model.graph
-    namer = SSANamer()
     em = CodeEmitter()
 
     em.docstring(
@@ -96,7 +82,7 @@ def sequential_source(model: Model, order: Sequence[OpNode],
     em.line(f"MODEL_NAME = {model.name!r}")
     em.line(f"GRAPH_INPUTS = {list(graph.input_names)!r}")
     em.line(f"GRAPH_OUTPUTS = {list(graph.output_names)!r}")
-    destination_table_header(em, len(order))
+    destination_table_header(em, len(lowered.order))
     em.blank(2)
 
     with em.block(f"def {function_name}(inputs, weights, out=None, ws=None):"):
@@ -112,20 +98,17 @@ def sequential_source(model: Model, order: Sequence[OpNode],
             + DESTINATION_PARAMETERS_DOC
         )
         destination_table_prologue(em)
-        for index, node in enumerate(order):
-            input_exprs = [_value_expr(name, graph, namer) for name in node.present_inputs]
-            output_vars = [namer.name_for(out) for out in node.outputs if out]
-            em.comment(f"{node.op_type} node {node.name!r}")
-            if traced:
-                em.line("_t = _now()")
-            for stmt in lower(node, input_exprs, output_vars, index):
-                em.line(stmt)
-            if traced:
-                em.line(f"_span({index}, _t)")
+        if traced:
+            for index, (comment, statements) in enumerate(lowered.blocks):
+                em.extend((comment, f"{BODY}_t = _now()", statements,
+                         f"{BODY}_span({index}, _t)"))
+        else:
+            for block in lowered.blocks:
+                em.extend(block)
         em.line("return {")
         em.indent()
-        for out in graph.output_names:
-            em.line(f"{out!r}: {_value_expr(out, graph, namer)},")
+        for out, expr in lowered.outputs:
+            em.line(f"{out!r}: {expr},")
         em.dedent()
         em.line("}")
     return em.source()

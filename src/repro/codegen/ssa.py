@@ -24,9 +24,6 @@ class SSANamer:
         self._by_value: Dict[str, str] = {}
         self._used: set = set()
 
-    def __contains__(self, value_name: str) -> bool:
-        return value_name in self._by_value
-
     def name_for(self, value_name: str) -> str:
         """Return (allocating if needed) the identifier for an IR value name."""
         existing = self._by_value.get(value_name)
@@ -46,10 +43,6 @@ class SSANamer:
         self._used.add(unique)
         self._by_value[value_name] = unique
         return unique
-
-    def mapping(self) -> Dict[str, str]:
-        """Copy of the value-name -> identifier mapping."""
-        return dict(self._by_value)
 
 
 def sanitize_identifier(name: str, prefix: str = "") -> str:

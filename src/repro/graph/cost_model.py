@@ -109,29 +109,28 @@ class CostModel:
         return float(self.conv_kernel_costs[chosen])
 
     def _conv_cost(self, op: OpNode, graph: Optional[Graph]) -> float:
-        kernel = op.get_attr("kernel_shape")
-        if kernel is None and graph is not None and len(op.inputs) > 1:
+        w_info = None
+        if graph is not None and len(op.inputs) > 1:
             w_info = graph.tensor_info(op.inputs[1])
-            if w_info is not None and w_info.shape is not None and len(w_info.shape) == 4:
-                kernel = [w_info.shape[2], w_info.shape[3]]
+        w_shape = w_info.shape if w_info is not None and w_info.shape is not None else ()
+        kernel = op.get_attr("kernel_shape")
+        if kernel is None and len(w_shape) == 4:
+            kernel = [w_shape[2], w_shape[3]]
         kmax = max(int(k) for k in kernel) if kernel else 3
         cost = self._kernel_bucket_cost(kmax)
-        if self.conv_channel_scaling and graph is not None and len(op.inputs) > 1:
-            w_info = graph.tensor_info(op.inputs[1])
-            if (w_info is not None and w_info.shape is not None
-                    and len(w_info.shape) == 4 and w_info.shape[0] is not None):
-                out_channels = int(w_info.shape[0])
-                # Wider layers do proportionally more work; tiny squeeze
-                # layers (<32 channels) get a modest discount.  The buckets
-                # keep this a *static* weight in the spirit of the paper.
-                if out_channels >= 512:
-                    cost *= 3.0
-                elif out_channels >= 256:
-                    cost *= 2.0
-                elif out_channels >= 128:
-                    cost *= 1.5
-                elif out_channels < 32:
-                    cost *= 0.75
+        if self.conv_channel_scaling and len(w_shape) == 4 and w_shape[0] is not None:
+            out_channels = int(w_shape[0])
+            # Wider layers do proportionally more work; tiny squeeze
+            # layers (<32 channels) get a modest discount.  The buckets
+            # keep this a *static* weight in the spirit of the paper.
+            if out_channels >= 512:
+                cost *= 3.0
+            elif out_channels >= 256:
+                cost *= 2.0
+            elif out_channels >= 128:
+                cost *= 1.5
+            elif out_channels < 32:
+                cost *= 0.75
         if attr_value(op, "group") > 1:
             # Depthwise convolutions do proportionally less work.
             cost = max(cost / 2.0, 1.0)

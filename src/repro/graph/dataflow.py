@@ -10,7 +10,7 @@ tensor dependence between a producer and a consumer becomes a
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
@@ -36,8 +36,7 @@ class DFNode:
         return f"DFNode({self.name!r}, {self.op_type}, cost={self.cost:g})"
 
 
-@dataclasses.dataclass(frozen=True)
-class DFEdge:
+class DFEdge(NamedTuple):
     """A tensor dependence between two tasks."""
 
     src: str
@@ -98,7 +97,7 @@ class DataflowGraph:
             raise KeyError(f"unknown destination node {dst!r}")
         if src == dst:
             raise ValueError(f"self edge on node {src!r} is not allowed")
-        edge = DFEdge(src=src, dst=dst, tensor=tensor, nbytes=int(nbytes), cost=float(cost))
+        edge = DFEdge(src, dst, tensor, int(nbytes), float(cost))
         self._succ[src].append(edge)
         self._pred[dst].append(edge)
         return edge
@@ -267,15 +266,22 @@ def model_to_dataflow(model_or_graph, cost_model=None) -> DataflowGraph:
     for op in graph.nodes:
         dfg.add_node(op.name, op.op_type, cost=cm.node_cost(op, graph), op_node=op)
 
+    # graph.tensor_info's precedence: inputs, then value_info, then
+    # outputs; reversed so that the first of a repeated name wins.
+    infos = {info.name: info for info in reversed(graph.outputs)}
+    infos.update(graph.value_info)
+    infos.update((info.name, info) for info in reversed(graph.inputs))
     producers = graph.producers()
+    linked: Set[Tuple[str, str]] = set()
     for op in graph.nodes:
-        for inp in op.present_inputs:
-            producer = producers.get(inp)
-            if producer is None or producer.name == op.name:
+        name = op.name
+        for inp in op.inputs:
+            producer = producers.get(inp) if inp else None
+            if producer is None or producer.name == name or (producer.name, name) in linked:
                 continue
-            info = graph.tensor_info(inp)
+            linked.add((producer.name, name))
+            info = infos.get(inp)
             nbytes = info.nbytes if info is not None and info.nbytes is not None else 0
-            if not dfg.has_edge(producer.name, op.name):
-                dfg.add_edge(producer.name, op.name, tensor=inp, nbytes=nbytes,
-                             cost=cm.edge_cost(nbytes))
+            dfg.add_edge(producer.name, name, tensor=inp, nbytes=nbytes,
+                         cost=cm.edge_cost(nbytes))
     return dfg

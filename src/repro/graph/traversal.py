@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Set, TYPE_CHECKING
+from typing import Dict, Iterable, List, Set, TYPE_CHECKING
 
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
@@ -22,39 +22,32 @@ def topological_sort_nodes(graph: Graph) -> List[OpNode]:
     Deterministic: among ready nodes, original node order wins (stable
     Kahn's algorithm).  Raises :class:`CycleError` if the graph is cyclic.
     """
-    producers = graph.producers()
-    order_index = {node.name: i for i, node in enumerate(graph.nodes)}
-    indegree: Dict[str, int] = {node.name: 0 for node in graph.nodes}
-    dependents: Dict[str, List[str]] = {node.name: [] for node in graph.nodes}
-    node_by_name = {node.name: node for node in graph.nodes}
-
-    for node in graph.nodes:
-        preds: Set[str] = set()
-        for inp in node.present_inputs:
-            producer = producers.get(inp)
-            if producer is not None and producer.name != node.name:
-                preds.add(producer.name)
-        indegree[node.name] = len(preds)
+    nodes = graph.nodes
+    producer: Dict[str, int] = {}
+    for index, node in enumerate(nodes):
+        for out in node.outputs:
+            producer[out] = index
+    indegree: List[int] = []
+    #: dependents of node ``i``, in node order (so no tie needs sorting)
+    dependents: List[List[int]] = [[] for _ in nodes]
+    for index, node in enumerate(nodes):
+        preds = {producer.get(inp) for inp in node.inputs if inp}
+        preds.discard(None)
+        preds.discard(index)
+        indegree.append(len(preds))
         for p in preds:
-            dependents[p].append(node.name)
+            dependents[p].append(index)
 
-    ready = sorted((name for name, deg in indegree.items() if deg == 0),
-                   key=order_index.__getitem__)
-    queue = deque(ready)
-    result: List[OpNode] = []
-    while queue:
-        name = queue.popleft()
-        result.append(node_by_name[name])
-        newly_ready = []
-        for dep in dependents[name]:
+    # FIFO: the loop visits what it appends, ready nodes in node order.
+    queue = [index for index, degree in enumerate(indegree) if degree == 0]
+    for index in queue:
+        for dep in dependents[index]:
             indegree[dep] -= 1
             if indegree[dep] == 0:
-                newly_ready.append(dep)
-        for dep in sorted(newly_ready, key=order_index.__getitem__):
-            queue.append(dep)
-    if len(result) != len(graph.nodes):
+                queue.append(dep)
+    if len(queue) != len(nodes):
         raise CycleError(f"IR graph {graph.name!r} contains a cycle")
-    return result
+    return [nodes[index] for index in queue]
 
 
 def topological_sort(dfg: "DataflowGraph") -> List[str]:

@@ -41,7 +41,10 @@ class DType(enum.Enum):
     @property
     def itemsize(self) -> int:
         """Size in bytes of one element of this type."""
-        return np.dtype(self.value).itemsize
+        return _ITEMSIZES[self]
+
+
+_ITEMSIZES = {dtype: np.dtype(dtype.value).itemsize for dtype in DType}
 
 
 _NUMPY_TO_DTYPE = {

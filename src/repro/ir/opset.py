@@ -378,10 +378,22 @@ def _python(value: Any) -> str:
     return repr(value)
 
 
+@functools.lru_cache(maxsize=4096)
+def _int_list(items: Tuple[int, ...]) -> str:
+    """The literal of a list of ``int`` (pads, strides, kernel shapes):
+    printed once, however many nodes carry it."""
+    return _python(list(items))
+
+
 def _literal(value: Any, error: type) -> str:
     """Render a normalised parameter value as a Python literal."""
     if isinstance(value, (list, tuple)):
-        return _python(list(value))
+        items = tuple(value)
+        # Only exact ints share an entry: True == 1 and -0.0 == 0.0 hash
+        # alike but print differently.
+        if all(type(item) is int for item in items):
+            return _int_list(items)
+        return _python(list(items))
     if isinstance(value, np.generic):
         return f"np.{type(value).__name__}({_python(value.item())})"
     if value is None or isinstance(value, (int, float, str)):
@@ -444,19 +456,19 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
     schema = _schema_of(node, error)
     lead, operands, trail, keywords, direct = _resolve(schema, node, error)
 
-    def text(values: Iterable) -> List[str]:
-        return [input_exprs[v] if type(v) is _Input else _literal(v, error) for v in values]
+    def text(value: Any) -> str:
+        return input_exprs[value] if type(value) is _Input else _literal(value, error)
 
-    args = text(operands)
-    named = dict(zip(keywords, text(keywords.values())))
+    args = [*map(text, operands)]
+    named = {key: text(value) for key, value in keywords.items()}
     if schema.emit is not None:
         return schema.emit(args, list(output_vars), **named)
     if schema.variadic == "list":
         args = [f"[{', '.join(args)}]"]
     defaults = _default_literals(schema.fn)
-    args = text(lead) + args + text(trail) + [
+    args = [*map(text, lead), *args, *map(text, trail), *(
         f"{key}={value}" for key, value in named.items()
-        if type(keywords[key]) is _Input or defaults.get(key) != value]
+        if type(keywords[key]) is _Input or defaults.get(key) != value)]
     if slot is not None:
         if _capability(schema, direct):
             args.append(f"out=out[{slot}]")

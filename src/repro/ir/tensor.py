@@ -94,12 +94,21 @@ class TensorInfo:
     name: str
     dtype: DType = DType.FLOAT32
     shape: Shape = None
+    #: total element count, or None if any dimension is dynamic
+    num_elements: Optional[int] = dataclasses.field(init=False, repr=False, compare=False)
+    #: size in bytes, or None when the shape is not fully static
+    nbytes: Optional[int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("TensorInfo requires a non-empty name")
-        object.__setattr__(self, "dtype", parse_dtype(self.dtype))
-        object.__setattr__(self, "shape", normalize_shape(self.shape))
+        dtype, shape = parse_dtype(self.dtype), normalize_shape(self.shape)
+        count = num_elements(shape)
+        # Frozen: the sizes are computed here, once per info.
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "num_elements", count)
+        object.__setattr__(self, "nbytes", None if count is None else count * dtype.itemsize)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -108,17 +117,6 @@ class TensorInfo:
     def rank(self) -> Optional[int]:
         """Rank (number of dimensions), or None if unknown."""
         return None if self.shape is None else len(self.shape)
-
-    @property
-    def num_elements(self) -> Optional[int]:
-        """Total element count, or None if any dimension is dynamic."""
-        return num_elements(self.shape)
-
-    @property
-    def nbytes(self) -> Optional[int]:
-        """Size in bytes, or None when the shape is not fully static."""
-        n = self.num_elements
-        return None if n is None else n * self.dtype.itemsize
 
     def is_static(self) -> bool:
         """True when the full shape is known."""

@@ -62,8 +62,9 @@ def collect_problems(graph: Graph, check_schemas: bool = True) -> List[str]:
 
     # Dangling references ---------------------------------------------------
     available: Set[str] = set(graph.input_names) | set(graph.initializers) | set(producers)
-    for node in graph.nodes:
-        for inp in node.present_inputs:
+    reads = [node.present_inputs for node in graph.nodes]
+    for node, inputs in zip(graph.nodes, reads):
+        for inp in inputs:
             if inp not in available:
                 problems.append(
                     f"node {node.name!r} ({node.op_type}) reads undefined value {inp!r}"
@@ -74,12 +75,12 @@ def collect_problems(graph: Graph, check_schemas: bool = True) -> List[str]:
 
     # Schema / arity checks -------------------------------------------------
     if check_schemas:
-        for node in graph.nodes:
+        for node, inputs in zip(graph.nodes, reads):
             if not has_schema(node.op_type):
                 problems.append(f"node {node.name!r} uses unregistered op {node.op_type!r}")
                 continue
             schema = get_schema(node.op_type)
-            arity = len(node.present_inputs)
+            arity = len(inputs)
             if not schema.accepts_arity(arity):
                 problems.append(
                     f"node {node.name!r} ({node.op_type}) has {arity} inputs; "
@@ -87,17 +88,19 @@ def collect_problems(graph: Graph, check_schemas: bool = True) -> List[str]:
                 )
 
     # Acyclicity ------------------------------------------------------------
-    problems.extend(_check_acyclic(graph, producers))
+    problems.extend(_check_acyclic(graph, producers, reads))
     return problems
 
 
-def _check_acyclic(graph: Graph, producers: Dict[str, str]) -> List[str]:
-    """Kahn's algorithm; returns a problem entry when a cycle exists."""
+def _check_acyclic(graph: Graph, producers: Dict[str, str],
+                   reads: List[List[str]]) -> List[str]:
+    """Kahn's algorithm over each node's present inputs ``reads``; returns
+    a problem entry when a cycle exists."""
     node_by_name = {n.name: n for n in graph.nodes}
     indegree: Dict[str, int] = {n.name: 0 for n in graph.nodes}
     dependents: Dict[str, List[str]] = {n.name: [] for n in graph.nodes}
-    for node in graph.nodes:
-        for inp in node.present_inputs:
+    for node, inputs in zip(graph.nodes, reads):
+        for inp in inputs:
             producer = producers.get(inp)
             if producer is not None and producer != node.name:
                 indegree[node.name] += 1

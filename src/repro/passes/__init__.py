@@ -212,7 +212,7 @@ def optimize_model(model: Model) -> Tuple[Model, dict]:
     # then every folded value in topological order.
     initializers = {name: array for name, array in ctx.constants.items()
                     if name in needed and name not in produced}
-    readers = collections.Counter(name for node in nodes for name in node.present_inputs)
+    readers = collections.Counter(name for node in nodes for name in node.inputs if name)
     nodes = [_follow_batch(node, ctx, initializers, readers) for node in nodes]
     pruned = Graph(
         name=graph.name,

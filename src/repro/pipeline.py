@@ -33,13 +33,12 @@ from repro.clustering.placement import fold_onto_workers
 from repro.clustering.schedule import ScheduleResult, ScheduleSimulator, SimulationConfig
 from repro.clustering.validation import validate_clustering
 from repro.codegen import GeneratedModule, generate_parallel_module, write_module
-from repro.codegen.op_lowering import shared_lowering
+from repro.codegen.op_lowering import LoweredModel
 from repro.codegen.parallel_codegen import parallel_source
 from repro.codegen.sequential_codegen import sequential_source
 from repro.graph.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.graph.dataflow import DataflowGraph, model_to_dataflow
 from repro.graph.parallelism import ParallelismReport, parallelism_and_distances
-from repro.graph.traversal import topological_sort_nodes
 from repro.ir.model import Model
 from repro.passes import follow_batch, optimize_model
 from repro.runtime.plan import ExecutionPlan
@@ -373,20 +372,19 @@ def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,
     # 7. Code generation (sequential + parallel), batch-size-1 graphs only:
     #    hyperclusters describe replicated graphs whose code generation would
     #    require replicated inputs; the paper also generates code per sample.
-    #    Both modules print each node from one render; the sequential one in
-    #    the topological order an ExecutionPlan of the model follows.  The
+    #    One LoweredModel names every value and renders every node once;
+    #    both modules print its node blocks, the sequential one in the
+    #    topological order an ExecutionPlan of the model follows.  The
     #    modules are written, not imported: that, like building the plan
     #    (RamielResult.plan), is paid on first use.
     sequential_module = None
     parallel_module = None
     if config.generate_code:
         start = time.perf_counter()
-        lower = shared_lowering()
-        order = topological_sort_nodes(optimized.graph)
-        sequential_module = write_module(
-            sequential_source(optimized, order, lower),
-            f"{optimized.name}_sequential", config.output_dir)
-        parallel_module = write_module(parallel_source(optimized, merged, lower, order),
+        lowered = LoweredModel(optimized)
+        sequential_module = write_module(sequential_source(lowered),
+                                         f"{optimized.name}_sequential", config.output_dir)
+        parallel_module = write_module(parallel_source(lowered, merged),
                                        f"{optimized.name}_parallel", config.output_dir)
         stage_times["codegen"] = time.perf_counter() - start
 

@@ -1,12 +1,12 @@
 """The process's BLAS thread count: every loaded OpenBLAS copy, read and pinned.
 
-A numpy + scipy process loads two OpenBLAS copies, each with its own
-thread pool: numpy's ``libscipy_openblas64_`` (symbol suffix ``64_``) and
-scipy's ``libscipy_openblas``, which comes in through
-:mod:`repro.runtime.ops.activations`' ``scipy.special``.  Neither reads a
-thread count from anywhere but the environment at load time, so the
-runtime finds each loaded copy through ``/proc/self/maps`` and calls that
-copy's own ``*_set_num_threads`` with :mod:`ctypes`.
+The runtime's kernels load one OpenBLAS copy, numpy's
+``libscipy_openblas64_`` (symbol suffix ``64_``); a process that also
+imports scipy maps a second one, ``libscipy_openblas``, with a thread pool
+of its own.  No copy reads a thread count from anywhere but the
+environment at load time, so the runtime finds every loaded copy through
+``/proc/self/maps`` and calls that copy's own ``*_set_num_threads`` with
+:mod:`ctypes`.
 
 A thread count is process-global: pinning it changes every BLAS call of the
 process, the caller's own numpy included.  Forked pool workers pin
@@ -81,10 +81,6 @@ def _thread_controls(path: str) -> Optional[Tuple[object, object]]:
 def _controls() -> Optional[List[Tuple[object, object]]]:
     """``(set, get)`` of every loaded copy, or None if any copy lacks them
     (or none is loaded)."""
-    # The kernels load scipy's copy; load it now, so that a pin covers it
-    # instead of missing a copy that maps in at the first kernel call.
-    import repro.runtime.ops  # noqa: F401
-
     controls = [_resolve(path) for path in _loaded_copies()]
     if not controls or None in controls:
         return None

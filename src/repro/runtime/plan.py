@@ -5,8 +5,8 @@
 
 * **one source** — the model's generated sequential module, byte for byte
   the ``<model>_sequential.py`` a compile writes
-  (:func:`repro.codegen.sequential_codegen.sequential_source` over the
-  plan's topological ``order``).  Every call in it that can compute into a
+  (:func:`repro.codegen.sequential_codegen.sequential_source` of the model
+  lowered in the plan's topological ``order``).  Every call in it that can compute into a
   caller-owned buffer names its destination, ``out=out[i]`` for node ``i``
   of the order, and every kernel that takes scratch gets ``workspace=ws``.
   The plan renders and compiles that text once and calls its
@@ -78,7 +78,7 @@ from repro.graph.traversal import topological_sort_nodes
 from repro.ir.dtypes import dtype_to_numpy
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
-from repro.ir.opset import ARENA, INPLACE, destination, get_schema, render, require_supported
+from repro.ir.opset import ARENA, INPLACE, destination, get_schema, require_supported
 from repro.ir.shape_inference import sweep_shapes
 from repro.runtime.executor import ExecutionError
 from repro.runtime.tensor_utils import Workspace, align_up, aligned_empty
@@ -416,12 +416,12 @@ class ExecutionPlan:
         self._dest_copy_writes = 0
 
     def _render(self, traced: bool = False) -> str:
-        from repro.codegen.sequential_codegen import sequential_source  # codegen imports the runtime
+        # codegen imports the runtime
+        from repro.codegen.op_lowering import LoweredModel
+        from repro.codegen.sequential_codegen import sequential_source
 
-        def lower(node, input_exprs, output_vars, slot):
-            return render(node, input_exprs, output_vars, PlanError, slot)
-
-        return sequential_source(self._model, self.order, lower, traced=traced)
+        return sequential_source(LoweredModel(self._model, self.order, PlanError),
+                                 traced=traced)
 
     # ------------------------------------------------------------------
     # Tracing

@@ -18,7 +18,7 @@ from repro.codegen import (
     lower_node,
 )
 from repro.codegen.op_lowering import LoweringError
-from repro.codegen.parallel_codegen import channel_name, collect_channels
+from repro.codegen.parallel_codegen import channel_name
 from repro.codegen.ssa import sanitize_identifier
 from repro.graph import model_to_dataflow
 from repro.ir.node import OpNode
@@ -141,11 +141,13 @@ class TestParallelCodegen:
         assert channel_name("a@b1", 2, 3) == "c2_to_c3__a_b1"
 
     def test_channel_list_matches_cross_edges(self, diamond_model):
-        clustering = merge_clusters_fixpoint(linear_clustering(model_to_dataflow(diamond_model)))
-        channels = collect_channels(diamond_model.graph, clustering)
-        assert len(channels) == len(set(channels))
-        # every channel corresponds to at least one cross-cluster edge value
-        assert len(channels) <= len(clustering.cross_cluster_edges())
+        clustering, module = self._compile(diamond_model)
+        channels = module.CHANNEL_NAMES
+        assert channels == sorted(set(channels))
+        # one channel per cross-cluster edge value and destination cluster
+        owner = clustering.assignment()
+        assert set(channels) == {channel_name(e.tensor, owner[e.src], owner[e.dst])
+                                 for e in clustering.cross_cluster_edges()}
 
     def test_thread_and_process_match_reference(self, diamond_model, rng):
         clustering, module = self._compile(diamond_model)

@@ -120,6 +120,24 @@ class TestTensorInfo:
         info = TensorInfo("x", DType.FLOAT32, (1, None, 4))
         assert TensorInfo.from_dict(info.to_dict()) == info
 
+    @pytest.mark.parametrize("dtype, shape, elements, nbytes", [
+        (DType.FLOAT32, (2, 3), 6, 24),
+        (DType.INT64, (), 1, 8),
+        (DType.BOOL, (5, 0), 0, 0),
+        (DType.FLOAT32, (None, 3), None, None),
+        (DType.FLOAT16, None, None, None),
+    ])
+    def test_sizes_are_computed_once_and_stay_out_of_equality(self, dtype, shape,
+                                                               elements, nbytes):
+        info = TensorInfo("x", dtype, shape)
+        for _ in range(2):  # the second read is the remembered value
+            assert (info.num_elements, info.nbytes) == (elements, nbytes)
+        fresh = TensorInfo("x", dtype, shape)
+        assert info == fresh and hash(info) == hash(fresh)
+        if shape is not None:
+            assert info.with_shape((7,) + tuple(shape)).num_elements == (
+                None if elements is None else 7 * elements)
+
 
 # ---------------------------------------------------------------------------
 # attributes

@@ -19,7 +19,7 @@ import repro.runtime.functional as F
 from repro.codegen import LoweringError, lower_node
 from repro.ir import GraphBuilder, OpNode
 from repro.ir.dtypes import numpy_to_dtype
-from repro.ir.opset import _resolve, attr_value, bind, get_schema, registered_ops
+from repro.ir.opset import _literal, _resolve, attr_value, bind, get_schema, registered_ops
 from repro.runtime import ExecutionError, ExecutionPlan, GraphExecutor, PlanError
 
 _RNG = np.random.default_rng(13)
@@ -435,6 +435,16 @@ def test_upsample_reads_scales_from_input_one():
     resize = OpNode("Resize", ["x", "roi", "scales"], ["y"])
     assert lower_node(resize, ["v_x", "v_r", "v_s"], ["v_y"]) == [
         "v_y = F.resize_nearest(v_x, v_s)"]
+
+
+@pytest.mark.parametrize("first, second", [([1], [True]), ([True], [1]),
+                                           ((0.0, 1), (-0.0, 1)), ([2, 2], (2.0, 2))])
+def test_literals_of_equal_lists_that_print_differently_stay_apart(first, second):
+    """Literals of ``int`` lists are remembered; ``True == 1``, ``-0.0 == 0.0``
+    and ``2.0 == 2`` must still print as themselves, in either order."""
+    expected = [f"[{', '.join(map(repr, value))}]" for value in (first, second)]
+    assert [_literal(first, KeyError), _literal(second, KeyError)] == expected
+    assert [_literal(first, KeyError), _literal(second, KeyError)] == expected
 
 
 def test_absent_optional_inputs_keep_their_position():

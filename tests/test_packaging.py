@@ -54,9 +54,18 @@ def test_every_imported_package_is_declared():
     anywhere = runtime | _requirement_names(
         r for extra in project["optional-dependencies"].values() for r in extra)
     imports = _third_party_imports()
-    assert {"numpy", "scipy", "networkx"} <= {package for package, _ in imports}
+    assert {"numpy", "networkx"} <= {package for package, _ in imports}
+    assert "scipy" not in {package for package, _ in imports}
     for package, module_level in imports:
         assert package.lower() in (runtime if module_level else anywhere), package
+
+
+def test_the_kernels_do_not_import_scipy():
+    code = "import sys, repro.runtime.functional; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_serving_path_does_not_import_networkx():
