@@ -76,6 +76,23 @@ def broadcast_shapes(a: Shape, b: Shape) -> Shape:
     return tuple(out)
 
 
+class _Sizes:
+    """``TensorInfo.num_elements`` and ``.nbytes``.  The info is frozen, so
+    the first read of either computes both into the instance, where every
+    later read finds them as plain attributes."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, info: Optional["TensorInfo"], owner: type = None):
+        if info is None:
+            return self
+        count = num_elements(info.shape)
+        info.__dict__["num_elements"] = count
+        info.__dict__["nbytes"] = None if count is None else count * info.dtype.itemsize
+        return info.__dict__[self.name]
+
+
 @dataclasses.dataclass(frozen=True)
 class TensorInfo:
     """Description of a tensor value flowing along a graph edge.
@@ -95,20 +112,15 @@ class TensorInfo:
     dtype: DType = DType.FLOAT32
     shape: Shape = None
     #: total element count, or None if any dimension is dynamic
-    num_elements: Optional[int] = dataclasses.field(init=False, repr=False, compare=False)
+    num_elements = _Sizes()
     #: size in bytes, or None when the shape is not fully static
-    nbytes: Optional[int] = dataclasses.field(init=False, repr=False, compare=False)
+    nbytes = _Sizes()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("TensorInfo requires a non-empty name")
-        dtype, shape = parse_dtype(self.dtype), normalize_shape(self.shape)
-        count = num_elements(shape)
-        # Frozen: the sizes are computed here, once per info.
-        object.__setattr__(self, "dtype", dtype)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "num_elements", count)
-        object.__setattr__(self, "nbytes", None if count is None else count * dtype.itemsize)
+        object.__setattr__(self, "dtype", parse_dtype(self.dtype))
+        object.__setattr__(self, "shape", normalize_shape(self.shape))
 
     # ------------------------------------------------------------------
     # Convenience accessors
