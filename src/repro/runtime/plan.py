@@ -6,9 +6,10 @@
 * **one source** — the model's generated sequential module, byte for byte
   the ``<model>_sequential.py`` a compile writes
   (:func:`repro.codegen.sequential_codegen.sequential_source` of the model
-  lowered in the plan's topological ``order``).  Every call in it that can compute into a
-  caller-owned buffer names its destination, ``out=out[i]`` for node ``i``
-  of the order, and every kernel that takes scratch gets ``workspace=ws``.
+  lowered in the plan's topological ``order``).  Every call in it that can
+  compute into a caller-owned buffer names its destination, ``out=out[i]``
+  for node ``i`` of the order, and every kernel that takes scratch gets
+  ``workspace=ws``.
   The plan renders and compiles that text once and calls its
   ``run(inputs, weights, out, ws)``: no per-node dispatch, no closures,
   straight-line code over local variables.  A traced twin of the
