@@ -25,9 +25,9 @@ with every substrate it depends on:
   export (Perfetto-loadable) and one metrics registry (counters, gauges,
   histograms, Prometheus text exposition) shared by plan, session and
   serving,
-* :mod:`repro.resilience` — self-healing execution: deterministic fault
-  injection and retry policies (the warm pools respawn their own dead
-  workers, and a lane's replica 0 answers for a failing forked replica),
+* :mod:`repro.resilience` — recover or fail explicitly: deterministic
+  fault injection and retry policies (a session replaces a broken worker
+  pool, and a lane's replica 0 answers for a failing forked replica),
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
   engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
   bitwise exact, parsed closed) plus

@@ -50,7 +50,7 @@ def lower_node(node: OpNode, input_exprs: Sequence[str], output_vars: Sequence[s
     destination-capable call passes ``out=out[slot]`` and a scratch-taking
     kernel ``workspace=ws`` — see :func:`repro.ir.opset.render`.
     """
-    return render(node, input_exprs, output_vars, LoweringError, slot)
+    return render(node, input_exprs, output_vars, LoweringError, slot)[0]
 
 
 class LoweredModel:
@@ -85,6 +85,8 @@ class LoweredModel:
         #: per node of ``order``: its ``#`` comment line and its statements,
         #: indented as a generated function's body
         self.blocks: List[Tuple[str, str]] = []
+        #: per node of ``order``: its :func:`~repro.ir.opset.destination`
+        self.capabilities: List[Optional[str]] = []
         exprs, producers, consumers = self.exprs, self.producers, self.consumers
 
         def expr(value: str) -> str:
@@ -113,7 +115,8 @@ class LoweredModel:
                 consumers.setdefault(value, []).append(name)
             self.slots[name] = slot
             self.values.append((inputs, outputs))
-            statements = render(node, input_exprs, output_vars, error, slot)
+            statements, capability = render(node, input_exprs, output_vars, error, slot)
+            self.capabilities.append(capability)
             self.blocks.append((f"{BODY}# {node.op_type} node {name!r}",
                                 BODY + f"\n{BODY}".join(statements)))
         #: ``(name, expression)`` of every graph output

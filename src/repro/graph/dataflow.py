@@ -10,13 +10,10 @@ tensor dependence between a producer and a consumer becomes a
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.model import Graph, Model
 from repro.ir.node import OpNode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
 
 @dataclasses.dataclass
@@ -218,21 +215,6 @@ class DataflowGraph:
             if edge.src in keep and edge.dst in keep:
                 out.add_edge(edge.src, edge.dst, edge.tensor, edge.nbytes, edge.cost)
         return out
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export to a :class:`networkx.DiGraph` (node costs as attributes).
-
-        networkx is a test-only dependency, imported here on first use.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for node in self._nodes.values():
-            g.add_node(node.name, op_type=node.op_type, cost=node.cost, replica=node.replica)
-        for edge in self.edges():
-            g.add_edge(edge.src, edge.dst, tensor=edge.tensor, nbytes=edge.nbytes,
-                       cost=edge.cost)
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DataflowGraph({self.name!r}, nodes={len(self)}, "

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, TYPE_CHECKING
+from typing import Dict, List, Set, TYPE_CHECKING
 
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
@@ -96,15 +96,3 @@ def graph_levels(dfg: "DataflowGraph") -> Dict[str, int]:
         levels[name] = 0 if not preds else 1 + max(levels[p] for p in preds)
     return levels
 
-
-def reaches(dfg: "DataflowGraph", targets: Iterable[str]) -> Set[str]:
-    """All nodes from which any of ``targets`` is reachable (inclusive)."""
-    seen: Set[str] = set()
-    stack = list(targets)
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(dfg.predecessors(current))
-    return seen

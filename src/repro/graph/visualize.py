@@ -8,7 +8,7 @@ No Graphviz binary is required — we only emit the textual ``.dot`` format.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.graph.dataflow import DataflowGraph
 
@@ -63,17 +63,3 @@ def to_dot(
     lines.append("}")
     return "\n".join(lines)
 
-
-def clusters_to_dot(dfg: DataflowGraph, clusters: Sequence, **kwargs) -> str:
-    """Render a graph with nodes colored by the clusters that own them.
-
-    ``clusters`` is any sequence of objects with a ``nodes`` attribute
-    listing node names (e.g. :class:`repro.clustering.cluster.Cluster`),
-    or plain lists of node names.
-    """
-    cluster_of: Dict[str, int] = {}
-    for idx, cluster in enumerate(clusters):
-        names = getattr(cluster, "nodes", cluster)
-        for name in names:
-            cluster_of[name] = idx
-    return to_dot(dfg, cluster_of=cluster_of, **kwargs)

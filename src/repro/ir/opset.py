@@ -197,11 +197,6 @@ def registered_ops() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def ops_of_kind(kind: OpKind) -> List[str]:
-    """All registered operators of a given kind."""
-    return sorted(name for name, schema in _REGISTRY.items() if schema.kind == kind)
-
-
 def require_supported(nodes: Iterable, error: type = KeyError) -> None:
     """Raise ``error`` naming every op type among ``nodes`` that is not registered.
 
@@ -441,8 +436,10 @@ def _capability(schema: OpSchema, direct: bool) -> Optional[str]:
 
 
 def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
-           error: type = KeyError, slot: Optional[int] = None) -> List[str]:
-    """Print ``node`` as Python statements assigning ``output_vars``.
+           error: type = KeyError,
+           slot: Optional[int] = None) -> Tuple[List[str], Optional[str]]:
+    """Print ``node`` as Python statements assigning ``output_vars``; returns
+    the statements and the call's :func:`destination` capability.
 
     ``input_exprs`` are the expressions of the node's present inputs and
     ``output_vars`` the variables of its named outputs.  The statement is
@@ -462,15 +459,16 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
     args = [*map(text, operands)]
     named = {key: text(value) for key, value in keywords.items()}
     if schema.emit is not None:
-        return schema.emit(args, list(output_vars), **named)
+        return schema.emit(args, list(output_vars), **named), None
     if schema.variadic == "list":
         args = [f"[{', '.join(args)}]"]
     defaults = _default_literals(schema.fn)
     args = [*map(text, lead), *args, *map(text, trail), *(
         f"{key}={value}" for key, value in named.items()
         if type(keywords[key]) is _Input or defaults.get(key) != value)]
+    capability = _capability(schema, direct)
     if slot is not None:
-        if _capability(schema, direct):
+        if capability:
             args.append(f"out=out[{slot}]")
         if schema.workspace:
             args.append("workspace=ws")
@@ -482,7 +480,7 @@ def render(node, input_exprs: Sequence[str], output_vars: Sequence[str],
         slots = [next(names) if name else "_" for name in node.outputs]
         slots += ["_"] * (schema.num_outputs - len(slots))
         targets = ", ".join(slots) + ("," if len(slots) == 1 else "")
-    return [f"{targets} = F.{schema.fn}({', '.join(args)})"]
+    return [f"{targets} = F.{schema.fn}({', '.join(args)})"], capability
 
 
 # ---------------------------------------------------------------------------

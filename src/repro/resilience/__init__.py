@@ -1,16 +1,16 @@
-"""Self-healing execution: fault injection and retry.
+"""Recover or fail explicitly: fault injection and retry.
 
 The serving stack's fault-tolerance layer, built from small orthogonal
 pieces that compose across :mod:`repro.runtime` and :mod:`repro.serving`.
-Worker liveness is not here: a
-:class:`~repro.runtime.worker_pool.WarmExecutorPool` watches its own
-workers where it already waits (a dead worker is respawned at dispatch
-and fails a run in flight within ``fail_grace_s``), and its ``heal()`` is
-the recovery entry point :meth:`~repro.runtime.session.Session.recover`
-calls.  Redundancy is not here either: a serving lane's replicas are
-each other's, and a forked replica that still fails after its retries
-retires and hands its batch to replica 0
-(:class:`repro.serving.engine.Replica`).
+The repair rule is not here: a broken executor is replaced, never healed
+in place.  A :class:`~repro.runtime.worker_pool.WarmExecutorPool` watches
+its own workers where it already waits (a worker dead at dispatch fails
+the run at once, one dying mid-run fails it within ``fail_grace_s``) and
+breaks on any failure; :meth:`~repro.runtime.session.Session.recover`
+replaces the broken pool (or plan) between retries.  Redundancy is not
+here either: a serving lane's replicas are each other's, and a forked
+replica that still fails after its retries retires and hands its batch
+to replica 0 (:class:`repro.serving.engine.Replica`).
 
 * :class:`FaultInjector` / :class:`FaultSpec` — deterministic fault
   injection (crash, hang, slow, exception, channel corruption, slab

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the execution and serving stack.
 
-Self-healing code is only trustworthy if its failure paths run in CI, and
+Recovery code is only trustworthy if its failure paths run in CI, and
 failure paths are exactly the code you cannot reach with well-formed
 inputs.  A :class:`FaultInjector` holds a list of :class:`FaultSpec`\\ s —
 each naming a *site* (a string like ``"worker.execute"``), a fault *kind*,

@@ -231,12 +231,6 @@ class TensorPlane:
         view = self._ro[start:start + nbytes].view(dtype).reshape(shape)
         return view.copy() if copy else view
 
-    def reset(self) -> None:
-        """Zero every semaphore (posts stranded by a failed run)."""
-        for channel in self.channels.values():
-            while channel.semaphore.acquire(False):
-                pass
-
 
 class SlotChannel:
     """One consuming cluster's end of a :class:`TensorPlane` value slot."""

@@ -368,14 +368,20 @@ class ExecutionPlan:
     def __init__(self, model) -> None:
         if not isinstance(model, Model):
             model = Model(model)
-        self._model = model
         self.graph: Graph = model.graph
         self.model_name = model.name
         #: the graph's nodes in the topological order the source follows
         self.order: List[OpNode] = topological_sort_nodes(self.graph)
         require_supported(self.order, PlanError)
+        # codegen imports the runtime
+        from repro.codegen.op_lowering import LoweredModel
+        from repro.codegen.sequential_codegen import sequential_source
+
+        #: every node named and rendered once; the traced twin prints the
+        #: same blocks (dropped once the twin is built)
+        self._lowered = LoweredModel(model, self.order, PlanError)
         #: the generated sequential module's text this plan runs
-        self.source: str = self._render()
+        self.source: str = sequential_source(self._lowered)
         self._run = _compile(self.source, f"<plan {self.model_name}>",
                              {"__name__": f"ramiel_plan_{self.model_name}"})
         # Kernels rewind the workspace before returning and runs are
@@ -396,7 +402,7 @@ class ExecutionPlan:
         output_set = set(self.graph.output_names)
         #: bindable graph output -> the slot of the node that can write it
         self._bound_slots: Dict[str, int] = {}
-        self._capabilities = [destination(node) for node in self.order]
+        self._capabilities = self._lowered.capabilities
         for index, (node, capability) in enumerate(zip(self.order, self._capabilities)):
             outputs = [name for name in node.outputs if name]
             if capability is not None and len(outputs) == 1 and outputs[0] in output_set:
@@ -415,14 +421,6 @@ class ExecutionPlan:
         self._output_set = output_set
         self._dest_direct_writes = 0
         self._dest_copy_writes = 0
-
-    def _render(self, traced: bool = False) -> str:
-        # codegen imports the runtime
-        from repro.codegen.op_lowering import LoweredModel
-        from repro.codegen.sequential_codegen import sequential_source
-
-        return sequential_source(LoweredModel(self._model, self.order, PlanError),
-                                 traced=traced)
 
     # ------------------------------------------------------------------
     # Tracing
@@ -445,7 +443,10 @@ class ExecutionPlan:
             self.disable_tracing()
             return
         if self._twin is None:
-            source = self._render(traced=True)
+            from repro.codegen.sequential_codegen import sequential_source
+
+            source = sequential_source(self._lowered, traced=True)
+            self._lowered = None
             namespace = {"__name__": f"ramiel_plan_{self.model_name}_traced",
                          "_now": time.perf_counter_ns}
             self._twin = (source, namespace, _compile(

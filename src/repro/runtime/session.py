@@ -42,15 +42,16 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.ir.model import Model
 from repro.runtime.executor import GraphExecutor
 from repro.runtime.plan import ClusterSlabPlanner, ExecutionPlan, land_outputs
-from repro.runtime.worker_pool import ParallelExecutionError, WarmExecutorPool
+from repro.runtime.worker_pool import WarmExecutorPool
 
 __all__ = [
     "EXECUTOR_REGISTRY",
@@ -215,7 +216,7 @@ class Session:
     def __init__(self, executor: str, *, graph, model_name: str,
                  result=None, plan: Optional[ExecutionPlan] = None,
                  interp: Optional[GraphExecutor] = None,
-                 pool: Optional[WarmExecutorPool] = None,
+                 start_pool: Optional[Callable[[], WarmExecutorPool]] = None,
                  placement: Optional[Dict] = None,
                  timeout_s: float = 300.0) -> None:
         self.executor = validate_executor(executor)
@@ -225,7 +226,9 @@ class Session:
         self._graph = graph
         self._plan = plan
         self._interp = interp
-        self._pool = pool
+        #: builds this session's pool: at construction and at every recover()
+        self._start_pool = start_pool
+        self._pool = start_pool() if start_pool is not None else None
         self._placement = placement
         self._input_info = {info.name: info for info in graph.inputs}
         self._closed = False
@@ -234,6 +237,8 @@ class Session:
         #: precomputed span args so traced runs do no per-call dict building
         self._span_args = {"model": model_name, "executor": self.executor}
         self._metrics_collectors: list = []
+        #: ``(registry, labels)`` the pool publishes into, for its successors
+        self._pool_metrics: list = []
 
     # ------------------------------------------------------------------
     @property
@@ -276,19 +281,23 @@ class Session:
         self._broken = reason
 
     def recover(self) -> "Session":
-        """Rebuild this session's executor in place and clear ``broken``.
+        """Replace this session's executor and clear ``broken``.
 
-        The retry path's repair hook: instead of discarding a broken
-        session (and the compiled artifact inside it) and recompiling,
-        replace just the execution machinery:
+        The retry path's repair hook, one rule for every executor: the
+        execution machinery is replaced, never repaired in place, and the
+        compiled artifact is kept (no recompile):
 
-        * pool-backed sessions :meth:`~WarmExecutorPool.heal` the pool
-          (respawn dead workers and those a failed run left stranded,
-          drop stale hand-offs); if the heal raises or leaves the pool
-          broken, this raises :class:`ParallelExecutionError` with the
-          pool still broken, and the caller's own fallback takes over (a
+        * pool-backed sessions close the pool — a broken pool's process
+          workers are reaped at once — and start a fresh one over the same
+          placed module, weights, slab planner, ``max_batch`` and fail
+          grace, with the same tracer, fault injector and metrics
+          registries attached: K workers are K new ones (a one-worker
+          pool starts in ~10 ms).  If the new pool fails its startup
+          check this raises its
+          :class:`~repro.runtime.worker_pool.ParallelExecutionError` and the
+          session stays broken; the caller's own fallback takes over (a
           serving lane's forked replica retires and hands its batch to
-          replica 0);
+          replica 0).  The pool's counters start again from zero;
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,
@@ -296,17 +305,24 @@ class Session:
         * ``"interp"`` sessions get a fresh :class:`GraphExecutor`.
 
         Existing :class:`IOBinding` objects remain valid: they reference
-        the session, not the replaced executor.  The attached tracer is
-        re-propagated.  Raises ``RuntimeError`` if the session is closed.
+        the session, not the replaced executor.  Raises ``RuntimeError``
+        if the session is closed.
         """
         if self._closed:
             raise RuntimeError(
                 f"cannot recover closed session for {self.model_name!r}")
         if self._pool is not None:
-            self._pool.heal()
-            if self._pool.broken:
-                raise ParallelExecutionError(
-                    f"healing the pool of {self.model_name!r} left it broken")
+            injector = self._pool.fault_injector
+            self._pool.close()
+            try:
+                self._pool = self._start_pool()
+            except Exception as exc:
+                self._broken = f"replacing its pool failed: {exc!r}"
+                raise
+            self._pool.set_tracer(self._tracer)
+            self._pool.set_fault_injector(injector)
+            for registry, labels in self._pool_metrics:
+                self._pool.publish_metrics(registry, labels)
         elif self._plan is not None:
             if self.result is not None:
                 source = self.result.optimized_model
@@ -403,8 +419,9 @@ class Session:
         self._metrics_collectors.append((registry, collect))
         if self._pool is not None:
             # Worker-layer counters (runs, dispatch/execute/queue-wait time,
-            # channel bytes, respawns) publish under the same labels.
+            # channel bytes) publish under the same labels.
             self._pool.publish_metrics(registry, labels)
+            self._pool_metrics.append((registry, labels))
 
     # ------------------------------------------------------------------
     def _check_usable(self) -> None:
@@ -620,12 +637,12 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         placed = result.placement(cores)
         planner = ClusterSlabPlanner(
             optimized.graph, [cluster.nodes for cluster in placed.clustering.clusters])
-        pool = WarmExecutorPool(
-            placed.module, optimized.graph.initializers,
+        start_pool = functools.partial(
+            WarmExecutorPool, placed.module, optimized.graph.initializers,
             backend="thread" if executor == "pool" else "process",
-            tracer=tracer, max_batch=max_batch, planner=planner)
+            max_batch=max_batch, planner=planner)
         session = Session(executor, graph=optimized.graph, model_name=name,
-                          result=result, pool=pool, timeout_s=timeout_s,
+                          result=result, start_pool=start_pool, timeout_s=timeout_s,
                           placement={
                               "clusters": result.clustering_merged.num_clusters,
                               "workers": placed.clustering.num_clusters,

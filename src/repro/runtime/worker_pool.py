@@ -1,104 +1,65 @@
 """Warm, reusable executor pools for Ramiel-generated parallel modules.
 
-:class:`WarmExecutorPool` is the one multi-worker runtime: it keeps one
-long-lived worker per cluster function of the module it is given and feeds
-it jobs through per-worker control queues, so repeated executions of the
-same module only pay for the actual operator work plus the hand-offs.  A
-session hands it the module of a *placement* — one worker per placed
-cluster, at most one per core (:meth:`repro.pipeline.RamielResult.placement`);
-the pool itself never looks at the machine.  Every run of generated
-parallel code goes through it — a session's warm pool or
-:meth:`repro.pipeline.RamielResult.run_parallel`'s pool used once — so the
-worker protocol, the watchdog and the reap path exist exactly once.
+:class:`WarmExecutorPool` is the one multi-worker runtime: one long-lived
+worker per cluster function of the module it is given, fed jobs through
+per-worker control queues, so repeated runs pay only for the operator work
+and the hand-offs.  A session hands it the module of a *placement* (one
+worker per placed cluster, at most one per core,
+:meth:`repro.pipeline.RamielResult.placement`); the pool never looks at the
+machine.  Every run of generated parallel code goes through it, so the
+worker protocol and the reap path exist once.
 
-Two backends are supported:
-
-* ``"thread"`` — one persistent thread per placed cluster.  numpy releases
+* ``"thread"`` backend — one persistent thread per cluster.  numpy releases
   the GIL inside BLAS so clusters still overlap; fresh thread channels are
-  created per run (they are cheap) and arrays are handed over by reference.
-* ``"process"`` — one persistent forked process per placed cluster (the
-  paper's runtime, minus the per-call fork).  The module, the weights and a
-  :class:`~repro.runtime.channels.TensorPlane` are inherited at fork: every
-  cross-cluster value, graph input and graph output has a slot in one
-  anonymous shared mapping, sized from the module's ``CHANNEL_SPECS`` times
-  the batch the caller may stack (``max_batch``).  The coordinator writes
-  the feed into the input slots once, workers hand values over with one
-  copy and a semaphore post, and graph outputs are copied out of the output
-  slots — the job/done control messages (ticket, trace context, fault
+  made per run and arrays are handed over by reference.
+* ``"process"`` backend — one persistent forked process per cluster (the
+  paper's runtime, minus the per-call fork; requires ``fork``).  The
+  module, the weights and a :class:`~repro.runtime.channels.TensorPlane`
+  are inherited at fork: every cross-cluster value, graph input and graph
+  output has a slot in one shared mapping, sized from ``CHANNEL_SPECS``
+  times ``max_batch``.  Control messages (ticket, trace context, fault
   directive, error text, telemetry delta) travel :class:`ControlPipe`\\ s
-  without a feeder thread and carry no tensors.  Each worker owns its job
-  pipe and its done pipe (one writer each), so a worker killed at any
-  moment can tear only its own pipes, and a respawn replaces them.  A
-  payload that does not fit its slot is pickled to a spill file instead
-  and counted in ``stats()["channels"]["overflow_puts"]``.  Requires the
-  ``fork`` start method.  Each forked worker pins every loaded OpenBLAS
-  copy to one thread right after the fork (:mod:`repro.runtime.blas`).
+  and carry no tensors; each worker owns its job and done pipes, so a
+  worker killed at any moment tears only its own.  A payload that does not
+  fit its slot is pickled to a spill file
+  (``stats()["channels"]["overflow_puts"]``).  Each forked worker pins
+  every loaded OpenBLAS copy to one thread (:mod:`repro.runtime.blas`).
 
-**Memory.**  A session's pool carries a
-:class:`~repro.runtime.plan.ClusterSlabPlanner`: the coordinator sweeps
-shapes once per input signature, packs one slab per cluster over the
-cluster's sub-order and ships each worker its layout — ``(offset, shape,
-dtype)`` per destination — with the signature's first job.  Each worker
-(thread or process) builds its own slab from it, keeps its own
-:class:`~repro.runtime.tensor_utils.Workspace`, and calls its cluster
-function with that destination table: once warm, a worker's planned
-intermediates allocate nothing (``stats()["workers"][i]["allocations"]``
-and ``["slab_bytes"]``).  Values another cluster reads and graph outputs
-never get a range, because a thread channel hands over the producer's
-very array.  A pool without a planner runs the cluster functions
-standalone: every intermediate allocated.
+**Memory.**  With a :class:`~repro.runtime.plan.ClusterSlabPlanner` the
+coordinator packs one slab per cluster and input signature and ships each
+worker its layout with the signature's first job; the worker builds its
+own slab and :class:`~repro.runtime.tensor_utils.Workspace` and computes
+into them (``stats()["workers"][i]["allocations"]`` / ``["slab_bytes"]``).
+Values another cluster reads and graph outputs never get a range.  Without
+a planner every intermediate allocates.
 
-**Liveness.**  The pool watches its own workers where it already waits.
-One check proves a worker is in its job loop: a ping round trip, which
-every new worker passes before the pool uses it (at construction and at
-every respawn, bounded by 60 s) and which :meth:`heal` sends to find
-stranded ones.  :meth:`run` respawns any worker whose thread or process
-has died before it dispatches (counted in ``stats()["respawns"]``, a
-``pool.respawn`` span under a tracer), and the result collector checks
-the pending workers' liveness whenever a poll comes back empty, so a
-worker that dies mid-run fails the run within ``fail_grace_s`` rather than
-at the run's timeout.  A worker that stays silent past the run's
-``timeout`` is wedged.
+**Liveness.**  The pool watches its workers where it already waits.  Every
+worker answers a ping before the pool uses it (bounded by 60 s).
+:meth:`run` fails at once, naming the worker, when one died since the last
+run; the collector checks the pending workers whenever a poll comes back
+empty, so a death mid-run fails the run within ``fail_grace_s``, and a
+worker silent past the run's ``timeout`` is wedged.  A failed run may
+leave workers dead, wedged or stranded on a hand-off, so the pool marks
+itself *broken* and refuses further work.  It is never repaired in place:
+:meth:`repro.runtime.session.Session.recover` closes it (a broken pool's
+process workers are reaped at once) and builds a new one over the same
+module.  Every slot write is stamped with its run ticket, so a stranded
+value is never read as a later run's.
 
-A run that times out or raises may leave workers blocked on a hand-off that
-will never arrive, so the pool marks itself *broken* and refuses further
-work.  :meth:`heal` is the one repair, in place and much cheaper than
-recompiling: it respawns every worker that is dead or does not answer a
-ping, and zeroes the plane's semaphores; every slot write is stamped with
-its run ticket, so a value stranded by the failed run can never be
-mistaken for the next run's.  A heal whose respawn fails its ping leaves
-the pool broken.
-
-**Observability.**  With a tracer attached (constructor ``tracer=`` or
-:meth:`set_tracer`), every dispatched job carries a
-:class:`~repro.observability.context.TraceContext`; each worker runs its
-own thread/process-local :class:`~repro.observability.Tracer`, records its
-``worker.execute`` spans against its **real pid/tid**, and ships the
-completed buffer back with the job result.  The pool accumulates per-worker
-:class:`~repro.observability.merge.WorkerTraceBuffer`\\ s (bounded, with
-per-worker drop accounting) that
-:func:`repro.observability.merge.merge_traces` merges into one
-multi-process Chrome trace.  Workers stamp spans with the same
-``perf_counter_ns`` the coordinator reads (a thread shares it; a forked
-process inherits ``CLOCK_MONOTONIC``), so the merge shifts no lane.
-Untraced dispatch stays on the fast path: the job tuple carries ``None``
-and the worker pays one ``is None`` check (gated at paired-ratio parity
-in ``benchmarks/test_observability_overhead.py``).
-
-Worker **metrics** (dispatch/execute/queue-wait timings, channel hand-off
-bytes and nanoseconds, occupancy, respawns) accumulate in ``stats()`` and
-publish into a shared ``MetricsRegistry`` via :meth:`publish_metrics`.
-Every ping reply carries the worker's BLAS thread count, or
-``"unmanaged"``: ``stats()["workers"][i]["blas_threads"]`` (a thread
-worker reports its process's, which it shares).
-Slot channels always account their hand-offs (process workers ship a
-per-job delta home); thread channels are wrapped for accounting while a
-tracer is attached.
-
-:meth:`set_fault_injector` ships deterministic fault directives to the
-workers for chaos testing (``None`` directives cost one ``is not None``
-check per job).  Worker failures ship their **remote traceback text**
-home, so a cross-process exception reads like a local one.
+**Observability.**  With a tracer attached (``tracer=`` or
+:meth:`set_tracer`), every job carries a
+:class:`~repro.observability.context.TraceContext`; each worker records its
+``worker.execute`` spans in a local tracer against its real pid/tid and
+ships them home with the result, into bounded per-worker
+:class:`~repro.observability.merge.WorkerTraceBuffer`\\ s that
+:func:`repro.observability.merge.merge_traces` merges into one Chrome
+trace (workers read the coordinator's ``perf_counter_ns`` clock).
+Untraced, the job carries ``None``.  Dispatch, execute and queue-wait
+times, channel bytes and nanoseconds, occupancy and each worker's BLAS
+threads (from its ping) accumulate in ``stats()`` and publish through
+:meth:`publish_metrics`.  :meth:`set_fault_injector` ships deterministic
+fault directives to the workers; worker failures ship their remote
+traceback text home.
 """
 
 from __future__ import annotations
@@ -135,8 +96,8 @@ from repro.runtime.channels import (
 )
 from repro.runtime.tensor_utils import Workspace
 
-#: sentinel ticket of the liveness pings (a reply proves the worker is in
-#: its job loop): every new worker's startup check and :meth:`heal`'s probe
+#: sentinel ticket of the startup ping (a reply proves the worker is in
+#: its job loop)
 _PING = "__ping__"
 
 #: how long a new worker may take to answer its startup ping
@@ -161,9 +122,8 @@ class ControlPipe:
     Unlike ``multiprocessing.Queue`` there is no feeder thread: ``put``
     pickles and writes in the caller, so the message is in the pipe when it
     returns.  One reader, one writing process: a job pipe is written only
-    by the coordinator's threads (``run``, ``heal`` and ``close``, which
-    serialize on a ``threading.Lock``), a done pipe only by its worker, so
-    no lock is shared with another process.  With ``blocking=False`` (job
+    by the coordinator's threads (``run`` and ``close``, which serialize
+    on a ``threading.Lock``), a done pipe only by its worker.  With ``blocking=False`` (job
     pipes) a ``put`` into a pipe nobody drains raises ``queue.Full``
     instead of blocking the coordinator.  That needs the message written
     atomically, i.e. within ``PIPE_BUF``; the rare larger one (a job
@@ -225,29 +185,6 @@ def remote_error_text(exc: BaseException) -> str:
     not just the exception type.
     """
     return "%r\nRemote traceback:\n%s" % (exc, traceback.format_exc())
-
-
-def _reap(processes, join_timeout: float = 1.0) -> None:
-    """Terminate, join and close every process; never raises.
-
-    A failed or timed-out run must not leak live children (they would hold
-    the inherited weights and tensor plane until interpreter exit).
-    """
-    for p in processes:
-        try:
-            if p.is_alive():
-                p.terminate()
-        except Exception:  # noqa: BLE001 - already reaped
-            pass
-    for p in processes:
-        try:
-            p.join(timeout=join_timeout)
-            if p.is_alive():  # terminate lost the race: escalate
-                p.kill()
-                p.join(timeout=join_timeout)
-            p.close()
-        except Exception:  # noqa: BLE001 - already reaped / still running
-            pass
 
 
 def _drain_worker_tracer(tracer: Tracer, ctx: TraceContext,
@@ -502,19 +439,15 @@ class WarmExecutorPool:
         self._closed = False
         self._broken = False
 
-        # -- resilience state ------------------------------------------
         #: once a worker fails or is found dead mid-collection, wait at
         #: most this long for straggler results before failing the run — a
         #: broken run should cost seconds, not the full batch timeout
         self._fail_grace_s = fail_grace_s
         #: optional deterministic FaultInjector consulted per dispatch
         self._injector = None
-        self._worker_respawns = [0] * self._num_clusters
         self._protocol_errors = 0
-        #: per worker: the BLAS threads its last ping reported
+        #: per worker: the BLAS threads its startup ping reported
         self._worker_blas: List[object] = [None] * self._num_clusters
-
-        # -- observability state ---------------------------------------
         self._tracer = tracer
         #: channel telemetry: always on for slot channels (process workers
         #: ship per-job deltas into it), on demand for thread channels
@@ -547,11 +480,13 @@ class WarmExecutorPool:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        """Create the done queue (+ the tensor plane for processes) and the
-        workers."""
+        """Start one worker per cluster function over its own pipes (plus,
+        for processes, the tensor plane they inherit) and wait for every
+        startup ping."""
         module = self.module
+        slots = getattr(module, "NUM_NODES", 0)
+        self._job_queues, self._workers = [], []
         if self.backend == "thread":
-            self._mp_ctx = None
             #: the thread workers' one shared done queue
             self._done = queue.Queue()
             self._plane = None  # fresh thread channels per run
@@ -562,7 +497,6 @@ class WarmExecutorPool:
                 raise ParallelExecutionError(
                     "the warm process pool requires the 'fork' start method"
                 ) from exc
-            self._mp_ctx = ctx
             # Created once and inherited at fork; slots are rewritten every
             # run under a fresh ticket, so the plane is reused across runs.
             self._plane = make_process_channels(
@@ -571,48 +505,33 @@ class WarmExecutorPool:
                          *module.GRAPH_OUTPUTS],
                 ctx=ctx, max_batch=self._max_batch, telemetry=self._telemetry)
             #: per process worker: its own done pipe
-            self._done = [None] * self._num_clusters
-        self._job_queues = [None] * self._num_clusters
-        self._workers = [None] * self._num_clusters
-        for index in range(self._num_clusters):
-            self._start_worker(index)
+            self._done = []
+        for index, fn in enumerate(module.CLUSTER_FUNCTIONS):
+            name = f"warm-cluster-{index}"
+            if self.backend == "thread":
+                jobs = queue.Queue()
+                worker = threading.Thread(
+                    target=_worker,
+                    args=(fn, self._weights, jobs, self._done, index, None, slots),
+                    daemon=True, name=name)
+            else:
+                jobs, done = ControlPipe(ctx, blocking=False), ControlPipe(ctx)
+                self._done.append(done)
+                worker = ctx.Process(
+                    target=_process_main,
+                    args=(fn, self._weights, jobs, done, index, self._plane, slots),
+                    daemon=True, name=name)
+            self._job_queues.append(jobs)
+            self._workers.append(worker)
+            worker.start()
+            if self.backend == "process":
+                # A dead worker now reads as end-of-file on its done pipe.
+                done.close_writer()
         try:
-            self._await_ready(range(self._num_clusters), _STARTUP_TIMEOUT_S)
+            self._await_ready(_STARTUP_TIMEOUT_S)
         except ParallelExecutionError:
             self.close()
             raise
-
-    def _start_worker(self, index: int) -> None:
-        """Start a worker for one cluster index over fresh pipes.
-
-        A fresh job queue per (re)spawn keeps a replacement worker from
-        inheriting stale jobs a dead or wedged predecessor never consumed;
-        a process worker also gets a fresh done pipe, whose write end the
-        coordinator drops once the worker has forked.
-        """
-        fn = self.module.CLUSTER_FUNCTIONS[index]
-        # A fresh worker has built no slab yet.
-        self._shipped[index] = set()
-        self._worker_memory[index] = (0, 0)
-        slots = getattr(self.module, "NUM_NODES", 0)
-        if self.backend == "thread":
-            jobs, done = queue.Queue(), self._done
-            worker = threading.Thread(
-                target=_worker,
-                args=(fn, self._weights, jobs, done, index, None, slots),
-                daemon=True, name=f"warm-cluster-{index}")
-        else:
-            jobs = ControlPipe(self._mp_ctx, blocking=False)
-            done = self._done[index] = ControlPipe(self._mp_ctx)
-            worker = self._mp_ctx.Process(
-                target=_process_main,
-                args=(fn, self._weights, jobs, done, index, self._plane, slots),
-                daemon=True, name=f"warm-cluster-{index}")
-        self._job_queues[index] = jobs
-        self._workers[index] = worker
-        worker.start()
-        if self.backend == "process":
-            done.close_writer()
 
     def _receive(self, indices, timeout: float) -> Tuple[list, list]:
         """Wait up to ``timeout`` for messages from the workers ``indices``.
@@ -635,21 +554,8 @@ class WarmExecutorPool:
                 died.append(readers[reader])
         return messages, died
 
-    def _stop_workers(self, join_timeout: float) -> None:
-        for jobs in self._job_queues:
-            try:
-                jobs.put(None)
-            except Exception:  # noqa: BLE001 - queue torn down or not drained
-                pass
-        deadline = time.monotonic() + join_timeout
-        for worker in self._workers:
-            worker.join(timeout=max(deadline - time.monotonic(), 0.0))
-        if self.backend == "process":
-            _reap(self._workers)
-            self._plane.close()
-
     # ------------------------------------------------------------------
-    # Liveness and repair
+    # Liveness
     # ------------------------------------------------------------------
     def _well_formed(self, item) -> bool:
         """Whether a done message has the worker protocol's shape; counts a
@@ -660,7 +566,7 @@ class WarmExecutorPool:
         self._protocol_errors += 1
         return False
 
-    def worker_alive(self, index: int) -> bool:
+    def _alive(self, index: int) -> bool:
         """Whether worker ``index``'s thread/process is currently alive."""
         try:
             return self._workers[index].is_alive()
@@ -678,56 +584,20 @@ class WarmExecutorPool:
         """
         self._injector = injector
 
-    def _respawn_locked(self, index: int, join_timeout: float,
-                        ready_timeout: float = _STARTUP_TIMEOUT_S) -> None:
-        """Replace worker ``index`` with a fresh one, under the run lock.
+    @property
+    def fault_injector(self):
+        """The attached FaultInjector, if any."""
+        return self._injector
 
-        Every healthy worker (and, for the process backend, the
-        fork-inherited tensor plane) stays in place: the failed worker is
-        terminated or abandoned, and a replacement is started over the
-        same cluster function and weights with fresh pipes and must answer
-        its startup ping within ``ready_timeout``.  Counted in
-        ``stats()["respawns"]``; a ``pool.respawn`` span under a tracer.
-        """
-        start_ns = time.perf_counter_ns()
-        try:  # a healthy-but-abandoned worker exits on the sentinel
-            self._job_queues[index].put(None)
-        except Exception:  # noqa: BLE001 - queue torn down or not drained
-            pass
-        if self.backend == "process":
-            # Safe for a live worker too: one blocked on a hand-off waits
-            # on a semaphore, which a killed waiter does not leave held.
-            _reap([self._workers[index]], join_timeout)
-        # A wedged *thread* cannot be killed: it is abandoned (daemonic,
-        # parked on the old job queue or a stale channel) and leaks until
-        # its blocking call returns — the documented watchdog contract.
-        self._start_worker(index)
-        self._worker_respawns[index] += 1
-        self._await_ready([index], ready_timeout)
-        if self._tracer is not None:
-            self._tracer.emit("pool.respawn", "pool", start_ns,
-                              time.perf_counter_ns(),
-                              args={"model": self.module.MODEL_NAME,
-                                    "worker": str(index)})
-
-    def _unresponsive(self, indices, timeout: float) -> set:
-        """The subset of ``indices`` that does not answer a ping in time.
-
-        A worker still inside a failed run — typically blocked on a
-        hand-off its failed peer never made — is alive but will not take
-        the next job; it only answers once it is back in its job loop.
-        Each round's ping carries a fresh token, so a late reply to an
-        earlier round (say, from an abandoned thread) answers nothing.  A
-        dead worker counts at once: a process's done pipe reads
-        end-of-file, a thread is caught on the first quiet poll.
-        """
-        pending, died = set(indices), set()
-        token = next(self._tickets)
+    def _await_ready(self, timeout: float) -> None:
+        """The startup check: every worker must answer one ping within
+        ``timeout``.  A dead worker counts at once (a process's done pipe
+        reads end-of-file, a thread is caught on the first quiet poll);
+        any worker that dies or stays silent marks the pool broken."""
+        pending = set(range(self._num_clusters))
         for index in pending:
-            try:
-                self._job_queues[index].put((_PING, token))
-            except Exception:  # noqa: BLE001 - not draining its queue
-                pass
+            self._job_queues[index].put((_PING, None))
+        died = set()
         deadline = time.monotonic() + timeout
         while pending:
             remaining = deadline - time.monotonic()
@@ -735,53 +605,19 @@ class WarmExecutorPool:
                 break
             messages, gone = self._receive(pending, min(remaining, 0.5))
             if not messages and not gone:
-                gone = [i for i in pending if not self.worker_alive(i)]
+                gone = [i for i in pending if not self._alive(i)]
             died.update(gone)
             pending.difference_update(gone)
             for item in messages:
-                if (self._well_formed(item) and item[0] == _PING
-                        and item[2] == token):
+                if self._well_formed(item) and item[0] == _PING:
                     pending.discard(item[1])
                     self._worker_blas[item[1]] = item[5]
-        return pending | died
-
-    def _await_ready(self, indices, timeout: float) -> None:
-        """The startup check of new workers: one ping round.  Any worker
-        that dies or stays silent past ``timeout`` marks the pool broken."""
-        failed = self._unresponsive(indices, timeout)
-        if failed:
+        if pending or died:
             self._broken = True
             raise ParallelExecutionError(
-                f"worker(s) {sorted(failed)} of {self.module.MODEL_NAME!r} "
-                f"died or did not answer their startup ping within {timeout}s")
-
-    def heal(self, join_timeout: float = 2.0) -> List[int]:
-        """Respawn every dead or unresponsive worker.
-
-        The one repair (:meth:`Session.recover` calls it after a failed
-        run): replaces any worker it finds dead and any live one that does
-        not answer a ping within the fail-grace window (stranded inside the
-        failed run, or wedged); then zeroes the tensor plane's semaphores
-        and clears ``broken`` when the full complement is alive.  Returns
-        the respawned indices.  A replacement that fails its startup ping
-        raises :class:`ParallelExecutionError` and leaves the pool broken.
-        """
-        with self._lock:
-            if self._closed:
-                raise ParallelExecutionError("cannot heal a closed pool")
-            targets = {i for i in range(self._num_clusters)
-                       if not self.worker_alive(i)}
-            targets |= self._unresponsive(
-                set(range(self._num_clusters)) - targets, self._fail_grace_s)
-            for index in sorted(targets):
-                self._respawn_locked(index, join_timeout)
-            if self._plane is not None:
-                # Posts a failed run left behind must not satisfy the next
-                # run's waits (their slots would fail the ticket check).
-                self._plane.reset()
-            if all(self.worker_alive(i) for i in range(self._num_clusters)):
-                self._broken = False
-            return sorted(targets)
+                f"worker(s) {sorted(pending | died)} of "
+                f"{self.module.MODEL_NAME!r} died or did not answer their "
+                f"startup ping within {timeout}s")
 
     # ------------------------------------------------------------------
     @property
@@ -880,7 +716,6 @@ class WarmExecutorPool:
             "clusters": self._num_clusters,
             "runs": self._runs,
             "failures": self._failures,
-            "respawns": sum(self._worker_respawns),
             "protocol_errors": self._protocol_errors,
             "occupancy": self._occupancy,
             "dispatch_ns_total": self._dispatch_ns,
@@ -889,8 +724,7 @@ class WarmExecutorPool:
             "workers": [
                 {"worker": index,
                  "jobs": self._worker_jobs[index],
-                 "alive": self.worker_alive(index),
-                 "respawns": self._worker_respawns[index],
+                 "alive": self._alive(index),
                  "execute_ns_total": self._worker_execute_ns[index],
                  "queue_wait_ns_total": self._worker_queue_wait_ns[index],
                  "spans_buffered": len(self._worker_spans[index]),
@@ -906,11 +740,11 @@ class WarmExecutorPool:
                         labels: Optional[Mapping[str, str]] = None) -> None:
         """Mirror the pool's counters into a ``MetricsRegistry``.
 
-        Registers a pull-style collector refreshing run/failure/respawn
-        totals, occupancy, dispatch/execute/queue-wait time totals and the
-        channel byte/ns counters before every snapshot, plus per-worker
-        job/execute series labelled ``worker="<index>"`` — so one registry
-        snapshot covers the plan, serving and worker layers together.
+        Registers a pull-style collector refreshing run/failure totals,
+        occupancy, dispatch/execute/queue-wait time totals and the channel
+        byte/ns counters before every snapshot, plus per-worker series
+        labelled ``worker="<index>"`` — so one registry snapshot covers the
+        plan, serving and worker layers together.
         Also creates ``pool_run_seconds`` / ``pool_worker_execute_seconds``
         histograms the pool observes into at run time.
         """
@@ -924,63 +758,49 @@ class WarmExecutorPool:
 
         def collect(_registry) -> None:
             stats = self.stats()
-            gauge("pool_runs_total", "Completed warm-pool runs",
-                  labels=labels).set(stats["runs"])
-            gauge("pool_failures_total", "Failed or timed-out pool runs",
-                  labels=labels).set(stats["failures"])
-            gauge("pool_worker_respawns_total",
-                  "Workers respawned after dying or going silent",
-                  labels=labels).set(stats["respawns"])
-            gauge("pool_protocol_errors_total",
-                  "Malformed result-channel messages observed",
-                  labels=labels).set(stats["protocol_errors"])
-            gauge("pool_workers_alive",
-                  "Workers whose thread/process is currently alive",
-                  labels=labels).set(
-                      sum(1 for row in stats["workers"] if row["alive"]))
-            gauge("pool_occupancy", "Runs currently executing (0 or 1)",
-                  labels=labels).set(stats["occupancy"])
-            gauge("pool_dispatch_seconds_total",
-                  "Cumulative job-dispatch time",
-                  labels=labels).set(stats["dispatch_ns_total"] / 1e9)
-            gauge("pool_collect_wait_seconds_total",
-                  "Cumulative result-collection wait",
-                  labels=labels).set(stats["collect_wait_ns_total"] / 1e9)
-            gauge("pool_execute_seconds_total",
-                  "Cumulative worker execute time (all workers)",
-                  labels=labels).set(stats["execute_ns_total"] / 1e9)
+            series = [
+                ("pool_runs_total", "Completed warm-pool runs", stats["runs"]),
+                ("pool_failures_total", "Failed or timed-out pool runs", stats["failures"]),
+                ("pool_protocol_errors_total", "Malformed result-channel messages observed",
+                 stats["protocol_errors"]),
+                ("pool_workers_alive", "Workers whose thread/process is currently alive",
+                 sum(row["alive"] for row in stats["workers"])),
+                ("pool_occupancy", "Runs currently executing (0 or 1)", stats["occupancy"]),
+                ("pool_dispatch_seconds_total", "Cumulative job-dispatch time",
+                 stats["dispatch_ns_total"] / 1e9),
+                ("pool_collect_wait_seconds_total", "Cumulative result-collection wait",
+                 stats["collect_wait_ns_total"] / 1e9),
+                ("pool_execute_seconds_total", "Cumulative worker execute time (all workers)",
+                 stats["execute_ns_total"] / 1e9)]
+            for name, help, value in series:
+                gauge(name, help, labels=labels).set(value)
             for row in stats["workers"]:
                 worker_labels = dict(labels, worker=str(row["worker"]))
-                gauge("pool_worker_jobs_total", "Jobs executed by a worker",
-                      labels=worker_labels).set(row["jobs"])
-                gauge("pool_worker_queue_wait_seconds_total",
-                      "Cumulative dispatch-to-receive wait of a worker",
-                      labels=worker_labels).set(
-                          row["queue_wait_ns_total"] / 1e9)
-                gauge("pool_worker_spans_dropped_total",
-                      "Worker trace spans lost to ring/cap drops",
-                      labels=worker_labels).set(row["spans_dropped"])
+                for name, help, value in (
+                        ("pool_worker_jobs_total", "Jobs executed by a worker", row["jobs"]),
+                        ("pool_worker_queue_wait_seconds_total",
+                         "Cumulative dispatch-to-receive wait of a worker",
+                         row["queue_wait_ns_total"] / 1e9),
+                        ("pool_worker_spans_dropped_total",
+                         "Worker trace spans lost to ring/cap drops", row["spans_dropped"])):
+                    gauge(name, help, labels=worker_labels).set(value)
             channels = stats["channels"]
-            if channels:
-                gauge("pool_channel_puts_total", "Channel put calls",
-                      labels=labels).set(channels["puts"])
-                gauge("pool_channel_gets_total", "Channel get calls",
-                      labels=labels).set(channels["gets"])
-                gauge("pool_channel_put_bytes_total",
-                      "Payload bytes moved into channels",
-                      labels=labels).set(channels["put_bytes"])
-                gauge("pool_channel_get_bytes_total",
-                      "Payload bytes moved out of channels",
-                      labels=labels).set(channels["get_bytes"])
-                gauge("pool_channel_overflow_puts_total",
-                      "Payloads pickled instead of using a tensor slot",
-                      labels=labels).set(channels["overflow_puts"])
-                gauge("pool_channel_put_seconds_total",
-                      "Cumulative producer-side channel hand-off time",
-                      labels=labels).set(channels["put_ns"] / 1e9)
-                gauge("pool_channel_get_seconds_total",
-                      "Cumulative consumer-side channel hand-off time",
-                      labels=labels).set(channels["get_ns"] / 1e9)
+            if not channels:
+                return
+            for name, help, value in (
+                    ("pool_channel_puts_total", "Channel put calls", channels["puts"]),
+                    ("pool_channel_gets_total", "Channel get calls", channels["gets"]),
+                    ("pool_channel_put_bytes_total", "Payload bytes moved into channels",
+                     channels["put_bytes"]),
+                    ("pool_channel_get_bytes_total", "Payload bytes moved out of channels",
+                     channels["get_bytes"]),
+                    ("pool_channel_overflow_puts_total",
+                     "Payloads pickled instead of using a tensor slot", channels["overflow_puts"]),
+                    ("pool_channel_put_seconds_total",
+                     "Cumulative producer-side channel hand-off time", channels["put_ns"] / 1e9),
+                    ("pool_channel_get_seconds_total",
+                     "Cumulative consumer-side channel hand-off time", channels["get_ns"] / 1e9)):
+                gauge(name, help, labels=labels).set(value)
 
         registry.register_collector(collect)
         self._metrics_registries.append((registry, collect))
@@ -992,7 +812,9 @@ class WarmExecutorPool:
 
         Runs are serialized: the pool owns exactly one set of workers, so a
         second concurrent ``run`` blocks until the first finishes.  A worker
-        that died since the last run is respawned before the dispatch.
+        that died since the last run fails this one before anything is
+        dispatched, and every failure leaves the pool broken: replace it
+        (:meth:`repro.runtime.session.Session.recover`).
         """
         with self._lock:
             if self._closed:
@@ -1000,15 +822,17 @@ class WarmExecutorPool:
             if self._broken:
                 raise ParallelExecutionError(
                     "warm executor pool is broken after an earlier failure; "
-                    "heal() it")
+                    "replace it (Session.recover())")
             tracer, ctx = self._tracer, None
             self._occupancy = 1
             run_start_ns = time.perf_counter_ns()
             try:
                 for index in range(self._num_clusters):
-                    if not self.worker_alive(index):
-                        self._respawn_locked(index, 2.0,
-                                             min(timeout, _STARTUP_TIMEOUT_S))
+                    if not self._alive(index):
+                        self._broken = True
+                        raise ParallelExecutionError(
+                            f"worker {index} of {self.module.MODEL_NAME!r} "
+                            "died while idle")
                 ticket = next(self._tickets)
                 ctx = TraceContext.from_tracer(tracer, parent_span="pool.run")
                 injector = self._injector
@@ -1096,7 +920,7 @@ class WarmExecutorPool:
             messages, died = self._receive(pending, min(remaining, 0.5))
             if not messages and not died:
                 # a quiet poll: has a worker died without a word?
-                died = [i for i in pending if not self.worker_alive(i)]
+                died = [i for i in pending if not self._alive(i)]
             for index in died:
                 pending.discard(index)
                 failures.append(f"cluster {index}: worker died mid-run")
@@ -1113,7 +937,7 @@ class WarmExecutorPool:
                         f"of {self.module.MODEL_NAME!r}: {item!r:.200}")
                 got_ticket, index, outputs, error, exec_ns, payload = item
                 if got_ticket != ticket or index not in pending:
-                    continue  # a ping reply or a straggler of a failed run
+                    continue  # not this run's job (a failed run breaks the pool)
                 pending.discard(index)
                 self._worker_jobs[index] += 1
                 self._worker_execute_ns[index] += exec_ns
@@ -1152,7 +976,8 @@ class WarmExecutorPool:
         Deliberately does not take the run lock: a close racing an
         in-flight ``run`` (e.g. LRU eviction on another thread's submit
         path) must not block for up to the run timeout.  Workers finish
-        their current job before seeing the sentinel.
+        their current job before seeing the sentinel; a broken pool's are
+        not waited for.
         """
         with self._close_lock:
             if self._closed:
@@ -1161,7 +986,31 @@ class WarmExecutorPool:
         for registry, collect in self._metrics_registries:
             registry.unregister_collector(collect)
         self._metrics_registries.clear()
-        self._stop_workers(join_timeout)
+        for jobs in self._job_queues:
+            try:
+                jobs.put(None)
+            except Exception:  # noqa: BLE001 - queue torn down or not drained
+                pass
+        if not self._broken:  # else dead, wedged or stranded: not waited for
+            deadline = time.monotonic() + join_timeout
+            for worker in self._workers:
+                worker.join(timeout=max(deadline - time.monotonic(), 0.0))
+        if self.backend == "process":
+            # No live child may outlast the pool: it would hold the weights
+            # and the tensor plane until interpreter exit.
+            for worker in self._workers:
+                if worker.is_alive():
+                    worker.terminate()
+            for worker in self._workers:
+                worker.join(timeout=1.0)
+                if worker.is_alive():  # terminate lost the race: escalate
+                    worker.kill()
+                    worker.join(timeout=1.0)
+                try:
+                    worker.close()
+                except ValueError:  # still running: nothing more to do
+                    pass
+            self._plane.close()
 
     def __enter__(self) -> "WarmExecutorPool":
         return self

@@ -34,14 +34,16 @@ are configured by value (:class:`EngineConfig`), never switched off:
    a replica's take leaves requests queued and no replica is idle, the
    lane forks one more — a one-worker ``"process"`` session of
    ``result.placement(1)`` (K = 1), which computes with one BLAS thread
-   (B = 1), so K·B·R <= cores.  While a forked replica lives the engine
-   holds *its own process's* BLAS at one thread as well
-   (:mod:`repro.runtime.blas`), so a response is bitwise the same
-   whichever replica computed it (with none, replica 0 computes at the
-   caller's budget), and whichever batch it rode in: a fused answer is
-   bitwise the request's batch-1 answer (the probe below checks it with
-   ``np.array_equal``).  The replicas are each other's redundancy: retry
-   and ``heal()`` act per replica, and a forked replica that still fails
+   (B = 1), so K·B·R <= cores.  A lane that may fork (R > 1) holds *the
+   engine's own process's* BLAS at one thread too, from its compile —
+   before the batch-fusion probe and the first answer — until it closes
+   (:mod:`repro.runtime.blas`), so every response is **bitwise the plan at
+   B = 1**: whatever the load, whichever replica computed it and whichever
+   batch it rode in (a fused answer is bitwise the request's batch-1
+   answer; the probe below checks it with ``np.array_equal``).  The
+   replicas are each other's redundancy: retry and
+   :meth:`~repro.runtime.session.Session.recover` (which replaces a forked
+   replica's pool) act per replica, and a forked replica that still fails
    after its retries retires and hands the batch to replica 0, which
    answers it bitwise; the next backlog may fork a fresh replica.
    A one-core host and a host whose BLAS the engine cannot pin
@@ -413,6 +415,9 @@ class CompiledArtifact:
     max_replicas: int = 1
     #: the cores the lane was sized on
     cores: int = 1
+    #: the lane holds the engine's process at one BLAS thread until it
+    #: closes (it may fork: R > 1 when compiled)
+    blas_held: bool = False
 
     @property
     def model_name(self) -> str:
@@ -530,7 +535,7 @@ class _Lane:
             qos.wake()
             for thread in others:
                 thread.join()
-            artifact.close()
+            engine._close_artifact(artifact)
             # whatever ended the lane, its cache entry must not outlive it
             engine._cache.invalidate(self.key, expected=self)
         if not engine._closed and qos.has_queued(self.key):
@@ -601,7 +606,7 @@ class _Lane:
             if serving:
                 with self._lock:
                     artifact.replicas.remove(replica)
-            self._engine._close_process_replica(replica)
+            replica.close()
 
     def _serve(self, artifact: CompiledArtifact, replica: Replica,
                batch: List) -> None:
@@ -666,15 +671,14 @@ class InferenceEngine:
     The engine is thread-safe: any number of caller threads may ``submit``
     concurrently, which is precisely what fills the micro-batches.
 
-    **It changes the caller's numpy while it serves on forked replicas.**
-    A BLAS thread count is process-global: while any lane runs a forked
-    replica, the engine holds every loaded OpenBLAS copy of
-    *this process* at one thread — the caller's own BLAS calls run on one
-    thread too.  When the last forked replica closes (eviction,
-    retirement or :meth:`shutdown`), the count found before the first
-    fork is put back.  A one-core host, a host whose BLAS cannot be
-    pinned, and an engine whose traffic never leaves a backlog with no
-    replica idle never pin anything.
+    **It changes the caller's numpy while it serves.**  A BLAS thread
+    count is process-global: while any lane that may fork replicas lives
+    (from its compile to its eviction, invalidation or :meth:`shutdown`),
+    the engine holds every loaded OpenBLAS copy of *this process* at one
+    thread — the caller's own BLAS calls run on one thread too — and when
+    the last such lane closes the count found before the first is put
+    back.  A one-core host and a host whose BLAS cannot be pinned never
+    pin anything.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
@@ -826,57 +830,61 @@ class InferenceEngine:
         session = create_session(result, executor="plan", tracer=self.tracer)
         replica = Replica(0, session, self.config,
                           f"{model.name}@{key.short()}")
-        batchable = self._probe_batchable(replica.execute, key.input_signature)
-        if replica.broken:
-            replica.recover()
-        if batchable:
-            replica.stack = replica.stacker
         # read through the module: the one seam placement and tests pin
         cores = session_module.available_cores()
         max_replicas = 1
         if cores > 1 and self._coordinator_blas() != UNMANAGED:
             max_replicas = cores
+            # Every answer is the plan's at B = 1, the budget each forked
+            # worker pins itself to: held before the probe and the first
+            # answer, not from the first fork on.
+            self._blas = hold_one_blas_thread()
+        try:
+            batchable = self._probe_batchable(replica.execute,
+                                              key.input_signature)
+            if replica.broken:
+                replica.recover()
+        except BaseException:
+            replica.close()
+            if max_replicas > 1:
+                self._blas = release_one_blas_thread()
+            raise
+        if batchable:
+            replica.stack = replica.stacker
         compile_time = time.perf_counter() - start
         self.metrics.record_compile(compile_time)
         return CompiledArtifact(
             key=key, result=result, compile_time_s=compile_time,
             max_batch=self.config.max_batch_size if batchable else 1,
-            replicas=[replica], max_replicas=max_replicas, cores=cores)
+            replicas=[replica], max_replicas=max_replicas, cores=cores,
+            blas_held=max_replicas > 1)
+
+    def _close_artifact(self, artifact: CompiledArtifact) -> None:
+        """Close a lane's replicas and end its BLAS hold: once the last
+        holding lane in the process closes, the count found before the
+        first is back."""
+        try:
+            artifact.close()
+        finally:
+            if artifact.blas_held:
+                self._blas = release_one_blas_thread()
 
     def _process_replica(self, artifact: CompiledArtifact,
                          index: int) -> Replica:
         """Fork one more replica of a lane: a one-worker process session
-        of ``placement(1)``.
-
-        The coordinator's BLAS is held at one thread first, the budget
-        every forked worker pins itself to, so a response is bitwise the
-        same whichever replica computed it; :meth:`_close_process_replica`
-        ends the hold.
-        """
-        self._blas = hold_one_blas_thread()
-        try:
-            session = create_session(artifact.result, executor="process",
-                                     timeout_s=self.config.timeout_s,
-                                     tracer=self.tracer,
-                                     max_batch=self.config.max_batch_size,
-                                     cores=1)
-        except BaseException:
-            self._blas = release_one_blas_thread()
-            raise
+        of ``placement(1)``, computing at one BLAS thread like the lane's
+        replica 0 (:meth:`_compile` holds it there)."""
+        session = create_session(artifact.result, executor="process",
+                                 timeout_s=self.config.timeout_s,
+                                 tracer=self.tracer,
+                                 max_batch=self.config.max_batch_size,
+                                 cores=1)
         injector = self.config.resilience.fault_injector
         if injector is not None:
             session.pool.set_fault_injector(injector)
         return Replica(index, session, self.config,
                        f"{artifact.model_name}@{artifact.key.short()}/r{index}",
                        failover=artifact.replicas[0].execute)
-
-    def _close_process_replica(self, replica: Replica) -> None:
-        """Close a forked replica and end its BLAS hold: once the last one
-        in the process closes, the count found before the first is back."""
-        try:
-            replica.close()
-        finally:
-            self._blas = release_one_blas_thread()
 
     def _coordinator_blas(self):
         """This process's BLAS threads (read once; the engine's own pin
@@ -1051,8 +1059,6 @@ def _replica_gauges(replica: Replica):
                "Completed pool runs of a cached artifact")
         yield ("serving_pool_failures_total", pool["failures"],
                "Failed pool runs of a cached artifact")
-        yield ("serving_pool_respawns_total", pool["respawns"],
-               "Single workers respawned in a cached artifact's pool")
         yield ("serving_pool_execute_seconds_total",
                pool["execute_ns_total"] / 1e9,
                "Cumulative worker execute time of a cached artifact")

@@ -4,8 +4,9 @@
 generated sequential module's order), builds one ``distance_to_end`` table
 per dataflow graph (potential parallelism and linear clustering walk the
 same one) and renders each node once (the sequential and the parallel
-module print the same statement).  Generated modules of one process share
-one temporary directory.
+module print the same statement); an execution plan and its traced twin
+render each node once too.  Generated modules of one process share one
+temporary directory.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import pytest
 import repro.codegen.module_writer as module_writer
 from repro.graph.critical_path import compute_distance_to_end
 from repro.graph.traversal import topological_sort_nodes
-from repro.ir.opset import render
+from repro.ir.opset import destination, render
 from repro.models import build_model
+from repro.observability import Tracer
 from repro.pipeline import ramiel_compile
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.session import create_session
 from repro.serving import example_inputs
 
@@ -59,6 +62,26 @@ def test_one_sort_one_distance_table_one_render(monkeypatch, clone):
     # rendered node)
     assert (sorts[id(result.optimized_model.graph)], tables[id(result.dataflow_graph)],
             max(renders.values())) == (1, 1, 1)
+
+
+def test_a_plan_and_its_traced_twin_render_each_node_once(monkeypatch):
+    """The twin prints the plain source's node blocks, and the plan's
+    destination capabilities come from the same walk."""
+    model = ramiel_compile(build_model("googlenet", variant="small")).optimized_model
+    renders = _count_calls(monkeypatch, render, lambda node: node.name)
+    destinations = _count_calls(monkeypatch, destination, lambda node: node.name)
+
+    plan = ExecutionPlan(model)
+    plan.enable_tracing(Tracer())
+
+    assert sorted(renders) == sorted(node.name for node in model.graph.nodes)
+    assert max(renders.values()) == 1
+    assert not destinations
+    feed = example_inputs(model)
+    traced = plan.run(feed)
+    plan.disable_tracing()
+    for name, value in plan.run(feed).items():
+        assert np.asarray(traced[name]).tobytes() == np.asarray(value).tobytes()
 
 
 def test_compiles_share_one_codegen_directory(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from repro.models import build_model
 from repro.pipeline import ramiel_compile
 from repro.runtime.blas import UNMANAGED, blas_threads, pin_blas_threads
 from repro.runtime.session import create_session
+from repro.runtime.worker_pool import ParallelExecutionError
 from repro.serving import example_inputs
 from tests.conftest import build_diamond_model, compiled_pool, managed_blas
 
@@ -97,19 +98,25 @@ class TestWorkerBudget:
         for name, ref in reference.items():
             np.testing.assert_array_equal(outputs[name], ref)
 
-    def test_a_respawned_worker_pins_itself_again(self):
+    def test_a_respawned_worker_pins_itself_again(self, pin_cores):
+        """The worker recover() starts in place of a killed one pins itself
+        to one BLAS thread like the first, whatever the caller's count."""
+        pin_cores(2)
         result = ramiel_compile(build_diamond_model())
         feed = example_inputs(result.model, seed=2)
         pin_blas_threads(2)
-        with compiled_pool(result, backend="process") as pool:
-            before = pool.run(feed)
-            os.kill(pool._workers[0].pid, signal.SIGKILL)
-            pool._workers[0].join(timeout=5.0)
-            after = pool.run(feed)  # respawned at dispatch
-            stats = pool.stats()
-            assert stats["respawns"] == 1
-            assert [row["blas_threads"] for row in stats["workers"]] == \
-                [1] * pool.num_clusters
+        with create_session(result, executor="process") as session:
+            before = session.run(feed)
+            victim = session.pool._workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            with pytest.raises(ParallelExecutionError, match="died while idle"):
+                session.run(feed)
+            session.recover()
+            after = session.run(feed)
+            rows = session.stats()["pool"]["workers"]
+            assert [row["blas_threads"] for row in rows] == [1] * len(rows)
+        assert blas_threads() == 2  # the caller's own count is left alone
         for name, ref in before.items():
             np.testing.assert_array_equal(after[name], ref)
 

@@ -18,8 +18,8 @@ from repro.graph import (
 )
 from repro.graph.critical_path import compute_distance_from_start, path_cost
 from repro.graph.dataflow import DataflowGraph
-from repro.graph.traversal import CycleError, descendants, reaches
-from repro.graph.visualize import clusters_to_dot, to_dot
+from repro.graph.traversal import CycleError, descendants
+from repro.graph.visualize import to_dot
 from repro.ir.node import OpNode
 
 from tests.conftest import make_dataflow
@@ -70,12 +70,6 @@ class TestDataflowGraph:
         sub = dfg.subgraph(["a", "b"])
         assert len(sub) == 2 and sub.num_edges() == 1
 
-    def test_to_networkx(self):
-        dfg = make_dataflow([("a", "b")], costs={"a": 2.0})
-        g = dfg.to_networkx()
-        assert g.number_of_nodes() == 2
-        assert g.nodes["a"]["cost"] == 2.0
-
     def test_model_conversion_edges(self, diamond_model):
         dfg = model_to_dataflow(diamond_model)
         assert len(dfg) == diamond_model.num_nodes
@@ -107,7 +101,6 @@ class TestTraversal:
     def test_ancestors_descendants(self):
         dfg = make_dataflow([("a", "b"), ("b", "c"), ("x", "c")])
         assert descendants(dfg, "a") == {"b", "c"}
-        assert reaches(dfg, ["b"]) == {"a", "b"}
 
     def test_levels(self):
         dfg = make_dataflow([("a", "b"), ("b", "c"), ("a", "c")])
@@ -224,5 +217,5 @@ class TestVisualize:
         from repro.clustering import linear_clustering
 
         clustering = linear_clustering(diamond_dfg)
-        dot = clusters_to_dot(diamond_dfg, clustering.clusters)
+        dot = to_dot(diamond_dfg, cluster_of=clustering.assignment())
         assert "fillcolor" in dot

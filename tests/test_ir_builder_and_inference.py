@@ -19,7 +19,7 @@ from repro.ir import (
 )
 from repro.ir.model import Graph
 from repro.ir.node import OpNode
-from repro.ir.opset import OpKind, get_schema, has_schema, ops_of_kind, registered_ops
+from repro.ir.opset import OpKind, get_schema, has_schema, registered_ops
 from repro.ir.tensor import TensorInfo
 
 from tests.conftest import build_diamond_model
@@ -42,8 +42,8 @@ class TestOpset:
         assert concat.accepts_arity(7)  # unbounded max
 
     def test_kind_queries(self):
-        assert "Conv" in ops_of_kind(OpKind.CONV)
-        assert "Relu" in ops_of_kind(OpKind.ACTIVATION)
+        assert get_schema("Conv").kind is OpKind.CONV
+        assert get_schema("Relu").kind is OpKind.ACTIVATION
         assert len(registered_ops()) > 60
 
     def test_unknown_schema_raises(self):

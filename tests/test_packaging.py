@@ -1,8 +1,8 @@
 """Every third-party package ``src/repro`` imports is declared in pyproject.toml.
 
 A module-level import needs a runtime dependency; an import inside a
-function (networkx, for ``DataflowGraph.to_networkx`` only) may come from an
-optional extra, and must then stay out of the serving path's imports.
+function may come from an optional extra, and must then stay out of the
+serving path's imports.  Today ``src/`` imports numpy and nothing else.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def test_every_imported_package_is_declared():
     anywhere = runtime | _requirement_names(
         r for extra in project["optional-dependencies"].values() for r in extra)
     imports = _third_party_imports()
-    assert {"numpy", "networkx"} <= {package for package, _ in imports}
-    assert "scipy" not in {package for package, _ in imports}
+    assert {package for package, _ in imports} == {"numpy"}
     for package, module_level in imports:
         assert package.lower() in (runtime if module_level else anywhere), package
 

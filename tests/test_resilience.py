@@ -5,14 +5,15 @@ through crash / hang / slow / exception / channel-corruption faults
 against the warm pools (thread and process backends) and the serving
 engine, asserting the properties the layer promises:
 
-* a dead worker fails its run within the pool's fail grace, not the batch
-  timeout, and is respawned *individually* — at the next dispatch or by
-  ``heal()``, the one repair — and every new worker must answer a ping
-  before the pool uses it;
+* a worker that dies mid-run fails its run within the pool's fail grace,
+  not the batch timeout, and one that died while idle fails the next run
+  at dispatch, naming it; every failure leaves the pool broken, and the
+  one repair is to replace it — ``Session.recover()`` closes the pool and
+  starts new workers, each of which must answer a ping before use;
 * an injected failure mid-batch is retried and the caller's future
   resolves with **bitwise-correct** outputs;
 * a forked serving replica that still fails after its retries (or whose
-  heal fails) retires and hands its batch to replica 0, which answers it
+  recovery fails) retires and hands its batch to replica 0, which answers it
   bitwise without building anything; the lane forks a fresh replica once
   the fault clears;
 * every recovery decision is visible in ``stats()`` and the shared
@@ -212,8 +213,13 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Pool-level chaos: injected worker faults, liveness and heal()
+# Pool-level chaos: injected worker faults end in an explicit error, and
+# Session.recover() replaces the broken pool
 # ---------------------------------------------------------------------------
+#: the session executor of each pool backend
+EXECUTOR = {"thread": "pool", "process": "process"}
+
+
 class TestPoolChaos:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_slow_worker_still_bitwise_correct(self, chain_compiled, backend):
@@ -233,89 +239,85 @@ class TestPoolChaos:
     def test_injected_exception_ships_remote_traceback(self, chain_compiled,
                                                        backend):
         _, result, feed, reference = chain_compiled
-        weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=1,
             message="chaos-exc-marker")])
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend=backend) as pool:
-            pool.set_fault_injector(injector)
+        with create_session(result, executor=EXECUTOR[backend]) as session:
+            session.pool.set_fault_injector(injector)
             with pytest.raises(ParallelExecutionError) as excinfo:
-                pool.run(feed, timeout=30.0)
+                session.run(feed, timeout=30.0)
             text = str(excinfo.value)
             assert "chaos-exc-marker" in text
             # the worker-side frame crossed the process boundary
             assert "Remote traceback" in text
             assert "apply_worker_fault" in text
-            assert pool.broken
-            # no worker died: heal() just clears the broken flag
-            assert pool.heal() == []
-            assert not pool.broken
-            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            assert session.pool.broken
+            # no worker died, and the broken pool is replaced all the same
+            session.recover()
+            assert not session.pool.broken
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_crashed_worker_is_respawned_not_restarted(self, chain_compiled,
                                                        backend):
+        """A crashed worker fails its run within the fail grace; recover()
+        spawns a new worker in a new pool (the dead one is not restarted)."""
         _, result, feed, reference = chain_compiled
-        weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="crash", worker=0, times=1)])
-        grace = 1.0
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend=backend, fail_grace_s=grace) as pool:
+        with create_session(result, executor=EXECUTOR[backend]) as session:
+            pool = session.pool
             pool.set_fault_injector(injector)
             start = time.monotonic()
             # The batch timeout is 120s; the dead worker must fail the run
-            # within the fail grace, not wait out the watchdog.
+            # within the fail grace (2 s), not wait out the watchdog.
             with pytest.raises(ParallelExecutionError, match="died"):
-                pool.run(feed, timeout=120.0)
-            assert time.monotonic() - start < grace + 1.0
-            assert pool.heal() == [0]
-            assert not pool.broken and pool.worker_alive(0)
-            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            stats = pool.stats()
-            assert stats["respawns"] == 1
+                session.run(feed, timeout=120.0)
+            assert time.monotonic() - start < 3.0
+            assert pool.stats()["failures"] == 1
+            session.recover()
+            assert session.pool is not pool and pool.closed
+            assert session.pool._workers[0] is not pool._workers[0]
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_hung_worker_is_declared_wedged_and_replaced(self, chain_compiled,
                                                          backend):
-        """A worker silent past the run's timeout is wedged; heal() finds
-        it does not answer a ping and replaces it."""
+        """A worker silent past the run's timeout is wedged; recover()
+        replaces it without waiting for it."""
         _, result, feed, reference = chain_compiled
-        weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="hang", seconds=8.0, times=1)])
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend=backend, fail_grace_s=1.0) as pool:
-            pool.set_fault_injector(injector)
+        with create_session(result, executor=EXECUTOR[backend]) as session:
+            session.pool.set_fault_injector(injector)
             start = time.monotonic()
             with pytest.raises(ParallelExecutionError, match="timed out"):
-                pool.run(feed, timeout=1.0)
-            assert pool.heal() == [0]
+                session.run(feed, timeout=1.0)
+            session.recover()
             assert time.monotonic() - start < 8.0  # not the hang itself
-            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            assert pool.stats()["respawns"] == 1
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
 
     def test_corrupted_result_channel_fails_fast(self, chain_compiled):
         _, result, feed, reference = chain_compiled
-        weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="corrupt", times=1)])
-        with WarmExecutorPool(result.parallel_module, weights) as pool:
+        with create_session(result, executor="pool") as session:
+            pool = session.pool
             pool.set_fault_injector(injector)
             start = time.monotonic()
             with pytest.raises(ParallelExecutionError,
                                match="corrupted result-channel message"):
-                pool.run(feed, timeout=120.0)
+                session.run(feed, timeout=120.0)
             assert time.monotonic() - start < 10.0  # not the batch timeout
             assert pool.stats()["protocol_errors"] >= 1
-            assert pool.heal() == []  # the worker itself is still alive
-            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
+            session.recover()
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
 
     def test_multi_cluster_crash_converges_through_heal(self, wide_compiled):
         """Peers stranded on a dead worker's channels: the run fails within
-        the fail grace, and heal() replaces the dead worker and every peer
-        that does not answer a ping."""
+        the fail grace, closing the broken pool does not wait for them, and
+        a fresh pool over the same module — what recover() builds — answers
+        bitwise."""
         _, result, feed, reference = wide_compiled
         weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
@@ -328,43 +330,52 @@ class TestPoolChaos:
             with pytest.raises(ParallelExecutionError, match="cluster 1"):
                 pool.run(feed, timeout=60.0)
             assert time.monotonic() - start < grace + 1.0
-            assert 1 in pool.heal()
-            assert not pool.broken
-            _assert_bitwise(pool.run(feed, timeout=60.0), reference)
-            assert pool.stats()["respawns"] >= 1
+            assert pool.broken
+            start = time.monotonic()
+            pool.close()
+            assert time.monotonic() - start < 2.0  # reaped, not joined
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as fresh:
+            _assert_bitwise(fresh.run(feed, timeout=60.0), reference)
 
     def test_fault_metrics_visible_in_registry(self, chain_compiled):
+        """A failure shows in the registry; after recover() the pool gauges
+        describe the new pool, published under the same labels."""
         from repro.observability import MetricsRegistry
 
         _, result, feed, reference = chain_compiled
-        weights = result.optimized_model.graph.initializers
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="crash", worker=0, times=1)])
         registry = MetricsRegistry()
-        with WarmExecutorPool(result.parallel_module, weights,
-                              fail_grace_s=1.0) as pool:
-            pool.set_fault_injector(injector)
-            pool.publish_metrics(registry, labels={"model": "chain"})
+        with create_session(result, executor="pool") as session:
+            session.pool.set_fault_injector(injector)
+            session.publish_metrics(registry, labels={"model": "chain"})
             with pytest.raises(ParallelExecutionError):
-                pool.run(feed, timeout=120.0)
-            pool.heal()
+                session.run(feed, timeout=120.0)
             snapshot = registry.snapshot()
-            assert snapshot['pool_worker_respawns_total{model="chain"}'][
-                "value"] == 1
-            assert snapshot['pool_workers_alive{model="chain"}'][
-                "value"] == pool.num_clusters
             assert snapshot['pool_failures_total{model="chain"}'][
                 "value"] == 1
+            assert snapshot['pool_workers_alive{model="chain"}'][
+                "value"] == 0
+            session.recover()
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
+            snapshot = registry.snapshot()
+            assert snapshot['pool_failures_total{model="chain"}'][
+                "value"] == 0
+            assert snapshot['pool_runs_total{model="chain"}']["value"] == 1
+            assert snapshot['pool_workers_alive{model="chain"}'][
+                "value"] == session.pool.num_clusters
 
 
 # ---------------------------------------------------------------------------
 # A pool watches its own workers: no watcher thread, no shared done pipe
 # ---------------------------------------------------------------------------
 def _sigkill(pool, index: int) -> None:
-    """SIGKILL one process worker and wait until the pool sees it dead."""
-    os.kill(pool._workers[index].pid, signal.SIGKILL)
-    _wait_until(lambda: not pool.worker_alive(index), timeout_s=10.0,
-                what=f"worker {index} dead")
+    """SIGKILL one process worker and wait until it is dead."""
+    worker = pool._workers[index]
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), f"worker {index} still alive"
 
 
 def _exit_at_once(*args) -> None:
@@ -386,86 +397,91 @@ class TestPoolLiveness:
             WarmExecutorPool(result.parallel_module, weights, backend=backend)
         assert time.monotonic() - start < 5.0
 
-    def test_start_and_respawn_each_run_one_ping_round(self, wide_compiled,
-                                                       monkeypatch):
+    def test_only_the_start_runs_a_ping_round(self, wide_compiled,
+                                              monkeypatch):
+        """The startup ping is the pool's one probe: runs ping nobody, and
+        a worker found dead is not replaced in place."""
         _, result, feed, reference = wide_compiled
         weights = result.optimized_model.graph.initializers
         rounds = []
-        unresponsive = WarmExecutorPool._unresponsive
+        ready = WarmExecutorPool._await_ready
 
-        def spy(pool, indices, timeout):
-            rounds.append(sorted(indices))
-            return unresponsive(pool, indices, timeout)
+        def spy(pool, timeout):
+            rounds.append(pool.num_clusters)
+            return ready(pool, timeout)
 
-        monkeypatch.setattr(WarmExecutorPool, "_unresponsive", spy)
+        monkeypatch.setattr(WarmExecutorPool, "_await_ready", spy)
         with WarmExecutorPool(result.parallel_module, weights,
                               backend="process") as pool:
-            assert rounds == [[0, 1, 2, 3]]
+            assert rounds == [4]
+            for _ in range(3):
+                _assert_bitwise(pool.run(feed, timeout=30.0), reference)
             _sigkill(pool, 1)
-            _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            assert rounds == [[0, 1, 2, 3], [1]]
+            with pytest.raises(ParallelExecutionError):
+                pool.run(feed, timeout=30.0)
+            assert rounds == [4]
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_failed_respawn_at_dispatch_is_a_failed_run(
-            self, wide_compiled, backend, monkeypatch):
-        _, result, feed, _ = wide_compiled
-        weights = result.optimized_model.graph.initializers
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend=backend) as pool:
-            # Worker 0 leaves its loop, and so will its replacement.
-            pool._job_queues[0].put(None)
-            _wait_until(lambda: not pool.worker_alive(0),
-                        what="worker 0 gone")
-            monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
-            with pytest.raises(ParallelExecutionError):
-                pool.run(feed, timeout=10.0)
-            assert pool.broken
-            assert pool.stats()["failures"] == 1
-            assert pool.stats()["runs"] == 0
-
-    def test_an_idle_worker_killed_is_respawned_at_dispatch(self,
-                                                             wide_compiled):
+    def test_a_worker_dead_at_dispatch_fails_the_run(self, wide_compiled,
+                                                     backend):
+        """A worker that died while idle — a killed process, a thread that
+        left its loop — fails the next run at once, naming it, before any
+        job is dispatched; the pool stays broken until it is replaced."""
         _, result, feed, reference = wide_compiled
         weights = result.optimized_model.graph.initializers
         with WarmExecutorPool(result.parallel_module, weights,
-                              backend="process") as pool:
-            assert pool.num_clusters == 4
+                              backend=backend) as pool:
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            _sigkill(pool, 1)
+            if backend == "process":
+                _sigkill(pool, 1)
+            else:
+                pool._job_queues[1].put(None)
+                pool._workers[1].join(timeout=10.0)
             start = time.monotonic()
-            outputs = pool.run(feed, timeout=30.0)
-            assert time.monotonic() - start < 5.0
-            _assert_bitwise(outputs, reference)
+            with pytest.raises(ParallelExecutionError,
+                               match="worker 1 of 'wide' died while idle"):
+                pool.run(feed, timeout=30.0)
+            assert time.monotonic() - start < 1.0
+            assert pool.broken
             stats = pool.stats()
-            assert stats["respawns"] == 1
-            assert stats["failures"] == 0
+            assert (stats["runs"], stats["failures"]) == (1, 1)
+            assert [row["jobs"] for row in stats["workers"]] == [1] * 4
+            with pytest.raises(ParallelExecutionError, match="broken"):
+                pool.run(feed, timeout=30.0)
 
     def test_each_process_worker_owns_its_done_pipe(self, wide_compiled):
         _, result, _, _ = wide_compiled
         weights = result.optimized_model.graph.initializers
         with WarmExecutorPool(result.parallel_module, weights,
                               backend="process") as pool:
-            before = list(pool._done)
-            assert len({id(pipe) for pipe in before}) == pool.num_clusters
+            pipes = list(pool._done)
+            assert len({id(pipe) for pipe in pipes}) == pool.num_clusters
             assert all(isinstance(pipe._lock, type(threading.Lock()))
-                       for pipe in [*before, *pool._job_queues])
+                       for pipe in [*pipes, *pool._job_queues])
             _sigkill(pool, 2)
-            assert pool.heal() == [2]
-            assert pool._done[2] is not before[2]  # replaced with the worker
-            assert [pool._done[i] for i in (0, 1, 3)] == [
-                before[i] for i in (0, 1, 3)]
+            # the killed worker's pipe reads end-of-file; no other stirs
+            assert [pipe.reader.poll(0) for pipe in pipes] == [
+                False, False, True, False]
+            with pytest.raises(EOFError):
+                pipes[2].reader.recv()
 
     def test_a_kill_anywhere_in_a_traced_run_heals_bitwise(self,
                                                            wide_compiled):
         """SIGKILL a worker at ten offsets across a traced run: whatever the
-        run did, heal() and the next run come back bitwise, never a hang."""
+        run did, the pool's next run is an explicit error, never a hang,
+        and a fresh pool over the same module answers bitwise."""
         from repro.observability import Tracer
 
         _, result, feed, reference = wide_compiled
         weights = result.optimized_model.graph.initializers
-        with WarmExecutorPool(result.parallel_module, weights,
-                              backend="process", fail_grace_s=1.0,
-                              tracer=Tracer()) as pool:
+
+        def fresh():
+            return WarmExecutorPool(result.parallel_module, weights,
+                                    backend="process", fail_grace_s=1.0,
+                                    tracer=Tracer())
+
+        pool = fresh()
+        try:
             times = []
             for _ in range(5):
                 start = time.monotonic()
@@ -473,10 +489,9 @@ class TestPoolLiveness:
                 times.append(time.monotonic() - start)
             run_s = sorted(times)[2]  # a warm run's length
             for offset in range(10):
-                victim = offset % pool.num_clusters
-                pid = pool._workers[victim].pid
+                victim = pool._workers[offset % pool.num_clusters]
                 killer = threading.Timer(run_s * offset / 10, os.kill,
-                                         (pid, signal.SIGKILL))
+                                         (victim.pid, signal.SIGKILL))
                 start = time.monotonic()
                 killer.start()
                 try:
@@ -484,19 +499,20 @@ class TestPoolLiveness:
                 except ParallelExecutionError:
                     pass
                 killer.join(timeout=10.0)
-                pool.heal()
+                victim.join(timeout=10.0)
+                with pytest.raises(ParallelExecutionError):
+                    pool.run(feed, timeout=30.0)
+                pool.close()
+                pool = fresh()
                 _assert_bitwise(pool.run(feed, timeout=30.0), reference)
                 assert time.monotonic() - start < 10.0
+        finally:
+            pool.close()
 
 
 # ---------------------------------------------------------------------------
 # Session.recover
 # ---------------------------------------------------------------------------
-def _heal_fails():
-    raise ParallelExecutionError("worker(s) [0] of 'chain' died or did not "
-                                 "answer their startup ping within 60.0s")
-
-
 class TestSessionRecover:
     def test_plan_session_rebuilds_fresh_plan(self):
         model = build_diamond_model()
@@ -518,18 +534,65 @@ class TestSessionRecover:
             site="worker.execute", kind="exc", times=1)])
         session = create_session(result, executor="pool")
         try:
-            session.pool.set_fault_injector(injector)
+            pool = session.pool
+            pool.set_fault_injector(injector)
             with pytest.raises(ParallelExecutionError):
                 session.run(feed, timeout=30.0)
-            assert session.pool.broken
+            assert pool.broken
             session.recover()
+            assert pool.closed and session.pool is not pool
             assert not session.pool.broken
             _assert_bitwise(session.run(feed, timeout=30.0), reference)
         finally:
             session.close()
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_recover_after_a_kill_and_a_wedge_starts_new_workers(
+            self, chain_compiled, backend):
+        """One rule for every failure: recover() closes the broken pool and
+        starts new workers, with the session's tracer and fault injector
+        attached, and the next run is bitwise."""
+        from repro.observability import Tracer
+
+        _, result, feed, reference = chain_compiled
+        tracer, injector = Tracer(), FaultInjector()
+        with create_session(result, executor=EXECUTOR[backend],
+                            tracer=tracer) as session:
+            session.pool.set_fault_injector(injector)
+            _assert_bitwise(session.run(feed, timeout=30.0), reference)
+            for fault in ("kill", "wedge"):
+                pool = session.pool
+                old = ({id(w) for w in pool._workers}
+                       | {getattr(w, "pid", None) for w in pool._workers}) - {None}
+                if fault == "wedge":
+                    injector.add(FaultSpec(site="worker.execute", kind="hang",
+                                           seconds=8.0, times=1))
+                elif backend == "process":
+                    _sigkill(pool, 0)
+                else:  # a thread cannot be killed; it can crash
+                    injector.add(FaultSpec(site="worker.execute",
+                                           kind="crash", times=1))
+                with pytest.raises(ParallelExecutionError,
+                                   match="timed out|died"):
+                    session.run(feed, timeout=1.0)
+                start = time.monotonic()
+                session.recover()
+                assert time.monotonic() - start < 2.0
+                assert pool.closed and session.pool is not pool
+                new = session.pool
+                assert not old & {id(w) for w in new._workers}
+                assert not old & {getattr(w, "pid", None) for w in new._workers}
+                assert new.tracer is tracer
+                assert new.fault_injector is injector
+                _assert_bitwise(session.run(feed, timeout=30.0), reference)
+                if backend == "process":  # its spans come from the new pid
+                    (buffer,) = session.worker_trace_buffers()
+                    assert buffer.pid == new._workers[0].pid
+
     def test_pool_session_recover_raises_when_heal_fails(self, chain_compiled,
                                                          monkeypatch):
+        """When the new pool fails its startup check, recover() raises and
+        the session stays broken: the caller's fallback takes over."""
         _, result, feed, _ = chain_compiled
         session = create_session(result, executor="process")
         try:
@@ -539,16 +602,20 @@ class TestSessionRecover:
             with pytest.raises(ParallelExecutionError):
                 session.run(feed, timeout=30.0)
             assert pool.broken
-            monkeypatch.setattr(pool, "heal", _heal_fails)
+            monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
             with pytest.raises(ParallelExecutionError, match="startup ping"):
                 session.recover()
-            assert pool.broken
+            assert session.broken and session.pool.broken
+            with pytest.raises(RuntimeError, match="broken"):
+                session.run(feed, timeout=30.0)
         finally:
             session.close()
 
     @managed_blas
     def test_a_failed_heal_fails_over_to_replica_0(
             self, chain_compiled, monkeypatch, pin_cores):
+        """A forked replica whose recover() cannot start a new pool retires
+        and replica 0 answers its batch."""
         pin_cores(2)
         model, _, feed, _ = chain_compiled
         feeds = [feed] + [example_inputs(model, seed=s) for s in (8, 9)]
@@ -562,9 +629,8 @@ class TestSessionRecover:
             served, artifact = serve_across_replicas(engine, model, feeds)
             replica = artifact.replicas[1]
             runs = replica.stats()["runs"]
-            pool = replica.session.pool
-            pool.set_fault_injector(injector)
-            monkeypatch.setattr(pool, "heal", _heal_fails)
+            replica.session.pool.set_fault_injector(injector)
+            monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
             outputs = replica.run_batch(feed)
             assert injector.stats() == {"worker.execute:exc": 1}
             assert replica.stats() == {"runs": runs + 1, "retries": 1,
@@ -778,8 +844,9 @@ class TestServingResilience:
         """Under the fail-fast default a forked replica whose one attempt
         fails retires and replica 0 answers its batch, after the batch it
         holds: the lane drops the replica, the artifact stays cached with
-        no recompile, replica 0 serves on, and the process's BLAS count is
-        back once the replica has closed."""
+        no recompile, replica 0 serves on — still at one BLAS thread, since
+        the lane may fork again — and the process's BLAS count is back once
+        the engine has shut down."""
         from repro.runtime.blas import blas_threads
 
         pin_cores(2)
@@ -805,13 +872,14 @@ class TestServingResilience:
             assert replica.stats()["failovers"] == 1
             _wait_until(lambda: artifact.replicas == [replica0],
                         what="the retired replica dropped")
-            _wait_until(lambda: replica.session.closed
-                        and blas_threads() == before,
-                        what="the retired replica closed, BLAS count back")
+            _wait_until(lambda: replica.session.closed,
+                        what="the retired replica closed")
+            assert blas_threads() == 1
             served.append(engine.infer(model, feeds[3]))
             assert cached_artifacts(engine) == [artifact]
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
             assert artifact.replicas == [replica0]
+        assert blas_threads() == before
         _assert_plan_bitwise(model, feeds[:3] + feeds[:2] + [feeds[3]], served)
 
 
@@ -823,10 +891,10 @@ class TestReplicaChaos:
     def test_a_killed_replica_worker_heals_alone_while_the_others_serve(
             self, pin_cores):
         """Kill the worker of a "plan" lane's process replica while a
-        closed loop keeps four requests in flight: that replica's pool
-        repairs itself (respawn at dispatch, or a retry after ``heal()``),
-        replica 0 never retries, both keep serving, and every response is
-        the B = 1 plan's, bit for bit."""
+        closed loop keeps four requests in flight: that replica's next
+        batch fails, its retry policy recovers it (a new pool, one new
+        worker), replica 0 never retries, both keep serving, and every
+        response is the B = 1 plan's, bit for bit."""
         from concurrent.futures import FIRST_COMPLETED, wait
 
         from repro.models import build_model
@@ -869,7 +937,8 @@ class TestReplicaChaos:
                         os.kill(victim, signal.SIGKILL)
                         killed_at = [replica0.stats()["runs"],
                                      replica1.stats()["runs"]]
-                    healed = (killed_at is not None and pool.stats()["respawns"]
+                    healed = (killed_at is not None
+                              and replica1.stats()["recoveries"]
                               and replica1.stats()["runs"]
                               >= killed_at[1] + 3)
                     if not healed and len(served) < 400:
@@ -877,9 +946,10 @@ class TestReplicaChaos:
             assert not inflight, "requests left unanswered"
             assert killed_at is not None
             assert list(artifact.replicas) == [replica0, replica1]
-            assert not replica1.retired and pool is replica1.session.pool
-            assert pool.stats()["respawns"] == 1
-            assert victim not in [worker.pid for worker in pool._workers]
+            assert not replica1.retired and pool is not replica1.session.pool
+            assert replica1.stats()["recoveries"] == 1
+            assert victim not in [worker.pid
+                                  for worker in replica1.session.pool._workers]
             after = [replica0.stats()["runs"],
                      replica1.stats()["runs"]]
             assert after[0] > killed_at[0] >= runs[0]
@@ -887,7 +957,7 @@ class TestReplicaChaos:
             zero = replica0.stats()
             assert zero["retries"] == zero["recoveries"] == 0
             assert replica1.stats()["failovers"] == 0
-        assert blas_threads() == before  # the last replica put it back
+        assert blas_threads() == before  # the lane's close put it back
         pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")
         references = [plan.run(feed) for feed in feeds]

@@ -1089,7 +1089,8 @@ class TestLaneReplicas:
     def test_lone_requests_on_an_idle_two_core_lane_fork_nothing(
             self, pin_cores):
         """A lone request is a share of one on replica 0, in process: one
-        after another, they never leave a backlog that would fork."""
+        after another, they never leave a backlog that would fork.  The
+        lane may fork, so it computes at one BLAS thread all the same."""
         import multiprocessing
 
         from repro.runtime.blas import blas_threads
@@ -1107,7 +1108,55 @@ class TestLaneReplicas:
             assert [r.index for r in artifact.replicas] == [0]
             assert artifact.replicas[0].stats()["runs"] == len(feeds)
             assert set(multiprocessing.active_children()) <= children
-            assert blas_threads() == before
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    @managed_blas
+    def test_one_answer_per_request_whatever_the_load(self, pin_cores,
+                                                      monkeypatch):
+        """With the caller's BLAS at two threads, the answer before any
+        fork, each replica's answers during a burst and the answer after
+        it are the same bits: the plan's at B = 1.  A lane that may fork
+        holds the engine's process at one thread from its compile, not from
+        the first fork.  Small inception_v4 has a 3x3 conv on a 9x9 map
+        whose GEMM rounds differently at one and at two threads."""
+        from repro.runtime.blas import blas_threads, pin_blas_threads
+
+        pin_cores(2)
+        model = build_model("inception_v4", variant="small")
+        feed = example_inputs(model, seed=3)
+        plan = create_session(ramiel_compile(model), executor="plan")
+        pin_blas_threads(1)
+        reference = plan.run(feed)
+        pin_blas_threads(2)
+        at_two = plan.run(feed)
+        if all(np.array_equal(at_two[name], ref) for name, ref in reference.items()):
+            pytest.skip("this host's BLAS rounds alike at one and two threads")
+
+        answers = collections.defaultdict(list)
+        run_batch = Replica.run_batch
+
+        def recorded(replica, stacked):
+            outputs = run_batch(replica, stacked)
+            answers[replica.index].append(outputs)
+            return outputs
+
+        monkeypatch.setattr(Replica, "run_batch", recorded)
+        with InferenceEngine() as engine:
+            first = engine.infer(model, feed)
+            assert len(artifact_of(engine, model, feed).replicas) == 1
+            burst, artifact = serve_across_replicas(engine, model, [feed] * 4)
+            assert [r.index for r in artifact.replicas] == [0, 1]
+            assert sorted(answers) == [0, 1]
+            after = engine.infer(model, feed)
+        assert blas_threads() == 2  # the lane's close put the count back
+        batches = [outputs for runs in answers.values() for outputs in runs]
+        for outputs in [first, *burst, after]:
+            _assert_bitwise(outputs, reference)
+        for outputs in batches:  # a fused batch: every row is the answer
+            for name, ref in reference.items():
+                for row in np.asarray(outputs[name]):
+                    np.testing.assert_array_equal(row[None], ref)
 
     def test_unmanaged_blas_keeps_one_replica(self, pin_cores, monkeypatch):
         import repro.serving.engine as engine_module

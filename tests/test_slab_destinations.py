@@ -202,7 +202,7 @@ def test_a_stopped_workers_large_layout_breaks_the_pool_within_the_timeout():
                           planner=planner) as pool:
         pool.run(feed, timeout=60.0)
         victim = pool._workers[0]
-        # A dead worker would be respawned at dispatch; a stopped one is
+        # A dead worker would fail the run at dispatch; a stopped one is
         # alive and never drains.
         os.kill(victim.pid, signal.SIGSTOP)
 

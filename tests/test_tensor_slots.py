@@ -148,10 +148,6 @@ class TestSlotRoundTrip:
         plane.ticket = 2
         with pytest.raises(ParallelExecutionError, match="stale hand-off"):
             channel.get()
-        # reset() is what heal() does: the post is gone, the slot rewritten
-        channel.put(PAYLOADS["float16"])
-        plane.reset()
-        assert not channel.semaphore.acquire(False)
         plane.close()
 
     def test_close_removes_the_spill_directory(self):
@@ -295,9 +291,9 @@ def test_workers_receive_only_the_inputs_their_cluster_reads(backend):
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_heal_suffices_after_a_run_stranded_its_workers(backend):
     """Missing inputs fail the first cluster while its peers wait on
-    hand-offs that never come; heal() (what Session.recover() calls) must
-    leave a pool whose next run is right, replacing only the workers it
-    found dead or silent."""
+    hand-offs that never come: the pool is broken and refuses work, and a
+    fresh pool over the same module (what Session.recover() builds) answers
+    right, run after run, whatever the stranded workers still hold."""
     model = build_wide_model()
     result = ramiel_compile(model)
     feed = example_inputs(model, seed=4)
@@ -309,15 +305,14 @@ def test_heal_suffices_after_a_run_stranded_its_workers(backend):
         with pytest.raises(ParallelExecutionError):
             pool.run({}, timeout=30.0)
         assert pool.broken
-        respawned = pool.heal()
-        assert respawned  # the stranded peers, found by ping
-        assert not pool.broken
+        with pytest.raises(ParallelExecutionError, match="broken"):
+            pool.run(feed, timeout=30.0)
+    with WarmExecutorPool(result.parallel_module, weights,
+                          backend=backend) as fresh:
         for _ in range(2):
-            outputs = pool.run(feed, timeout=30.0)
+            outputs = fresh.run(feed, timeout=30.0)
             for name, ref in reference.items():
                 _bitwise(outputs[name], ref)
-        stats = pool.stats()
-        assert stats["respawns"] == len(respawned)
 
 
 def test_squeezenet_fits_its_slots_at_the_engine_batch_size():
