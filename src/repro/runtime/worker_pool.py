@@ -123,14 +123,14 @@ class ControlPipe:
     pickles and writes in the caller, so the message is in the pipe when it
     returns.  One reader, one writing process: a job pipe is written only
     by the coordinator's threads (``run`` and ``close``, which serialize
-    on a ``threading.Lock``), a done pipe only by its worker.  With ``blocking=False`` (job
-    pipes) a ``put`` into a pipe nobody drains raises ``queue.Full``
-    instead of blocking the coordinator.  That needs the message written
-    atomically, i.e. within ``PIPE_BUF``; the rare larger one (a job
-    carrying a worker's slab layout, on its signature's first run) is
-    written piecewise as the pipe drains, and raises ``queue.Full`` once
-    ``timeout`` passes — a message torn that way leaves the pipe unusable,
-    which is why the caller then marks its pool broken.
+    on a ``threading.Lock``), a done pipe only by its worker.  With
+    ``blocking=False`` (job pipes) a ``put`` into a pipe nobody drains
+    raises ``queue.Full`` instead of blocking the coordinator.  That needs
+    the message written atomically, i.e. within ``PIPE_BUF``; the rare
+    larger one (a job carrying a worker's slab layout, on its signature's
+    first run) is written piecewise as the pipe drains, and raises
+    ``queue.Full`` once ``timeout`` passes — a message torn that way leaves
+    the pipe unusable, which is why the caller then marks its pool broken.
     """
 
     def __init__(self, ctx, blocking: bool = True) -> None:
