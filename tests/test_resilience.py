@@ -422,21 +422,46 @@ class TestPoolLiveness:
             assert rounds == [4]
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_worker_dead_at_dispatch_fails_the_run(self, wide_compiled,
-                                                     backend):
-        """A worker that died while idle — a killed process, a thread that
-        left its loop — fails the next run at once, naming it, before any
-        job is dispatched; the pool stays broken until it is replaced."""
-        _, result, feed, reference = wide_compiled
+    def test_a_failed_respawn_at_dispatch_is_a_failed_run(
+            self, wide_compiled, backend):
+        """A worker that left its loop while idle fails the next run at
+        once, naming it, before any job is dispatched: the pool respawns
+        nothing in place, and stays broken until it is replaced."""
+        _, result, feed, _ = wide_compiled
         weights = result.optimized_model.graph.initializers
         with WarmExecutorPool(result.parallel_module, weights,
                               backend=backend) as pool:
+            gone = pool._workers[0]
+            pool._job_queues[0].put(None)
+            gone.join(timeout=10.0)
+            assert not gone.is_alive()
+            start = time.monotonic()
+            with pytest.raises(ParallelExecutionError,
+                               match="worker 0 of 'wide' died while idle"):
+                pool.run(feed, timeout=10.0)
+            assert time.monotonic() - start < 1.0
+            assert pool.broken
+            assert pool._workers[0] is gone and not gone.is_alive()
+            stats = pool.stats()
+            assert (stats["runs"], stats["failures"]) == (0, 1)
+            assert [row["jobs"] for row in stats["workers"]] == [0] * 4
+            with pytest.raises(ParallelExecutionError, match="broken"):
+                pool.run(feed, timeout=10.0)
+
+    def test_an_idle_worker_killed_is_respawned_at_dispatch(self,
+                                                             wide_compiled):
+        """SIGKILL an idle process worker: the next dispatch fails at once,
+        naming it, instead of respawning it silently; the broken pool is
+        closed and a fresh one over the same module — what recover()
+        builds — respawns it, and the next run is bitwise."""
+        _, result, feed, reference = wide_compiled
+        weights = result.optimized_model.graph.initializers
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as pool:
+            assert pool.num_clusters == 4
             _assert_bitwise(pool.run(feed, timeout=30.0), reference)
-            if backend == "process":
-                _sigkill(pool, 1)
-            else:
-                pool._job_queues[1].put(None)
-                pool._workers[1].join(timeout=10.0)
+            killed = pool._workers[1].pid
+            _sigkill(pool, 1)
             start = time.monotonic()
             with pytest.raises(ParallelExecutionError,
                                match="worker 1 of 'wide' died while idle"):
@@ -448,6 +473,12 @@ class TestPoolLiveness:
             assert [row["jobs"] for row in stats["workers"]] == [1] * 4
             with pytest.raises(ParallelExecutionError, match="broken"):
                 pool.run(feed, timeout=30.0)
+        with WarmExecutorPool(result.parallel_module, weights,
+                              backend="process") as fresh:
+            assert fresh._workers[1].pid != killed
+            start = time.monotonic()
+            _assert_bitwise(fresh.run(feed, timeout=30.0), reference)
+            assert time.monotonic() - start < 5.0
 
     def test_each_process_worker_owns_its_done_pipe(self, wide_compiled):
         _, result, _, _ = wide_compiled
