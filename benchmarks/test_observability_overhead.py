@@ -334,7 +334,7 @@ def test_hardened_pool_dispatch_runs_at_parity(hardened_rows):
     path: a paired run against a pristine pool stays within the same
     queue-noise budget as the tracing gate.
 
-    Protects serving with ``ResilienceConfig(fault_injector=...)``;
+    Protects serving with ``EngineConfig(fault_injector=...)``;
     perflab's ``exec_b1`` pool and process sessions run with no injector
     attached, so this gate prices none of their cost."""
     print()

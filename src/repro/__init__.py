@@ -26,8 +26,8 @@ with every substrate it depends on:
   histograms, Prometheus text exposition) shared by plan, session and
   serving,
 * :mod:`repro.resilience` — recover or fail explicitly: deterministic
-  fault injection and retry policies (a session replaces a broken worker
-  pool, and a lane's replica 0 answers for a failing forked replica),
+  fault injection (a session replaces a broken worker pool, and a lane's
+  replica 0 answers for a failing forked replica; no batch is retried),
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
   engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
   bitwise exact, parsed closed) plus
@@ -65,7 +65,6 @@ __all__ = [
     "potential_parallelism",
     "compute_metrics",
     "ramiel_compile",
-    "RamielPipeline",
     "InferenceEngine",
     "EngineConfig",
     "QoSConfig",
@@ -82,8 +81,6 @@ __all__ = [
     "merge_traces",
     "FaultInjector",
     "FaultSpec",
-    "RetryPolicy",
-    "ResilienceConfig",
 ]
 
 
@@ -94,7 +91,7 @@ def __getattr__(name):
     it lazily keeps ``import repro`` cheap for users that only need the IR
     or the graph analyses.
     """
-    if name in ("ramiel_compile", "RamielPipeline", "PipelineConfig"):
+    if name in ("ramiel_compile", "PipelineConfig"):
         from repro import pipeline as _pipeline
 
         return getattr(_pipeline, name)
@@ -117,8 +114,7 @@ def __getattr__(name):
         from repro import observability as _observability
 
         return getattr(_observability, name)
-    if name in ("FaultInjector", "FaultSpec", "InjectedFault", "RetryPolicy",
-                "ResilienceConfig"):
+    if name in ("FaultInjector", "FaultSpec", "InjectedFault"):
         from repro import resilience as _resilience
 
         return getattr(_resilience, name)

@@ -20,7 +20,6 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.analysis.speedup import ExperimentConfig
 from repro.clustering import (
     build_hyperclusters,
     build_switched_hyperclusters,
@@ -289,17 +288,6 @@ def config_fingerprint(config: PipelineConfig) -> str:
         repr(config.cost_model),
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-class RamielPipeline:
-    """Object-oriented wrapper over :func:`ramiel_compile` (Fig. 10's tool)."""
-
-    def __init__(self, config: Optional[PipelineConfig] = None) -> None:
-        self.config = config or PipelineConfig()
-
-    def compile(self, model: Model) -> RamielResult:
-        """Run the full pipeline on a model."""
-        return ramiel_compile(model, config=self.config)
 
 
 def ramiel_compile(model: Model, config: Optional[PipelineConfig] = None,

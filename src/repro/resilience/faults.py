@@ -123,7 +123,7 @@ class FaultInjector:
     injector concurrently.  Construct with the
     specs (or :meth:`add`), attach via
     ``WarmExecutorPool.set_fault_injector`` /
-    ``ResilienceConfig(fault_injector=...)``.
+    ``EngineConfig(fault_injector=...)``.
     """
 
     def __init__(self, specs: Optional[List[FaultSpec]] = None,

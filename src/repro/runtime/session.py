@@ -283,9 +283,11 @@ class Session:
     def recover(self) -> "Session":
         """Replace this session's executor and clear ``broken``.
 
-        The retry path's repair hook, one rule for every executor: the
+        The session-level repair, one rule for every executor: the
         execution machinery is replaced, never repaired in place, and the
-        compiled artifact is kept (no recompile):
+        compiled artifact is kept (no recompile).  Serving calls it in one
+        place: a lane whose fusion probe left replica 0's plan broken
+        serves from a new replica over the recovered session.
 
         * pool-backed sessions close the pool — a broken pool's process
           workers are reaped at once — and start a fresh one over the same
@@ -295,9 +297,7 @@ class Session:
           pool starts in ~10 ms).  If the new pool fails its startup
           check this raises its
           :class:`~repro.runtime.worker_pool.ParallelExecutionError` and the
-          session stays broken; the caller's own fallback takes over (a
-          serving lane's forked replica retires and hands its batch to
-          replica 0).  The pool's counters start again from zero;
+          session stays broken.  The pool's counters start again from zero;
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
           over the same optimized model — a watchdogged run may hold the
           old plan's run lock forever, so the old object is abandoned,

@@ -7,8 +7,8 @@ This subsystem amortizes that work across request traffic:
   and the one request path: validate → admit; then a free replica of the
   artifact's lane (one thread per replica; the lane grows from its
   in-process plan to one replica per core under load) takes a micro-batch out of the admission
-  queue → runs it under the retry policy → session execute →
-  resolves each request's one future.
+  queue → session execute, once (a forked replica whose batch fails
+  retires and replica 0 answers it) → resolves each request's one future.
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
   the artifacts' lanes keyed by (model fingerprint, config fingerprint,
   input signature).

@@ -6,10 +6,10 @@ pipeline into a serving loop with one request path and **one queue**:
 (:mod:`repro.serving.qos`) and makes sure the artifact for its signature
 has a *lane*; the lane compiles the artifact, then each of its
 *replicas* — one thread per replica — loops take micro-batch → stack →
-execute under a retry policy (:mod:`repro.resilience`) → scatter →
-resolve.  A request is one record with one future, it waits in
-exactly one place, and ``submit`` never blocks on a compile.  The stages
-are configured by value (:class:`EngineConfig`), never switched off:
+execute once → scatter → resolve.  A request is one record with one
+future, it waits in exactly one place, and ``submit`` never blocks on a
+compile.  The stages are configured by value (:class:`EngineConfig`),
+never switched off:
 
 1. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
    input signature) triple is compiled exactly once, by its lane; the
@@ -41,11 +41,11 @@ are configured by value (:class:`EngineConfig`), never switched off:
    B = 1**: whatever the load, whichever replica computed it and whichever
    batch it rode in (a fused answer is bitwise the request's batch-1
    answer; the probe below checks it with ``np.array_equal``).  The
-   replicas are each other's redundancy: retry and
-   :meth:`~repro.runtime.session.Session.recover` (which replaces a forked
-   replica's pool) act per replica, and a forked replica that still fails
-   after its retries retires and hands the batch to replica 0, which
-   answers it bitwise; the next backlog may fork a fresh replica.
+   replicas are each other's redundancy, and a batch runs once: a forked
+   replica whose batch fails retires and hands the batch to replica 0,
+   which answers it bitwise, and the next backlog may fork a fresh
+   replica.  Replica 0 raises its own error; left broken, it drops the
+   artifact and the next request recompiles.
    A one-core host and a host whose BLAS the engine cannot pin
    (``"unmanaged"``) keep R = 1.
 4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
@@ -96,7 +96,6 @@ from repro.pipeline import (
     model_fingerprint,
     ramiel_compile,
 )
-from repro.resilience import ResilienceConfig
 from repro.runtime import session as session_module
 from repro.runtime.blas import (
     UNMANAGED,
@@ -143,13 +142,10 @@ class EngineConfig:
     #: ``"default"`` tenant under the stock bounds (64 queued per tenant,
     #: 256 engine-wide).
     qos: QoSConfig = QoSConfig()
-    #: retry policy every batch runs under, with session recovery between
-    #: attempts (:class:`repro.resilience.ResilienceConfig`).  The default
-    #: is fail-fast: one attempt, and a failed batch on replica 0 fails its
-    #: requests with the executor's own error.  Its ``fault_injector``
-    #: reaches the forked replicas' workers only: replica 0's plan has no
-    #: pool to inject into.
-    resilience: ResilienceConfig = ResilienceConfig()
+    #: optional deterministic :class:`~repro.resilience.FaultInjector`
+    #: attached to the forked replicas' workers for chaos testing; replica
+    #: 0's plan has no pool to inject into
+    fault_injector: Optional[object] = None
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
 
@@ -194,19 +190,6 @@ class _BatchWatchdog:
                 f"{timeout}s; the artifact is invalidated and the next "
                 "request recompiles") from None
 
-    def reset(self) -> None:
-        """Clear ``broken`` after the session behind it has been recovered.
-
-        The wedged run may still occupy the old single worker thread, so
-        the executor is replaced wholesale — the abandoned thread leaks
-        until its run returns, exactly like a watchdogged timeout.
-        """
-        old = self._executor
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"serve-watchdog-{self.label}")
-        old.shutdown(wait=False)
-        self._broken = None
-
     def close(self) -> None:
         self._executor.shutdown(wait=False)
 
@@ -218,14 +201,12 @@ class _PinnedStacker:
     arrays the stacker keeps across batches: once the largest batch shape
     has been seen, batch assembly allocates nothing.  The returned feed
     maps each input name to a view of its staging array, ready for
-    ``Session.run`` (the requests were validated at ``submit``).
-    Single-request batches pass through zero-copy.  Falls back to plain
-    stacking when the request names do not cover the session's graph inputs
-    (e.g. pruning changed the input set).
+    ``Session.run``: the requests were validated at ``submit`` against the
+    model's declared inputs, which compiling keeps as the session's.
+    Single-request batches pass through zero-copy.
     """
 
-    def __init__(self, session: Session, max_batch_size: int) -> None:
-        self._session = session
+    def __init__(self, max_batch_size: int) -> None:
         self._max_batch = max(int(max_batch_size), 1)
         self._staging: Dict[str, np.ndarray] = {}
 
@@ -237,9 +218,6 @@ class _PinnedStacker:
     def __call__(self, requests):
         if len(requests) == 1:
             return dict(requests[0].inputs)
-        names = set(requests[0].inputs)
-        if set(self._session.input_names) - names:
-            return stack_requests(requests)
         total = sum(r.batch_len for r in requests)
         feed: Dict[str, np.ndarray] = {}
         for name, first in requests[0].inputs.items():
@@ -263,12 +241,11 @@ class Replica:
 
     Wraps the session in what every batch needs: a time bound (a watchdog
     thread for the in-process plan, the pool's own timeout for a forked
-    replica), the retry policy, and the repair between retries
-    (:meth:`recover`).  Replica 0 is the plan session the artifact was
-    compiled into.  A one-worker process replica the lane forks also gets
-    replica 0's :meth:`execute` as its ``failover``: when a batch still
-    fails after its retries, the forked replica retires and replica 0
-    answers that batch.
+    replica).  A batch runs once; nothing is retried or repaired in place.
+    Replica 0 is the plan session the artifact was compiled into.  A
+    one-worker process replica the lane forks also gets replica 0's
+    :meth:`execute` as its ``failover``: when a batch fails, the forked
+    replica retires and replica 0 answers that batch.
     """
 
     def __init__(self, index: int, session: Session, config: EngineConfig,
@@ -276,20 +253,17 @@ class Replica:
         self.index = index
         self.session = session
         self.label = label
-        #: a forked replica's batch failed through its retries: its thread
-        #: stops and closes it
+        #: a forked replica's batch failed: its thread stops and closes it
         self.retired = False
         self._timeout_s = config.timeout_s
-        self._retry = config.resilience.retry
         self._failover = failover
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(
-            ("runs", "retries", "recoveries", "failovers"), 0)
+        self._counts = dict.fromkeys(("runs", "failovers"), 0)
         self.watchdog: Optional[_BatchWatchdog] = None
         self.stacker: Optional[_PinnedStacker] = None
         if session.pool is None:
             self.watchdog = _BatchWatchdog(label)
-            self.stacker = _PinnedStacker(session, config.max_batch_size)
+            self.stacker = _PinnedStacker(config.max_batch_size)
         #: request list -> the stacked feed :meth:`run_batch` accepts;
         #: replica 0 of a batchable in-process artifact switches to its
         #: pinned :attr:`stacker`
@@ -317,32 +291,23 @@ class Replica:
         return session.broken or (self.watchdog.broken if self.watchdog
                                   else session.pool.broken)
 
-    def recover(self) -> None:
-        # Order matters: a fresh ExecutionPlan first (the wedged run may
-        # hold the old plan's lock forever), then a fresh watchdog thread
-        # to run it on.
-        self.session.recover()
-        if self.watchdog is not None:
-            self.watchdog.reset()
-
     def run_batch(self, stacked) -> Dict[str, np.ndarray]:
-        """One stacked feed -> graph outputs, retried under the policy.
+        """One stacked feed -> graph outputs, in one attempt.
 
-        A forked replica whose batch still fails retires (its session is
-        marked broken; its thread stops and closes it) and answers the
-        batch through replica 0; if replica 0 raises too, its error surfaces, chained
-        from this replica's.  Replica 0 raises its own error.
+        A forked replica whose batch fails retires (its session is marked
+        broken; its thread stops and closes it) and answers the batch
+        through replica 0; if replica 0 raises too, its error surfaces,
+        chained from this replica's.  Replica 0 raises its own error.
         """
+        self._count("runs")
         try:
-            return self._retry.call(lambda: self._attempt(stacked),
-                                    on_retry=self._on_retry)
+            return self.execute(stacked)
         except BaseException as exc:
             if self._failover is None:
-                # Only a still-broken session/watchdog means replica 0
-                # itself is unusable (recovery failed, or the last attempt
-                # wedged it — the stuck run may hold the plan lock
-                # forever): the lane drops the artifact, so the next
-                # request recompiles.  A transient error leaves it.
+                # Only a broken session/watchdog means replica 0 itself is
+                # unusable (the batch wedged it — the stuck run may hold
+                # the plan lock forever): the lane drops the artifact, so
+                # the next request recompiles.  A transient error leaves it.
                 if self.broken:
                     self.session.mark_broken(
                         "batch dispatch left the executor broken")
@@ -355,23 +320,14 @@ class Replica:
             except BaseException as failover_exc:
                 raise failover_exc from exc
 
-    def _attempt(self, stacked) -> Dict[str, np.ndarray]:
-        self._count("runs")
-        return self.execute(stacked)
-
-    def _on_retry(self, attempt: int, exc: BaseException) -> None:
-        self._count("retries")
-        self.recover()
-        self._count("recoveries")
-
     def _count(self, name: str) -> None:
         with self._lock:
             self._counts[name] += 1
 
     def stats(self) -> Dict[str, int]:
-        """Attempts on this replica's session (``runs``), ``retries``,
-        ``recoveries`` run between them and ``failovers``: batches this
-        replica handed to replica 0 when it retired."""
+        """Batches run on this replica's session (``runs``) and
+        ``failovers``: batches this replica handed to replica 0 when it
+        retired."""
         with self._lock:
             return dict(self._counts)
 
@@ -455,7 +411,7 @@ class _Lane:
     replica 0.  When a replica's take leaves requests queued and no replica
     is idle, the lane starts one more replica thread (up to
     ``max_replicas``), which forks its one-worker process session and then
-    pulls like the others.  A forked replica whose batch still fails
+    pulls like the others.  A forked replica whose batch fails
     retires on its own, once replica 0 has answered that batch; replica 0
     left broken drops the artifact.  A closed lane (evicted,
     invalidated, engine shutdown) answers the batches it holds and stops;
@@ -828,8 +784,8 @@ class InferenceEngine:
         # lane's batch.execute span; forked replicas additionally ship
         # per-worker execute spans home for merged traces.
         session = create_session(result, executor="plan", tracer=self.tracer)
-        replica = Replica(0, session, self.config,
-                          f"{model.name}@{key.short()}")
+        label = f"{model.name}@{key.short()}"
+        replica = Replica(0, session, self.config, label)
         # read through the module: the one seam placement and tests pin
         cores = session_module.available_cores()
         max_replicas = 1
@@ -843,7 +799,12 @@ class InferenceEngine:
             batchable = self._probe_batchable(replica.execute,
                                               key.input_signature)
             if replica.broken:
-                replica.recover()
+                # Replaced, not repaired: the wedged probe run may hold the
+                # old plan's lock and its watchdog thread forever, so
+                # replica 0 becomes a new Replica over a fresh plan with a
+                # fresh watchdog thread.
+                replica.watchdog.close()
+                replica = Replica(0, session.recover(), self.config, label)
         except BaseException:
             replica.close()
             if max_replicas > 1:
@@ -879,7 +840,7 @@ class InferenceEngine:
                                  tracer=self.tracer,
                                  max_batch=self.config.max_batch_size,
                                  cores=1)
-        injector = self.config.resilience.fault_injector
+        injector = self.config.fault_injector
         if injector is not None:
             session.pool.set_fault_injector(injector)
         return Replica(index, session, self.config,
@@ -908,7 +869,7 @@ class InferenceEngine:
         wildcard dims may differ.  A model that folds the batch into
         another axis fails the probe and is served one request at a time —
         still cached and warm, just not fused.  A failing probe run may
-        leave the executor broken; the caller repairs it.
+        leave the executor broken; the caller replaces it.
         """
         if self.config.max_batch_size <= 1:
             return False
@@ -943,7 +904,7 @@ class InferenceEngine:
         cached artifact's budget (cores, replicas R, workers per replica K,
         BLAS threads B), its plan allocations and slab bytes and its
         output-binding direct/copy writes, and each replica's pool and
-        retry/failover counters (labelled ``replica="<id>"``) together.
+        failover counters (labelled ``replica="<id>"``) together.
         """
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
@@ -1062,10 +1023,5 @@ def _replica_gauges(replica: Replica):
         yield ("serving_pool_execute_seconds_total",
                pool["execute_ns_total"] / 1e9,
                "Cumulative worker execute time of a cached artifact")
-    counts = replica.stats()
-    yield ("serving_resilience_retries_total", counts["retries"],
-           "Batches re-dispatched after a failed attempt")
-    yield ("serving_resilience_recoveries_total", counts["recoveries"],
-           "Session recoveries run between retry attempts")
-    yield ("serving_resilience_failovers_total", counts["failovers"],
+    yield ("serving_resilience_failovers_total", replica.stats()["failovers"],
            "Batches a retiring forked replica handed to replica 0")

@@ -18,7 +18,7 @@ from repro.analysis.speedup import (
 )
 from repro.cli import main as cli_main
 from repro.models import build_model
-from repro.pipeline import PipelineConfig, RamielPipeline, ramiel_compile
+from repro.pipeline import PipelineConfig, ramiel_compile
 from repro.runtime import execute_model
 
 
@@ -77,9 +77,10 @@ class TestPipeline:
         assert result.schedule.num_cores_used <= 2
 
     def test_pipeline_class_wrapper(self):
+        """A stored config, passed with no overrides, is the one compiled under."""
         model = build_model("squeezenet", variant="small")
-        pipeline = RamielPipeline(PipelineConfig(generate_code=False))
-        result = pipeline.compile(model)
+        result = ramiel_compile(model, config=PipelineConfig(generate_code=False))
+        assert result.sequential_module is None and result.parallel_module is None
         assert result.num_clusters >= 1
 
     def test_output_dir_used(self, tmp_path):

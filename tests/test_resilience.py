@@ -1,4 +1,4 @@
-"""Chaos suite for the self-healing execution stack.
+"""Chaos suite for the execution stack's one repair rule: replace, never heal.
 
 Drives :mod:`repro.resilience`'s deterministic :class:`FaultInjector`
 through crash / hang / slow / exception / channel-corruption faults
@@ -10,12 +10,10 @@ engine, asserting the properties the layer promises:
   at dispatch, naming it; every failure leaves the pool broken, and the
   one repair is to replace it — ``Session.recover()`` closes the pool and
   starts new workers, each of which must answer a ping before use;
-* an injected failure mid-batch is retried and the caller's future
-  resolves with **bitwise-correct** outputs;
-* a forked serving replica that still fails after its retries (or whose
-  recovery fails) retires and hands its batch to replica 0, which answers it
-  bitwise without building anything; the lane forks a fresh replica once
-  the fault clears;
+* a serving batch runs once: a forked replica whose batch fails retires
+  and hands the batch to replica 0, which answers it **bitwise** without
+  building anything; the lane forks a fresh replica once the fault clears,
+  and replica 0 raises its own error;
 * every recovery decision is visible in ``stats()`` and the shared
   ``MetricsRegistry``.
 
@@ -44,12 +42,7 @@ from tests.conftest import (
     serve_across_replicas,
 )
 from repro.pipeline import ramiel_compile
-from repro.resilience import (
-    FaultInjector,
-    FaultSpec,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.resilience import FaultInjector, FaultSpec
 from repro.runtime import worker_pool
 from repro.runtime.session import create_session
 from repro.runtime.worker_pool import (
@@ -98,84 +91,6 @@ def _wait_until(predicate, timeout_s: float = 10.0, what: str = "condition"):
             return
         time.sleep(0.05)
     raise AssertionError(f"{what} not reached within {timeout_s}s")
-
-
-# ---------------------------------------------------------------------------
-# RetryPolicy
-# ---------------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_delays_are_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base_s=0.1,
-                             backoff_multiplier=2.0, backoff_max_s=0.3,
-                             jitter=0.1, seed=42)
-        first, second = list(policy.delays()), list(policy.delays())
-        assert first == second  # seeded jitter replays exactly
-        assert len(first) == 4  # one delay per retry
-        assert all(delay <= 0.3 * 1.1 for delay in first)
-
-    def test_retries_until_success(self):
-        calls, retries = [], []
-        policy = RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0)
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise ValueError(f"boom {len(calls)}")
-            return "ok"
-
-        result = policy.call(flaky, on_retry=lambda n, e: retries.append(n))
-        assert result == "ok"
-        assert len(calls) == 3
-        assert retries == [1, 2]
-
-    def test_exhaustion_raises_last_failure(self):
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.0, jitter=0.0)
-        calls = []
-
-        def always():
-            calls.append(1)
-            raise ValueError(f"boom {len(calls)}")
-
-        with pytest.raises(ValueError, match="boom 2"):
-            policy.call(always)
-        assert len(calls) == 2
-
-    def test_deadline_budget_stops_retries(self):
-        policy = RetryPolicy(max_attempts=10, backoff_base_s=1.0,
-                             backoff_multiplier=1.0, backoff_max_s=1.0,
-                             jitter=0.0, deadline_s=2.5)
-        fake_now = [0.0]
-        calls = []
-
-        def always():
-            calls.append(1)
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            policy.call(always, clock=lambda: fake_now[0],
-                        sleep=lambda s: fake_now.__setitem__(
-                            0, fake_now[0] + s))
-        # 2.5s budget funds two 1s sleeps, not a third
-        assert len(calls) == 3
-
-    def test_non_retryable_exceptions_propagate_immediately(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base_s=0.0,
-                             retry_on=(ValueError,))
-        calls = []
-
-        def wrong_kind():
-            calls.append(1)
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            policy.call(wrong_kind)
-        assert len(calls) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -645,28 +560,28 @@ class TestSessionRecover:
     @managed_blas
     def test_a_failed_heal_fails_over_to_replica_0(
             self, chain_compiled, monkeypatch, pin_cores):
-        """A forked replica whose recover() cannot start a new pool retires
-        and replica 0 answers its batch."""
+        """A forked replica whose one attempt fails is not healed: it
+        retires with its pool as it is, and replica 0 answers its batch.
+        Any replacement pool would fail its startup ping here, and none is
+        started."""
         pin_cores(2)
         model, _, feed, _ = chain_compiled
         feeds = [feed] + [example_inputs(model, seed=s) for s in (8, 9)]
         injector = FaultInjector([FaultSpec(
             site="worker.execute", kind="exc", times=1)])
-        config = EngineConfig(max_batch_size=1, timeout_s=60.0,
-                              resilience=ResilienceConfig(retry=RetryPolicy(
-                                  max_attempts=3, backoff_base_s=0.01,
-                                  jitter=0.0)))
-        with InferenceEngine(config) as engine:
+        with InferenceEngine(EngineConfig(max_batch_size=1,
+                                          timeout_s=60.0)) as engine:
             served, artifact = serve_across_replicas(engine, model, feeds)
             replica = artifact.replicas[1]
+            pool = replica.session.pool
             runs = replica.stats()["runs"]
-            replica.session.pool.set_fault_injector(injector)
+            pool.set_fault_injector(injector)
             monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
             outputs = replica.run_batch(feed)
             assert injector.stats() == {"worker.execute:exc": 1}
-            assert replica.stats() == {"runs": runs + 1, "retries": 1,
-                                       "recoveries": 0, "failovers": 1}
+            assert replica.stats() == {"runs": runs + 1, "failovers": 1}
             assert replica.retired and replica.session.broken
+            assert replica.session.pool is pool
         _assert_plan_bitwise(model, feeds + [feed], served + [outputs])
 
     def test_interp_session_recovers(self):
@@ -715,60 +630,29 @@ class TestServingResilience:
     forked replicas."""
 
     @managed_blas
-    def test_injected_batch_failure_is_retried_to_bitwise_correctness(
-            self, pin_cores):
-        pin_cores(2)
-        model = build_diamond_model()
-        feeds = [example_inputs(model, seed=21 + i) for i in range(3)]
-        injector = FaultInjector()
-        config = EngineConfig(
-            max_batch_size=1, timeout_s=60.0,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01,
-                                  jitter=0.0),
-                fault_injector=injector))
-        with InferenceEngine(config) as engine:
-            served, artifact = serve_across_replicas(engine, model, feeds)
-            replica0, replica = artifact.replicas
-            assert replica.session.pool._injector is injector
-            injector.add(FaultSpec(site="worker.execute", kind="exc",
-                                   times=2, message="serving-chaos"))
-            outputs = replica.run_batch(feeds[0])
-            assert injector.stats() == {"worker.execute:exc": 2}
-            stats = replica.stats()
-            assert stats["retries"] == stats["recoveries"] == 2
-            assert stats["failovers"] == 0 and not replica.retired
-            assert _replica_gauge(engine, "serving_resilience_retries_total",
-                                  replica) == 2
-            assert replica0.stats()["retries"] == 0
-        _assert_plan_bitwise(model, feeds + feeds[:1], served + [outputs])
-
-    @managed_blas
     def test_a_failing_replica_fails_over_then_reforks(
             self, pin_cores):
-        """A forked replica that keeps failing through its retries retires
-        and replica 0 answers its batch; once the fault clears, the next
-        backlog forks a fresh replica that serves with no failover."""
+        """A forked replica whose batch fails retires after its one attempt
+        and replica 0 answers the batch; once the fault clears, the next
+        backlog forks a fresh replica that serves with no failover.  The
+        engine's ``fault_injector`` reaches every forked replica's pool."""
         pin_cores(2)
         model = build_diamond_model()
         feeds = [example_inputs(model, seed=22 + i) for i in range(3)]
         injector = FaultInjector()
-        config = EngineConfig(
-            max_batch_size=1, timeout_s=60.0,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01,
-                                  jitter=0.0),
-                fault_injector=injector))
+        config = EngineConfig(max_batch_size=1, timeout_s=60.0,
+                              fault_injector=injector)
         with InferenceEngine(config) as engine:
             served, artifact = serve_across_replicas(engine, model, feeds)
             replica0, replica = artifact.replicas
+            assert replica.session.pool.fault_injector is injector
             runs = replica.stats()["runs"]
             injector.add(FaultSpec(site="worker.execute", kind="exc",
                                    times=-1, message="always failing"))
-            # every attempt fails: the batch still resolves, on replica 0
+            # the one attempt fails: the batch still resolves, on replica 0
             served.append(replica.run_batch(feeds[0]))
-            assert replica.stats() == {"runs": runs + 2, "retries": 1,
-                                       "recoveries": 1, "failovers": 1}
+            assert injector.stats() == {"worker.execute:exc": 1}
+            assert replica.stats() == {"runs": runs + 1, "failovers": 1}
             assert replica.retired and replica.session.broken
             assert _replica_gauge(engine, "serving_resilience_failovers_total",
                                   replica) == 1
@@ -784,6 +668,7 @@ class TestServingResilience:
             served += again
             (fresh,) = artifact.replicas[1:]
             assert fresh is not replica and fresh.index == 2
+            assert fresh.session.pool.fault_injector is injector
             assert fresh.stats()["runs"] >= 1
             assert fresh.stats()["failovers"] == 0 and not fresh.retired
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
@@ -844,8 +729,7 @@ class TestServingResilience:
             del replica0.session.run
 
     def test_default_config_is_fail_fast_through_the_dispatcher(self):
-        """The default policy is a value of ResilienceConfig, not its
-        absence: replica 0 makes one attempt per batch and surfaces the
+        """Replica 0 makes one attempt per batch and surfaces the
         executor's own error, every time."""
         model = build_diamond_model()
         feed = example_inputs(model, seed=23)
@@ -862,8 +746,7 @@ class TestServingResilience:
                 with pytest.raises(RuntimeError) as excinfo:
                     engine.infer(model, feed)
                 assert excinfo.value is boom  # never another exception type
-            assert artifact.replicas[0].stats() == {
-                "runs": 6, "retries": 0, "recoveries": 0, "failovers": 0}
+            assert artifact.replicas[0].stats() == {"runs": 6, "failovers": 0}
             # a transient failure leaves the (unbroken) artifact cached
             del artifact.replicas[0].session.run
             _assert_bitwise(engine.infer(model, feed), reference)
@@ -872,8 +755,7 @@ class TestServingResilience:
     @managed_blas
     def test_a_broken_forked_replica_retires_and_replica_0_serves_on(
             self, pin_cores):
-        """Under the fail-fast default a forked replica whose one attempt
-        fails retires and replica 0 answers its batch, after the batch it
+        """A forked replica whose one attempt fails retires and replica 0 answers its batch, after the batch it
         holds: the lane drops the replica, the artifact stays cached with
         no recompile, replica 0 serves on — still at one BLAS thread, since
         the lane may fork again — and the process's BLAS count is back once
@@ -899,7 +781,6 @@ class TestServingResilience:
             release.set()
             served.append(held.result(timeout=60.0))
             served.append(failed_over.result(timeout=60.0))
-            assert replica.stats()["retries"] == 0
             assert replica.stats()["failovers"] == 1
             _wait_until(lambda: artifact.replicas == [replica0],
                         what="the retired replica dropped")
@@ -915,7 +796,7 @@ class TestServingResilience:
 
 
 # ---------------------------------------------------------------------------
-# One-shot process driver: leak fix + remote tracebacks (satellites)
+# Replica chaos: a forked replica's worker killed under load
 # ---------------------------------------------------------------------------
 class TestReplicaChaos:
     @managed_blas
@@ -923,31 +804,25 @@ class TestReplicaChaos:
             self, pin_cores):
         """Kill the worker of a "plan" lane's process replica while a
         closed loop keeps four requests in flight: that replica's next
-        batch fails, its retry policy recovers it (a new pool, one new
-        worker), replica 0 never retries, both keep serving, and every
-        response is the B = 1 plan's, bit for bit."""
+        batch fails once, the replica retires and replica 0 answers the
+        batch, the next backlog forks a fresh replica (a new pool, one new
+        worker) that serves on, nothing recompiles, and every response is
+        the B = 1 plan's, bit for bit."""
         from concurrent.futures import FIRST_COMPLETED, wait
 
         from repro.models import build_model
         from repro.runtime.blas import blas_threads, pin_blas_threads
 
-        from tests.conftest import serve_across_replicas
-
         pin_cores(2)
         model = build_model("bert", variant="small")
         feeds = [example_inputs(model, seed=80 + i) for i in range(8)]
         before = blas_threads()
-        config = EngineConfig(resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01, jitter=0.0)))
         served = []
-        with InferenceEngine(config) as engine:
+        with InferenceEngine() as engine:
             warm, artifact = serve_across_replicas(engine, model, feeds)
             served += list(zip(range(len(feeds)), warm))
             replica0, replica1 = artifact.replicas
-            pool = replica1.session.pool
-            victim = pool._workers[0].pid
-            runs = [replica0.stats()["runs"],
-                    replica1.stats()["runs"]]
+            victim = replica1.session.pool._workers[0].pid
             inflight, sent, killed_at = {}, 0, None
             deadline = time.monotonic() + 60.0
 
@@ -956,6 +831,9 @@ class TestReplicaChaos:
                 index = sent % len(feeds)
                 inflight[engine.submit(model, feeds[index])] = index
                 sent += 1
+
+            def fresh_replicas():
+                return [r for r in artifact.replicas if r.index > 1]
 
             for _ in range(4):
                 submit()
@@ -966,28 +844,23 @@ class TestReplicaChaos:
                     served.append((inflight.pop(future), future.result()))
                     if len(served) == 16 and killed_at is None:
                         os.kill(victim, signal.SIGKILL)
-                        killed_at = [replica0.stats()["runs"],
-                                     replica1.stats()["runs"]]
-                    healed = (killed_at is not None
-                              and replica1.stats()["recoveries"]
-                              and replica1.stats()["runs"]
-                              >= killed_at[1] + 3)
-                    if not healed and len(served) < 400:
+                        killed_at = replica0.stats()["runs"]
+                    replaced = killed_at is not None and any(
+                        r.stats()["runs"] >= 3 for r in fresh_replicas())
+                    if not replaced and len(served) < 400:
                         submit()
             assert not inflight, "requests left unanswered"
             assert killed_at is not None
-            assert list(artifact.replicas) == [replica0, replica1]
-            assert not replica1.retired and pool is not replica1.session.pool
-            assert replica1.stats()["recoveries"] == 1
+            assert replica1.retired and replica1 not in artifact.replicas
+            assert replica1.stats()["failovers"] == 1
+            (fresh,) = fresh_replicas()
+            assert fresh.stats()["runs"] >= 3 and not fresh.retired
+            assert fresh.stats()["failovers"] == 0
             assert victim not in [worker.pid
-                                  for worker in replica1.session.pool._workers]
-            after = [replica0.stats()["runs"],
-                     replica1.stats()["runs"]]
-            assert after[0] > killed_at[0] >= runs[0]
-            assert after[1] >= killed_at[1] + 3
-            zero = replica0.stats()
-            assert zero["retries"] == zero["recoveries"] == 0
-            assert replica1.stats()["failovers"] == 0
+                                  for worker in fresh.session.pool._workers]
+            assert replica0.stats()["runs"] > killed_at
+            assert replica0.stats()["failovers"] == 0
+            assert engine.metrics.snapshot()["cache"]["compiles"] == 1
         assert blas_threads() == before  # the lane's close put it back
         pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")
@@ -996,6 +869,9 @@ class TestReplicaChaos:
             _assert_bitwise(outputs, references[index])
 
 
+# ---------------------------------------------------------------------------
+# One-shot process driver: leak fix + remote tracebacks
+# ---------------------------------------------------------------------------
 def _hang_cluster(inputs, weights, channels):  # pragma: no cover - child code
     time.sleep(60.0)
     return {}

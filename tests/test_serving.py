@@ -824,6 +824,53 @@ class TestSessionServing:
             assert snapshot["compiles"] == 2
             assert snapshot["evictions"] == 1
 
+    def test_a_probe_that_wedges_replica_0_replaces_it(self, monkeypatch,
+                                                       pin_cores):
+        """A fusion probe whose stacked run outlives ``timeout_s`` leaves
+        replica 0's watchdog broken.  The compile replaces replica 0 — a
+        fresh plan on a fresh watchdog thread, the old watchdog shut down —
+        instead of repairing it, and the lane serves on from the new one,
+        unfused and bitwise the interpreter, without a second compile."""
+        import repro.serving.engine as engine_module
+        from repro.runtime.session import Session
+
+        pin_cores(1)
+        watchdogs, stalled_plans, release = [], [], threading.Event()
+        real_run = Session.run
+
+        class RecordedWatchdog(engine_module._BatchWatchdog):
+            def __init__(self, label):
+                super().__init__(label)
+                watchdogs.append(self)
+
+        def run(session, feed, **kwargs):
+            if next(iter(feed.values())).shape[0] == 2:  # the probe's stack
+                stalled_plans.append(session.plan)
+                release.wait(timeout=30.0)
+                return {}
+            return real_run(session, feed, **kwargs)
+
+        monkeypatch.setattr(engine_module, "_BatchWatchdog", RecordedWatchdog)
+        monkeypatch.setattr(Session, "run", run)
+        model = build_diamond_model()
+        feed = example_inputs(model, seed=3)
+        reference = create_session(model, executor="interp").run(feed)
+        try:
+            with tiny_engine(timeout_s=0.5) as engine:
+                outputs = engine.infer(model, feed)
+                artifact = artifact_of(engine, model, feed)
+                replica = artifact.replicas[0]
+                assert not artifact.batchable
+                old, new = watchdogs
+                assert old.broken and old._executor._shutdown
+                assert replica.watchdog is new and not replica.broken
+                (old_plan,) = stalled_plans
+                assert replica.session.plan is not old_plan
+                assert engine.metrics.snapshot()["cache"]["compiles"] == 1
+        finally:
+            release.set()
+        _assert_bitwise(outputs, reference)
+
     def test_broken_watchdog_refuses_further_batches(self):
         from repro.serving.engine import _BatchWatchdog
 
@@ -1015,7 +1062,7 @@ class TestLaneReplicas:
             assert (r, k, b, cores) == (2, 1, 1, 2)
             assert k * b * r <= cores
             runs = [key for key in snapshot
-                    if key.startswith("serving_resilience_retries_total{")]
+                    if key.startswith("serving_resilience_failovers_total{")]
             assert sorted(key.split('replica="')[1][0] for key in runs) == ["0", "1"]
         assert blas_threads() == before  # the last replica put it back
         pin_blas_threads(1)
