@@ -26,8 +26,9 @@ with every substrate it depends on:
   histograms, Prometheus text exposition) shared by plan, session and
   serving,
 * :mod:`repro.resilience` — recover or fail explicitly: deterministic
-  fault injection (a session replaces a broken worker pool, and a lane's
-  replica 0 answers for a failing forked replica; no batch is retried),
+  fault injection (a session replaces a broken worker pool, and a lane
+  replaces a replica whose batch failed with a fresh fork; no batch is
+  retried),
 * :mod:`repro.gateway` — the asyncio HTTP front door over the serving
   engine (stdlib-only HTTP/1.1; tensors as base64 raw buffers in JSON,
   bitwise exact, parsed closed) plus

@@ -8,16 +8,16 @@ in place, and a failed batch is never retried.  A
 workers where it already waits (a worker dead at dispatch fails the run
 at once, one dying mid-run fails it within ``fail_grace_s``) and breaks
 on any failure; :meth:`~repro.runtime.session.Session.recover` replaces
-the broken pool (or plan).  Redundancy is not here either: a serving
-lane's replicas are each other's, and a forked replica whose batch fails
-retires and hands the batch to replica 0
-(:class:`repro.serving.engine.Replica`).
+the broken pool (or plan).  Redundancy is not here either: every serving
+replica is a forked one-worker session, and one whose batch fails fails
+that batch with an error naming it and retires; the lane forks a fresh
+one (:class:`repro.serving.engine.Replica`).
 
 * :class:`FaultInjector` / :class:`FaultSpec` — deterministic fault
   injection (crash, hang, slow, exception, channel corruption, slab
   poisoning) shipped to pool workers as picklable directives; zero-cost
-  when detached.  The serving engine attaches one to its forked
-  replicas' workers through ``EngineConfig.fault_injector``.
+  when detached.  The serving engine attaches one to every replica's
+  worker through ``EngineConfig.fault_injector``.
 """
 
 from repro.resilience.faults import (

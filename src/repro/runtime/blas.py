@@ -9,24 +9,22 @@ environment at load time, so the runtime finds every loaded copy through
 :mod:`ctypes`.
 
 A thread count is process-global: pinning it changes every BLAS call of the
-process, the caller's own numpy included.  Forked pool workers pin
-themselves to one thread right after the fork
-(:mod:`repro.runtime.worker_pool`); the serving engine holds its own
-process at one thread while a lane runs a forked replica
-(:func:`hold_one_blas_thread`, :mod:`repro.serving.engine`).  Where a loaded
-copy exposes no known setter — or the platform has no ``/proc/self/maps``
-— the budget is :data:`UNMANAGED` and nothing is changed.
+process, the caller's own numpy included.  So the runtime pins only
+processes it forked: pool workers pin themselves to one thread right after
+the fork (:mod:`repro.runtime.worker_pool`), and the serving engine, whose
+replicas are such workers, only reads its own process's count
+(:mod:`repro.serving.engine`).  Where a loaded copy exposes no known
+setter — or the platform has no ``/proc/self/maps`` — the budget is
+:data:`UNMANAGED` and nothing is changed.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["UNMANAGED", "blas_threads", "hold_one_blas_thread",
-           "pin_blas_threads", "release_one_blas_thread"]
+__all__ = ["UNMANAGED", "blas_threads", "pin_blas_threads"]
 
 #: the budget of a process with a BLAS copy the runtime cannot control
 UNMANAGED = "unmanaged"
@@ -109,34 +107,3 @@ def pin_blas_threads(threads: int = 1) -> Union[int, str]:
         set_threads(int(threads))
     return max(int(get()) for _, get in controls)
 
-
-#: open holds, and the count the first of them found
-_holds = 0
-_found: Union[int, str] = UNMANAGED
-_holds_lock = threading.Lock()
-
-
-def hold_one_blas_thread() -> Union[int, str]:
-    """Pin every loaded copy to one thread until the matching
-    :func:`release_one_blas_thread`; returns :func:`blas_threads`.
-
-    Holds nest across every holder in the process: the first records the
-    count it found and the last release puts it back, so one holder's
-    release never unpins another's.
-    """
-    global _holds, _found
-    with _holds_lock:
-        if not _holds:
-            _found = blas_threads()
-        _holds += 1
-        return pin_blas_threads(1)
-
-
-def release_one_blas_thread() -> Union[int, str]:
-    """End one :func:`hold_one_blas_thread`; returns :func:`blas_threads`."""
-    global _holds
-    with _holds_lock:
-        _holds -= 1
-        if not _holds and _found != UNMANAGED:
-            return pin_blas_threads(_found)
-        return blas_threads()

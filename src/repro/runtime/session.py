@@ -273,7 +273,7 @@ class Session:
 
     @property
     def broken(self) -> bool:
-        """True once a watchdog marked the session unusable."""
+        """True once :meth:`mark_broken` marked the session unusable."""
         return self._broken is not None
 
     def mark_broken(self, reason: str) -> None:
@@ -285,9 +285,8 @@ class Session:
 
         The session-level repair, one rule for every executor: the
         execution machinery is replaced, never repaired in place, and the
-        compiled artifact is kept (no recompile).  Serving calls it in one
-        place: a lane whose fusion probe left replica 0's plan broken
-        serves from a new replica over the recovered session.
+        compiled artifact is kept (no recompile).  Serving does not call
+        it: a lane replaces a replica whose batch failed with a fresh fork.
 
         * pool-backed sessions close the pool — a broken pool's process
           workers are reaped at once — and start a fresh one over the same
@@ -299,9 +298,9 @@ class Session:
           :class:`~repro.runtime.worker_pool.ParallelExecutionError` and the
           session stays broken.  The pool's counters start again from zero;
         * ``"plan"`` sessions build a **fresh** :class:`ExecutionPlan`
-          over the same optimized model — a watchdogged run may hold the
-          old plan's run lock forever, so the old object is abandoned,
-          not reused;
+          over the same optimized model — a wedged run may hold the old
+          plan's run lock forever, so the old object is abandoned, not
+          reused;
         * ``"interp"`` sessions get a fresh :class:`GraphExecutor`.
 
         Existing :class:`IOBinding` objects remain valid: they reference

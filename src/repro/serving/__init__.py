@@ -5,10 +5,12 @@ This subsystem amortizes that work across request traffic:
 
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`, the front door
   and the one request path: validate → admit; then a free replica of the
-  artifact's lane (one thread per replica; the lane grows from its
-  in-process plan to one replica per core under load) takes a micro-batch out of the admission
-  queue → session execute, once (a forked replica whose batch fails
-  retires and replica 0 answers it) → resolves each request's one future.
+  artifact's lane (a forked one-worker session with one thread of the
+  engine's; the lane grows from one replica to one per core under load)
+  takes a micro-batch out of the admission queue → session execute, once
+  (a failed batch fails its requests with an error naming the replica,
+  which retires and is replaced by a fresh fork) → resolves each
+  request's one future.  The engine's own process runs no model code.
 * :mod:`repro.serving.artifact_cache` — create-exactly-once LRU cache of
   the artifacts' lanes keyed by (model fingerprint, config fingerprint,
   input signature).

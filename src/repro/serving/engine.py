@@ -11,44 +11,31 @@ future, it waits in exactly one place, and ``submit`` never blocks on a
 compile.  The stages are configured by value (:class:`EngineConfig`),
 never switched off:
 
-1. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
-   input signature) triple is compiled exactly once, by its lane; the
-   compiled execution state is reused across requests
-   (:mod:`repro.serving.artifact_cache`).
-2. **Session execution** — each replica holds a
-   :class:`~repro.runtime.session.Session` (the unified execution
-   surface).  Replica 0's batches run in process through a compile-once
-   :class:`~repro.runtime.plan.ExecutionPlan` (the model's generated
-   sequential source plus a memory planner that packs one slab per input
-   signature, in-place ops sharing their input's range): no per-request ``GraphExecutor``
-   construction, no per-node dispatch, and a zero-realloc steady state;
-   fused batches are stacked into reused staging buffers instead of a
-   fresh ``concatenate`` per batch and run through ``Session.run``, and
-   every in-process batch runs under a watchdog so a stuck batch cannot
-   pin the artifact's lane.
-3. **Replicas** — splitting one request across cores loses on a CPU at
+1. **Replicas** — splitting one request across cores loses on a CPU at
    batch 1, while whole requests side by side scale, so every lane
    serves one hot model on every core: it holds up to
    R = ``available_cores()`` replicas and a free replica takes its share
-   of the backlog.  Replica 0 is the in-process plan session above; when
-   a replica's take leaves requests queued and no replica is idle, the
-   lane forks one more — a one-worker ``"process"`` session of
-   ``result.placement(1)`` (K = 1), which computes with one BLAS thread
-   (B = 1), so K·B·R <= cores.  A lane that may fork (R > 1) holds *the
-   engine's own process's* BLAS at one thread too, from its compile —
-   before the batch-fusion probe and the first answer — until it closes
-   (:mod:`repro.runtime.blas`), so every response is **bitwise the plan at
-   B = 1**: whatever the load, whichever replica computed it and whichever
-   batch it rode in (a fused answer is bitwise the request's batch-1
-   answer; the probe below checks it with ``np.array_equal``).  The
-   replicas are each other's redundancy, and a batch runs once: a forked
-   replica whose batch fails retires and hands the batch to replica 0,
-   which answers it bitwise, and the next backlog may fork a fresh
-   replica.  Replica 0 raises its own error; left broken, it drops the
-   artifact and the next request recompiles.
-   A one-core host and a host whose BLAS the engine cannot pin
+   of the backlog.  Every replica is a forked one-worker ``"process"``
+   :class:`~repro.runtime.session.Session` of ``result.placement(1)``
+   (K = 1) that computes with one BLAS thread (B = 1), so K·B·R <= cores.
+   The lane thread forks replica 0 and serves it; when a replica's take
+   leaves requests queued and no replica is idle, the lane forks one
+   more.  The engine's own process runs no model code and never changes
+   its BLAS thread count, and every response is **bitwise the plan at
+   B = 1**: whatever the load, whichever replica computed it and
+   whichever batch it rode in (a fused answer is bitwise the request's
+   batch-1 answer; the probe below checks it with ``np.array_equal``).
+   A batch runs once, under the pool's time bound.  A failed batch
+   fails its requests with a :class:`ServingError` naming the replica,
+   and the replica retires; the lane thread forks a fresh replica before
+   its next take, and the next backlog may fork a fresh extra one.  A
+   one-core host and a host whose BLAS thread count cannot be read
    (``"unmanaged"``) keep R = 1.
-4. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
+2. **Compiled-artifact cache** — each (model fingerprint, pipeline config,
+   input signature) triple is compiled exactly once, by its lane; a
+   retired replica is replaced from the compiled artifact, without a
+   recompile (:mod:`repro.serving.artifact_cache`).
+3. **Dynamic micro-batching** — concurrent :meth:`InferenceEngine.submit`
    calls against the same artifact are fused along the batch axis
    (:mod:`repro.serving.batching`).  Closing is work-conserving: a free
    replica takes its share of what is queued for its artifact *now*, in
@@ -59,7 +46,7 @@ never switched off:
    fits in one batch is split over the cores, and what arrives while
    every replica executes becomes the next batches.  One batch in flight
    per replica.
-5. **Metrics** — throughput, latency percentiles, batch-size histogram and
+4. **Metrics** — throughput, latency percentiles, batch-size histogram and
    cache hit rate (:mod:`repro.serving.metrics`), rendered by
    :func:`repro.analysis.reports.render_serving_report`.
 
@@ -81,9 +68,8 @@ import dataclasses
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from concurrent.futures import Future
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -97,12 +83,7 @@ from repro.pipeline import (
     ramiel_compile,
 )
 from repro.runtime import session as session_module
-from repro.runtime.blas import (
-    UNMANAGED,
-    blas_threads,
-    hold_one_blas_thread,
-    release_one_blas_thread,
-)
+from repro.runtime.blas import UNMANAGED, blas_threads
 from repro.runtime.session import Session, create_session
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
@@ -129,11 +110,9 @@ class EngineConfig:
     #: compiled artifacts kept warm before LRU eviction; size it above the
     #: concurrently-served working set (model x config x signature triples)
     cache_capacity: int = 16
-    #: per-batch time bound: replica 0 runs its batches on a watchdog
-    #: thread so a stuck batch cannot pin the lane forever, and a forked
-    #: replica's batch whose worker stays silent past it fails.  A forked
-    #: worker that *dies* fails its batch within the pool's fail grace
-    #: instead.
+    #: per-batch time bound: a replica's batch whose worker stays silent
+    #: past it fails.  A worker that *dies* fails its batch within the
+    #: pool's fail grace instead.
     timeout_s: float = 300.0
     #: admission control (:class:`repro.serving.qos.QoSConfig`) — the one
     #: queue between submit and execute: weighted deadline-aware queueing,
@@ -143,199 +122,63 @@ class EngineConfig:
     #: 256 engine-wide).
     qos: QoSConfig = QoSConfig()
     #: optional deterministic :class:`~repro.resilience.FaultInjector`
-    #: attached to the forked replicas' workers for chaos testing; replica
-    #: 0's plan has no pool to inject into
+    #: attached to every replica's worker for chaos testing
     fault_injector: Optional[object] = None
     #: compilation settings applied to every model served by this engine
     pipeline: PipelineConfig = dataclasses.field(default_factory=PipelineConfig)
 
 
-class _BatchWatchdog:
-    """Runs in-process batches on a private thread with a deadline.
-
-    A worker pool has its own per-batch timeout (a run that times out
-    marks the pool broken).  This gives replica 0's in-process plan the
-    same semantics: batches execute on the watchdog's
-    worker thread, the lane waits with a timeout, and a batch that
-    never returns marks the watchdog (and its session) broken instead of
-    pinning the artifact's lane forever.  The wedged
-    worker thread is daemonic and leaks until its run returns — exactly
-    the warm pool's failure contract.
-    """
-
-    def __init__(self, label: str) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"serve-watchdog-{label}")
-        self._broken: Optional[str] = None
-        self.label = label
-
-    @property
-    def broken(self) -> bool:
-        return self._broken is not None
-
-    def run(self, fn, arg, timeout: float):
-        if self._broken is not None:
-            raise ServingError(
-                f"executor for {self.label!r} is broken after an earlier "
-                f"failure ({self._broken}); the artifact should have been "
-                "invalidated")
-        future = self._executor.submit(fn, arg)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            self._broken = f"batch timed out after {timeout}s"
-            future.cancel()
-            raise ServingError(
-                f"batch execution for {self.label!r} timed out after "
-                f"{timeout}s; the artifact is invalidated and the next "
-                "request recompiles") from None
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=False)
-
-
-class _PinnedStacker:
-    """Stacks micro-batches into reused staging buffers: a plain feed.
-
-    Replaces the per-batch ``np.concatenate`` with copies into staging
-    arrays the stacker keeps across batches: once the largest batch shape
-    has been seen, batch assembly allocates nothing.  The returned feed
-    maps each input name to a view of its staging array, ready for
-    ``Session.run``: the requests were validated at ``submit`` against the
-    model's declared inputs, which compiling keeps as the session's.
-    Single-request batches pass through zero-copy.
-    """
-
-    def __init__(self, max_batch_size: int) -> None:
-        self._max_batch = max(int(max_batch_size), 1)
-        self._staging: Dict[str, np.ndarray] = {}
-
-    @property
-    def staging_buffers(self) -> List[np.ndarray]:
-        """The staging arrays currently in use (for alias checks)."""
-        return list(self._staging.values())
-
-    def __call__(self, requests):
-        if len(requests) == 1:
-            return dict(requests[0].inputs)
-        total = sum(r.batch_len for r in requests)
-        feed: Dict[str, np.ndarray] = {}
-        for name, first in requests[0].inputs.items():
-            first = np.asarray(first)
-            tail, dtype = first.shape[1:], first.dtype
-            staging = self._staging.get(name)
-            if (staging is None or staging.shape[1:] != tail
-                    or staging.dtype != dtype or staging.shape[0] < total):
-                staging = np.empty((max(total, self._max_batch),) + tail, dtype)
-                self._staging[name] = staging
-            offset = 0
-            for request in requests:
-                staging[offset:offset + request.batch_len] = request.inputs[name]
-                offset += request.batch_len
-            feed[name] = staging[:total]
-        return feed
-
-
 class Replica:
-    """One session of an artifact's lane, and how a batch runs on it.
+    """One forked one-worker session of an artifact's lane.
 
-    Wraps the session in what every batch needs: a time bound (a watchdog
-    thread for the in-process plan, the pool's own timeout for a forked
-    replica).  A batch runs once; nothing is retried or repaired in place.
-    Replica 0 is the plan session the artifact was compiled into.  A
-    one-worker process replica the lane forks also gets replica 0's
-    :meth:`execute` as its ``failover``: when a batch fails, the forked
-    replica retires and replica 0 answers that batch.
+    A batch runs once on it, under the pool's time bound; nothing is
+    retried or repaired in place.  A failed batch retires the replica: its
+    session is marked broken, the batch's requests get a
+    :class:`ServingError` naming it, and its thread closes it.
     """
 
-    def __init__(self, index: int, session: Session, config: EngineConfig,
-                 label: str, failover: Optional[Callable] = None) -> None:
+    def __init__(self, index: int, session: Session, label: str) -> None:
         self.index = index
         self.session = session
         self.label = label
-        #: a forked replica's batch failed: its thread stops and closes it
+        #: a batch failed: its thread stops serving and closes it
         self.retired = False
-        self._timeout_s = config.timeout_s
-        self._failover = failover
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(("runs", "failovers"), 0)
-        self.watchdog: Optional[_BatchWatchdog] = None
-        self.stacker: Optional[_PinnedStacker] = None
-        if session.pool is None:
-            self.watchdog = _BatchWatchdog(label)
-            self.stacker = _PinnedStacker(config.max_batch_size)
-        #: request list -> the stacked feed :meth:`run_batch` accepts;
-        #: replica 0 of a batchable in-process artifact switches to its
-        #: pinned :attr:`stacker`
-        self.stack: Callable = stack_requests
-
-    def execute(self, stacked: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """One batch on the bare session, under its time bound."""
-        if self.watchdog is None:
-            return self.session.run(stacked, timeout=self._timeout_s)
-        outputs = self.watchdog.run(self.session.run, stacked, self._timeout_s)
-        # Outputs that alias the reused staging buffers would be
-        # overwritten by the next batch; hand out private copies.
-        staging = self.stacker.staging_buffers
-        if staging:
-            for name, array in list(outputs.items()):
-                array = np.asarray(array)
-                if any(np.may_share_memory(array, buf) for buf in staging):
-                    outputs[name] = np.array(array)
-        return outputs
+        self._runs = 0
 
     @property
     def broken(self) -> bool:
-        """The session, its watchdog or its pool is unusable."""
-        session = self.session
-        return session.broken or (self.watchdog.broken if self.watchdog
-                                  else session.pool.broken)
+        """The session or its pool is unusable."""
+        return self.session.broken or self.session.pool.broken
+
+    def retire(self, reason: str) -> None:
+        """Serve no more batches; the replica's thread closes it."""
+        self.retired = True
+        self.session.mark_broken(f"retired: {reason}")
 
     def run_batch(self, stacked) -> Dict[str, np.ndarray]:
         """One stacked feed -> graph outputs, in one attempt.
 
-        A forked replica whose batch fails retires (its session is marked
-        broken; its thread stops and closes it) and answers the batch
-        through replica 0; if replica 0 raises too, its error surfaces,
-        chained from this replica's.  Replica 0 raises its own error.
+        A failure retires the replica and raises a :class:`ServingError`
+        that names it, chained from the cause.
         """
-        self._count("runs")
-        try:
-            return self.execute(stacked)
-        except BaseException as exc:
-            if self._failover is None:
-                # Only a broken session/watchdog means replica 0 itself is
-                # unusable (the batch wedged it — the stuck run may hold
-                # the plan lock forever): the lane drops the artifact, so
-                # the next request recompiles.  A transient error leaves it.
-                if self.broken:
-                    self.session.mark_broken(
-                        "batch dispatch left the executor broken")
-                raise
-            self.retired = True
-            self.session.mark_broken(f"retired after a failed batch: {exc!r}")
-            self._count("failovers")
-            try:
-                return self._failover(stacked)
-            except BaseException as failover_exc:
-                raise failover_exc from exc
-
-    def _count(self, name: str) -> None:
         with self._lock:
-            self._counts[name] += 1
+            self._runs += 1
+        try:
+            return self.session.run(stacked)
+        except Exception as exc:
+            self.retire(f"a batch failed: {exc!r}")
+            raise ServingError(
+                f"replica {self.label!r} failed its batch and retired: "
+                f"{exc}") from exc
 
     def stats(self) -> Dict[str, int]:
-        """Batches run on this replica's session (``runs``) and
-        ``failovers``: batches this replica handed to replica 0 when it
-        retired."""
+        """Batches run on this replica's session (``runs``)."""
         with self._lock:
-            return dict(self._counts)
+            return {"runs": self._runs}
 
-    def blas_threads(self, coordinator):
-        """B of this replica: the coordinator's budget for an in-process
-        session, else the most any of its workers reported."""
-        if self.session.pool is None:
-            return coordinator
+    def blas_threads(self):
+        """B of this replica: the most any of its workers reported."""
         reported = [row["blas_threads"]
                     for row in self.session.pool.stats()["workers"]]
         if UNMANAGED in reported or None in reported:
@@ -343,9 +186,7 @@ class Replica:
         return max(reported)
 
     def close(self) -> None:
-        """Shut down the watchdog and the session."""
-        if self.watchdog is not None:
-            self.watchdog.close()
+        """Close the session and its worker."""
         self.session.close()
 
 
@@ -353,10 +194,10 @@ class Replica:
 class CompiledArtifact:
     """One compilation and the replicas its lane runs batches on.
 
-    Every replica is a :class:`~repro.runtime.session.Session` over the
-    compiled result; requests never construct a fresh ``GraphExecutor``
-    (or any other per-request execution state).  ``replicas[0]`` is the
-    in-process plan session.
+    Every replica is a forked one-worker
+    :class:`~repro.runtime.session.Session` over the compiled result;
+    requests never construct any per-request execution state.
+    ``replicas[0]`` is the lane thread's replica.
     """
 
     key: ArtifactKey
@@ -364,16 +205,13 @@ class CompiledArtifact:
     compile_time_s: float
     #: most requests a replica takes at once (1 when not :attr:`batchable`)
     max_batch: int
-    #: replica 0 first; the lane appends one-worker process replicas
+    #: the lane thread's replica first; the lane appends extra replicas
     replicas: List[Replica]
-    #: R — the most replicas the lane may run: the host's cores where the
-    #: engine can pin BLAS, 1 otherwise
+    #: R — the most replicas the lane may run: the host's cores where
+    #: BLAS threads are managed, 1 otherwise
     max_replicas: int = 1
     #: the cores the lane was sized on
     cores: int = 1
-    #: the lane holds the engine's process at one BLAS thread until it
-    #: closes (it may fork: R > 1 when compiled)
-    blas_held: bool = False
 
     @property
     def model_name(self) -> str:
@@ -410,10 +248,11 @@ class _Lane:
     request goes to replica 0 whenever it is idle.  The lane thread serves
     replica 0.  When a replica's take leaves requests queued and no replica
     is idle, the lane starts one more replica thread (up to
-    ``max_replicas``), which forks its one-worker process session and then
-    pulls like the others.  A forked replica whose batch fails
-    retires on its own, once replica 0 has answered that batch; replica 0
-    left broken drops the artifact.  A closed lane (evicted,
+    ``max_replicas``), which forks its replica and then pulls like the
+    others.  A replica whose batch fails retires: an extra replica's
+    thread closes it and stops, and the lane thread forks a fresh replica
+    0 before its next take — if that fork fails, the artifact is dropped
+    and what is queued for it fails.  A closed lane (evicted,
     invalidated, engine shutdown) answers the batches it holds and stops;
     whatever is still queued for its key is served by a replacement lane
     it starts on the way out.
@@ -432,7 +271,7 @@ class _Lane:
         self._lock = threading.Lock()
         self._replica_threads: List[threading.Thread] = []
         self._growing = False
-        #: process replica ids; never reused within the lane
+        #: ids of the replicas forked after replica 0; never reused
         self._replica_ids = itertools.count(1)
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"lane-{self.label}")
@@ -476,14 +315,11 @@ class _Lane:
             artifact = engine._compile(self._model, self.key)
         except BaseException as exc:  # noqa: BLE001 - fail this key's requests
             self._artifact.set_exception(exc)
-            # drop the entry first: a request admitted from here on finds
-            # no lane and starts a fresh one instead of being stranded
-            engine._cache.invalidate(self.key, expected=self)
-            qos.fail_queued(self.key, exc)
+            self._fail(exc)
             return
         self._artifact.set_result(artifact)
         try:
-            self._serve_replica(artifact, artifact.replicas[0])
+            self._serve_lane(artifact)
         finally:
             with self._lock:
                 self._closing = True  # no replica starts from here on
@@ -491,13 +327,43 @@ class _Lane:
             qos.wake()
             for thread in others:
                 thread.join()
-            engine._close_artifact(artifact)
+            artifact.close()
             # whatever ended the lane, its cache entry must not outlive it
             engine._cache.invalidate(self.key, expected=self)
         if not engine._closed and qos.has_queued(self.key):
             engine._lane_for(self._model, self.key, self._partition)
 
-    def _serve_replica(self, artifact: CompiledArtifact, replica: Replica) -> None:
+    def _fail(self, exc: BaseException) -> None:
+        """Drop the lane's entry, then fail what is queued for its key."""
+        # drop the entry first: a request admitted from here on finds no
+        # lane and starts a fresh one instead of being stranded
+        self._engine._cache.invalidate(self.key, expected=self)
+        self._engine.qos.fail_queued(self.key, exc)
+
+    def _serve_lane(self, artifact: CompiledArtifact) -> None:
+        """Serve replica 0 until the lane closes, forking a fresh one
+        whenever it retires (the fusion probe may have retired it)."""
+        replica = artifact.replicas[0]
+        while True:
+            self._serve_replica(artifact, replica, primary=True)
+            if self._closing or self._engine._closed or not replica.retired:
+                return
+            try:
+                fresh = self._engine._fork_replica(
+                    artifact, next(self._replica_ids))
+            except Exception as exc:  # noqa: BLE001 - as a compile error
+                error = ServingError(
+                    f"forking a replica of {self.label!r} failed: {exc}")
+                error.__cause__ = exc
+                self._fail(error)
+                return
+            with self._lock:
+                artifact.replicas[artifact.replicas.index(replica)] = fresh
+            replica.close()
+            replica = fresh
+
+    def _serve_replica(self, artifact: CompiledArtifact, replica: Replica,
+                       primary: bool) -> None:
         qos = self._engine.qos
 
         def closing() -> bool:
@@ -508,7 +374,7 @@ class _Lane:
 
         while True:
             batch = qos.take_batch(self.key, artifact.max_batch, closing,
-                                   primary=replica.index == 0, spare=spare)
+                                   primary=primary, spare=spare)
             if batch is None:
                 return
             with self._lock:
@@ -539,9 +405,9 @@ class _Lane:
         thread.start()
 
     def _run_replica(self, artifact: CompiledArtifact, index: int) -> None:
-        """A process replica's thread: fork its session, then serve."""
+        """An extra replica's thread: fork it, then serve."""
         try:
-            replica = self._engine._process_replica(artifact, index)
+            replica = self._engine._fork_replica(artifact, index)
         except Exception:
             # The lane serves on the replicas it has, and a fork that
             # failed once is not retried for this artifact; the traceback
@@ -557,7 +423,7 @@ class _Lane:
                 artifact.replicas.append(replica)
         try:
             if serving:
-                self._serve_replica(artifact, replica)
+                self._serve_replica(artifact, replica, primary=False)
         finally:
             if serving:
                 with self._lock:
@@ -581,7 +447,7 @@ class _Lane:
                           "replica": str(replica.index)}
             t_assemble = tracer.now()
         try:
-            stacked = replica.stack(batch)
+            stacked = stack_requests(batch)
             if tracer is not None:
                 t_execute = tracer.now()
                 tracer.emit("batch.stack", "serving", t_assemble, t_execute,
@@ -593,10 +459,6 @@ class _Lane:
                             args=batch_args)
             scattered = scatter_outputs(outputs, batch)
         except BaseException as exc:  # noqa: BLE001 - fail every co-batched request
-            if replica.index == 0 and replica.session.broken:
-                # the artifact itself is unusable: drop it so this key's
-                # next request (or its queue, on the way out) recompiles
-                engine._cache.invalidate(self.key, expected=self)
             for request in batch:
                 self._respond(request, exc=exc)
             return
@@ -625,16 +487,9 @@ class InferenceEngine:
     and one replica per core.
 
     The engine is thread-safe: any number of caller threads may ``submit``
-    concurrently, which is precisely what fills the micro-batches.
-
-    **It changes the caller's numpy while it serves.**  A BLAS thread
-    count is process-global: while any lane that may fork replicas lives
-    (from its compile to its eviction, invalidation or :meth:`shutdown`),
-    the engine holds every loaded OpenBLAS copy of *this process* at one
-    thread — the caller's own BLAS calls run on one thread too — and when
-    the last such lane closes the count found before the first is put
-    back.  A one-core host and a host whose BLAS cannot be pinned never
-    pin anything.
+    concurrently, which is precisely what fills the micro-batches.  Models
+    run only in forked replicas, so the caller's process keeps its own
+    BLAS thread count.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
@@ -656,8 +511,6 @@ class InferenceEngine:
             quota_for=self.config.qos.cache_quota_for,
             evictable=lambda lane: lane.ready)
         self._closed = False
-        #: this process's BLAS threads, read on first need
-        self._blas = None
         # Every request waits here and only here; the lanes pull from it.
         self.qos = QoSFrontend(self.config.qos, self.registry, tracer)
 
@@ -775,66 +628,35 @@ class InferenceEngine:
 
     def _compile(self, model: Model, key: ArtifactKey) -> CompiledArtifact:
         start = time.perf_counter()
-        # The plan executes the optimized model directly; the parallel
-        # module is generated when the lane's first process replica
-        # (placement(1) only) needs it.
+        # The forked replicas run the placed module, generated when the
+        # first of them (placement(1) only) needs it.
         result = ramiel_compile(model, config=dataclasses.replace(
             self.config.pipeline, generate_code=False))
-        # Run-level session spans and per-step plan spans nest inside the
-        # lane's batch.execute span; forked replicas additionally ship
-        # per-worker execute spans home for merged traces.
-        session = create_session(result, executor="plan", tracer=self.tracer)
-        label = f"{model.name}@{key.short()}"
-        replica = Replica(0, session, self.config, label)
         # read through the module: the one seam placement and tests pin
         cores = session_module.available_cores()
-        max_replicas = 1
-        if cores > 1 and self._coordinator_blas() != UNMANAGED:
-            max_replicas = cores
-            # Every answer is the plan's at B = 1, the budget each forked
-            # worker pins itself to: held before the probe and the first
-            # answer, not from the first fork on.
-            self._blas = hold_one_blas_thread()
+        artifact = CompiledArtifact(
+            key=key, result=result, compile_time_s=0.0, max_batch=1,
+            replicas=[], cores=cores,
+            max_replicas=(cores if cores > 1 and blas_threads() != UNMANAGED
+                          else 1))
+        replica = self._fork_replica(artifact, 0)
+        artifact.replicas.append(replica)
         try:
-            batchable = self._probe_batchable(replica.execute,
-                                              key.input_signature)
-            if replica.broken:
-                # Replaced, not repaired: the wedged probe run may hold the
-                # old plan's lock and its watchdog thread forever, so
-                # replica 0 becomes a new Replica over a fresh plan with a
-                # fresh watchdog thread.
-                replica.watchdog.close()
-                replica = Replica(0, session.recover(), self.config, label)
+            if self._probe_batchable(replica.session.run, key.input_signature):
+                artifact.max_batch = self.config.max_batch_size
+            elif replica.broken:
+                # the lane thread forks a fresh replica before its first take
+                replica.retire("the batch-fusion probe left it broken")
         except BaseException:
             replica.close()
-            if max_replicas > 1:
-                self._blas = release_one_blas_thread()
             raise
-        if batchable:
-            replica.stack = replica.stacker
-        compile_time = time.perf_counter() - start
-        self.metrics.record_compile(compile_time)
-        return CompiledArtifact(
-            key=key, result=result, compile_time_s=compile_time,
-            max_batch=self.config.max_batch_size if batchable else 1,
-            replicas=[replica], max_replicas=max_replicas, cores=cores,
-            blas_held=max_replicas > 1)
+        artifact.compile_time_s = time.perf_counter() - start
+        self.metrics.record_compile(artifact.compile_time_s)
+        return artifact
 
-    def _close_artifact(self, artifact: CompiledArtifact) -> None:
-        """Close a lane's replicas and end its BLAS hold: once the last
-        holding lane in the process closes, the count found before the
-        first is back."""
-        try:
-            artifact.close()
-        finally:
-            if artifact.blas_held:
-                self._blas = release_one_blas_thread()
-
-    def _process_replica(self, artifact: CompiledArtifact,
-                         index: int) -> Replica:
-        """Fork one more replica of a lane: a one-worker process session
-        of ``placement(1)``, computing at one BLAS thread like the lane's
-        replica 0 (:meth:`_compile` holds it there)."""
+    def _fork_replica(self, artifact: CompiledArtifact, index: int) -> Replica:
+        """Fork one replica of a lane: a one-worker process session of
+        ``placement(1)`` whose worker computes at one BLAS thread."""
         session = create_session(artifact.result, executor="process",
                                  timeout_s=self.config.timeout_s,
                                  tracer=self.tracer,
@@ -843,16 +665,8 @@ class InferenceEngine:
         injector = self.config.fault_injector
         if injector is not None:
             session.pool.set_fault_injector(injector)
-        return Replica(index, session, self.config,
-                       f"{artifact.model_name}@{artifact.key.short()}/r{index}",
-                       failover=artifact.replicas[0].execute)
-
-    def _coordinator_blas(self):
-        """This process's BLAS threads (read once; the engine's own pin
-        updates it)."""
-        if self._blas is None:
-            self._blas = blas_threads()
-        return self._blas
+        return Replica(index, session,
+                       f"{artifact.model_name}@{artifact.key.short()}/r{index}")
 
     def _probe_batchable(self, execute, signature: Tuple) -> bool:
         """Check whether the compiled artifact tolerates batch-axis fusion.
@@ -869,7 +683,7 @@ class InferenceEngine:
         wildcard dims may differ.  A model that folds the batch into
         another axis fails the probe and is served one request at a time —
         still cached and warm, just not fused.  A failing probe run may
-        leave the executor broken; the caller replaces it.
+        leave the replica broken; the caller retires it.
         """
         if self.config.max_batch_size <= 1:
             return False
@@ -902,9 +716,8 @@ class InferenceEngine:
         Runs as a pull collector before every registry snapshot/exposition,
         so one ``registry.snapshot()`` exposes the serving counters, every
         cached artifact's budget (cores, replicas R, workers per replica K,
-        BLAS threads B), its plan allocations and slab bytes and its
-        output-binding direct/copy writes, and each replica's pool and
-        failover counters (labelled ``replica="<id>"``) together.
+        BLAS threads B), replica 0's slab allocations and bytes, and each
+        replica's pool counters (labelled ``replica="<id>"``) together.
         """
         registry.gauge("serving_cached_artifacts",
                        "Compiled artifacts currently cached"
@@ -916,8 +729,7 @@ class InferenceEngine:
             labels = {"model": artifact.model_name,
                       "artifact": artifact.key.short()}
             replicas = list(artifact.replicas)
-            for name, value, help in _lane_gauges(
-                    artifact, replicas, self._coordinator_blas()):
+            for name, value, help in _lane_gauges(artifact, replicas):
                 registry.gauge(name, help, labels=labels).set(value)
             for replica in replicas:
                 if replica.session.closed:
@@ -982,11 +794,10 @@ class InferenceEngine:
         return arrays, batch_len or 1, tuple(signature)
 
 
-def _lane_gauges(artifact: CompiledArtifact, replicas: List[Replica],
-                 coordinator_blas):
+def _lane_gauges(artifact: CompiledArtifact, replicas: List[Replica]):
     """``(name, value, help)`` of every gauge one cached artifact publishes
-    once: its budget, then replica 0's plan memory."""
-    blas = [replica.blas_threads(coordinator_blas) for replica in replicas]
+    once: its budget, then replica 0's worker memory."""
+    blas = [replica.blas_threads() for replica in replicas]
     yield ("serving_lane_cores", artifact.cores,
            "Cores a cached artifact's lane was sized on")
     yield ("serving_lane_replicas", len(replicas),
@@ -997,31 +808,23 @@ def _lane_gauges(artifact: CompiledArtifact, replicas: List[Replica],
            0 if UNMANAGED in blas else max(blas),
            "BLAS threads per worker (B) of a cached artifact's lane; "
            "0 = unmanaged")
-    plan = replicas[0].session.stats()["plan"]
-    arena, binding = plan["arena"], plan["output_binding"]
-    yield ("serving_plan_arena_allocations", arena["allocations"],
-           "Slab and scratch allocations of a cached artifact's plan")
-    yield ("serving_plan_slab_bytes", arena["slab_bytes"],
-           "Bytes of a cached plan's per-signature memory slabs")
-    yield ("serving_plan_output_direct_writes", binding["direct_writes"],
-           "Bound outputs written in place by a cached plan")
-    yield ("serving_plan_output_copy_writes", binding["copy_writes"],
-           "Bound outputs finalized by copy in a cached plan")
+    (worker,) = replicas[0].session.stats()["pool"]["workers"]
+    yield ("serving_plan_arena_allocations", worker["allocations"],
+           "Slab and scratch allocations of a cached artifact's replica 0")
+    yield ("serving_plan_slab_bytes", worker["slab_bytes"],
+           "Bytes of a cached artifact's replica 0 memory slabs")
 
 
 def _replica_gauges(replica: Replica):
     """``(name, value, help)`` of every gauge one replica publishes."""
     stats = replica.session.stats()
-    pool = stats.get("pool")
-    if pool is not None:
-        yield ("serving_pool_clusters", stats["pool_clusters"],
-               "Warm pool workers (placed clusters) of a cached artifact")
-        yield ("serving_pool_runs_total", pool["runs"],
-               "Completed pool runs of a cached artifact")
-        yield ("serving_pool_failures_total", pool["failures"],
-               "Failed pool runs of a cached artifact")
-        yield ("serving_pool_execute_seconds_total",
-               pool["execute_ns_total"] / 1e9,
-               "Cumulative worker execute time of a cached artifact")
-    yield ("serving_resilience_failovers_total", replica.stats()["failovers"],
-           "Batches a retiring forked replica handed to replica 0")
+    pool = stats["pool"]
+    yield ("serving_pool_clusters", stats["pool_clusters"],
+           "Warm pool workers (placed clusters) of a cached artifact")
+    yield ("serving_pool_runs_total", pool["runs"],
+           "Completed pool runs of a cached artifact")
+    yield ("serving_pool_failures_total", pool["failures"],
+           "Failed pool runs of a cached artifact")
+    yield ("serving_pool_execute_seconds_total",
+           pool["execute_ns_total"] / 1e9,
+           "Cumulative worker execute time of a cached artifact")

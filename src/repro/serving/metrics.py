@@ -6,12 +6,11 @@ artifact cache.  Compound recordings take a single lock (the recorded
 quantities are tiny compared to operator execution) and everything is
 exported as a plain dict via :meth:`ServingMetrics.snapshot`.
 
-Memory is **bounded**: latency samples live in a fixed-capacity reservoir
-(Vitter's algorithm R — a uniform sample of the whole stream, so the
-percentiles stay statistically representative over arbitrarily long
-``serve-bench`` runs, and exact where the bucketed histogram can only
-interpolate), while count / sum / max are the histogram's exact scalars and
-the batch histogram is a counter per distinct size.
+Memory is **bounded**: request latencies go into one fixed-bucket
+histogram, ``serving_request_latency_seconds``, whose count / sum / max
+are exact and whose percentiles are bucket-interpolated, so
+:meth:`ServingMetrics.snapshot` and ``/metrics`` give the same p99; the
+batch histogram is a counter per distinct size.
 
 The counts themselves live in one place: the ``serving_*`` instruments of a
 :class:`~repro.observability.MetricsRegistry` (the engine's, or a private
@@ -23,60 +22,11 @@ publish, and :meth:`ServingMetrics.snapshot` is a view over the same store.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.observability.metrics import MetricsRegistry
-
-#: Default capacity of the latency/batch sample reservoirs.  At 2048
-#: float64 samples the retained window is ~16 KB per metric while p99
-#: estimates stay within a fraction of a percentile of exact on uniform
-#: reservoir samples.
-DEFAULT_SAMPLE_CAPACITY = 2048
-
-
-def percentile(samples: List[float], q: float) -> Optional[float]:
-    """``q``-th percentile of ``samples`` (None when empty)."""
-    if not samples:
-        return None
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
-
-
-class _Reservoir:
-    """Fixed-capacity uniform sample of a stream (Vitter's algorithm R).
-
-    Not thread-safe on its own — callers hold the metrics lock.  The RNG is
-    private and deterministically seeded so metric snapshots are
-    reproducible run-to-run given the same request stream.
-    """
-
-    __slots__ = ("capacity", "count", "samples", "_rng")
-
-    def __init__(self, capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                 seed: int = 0x5EED) -> None:
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.count = 0
-        self.samples: List[float] = []
-        self._rng = random.Random(seed)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.samples[slot] = value
-
-    def clear(self) -> None:
-        self.count = 0
-        self.samples = []
 
 
 class ServingMetrics:
@@ -84,19 +34,14 @@ class ServingMetrics:
 
     Parameters
     ----------
-    sample_capacity:
-        Reservoir size for latency samples; memory stays bounded at this
-        many floats no matter how long the engine serves.
     registry:
         The :class:`~repro.observability.MetricsRegistry` holding the
         ``serving_*`` instruments (a private one when omitted).
     """
 
-    def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry = registry or MetricsRegistry()
         self._lock = threading.Lock()
-        self._sample_capacity = int(sample_capacity)
         counter, gauge = registry.counter, registry.gauge
         self._submitted = counter(
             "serving_requests_submitted_total",
@@ -130,7 +75,6 @@ class ServingMetrics:
         self._cache_hit_rate = gauge(
             "serving_cache_hit_rate", "Artifact cache hit rate")
         self._batch_counters: Dict[int, object] = {}
-        self._latency_reservoir = _Reservoir(self._sample_capacity)
         self._first_submit_t: Optional[float] = None
         self._last_done_t: Optional[float] = None
         registry.register_collector(self._refresh_derived)
@@ -150,7 +94,6 @@ class ServingMetrics:
                     self._cache_hit_rate, *self._batch_counters.values(),
                     *(g for _, g in self.registry.series("serving_latency_ms"))):
                 instrument.reset()
-            self._latency_reservoir = _Reservoir(self._sample_capacity)
             self._first_submit_t = self._last_done_t = None
 
     def _refresh_derived(self, _registry) -> None:
@@ -184,7 +127,6 @@ class ServingMetrics:
             if ok:
                 self._completed.inc()
                 self._latency.observe(latency_s)
-                self._latency_reservoir.add(latency_s)
             else:
                 self._failed.inc()
             self._last_done_t = time.perf_counter()
@@ -224,12 +166,11 @@ class ServingMetrics:
         Throughput is completed requests divided by the span from the first
         ``submit`` to the last completion — the steady-state serving rate,
         not an average over idle time before/after the load.  Latency
-        percentiles cover the retained reservoir window of successfully
-        completed requests (a uniform sample of the whole run); mean and
-        max are exact over every completion.
+        percentiles are the latency histogram's bucket-interpolated
+        estimates over every successful completion; mean and max are exact.
         """
         with self._lock:
-            latencies_ms = [s * 1e3 for s in self._latency_reservoir.samples]
+            latency = self._latency
             completed = int(self._completed.value)
             span = None
             if self._first_submit_t is not None and self._last_done_t is not None:
@@ -241,20 +182,15 @@ class ServingMetrics:
             histogram = {size: int(counter.value) for size, counter
                          in sorted(self._batch_counters.items())
                          if counter.value}
-            latency_max_s = self._latency.max
             return {
                 "submitted": int(self._submitted.value),
                 "completed": completed,
                 "failed": int(self._failed.value),
                 "throughput_rps": (completed / span) if span else None,
                 "latency_ms": {
-                    "p50": percentile(latencies_ms, 50),
-                    "p95": percentile(latencies_ms, 95),
-                    "p99": percentile(latencies_ms, 99),
-                    "mean": (self._latency.sum * 1e3 / completed
-                             if completed else None),
-                    "max": (latency_max_s * 1e3
-                            if latency_max_s is not None else None),
+                    **{f"p{q}": _ms(latency.percentile(q)) for q in (50, 95, 99)},
+                    "mean": _ms(latency.mean),
+                    "max": _ms(latency.max),
                 },
                 "batches": batches,
                 "mean_batch_size": (
@@ -270,3 +206,7 @@ class ServingMetrics:
                     "evictions": int(self._evictions.value),
                 },
             }
+
+
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else seconds * 1e3

@@ -425,8 +425,9 @@ class _Takers:
         The backlog is divided over every taker that could take it now —
         the idle ones, the caller included, plus ``spare()`` takers its lane
         could still start — rounded up and capped at ``max_batch``.  A
-        lone request is left to an idle primary: it runs in-process, with
-        no hand-off to a forked worker.
+        lone request is left to an idle primary (the replica its lane's
+        own thread serves), so an idle lane keeps answering from one
+        replica.
         """
         if not queued or (queued == 1 and not primary and self.primary_idle):
             return 0
@@ -615,7 +616,7 @@ class QoSFrontend:
                 raise
             takers = self._takers.get(key)
             if takers is not None:
-                # every one: a process replica passes a lone request over
+                # every one: an extra replica passes a lone request over
                 # to an idle replica 0, which must be awake to take it
                 takers.cond.notify_all()
         self._count_admitted(name)

@@ -5,9 +5,19 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph.dataflow import DataflowGraph
 from repro.ir import GraphBuilder
+
+#: tier-1 draws the same examples on every run; ``--hypothesis-profile
+#: default`` (or any other registered profile) draws fresh ones
+settings.register_profile("derandomized", derandomize=True)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("derandomized")
 
 
 @pytest.fixture()
@@ -47,9 +57,10 @@ managed_blas = pytest.mark.skipif(
 def restore_blas():
     """Every test starts at the BLAS thread count the process started with.
 
-    An engine that forks a lane replica pins the whole process to one BLAS
-    thread, and so do tests that pin it themselves; without this a test
-    would compute at a budget that depends on what ran before it.
+    Tests that build reference answers pin this process's BLAS threads
+    themselves (the serving engine never does: only its forked workers
+    pin theirs); without this a test would compute at a budget that
+    depends on what ran before it.
     """
     if INITIAL_BLAS != "unmanaged":
         from repro.runtime.blas import blas_threads, pin_blas_threads

@@ -48,17 +48,6 @@ class TestBlasControls:
         assert blas_threads() == 1
         assert all(get() == 1 for _, get in blas._controls())
 
-    def test_holds_nest_and_the_last_release_restores_the_count(self):
-        """Two holders (two engines with forked replicas): the first
-        release keeps one thread, the last puts back what the first hold
-        found."""
-        pin_blas_threads(2)
-        assert blas.hold_one_blas_thread() == 1
-        assert blas.hold_one_blas_thread() == 1
-        assert blas.release_one_blas_thread() == 1
-        assert blas.release_one_blas_thread() == 2
-        assert blas_threads() == 2
-
     def test_no_copy_found_is_unmanaged_and_changes_nothing(
             self, monkeypatch):
         before = blas_threads()

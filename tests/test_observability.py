@@ -307,31 +307,41 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Bounded serving metrics (reservoir)
+# Bounded serving metrics (one latency histogram)
 # ---------------------------------------------------------------------------
 class TestBoundedServingMetrics:
     def test_reservoir_bounds_retained_samples(self):
-        metrics = ServingMetrics(sample_capacity=64)
+        """Latencies live in one fixed-bucket histogram: a thousand
+        completions keep no samples, and ``snapshot()`` reads the same
+        percentiles the registry exposes."""
+        metrics = ServingMetrics()
+        histogram = metrics.registry.histogram(
+            "serving_request_latency_seconds")
+        buckets = len(histogram.cumulative_buckets())
         for index in range(1000):
             metrics.record_completed((index + 1) / 1000.0)
         snapshot = metrics.snapshot()
         assert snapshot["completed"] == 1000
-        assert len(metrics._latency_reservoir.samples) == 64
-        # mean and max are exact (running aggregates), not reservoir-based
+        assert len(histogram.cumulative_buckets()) == buckets
+        # mean and max are exact (running aggregates)
         assert snapshot["latency_ms"]["mean"] == pytest.approx(500.5)
         assert snapshot["latency_ms"]["max"] == pytest.approx(1000.0)
-        # the reservoir percentiles are unbiased estimates: with 64 uniform
-        # samples of [1, 1000] ms, p50 lands well inside the range
+        # the percentiles are the histogram's, so /metrics agrees
+        exposed = metrics.registry.snapshot()["serving_request_latency_seconds"]
+        for quantile in ("p50", "p95", "p99"):
+            assert snapshot["latency_ms"][quantile] == pytest.approx(
+                exposed[quantile] * 1e3)
+        # bucket interpolation stays inside the observed range and order
         assert 0 < snapshot["latency_ms"]["p50"] < 1000.0
         assert snapshot["latency_ms"]["p50"] <= snapshot["latency_ms"]["p95"]
         assert snapshot["latency_ms"]["p95"] <= snapshot["latency_ms"]["p99"]
 
     def test_small_windows_are_exact(self):
-        metrics = ServingMetrics(sample_capacity=128)
+        metrics = ServingMetrics()
         for latency_ms in (10.0, 20.0, 30.0, 40.0):
             metrics.record_completed(latency_ms / 1e3)
         snapshot = metrics.snapshot()
-        # interpolated median of [10, 20, 30, 40]
+        # the median of [10, 20, 30, 40] falls on the 25 ms bucket bound
         assert snapshot["latency_ms"]["p50"] == pytest.approx(25.0)
         assert snapshot["latency_ms"]["max"] == pytest.approx(40.0)
 
@@ -493,21 +503,23 @@ class TestRegistryUnification:
             for future in futures:
                 future.result(timeout=30)
             # snapshot while the artifact sessions are alive: the artifact
-            # collector reads their plan/arena/pool stats
+            # collector reads their worker/pool stats
             snapshot = registry.snapshot()
+            (lane,) = engine._cache.values()
+            worker_spans = [event for replica in lane.artifact.replicas
+                            for buffer in replica.session.worker_trace_buffers()
+                            for event in buffer.events]
         finally:
             engine.shutdown()
         assert snapshot["serving_requests_completed_total"]["value"] == 6
         assert snapshot["serving_requests_failed_total"]["value"] == 0
         latency = snapshot["serving_request_latency_seconds"]
         assert latency["type"] == "histogram" and latency["count"] == 6
-        # plan/arena/binding gauges from the session collector, labelled
+        # replica 0's slab gauges from the artifact collector, labelled
         # per model+artifact
         assert snapshot["serving_cached_artifacts"]["value"] == 1
         for family in ("serving_plan_arena_allocations",
-                       "serving_plan_slab_bytes",
-                       "serving_plan_output_direct_writes",
-                       "serving_plan_output_copy_writes"):
+                       "serving_plan_slab_bytes"):
             matches = [key for key in snapshot if key.startswith(family)]
             assert matches, f"{family} missing from registry snapshot"
             assert all(f'model="{model.name}"' in key for key in matches)
@@ -515,13 +527,14 @@ class TestRegistryUnification:
         assert "serving_request_latency_seconds_bucket" in text
 
         # the request lifecycle landed in the tracer: nested
-        # request -> session.run -> plan step spans plus the one async
-        # queueing span (the admission queue is the only place it waits)
+        # request -> session.run spans plus the one async queueing span
+        # (the admission queue is the only place it waits), and each
+        # forked worker shipped its execute spans home
         names = {e.name for e in tracer.events()}
         assert {"request.submit", "request", "qos.queue",
                 "batch.execute", "session.run"} <= names
         assert "request.queue" not in names
-        assert any(e.cat == "plan" for e in tracer.events())
+        assert any(span[0] == "worker.execute" for span in worker_spans)
 
     def test_session_publish_metrics_exports_plan_gauges(self):
         registry = MetricsRegistry()

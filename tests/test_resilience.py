@@ -10,10 +10,11 @@ engine, asserting the properties the layer promises:
   at dispatch, naming it; every failure leaves the pool broken, and the
   one repair is to replace it — ``Session.recover()`` closes the pool and
   starts new workers, each of which must answer a ping before use;
-* a serving batch runs once: a forked replica whose batch fails retires
-  and hands the batch to replica 0, which answers it **bitwise** without
-  building anything; the lane forks a fresh replica once the fault clears,
-  and replica 0 raises its own error;
+* a serving batch runs once on a forked replica: a batch that fails
+  fails its requests with a ``ServingError`` naming the replica, chained
+  from the executor's error, and the replica retires; a fresh fork —
+  before the lane thread's next take for replica 0, on the next backlog
+  for another — answers **bitwise**, without a recompile;
 * every recovery decision is visible in ``stats()`` and the shared
   ``MetricsRegistry``.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -50,7 +52,12 @@ from repro.runtime.worker_pool import (
     WarmExecutorPool,
     remote_error_text,
 )
-from repro.serving import EngineConfig, InferenceEngine, example_inputs
+from repro.serving import (
+    EngineConfig,
+    InferenceEngine,
+    ServingError,
+    example_inputs,
+)
 
 
 def _compile(model):
@@ -561,8 +568,8 @@ class TestSessionRecover:
     def test_a_failed_heal_fails_over_to_replica_0(
             self, chain_compiled, monkeypatch, pin_cores):
         """A forked replica whose one attempt fails is not healed: it
-        retires with its pool as it is, and replica 0 answers its batch.
-        Any replacement pool would fail its startup ping here, and none is
+        retires with its pool as it is and raises an error naming it.  Any
+        replacement pool would fail its startup ping here, and none is
         started."""
         pin_cores(2)
         model, _, feed, _ = chain_compiled
@@ -577,12 +584,15 @@ class TestSessionRecover:
             runs = replica.stats()["runs"]
             pool.set_fault_injector(injector)
             monkeypatch.setattr(worker_pool, "_worker", _exit_at_once)
-            outputs = replica.run_batch(feed)
+            with pytest.raises(ServingError,
+                               match=re.escape(replica.label)) as excinfo:
+                replica.run_batch(feed)
+            assert isinstance(excinfo.value.__cause__, ParallelExecutionError)
             assert injector.stats() == {"worker.execute:exc": 1}
-            assert replica.stats() == {"runs": runs + 1, "failovers": 1}
+            assert replica.stats() == {"runs": runs + 1}
             assert replica.retired and replica.session.broken
             assert replica.session.pool is pool
-        _assert_plan_bitwise(model, feeds + [feed], served + [outputs])
+        _assert_plan_bitwise(model, feeds, served)
 
     def test_interp_session_recovers(self):
         model = build_diamond_model()
@@ -616,26 +626,19 @@ def _assert_plan_bitwise(model, feeds, served) -> None:
         _assert_bitwise(outputs, plan.run(feed))
 
 
-def _replica_gauge(engine, family: str, replica) -> float:
-    (value,) = [entry["value"] for key, entry in engine.registry.snapshot().items()
-                if key.startswith(family + "{")
-                and f'replica="{replica.index}"' in key]
-    return value
-
-
 class TestServingResilience:
-    """The chaos tests fork a lane's second replica
-    (``serve_across_replicas`` on two pinned cores), then fail that
-    replica's one worker: the configured ``fault_injector`` reaches only
-    forked replicas."""
+    """The chaos tests fail a lane replica's one worker: every replica is
+    a forked one-worker session, and the configured ``fault_injector``
+    reaches each of them.  Most fork a second replica first
+    (``serve_across_replicas`` on two pinned cores)."""
 
     @managed_blas
     def test_a_failing_replica_fails_over_then_reforks(
             self, pin_cores):
-        """A forked replica whose batch fails retires after its one attempt
-        and replica 0 answers the batch; once the fault clears, the next
-        backlog forks a fresh replica that serves with no failover.  The
-        engine's ``fault_injector`` reaches every forked replica's pool."""
+        """A replica whose batch fails retires after its one attempt and
+        raises an error naming it; once the fault clears, the next
+        backlog forks a fresh replica that serves.  The engine's
+        ``fault_injector`` reaches every replica's pool."""
         pin_cores(2)
         model = build_diamond_model()
         feeds = [example_inputs(model, seed=22 + i) for i in range(3)]
@@ -645,18 +648,19 @@ class TestServingResilience:
         with InferenceEngine(config) as engine:
             served, artifact = serve_across_replicas(engine, model, feeds)
             replica0, replica = artifact.replicas
+            assert replica0.session.pool.fault_injector is injector
             assert replica.session.pool.fault_injector is injector
             runs = replica.stats()["runs"]
             injector.add(FaultSpec(site="worker.execute", kind="exc",
                                    times=-1, message="always failing"))
-            # the one attempt fails: the batch still resolves, on replica 0
-            served.append(replica.run_batch(feeds[0]))
+            # the one attempt fails: an explicit error, naming the replica
+            with pytest.raises(ServingError,
+                               match=re.escape(replica.label)) as excinfo:
+                replica.run_batch(feeds[0])
+            assert "always failing" in str(excinfo.value.__cause__)
             assert injector.stats() == {"worker.execute:exc": 1}
-            assert replica.stats() == {"runs": runs + 1, "failovers": 1}
+            assert replica.stats() == {"runs": runs + 1}
             assert replica.retired and replica.session.broken
-            assert _replica_gauge(engine, "serving_resilience_failovers_total",
-                                  replica) == 1
-            assert replica0.stats()["failovers"] == 0
 
             # the retired replica's idle thread notices and closes it
             engine.qos.wake()
@@ -669,16 +673,46 @@ class TestServingResilience:
             (fresh,) = artifact.replicas[1:]
             assert fresh is not replica and fresh.index == 2
             assert fresh.session.pool.fault_injector is injector
-            assert fresh.stats()["runs"] >= 1
-            assert fresh.stats()["failovers"] == 0 and not fresh.retired
+            assert fresh.stats()["runs"] >= 1 and not fresh.retired
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
-        _assert_plan_bitwise(model, feeds + feeds[:1] + feeds, served)
+        _assert_plan_bitwise(model, feeds + feeds, served)
+
+    def test_a_killed_replica_0_batch_fails_and_a_fresh_fork_answers(
+            self, pin_cores):
+        """Replica 0's worker killed mid-batch through the engine's
+        ``fault_injector``: the request fails with an error naming replica
+        0, chained from the pool's, and the next request is answered by a
+        freshly forked replica, bitwise the B = 1 plan, with one compile."""
+        pin_cores(1)
+        model = build_diamond_model()
+        feeds = [example_inputs(model, seed=60 + i) for i in range(2)]
+        injector = FaultInjector()
+        config = EngineConfig(max_batch_size=1, timeout_s=60.0,
+                              fault_injector=injector)
+        with InferenceEngine(config) as engine:
+            served = [engine.infer(model, feeds[0])]
+            artifact = cached_artifacts(engine)[0]
+            (replica,) = artifact.replicas
+            injector.add(FaultSpec(site="worker.execute", kind="crash"))
+            with pytest.raises(ServingError,
+                               match=re.escape(replica.label)) as excinfo:
+                engine.infer(model, feeds[0])
+            assert isinstance(excinfo.value.__cause__, ParallelExecutionError)
+            assert injector.stats() == {"worker.execute:crash": 1}
+            served.append(engine.infer(model, feeds[1]))
+            (fresh,) = artifact.replicas
+            assert fresh is not replica and fresh.index == 1
+            assert replica.retired and replica.session.closed
+            assert fresh.session.pool.fault_injector is injector
+            assert cached_artifacts(engine) == [artifact]
+            assert engine.metrics.snapshot()["cache"]["compiles"] == 1
+        _assert_plan_bitwise(model, feeds, served)
 
     @managed_blas
     def test_a_failover_builds_no_session_and_no_thread(
             self, pin_cores, monkeypatch):
-        """Replica 0 answers a retiring replica's batch with what it already
-        has: no session is created and no thread is started."""
+        """A failed batch raises from what the replica already has: no
+        session is created and no thread is started."""
         import repro.serving.engine as engine_module
 
         pin_cores(2)
@@ -696,23 +730,26 @@ class TestServingResilience:
                 engine_module, "create_session",
                 lambda *a, **kw: created.append(a) or real_create(*a, **kw))
             threads = set(threading.enumerate())
-            served.append(replica.run_batch(feeds[0]))
-            assert replica.stats()["failovers"] == 1
+            with pytest.raises(ServingError):
+                replica.run_batch(feeds[0])
+            assert replica.retired
             assert created == []
             assert set(threading.enumerate()) <= threads
-        _assert_plan_bitwise(model, feeds + feeds[:1], served)
+        _assert_plan_bitwise(model, feeds, served)
 
     @managed_blas
     def test_a_failover_that_fails_raises_replica_0s_error(self, pin_cores):
-        """When replica 0 cannot answer a retiring replica's batch either,
-        the requests get replica 0's error, chained from the replica's."""
+        """A failed batch is not handed to another replica: its requests
+        get a ``ServingError`` naming the replica that ran it, chained
+        from the executor's own error, and replica 0 is not asked."""
         pin_cores(2)
         model = build_diamond_model()
         feeds = [example_inputs(model, seed=50 + i) for i in range(3)]
-        boom = RuntimeError("replica 0 failed too")
+        asked = []
 
-        def failing_run(*args, **kwargs):
-            raise boom
+        def recorded_run(*args, **kwargs):
+            asked.append(args)
+            raise RuntimeError("replica 0 was asked")
 
         with InferenceEngine(EngineConfig(max_batch_size=1,
                                           timeout_s=60.0)) as engine:
@@ -720,17 +757,23 @@ class TestServingResilience:
             replica0, replica = artifact.replicas
             replica.session.pool.set_fault_injector(FaultInjector([FaultSpec(
                 site="worker.execute", kind="exc", times=-1)]))
-            replica0.session.run = failing_run
-            with pytest.raises(RuntimeError) as excinfo:
+            replica0.session.run = recorded_run
+            with pytest.raises(ServingError) as excinfo:
                 replica.run_batch(feeds[0])
-            assert excinfo.value is boom
+            assert replica.label.endswith("/r1")
+            assert replica.label in str(excinfo.value)
             assert isinstance(excinfo.value.__cause__, ParallelExecutionError)
-            assert replica.retired and replica.stats()["failovers"] == 1
+            assert "injected fault" in str(excinfo.value.__cause__)
+            assert asked == []
+            assert replica.retired and not replica0.retired
             del replica0.session.run
 
-    def test_default_config_is_fail_fast_through_the_dispatcher(self):
-        """Replica 0 makes one attempt per batch and surfaces the
-        executor's own error, every time."""
+    def test_default_config_is_fail_fast_through_the_dispatcher(
+            self, pin_cores):
+        """A batch makes one attempt and surfaces the executor's own error
+        as the cause of a ``ServingError`` naming the replica, every time;
+        the replica retires and a fresh fork answers the next request."""
+        pin_cores(1)
         model = build_diamond_model()
         feed = example_inputs(model, seed=23)
         boom = RuntimeError("boom")
@@ -741,25 +784,27 @@ class TestServingResilience:
         with InferenceEngine(EngineConfig(max_batch_size=1)) as engine:
             reference = engine.infer(model, feed)
             artifact = cached_artifacts(engine)[0]
-            artifact.replicas[0].session.run = failing_run
-            for _ in range(5):
-                with pytest.raises(RuntimeError) as excinfo:
+            for _ in range(3):
+                replica = artifact.replicas[0]
+                replica.session.run = failing_run
+                with pytest.raises(ServingError,
+                                   match=re.escape(replica.label)) as excinfo:
                     engine.infer(model, feed)
-                assert excinfo.value is boom  # never another exception type
-            assert artifact.replicas[0].stats() == {"runs": 6, "failovers": 0}
-            # a transient failure leaves the (unbroken) artifact cached
-            del artifact.replicas[0].session.run
-            _assert_bitwise(engine.infer(model, feed), reference)
+                assert excinfo.value.__cause__ is boom
+                assert replica.stats() == {"runs": 2} and replica.retired
+                _assert_bitwise(engine.infer(model, feed), reference)
+                assert artifact.replicas[0] is not replica
             assert cached_artifacts(engine) == [artifact]
+            assert engine.metrics.snapshot()["cache"]["compiles"] == 1
 
     @managed_blas
     def test_a_broken_forked_replica_retires_and_replica_0_serves_on(
             self, pin_cores):
-        """A forked replica whose one attempt fails retires and replica 0 answers its batch, after the batch it
-        holds: the lane drops the replica, the artifact stays cached with
-        no recompile, replica 0 serves on — still at one BLAS thread, since
-        the lane may fork again — and the process's BLAS count is back once
-        the engine has shut down."""
+        """A forked replica whose one attempt fails fails its batch with an
+        error naming it, while replica 0 holds another batch: the lane
+        drops the replica, the artifact stays cached with no recompile,
+        replica 0 serves on, and the engine's process never changes its
+        BLAS count."""
         from repro.runtime.blas import blas_threads
 
         pin_cores(2)
@@ -775,24 +820,23 @@ class TestServingResilience:
             entered, release = gate_session(artifact)
             held = engine.submit(model, feeds[0])  # replica 0 takes it
             assert entered.wait(timeout=30.0)
-            failed_over = engine.submit(model, feeds[1])
-            _wait_until(lambda: replica.retired, what="the replica retired")
-            assert not failed_over.done()  # queued behind replica 0's batch
+            failed = engine.submit(model, feeds[1])  # the idle replica's
+            with pytest.raises(ServingError, match=re.escape(replica.label)):
+                failed.result(timeout=60.0)
+            assert replica.retired and not held.done()
             release.set()
             served.append(held.result(timeout=60.0))
-            served.append(failed_over.result(timeout=60.0))
-            assert replica.stats()["failovers"] == 1
             _wait_until(lambda: artifact.replicas == [replica0],
                         what="the retired replica dropped")
             _wait_until(lambda: replica.session.closed,
                         what="the retired replica closed")
-            assert blas_threads() == 1
+            assert blas_threads() == before
             served.append(engine.infer(model, feeds[3]))
             assert cached_artifacts(engine) == [artifact]
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
             assert artifact.replicas == [replica0]
         assert blas_threads() == before
-        _assert_plan_bitwise(model, feeds[:3] + feeds[:2] + [feeds[3]], served)
+        _assert_plan_bitwise(model, feeds[:3] + [feeds[0], feeds[3]], served)
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +846,11 @@ class TestReplicaChaos:
     @managed_blas
     def test_a_killed_replica_worker_heals_alone_while_the_others_serve(
             self, pin_cores):
-        """Kill the worker of a "plan" lane's process replica while a
-        closed loop keeps four requests in flight: that replica's next
-        batch fails once, the replica retires and replica 0 answers the
-        batch, the next backlog forks a fresh replica (a new pool, one new
-        worker) that serves on, nothing recompiles, and every response is
+        """Kill the worker of a lane's second replica while a closed loop
+        keeps four requests in flight: that replica's next batch fails
+        once, with an error naming it, and the replica retires; the next
+        backlog forks a fresh replica (a new pool, one new worker) that
+        serves on, nothing recompiles, nothing hangs, and every answer is
         the B = 1 plan's, bit for bit."""
         from concurrent.futures import FIRST_COMPLETED, wait
 
@@ -817,7 +861,7 @@ class TestReplicaChaos:
         model = build_model("bert", variant="small")
         feeds = [example_inputs(model, seed=80 + i) for i in range(8)]
         before = blas_threads()
-        served = []
+        served, failed = [], []
         with InferenceEngine() as engine:
             warm, artifact = serve_across_replicas(engine, model, feeds)
             served += list(zip(range(len(feeds)), warm))
@@ -841,7 +885,11 @@ class TestReplicaChaos:
                 done, _ = wait(list(inflight), timeout=30.0,
                                return_when=FIRST_COMPLETED)
                 for future in done:
-                    served.append((inflight.pop(future), future.result()))
+                    index = inflight.pop(future)
+                    try:
+                        served.append((index, future.result()))
+                    except ServingError as exc:
+                        failed.append(exc)
                     if len(served) == 16 and killed_at is None:
                         os.kill(victim, signal.SIGKILL)
                         killed_at = replica0.stats()["runs"]
@@ -852,16 +900,18 @@ class TestReplicaChaos:
             assert not inflight, "requests left unanswered"
             assert killed_at is not None
             assert replica1.retired and replica1 not in artifact.replicas
-            assert replica1.stats()["failovers"] == 1
+            assert failed and all(
+                replica1.label in str(exc)
+                and isinstance(exc.__cause__, ParallelExecutionError)
+                for exc in failed)
             (fresh,) = fresh_replicas()
             assert fresh.stats()["runs"] >= 3 and not fresh.retired
-            assert fresh.stats()["failovers"] == 0
             assert victim not in [worker.pid
                                   for worker in fresh.session.pool._workers]
             assert replica0.stats()["runs"] > killed_at
-            assert replica0.stats()["failovers"] == 0
+            assert not replica0.retired
             assert engine.metrics.snapshot()["cache"]["compiles"] == 1
-        assert blas_threads() == before  # the lane's close put it back
+        assert blas_threads() == before
         pin_blas_threads(1)
         plan = create_session(ramiel_compile(model), executor="plan")
         references = [plan.run(feed) for feed in feeds]
