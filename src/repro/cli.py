@@ -237,7 +237,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _placement_line(placed: dict) -> str:
     """``Session.stats()["placement"]`` as the one line `run` / `trace` print."""
     return ("placement: {clusters} clusters -> {workers} workers ({cores} cores), "
-            "predicted {predicted_speedup:.2f}x".format(**placed))
+            "predicted {predicted_speedup:.2f}x = simulated {simulated_speedup:.2f}x"
+            " / inflation {inflation:.2f}".format(**placed))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

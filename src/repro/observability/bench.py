@@ -11,7 +11,9 @@ both runs of a pair on one seed, and the side that runs first alternating.
 For every end-to-end metric ``BENCHMARK.json`` declares it reports the two
 medians, their ratio, the base's interquartile range, the change's wins
 and a :func:`verdict`, and it writes every run to ``BENCH_<workload>.json``
-at the root of the checkout.  Those files are committed: the performance
+at the root of the checkout, beside ``nproc`` and the host profile the
+comparison ran on (``host``: its ``cores`` and its K = 2 concurrency
+inflation, :mod:`repro.runtime.host`).  Those files are committed: the performance
 history of the repository is ``git log -p -- 'BENCH_*.json'``, and the
 verdicts they record re-derive from the runs they list (:func:`summarize`).
 
@@ -28,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+from repro.runtime.host import host_profile
 
 #: pairs per workload: the fewest at which "nine tenths of the pairs" can
 #: be asked for
@@ -178,9 +182,12 @@ def render(report: Mapping) -> str:
             for name, m in report["metrics"].items()]
     failed = report["failed"]
     dirty = " (uncommitted changes)" if report["dirty"] else ""
+    profile = report.get("host")  # reports written before the profile have none
+    host = (f"  host {profile['cores']} cores, K=2 inflation "
+            f"{profile['inflation_2']:.2f}x" if profile else "")
     return "\n".join([
         f"== {report['workload']}  base {report['base'][:12]}  "
-        f"change {report['change'][:12]}{dirty}  nproc {report['nproc']}",
+        f"change {report['change'][:12]}{dirty}  nproc {report['nproc']}{host}",
         format_rows(rows),
         f"failed: base {failed['base']['failed']} of "
         f"{failed['base']['attempted']}, change {failed['change']['failed']} "
@@ -206,10 +213,12 @@ def compare(base: str, workloads: Optional[Sequence[str]] = None,
     if unknown:
         raise ValueError(f"unknown workload(s) {unknown}; "
                          f"BENCHMARK.json declares {declared}")
+    profile = host_profile()
     header = {"base": git(root, "rev-parse", "--verify", base + "^{commit}"),
               "change": git(root, "rev-parse", "HEAD"),
               "dirty": bool(git(root, "status", "--porcelain")),
-              "nproc": os.cpu_count()}
+              "nproc": os.cpu_count(),
+              "host": {"cores": profile.cores, "inflation_2": profile.inflation(2)}}
     checkout = os.path.join(root, ".perflab_out", "base-" + header["base"][:12])
     git(root, "worktree", "add", "--detach", checkout, header["base"])
     reports = {}

@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.graph.dataflow import DataflowGraph, model_to_dataflow
 from repro.graph.parallelism import ParallelismReport, parallelism_and_distances
 from repro.ir.model import Model
 from repro.passes import follow_batch, optimize_model
+from repro.runtime.host import host_profile
 from repro.runtime.plan import ExecutionPlan
 
 
@@ -84,9 +85,18 @@ class Placement:
     #: its parallel module — the compiled one when nothing was folded;
     #: imported when a session starts the workers
     module: GeneratedModule
-    #: simulated speedup of spreading over the cores offered; at or below
-    #: 1.0 the placement is a single worker instead
-    predicted_speedup: float
+    #: simulated speedup of spreading over the cores offered, one dedicated
+    #: core per worker (the paper's model)
+    simulated_speedup: float
+    #: the host's per-op slowdown with that many workers computing at once
+    #: (:meth:`repro.runtime.host.HostProfile.inflation`)
+    inflation: float = 1.0
+
+    @property
+    def predicted_speedup(self) -> float:
+        """The speedup the decision used: simulated, over the inflation.
+        At or below 1.0 the placement is a single worker instead."""
+        return self.simulated_speedup / self.inflation
 
 
 @dataclasses.dataclass
@@ -113,7 +123,7 @@ class RamielResult:
     execution_plan: Optional[ExecutionPlan] = None
     #: the simulator parameters ``schedule`` was predicted with
     simulation: SimulationConfig = dataclasses.field(default_factory=SimulationConfig)
-    _placements: Dict[int, Placement] = dataclasses.field(
+    _placements: Dict[Tuple[int, float], Placement] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -158,36 +168,40 @@ class RamielResult:
     def placement(self, cores: int) -> Placement:
         """Place the compiled clustering on a machine with ``cores`` cores.
 
-        The clustering is folded onto ``min(clusters, cores)`` workers
+        The clustering is folded onto K = ``min(clusters, cores)`` workers
         (:func:`~repro.clustering.placement.fold_onto_workers`) and the fold
-        simulated with one core per worker; a fold predicted not to beat the
-        sequential run is replaced by a single worker — a predicted loss is
-        never parallelised.  Code is generated only for a placement that
-        differs from the compiled clustering (or when the compile generated
-        none, ``generate_code=False``), once per worker count, so the
-        ``pool`` and ``process`` sessions of an artifact share it — and a
-        serving lane's one-worker replicas (``placement(1)``) generate just
-        the one-worker module, on first use.
+        simulated with one core per worker.  The simulated speedup is
+        divided by this host's ``inflation(K)``
+        (:func:`repro.runtime.host.host_profile`, probed on first use; K = 1
+        never probes); a fold then predicted not to beat the sequential run
+        is replaced by a single worker — a predicted loss is never
+        parallelised.  Code is generated only for a placement that differs
+        from the compiled clustering (or when the compile generated none,
+        ``generate_code=False``), once per worker count and inflation, so
+        the ``pool`` and ``process`` sessions of an artifact share it — and
+        a serving lane's one-worker replicas (``placement(1)``) generate
+        just the one-worker module, on first use.
         """
         # Hyperclusters span a replicated graph; code is generated per
         # sample, so it is the merged batch-1 clustering that is placed.
         compiled = self.clustering_merged
         workers = max(1, min(compiled.num_clusters, cores))
-        placed = self._placements.get(workers)
+        inflation = host_profile().inflation(workers)
+        placed = self._placements.get((workers, inflation))
         if placed is None:
             folded = fold_onto_workers(compiled, workers)
             simulator = ScheduleSimulator(
                 dataclasses.replace(self.simulation, num_cores=workers))
-            predicted = simulator.simulate(folded).speedup
-            if predicted <= 1.0 and workers > 1:
+            simulated = simulator.simulate(folded).speedup
+            if simulated / inflation <= 1.0 and workers > 1:
                 single = self.placement(1)
-                placed = Placement(single.clustering, single.module, predicted)
+                placed = Placement(single.clustering, single.module, simulated, inflation)
             else:
                 module = (self.parallel_module
                           if folded is compiled and self.parallel_module is not None
                           else generate_parallel_module(self.optimized_model, folded))
-                placed = Placement(folded, module, predicted)
-            self._placements[workers] = placed
+                placed = Placement(folded, module, simulated, inflation)
+            self._placements[(workers, inflation)] = placed
         return placed
 
     def plan(self) -> ExecutionPlan:

@@ -24,7 +24,7 @@ import ctypes
 import os
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["UNMANAGED", "blas_threads", "pin_blas_threads"]
+__all__ = ["UNMANAGED", "blas_threads", "pin_blas_threads", "stop_blas_helpers"]
 
 #: the budget of a process with a BLAS copy the runtime cannot control
 UNMANAGED = "unmanaged"
@@ -107,3 +107,23 @@ def pin_blas_threads(threads: int = 1) -> Union[int, str]:
         set_threads(int(threads))
     return max(int(get()) for _, get in controls)
 
+
+
+def stop_blas_helpers() -> None:
+    """Join every loaded copy's helper threads (``blas_thread_shutdown_``).
+
+    Setting a thread count in a forked child starts that copy's thread
+    server, and a new helper spins for about 0.1 s before it sleeps: a child
+    pinned to one thread spins a helper on a peer's core meanwhile.  Only
+    for a single-threaded process at one BLAS thread (a server shut down
+    under another thread's call would leave that call waiting); a copy
+    without the symbol keeps its helpers.
+    """
+    for path in _loaded_copies():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        shutdown = getattr(library, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown()

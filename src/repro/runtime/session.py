@@ -43,13 +43,13 @@ Example::
 from __future__ import annotations
 
 import functools
-import os
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.ir.model import Model
 from repro.runtime.executor import GraphExecutor
+from repro.runtime.host import host_profile
 from repro.runtime.plan import ClusterSlabPlanner, ExecutionPlan, land_outputs
 from repro.runtime.worker_pool import WarmExecutorPool
 
@@ -72,15 +72,6 @@ EXECUTOR_REGISTRY: Dict[str, str] = {
     "pool": "generated parallel module on warm worker threads, one per placed cluster",
     "process": "generated parallel module on warm forked workers, one per placed cluster",
 }
-
-
-def available_cores() -> int:
-    """Cores this process may run on — what a pool-backed session places
-    its clusters onto (``min(clusters, cores)`` workers).  The affinity mask
-    where the platform has one (Linux), the machine's core count elsewhere."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def known_executors() -> Tuple[str, ...]:
@@ -564,9 +555,10 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
           behind the same interface (differential testing),
         * ``"pool"`` / ``"process"`` — the generated parallel module on
           warm threads / forked processes, one per placed cluster: the
-          compiled clustering is folded onto ``min(clusters,
-          available_cores())`` workers, or onto one when the simulator
-          predicts the spread loses (:meth:`RamielResult.placement`).
+          compiled clustering is folded onto ``min(clusters, cores)``
+          workers, or onto one when the simulator, its speedup divided by
+          the host's measured concurrency inflation, predicts the spread
+          loses (:meth:`RamielResult.placement`).
           Each worker computes into its own slab, packed over its
           cluster's nodes (:class:`~repro.runtime.plan.ClusterSlabPlanner`).
           Forked workers compute with one BLAS thread whatever the
@@ -587,7 +579,8 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
         through the pickled fallback.
     cores:
         The cores a ``"pool"`` / ``"process"`` session places onto
-        (default :func:`available_cores`); ``cores=1`` is one worker
+        (default: the host profile's ``cores``, what the process may run
+        on — :func:`repro.runtime.host.host_profile`); ``cores=1`` is one worker
         running the whole model, the serving engine's lane replica.  An
         artifact compiled with ``generate_code=False`` generates the
         placed module here.
@@ -632,7 +625,7 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
                           result=result, interp=GraphExecutor(optimized),
                           timeout_s=timeout_s)
     else:
-        cores = available_cores() if cores is None else cores
+        cores = host_profile().cores if cores is None else cores
         placed = result.placement(cores)
         planner = ClusterSlabPlanner(
             optimized.graph, [cluster.nodes for cluster in placed.clustering.clusters])
@@ -646,6 +639,8 @@ def create_session(model_or_artifact, config=None, executor: str = "plan",
                               "clusters": result.clustering_merged.num_clusters,
                               "workers": placed.clustering.num_clusters,
                               "cores": cores,
+                              "simulated_speedup": placed.simulated_speedup,
+                              "inflation": placed.inflation,
                               "predicted_speedup": placed.predicted_speedup})
     if tracer is not None:
         session.set_tracer(tracer)

@@ -14,7 +14,8 @@ never switched off:
 1. **Replicas** — splitting one request across cores loses on a CPU at
    batch 1, while whole requests side by side scale, so every lane
    serves one hot model on every core: it holds up to
-   R = ``available_cores()`` replicas and a free replica takes its share
+   R = ``host_profile().cores`` replicas (:mod:`repro.runtime.host`; the
+   cores the process may run on) and a free replica takes its share
    of the backlog.  Every replica is a forked one-worker ``"process"``
    :class:`~repro.runtime.session.Session` of ``result.placement(1)``
    (K = 1) that computes with one BLAS thread (B = 1), so K·B·R <= cores.
@@ -82,8 +83,8 @@ from repro.pipeline import (
     model_fingerprint,
     ramiel_compile,
 )
-from repro.runtime import session as session_module
 from repro.runtime.blas import UNMANAGED, blas_threads
+from repro.runtime.host import host_profile
 from repro.runtime.session import Session, create_session
 from repro.serving.artifact_cache import ArtifactCache, ArtifactKey
 from repro.serving.batching import (
@@ -632,8 +633,8 @@ class InferenceEngine:
         # first of them (placement(1) only) needs it.
         result = ramiel_compile(model, config=dataclasses.replace(
             self.config.pipeline, generate_code=False))
-        # read through the module: the one seam placement and tests pin
-        cores = session_module.available_cores()
+        # the profile's cores only: a one-worker replica never probes
+        cores = host_profile().cores
         artifact = CompiledArtifact(
             key=key, result=result, compile_time_s=0.0, max_batch=1,
             replicas=[], cores=cores,

@@ -26,17 +26,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-@pytest.fixture()
-def pin_cores(monkeypatch):
-    """``pin_cores(n)``: pool-backed sessions place onto ``n`` cores, whatever
-    the host has — the one seam (`session.available_cores`) placement reads."""
-    import repro.runtime.session as session_module
-
-    def pin(cores: int) -> None:
-        monkeypatch.setattr(session_module, "available_cores", lambda: cores)
-    return pin
-
-
 def _initial_blas():
     from repro.runtime.blas import blas_threads
 

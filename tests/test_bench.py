@@ -148,7 +148,10 @@ class TestCompare:
             json.dump(BENCHMARK, fh)
         return str(tmp_path)
 
-    def test_writes_every_run_and_removes_the_worktree(self, root):
+    def test_writes_every_run_and_removes_the_worktree(self, root, monkeypatch, capsys):
+        from repro.runtime import host
+
+        monkeypatch.setattr(host, "_PROFILE", host.HostProfile(cores=3, measure=lambda k: 1.75))
         git, runner = FakeGit(), FakeRunner(change_root=root)
         checkout = os.path.join(root, ".perflab_out", "base-" + "b" * 12)
         workload = "exec_b1"
@@ -161,6 +164,9 @@ class TestCompare:
         assert report == json.loads(json.dumps(reports[workload]))
         assert (report["base"], report["change"], report["dirty"]) == ("b" * 40, "c" * 40, True)
         assert report["nproc"] == os.cpu_count()
+        assert report["host"] == {"cores": 3, "inflation_2": 1.75}
+        assert f"nproc {os.cpu_count()}  host 3 cores, K=2 inflation 1.75x" \
+            in capsys.readouterr().out
         assert len(report["runs"]) == 2 * bench.PAIRS
         latency = report["metrics"]["latency_cu"]
         assert latency["wins"] == 0 and latency["verdict"] == "no change"
