@@ -13,9 +13,10 @@ medians, their ratio, the base's interquartile range, the change's wins
 and a :func:`verdict`, and it writes every run to ``BENCH_<workload>.json``
 at the root of the checkout, beside ``nproc`` and the host profile the
 comparison ran on (``host``: its ``cores`` and its K = 2 concurrency
-inflation, :mod:`repro.runtime.host`).  Those files are committed: the performance
-history of the repository is ``git log -p -- 'BENCH_*.json'``, and the
-verdicts they record re-derive from the runs they list (:func:`summarize`).
+inflation, :mod:`repro.runtime.host`).  Those files are committed: the
+performance history of the repository is ``git log -p -- 'BENCH_*.json'``,
+and the verdicts they record re-derive from the runs they list
+(:func:`summarize`).
 
 The base is checked out with ``git worktree add --detach`` under the
 ignored ``.perflab_out/`` and removed again however the comparison ends.
